@@ -48,6 +48,8 @@ class RunConfig:
 
 
 def _check_keys(block: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(block) - allowed
     if unknown:
         raise ConfigError(
@@ -126,9 +128,18 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
                       "extraction", "evaluation"}, "config")
     if "seed" not in raw or "output_dir" not in raw:
         raise ConfigError(f"{path}: config requires 'seed' and 'output_dir'")
-    seed = int(raw["seed"]) if seed_override is None else int(seed_override)
-    base = path.parent.resolve()
+    seed = raw["seed"] if seed_override is None else seed_override
+    try:
+        return _run_config(raw, path.parent.resolve(), seed)
+    except (ConfigError, DataError, PyramidError):
+        raise
+    except (ValueError, TypeError) as exc:
+        # a value of the wrong type, e.g. "n_identities": "many"
+        raise ConfigError(f"{path}: bad config value ({exc})") from None
 
+
+def _run_config(raw: dict, base: Path, seed) -> RunConfig:
+    seed = int(seed)
     extraction = raw.get("extraction", {})
     _check_keys(extraction, {"scheme", "normalize"}, "extraction")
     extraction = {"scheme": extraction.get("scheme", "single-top"),

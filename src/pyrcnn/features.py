@@ -142,8 +142,16 @@ def read_features(path) -> dict[str, np.ndarray]:
                 continue
             if len(row) < 2:
                 raise DataError(f"{path}:{lineno}: need image_path,dim,...")
-            dim = int(row[1])
-            values = [float(v) for v in row[2:]]
+            try:
+                dim = int(row[1])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: dim {row[1]!r} is not an "
+                                f"integer") from None
+            try:
+                values = [float(v) for v in row[2:]]
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: non-numeric value "
+                                f"({exc})") from None
             if len(values) != dim:
                 raise DataError(
                     f"{path}:{lineno}: declared dim {dim} but row has "

@@ -13,6 +13,11 @@ blocks — one entry stage, one template stack + head + comparator per
 network — no matter how high the level sits, while the *assembled* network
 for level l (frozen stages 0..l-1 plus level l's subnetwork) grows deeper
 and sees exponentially larger input patches.
+
+Greedy levels and the monolithic baseline train through one Siamese loop
+(`_siamese_fit`): the same pair loss, momentum SGD and pair stream.  A
+level differs only in that its entry stage is one layer shared by all of
+its networks.
 """
 
 from __future__ import annotations
@@ -27,8 +32,9 @@ import numpy as np
 from .data import (DataError, FacePair, LabeledImage, PairSampler,
                    center_crop, split_identity_ids)
 from .layers import (ConvLayer, FCLayer, Network, PoolSpec, _backward_cached,
-                     _forward_cached, layer_forward)
-from .loss import ComparatorParams, pair_loss_grads
+                     _forward_cached, _stage_params, layer_forward)
+from .loss import ComparatorParams, distance, pair_loss_grads
+from .metrics import auc, compute_roc
 from .seeding import derive_seed, make_rng
 from .tensor import Tensor, TensorError
 
@@ -310,55 +316,6 @@ class LevelTrace:
     val_aucs: list[float] = field(default_factory=list)  # NaN when no val set
 
 
-class _Block:
-    """Named handle syncing one parameter between dicts and its owner."""
-
-    def __init__(self, name: str, owner, attr: str, scalar: bool = False):
-        self.name, self.owner, self.attr, self.scalar = name, owner, attr, scalar
-
-    def get(self) -> np.ndarray:
-        value = getattr(self.owner, self.attr)
-        return np.asarray(value if self.scalar else value.array,
-                          dtype=np.float64)
-
-    def set(self, arr: np.ndarray) -> None:
-        if self.scalar:
-            setattr(self.owner, self.attr, float(arr))
-        else:
-            setattr(self.owner, self.attr, Tensor.from_array(arr))
-
-
-def _level_blocks(model: PyramidModel, level: int) -> list[_Block]:
-    """Every block train_level updates; identical structure at all levels."""
-    stage = model.stages[level]
-    blocks = [_Block("stage.weights", stage.conv, "weights"),
-              _Block("stage.bias", stage.conv, "bias")]
-    for k, net in enumerate(model.level_networks[level]):
-        for j in range(1, len(net.stages)):
-            conv = net.stages[j][0]
-            blocks.append(_Block(f"net{k}.conv{j}.weights", conv, "weights"))
-            blocks.append(_Block(f"net{k}.conv{j}.bias", conv, "bias"))
-        blocks.append(_Block(f"net{k}.head.weights", net.head, "weights"))
-        blocks.append(_Block(f"net{k}.head.bias", net.head, "bias"))
-        comp = model.comparators[level][k]
-        blocks.append(_Block(f"net{k}.cmp.log_alpha", comp, "log_alpha",
-                             scalar=True))
-        blocks.append(_Block(f"net{k}.cmp.beta", comp, "beta", scalar=True))
-    return blocks
-
-
-def _rank_auc(matched: np.ndarray, unmatched: np.ndarray) -> float:
-    """Exact AUC as the probability a matched distance ranks below an
-    unmatched one (ties count half); equals trapezoidal area under the
-    exact ROC."""
-    su = np.sort(np.asarray(unmatched, dtype=np.float64))
-    m = np.asarray(matched, dtype=np.float64)
-    lo = np.searchsorted(su, m, side="left")
-    hi = np.searchsorted(su, m, side="right")
-    wins = (su.size - hi) + 0.5 * (hi - lo)
-    return float(wins.sum() / (m.size * su.size))
-
-
 def _check_level_images(spec: PyramidSpec, images: Sequence[Tensor],
                         level: int, what: str) -> None:
     need = spec.base_input + spec.max_offset()
@@ -379,11 +336,11 @@ def train_level(model: PyramidModel, level: int, images: Sequence[Tensor],
     """Siamese training of one level's networks (and its entry stage).
 
     `images` must already be preprocessed through all frozen stages below
-    `level`.  Both members of each pair flow through identical weights;
-    tied gradients are the sum over the two branches, entry-stage
-    gradients are additionally averaged across the level's networks.
+    `level`.  Runs the shared Siamese loop (`_siamese_fit`) for
+    cfg.iterations_per_level steps; the entry stage is aliased into every
+    network of the level, so its gradient is averaged across them.
     Records the per-iteration mean batch loss and, when a validation set
-    is supplied, the validation AUC after each update.
+    is supplied, network 0's validation AUC after each update.
     """
     spec = model.spec
     if not 0 <= level < spec.levels:
@@ -399,40 +356,67 @@ def train_level(model: PyramidModel, level: int, images: Sequence[Tensor],
     _check_level_images(spec, images, level, "training")
     if val_images is not None:
         _check_level_images(spec, val_images, level, "validation")
+    return _siamese_fit(model.level_networks[level], model.comparators[level],
+                        spec.patch_offsets, images, pair_source, cfg,
+                        LevelTrace(level), cfg.iterations_per_level, None,
+                        val_images, val_pairs)
 
-    edge = spec.base_input
-    nets = model.level_networks[level]
-    comps = model.comparators[level]
-    blocks = _level_blocks(model, level)
-    by_name = {b.name: b for b in blocks}
-    params = {b.name: b.get() for b in blocks}
+
+def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
+                 offsets: Sequence[tuple[int, int]], images: Sequence[Tensor],
+                 pair_source: PairSampler, cfg: TrainConfig,
+                 trace: LevelTrace, iterations: int | None,
+                 time_budget: float | None,
+                 val_images: Sequence[Tensor] | None,
+                 val_pairs: Sequence[FacePair] | None) -> LevelTrace:
+    """Momentum-SGD on the pair loss for every network in `nets` at once.
+
+    Network k is fed the edge-`input_size` patch of each image at
+    `offsets[k]` and scored by `comps[k]`.  Both members of a pair flow
+    through identical weights, so a layer's gradient is the sum over the
+    two branches.  A layer object aliased into several networks is one
+    parameter; its gradient is divided by (networks sharing it) x pairs,
+    every other gradient by pairs.  Runs `iterations` steps, or until
+    `time_budget` seconds elapse when that is given, appending to `trace`
+    the mean pair loss of each batch and network 0's validation AUC (NaN
+    without a validation set) after each update.
+    """
+    owners: dict[int, list] = {}  # id(layer) -> [layer, networks sharing it]
+    for net in nets:
+        for layer in [conv for conv, _ in net.stages] + [net.head]:
+            owners.setdefault(id(layer), [layer, 0])[1] += 1
+    params, shares = {}, {}
+    for key, (layer, n_sharing) in owners.items():
+        for attr in ("weights", "bias"):
+            params[f"{key}.{attr}"] = getattr(layer, attr).array
+            shares[f"{key}.{attr}"] = n_sharing
+    for k, comp in enumerate(comps):
+        params[f"cmp{k}"] = np.array([comp.log_alpha, comp.beta])
+        shares[f"cmp{k}"] = 1
     state: dict[str, np.ndarray] = {}
-    n_nets = len(nets)
-
     val_ids = None
     if val_images is not None and val_pairs:
         val_ids = sorted({p.first for p in val_pairs}
                          | {p.second for p in val_pairs})
 
-    trace = LevelTrace(level)
-    for _ in range(cfg.iterations_per_level):
+    started = time.perf_counter()
+    step = 0
+    while (step < iterations if time_budget is None
+           else time.perf_counter() - started < time_budget):
+        step += 1
         pairs = pair_source.batch(cfg.batch_size)
         grads = {name: np.zeros_like(p) for name, p in params.items()}
         total_loss = 0.0
-        for k, net in enumerate(nets):
-            ox, oy = spec.patch_offsets[k]
-            stage_params = [(params[f"net{k}.conv{j}.weights"]
-                             if j else params["stage.weights"],
-                             params[f"net{k}.conv{j}.bias"]
-                             if j else params["stage.bias"],
-                             net.stages[j][1].window)
-                            for j in range(len(net.stages))]
-            head_w = params[f"net{k}.head.weights"]
-            head_b = params[f"net{k}.head.bias"]
-            comp = comps[k]
+        for k, (net, comp) in enumerate(zip(nets, comps)):
+            ox, oy = offsets[k]
+            edge = net.input_size
+            stage_params = _stage_params(net)
+            head_w, head_b = net.head.weights.array, net.head.bias.array
+            names = [(f"{key}.weights", f"{key}.bias") for key in
+                     [id(conv) for conv, _ in net.stages] + [id(net.head)]]
             for pair in pairs:
-                p1 = images[pair.first].array[oy:oy + edge, ox:ox + edge, :]
-                p2 = images[pair.second].array[oy:oy + edge, ox:ox + edge, :]
+                p1 = images[pair.first].array[oy:oy + edge, ox:ox + edge]
+                p2 = images[pair.second].array[oy:oy + edge, ox:ox + edge]
                 out1, cache1 = _forward_cached(stage_params, head_w, head_b, p1)
                 out2, cache2 = _forward_cached(stage_params, head_w, head_b, p2)
                 pg = pair_loss_grads(out1, out2, pair.label, comp)
@@ -441,53 +425,47 @@ def train_level(model: PyramidModel, level: int, images: Sequence[Tensor],
                                       (cache2, pg.grad_v2)):
                     sg, hg = _backward_cached(stage_params, head_w, caches,
                                               g_out)
-                    grads["stage.weights"] += sg[0][0]
-                    grads["stage.bias"] += sg[0][1]
-                    for j in range(1, len(net.stages)):
-                        grads[f"net{k}.conv{j}.weights"] += sg[j][0]
-                        grads[f"net{k}.conv{j}.bias"] += sg[j][1]
-                    grads[f"net{k}.head.weights"] += hg[0]
-                    grads[f"net{k}.head.bias"] += hg[1]
-                grads[f"net{k}.cmp.log_alpha"] += pg.grad_log_alpha
-                grads[f"net{k}.cmp.beta"] += pg.grad_beta
-        n_pairs = len(pairs)
+                    for (w_name, b_name), (dw, db) in zip(names, [*sg, hg]):
+                        grads[w_name] += dw
+                        grads[b_name] += db
+                grads[f"cmp{k}"] += (pg.grad_log_alpha, pg.grad_beta)
         for name in grads:
-            scale = n_nets * n_pairs if name.startswith("stage.") else n_pairs
-            grads[name] /= scale
+            grads[name] /= shares[name] * len(pairs)
         params, state = sgd_step(params, grads, state, cfg)
-        for name, block in by_name.items():
-            block.set(params[name])
-        trace.losses.append(total_loss / (n_nets * n_pairs))
-        if val_ids is None:
-            trace.val_aucs.append(float("nan"))
-        else:
-            trace.val_aucs.append(
-                _validation_auc(model, level, val_images, val_pairs, val_ids))
+        for key, (layer, _) in owners.items():
+            layer.weights = Tensor.from_array(params[f"{key}.weights"])
+            layer.bias = Tensor.from_array(params[f"{key}.bias"])
+        for k, comp in enumerate(comps):
+            comp.log_alpha, comp.beta = (float(v) for v in params[f"cmp{k}"])
+        trace.losses.append(total_loss / (len(nets) * len(pairs)))
+        trace.val_aucs.append(
+            float("nan") if val_ids is None else
+            _validation_auc(nets[0], offsets[0], val_images, val_pairs,
+                            val_ids))
     return trace
 
 
-def _validation_auc(model: PyramidModel, level: int,
+def _validation_auc(net: Network, offset: tuple[int, int],
                     val_images: Sequence[Tensor],
                     val_pairs: Sequence[FacePair],
                     val_ids: list[int]) -> float:
-    spec = model.spec
-    net = model.level_networks[level][0]
-    ox, oy = spec.patch_offsets[0]
-    edge = spec.base_input
-    stage_params = [(c.weights.array, c.bias.array, p.window)
-                    for c, p in net.stages]
+    """ROC AUC of `net`'s embedding distances over the validation pairs;
+    NaN when the pairs are all matched or all unmatched."""
+    ox, oy = offset
+    edge = net.input_size
+    stage_params = _stage_params(net)
     hw, hb = net.head.weights.array, net.head.bias.array
-    feats = {}
-    for i in val_ids:
-        patch = val_images[i].array[oy:oy + edge, ox:ox + edge, :]
-        feats[i], _ = _forward_cached(stage_params, hw, hb, patch)
+    feats = {i: _forward_cached(stage_params, hw, hb,
+                                val_images[i].array[oy:oy + edge,
+                                                    ox:ox + edge])[0]
+             for i in val_ids}
     matched, unmatched = [], []
     for p in val_pairs:
-        d = float(np.sqrt(np.sum((feats[p.first] - feats[p.second]) ** 2)))
+        d = distance(feats[p.first], feats[p.second])
         (matched if int(p.label) == 1 else unmatched).append(d)
     if not matched or not unmatched:
         return float("nan")
-    return _rank_auc(np.array(matched), np.array(unmatched))
+    return auc(compute_roc(matched, unmatched))
 
 
 def greedy_train(model: PyramidModel, dataset: Sequence[LabeledImage],
@@ -592,8 +570,9 @@ def train_network(net: Network, comp: ComparatorParams,
                   time_budget: float | None = None,
                   val_images: Sequence[Tensor] | None = None,
                   val_pairs: Sequence[FacePair] | None = None) -> LevelTrace:
-    """Plain Siamese training of one network on full-size crops; same loss,
-    optimizer, and pair stream semantics as train_level, no sharing.
+    """Plain Siamese training of one network on full-size crops: the same
+    loop, loss, optimizer and pair stream semantics as train_level, with no
+    layer shared and the patch taken at offset (0, 0).
 
     Runs for `iterations` steps or until `time_budget` seconds elapse
     (whichever is given; time_budget wins if both are set).
@@ -607,80 +586,9 @@ def train_network(net: Network, comp: ComparatorParams,
             raise PyramidError(
                 f"image {i} shape {img.shape} cannot feed edge-{edge} network"
             )
-    owners = []
-    for j, (conv, _) in enumerate(net.stages):
-        owners.append((f"conv{j}.weights", conv, "weights"))
-        owners.append((f"conv{j}.bias", conv, "bias"))
-    owners.append(("head.weights", net.head, "weights"))
-    owners.append(("head.bias", net.head, "bias"))
-    blocks = [_Block(name, owner, attr) for name, owner, attr in owners]
-    blocks.append(_Block("cmp.log_alpha", comp, "log_alpha", scalar=True))
-    blocks.append(_Block("cmp.beta", comp, "beta", scalar=True))
-    params = {b.name: b.get() for b in blocks}
-    state: dict[str, np.ndarray] = {}
-    val_ids = None
-    if val_images is not None and val_pairs:
-        val_ids = sorted({p.first for p in val_pairs}
-                         | {p.second for p in val_pairs})
-
-    trace = LevelTrace(-1)
-    started = time.perf_counter()
-    step = 0
-    while True:
-        if time_budget is not None:
-            if time.perf_counter() - started >= time_budget:
-                break
-        elif step >= iterations:
-            break
-        step += 1
-        pairs = pair_source.batch(cfg.batch_size)
-        stage_params = [(params[f"conv{j}.weights"], params[f"conv{j}.bias"],
-                         net.stages[j][1].window)
-                        for j in range(len(net.stages))]
-        head_w, head_b = params["head.weights"], params["head.bias"]
-        grads = {name: np.zeros_like(p) for name, p in params.items()}
-        total_loss = 0.0
-        for pair in pairs:
-            p1 = images[pair.first].array[:edge, :edge, :]
-            p2 = images[pair.second].array[:edge, :edge, :]
-            out1, cache1 = _forward_cached(stage_params, head_w, head_b, p1)
-            out2, cache2 = _forward_cached(stage_params, head_w, head_b, p2)
-            pg = pair_loss_grads(out1, out2, pair.label, comp)
-            total_loss += pg.loss
-            for caches, g_out in ((cache1, pg.grad_v1), (cache2, pg.grad_v2)):
-                sg, hg = _backward_cached(stage_params, head_w, caches, g_out)
-                for j, (dw, db) in enumerate(sg):
-                    grads[f"conv{j}.weights"] += dw
-                    grads[f"conv{j}.bias"] += db
-                grads["head.weights"] += hg[0]
-                grads["head.bias"] += hg[1]
-            grads["cmp.log_alpha"] += pg.grad_log_alpha
-            grads["cmp.beta"] += pg.grad_beta
-        for name in grads:
-            grads[name] /= len(pairs)
-        params, state = sgd_step(params, grads, state, cfg)
-        for b in blocks:
-            b.set(params[b.name])
-        trace.losses.append(total_loss / len(pairs))
-        if val_ids is None:
-            trace.val_aucs.append(float("nan"))
-        else:
-            sp = [(c.weights.array, c.bias.array, p.window)
-                  for c, p in net.stages]
-            feats = {}
-            for i in val_ids:
-                feats[i], _ = _forward_cached(
-                    sp, net.head.weights.array, net.head.bias.array,
-                    val_images[i].array[:edge, :edge, :])
-            matched, unmatched = [], []
-            for p in val_pairs:
-                d = float(np.sqrt(np.sum((feats[p.first]
-                                          - feats[p.second]) ** 2)))
-                (matched if int(p.label) == 1 else unmatched).append(d)
-            trace.val_aucs.append(
-                _rank_auc(np.array(matched), np.array(unmatched))
-                if matched and unmatched else float("nan"))
-    return trace
+    return _siamese_fit([net], [comp], [(0, 0)], images, pair_source, cfg,
+                        LevelTrace(-1), iterations, time_budget,
+                        val_images, val_pairs)
 
 
 # ---------------------------------------------------------------------------

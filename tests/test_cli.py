@@ -198,6 +198,19 @@ def test_fpr_target_out_of_range(tmp_path, capsys):
     assert "outside [0, 1)" in err
 
 
+def test_config_value_of_wrong_type(tmp_path, capsys):
+    cfg = write_config(tmp_path, data={"dir": "g", "n_identities": "many"})
+    err = error_of(capsys, ["synth", "--config", str(cfg)])
+    assert err.startswith("error: ")
+    assert str(cfg) in err and "'many'" in err
+
+
+def test_config_block_that_is_not_an_object(tmp_path, capsys):
+    cfg = write_config(tmp_path, train=[4])
+    err = error_of(capsys, ["synth", "--config", str(cfg)])
+    assert err.startswith("error: train must be a JSON object")
+
+
 def test_synth_requires_data_dir(tmp_path, capsys):
     cfg = write_config(tmp_path, data={"n_identities": 4})
     err = error_of(capsys, ["synth", "--config", str(cfg)])
@@ -218,6 +231,21 @@ def test_unsupported_extraction_scheme(pipeline, tmp_path, capsys):
                             str(pipeline["model"]),
                             str(pipeline["out"] / "eval_index.csv")])
     assert "unsupported extraction scheme 'pca'" in err
+
+
+@pytest.mark.parametrize("row, problem", [
+    ("a.pgm,single-top,0.1", "dim 'single-top' is not an integer"),
+    ("a.pgm,2,0.1,abc", "non-numeric value"),
+])
+def test_eval_malformed_features_csv(pipeline, tmp_path, capsys, row,
+                                     problem):
+    features = tmp_path / "features.csv"
+    features.write_text(f"image_path,dim\nb.pgm,1,0.5\n{row}\n",
+                        encoding="utf-8")
+    err = error_of(capsys, ["eval", "--config", str(pipeline["config"]),
+                            str(features),
+                            str(pipeline["out"] / "eval_index.csv")])
+    assert err.startswith(f"error: {features}:3: {problem}")
 
 
 def test_missing_subcommand_is_a_usage_error():

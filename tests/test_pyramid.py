@@ -14,7 +14,6 @@ from pyrcnn import (ComparatorParams, ConvLayer, FacePair, FCLayer,
                     train_level, train_network)
 from pyrcnn.data import NuisanceConfig, load_image, split_identity_ids
 from pyrcnn.metrics import auc, compute_roc
-from pyrcnn.pyramid import _rank_auc
 from pyrcnn.seeding import derive_seed, make_rng
 
 
@@ -372,6 +371,38 @@ def test_train_level_rejects_wrong_channel_images():
     assert "channels" in str(err.value)
 
 
+def test_shared_entry_stage_gradient_is_averaged_across_networks():
+    """Two identical networks on one aliased entry stage step it exactly as
+    one network does; a sum over networks would double the step."""
+    rng = np.random.default_rng(27)
+    images = random_patches(rng, 6, 16)
+    pairs = [FacePair(a, b, l) for a, b, l in (
+        (0, 1, PairLabel.MATCHED), (2, 3, PairLabel.MATCHED),
+        (0, 4, PairLabel.UNMATCHED), (1, 5, PairLabel.UNMATCHED))]
+    cfg = TrainConfig(learning_rate=0.05, momentum=0.9, batch_size=4,
+                      iterations_per_level=5, seed=27)
+
+    single = build_pyramid(PyramidSpec(levels=1), seed=27)
+    twin = build_pyramid(PyramidSpec(levels=1, networks_per_level=2,
+                                     patch_offsets=((0, 0), (0, 0))), seed=27)
+    net0 = twin.level_networks[0][0]
+    twin.level_networks[0][1] = Network(
+        [net0.stages[0]] + [(ConvLayer(c.weights, c.bias), p)
+                            for c, p in net0.stages[1:]],
+        FCLayer(net0.head.weights, net0.head.bias), 16, 1)
+    cmp0 = twin.comparators[0][0]
+    twin.comparators[0][1] = ComparatorParams(cmp0.log_alpha, cmp0.beta)
+    assert (single.stages[0].conv.weights.array.tobytes()
+            == twin.stages[0].conv.weights.array.tobytes())
+
+    train_level(single, 0, images, FixedPairs(pairs), cfg)
+    train_level(twin, 0, images, FixedPairs(pairs), cfg)
+    for attr in ("weights", "bias"):
+        np.testing.assert_allclose(
+            getattr(twin.stages[0].conv, attr).array,
+            getattr(single.stages[0].conv, attr).array, rtol=1e-12)
+
+
 def snapshot_all(model, tmp_path, name):
     return model_bytes(model, tmp_path, name)
 
@@ -646,6 +677,30 @@ def test_train_network_time_budget_stops():
     assert trace.losses == []
 
 
+def test_train_network_validation_auc_tracks_trained_net():
+    rng = np.random.default_rng(43)
+    net, comp = build_monolithic(PyramidSpec(levels=1), seed=43)
+    images, identities = two_identity_images(rng, 4, net.input_size)
+    sampler = PairSampler(identities, make_rng(43, "pairs"))
+    val_images = random_patches(rng, 6, net.input_size)
+    val_ids = [0, 0, 1, 1, 2, 2]
+    val_pairs = [FacePair(a, b, PairLabel.MATCHED if val_ids[a] == val_ids[b]
+                          else PairLabel.UNMATCHED)
+                 for a in range(6) for b in range(a + 1, 6)]
+    cfg = TrainConfig(batch_size=4, seed=43)
+    trace = train_network(net, comp, images, sampler, cfg, iterations=3,
+                          val_images=val_images, val_pairs=val_pairs)
+    assert len(trace.val_aucs) == 3
+    assert all(0.0 <= v <= 1.0 for v in trace.val_aucs)
+
+    feats = [network_forward(net, img).array for img in val_images]
+    matched, unmatched = [], []
+    for p in val_pairs:
+        d = distance(feats[p.first], feats[p.second])
+        (matched if p.label == PairLabel.MATCHED else unmatched).append(d)
+    assert trace.val_aucs[-1] == auc(compute_roc(matched, unmatched))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -707,18 +762,3 @@ def test_serialization_rejects_corruption(tmp_path):
     trailing.write_bytes(data + b"\x00" * 8)
     with pytest.raises(PyramidError):
         load_model(trailing)
-
-
-# ---------------------------------------------------------------------------
-# trace AUC helper
-
-
-def test_rank_auc_equals_roc_area():
-    rng = np.random.default_rng(53)
-    for _ in range(10):
-        matched = rng.integers(0, 30, size=80) / 3.0
-        unmatched = rng.integers(5, 40, size=60) / 3.0
-        got = _rank_auc(np.asarray(matched, dtype=float),
-                        np.asarray(unmatched, dtype=float))
-        want = auc(compute_roc(matched, unmatched))
-        assert abs(got - want) < 1e-12
