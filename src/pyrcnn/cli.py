@@ -57,21 +57,50 @@ def _check_keys(block: dict, allowed: set[str], where: str) -> None:
         )
 
 
+def _int(value, name: str) -> int:
+    """`value` itself when it is a JSON integer; a bool or a float is refused,
+    never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _bool(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _field(block: dict, where: str, key: str, default, kind=_int):
+    """`block[key]` (or `default`), checked by `kind` as `where.key`."""
+    return kind(block.get(key, default), f"{where}.{key}")
+
+
 def _data_block(block: dict) -> dict:
     _check_keys(block, {"dir", "n_identities", "images_per_identity", "edge",
                         "holdout_fraction", "brightness_delta",
                         "max_translation", "noise_sigma"}, "data")
     return {
         "dir": block.get("dir"),
-        "n_identities": int(block.get("n_identities", 48)),
-        "images_per_identity": int(block.get("images_per_identity", 12)),
-        "edge": int(block.get("edge", 76)),
-        "holdout_fraction": float(block.get("holdout_fraction", 1 / 3)),
+        "n_identities": _field(block, "data", "n_identities", 48),
+        "images_per_identity": _field(block, "data", "images_per_identity",
+                                      12),
+        "edge": _field(block, "data", "edge", 76),
+        "holdout_fraction": _field(block, "data", "holdout_fraction", 1 / 3,
+                                   _number),
         "nuisance": NuisanceConfig(
-            brightness_delta=float(block.get("brightness_delta", 0.3)),
+            brightness_delta=_field(block, "data", "brightness_delta", 0.3,
+                                    _number),
             max_translation=(None if block.get("max_translation") is None
-                             else int(block["max_translation"])),
-            noise_sigma=float(block.get("noise_sigma", 0.05)),
+                             else _field(block, "data", "max_translation",
+                                         None)),
+            noise_sigma=_field(block, "data", "noise_sigma", 0.05, _number),
         ),
     }
 
@@ -83,20 +112,23 @@ def _pyramid_block(block: dict) -> PyramidSpec:
 
     def stage(d: dict, where: str) -> StageSpec:
         _check_keys(d, {"kernel", "channels", "pool"}, where)
-        return StageSpec(int(d.get("kernel", 3)), int(d.get("channels", 16)),
-                         int(d.get("pool", 2)))
+        return StageSpec(_field(d, where, "kernel", 3),
+                         _field(d, where, "channels", 16),
+                         _field(d, where, "pool", 2))
 
     shared = block.get("shared", {"kernel": 5, "channels": 8, "pool": 2})
     template = block.get("template", [{"kernel": 3, "channels": 16, "pool": 2}])
     offsets = block.get("patch_offsets", [[0, 0]])
     return PyramidSpec(
-        levels=int(block.get("levels", 3)),
-        base_input=int(block.get("base_input", 16)),
+        levels=_field(block, "pyramid", "levels", 3),
+        base_input=_field(block, "pyramid", "base_input", 16),
         shared=stage(shared, "pyramid.shared"),
         template=tuple(stage(t, "pyramid.template") for t in template),
-        networks_per_level=int(block.get("networks_per_level", 1)),
-        patch_offsets=tuple((int(o[0]), int(o[1])) for o in offsets),
-        output_dim=int(block.get("output_dim", 8)),
+        networks_per_level=_field(block, "pyramid", "networks_per_level", 1),
+        patch_offsets=tuple((_int(o[0], "pyramid.patch_offsets"),
+                             _int(o[1], "pyramid.patch_offsets"))
+                            for o in offsets),
+        output_dim=_field(block, "pyramid", "output_dim", 8),
     )
 
 
@@ -105,12 +137,14 @@ def _train_block(block: dict, seed: int) -> TrainConfig:
                         "iterations_per_level", "validation_fraction"},
                 "train")
     return TrainConfig(
-        learning_rate=float(block.get("learning_rate", 0.05)),
-        momentum=float(block.get("momentum", 0.9)),
-        batch_size=int(block.get("batch_size", 32)),
-        iterations_per_level=int(block.get("iterations_per_level", 200)),
+        learning_rate=_field(block, "train", "learning_rate", 0.05, _number),
+        momentum=_field(block, "train", "momentum", 0.9, _number),
+        batch_size=_field(block, "train", "batch_size", 32),
+        iterations_per_level=_field(block, "train", "iterations_per_level",
+                                    200),
         seed=seed,
-        validation_fraction=float(block.get("validation_fraction", 0.2)),
+        validation_fraction=_field(block, "train", "validation_fraction", 0.2,
+                                   _number),
     )
 
 
@@ -134,26 +168,28 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
     except (ConfigError, DataError, PyramidError):
         raise
     except (ValueError, TypeError) as exc:
-        # a value of the wrong type, e.g. "n_identities": "many"
+        # a value of the wrong type, e.g. "n_identities": "many" or 4.9
         raise ConfigError(f"{path}: bad config value ({exc})") from None
 
 
 def _run_config(raw: dict, base: Path, seed) -> RunConfig:
-    seed = int(seed)
+    seed = _int(seed, "seed")
     extraction = raw.get("extraction", {})
     _check_keys(extraction, {"scheme", "normalize"}, "extraction")
     extraction = {"scheme": extraction.get("scheme", "single-top"),
-                  "normalize": bool(extraction.get("normalize", False))}
+                  "normalize": _field(extraction, "extraction", "normalize",
+                                      False, _bool)}
 
     evaluation = raw.get("evaluation", {})
     _check_keys(evaluation, {"fpr_targets", "n_pairs"}, "evaluation")
-    targets = [float(t) for t in evaluation.get("fpr_targets",
-                                                [0.1, 0.01, 0.001])]
+    targets = [_number(t, "evaluation.fpr_targets")
+               for t in evaluation.get("fpr_targets", [0.1, 0.01, 0.001])]
     for t in targets:
         if not 0.0 <= t < 1.0:
             raise ConfigError(f"FPR target {t} outside [0, 1)")
     evaluation = {"fpr_targets": targets,
-                  "n_pairs": int(evaluation.get("n_pairs", 2000))}
+                  "n_pairs": _field(evaluation, "evaluation", "n_pairs",
+                                    2000)}
 
     return RunConfig(
         seed=seed,

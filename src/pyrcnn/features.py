@@ -15,6 +15,7 @@ triples.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -152,6 +153,10 @@ def read_features(path) -> dict[str, np.ndarray]:
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: non-numeric value "
                                 f"({exc})") from None
+            bad = [v for v in values if not math.isfinite(v)]
+            if bad:
+                raise DataError(f"{path}:{lineno}: non-finite value "
+                                f"{bad[0]!r}")
             if len(values) != dim:
                 raise DataError(
                     f"{path}:{lineno}: declared dim {dim} but row has "

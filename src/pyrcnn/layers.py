@@ -2,10 +2,18 @@
 
 Conventions, fixed across the package:
 
-* feature maps are (height, width, channel) float64 tensors;
+* feature maps are (height, width, channel) float64 tensors at the public
+  API; the array kernels underneath take a leading batch axis, (n, h, w, c),
+  and their backward passes return gradients summed over the batch, so the
+  public per-image operations are batch-of-one calls into the same kernels;
 * convolution is *true* convolution with no padding: the kernel is indexed
   as input[x-a, y-b, c] * weights[a, b, c, z], which the vectorized kernels
   realize as cross-correlation with a spatially flipped copy of the weights;
+* it is unrolled (im2col + one GEMM, Chellapilla, Puri & Simard 2006),
+  with the column matrix built in slabs of images that stay within
+  `_SLAB_ELEMENTS` float64 values, so memory stays bounded at any batch
+  size; callers that batch (the Siamese trainer, validation) size their
+  batches by the same constant, applied to the largest pre-activation map;
 * the activation g is the rectifier max(0, x) after every conv stage; the
   FC head is linear, so no embedding unit can be stuck at zero;
 * pooling takes non-overlapping s x s window maxima (window == stride).
@@ -179,54 +187,87 @@ class Network:
 # ---------------------------------------------------------------------------
 # array kernels (everything below the public API works on bare ndarrays)
 
+# Upper bound, in float64 elements, on one im2col column matrix, and on the
+# largest pre-activation map of the inputs a caller batches into one call.
+_SLAB_ELEMENTS = 1 << 17
+
+
+def _slab(per_item: int) -> int:
+    """How many items of `per_item` elements fit one slab (at least one)."""
+    return max(1, _SLAB_ELEMENTS // per_item)
+
+
+def _images_per_slab(net: Network) -> int:
+    """Inputs of `net` per batched call: as many as keep the largest stage
+    pre-activation map of the batch within one slab."""
+    edge, largest = net.input_size, 1
+    for conv, pool in net.stages:
+        edge -= conv.kernel[0] - 1
+        largest = max(largest, edge * edge * conv.out_channels)
+        edge //= pool.window
+    return _slab(largest)
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """(n*oh*ow, kh*kw*c) windows of an (n, h, w, c) batch, (a, b, c) order."""
+    n, h, w, c = x.shape
+    oh, ow = h - kh + 1, w - kw + 1
+    win = sliding_window_view(x, (kh, kw), axis=(1, 2))    # n,oh,ow,c,kh,kw
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, kh * kw * c)
+
 
 def _conv_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    kh, kw, _, c_out = w.shape
-    oh, ow = x.shape[0] - kh + 1, x.shape[1] - kw + 1
+    kh, kw, c_in, c_out = w.shape
+    n_img, oh, ow = x.shape[0], x.shape[1] - kh + 1, x.shape[2] - kw + 1
     # true convolution == cross-correlation with the spatially flipped kernel
-    wf = w[::-1, ::-1].reshape(kh * kw * w.shape[2], c_out)
-    win = sliding_window_view(x, (kh, kw), axis=(0, 1))       # oh,ow,c,kh,kw
-    col = win.transpose(0, 1, 3, 4, 2).reshape(oh * ow, -1)   # (a,b,c) order
-    return (col @ wf).reshape(oh, ow, c_out) + b
+    wf = w[::-1, ::-1].reshape(kh * kw * c_in, c_out)
+    out = np.empty((n_img, oh, ow, c_out))
+    step = _slab(oh * ow * kh * kw * c_in)
+    for i in range(0, n_img, step):
+        rows = out[i:i + step].reshape(-1, c_out)
+        np.matmul(_im2col(x[i:i + step], kh, kw), wf, out=rows)
+    out += b
+    return out
 
 
 def _conv_bwd(x: np.ndarray, w: np.ndarray, g: np.ndarray,
               need_dx: bool) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     kh, kw, c_in, c_out = w.shape
-    oh, ow = g.shape[0], g.shape[1]
-    gm = g.reshape(oh * ow, c_out)
-    win = sliding_window_view(x, (kh, kw), axis=(0, 1))
-    col = win.transpose(0, 1, 3, 4, 2).reshape(oh * ow, -1)
-    dwf = (col.T @ gm).reshape(kh, kw, c_in, c_out)
-    dw = dwf[::-1, ::-1]
-    db = gm.sum(axis=0)
-    if not need_dx:
-        return None, dw, db
+    n_img, oh, ow = g.shape[0], g.shape[1], g.shape[2]
     wf = w[::-1, ::-1].reshape(kh * kw * c_in, c_out)
-    dcol = (gm @ wf.T).reshape(oh, ow, kh, kw, c_in)
-    dx = np.zeros_like(x)
-    for a in range(kh):
-        for b_ in range(kw):
-            dx[a:a + oh, b_:b_ + ow] += dcol[:, :, a, b_]
+    dwf = np.zeros((kh * kw * c_in, c_out))
+    dx = np.zeros_like(x) if need_dx else None
+    step = _slab(oh * ow * kh * kw * c_in)
+    for i in range(0, n_img, step):
+        gm = g[i:i + step].reshape(-1, c_out)
+        dwf += _im2col(x[i:i + step], kh, kw).T @ gm
+        if need_dx:
+            dcol = (gm @ wf.T).reshape(-1, oh, ow, kh, kw, c_in)
+            dx_slab = dx[i:i + step]
+            for a in range(kh):
+                for b_ in range(kw):
+                    dx_slab[:, a:a + oh, b_:b_ + ow] += dcol[:, :, :, a, b_]
+    dw = dwf.reshape(kh, kw, c_in, c_out)[::-1, ::-1]
+    db = g.sum(axis=(0, 1, 2))
     return dx, dw, db
 
 
 def _pool_fwd(x: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
-    h, w, c = x.shape
+    n, h, w, c = x.shape
     oh, ow = h // s, w // s
-    blocks = x.reshape(oh, s, ow, s, c).transpose(0, 2, 1, 3, 4)
-    flat = blocks.reshape(oh, ow, s * s, c)
-    idx = flat.argmax(axis=2)  # first max wins on ties: deterministic routing
-    out = np.take_along_axis(flat, idx[:, :, None, :], axis=2)[:, :, 0, :]
+    blocks = x.reshape(n, oh, s, ow, s, c).transpose(0, 1, 3, 2, 4, 5)
+    flat = blocks.reshape(n, oh, ow, s * s, c)
+    idx = flat.argmax(axis=3)  # first max wins on ties: deterministic routing
+    out = np.take_along_axis(flat, idx[:, :, :, None, :], axis=3)[:, :, :, 0]
     return out, idx
 
 
 def _pool_bwd(g: np.ndarray, idx: np.ndarray, s: int,
-              in_shape: tuple[int, int, int]) -> np.ndarray:
-    oh, ow, c = g.shape
-    flat = np.zeros((oh, ow, s * s, c))
-    np.put_along_axis(flat, idx[:, :, None, :], g[:, :, None, :], axis=2)
-    blocks = flat.reshape(oh, ow, s, s, c).transpose(0, 2, 1, 3, 4)
+              in_shape: tuple[int, int, int, int]) -> np.ndarray:
+    n, oh, ow, c = g.shape
+    flat = np.zeros((n, oh, ow, s * s, c))
+    np.put_along_axis(flat, idx[:, :, :, None, :], g[:, :, :, None, :], axis=3)
+    blocks = flat.reshape(n, oh, ow, s, s, c).transpose(0, 1, 3, 2, 4, 5)
     return blocks.reshape(in_shape)
 
 
@@ -236,7 +277,8 @@ def _stage_params(net: Network) -> list[tuple[np.ndarray, np.ndarray, int]]:
 
 
 def _forward_cached(stage_params, head_w, head_b, x: np.ndarray):
-    """Run the full network on one array, keeping what backprop needs."""
+    """Run the full network on an (n, h, w, c) batch, keeping what backprop
+    needs; returns the (n, m) outputs and the caches."""
     caches = []
     for w, b, s in stage_params:
         pre = _conv_fwd(x, w, b)
@@ -245,21 +287,22 @@ def _forward_cached(stage_params, head_w, head_b, x: np.ndarray):
         caches.append({"x": x, "pre": pre, "idx": idx,
                        "act_shape": act.shape})
         x = out
-    flat = x.reshape(-1)
+    flat = x.reshape(x.shape[0], -1)
     out = flat @ head_w + head_b
     caches.append({"flat": flat, "map_shape": x.shape})
     return out, caches
 
 
 def _backward_cached(stage_params, head_w, caches, g_out: np.ndarray):
-    """Gradients of g_out . output w.r.t. all parameters, frozen or not.
+    """Gradients of sum_i g_out[i] . output[i] w.r.t. all parameters, frozen
+    or not: per-image gradients summed over the batch.
 
     Returns (stage_grads, head_grads) where stage_grads is a list of
     (dw, db) in stage order and head_grads is (dw, db).
     """
     fc = caches[-1]
-    head_grads = (np.outer(fc["flat"], g_out), g_out.copy())
-    g = (head_w @ g_out).reshape(fc["map_shape"])
+    head_grads = (fc["flat"].T @ g_out, g_out.sum(axis=0))
+    g = (g_out @ head_w.T).reshape(fc["map_shape"])
     stage_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(stage_params)
     for i in range(len(stage_params) - 1, -1, -1):
         w, _, s = stage_params[i]
@@ -290,8 +333,8 @@ def conv_forward(input: Tensor, layer: ConvLayer) -> Tensor:
         raise ShapeError(
             f"kernel {kh}x{kw} larger than input {x.shape[0]}x{x.shape[1]}"
         )
-    return Tensor.from_array(_conv_fwd(x, layer.weights.array,
-                                       layer.bias.array))
+    return Tensor.from_array(_conv_fwd(x[None], layer.weights.array,
+                                       layer.bias.array)[0])
 
 
 def activation(input: Tensor) -> Tensor:
@@ -311,8 +354,8 @@ def maxpool(input: Tensor, spec: PoolSpec) -> Tensor:
                 f"pool window {s} does not divide extent {x.shape[axis]} "
                 f"on axis {axis}"
             )
-    out, _ = _pool_fwd(x, s)
-    return Tensor.from_array(out)
+    out, _ = _pool_fwd(x[None], s)
+    return Tensor.from_array(out[0])
 
 
 def layer_forward(input: Tensor, conv: ConvLayer, spec: PoolSpec) -> Tensor:
@@ -327,7 +370,8 @@ def fc_forward(input: Tensor, layer: FCLayer) -> Tensor:
         raise ShapeError(
             f"fc expects {layer.d_in} inputs, got {flat.shape[0]}"
         )
-    return Tensor.from_array(flat @ layer.weights.array + layer.bias.array)
+    out = flat[None] @ layer.weights.array + layer.bias.array
+    return Tensor.from_array(out[0])
 
 
 def network_forward(net: Network, patch: Tensor) -> Tensor:
@@ -340,8 +384,8 @@ def network_forward(net: Network, patch: Tensor) -> Tensor:
             f"x{net.in_channels} input, got {patch.shape}"
         )
     out, _ = _forward_cached(_stage_params(net), net.head.weights.array,
-                             net.head.bias.array, x)
-    return Tensor.from_array(out)
+                             net.head.bias.array, x[None])
+    return Tensor.from_array(out[0])
 
 
 def network_backward(net: Network, patch: Tensor,
@@ -366,9 +410,9 @@ def network_backward(net: Network, patch: Tensor,
         )
     params = _stage_params(net)
     _, caches = _forward_cached(params, net.head.weights.array,
-                                net.head.bias.array, x)
+                                net.head.bias.array, x[None])
     stage_grads, head_grads = _backward_cached(params, net.head.weights.array,
-                                               caches, g_out)
+                                               caches, g_out[None])
     grads: dict[str, np.ndarray] = {}
     for i, ((conv, _), (dw, db)) in enumerate(zip(net.stages, stage_grads)):
         if not conv.frozen:
@@ -440,17 +484,17 @@ def gradient_check(net: Network, patch: Tensor, epsilon: float = 1e-5,
     params = [(w.copy(), b.copy(), s) for w, b, s in _stage_params(net)]
     head_w = net.head.weights.array.copy()
     head_b = net.head.bias.array.copy()
-    x = patch.array
+    x = patch.array[None]
 
     out, caches = _forward_cached(params, head_w, head_b, x)
-    stage_grads, head_grads = _backward_cached(params, head_w, caches, u)
+    stage_grads, head_grads = _backward_cached(params, head_w, caches, u[None])
 
     margin = 10.0 * epsilon
     stage_pre_min = [np.abs(c["pre"]).min() for c in caches[:-1]]
 
     def scalar() -> float:
         o, _ = _forward_cached(params, head_w, head_b, x)
-        return float(u @ o)
+        return float(u @ o[0])
 
     def fd(arr: np.ndarray, index: tuple) -> float:
         orig = arr[index]
@@ -481,7 +525,7 @@ def gradient_check(net: Network, patch: Tensor, epsilon: float = 1e-5,
             blocks.append(BlockCheck(f"conv{i}.weights", 0.0, 0, w.size))
             blocks.append(BlockCheck(f"conv{i}.bias", 0.0, 0, b.size))
             continue
-        chan_min = np.abs(caches[i]["pre"]).min(axis=(0, 1))
+        chan_min = np.abs(caches[i]["pre"]).min(axis=(0, 1, 2))
         dw, db = stage_grads[i]
         blocks.append(check_block(
             f"conv{i}.weights", w, dw,

@@ -60,6 +60,9 @@ def _clean(name: str, values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64).reshape(-1)
     if arr.size == 0:
         raise MetricError(f"{name} distances must be nonempty")
+    if not np.isfinite(arr).all():
+        raise MetricError(f"{name} distances must be finite, got "
+                          f"{float(arr[~np.isfinite(arr)][0])!r}")
     return arr
 
 

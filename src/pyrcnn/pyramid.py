@@ -17,7 +17,12 @@ and sees exponentially larger input patches.
 Greedy levels and the monolithic baseline train through one Siamese loop
 (`_siamese_fit`): the same pair loss, momentum SGD and pair stream.  A
 level differs only in that its entry stage is one layer shared by all of
-its networks.
+its networks.  Each step stacks both members of every pair into one
+(n, h, w, c) batch per network, with one batched forward and one batched
+backward call; a batch whose largest pre-activation map would not fit the
+layers' memory slab is walked in pair chunks (the whole 32-pair batch at
+the 16-edge levels, one pair at a time at the 76-edge monolith).
+Validation embeds its images in batches of the same size.
 """
 
 from __future__ import annotations
@@ -32,8 +37,9 @@ import numpy as np
 from .data import (DataError, FacePair, LabeledImage, PairSampler,
                    center_crop, split_identity_ids)
 from .layers import (ConvLayer, FCLayer, Network, PoolSpec, _backward_cached,
-                     _forward_cached, _stage_params, layer_forward)
-from .loss import ComparatorParams, distance, pair_loss_grads
+                     _forward_cached, _images_per_slab, _stage_params,
+                     layer_forward)
+from .loss import ComparatorParams, pair_loss_grads
 from .metrics import auc, compute_roc
 from .seeding import derive_seed, make_rng
 from .tensor import Tensor, TensorError
@@ -376,10 +382,14 @@ def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
     through identical weights, so a layer's gradient is the sum over the
     two branches.  A layer object aliased into several networks is one
     parameter; its gradient is divided by (networks sharing it) x pairs,
-    every other gradient by pairs.  Runs `iterations` steps, or until
-    `time_budget` seconds elapse when that is given, appending to `trace`
-    the mean pair loss of each batch and network 0's validation AUC (NaN
-    without a validation set) after each update.
+    every other gradient by pairs.  Pairs go through each network in chunks
+    that fit one memory slab (`layers._images_per_slab`), both members of
+    pair j in rows 2j and 2j+1, so the branch gradients of a layer whose
+    pair-loss gradients cancel (the head bias) sum to exactly zero.  Runs
+    `iterations` steps, or until `time_budget` seconds elapse when that is
+    given, appending to `trace` the mean pair loss of each batch and
+    network 0's validation AUC (NaN without a validation set) after each
+    update.
     """
     owners: dict[int, list] = {}  # id(layer) -> [layer, networks sharing it]
     for net in nets:
@@ -414,21 +424,25 @@ def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
             head_w, head_b = net.head.weights.array, net.head.bias.array
             names = [(f"{key}.weights", f"{key}.bias") for key in
                      [id(conv) for conv, _ in net.stages] + [id(net.head)]]
-            for pair in pairs:
-                p1 = images[pair.first].array[oy:oy + edge, ox:ox + edge]
-                p2 = images[pair.second].array[oy:oy + edge, ox:ox + edge]
-                out1, cache1 = _forward_cached(stage_params, head_w, head_b, p1)
-                out2, cache2 = _forward_cached(stage_params, head_w, head_b, p2)
-                pg = pair_loss_grads(out1, out2, pair.label, comp)
-                total_loss += pg.loss
-                for caches, g_out in ((cache1, pg.grad_v1),
-                                      (cache2, pg.grad_v2)):
-                    sg, hg = _backward_cached(stage_params, head_w, caches,
-                                              g_out)
-                    for (w_name, b_name), (dw, db) in zip(names, [*sg, hg]):
-                        grads[w_name] += dw
-                        grads[b_name] += db
-                grads[f"cmp{k}"] += (pg.grad_log_alpha, pg.grad_beta)
+            chunk = max(1, _images_per_slab(net) // 2)
+            for start in range(0, len(pairs), chunk):
+                part = pairs[start:start + chunk]
+                # rows 2j and 2j+1 hold pair j's two members
+                x = np.stack([images[i].array[oy:oy + edge, ox:ox + edge]
+                              for pair in part
+                              for i in (pair.first, pair.second)])
+                out, caches = _forward_cached(stage_params, head_w, head_b, x)
+                g_out = np.empty_like(out)
+                for j, pair in enumerate(part):
+                    pg = pair_loss_grads(out[2 * j], out[2 * j + 1],
+                                         pair.label, comp)
+                    total_loss += pg.loss
+                    g_out[2 * j], g_out[2 * j + 1] = pg.grad_v1, pg.grad_v2
+                    grads[f"cmp{k}"] += (pg.grad_log_alpha, pg.grad_beta)
+                sg, hg = _backward_cached(stage_params, head_w, caches, g_out)
+                for (w_name, b_name), (dw, db) in zip(names, [*sg, hg]):
+                    grads[w_name] += dw
+                    grads[b_name] += db
         for name in grads:
             grads[name] /= shares[name] * len(pairs)
         params, state = sgd_step(params, grads, state, cfg)
@@ -455,17 +469,21 @@ def _validation_auc(net: Network, offset: tuple[int, int],
     edge = net.input_size
     stage_params = _stage_params(net)
     hw, hb = net.head.weights.array, net.head.bias.array
-    feats = {i: _forward_cached(stage_params, hw, hb,
-                                val_images[i].array[oy:oy + edge,
-                                                    ox:ox + edge])[0]
-             for i in val_ids}
-    matched, unmatched = [], []
-    for p in val_pairs:
-        d = distance(feats[p.first], feats[p.second])
-        (matched if int(p.label) == 1 else unmatched).append(d)
-    if not matched or not unmatched:
+    step = _images_per_slab(net)
+    feats = np.concatenate([
+        _forward_cached(stage_params, hw, hb,
+                        np.stack([val_images[i].array[oy:oy + edge,
+                                                      ox:ox + edge]
+                                  for i in val_ids[start:start + step]]))[0]
+        for start in range(0, len(val_ids), step)])
+    row = {i: r for r, i in enumerate(val_ids)}
+    first = [row[p.first] for p in val_pairs]
+    second = [row[p.second] for p in val_pairs]
+    dist = np.sqrt(np.sum((feats[first] - feats[second]) ** 2, axis=1))
+    matched = np.array([int(p.label) == 1 for p in val_pairs])
+    if matched.all() or not matched.any():
         return float("nan")
-    return auc(compute_roc(matched, unmatched))
+    return auc(compute_roc(dist[matched], dist[~matched]))
 
 
 def greedy_train(model: PyramidModel, dataset: Sequence[LabeledImage],

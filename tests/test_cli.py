@@ -205,6 +205,25 @@ def test_config_value_of_wrong_type(tmp_path, capsys):
     assert str(cfg) in err and "'many'" in err
 
 
+@pytest.mark.parametrize("block, key, value, kind", [
+    ("extraction", "normalize", "false", "true or false"),
+    ("extraction", "normalize", 0, "true or false"),
+    ("data", "n_identities", 4.9, "an integer"),
+    ("data", "n_identities", True, "an integer"),
+    ("pyramid", "levels", 2.5, "an integer"),
+    ("train", "batch_size", "4", "an integer"),
+    ("train", "learning_rate", "0.05", "a number"),
+])
+def test_config_value_is_checked_not_coerced(tmp_path, capsys, block, key,
+                                             value, kind):
+    base = {"data": {"dir": "g"}, "extraction": {}, "pyramid": {},
+            "train": {}}[block]
+    cfg = write_config(tmp_path, **{block: {**base, key: value}})
+    err = error_of(capsys, ["synth", "--config", str(cfg)])
+    assert err.startswith(f"error: {cfg}: bad config value ({block}.{key} "
+                          f"must be {kind}, got {value!r})")
+
+
 def test_config_block_that_is_not_an_object(tmp_path, capsys):
     cfg = write_config(tmp_path, train=[4])
     err = error_of(capsys, ["synth", "--config", str(cfg)])
@@ -236,6 +255,7 @@ def test_unsupported_extraction_scheme(pipeline, tmp_path, capsys):
 @pytest.mark.parametrize("row, problem", [
     ("a.pgm,single-top,0.1", "dim 'single-top' is not an integer"),
     ("a.pgm,2,0.1,abc", "non-numeric value"),
+    ("a.pgm,2,0.1,nan", "non-finite value nan"),
 ])
 def test_eval_malformed_features_csv(pipeline, tmp_path, capsys, row,
                                      problem):

@@ -250,6 +250,16 @@ def test_read_features_dimension_mismatch(tmp_path):
         read_features(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_read_features_rejects_non_finite_value(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"image_path,dim\nx.pgm,2,1.0,2.0\ny.pgm,2,{cell},2.0\n",
+                    encoding="utf-8")
+    with pytest.raises(DataError,
+                       match=f"bad.csv:3: non-finite value {float(cell)!r}"):
+        read_features(path)
+
+
 def test_read_features_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("image_path,dim\n", encoding="utf-8")

@@ -390,3 +390,52 @@ def test_initialize_glorot_bounds_and_zero_bias():
     np.testing.assert_array_equal(conv.bias.array, np.zeros(8))
     fc = FCLayer.initialize(30, 4, rng)
     assert np.abs(fc.weights.array).max() <= np.sqrt(6.0 / 34)
+
+
+# ---------------------------------------------------------------------------
+# batched kernels against the per-image operations
+
+
+def geometry_net(rng, edge, channels):
+    """The default pyramid's stage chain (5x5/8 then 3x3/16, pool 2) down
+    to an 8-d head, at input edge `edge` with `channels` input channels."""
+    stages, e, c = [], edge, channels
+    while e > 16:
+        stages.append((ConvLayer.initialize(5, c, 8, rng), PoolSpec(2)))
+        e, c = (e - 4) // 2, 8
+    stages.append((ConvLayer.initialize(5, c, 8, rng), PoolSpec(2)))
+    stages.append((ConvLayer.initialize(3, 8, 16, rng), PoolSpec(2)))
+    return Network(stages, FCLayer.initialize(64, 8, rng), edge, channels)
+
+
+@pytest.mark.parametrize("edge, channels, n, slab", [
+    (16, 8, 5, None),     # e16c8: two slabs at the default size
+    (76, 1, 3, 1 << 12),  # e76c1: several images and slabs per stage
+])
+def test_batched_kernels_match_per_image_ops(monkeypatch, edge, channels, n,
+                                             slab):
+    if slab is not None:
+        monkeypatch.setattr(layers, "_SLAB_ELEMENTS", slab)
+    rng = np.random.default_rng(300 + edge)
+    net = geometry_net(rng, edge, channels)
+    x = rng.uniform(0.0, 1.0, (n, edge, edge, channels))
+    g_out = rng.standard_normal((n, net.output_dim))
+    params = layers._stage_params(net)
+    hw, hb = net.head.weights.array, net.head.bias.array
+
+    out, caches = layers._forward_cached(params, hw, hb, x)
+    for i in range(n):
+        np.testing.assert_allclose(
+            out[i], network_forward(net, tensor(x[i])).array, rtol=1e-12)
+
+    stage_grads, head_grads = layers._backward_cached(params, hw, caches,
+                                                      g_out)
+    per_image = [network_backward(net, tensor(x[i]), g_out[i])
+                 for i in range(n)]
+    got = {"head.weights": head_grads[0], "head.bias": head_grads[1]}
+    for i, (dw, db) in enumerate(stage_grads):
+        got[f"conv{i}.weights"], got[f"conv{i}.bias"] = dw, db
+    assert set(got) == set(per_image[0])
+    for name, grad in got.items():
+        np.testing.assert_allclose(grad, sum(g[name] for g in per_image),
+                                   rtol=1e-10)

@@ -106,6 +106,13 @@ def test_roc_rejects_empty():
         compute_roc([1.0], [])
 
 
+def test_metrics_reject_non_finite_distances():
+    with pytest.raises(MetricError, match="matched distances must be finite"):
+        evaluate_distances([np.nan, 1.0], [2.0, 3.0])
+    with pytest.raises(MetricError, match="unmatched .* finite, got inf"):
+        compute_roc([1.0], [2.0, np.inf])
+
+
 # ---------------------------------------------------------------------------
 # auc
 

@@ -701,6 +701,49 @@ def test_train_network_validation_auc_tracks_trained_net():
     assert trace.val_aucs[-1] == auc(compute_roc(matched, unmatched))
 
 
+def test_train_network_step_is_independent_of_chunking(monkeypatch):
+    """A batch walked in one chunk or in one-pair chunks (and validation
+    embedded in one or several slabs) gives the same step."""
+    import pyrcnn.layers as layers
+
+    rng = np.random.default_rng(44)
+    images, _ = two_identity_images(rng, 3, 16)
+    val_images = random_patches(rng, 6, 16)
+    pairs = [FacePair(a, b, l) for a, b, l in (
+        (0, 1, PairLabel.MATCHED), (3, 4, PairLabel.MATCHED),
+        (0, 3, PairLabel.UNMATCHED), (2, 5, PairLabel.UNMATCHED))]
+    val_pairs = [FacePair(a, b, PairLabel.MATCHED if a // 3 == b // 3
+                          else PairLabel.UNMATCHED)
+                 for a in range(6) for b in range(a + 1, 6)]
+    cfg = TrainConfig(batch_size=4, seed=44)
+
+    def one_step():
+        net, comp = build_monolithic(PyramidSpec(levels=1), seed=44)
+        trace = train_network(net, comp, images, FixedPairs(pairs), cfg,
+                              iterations=1, val_images=val_images,
+                              val_pairs=val_pairs)
+        blocks = [a for conv, _ in net.stages
+                  for a in (conv.weights.array, conv.bias.array)]
+        blocks += [net.head.weights.array, net.head.bias.array,
+                   np.array([comp.log_alpha, comp.beta])]
+        return blocks, trace
+
+    whole, whole_trace = one_step()
+    assert layers._images_per_slab(
+        build_monolithic(PyramidSpec(levels=1), 44)[0]) >= 8
+    monkeypatch.setattr(layers, "_SLAB_ELEMENTS", 1 << 12)  # 3 images
+    chunked, chunked_trace = one_step()
+    for a, b in zip(whole, chunked):
+        # entries whose branch gradients cancel keep a residue of order
+        # 1e-19 that depends on summation order, so the tolerance also
+        # scales with the block's largest entry
+        np.testing.assert_allclose(b, a, rtol=1e-10,
+                                   atol=1e-10 * np.abs(a).max())
+    assert chunked_trace.losses == pytest.approx(whole_trace.losses,
+                                                 rel=1e-12)
+    assert chunked_trace.val_aucs == whole_trace.val_aucs
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
