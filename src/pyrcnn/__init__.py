@@ -21,8 +21,8 @@ from .metrics import (MetricError, RocCurve, RocPoint, VerificationReport,
                       auc, best_accuracy, compute_roc, evaluate_distances,
                       tpr_at_fpr)
 from .features import (FeatureVector, concat_landmark_features,
-                       extract_representation, read_features, write_features,
-                       write_report)
+                       extract_representation, extract_representations,
+                       read_features, write_features, write_report)
 from .seeding import derive_seed, make_rng
 
 __version__ = "0.1.0"

@@ -22,11 +22,13 @@ import numpy as np
 from .data import (DataError, NuisanceConfig, load_image, load_index,
                    sample_pairs, split_by_identity, synth_generate,
                    write_index)
-from .features import (extract_representation, read_features, write_features,
-                       write_report)
+from .features import (extract_representations, read_features,
+                       write_features, write_report)
+from .layers import _images_per_slab
 from .metrics import MetricError, evaluate_distances
 from .pyramid import (PyramidError, PyramidSpec, StageSpec, TrainConfig,
-                      build_pyramid, greedy_train, load_model, save_model)
+                      assemble_network, build_pyramid, greedy_train,
+                      load_model, save_model)
 from .seeding import derive_seed
 from .tensor import TensorError
 
@@ -269,11 +271,13 @@ def cmd_extract(cfg: RunConfig, model_path, index_path) -> int:
     scheme = cfg.extraction["scheme"]
     if scheme != "single-top":
         raise ConfigError(f"unsupported extraction scheme {scheme!r}")
+    # one slab of images loaded and embedded at a time
+    step = _images_per_slab(assemble_network(model, model.spec.levels - 1, 0))
     features = []
-    for rec in index.records:
-        image = load_image(rec)
-        features.append(extract_representation(
-            model, image, scheme, cfg.extraction["normalize"]))
+    for start in range(0, len(index.records), step):
+        images = [load_image(rec) for rec in index.records[start:start + step]]
+        features.extend(extract_representations(
+            model, images, scheme, cfg.extraction["normalize"]))
     dims = {fv.values.size for fv in features}
     if dims != {model.spec.output_dim}:
         raise ConfigError(

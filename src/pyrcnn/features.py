@@ -1,10 +1,11 @@
 """Representation extraction and the feature/report file formats.
 
-The default "single-top" scheme takes the top level's network 0 output on a
-center crop; the landmark scheme builds one pyramid per landmark, crops a
-patch around each landmark at every level's input edge, and concatenates
-all levels' and networks' outputs (landmark-major, then level ascending,
-then network index) into one long vector.
+The default "single-top" scheme takes the top level's network 0 output on
+the center crop that training uses (`data.center_crop`), for a whole batch
+of images in one forward-only pass; the landmark scheme builds one pyramid
+per landmark, crops a patch around each landmark at every level's input
+edge, and concatenates all levels' and networks' outputs (landmark-major,
+then level ascending, then network index) into one long vector.
 
 Feature files are CSV rows ``image_path,dim,v1,...,vdim`` with full-precision
 repr() floats so a rerun is byte-identical.  Report files hold metric
@@ -22,10 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from .data import DataError, LabeledImage, crop_patch
-from .layers import ShapeError, layer_forward, network_forward
+from .layers import ShapeError, _forward, _stage_forward, _stage_params
 from .metrics import VerificationReport
 from .pyramid import PyramidModel
-from .tensor import Tensor
 
 
 @dataclass
@@ -40,55 +40,76 @@ class FeatureVector:
             raise DataError(f"non-finite feature values for {self.image_id}")
 
 
-def _level_outputs(model: PyramidModel, image: LabeledImage, level: int,
-                   center: tuple[float, float],
-                   normalize: bool) -> list[np.ndarray]:
-    """Every network's output at one level, fed from a patch around `center`.
+def _raw_edge(model: PyramidModel, level: int) -> int:
+    """Raw-image patch edge that feeds `level`: the level's input edge,
+    enlarged when the spec trains networks at nonzero offsets."""
+    spec = model.spec
+    return spec.inverse_edge(spec.base_input + spec.max_offset(), level)
 
-    The patch is cropped at the level's raw input edge (enlarged when the
-    spec trains networks at nonzero offsets), pushed through the frozen
-    stages below the level, and handed to each of the level's networks at
-    its own training offset — numerically identical to the assembled deep
-    network on the matching sub-crop.
+
+def _level_outputs(model: PyramidModel, images: Sequence[LabeledImage],
+                   level: int, origins: Sequence[tuple[int, int]],
+                   normalize: bool) -> np.ndarray:
+    """Every network's output at one level for a batch of images.
+
+    Row i joins, in network order, the outputs for the edge-`_raw_edge`
+    patch of images[i] at origins[i].  The patches go together through the
+    frozen stages below the level and are handed to each of the level's
+    networks at its own training offset, on the forward-only kernel, so
+    each row is bit-equal to the assembled deep network run on the
+    matching sub-crop of that image alone.
     """
     spec = model.spec
-    grid_edge = spec.base_input + spec.max_offset()
-    raw_edge = spec.inverse_edge(grid_edge, level)
-    cx, cy = center
-    origin = (int(round(cx)) - raw_edge // 2, int(round(cy)) - raw_edge // 2)
-    x: Tensor = crop_patch(image, origin, raw_edge)
+    raw_edge = _raw_edge(model, level)
+    x = np.stack([crop_patch(image, origin, raw_edge).array
+                  for image, origin in zip(images, origins)])
     for stage in model.stages[:level]:
         if not stage.frozen:
             raise ShapeError(
                 f"cannot extract level {level}: lower stages not frozen"
             )
-        x = layer_forward(x, stage.conv, stage.pool)
+        x = _stage_forward(x, stage.conv.weights.array,
+                           stage.conv.bias.array, stage.pool.window)
     outputs = []
+    edge = spec.base_input
     for k, net in enumerate(model.level_networks[level]):
         ox, oy = spec.patch_offsets[k]
-        patch = Tensor.from_array(
-            x.array[oy:oy + spec.base_input, ox:ox + spec.base_input, :])
-        vec = network_forward(net, patch).array
+        vec = _forward(_stage_params(net), net.head.weights.array,
+                       net.head.bias.array,
+                       x[:, oy:oy + edge, ox:ox + edge, :])
         if normalize:
-            norm = float(np.sqrt(np.sum(vec * vec)))
-            if norm > 0.0:
-                vec = vec / norm
+            norm = np.sqrt(np.sum(vec * vec, axis=1, keepdims=True))
+            vec = np.divide(vec, norm, out=vec, where=norm > 0.0)
         outputs.append(vec)
-    return outputs
+    return np.concatenate(outputs, axis=1)
+
+
+def extract_representations(model: PyramidModel,
+                            images: Sequence[LabeledImage],
+                            scheme: str = "single-top",
+                            normalize: bool = False) -> list[FeatureVector]:
+    """Top-level network 0 output on each image's center crop, the crop
+    `data.center_crop` takes at the top level's raw edge; all images in
+    one batch."""
+    if scheme != "single-top":
+        raise DataError(f"unknown extraction scheme {scheme!r}")
+    if not images:
+        return []
+    top = model.spec.levels - 1
+    edge = _raw_edge(model, top)
+    origins = [((image.pixels.shape[1] - edge) // 2,
+                (image.pixels.shape[0] - edge) // 2) for image in images]
+    rows = _level_outputs(model, images, top, origins, normalize)
+    dim = model.spec.output_dim
+    return [FeatureVector(row[:dim], image.source or str(image.identity),
+                          "single-top") for image, row in zip(images, rows)]
 
 
 def extract_representation(model: PyramidModel, image: LabeledImage,
                            scheme: str = "single-top",
                            normalize: bool = False) -> FeatureVector:
-    """Top-level network 0 output on the image's center patch."""
-    if scheme != "single-top":
-        raise DataError(f"unknown extraction scheme {scheme!r}")
-    h, w = image.pixels.shape[0], image.pixels.shape[1]
-    top = model.spec.levels - 1
-    vec = _level_outputs(model, image, top, ((w - 1) / 2.0, (h - 1) / 2.0),
-                         normalize)[0]
-    return FeatureVector(vec, image.source or str(image.identity),
-                         "single-top")
+    """Top-level network 0 output on the image's center crop."""
+    return extract_representations(model, [image], scheme, normalize)[0]
 
 
 def concat_landmark_features(models: Sequence[PyramidModel],
@@ -98,7 +119,8 @@ def concat_landmark_features(models: Sequence[PyramidModel],
 
     Block order: landmark-major, levels ascending inside a landmark,
     network index inside a level; total dimension is the sum over
-    pyramids of levels * networks_per_level * output_dim.
+    pyramids of levels * networks_per_level * output_dim.  Each level's
+    patch is centred on the landmark (rounded to the nearest pixel).
     """
     if image.landmarks is None or len(image.landmarks) < len(models):
         have = 0 if image.landmarks is None else len(image.landmarks)
@@ -110,9 +132,11 @@ def concat_landmark_features(models: Sequence[PyramidModel],
     for i, model in enumerate(models):
         lx, ly = image.landmarks[i]
         for level in range(model.spec.levels):
+            half = _raw_edge(model, level) // 2
+            origin = (int(round(lx)) - half, int(round(ly)) - half)
             try:
-                parts.extend(_level_outputs(model, image, level, (lx, ly),
-                                            normalize))
+                parts.append(_level_outputs(model, [image], level, [origin],
+                                            normalize)[0])
             except (DataError, ShapeError) as exc:
                 raise DataError(f"landmark {i} at ({lx}, {ly}): {exc}") \
                     from exc

@@ -18,6 +18,25 @@ Conventions, fixed across the package:
   FC head is linear, so no embedding unit can be stuck at zero;
 * pooling takes non-overlapping s x s window maxima (window == stride).
 
+Two forward kernels share the conv kernel.  `_forward_cached` is the
+training path: it keeps every stage's input, pre-activation and pool
+routing (`argmax`) for `_backward_cached`, and only training,
+`network_backward` and `gradient_check` call it.  `_forward` is the
+inference path behind `network_forward`, `layer_forward`, validation and
+extraction, and keeps nothing:
+
+* each stage pools the pre-activation map with the maximum of its s*s
+  strided slices and rectifies the pooled map.  That is exact, not an
+  approximation: max(0, max_i a_i) == max_i max(0, a_i) for the monotone
+  rectifier, so it skips the argmax, the block transpose and all but
+  1/(s*s) of the rectifier work;
+* the head is evaluated one row at a time (a stack of (1, d) @ (d, m)
+  products).  A batched (n, d) @ (d, m) product is a different BLAS
+  routine from the batch-of-one product and differs from it in the last
+  bits, so the per-row form is what makes an image's embedding the same
+  bits whether it is computed alone or in a batch.  (The conv GEMM rows
+  are already bit-equal across batch sizes.)
+
 The gradient-check harness compares backprop against central finite
 differences of a fixed random projection of the network output, skipping
 coordinates whose stage pre-activations sit within 10*epsilon of the
@@ -271,6 +290,28 @@ def _pool_bwd(g: np.ndarray, idx: np.ndarray, s: int,
     return blocks.reshape(in_shape)
 
 
+def _stage_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+                   s: int) -> np.ndarray:
+    """One stage without backprop state: conv, s x s window max of the
+    pre-activation map, then the rectifier on the pooled map."""
+    pre = _conv_fwd(x, w, b)
+    out = pre[:, ::s, ::s].copy()
+    for a in range(s):
+        for b_ in range(s):
+            if a or b_:
+                np.maximum(out, pre[:, a::s, b_::s], out=out)
+    return np.maximum(out, 0.0, out=out)
+
+
+def _forward(stage_params, head_w, head_b, x: np.ndarray) -> np.ndarray:
+    """(n, m) outputs of the full network on an (n, h, w, c) batch, with
+    no backprop state; row i is bit-equal to a batch of one on x[i]."""
+    for w, b, s in stage_params:
+        x = _stage_forward(x, w, b, s)
+    flat = x.reshape(x.shape[0], 1, -1)
+    return np.matmul(flat, head_w)[:, 0] + head_b
+
+
 def _stage_params(net: Network) -> list[tuple[np.ndarray, np.ndarray, int]]:
     return [(conv.weights.array, conv.bias.array, pool.window)
             for conv, pool in net.stages]
@@ -319,11 +360,9 @@ def _backward_cached(stage_params, head_w, caches, g_out: np.ndarray):
 # public operations
 
 
-def conv_forward(input: Tensor, layer: ConvLayer) -> Tensor:
-    """Valid (no padding) true convolution plus per-channel bias."""
-    x = input.array
+def _check_conv_input(x: np.ndarray, shape, layer: ConvLayer) -> None:
     if x.ndim != 3:
-        raise ShapeError(f"conv input must be h x w x c, got {input.shape}")
+        raise ShapeError(f"conv input must be h x w x c, got {shape}")
     kh, kw = layer.kernel
     if x.shape[2] != layer.in_channels:
         raise ShapeError(
@@ -333,6 +372,21 @@ def conv_forward(input: Tensor, layer: ConvLayer) -> Tensor:
         raise ShapeError(
             f"kernel {kh}x{kw} larger than input {x.shape[0]}x{x.shape[1]}"
         )
+
+
+def _check_pool_extents(extents: tuple[int, int], s: int) -> None:
+    for axis in (0, 1):
+        if extents[axis] % s:
+            raise ShapeError(
+                f"pool window {s} does not divide extent {extents[axis]} "
+                f"on axis {axis}"
+            )
+
+
+def conv_forward(input: Tensor, layer: ConvLayer) -> Tensor:
+    """Valid (no padding) true convolution plus per-channel bias."""
+    x = input.array
+    _check_conv_input(x, input.shape, layer)
     return Tensor.from_array(_conv_fwd(x[None], layer.weights.array,
                                        layer.bias.array)[0])
 
@@ -347,20 +401,21 @@ def maxpool(input: Tensor, spec: PoolSpec) -> Tensor:
     x = input.array
     if x.ndim != 3:
         raise ShapeError(f"pool input must be h x w x c, got {input.shape}")
-    s = spec.window
-    for axis in (0, 1):
-        if x.shape[axis] % s:
-            raise ShapeError(
-                f"pool window {s} does not divide extent {x.shape[axis]} "
-                f"on axis {axis}"
-            )
-    out, _ = _pool_fwd(x[None], s)
+    _check_pool_extents(x.shape, spec.window)
+    out, _ = _pool_fwd(x[None], spec.window)
     return Tensor.from_array(out[0])
 
 
 def layer_forward(input: Tensor, conv: ConvLayer, spec: PoolSpec) -> Tensor:
-    """One full stage: maxpool(activation(conv_forward(input)))."""
-    return maxpool(activation(conv_forward(input, conv)), spec)
+    """One full stage, maxpool(activation(conv_forward(input))), on the
+    forward-only kernel."""
+    x = input.array
+    _check_conv_input(x, input.shape, conv)
+    kh, kw = conv.kernel
+    _check_pool_extents((x.shape[0] - kh + 1, x.shape[1] - kw + 1),
+                        spec.window)
+    return Tensor.from_array(_stage_forward(x[None], conv.weights.array,
+                                            conv.bias.array, spec.window)[0])
 
 
 def fc_forward(input: Tensor, layer: FCLayer) -> Tensor:
@@ -383,8 +438,8 @@ def network_forward(net: Network, patch: Tensor) -> Tensor:
             f"network expects {net.input_size}x{net.input_size}"
             f"x{net.in_channels} input, got {patch.shape}"
         )
-    out, _ = _forward_cached(_stage_params(net), net.head.weights.array,
-                             net.head.bias.array, x[None])
+    out = _forward(_stage_params(net), net.head.weights.array,
+                   net.head.bias.array, x[None])
     return Tensor.from_array(out[0])
 
 

@@ -22,11 +22,13 @@ its networks.  Each step stacks both members of every pair into one
 backward call; a batch whose largest pre-activation map would not fit the
 layers' memory slab is walked in pair chunks (the whole 32-pair batch at
 the 16-edge levels, one pair at a time at the 76-edge monolith).
-Validation embeds its images in batches of the same size.
+Validation embeds its images in batches of the same size, on the
+forward-only kernel (`layers._forward`), which keeps no backprop state.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,8 +39,8 @@ import numpy as np
 from .data import (DataError, FacePair, LabeledImage, PairSampler,
                    center_crop, split_identity_ids)
 from .layers import (ConvLayer, FCLayer, Network, PoolSpec, _backward_cached,
-                     _forward_cached, _images_per_slab, _stage_params,
-                     layer_forward)
+                     _forward, _forward_cached, _images_per_slab,
+                     _stage_params, layer_forward)
 from .loss import ComparatorParams, pair_loss_grads
 from .metrics import auc, compute_roc
 from .seeding import derive_seed, make_rng
@@ -471,10 +473,9 @@ def _validation_auc(net: Network, offset: tuple[int, int],
     hw, hb = net.head.weights.array, net.head.bias.array
     step = _images_per_slab(net)
     feats = np.concatenate([
-        _forward_cached(stage_params, hw, hb,
-                        np.stack([val_images[i].array[oy:oy + edge,
-                                                      ox:ox + edge]
-                                  for i in val_ids[start:start + step]]))[0]
+        _forward(stage_params, hw, hb,
+                 np.stack([val_images[i].array[oy:oy + edge, ox:ox + edge]
+                           for i in val_ids[start:start + step]]))
         for start in range(0, len(val_ids), step)])
     row = {i: r for r, i in enumerate(val_ids)}
     first = [row[p.first] for p in val_pairs]
@@ -640,7 +641,10 @@ class _Cursor:
         if rank < 1 or rank > 8:
             raise PyramidError(f"corrupt tensor rank {rank} in model file")
         shape = self.ints(rank)
-        count = int(np.prod(shape))
+        if min(shape) < 1:
+            raise PyramidError(f"corrupt tensor shape {tuple(shape)} in "
+                               f"model file")
+        count = math.prod(shape)  # Python ints: a huge shape cannot wrap
         end = self.pos + 8 * count
         if end > len(self.data):
             raise PyramidError("model file truncated")
@@ -725,7 +729,12 @@ def load_model(path) -> PyramidModel:
                            Tensor.from_array(cur.tensor()))
             nets.append(Network(layers, head, base_input,
                                 spec.entry_in_channels(level)))
-            la, beta = cur.tensor().reshape(-1)
+            cmp = cur.tensor().reshape(-1)
+            if cmp.size != 2:
+                raise PyramidError(
+                    f"{path}: comparator tensor has {cmp.size} values, "
+                    f"expected 2 (log_alpha, beta)")
+            la, beta = cmp
             comps.append(ComparatorParams(float(la), float(beta)))
         level_networks.append(nets)
         comparators.append(comps)

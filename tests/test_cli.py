@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import pyrcnn
-from pyrcnn import read_features
+from pyrcnn import cli, layers, read_features
 from pyrcnn.cli import main
 
 
@@ -96,6 +96,37 @@ def test_extract_writes_one_row_per_eval_image(pipeline):
     feats = read_features(pipeline["features"])
     assert len(feats) == 6  # 2 held-out identities x 3 images
     assert all(vec.shape == (8,) for vec in feats.values())
+
+
+def test_extract_streams_chunks_bit_equal_to_assembled_network(
+        tmp_path, monkeypatch):
+    """`extract` embeds the index a slab of images at a time; every row is
+    the bits of the assembled top network on the image's center_crop, the
+    crop training uses (a 38-pixel gallery, where rounding the image centre
+    would shift it by a pixel)."""
+    paths = run_pipeline(tmp_path, data={
+        "dir": "gallery", "n_identities": 6, "images_per_identity": 3,
+        "edge": 38, "holdout_fraction": 1 / 3})
+    model = pyrcnn.load_model(paths["model"])
+    net = pyrcnn.assemble_network(model, 1, 0)
+    # 36-edge input: the largest pre-activation map holds 32*32*8 values
+    monkeypatch.setattr(layers, "_SLAB_ELEMENTS", 4 * 32 * 32 * 8)
+    chunks = []
+    batched = cli.extract_representations
+    monkeypatch.setattr(cli, "extract_representations",
+                        lambda m, images, *a: chunks.append(len(images))
+                        or batched(m, images, *a))
+    index = paths["gallery"] / "index.csv"
+    assert main(["extract", "--config", str(paths["config"]),
+                 str(paths["model"]), str(index)]) == 0
+    assert chunks == [4, 4, 4, 4, 2]
+    rows = read_features(paths["features"])
+    records = pyrcnn.load_index(index).records
+    assert len(rows) == len(records) == 18
+    for rec in records:
+        crop = pyrcnn.center_crop(pyrcnn.load_image(rec), 36)
+        want = pyrcnn.network_forward(net, crop).array
+        assert np.array_equal(rows[str(rec.path)], want)
 
 
 def test_eval_writes_report(pipeline):
@@ -250,6 +281,19 @@ def test_unsupported_extraction_scheme(pipeline, tmp_path, capsys):
                             str(pipeline["model"]),
                             str(pipeline["out"] / "eval_index.csv")])
     assert "unsupported extraction scheme 'pca'" in err
+
+
+def test_extract_malformed_model_file(pipeline, tmp_path, capsys):
+    # the comparator tensor closes the file; give it 3 values instead of 2
+    data = pipeline["model"].read_bytes()[:-32]
+    bad = tmp_path / "model.bin"
+    bad.write_bytes(data + np.asarray([1, 3], "<i8").tobytes()
+                    + np.zeros(3, "<f8").tobytes())
+    cfg = write_config(tmp_path)
+    err = error_of(capsys, ["extract", "--config", str(cfg), str(bad),
+                            str(pipeline["out"] / "eval_index.csv")])
+    assert err.startswith("error: ")
+    assert "comparator tensor has 3 values" in err
 
 
 @pytest.mark.parametrize("row, problem", [

@@ -7,11 +7,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pyrcnn import (DataError, FeatureVector, LabeledImage, PyramidSpec,
-                    Tensor, assemble_network, build_pyramid,
+                    Tensor, assemble_network, build_pyramid, center_crop,
                     concat_landmark_features, crop_patch,
                     evaluate_distances, extract_representation,
-                    network_forward, read_features, write_features,
-                    write_report)
+                    extract_representations, network_forward,
+                    read_features, write_features, write_report)
 from pyrcnn.layers import ShapeError
 
 
@@ -89,8 +89,8 @@ def test_extract_matches_assembled_network():
 
 
 def test_extract_center_crop_on_larger_image():
-    # 40x40 image, raw edge 36: center column (40-1)/2 = 19.5 rounds to 20,
-    # so the crop origin is 20 - 18 = 2 on both axes.
+    # 40x40 image, raw edge 36: the crop is data.center_crop's, whose
+    # origin is (40 - 36) // 2 = 2 on both axes.
     rng = np.random.default_rng(13)
     model = frozen_pyramid(2, 3)
     image = random_image(rng, 40)
@@ -98,6 +98,32 @@ def test_extract_center_crop_on_larger_image():
     expected = network_forward(assemble_network(model, 1, 0), patch).array
     fv = extract_representation(model, image)
     assert_allclose(fv.values, expected, rtol=0.0, atol=1e-12)
+
+
+def test_extract_crops_where_training_crops():
+    """38x38 image, raw edge 36: extraction takes center_crop's origin
+    (38 - 36) // 2 = 1, the crop greedy_train trains on, bit for bit.  (A
+    crop centred on round((38 - 1) / 2) = 18 would start at 0.)"""
+    rng = np.random.default_rng(18)
+    model = frozen_pyramid(2, 8)
+    image = random_image(rng, 38)
+    expected = network_forward(assemble_network(model, 1, 0),
+                               center_crop(image, 36)).array
+    fv = extract_representation(model, image)
+    assert fv.values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_extract_batch_rows_equal_single_image_calls(normalize):
+    rng = np.random.default_rng(19)
+    model = frozen_pyramid(2, 9)
+    images = [random_image(rng, edge) for edge in (36, 38, 40, 41, 36)]
+    batch = extract_representations(model, images, normalize=normalize)
+    assert len(batch) == len(images)
+    for image, fv in zip(images, batch):
+        alone = extract_representation(model, image, normalize=normalize)
+        assert fv.values.tobytes() == alone.values.tobytes()
+    assert extract_representations(model, []) == []
 
 
 def test_extract_unknown_scheme():

@@ -177,14 +177,20 @@ def test_maxpool_indivisible_names_axis():
 
 
 def test_layer_forward_is_the_composition():
+    """The forward-only stage (rectify after pooling) gives the bits of the
+    chained public ops (rectify, then pool), rectifier ties included."""
     rng = np.random.default_rng(6)
-    x = tensor(rng.standard_normal((10, 10, 1)))
-    layer = conv_layer(rng.standard_normal((3, 3, 1, 2)),
-                       rng.standard_normal(2))
-    spec = PoolSpec(2)
-    fused = layer_forward(x, layer, spec)
-    chained = maxpool(activation(conv_forward(x, layer)), spec)
-    assert fused.array.tobytes() == chained.array.tobytes()
+    for edge, kernel, c_in, c_out, window in [
+            (10, 3, 1, 2, 2),
+            (17, 3, 3, 4, 3),    # 3x3 windows over a 15-edge map
+            (20, 5, 8, 16, 1)]:  # window 1: pooling is the identity
+        x = tensor(rng.standard_normal((edge, edge, c_in)))
+        layer = conv_layer(rng.standard_normal((kernel, kernel, c_in, c_out)),
+                           rng.standard_normal(c_out))
+        spec = PoolSpec(window)
+        fused = layer_forward(x, layer, spec)
+        chained = maxpool(activation(conv_forward(x, layer)), spec)
+        assert fused.array.tobytes() == chained.array.tobytes()
 
 
 def test_layer_forward_shape_arithmetic():
@@ -439,3 +445,26 @@ def test_batched_kernels_match_per_image_ops(monkeypatch, edge, channels, n,
     for name, grad in got.items():
         np.testing.assert_allclose(grad, sum(g[name] for g in per_image),
                                    rtol=1e-10)
+
+
+@pytest.mark.parametrize("edge, channels", [(16, 1), (16, 8), (76, 1)])
+def test_forward_rows_are_independent_of_batch_size(edge, channels):
+    """The forward-only kernel gives each image the same bits alone or in a
+    batch of five, and the outputs of the training kernel up to the last
+    bits of the head product (a batched GEMM there, one row at a time
+    here)."""
+    rng = np.random.default_rng(320 + edge + channels)
+    net = geometry_net(rng, edge, channels)
+    x = rng.uniform(0.0, 1.0, (5, edge, edge, channels))
+    params = layers._stage_params(net)
+    hw, hb = net.head.weights.array, net.head.bias.array
+
+    batched = layers._forward(params, hw, hb, x)
+    assert batched.shape == (5, net.output_dim)
+    for i in range(5):
+        alone = layers._forward(params, hw, hb, x[i:i + 1])[0]
+        assert alone.tobytes() == batched[i].tobytes()
+        assert alone.tobytes() == \
+            network_forward(net, tensor(x[i])).array.tobytes()
+    cached, _ = layers._forward_cached(params, hw, hb, x)
+    np.testing.assert_allclose(batched, cached, rtol=1e-12, atol=1e-12)

@@ -805,3 +805,30 @@ def test_serialization_rejects_corruption(tmp_path):
     trailing.write_bytes(data + b"\x00" * 8)
     with pytest.raises(PyramidError):
         load_model(trailing)
+
+
+def _i8(*values):
+    return np.asarray(values, dtype="<i8").tobytes()
+
+
+def _f8(*values):
+    return np.asarray(values, dtype="<f8").tobytes()
+
+
+@pytest.mark.parametrize("last_tensor, problem", [
+    (_i8(1, 3) + _f8(0.0, 1.0, 2.0), "has 3 values, expected 2"),
+    (_i8(1, -2) + _f8(0.0, 1.0), "corrupt tensor shape"),
+    (_i8(2, -1, -2) + _f8(0.0, 1.0), "corrupt tensor shape"),
+    # 2**33 x 2**31 wraps to 0 in int64 arithmetic
+    (_i8(2, 1 << 33, 1 << 31) + _f8(0.0, 1.0), "truncated"),
+], ids=["three comparator values", "negative extent", "two negative extents",
+        "extent product past int64"])
+def test_load_model_rejects_malformed_tensor(tmp_path, last_tensor, problem):
+    """The comparator tensor closes the file: rank 1, shape (2,), 2 values
+    (32 bytes).  A malformed replacement is a PyramidError, never a bare
+    ValueError from unpacking or reshaping."""
+    path = tmp_path / "m.bin"
+    save_model(build_pyramid(PyramidSpec(levels=1), seed=53), path)
+    path.write_bytes(path.read_bytes()[:-32] + last_tensor)
+    with pytest.raises(PyramidError, match=problem):
+        load_model(path)
