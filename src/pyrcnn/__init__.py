@@ -15,7 +15,7 @@ from .data import (DataError, DatasetIndex, FacePair, IndexRecord,
 from .pyramid import (LevelTrace, PyramidError, PyramidModel, PyramidSpec,
                       SharedStage, StageSpec, TrainConfig, assemble_network,
                       build_monolithic, build_pyramid, greedy_train,
-                      load_model, preprocess_dataset, save_model, sgd_step,
+                      load_model, preprocess_dataset, save_model,
                       train_level, train_network)
 from .metrics import (MetricError, RocCurve, RocPoint, VerificationReport,
                       auc, best_accuracy, compute_roc, evaluate_distances,

@@ -24,7 +24,7 @@ from .data import (DataError, NuisanceConfig, load_image, load_index,
                    write_index)
 from .features import (extract_representations, read_features,
                        write_features, write_report)
-from .layers import _images_per_slab
+from .layers import _images_per_slab, _slab
 from .metrics import MetricError, evaluate_distances
 from .pyramid import (PyramidError, PyramidSpec, StageSpec, TrainConfig,
                       assemble_network, build_pyramid, greedy_train,
@@ -79,6 +79,22 @@ def _bool(value, name: str) -> bool:
     return value
 
 
+def _str(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _offsets(value, name: str) -> tuple[tuple[int, int], ...]:
+    """(x, y) pairs from a list of two-integer lists; any other length is
+    refused, never padded or cut."""
+    if not isinstance(value, list) or any(
+            not isinstance(o, list) or len(o) != 2 for o in value):
+        raise TypeError(f"{name} must be a list of [x, y] pairs, got "
+                        f"{value!r}")
+    return tuple((_int(x, name), _int(y, name)) for x, y in value)
+
+
 def _field(block: dict, where: str, key: str, default, kind=_int):
     """`block[key]` (or `default`), checked by `kind` as `where.key`."""
     return kind(block.get(key, default), f"{where}.{key}")
@@ -89,7 +105,8 @@ def _data_block(block: dict) -> dict:
                         "holdout_fraction", "brightness_delta",
                         "max_translation", "noise_sigma"}, "data")
     return {
-        "dir": block.get("dir"),
+        "dir": (None if block.get("dir") is None
+                else _field(block, "data", "dir", None, _str)),
         "n_identities": _field(block, "data", "n_identities", 48),
         "images_per_identity": _field(block, "data", "images_per_identity",
                                       12),
@@ -120,16 +137,14 @@ def _pyramid_block(block: dict) -> PyramidSpec:
 
     shared = block.get("shared", {"kernel": 5, "channels": 8, "pool": 2})
     template = block.get("template", [{"kernel": 3, "channels": 16, "pool": 2}])
-    offsets = block.get("patch_offsets", [[0, 0]])
     return PyramidSpec(
         levels=_field(block, "pyramid", "levels", 3),
         base_input=_field(block, "pyramid", "base_input", 16),
         shared=stage(shared, "pyramid.shared"),
         template=tuple(stage(t, "pyramid.template") for t in template),
         networks_per_level=_field(block, "pyramid", "networks_per_level", 1),
-        patch_offsets=tuple((_int(o[0], "pyramid.patch_offsets"),
-                             _int(o[1], "pyramid.patch_offsets"))
-                            for o in offsets),
+        patch_offsets=_field(block, "pyramid", "patch_offsets", [[0, 0]],
+                             _offsets),
         output_dim=_field(block, "pyramid", "output_dim", 8),
     )
 
@@ -297,18 +312,25 @@ def cmd_eval(cfg: RunConfig, features_path, index_path) -> int:
     index = load_index(index_path)
     pairs = sample_pairs(index, cfg.evaluation["n_pairs"],
                          derive_seed(cfg.seed, "eval-pairs"))
-    matched, unmatched = [], []
-    vectors = []
+    rows = []
     for rec in index.records:
         key = str(rec.path)
         if key not in feats:
             raise DataError(f"no feature row for image {key}")
-        vectors.append(feats[key])
-    for pair in pairs:
-        d = float(np.sqrt(np.sum(
-            (vectors[pair.first] - vectors[pair.second]) ** 2)))
-        (matched if int(pair.label) == 1 else unmatched).append(d)
-    report = evaluate_distances(matched, unmatched,
+        rows.append(feats[key])
+    if len({row.size for row in rows}) > 1:
+        raise DataError(f"{features_path}: feature rows of different "
+                        f"dimensions cannot be compared")
+    vectors = np.stack(rows)  # row i: index record i
+    first = np.array([p.first for p in pairs], dtype=np.intp)
+    second = np.array([p.second for p in pairs], dtype=np.intp)
+    dist = np.empty(len(pairs))
+    step = _slab(vectors.shape[1])  # pairs per chunk: bounded temporaries
+    for i in range(0, len(pairs), step):
+        a, b = vectors[first[i:i + step]], vectors[second[i:i + step]]
+        dist[i:i + step] = np.sqrt(np.sum((a - b) ** 2, axis=1))
+    matched = np.array([int(p.label) == 1 for p in pairs], dtype=bool)
+    report = evaluate_distances(dist[matched], dist[~matched],
                                 cfg.evaluation["fpr_targets"])
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.output_dir / "report.csv"

@@ -14,16 +14,24 @@ network — no matter how high the level sits, while the *assembled* network
 for level l (frozen stages 0..l-1 plus level l's subnetwork) grows deeper
 and sees exponentially larger input patches.
 
+Each level's image set is one (n, h, w, c) array, and
+`preprocess_dataset` pushes it through a frozen stage a memory slab at a
+time into one preallocated output.
+
 Greedy levels and the monolithic baseline train through one Siamese loop
 (`_siamese_fit`): the same pair loss, momentum SGD and pair stream.  A
 level differs only in that its entry stage is one layer shared by all of
-its networks.  Each step stacks both members of every pair into one
-(n, h, w, c) batch per network, with one batched forward and one batched
-backward call; a batch whose largest pre-activation map would not fit the
-layers' memory slab is walked in pair chunks (the whole 32-pair batch at
-the 16-edge levels, one pair at a time at the 76-edge monolith).
-Validation embeds its images in batches of the same size, on the
-forward-only kernel (`layers._forward`), which keeps no backprop state.
+its networks.  A fit packs every distinct layer's weights and bias, then
+every comparator's (log_alpha, beta), into one flat vector; forward,
+backward and validation read views of it, a momentum step is three
+in-place vector operations, and the vector is published into the layers'
+immutable `Tensor`s once, when the fit ends.  Each step stacks both
+members of every pair into one (n, h, w, c) batch per network, with one
+batched forward and one batched backward call; a batch whose largest
+pre-activation map would not fit the layers' memory slab is walked in pair
+chunks (the whole 32-pair batch at the 16-edge levels, one pair at a time
+at the 76-edge monolith).  Validation embeds its images in batches of the
+same size, on the forward-only kernel (`layers._forward`).
 """
 
 from __future__ import annotations
@@ -39,12 +47,12 @@ import numpy as np
 from .data import (DataError, FacePair, LabeledImage, PairSampler,
                    center_crop, split_identity_ids)
 from .layers import (ConvLayer, FCLayer, Network, PoolSpec, _backward_cached,
-                     _forward, _forward_cached, _images_per_slab,
-                     _stage_params, layer_forward)
+                     _forward, _forward_cached, _images_per_slab, _slab,
+                     _stage_forward)
 from .loss import ComparatorParams, pair_loss_grads
 from .metrics import auc, compute_roc
 from .seeding import derive_seed, make_rng
-from .tensor import Tensor, TensorError
+from .tensor import Tensor
 
 
 class PyramidError(ValueError):
@@ -259,18 +267,26 @@ def assemble_network(model: PyramidModel, level: int, which: int) -> Network:
                    in_channels=1)
 
 
-def preprocess_dataset(images: Sequence[Tensor],
-                       stage: SharedStage) -> list[Tensor]:
-    """Push every image through one frozen stage (Algorithm step: filter
-    and down-sample the whole dataset)."""
+def preprocess_dataset(images: np.ndarray, stage: SharedStage) -> np.ndarray:
+    """Push an (n, h, w, c) image array through one frozen stage (Algorithm
+    step: filter and down-sample the whole dataset), a memory slab at a
+    time; row i of the result is bit-equal to the stage on image i alone."""
     if not stage.frozen:
         raise PyramidError("preprocess_dataset requires a frozen stage")
-    out = []
-    for i, img in enumerate(images):
-        try:
-            out.append(layer_forward(img, stage.conv, stage.pool))
-        except TensorError as exc:
-            raise PyramidError(f"image {i}: {exc}") from exc
+    w, b = stage.conv.weights.array, stage.conv.bias.array
+    s = stage.pool.window
+    kh, kw, c_in, c_out = w.shape
+    shape = np.shape(images)
+    oh, ow = (shape[1] - kh + 1, shape[2] - kw + 1) if len(shape) == 4 \
+        else (0, 0)
+    if min(oh, ow) < 1 or oh % s or ow % s or shape[3] != c_in:
+        raise PyramidError(f"images of shape {shape} do not fit an "
+                           f"(n, h, w, {c_in}) input to a {kh}x{kw} stage "
+                           f"with pool {s}")
+    out = np.empty((len(images), oh // s, ow // s, c_out))
+    step = _slab(oh * ow * c_out)
+    for i in range(0, len(images), step):
+        out[i:i + step] = _stage_forward(images[i:i + step], w, b, s)
     return out
 
 
@@ -278,39 +294,13 @@ def preprocess_dataset(images: Sequence[Tensor],
 # optimizer
 
 
-def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             state: dict[str, np.ndarray],
-             cfg: TrainConfig) -> tuple[dict[str, np.ndarray],
-                                        dict[str, np.ndarray]]:
-    """One classical-momentum step; blocks without a gradient pass through.
-
-    velocity <- momentum * velocity - lr * grad; param <- param + velocity.
-    Pure function: returns fresh dicts, never mutates its arguments.
-    """
-    new_params = dict(params)
-    new_state = dict(state)
-    for name, grad in grads.items():
-        if name not in params:
-            raise PyramidError(f"gradient for unknown parameter {name!r}")
-        p = params[name]
-        g = np.asarray(grad, dtype=np.float64)
-        if p.shape != g.shape:
-            raise PyramidError(
-                f"shape mismatch for {name!r}: param {p.shape} vs "
-                f"grad {g.shape}"
-            )
-        v = state.get(name)
-        if v is None:
-            v = np.zeros_like(p)
-        elif v.shape != p.shape:
-            raise PyramidError(
-                f"shape mismatch for {name!r}: param {p.shape} vs "
-                f"state {v.shape}"
-            )
-        v = cfg.momentum * v - cfg.learning_rate * g
-        new_state[name] = v
-        new_params[name] = p + v
-    return new_params, new_state
+def _momentum_step(theta: np.ndarray, velocity: np.ndarray, grad: np.ndarray,
+                   cfg: TrainConfig) -> None:
+    """One classical-momentum step, in place on flat vectors:
+    velocity <- momentum * velocity - lr * grad; theta <- theta + velocity."""
+    velocity *= cfg.momentum
+    velocity -= cfg.learning_rate * grad
+    theta += velocity
 
 
 # ---------------------------------------------------------------------------
@@ -324,31 +314,33 @@ class LevelTrace:
     val_aucs: list[float] = field(default_factory=list)  # NaN when no val set
 
 
-def _check_level_images(spec: PyramidSpec, images: Sequence[Tensor],
+def _check_level_images(spec: PyramidSpec, images: np.ndarray,
                         level: int, what: str) -> None:
     need = spec.base_input + spec.max_offset()
     channels = spec.entry_in_channels(level)
-    for i, img in enumerate(images):
-        h, w = img.shape[0], img.shape[1]
-        if len(img.shape) != 3 or img.shape[2] != channels or h != w or h < need:
-            raise PyramidError(
-                f"{what} image {i} has shape {img.shape}; level {level} "
-                f"needs square >= {need} with {channels} channels"
-            )
+    shape = np.shape(images)
+    if len(shape) != 4 or shape[3] != channels or shape[1] != shape[2] \
+            or shape[1] < need:
+        raise PyramidError(
+            f"{what} images have shape {shape}; level {level} needs an "
+            f"(n, e, e, {channels}) array, e >= {need}, {channels} channels")
+    if not np.isfinite(images).all():
+        raise PyramidError(f"{what} images hold non-finite values")
 
 
-def train_level(model: PyramidModel, level: int, images: Sequence[Tensor],
+def train_level(model: PyramidModel, level: int, images: np.ndarray,
                 pair_source: PairSampler, cfg: TrainConfig,
-                val_images: Sequence[Tensor] | None = None,
+                val_images: np.ndarray | None = None,
                 val_pairs: Sequence[FacePair] | None = None) -> LevelTrace:
     """Siamese training of one level's networks (and its entry stage).
 
-    `images` must already be preprocessed through all frozen stages below
-    `level`.  Runs the shared Siamese loop (`_siamese_fit`) for
-    cfg.iterations_per_level steps; the entry stage is aliased into every
-    network of the level, so its gradient is averaged across them.
-    Records the per-iteration mean batch loss and, when a validation set
-    is supplied, network 0's validation AUC after each update.
+    `images` (and `val_images`) are (n, e, e, c) arrays, already
+    preprocessed through all frozen stages below `level`.  Runs the shared
+    Siamese loop (`_siamese_fit`) for cfg.iterations_per_level steps; the
+    entry stage is aliased into every network of the level, so its
+    gradient is averaged across them.  Records the per-iteration mean batch
+    loss and, when a validation set is supplied, network 0's validation AUC
+    after each update.
     """
     spec = model.spec
     if not 0 <= level < spec.levels:
@@ -359,7 +351,7 @@ def train_level(model: PyramidModel, level: int, images: Sequence[Tensor],
         )
     if model.stages[level].frozen:
         raise PyramidError(f"level {level} is already trained and frozen")
-    if not images:
+    if len(images) == 0:
         raise PyramidError("no training images supplied")
     _check_level_images(spec, images, level, "training")
     if val_images is not None:
@@ -371,41 +363,55 @@ def train_level(model: PyramidModel, level: int, images: Sequence[Tensor],
 
 
 def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
-                 offsets: Sequence[tuple[int, int]], images: Sequence[Tensor],
+                 offsets: Sequence[tuple[int, int]], images,
                  pair_source: PairSampler, cfg: TrainConfig,
                  trace: LevelTrace, iterations: int | None,
-                 time_budget: float | None,
-                 val_images: Sequence[Tensor] | None,
+                 time_budget: float | None, val_images,
                  val_pairs: Sequence[FacePair] | None) -> LevelTrace:
     """Momentum-SGD on the pair loss for every network in `nets` at once.
 
     Network k is fed the edge-`input_size` patch of each image at
-    `offsets[k]` and scored by `comps[k]`.  Both members of a pair flow
-    through identical weights, so a layer's gradient is the sum over the
-    two branches.  A layer object aliased into several networks is one
-    parameter; its gradient is divided by (networks sharing it) x pairs,
-    every other gradient by pairs.  Pairs go through each network in chunks
-    that fit one memory slab (`layers._images_per_slab`), both members of
-    pair j in rows 2j and 2j+1, so the branch gradients of a layer whose
-    pair-loss gradients cancel (the head bias) sum to exactly zero.  Runs
-    `iterations` steps, or until `time_budget` seconds elapse when that is
-    given, appending to `trace` the mean pair loss of each batch and
-    network 0's validation AUC (NaN without a validation set) after each
-    update.
+    `offsets[k]` and scored by `comps[k]`; `images` and `val_images` are an
+    (n, h, w, c) array or a sequence of (h, w, c) arrays.  Both members of a
+    pair flow through identical weights, so a layer's gradient is the sum
+    over the two branches.  A layer object aliased into k networks is one
+    parameter, packed once; its gradient is divided by k x pairs, every
+    other gradient by pairs.  Pairs go through each network in chunks that
+    fit one memory slab (`layers._images_per_slab`), both members of pair j
+    in rows 2j and 2j+1, so the branch gradients of a layer whose pair-loss
+    gradients cancel (the head bias) sum to exactly zero.  Runs `iterations`
+    steps, or until `time_budget` seconds elapse when that is given,
+    appending to `trace` the mean pair loss of each batch and network 0's
+    validation AUC (NaN without a validation set) after each update.  A
+    step that leaves a parameter non-finite raises PyramidError.
     """
-    owners: dict[int, list] = {}  # id(layer) -> [layer, networks sharing it]
-    for net in nets:
-        for layer in [conv for conv, _ in net.stages] + [net.head]:
-            owners.setdefault(id(layer), [layer, 0])[1] += 1
-    params, shares = {}, {}
-    for key, (layer, n_sharing) in owners.items():
-        for attr in ("weights", "bias"):
-            params[f"{key}.{attr}"] = getattr(layer, attr).array
-            shares[f"{key}.{attr}"] = n_sharing
-    for k, comp in enumerate(comps):
-        params[f"cmp{k}"] = np.array([comp.log_alpha, comp.beta])
-        shares[f"cmp{k}"] = 1
-    state: dict[str, np.ndarray] = {}
+    layers = list({id(layer): layer for net in nets
+                   for layer in _layers(net)}.values())
+    blocks = [a for layer in layers
+              for a in (layer.weights.array, layer.bias.array)]
+    blocks += [np.array([comp.log_alpha, comp.beta]) for comp in comps]
+    sizes = [a.size for a in blocks]
+    theta = np.concatenate([a.reshape(-1) for a in blocks])
+    grad, velocity = np.zeros_like(theta), np.zeros_like(theta)
+    sharing = np.repeat([float(sum(layer in _layers(net) for net in nets))
+                         for layer in layers for _ in "wb"]
+                        + [1.0] * len(comps), sizes)
+
+    def views(vec):
+        """`vec`'s (weights, bias) views by layer id, and comparator views."""
+        parts = [v.reshape(a.shape) for v, a in
+                 zip(np.split(vec, np.cumsum(sizes)[:-1]), blocks)]
+        return ({id(layer): parts[2 * i:2 * i + 2]
+                 for i, layer in enumerate(layers)}, parts[2 * len(layers):])
+
+    theta_of, theta_comps = views(theta)
+    grad_of, grad_comps = views(grad)
+
+    def params(net):
+        """(stage params, head weights, head bias) of `net`, views of theta."""
+        return ([(*theta_of[id(conv)], pool.window)
+                 for conv, pool in net.stages], *theta_of[id(net.head)])
+
     val_ids = None
     if val_images is not None and val_pairs:
         val_ids = sorted({p.first for p in val_pairs}
@@ -417,22 +423,18 @@ def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
            else time.perf_counter() - started < time_budget):
         step += 1
         pairs = pair_source.batch(cfg.batch_size)
-        grads = {name: np.zeros_like(p) for name, p in params.items()}
+        grad[:] = 0.0
         total_loss = 0.0
-        for k, (net, comp) in enumerate(zip(nets, comps)):
-            ox, oy = offsets[k]
-            edge = net.input_size
-            stage_params = _stage_params(net)
-            head_w, head_b = net.head.weights.array, net.head.bias.array
-            names = [(f"{key}.weights", f"{key}.bias") for key in
-                     [id(conv) for conv, _ in net.stages] + [id(net.head)]]
+        for k, net in enumerate(nets):
+            stage_params, head_w, head_b = params(net)
+            comp = ComparatorParams(*theta_comps[k].tolist())
             chunk = max(1, _images_per_slab(net) // 2)
             for start in range(0, len(pairs), chunk):
                 part = pairs[start:start + chunk]
                 # rows 2j and 2j+1 hold pair j's two members
-                x = np.stack([images[i].array[oy:oy + edge, ox:ox + edge]
-                              for pair in part
-                              for i in (pair.first, pair.second)])
+                x = _gather(images, [i for pair in part
+                                     for i in (pair.first, pair.second)],
+                            offsets[k], net.input_size)
                 out, caches = _forward_cached(stage_params, head_w, head_b, x)
                 g_out = np.empty_like(out)
                 for j, pair in enumerate(part):
@@ -440,42 +442,52 @@ def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
                                          pair.label, comp)
                     total_loss += pg.loss
                     g_out[2 * j], g_out[2 * j + 1] = pg.grad_v1, pg.grad_v2
-                    grads[f"cmp{k}"] += (pg.grad_log_alpha, pg.grad_beta)
+                    grad_comps[k] += (pg.grad_log_alpha, pg.grad_beta)
                 sg, hg = _backward_cached(stage_params, head_w, caches, g_out)
-                for (w_name, b_name), (dw, db) in zip(names, [*sg, hg]):
-                    grads[w_name] += dw
-                    grads[b_name] += db
-        for name in grads:
-            grads[name] /= shares[name] * len(pairs)
-        params, state = sgd_step(params, grads, state, cfg)
-        for key, (layer, _) in owners.items():
-            layer.weights = Tensor.from_array(params[f"{key}.weights"])
-            layer.bias = Tensor.from_array(params[f"{key}.bias"])
-        for k, comp in enumerate(comps):
-            comp.log_alpha, comp.beta = (float(v) for v in params[f"cmp{k}"])
+                for layer, (dw, db) in zip(_layers(net), [*sg, hg]):
+                    gw, gb = grad_of[id(layer)]
+                    gw += dw
+                    gb += db
+        grad /= sharing * len(pairs)
+        _momentum_step(theta, velocity, grad, cfg)
+        if not np.isfinite(theta).all():
+            raise PyramidError(f"training diverged at step {step}: a "
+                               f"parameter is no longer finite")
         trace.losses.append(total_loss / (len(nets) * len(pairs)))
         trace.val_aucs.append(
             float("nan") if val_ids is None else
-            _validation_auc(nets[0], offsets[0], val_images, val_pairs,
-                            val_ids))
+            _validation_auc(params(nets[0]), nets[0], offsets[0], val_images,
+                            val_pairs, val_ids))
+    # publish: the layers' immutable Tensors are replaced once per fit
+    for layer in layers:
+        layer.weights, layer.bias = map(Tensor.from_array, theta_of[id(layer)])
+    for comp, values in zip(comps, theta_comps):
+        comp.log_alpha, comp.beta = values.tolist()
     return trace
 
 
-def _validation_auc(net: Network, offset: tuple[int, int],
-                    val_images: Sequence[Tensor],
-                    val_pairs: Sequence[FacePair],
-                    val_ids: list[int]) -> float:
-    """ROC AUC of `net`'s embedding distances over the validation pairs;
-    NaN when the pairs are all matched or all unmatched."""
+def _layers(net: Network) -> list:
+    """`net`'s conv layers in stage order, then its head."""
+    return [conv for conv, _ in net.stages] + [net.head]
+
+
+def _gather(images, ids: Sequence[int], offset: tuple[int, int],
+            edge: int) -> np.ndarray:
+    """The listed images' edge-`edge` patches at `offset` = (x, y)."""
     ox, oy = offset
-    edge = net.input_size
-    stage_params = _stage_params(net)
-    hw, hb = net.head.weights.array, net.head.bias.array
+    return np.stack([images[i][oy:oy + edge, ox:ox + edge] for i in ids])
+
+
+def _validation_auc(params, net: Network, offset: tuple[int, int],
+                    val_images, val_pairs: Sequence[FacePair],
+                    val_ids: list[int]) -> float:
+    """ROC AUC of the embedding distances over the validation pairs, with
+    `net`'s geometry and `params` = (stage params, head weights, head
+    bias); NaN when the pairs are all matched or all unmatched."""
     step = _images_per_slab(net)
     feats = np.concatenate([
-        _forward(stage_params, hw, hb,
-                 np.stack([val_images[i].array[oy:oy + edge, ox:ox + edge]
-                           for i in val_ids[start:start + step]]))
+        _forward(*params, _gather(val_images, val_ids[start:start + step],
+                                  offset, net.input_size))
         for start in range(0, len(val_ids), step)])
     row = {i: r for r, i in enumerate(val_ids)}
     first = [row[p.first] for p in val_pairs]
@@ -516,43 +528,38 @@ def greedy_train(model: PyramidModel, dataset: Sequence[LabeledImage],
         raise PyramidError(f"cannot split dataset: {exc}") from exc
 
     raw_edge = spec.raw_data_edge()
-    fit_imgs, fit_ids, val_imgs, val_ids = [], [], [], []
-    for img in dataset:
-        tensor = center_crop(img, raw_edge)
-        if img.identity in fit_ids_set:
-            fit_imgs.append(tensor)
-            fit_ids.append(img.identity)
-        else:
-            val_imgs.append(tensor)
-            val_ids.append(img.identity)
+    is_fit = [ident in fit_ids_set for ident in identities]
+    fit_imgs = np.empty((sum(is_fit), raw_edge, raw_edge, 1))
+    val_imgs = np.empty((len(dataset) - len(fit_imgs), raw_edge, raw_edge, 1))
+    fit_ids, val_ids = [], []
+    for img, fit in zip(dataset, is_fit):
+        ids = fit_ids if fit else val_ids
+        (fit_imgs if fit else val_imgs)[len(ids)] = \
+            center_crop(img, raw_edge).array
+        ids.append(img.identity)
 
-    val_pairs = None
     try:
         val_pairs = PairSampler(val_ids, make_rng(cfg.seed, "val-pairs")) \
             .batch(val_pair_count)
-    except DataError:
-        pass  # validation side too small for pairs; traces carry NaN AUC
+    except DataError:  # validation side too small for pairs: NaN AUCs
+        val_pairs = val_imgs = None
 
-    # resume support: push data through the already-frozen prefix
-    for stage in model.stages[:model.frozen_prefix()]:
-        fit_imgs = preprocess_dataset(fit_imgs, stage)
-        if val_pairs is not None:
-            val_imgs = preprocess_dataset(val_imgs, stage)
-
-    traces = []
+    traces, below = [], 0
     for level in range(start, spec.levels):
+        # push the data through the stages frozen since the last level (on
+        # resume, through the whole frozen prefix)
+        for stage in model.stages[below:level]:
+            fit_imgs = preprocess_dataset(fit_imgs, stage)
+            if val_imgs is not None:
+                val_imgs = preprocess_dataset(val_imgs, stage)
+        below = level
         sampler = PairSampler(fit_ids, make_rng(cfg.seed,
                                                 f"pairs-level{level}"))
-        traces.append(train_level(
-            model, level, fit_imgs, sampler, cfg,
-            val_images=val_imgs if val_pairs is not None else None,
-            val_pairs=val_pairs))
+        traces.append(train_level(model, level, fit_imgs, sampler, cfg,
+                                  val_images=val_imgs, val_pairs=val_pairs))
         model.levels_trained = level + 1
         if level < spec.levels - 1:
             model.stages[level].conv.frozen = True
-            fit_imgs = preprocess_dataset(fit_imgs, model.stages[level])
-            if val_pairs is not None:
-                val_imgs = preprocess_dataset(val_imgs, model.stages[level])
     return traces
 
 
@@ -605,9 +612,11 @@ def train_network(net: Network, comp: ComparatorParams,
             raise PyramidError(
                 f"image {i} shape {img.shape} cannot feed edge-{edge} network"
             )
-    return _siamese_fit([net], [comp], [(0, 0)], images, pair_source, cfg,
-                        LevelTrace(-1), iterations, time_budget,
-                        val_images, val_pairs)
+    arrays = [t.array for t in images]  # not one stacked copy of the set
+    val_arrays = None if val_images is None else [t.array for t in val_images]
+    return _siamese_fit([net], [comp], [(0, 0)], arrays, pair_source, cfg,
+                        LevelTrace(-1), iterations, time_budget, val_arrays,
+                        val_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +659,7 @@ class _Cursor:
             raise PyramidError("model file truncated")
         arr = np.frombuffer(self.data[self.pos:end], dtype="<f8")
         self.pos = end
-        return arr.reshape(shape).copy()
+        return arr.reshape(shape)
 
 
 def _model_tensors(model: PyramidModel):
@@ -658,14 +667,11 @@ def _model_tensors(model: PyramidModel):
     for stage in model.stages:
         yield stage.conv.weights.array
         yield stage.conv.bias.array
-    for level in range(model.spec.levels):
-        for k, net in enumerate(model.level_networks[level]):
-            for j in range(1, len(net.stages)):
-                yield net.stages[j][0].weights.array
-                yield net.stages[j][0].bias.array
-            yield net.head.weights.array
-            yield net.head.bias.array
-            comp = model.comparators[level][k]
+    for nets, comps in zip(model.level_networks, model.comparators):
+        for net, comp in zip(nets, comps):
+            for layer in _layers(net)[1:]:  # template convs, then the head
+                yield layer.weights.array
+                yield layer.bias.array
             yield np.array([comp.log_alpha, comp.beta])
 
 
@@ -696,25 +702,21 @@ def load_model(path) -> PyramidModel:
     cur.pos = len(MAGIC)
     (levels, base_input, networks_per_level, output_dim,
      sk, sc, sp, n_template) = cur.ints(8)
-    template = []
-    for _ in range(n_template):
-        k, c, p = cur.ints(3)
-        template.append(StageSpec(k, c, p))
-    offsets = []
-    for _ in range(networks_per_level):
-        ox, oy = cur.ints(2)
-        offsets.append((ox, oy))
+    template = tuple(StageSpec(*cur.ints(3)) for _ in range(n_template))
+    offsets = tuple(tuple(cur.ints(2)) for _ in range(networks_per_level))
     (levels_trained,) = cur.ints(1)
     frozen = cur.ints(levels)
     spec = PyramidSpec(levels=levels, base_input=base_input,
-                       shared=StageSpec(sk, sc, sp), template=tuple(template),
+                       shared=StageSpec(sk, sc, sp), template=template,
                        networks_per_level=networks_per_level,
-                       patch_offsets=tuple(offsets), output_dim=output_dim)
+                       patch_offsets=offsets, output_dim=output_dim)
+
+    def tensor() -> Tensor:
+        return Tensor.from_array(cur.tensor())
+
     stages = []
     for level in range(levels):
-        conv = ConvLayer(Tensor.from_array(cur.tensor()),
-                         Tensor.from_array(cur.tensor()),
-                         frozen=bool(frozen[level]))
+        conv = ConvLayer(tensor(), tensor(), frozen=bool(frozen[level]))
         stages.append(SharedStage(conv, PoolSpec(sp)))
     level_networks, comparators = [], []
     for level in range(levels):
@@ -722,11 +724,9 @@ def load_model(path) -> PyramidModel:
         for _ in range(networks_per_level):
             layers = [(stages[level].conv, stages[level].pool)]
             for tspec in spec.template:
-                layers.append((ConvLayer(Tensor.from_array(cur.tensor()),
-                                         Tensor.from_array(cur.tensor())),
+                layers.append((ConvLayer(tensor(), tensor()),
                                PoolSpec(tspec.pool)))
-            head = FCLayer(Tensor.from_array(cur.tensor()),
-                           Tensor.from_array(cur.tensor()))
+            head = FCLayer(tensor(), tensor())
             nets.append(Network(layers, head, base_input,
                                 spec.entry_in_channels(level)))
             cmp = cur.tensor().reshape(-1)
@@ -734,8 +734,7 @@ def load_model(path) -> PyramidModel:
                 raise PyramidError(
                     f"{path}: comparator tensor has {cmp.size} values, "
                     f"expected 2 (log_alpha, beta)")
-            la, beta = cmp
-            comps.append(ComparatorParams(float(la), float(beta)))
+            comps.append(ComparatorParams(*cmp.tolist()))
         level_networks.append(nets)
         comparators.append(comps)
     if cur.pos != len(data):

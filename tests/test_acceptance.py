@@ -189,14 +189,14 @@ def test_criterion_2_layer_sharing_equivalence(workdir):
     rng = np.random.default_rng(0xACE2)
     inputs = [Tensor.from_array(rng.uniform(0.0, 1.0, (76, 76, 1)))
               for _ in range(100)]
-    grids = list(inputs)
+    grids = np.stack([image.array for image in inputs])
     for stage in model.stages[:2]:
         grids = preprocess_dataset(grids, stage)
     top = model.level_networks[2][0]
     worst = 0.0
     for image, grid in zip(inputs, grids):
         deep = network_forward(assembled, image).array
-        stagewise = network_forward(top, grid).array
+        stagewise = network_forward(top, Tensor.from_array(grid)).array
         worst = max(worst, float(np.max(np.abs(deep - stagewise))))
     assert worst < 1e-9
     print(f"criterion 2 PASS: assembled vs stagewise max abs diff "

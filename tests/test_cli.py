@@ -140,6 +140,25 @@ def test_eval_writes_report(pipeline):
     assert ["roc_points"] in rows
 
 
+def test_eval_report_matches_per_pair_distances(pipeline, tmp_path):
+    """`eval` computes every pair distance in one expression; its report is
+    byte-identical to one built from per-pair distances."""
+    cfg = cli.load_config(pipeline["config"])
+    feats = read_features(pipeline["features"])
+    index = pyrcnn.load_index(pipeline["out"] / "eval_index.csv")
+    pairs = pyrcnn.sample_pairs(index, cfg.evaluation["n_pairs"],
+                                pyrcnn.derive_seed(cfg.seed, "eval-pairs"))
+    vectors = [feats[str(rec.path)] for rec in index.records]
+    matched, unmatched = [], []
+    for pair in pairs:
+        d = pyrcnn.distance(vectors[pair.first], vectors[pair.second])
+        (matched if int(pair.label) == 1 else unmatched).append(d)
+    want = tmp_path / "report.csv"
+    pyrcnn.write_report(want, pyrcnn.evaluate_distances(
+        matched, unmatched, cfg.evaluation["fpr_targets"]))
+    assert pipeline["report"].read_bytes() == want.read_bytes()
+
+
 def test_rerun_reproduces_artifacts(tmp_path):
     """The same config in two directories yields identical artifacts."""
     a = run_pipeline(tmp_path / "a")
@@ -244,6 +263,12 @@ def test_config_value_of_wrong_type(tmp_path, capsys):
     ("pyramid", "levels", 2.5, "an integer"),
     ("train", "batch_size", "4", "an integer"),
     ("train", "learning_rate", "0.05", "a number"),
+    ("data", "dir", 5, "a string"),
+    ("data", "dir", ["g"], "a string"),
+    ("data", "dir", True, "a string"),
+    ("pyramid", "patch_offsets", [[1]], "a list of [x, y] pairs"),
+    ("pyramid", "patch_offsets", [[1, 2, 3]], "a list of [x, y] pairs"),
+    ("pyramid", "patch_offsets", [1, 2], "a list of [x, y] pairs"),
 ])
 def test_config_value_is_checked_not_coerced(tmp_path, capsys, block, key,
                                              value, kind):
@@ -265,6 +290,21 @@ def test_synth_requires_data_dir(tmp_path, capsys):
     cfg = write_config(tmp_path, data={"n_identities": 4})
     err = error_of(capsys, ["synth", "--config", str(cfg)])
     assert "needs a 'dir' entry" in err
+
+
+def test_train_divergence_is_an_error(tmp_path, capsys):
+    """A learning rate that drives the parameters to inf/NaN ends the run
+    with an error, not a traceback or a model."""
+    cfg = write_config(tmp_path, train={
+        "iterations_per_level": 4, "batch_size": 4,
+        "validation_fraction": 0.25, "learning_rate": 1e6})
+    assert main(["synth", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        err = error_of(capsys, ["train", "--config", str(cfg)])
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "model.bin").exists()
 
 
 def test_extract_missing_model_file(tmp_path, capsys):
@@ -310,6 +350,21 @@ def test_eval_malformed_features_csv(pipeline, tmp_path, capsys, row,
                             str(features),
                             str(pipeline["out"] / "eval_index.csv")])
     assert err.startswith(f"error: {features}:3: {problem}")
+
+
+def test_eval_features_of_mixed_dimensions(pipeline, tmp_path, capsys):
+    """Rows of different lengths cannot be compared: an error, not a
+    broadcasting traceback."""
+    rows = pipeline["features"].read_text(encoding="utf-8").splitlines()
+    path, _, *values = rows[1].split(",")
+    rows[1] = ",".join([path, str(len(values) - 1), *values[:-1]])
+    features = tmp_path / "features.csv"
+    features.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    err = error_of(capsys, ["eval", "--config", str(pipeline["config"]),
+                            str(features),
+                            str(pipeline["out"] / "eval_index.csv")])
+    assert err.startswith(f"error: {features}: feature rows of different "
+                          f"dimensions")
 
 
 def test_missing_subcommand_is_a_usage_error():

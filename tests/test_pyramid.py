@@ -10,10 +10,11 @@ from pyrcnn import (ComparatorParams, ConvLayer, FacePair, FCLayer,
                     center_crop, comparator, distance, greedy_train,
                     layer_forward, load_model, Network, network_backward,
                     network_forward, pair_loss, pair_loss_grads,
-                    preprocess_dataset, save_model, sgd_step, synth_generate,
+                    preprocess_dataset, save_model, synth_generate,
                     train_level, train_network)
 from pyrcnn.data import NuisanceConfig, load_image, split_identity_ids
 from pyrcnn.metrics import auc, compute_roc
+from pyrcnn.pyramid import _momentum_step
 from pyrcnn.seeding import derive_seed, make_rng
 
 
@@ -24,6 +25,11 @@ def tensor(values):
 def random_patches(rng, n, edge, channels=1):
     return [tensor(rng.uniform(0.0, 1.0, (edge, edge, channels)))
             for _ in range(n)]
+
+
+def stack(tensors):
+    """The (n, h, w, c) array that train_level and preprocess_dataset take."""
+    return np.stack([t.array for t in tensors])
 
 
 class FixedPairs:
@@ -181,7 +187,7 @@ def test_preprocess_shape_arithmetic():
     conv.frozen = True
     stage = SharedStage(conv, PoolSpec(2))
     images = random_patches(rng, 3, 32)
-    out = preprocess_dataset(images, stage)
+    out = preprocess_dataset(stack(images), stage)
     assert [o.shape for o in out] == [(14, 14, 4)] * 3
     # inputs untouched
     assert images[0].shape == (32, 32, 1)
@@ -191,7 +197,7 @@ def test_preprocess_requires_frozen_stage():
     rng = np.random.default_rng(7)
     stage = SharedStage(ConvLayer.initialize(5, 1, 4, rng), PoolSpec(2))
     with pytest.raises(PyramidError):
-        preprocess_dataset(random_patches(rng, 1, 32), stage)
+        preprocess_dataset(stack(random_patches(rng, 1, 32)), stage)
 
 
 def test_preprocess_composes_like_chained_stages():
@@ -201,22 +207,39 @@ def test_preprocess_composes_like_chained_stages():
     conv0.frozen = conv1.frozen = True
     s0, s1 = SharedStage(conv0, PoolSpec(2)), SharedStage(conv1, PoolSpec(2))
     images = random_patches(rng, 2, 76)
-    once = preprocess_dataset(preprocess_dataset(images, s0), s1)
+    once = preprocess_dataset(preprocess_dataset(stack(images), s0), s1)
     for img, got in zip(images, once):
         want = layer_forward(layer_forward(img, conv0, PoolSpec(2)),
                              conv1, PoolSpec(2))
-        assert got.array.tobytes() == want.array.tobytes()
+        assert got.tobytes() == want.array.tobytes()
 
 
-def test_preprocess_error_names_image_index():
+def test_preprocess_is_independent_of_slab_size(monkeypatch):
+    """Slabbed preprocessing gives the same bits as one image at a time."""
+    import pyrcnn.layers as layers
+
+    rng = np.random.default_rng(12)
+    conv = ConvLayer.initialize(5, 1, 4, rng)
+    conv.frozen = True
+    stage = SharedStage(conv, PoolSpec(2))
+    images = stack(random_patches(rng, 7, 32))
+    whole = preprocess_dataset(images, stage)
+    monkeypatch.setattr(layers, "_SLAB_ELEMENTS", 2 * 28 * 28 * 4)
+    assert preprocess_dataset(images, stage).tobytes() == whole.tobytes()
+
+
+def test_preprocess_rejects_mis_shaped_array():
     rng = np.random.default_rng(9)
     conv = ConvLayer.initialize(5, 1, 4, rng)
     conv.frozen = True
     stage = SharedStage(conv, PoolSpec(2))
-    images = random_patches(rng, 2, 32) + random_patches(rng, 1, 3)
-    with pytest.raises(PyramidError) as err:
-        preprocess_dataset(images, stage)
-    assert "image 2" in str(err.value)
+    for shape in [(32, 32, 1),       # one image, no batch axis
+                  (2, 32, 32, 3),    # wrong channel count
+                  (2, 3, 3, 1),      # smaller than the kernel
+                  (2, 31, 31, 1)]:   # pool 2 does not divide edge 27
+        with pytest.raises(PyramidError) as err:
+            preprocess_dataset(rng.uniform(0.0, 1.0, shape), stage)
+        assert str(shape) in str(err.value)
 
 
 def test_two_path_equivalence_after_training_level_zero():
@@ -229,7 +252,7 @@ def test_two_path_equivalence_after_training_level_zero():
         raw = tensor(rng.uniform(0, 1, (36, 36, 1)))
         via_pre = network_forward(
             model.level_networks[1][0],
-            preprocess_dataset([raw], model.stages[0])[0])
+            tensor(preprocess_dataset(stack([raw]), model.stages[0])[0]))
         direct = network_forward(deep, raw)
         assert np.abs(via_pre.array - direct.array).max() < 1e-9
 
@@ -239,68 +262,38 @@ def test_two_path_equivalence_after_training_level_zero():
 
 
 def test_sgd_zero_learning_rate_is_identity():
-    params = {"w": np.array([1.0, 2.0])}
-    grads = {"w": np.array([5.0, -5.0])}
+    theta = np.array([1.0, 2.0])
     cfg = TrainConfig(learning_rate=0.0)
-    new_params, _ = sgd_step(params, grads, {}, cfg)
-    np.testing.assert_array_equal(new_params["w"], params["w"])
+    _momentum_step(theta, np.zeros(2), np.array([5.0, -5.0]), cfg)
+    np.testing.assert_array_equal(theta, [1.0, 2.0])
 
 
 def test_sgd_no_momentum_is_vanilla_descent():
-    params = {"w": np.array([1.0, -2.0])}
-    grads = {"w": np.array([0.5, 0.25])}
+    theta, velocity = np.array([1.0, -2.0]), np.zeros(2)
     cfg = TrainConfig(learning_rate=0.1, momentum=0.0)
-    new_params, state = sgd_step(params, grads, {}, cfg)
-    np.testing.assert_allclose(new_params["w"], [1.0 - 0.05, -2.0 - 0.025])
-    np.testing.assert_allclose(state["w"], [-0.05, -0.025])
+    _momentum_step(theta, velocity, np.array([0.5, 0.25]), cfg)
+    np.testing.assert_allclose(theta, [1.0 - 0.05, -2.0 - 0.025])
+    np.testing.assert_allclose(velocity, [-0.05, -0.025])
 
 
 def test_sgd_momentum_accumulates():
     cfg = TrainConfig(learning_rate=0.1, momentum=0.5)
-    params = {"w": np.array([0.0])}
-    state = {}
-    params, state = sgd_step(params, {"w": np.array([1.0])}, state, cfg)
-    np.testing.assert_allclose(params["w"], [-0.1])     # v = -0.1
-    params, state = sgd_step(params, {"w": np.array([1.0])}, state, cfg)
-    np.testing.assert_allclose(params["w"], [-0.25])    # v = -0.15
+    theta, velocity = np.array([0.0]), np.zeros(1)
+    _momentum_step(theta, velocity, np.array([1.0]), cfg)
+    np.testing.assert_allclose(theta, [-0.1])     # v = -0.1
+    _momentum_step(theta, velocity, np.array([1.0]), cfg)
+    np.testing.assert_allclose(theta, [-0.25])    # v = -0.15
 
 
 def test_sgd_quadratic_converges_within_40_steps():
     cfg = TrainConfig(learning_rate=0.1, momentum=0.0)
-    params = {"x": np.array([1.0])}
-    state = {}
+    theta, velocity = np.array([1.0]), np.zeros(1)
     steps = 0
-    while abs(params["x"][0]) >= 1e-3:
-        grads = {"x": 2.0 * params["x"]}
-        params, state = sgd_step(params, grads, state, cfg)
+    while abs(theta[0]) >= 1e-3:
+        _momentum_step(theta, velocity, 2.0 * theta, cfg)
         steps += 1
         assert steps <= 40, "did not converge"
     assert steps <= 40
-
-
-def test_sgd_blocks_without_gradients_pass_through():
-    cfg = TrainConfig(learning_rate=0.1)
-    params = {"a": np.array([1.0]), "b": np.array([2.0])}
-    new_params, _ = sgd_step(params, {"a": np.array([1.0])}, {}, cfg)
-    assert new_params["b"] is params["b"]
-
-
-def test_sgd_rejects_unknown_or_mismatched_blocks():
-    cfg = TrainConfig()
-    with pytest.raises(PyramidError):
-        sgd_step({"a": np.zeros(2)}, {"zzz": np.zeros(2)}, {}, cfg)
-    with pytest.raises(PyramidError):
-        sgd_step({"a": np.zeros(2)}, {"a": np.zeros(3)}, {}, cfg)
-
-
-def test_sgd_is_pure():
-    cfg = TrainConfig(learning_rate=0.1)
-    params = {"a": np.array([1.0])}
-    grads = {"a": np.array([2.0])}
-    state = {"a": np.array([0.5])}
-    sgd_step(params, grads, state, cfg)
-    np.testing.assert_array_equal(params["a"], [1.0])
-    np.testing.assert_array_equal(state["a"], [0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +318,7 @@ def test_train_level_zero_learning_rate_flat(tmp_path):
     source = FixedPairs([FacePair(a, b, l) for a, b, l in fixed])
     cfg = TrainConfig(learning_rate=0.0, batch_size=4,
                       iterations_per_level=5, seed=0)
-    trace = train_level(model, 0, images, source, cfg)
+    trace = train_level(model, 0, stack(images), source, cfg)
     after = model_bytes(model, tmp_path, "after.bin")
     assert before == after
     assert len(set(trace.losses)) == 1  # identical batch, identical loss
@@ -336,7 +329,7 @@ def test_train_level_reduces_loss_on_separable_pairs():
     sampler = PairSampler(identities, make_rng(21, "pairs"))
     cfg = TrainConfig(learning_rate=0.05, momentum=0.9, batch_size=8,
                       iterations_per_level=25, seed=21)
-    trace = train_level(model, 0, images, sampler, cfg)
+    trace = train_level(model, 0, stack(images), sampler, cfg)
     assert len(trace.losses) == 25
     assert trace.losses[-1] < trace.losses[0]
     assert all(np.isfinite(trace.losses))
@@ -346,7 +339,7 @@ def test_train_level_sequencing_errors():
     spec = PyramidSpec(levels=2)
     model = build_pyramid(spec, seed=22)
     rng = np.random.default_rng(22)
-    images = random_patches(rng, 4, spec.raw_data_edge())
+    images = stack(random_patches(rng, 4, spec.raw_data_edge()))
     sampler = FixedPairs([])
     cfg = TrainConfig(iterations_per_level=1, batch_size=2)
     with pytest.raises(PyramidError):
@@ -357,25 +350,45 @@ def test_train_level_sequencing_errors():
     with pytest.raises(PyramidError):
         train_level(model, 5, images, sampler, cfg)  # out of range
     with pytest.raises(PyramidError):
-        train_level(model, 1, [], sampler, cfg)      # no images
+        train_level(model, 1, images[:0], sampler, cfg)  # no images
 
 
 def test_train_level_rejects_wrong_channel_images():
     spec, model, _, _ = level0_fixture(23, levels=2)
     rng = np.random.default_rng(23)
     model.stages[0].conv.frozen = True
-    bad = random_patches(rng, 4, 16, channels=1)  # level 1 needs 8 channels
+    bad = stack(random_patches(rng, 4, 16, channels=1))  # level 1 needs 8
     cfg = TrainConfig(iterations_per_level=1, batch_size=2)
     with pytest.raises(PyramidError) as err:
         train_level(model, 1, bad, FixedPairs([]), cfg)
     assert "channels" in str(err.value)
 
 
+def test_train_level_rejects_non_finite_images():
+    spec, model, images, _ = level0_fixture(28)
+    bad = stack(images)
+    bad[3, 5, 7, 0] = np.nan
+    cfg = TrainConfig(iterations_per_level=1, batch_size=2)
+    with pytest.raises(PyramidError, match="non-finite"):
+        train_level(model, 0, bad, FixedPairs([]), cfg)
+    with pytest.raises(PyramidError, match="non-finite"):
+        train_level(model, 0, stack(images), FixedPairs([]), cfg,
+                    val_images=bad, val_pairs=[])
+
+
+def test_train_level_rejects_array_without_batch_axis():
+    spec, model, images, _ = level0_fixture(29)
+    cfg = TrainConfig(iterations_per_level=1, batch_size=2)
+    with pytest.raises(PyramidError) as err:
+        train_level(model, 0, images[0].array, FixedPairs([]), cfg)
+    assert f"shape {images[0].shape}" in str(err.value)
+
+
 def test_shared_entry_stage_gradient_is_averaged_across_networks():
     """Two identical networks on one aliased entry stage step it exactly as
     one network does; a sum over networks would double the step."""
     rng = np.random.default_rng(27)
-    images = random_patches(rng, 6, 16)
+    images = stack(random_patches(rng, 6, 16))
     pairs = [FacePair(a, b, l) for a, b, l in (
         (0, 1, PairLabel.MATCHED), (2, 3, PairLabel.MATCHED),
         (0, 4, PairLabel.UNMATCHED), (1, 5, PairLabel.UNMATCHED))]
@@ -417,7 +430,7 @@ def test_train_level_updates_only_its_own_blocks():
     # cancel.  The linear head's bias gets no update on any input: the pair
     # distance d(f1, f2) does not change when both outputs shift by the same
     # offset, so the two branches' head-bias gradients cancel exactly.
-    images = random_patches(rng, 6, spec.raw_data_edge())
+    images = stack(random_patches(rng, 6, spec.raw_data_edge()))
     identities = [0, 0, 0, 1, 1, 1]
     cfg = TrainConfig(learning_rate=0.05, batch_size=4,
                       iterations_per_level=2, seed=24)
@@ -561,6 +574,7 @@ def test_greedy_stage_weights_fixed_once_frozen(tmp_path):
         if img.identity in fit_set:
             fit_imgs.append(center_crop(img, spec.raw_data_edge()))
             fit_ids.append(img.identity)
+    fit_imgs = stack(fit_imgs)
     sampler = PairSampler(fit_ids, make_rng(cfg.seed, "pairs-level0"))
     train_level(model, 0, fit_imgs, sampler, cfg)
     model.stages[0].conv.frozen = True
@@ -585,8 +599,8 @@ def test_greedy_single_level_equals_manual_train_level(tmp_path):
     identities = [img.identity for img in dataset]
     fit_set, _ = split_identity_ids(identities, cfg.validation_fraction,
                                     derive_seed(cfg.seed, "val-split"))
-    fit_imgs = [center_crop(img, spec.raw_data_edge())
-                for img in dataset if img.identity in fit_set]
+    fit_imgs = stack([center_crop(img, spec.raw_data_edge())
+                      for img in dataset if img.identity in fit_set])
     fit_ids = [img.identity for img in dataset if img.identity in fit_set]
     sampler = PairSampler(fit_ids, make_rng(cfg.seed, "pairs-level0"))
     train_level(manual, 0, fit_imgs, sampler, cfg)
@@ -607,8 +621,8 @@ def test_greedy_resume_matches_uninterrupted_run(tmp_path):
     identities = [img.identity for img in dataset]
     fit_set, _ = split_identity_ids(identities, cfg.validation_fraction,
                                     derive_seed(cfg.seed, "val-split"))
-    fit_imgs = [center_crop(img, spec.raw_data_edge())
-                for img in dataset if img.identity in fit_set]
+    fit_imgs = stack([center_crop(img, spec.raw_data_edge())
+                      for img in dataset if img.identity in fit_set])
     fit_ids = [img.identity for img in dataset if img.identity in fit_set]
     sampler = PairSampler(fit_ids, make_rng(cfg.seed, "pairs-level0"))
     train_level(part, 0, fit_imgs, sampler, cfg)
