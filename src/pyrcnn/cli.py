@@ -70,7 +70,10 @@ def _int(value, name: str) -> int:
 def _number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    number = float(value)  # OverflowError beyond the float range
+    if not np.isfinite(number):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return number
 
 
 def _bool(value, name: str) -> bool:
@@ -182,9 +185,12 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
     seed = raw["seed"] if seed_override is None else seed_override
     try:
         return _run_config(raw, path.parent.resolve(), seed)
-    except (ConfigError, DataError, PyramidError):
+    except ConfigError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (DataError, PyramidError) as exc:
+        # a well-typed value out of range, e.g. "levels": 0
+        raise ConfigError(str(exc)) from None
+    except (ValueError, TypeError, OverflowError) as exc:
         # a value of the wrong type, e.g. "n_identities": "many" or 4.9
         raise ConfigError(f"{path}: bad config value ({exc})") from None
 
@@ -204,9 +210,10 @@ def _run_config(raw: dict, base: Path, seed) -> RunConfig:
     for t in targets:
         if not 0.0 <= t < 1.0:
             raise ConfigError(f"FPR target {t} outside [0, 1)")
-    evaluation = {"fpr_targets": targets,
-                  "n_pairs": _field(evaluation, "evaluation", "n_pairs",
-                                    2000)}
+    n_pairs = _field(evaluation, "evaluation", "n_pairs", 2000)
+    if n_pairs < 1:
+        raise ConfigError(f"evaluation.n_pairs must be >= 1, got {n_pairs}")
+    evaluation = {"fpr_targets": targets, "n_pairs": n_pairs}
 
     return RunConfig(
         seed=seed,
@@ -269,11 +276,13 @@ def cmd_train(cfg: RunConfig) -> int:
     save_model(model, model_path)
     for trace in traces:
         trace_path = cfg.output_dir / f"trace_level{trace.level}.csv"
+        # val_auc is left empty on the iterations that were not validated
+        val_cells = {i: _float_cell(v)
+                     for i, v in zip(trace.val_iterations, trace.val_aucs)}
         with open(trace_path, "w", newline="", encoding="utf-8") as fh:
             fh.write("iteration,mean_loss,val_auc\n")
-            for i, (loss, auc_) in enumerate(zip(trace.losses,
-                                                 trace.val_aucs)):
-                fh.write(f"{i},{_float_cell(loss)},{_float_cell(auc_)}\n")
+            for i, loss in enumerate(trace.losses):
+                fh.write(f"{i},{_float_cell(loss)},{val_cells.get(i, '')}\n")
         print(f"train: level {trace.level} loss {trace.losses[0]:.4f} -> "
               f"{trace.losses[-1]:.4f} ({trace_path.name})")
     print(f"train: model -> {model_path}")

@@ -18,24 +18,36 @@ Conventions, fixed across the package:
   FC head is linear, so no embedding unit can be stuck at zero;
 * pooling takes non-overlapping s x s window maxima (window == stride).
 
-Two forward kernels share the conv kernel.  `_forward_cached` is the
-training path: it keeps every stage's input, pre-activation and pool
-routing (`argmax`) for `_backward_cached`, and only training,
-`network_backward` and `gradient_check` call it.  `_forward` is the
-inference path behind `network_forward`, `layer_forward`, validation and
-extraction, and keeps nothing:
+There is one pooling kernel, `_pool`: the maximum of the s*s strided
+slices x[:, a::s, b::s].  Every stage pools its pre-activation map with it
+and rectifies the pooled map.  That is exact, not an approximation:
+max(0, max_i a_i) == max_i max(0, a_i) for the monotone rectifier, and it
+leaves 1/(s*s) of the rectifier work.
 
-* each stage pools the pre-activation map with the maximum of its s*s
-  strided slices and rectifies the pooled map.  That is exact, not an
-  approximation: max(0, max_i a_i) == max_i max(0, a_i) for the monotone
-  rectifier, so it skips the argmax, the block transpose and all but
-  1/(s*s) of the rectifier work;
-* the head is evaluated one row at a time (a stack of (1, d) @ (d, m)
-  products).  A batched (n, d) @ (d, m) product is a different BLAS
-  routine from the batch-of-one product and differs from it in the last
-  bits, so the per-row form is what makes an image's embedding the same
-  bits whether it is computed alone or in a batch.  (The conv GEMM rows
-  are already bit-equal across batch sizes.)
+Two forward kernels share the conv and pool kernels.  `_forward_cached` is
+the training path: it keeps every stage's input and pre-activation, the
+pool routing and the sign of the pooled map for `_backward_cached`, and
+only training, `network_backward` and `gradient_check` call it.  The
+routing is s*s boolean masks, one per window position (a, b) in row-major
+order: an entry is routed when it equals its window's maximum and no
+earlier position of the window was, so each window routes exactly its
+first maximum (the first-max-wins rule of an argmax over the window).
+Backward keeps the gradient where the pooled map is positive and writes
+`g * mask` into each strided slice.  That is the gradient of
+rectify-then-pool: a window with a positive maximum has the same winners
+before and after the rectifier, and a window without one passes no
+gradient either way.  (A masked-out negative gradient leaves -0.0, not
+0.0; a signed zero changes no nonzero sum and no momentum step, so the
+trained parameters are the same bits.)
+
+`_forward` is the inference path behind `network_forward`,
+`layer_forward`, validation and extraction.  It keeps nothing, and it
+evaluates the head one row at a time (a stack of (1, d) @ (d, m)
+products).  A batched (n, d) @ (d, m) product is a different BLAS routine
+from the batch-of-one product and differs from it in the last bits, so
+the per-row form is what makes an image's embedding the same bits whether
+it is computed alone or in a batch.  (The conv GEMM rows are already
+bit-equal across batch sizes.)
 
 The gradient-check harness compares backprop against central finite
 differences of a fixed random projection of the network output, skipping
@@ -271,35 +283,39 @@ def _conv_bwd(x: np.ndarray, w: np.ndarray, g: np.ndarray,
     return dx, dw, db
 
 
-def _pool_fwd(x: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
-    n, h, w, c = x.shape
-    oh, ow = h // s, w // s
-    blocks = x.reshape(n, oh, s, ow, s, c).transpose(0, 1, 3, 2, 4, 5)
-    flat = blocks.reshape(n, oh, ow, s * s, c)
-    idx = flat.argmax(axis=3)  # first max wins on ties: deterministic routing
-    out = np.take_along_axis(flat, idx[:, :, :, None, :], axis=3)[:, :, :, 0]
-    return out, idx
+def _pool(x: np.ndarray, s: int) -> np.ndarray:
+    """s x s window maxima of an (n, h, w, c) batch: the maximum of the s*s
+    strided slices x[:, a::s, b::s]."""
+    out = x[:, ::s, ::s].copy()
+    for a in range(s):
+        for b in range(s):
+            if a or b:
+                np.maximum(out, x[:, a::s, b::s], out=out)
+    return out
 
 
-def _pool_bwd(g: np.ndarray, idx: np.ndarray, s: int,
-              in_shape: tuple[int, int, int, int]) -> np.ndarray:
-    n, oh, ow, c = g.shape
-    flat = np.zeros((n, oh, ow, s * s, c))
-    np.put_along_axis(flat, idx[:, :, :, None, :], g[:, :, :, None, :], axis=3)
-    blocks = flat.reshape(n, oh, ow, s, s, c).transpose(0, 1, 3, 2, 4, 5)
-    return blocks.reshape(in_shape)
+def _pool_routes(x: np.ndarray, pooled: np.ndarray, s: int) -> list:
+    """One boolean mask per window position (a, b), in row-major order, of
+    the entries of x that `pooled` = `_pool(x, s)` took: each window's first
+    maximum, so every window has exactly one routed entry."""
+    masks, taken = [], None
+    for a in range(s):
+        for b in range(s):
+            hit = x[:, a::s, b::s] == pooled
+            if taken is None:
+                taken = hit.copy()
+            else:
+                hit &= ~taken
+                taken |= hit
+            masks.append(hit)
+    return masks
 
 
 def _stage_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
                    s: int) -> np.ndarray:
     """One stage without backprop state: conv, s x s window max of the
     pre-activation map, then the rectifier on the pooled map."""
-    pre = _conv_fwd(x, w, b)
-    out = pre[:, ::s, ::s].copy()
-    for a in range(s):
-        for b_ in range(s):
-            if a or b_:
-                np.maximum(out, pre[:, a::s, b_::s], out=out)
+    out = _pool(_conv_fwd(x, w, b), s)
     return np.maximum(out, 0.0, out=out)
 
 
@@ -323,11 +339,11 @@ def _forward_cached(stage_params, head_w, head_b, x: np.ndarray):
     caches = []
     for w, b, s in stage_params:
         pre = _conv_fwd(x, w, b)
-        act = np.maximum(pre, 0.0)
-        out, idx = _pool_fwd(act, s)
-        caches.append({"x": x, "pre": pre, "idx": idx,
-                       "act_shape": act.shape})
-        x = out
+        pooled = _pool(pre, s)
+        caches.append({"x": x, "pre": pre,
+                       "routes": _pool_routes(pre, pooled, s),
+                       "alive": pooled > 0})
+        x = np.maximum(pooled, 0.0, out=pooled)
     flat = x.reshape(x.shape[0], -1)
     out = flat @ head_w + head_b
     caches.append({"flat": flat, "map_shape": x.shape})
@@ -348,8 +364,10 @@ def _backward_cached(stage_params, head_w, caches, g_out: np.ndarray):
     for i in range(len(stage_params) - 1, -1, -1):
         w, _, s = stage_params[i]
         cache = caches[i]
-        g_act = _pool_bwd(g, cache["idx"], s, cache["act_shape"])
-        g_pre = g_act * (cache["pre"] > 0)
+        g = g * cache["alive"]  # the rectifier, on the pooled map
+        g_pre = np.empty_like(cache["pre"])  # the slices cover every entry
+        for (a, b), route in zip(np.ndindex(s, s), cache["routes"]):
+            np.multiply(g, route, out=g_pre[:, a::s, b::s])
         dx, dw, db = _conv_bwd(cache["x"], w, g_pre, need_dx=i > 0)
         stage_grads[i] = (dw, db)
         g = dx
@@ -402,8 +420,7 @@ def maxpool(input: Tensor, spec: PoolSpec) -> Tensor:
     if x.ndim != 3:
         raise ShapeError(f"pool input must be h x w x c, got {input.shape}")
     _check_pool_extents(x.shape, spec.window)
-    out, _ = _pool_fwd(x[None], spec.window)
-    return Tensor.from_array(out[0])
+    return Tensor.from_array(_pool(x[None], spec.window)[0])
 
 
 def layer_forward(input: Tensor, conv: ConvLayer, spec: PoolSpec) -> Tensor:

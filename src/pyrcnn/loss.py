@@ -34,6 +34,8 @@ class ComparatorParams:
 
 @dataclass
 class PairGradients:
+    """Floats and (m,) vectors for one pair; (n,) and (n, m) arrays for n."""
+
     loss: float
     grad_v1: np.ndarray
     grad_v2: np.ndarray
@@ -71,33 +73,49 @@ def pair_loss(D: float, label: PairLabel) -> float:
     return max(x, 0.0) + float(np.log1p(np.exp(-abs(x))))
 
 
-def pair_loss_grads(v1, v2, label: PairLabel,
-                    params: ComparatorParams) -> PairGradients:
+def pair_loss_grads(v1, v2, label, params: ComparatorParams) -> PairGradients:
     """Loss value plus analytic gradients w.r.t. both features and (log_alpha, beta).
 
-    At d == 0 the Euclidean norm is not differentiable; the feature
-    gradient is defined as zero there (subgradient choice).
+    `v1` and `v2` are one pair of feature vectors with a PairLabel, or
+    (n, m) rows of n pairs with an (n,) vector of labels; rows give (n,)
+    losses and comparator gradients and (n, m) feature gradients, each row
+    the bits of the pair scored alone.  At d == 0 the Euclidean norm is not
+    differentiable; the feature gradient is defined as zero there
+    (subgradient choice).
     """
-    a = np.asarray(v1, dtype=np.float64).reshape(-1)
-    b = np.asarray(v2, dtype=np.float64).reshape(-1)
-    if a.shape != b.shape:
-        raise ValueError(
-            f"feature lengths differ: {a.shape[0]} vs {b.shape[0]}"
-        )
-    delta = float(label)
-    d = float(np.sqrt(np.sum((a - b) ** 2)))
+    a = np.asarray(v1, dtype=np.float64)
+    b = np.asarray(v2, dtype=np.float64)
+    single = a.ndim < 2 and b.ndim < 2
+    if single:
+        a, b = a.reshape(1, -1), b.reshape(1, -1)
+    if a.shape != b.shape or a.ndim != 2:
+        raise ValueError(f"features must be two vectors or two (n, m) row "
+                         f"arrays of one shape, got shapes {np.shape(v1)} "
+                         f"and {np.shape(v2)}")
+    delta = np.asarray(label, dtype=np.float64).reshape(-1)
+    if delta.shape != (a.shape[0],):
+        raise ValueError(f"need {a.shape[0]} labels, got {delta.size}")
+    diff = a - b
+    d = np.sqrt(np.sum(diff ** 2, axis=1))
     alpha = params.alpha
-    D = alpha * d - params.beta
-    dL_dD = delta * logistic(delta * D)
-    if d > 0.0:
-        unit = (a - b) / d
-        grad_v1 = dL_dD * alpha * unit
-    else:
-        grad_v1 = np.zeros_like(a)
-    return PairGradients(
-        loss=pair_loss(D, label),
+    x = delta * (alpha * d - params.beta)
+    # logistic(x) and softplus(x), both from exp(-|x|), safe in both tails
+    e = np.exp(-np.abs(x))
+    dL_dD = delta * np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    moved = d > 0.0
+    unit = np.divide(diff, d[:, None], out=np.zeros_like(diff),
+                     where=moved[:, None])
+    grad_v1 = (dL_dD * alpha)[:, None] * unit
+    grad_v1[~moved] = 0.0  # +0.0, where the product above may be -0.0
+    g = PairGradients(
+        loss=np.maximum(x, 0.0) + np.log1p(e),
         grad_v1=grad_v1,
         grad_v2=-grad_v1,
         grad_log_alpha=dL_dD * d * alpha,
         grad_beta=-dL_dD,
     )
+    if single:
+        return PairGradients(float(g.loss[0]), g.grad_v1[0], g.grad_v2[0],
+                             float(g.grad_log_alpha[0]),
+                             float(g.grad_beta[0]))
+    return g

@@ -30,8 +30,10 @@ members of every pair into one (n, h, w, c) batch per network, with one
 batched forward and one batched backward call; a batch whose largest
 pre-activation map would not fit the layers' memory slab is walked in pair
 chunks (the whole 32-pair batch at the 16-edge levels, one pair at a time
-at the 76-edge monolith).  Validation embeds its images in batches of the
-same size, on the forward-only kernel (`layers._forward`).
+at the 76-edge monolith), and each chunk's pairs are scored by one loss
+call.  Validation runs after every `_VALIDATE_EVERY`-th step and after the
+last one, and embeds its images in batches of the same size, on the
+forward-only kernel (`layers._forward`).
 """
 
 from __future__ import annotations
@@ -307,11 +309,20 @@ def _momentum_step(theta: np.ndarray, velocity: np.ndarray, grad: np.ndarray,
 # training
 
 
+# Validation runs after every `_VALIDATE_EVERY`-th step and after the last.
+_VALIDATE_EVERY = 10
+
+
 @dataclass
 class LevelTrace:
+    """Mean pair loss of every step, and network 0's validation AUC after
+    every validated step (NaN when there is no validation set) with that
+    step's 0-based iteration index."""
+
     level: int
     losses: list[float] = field(default_factory=list)
-    val_aucs: list[float] = field(default_factory=list)  # NaN when no val set
+    val_aucs: list[float] = field(default_factory=list)
+    val_iterations: list[int] = field(default_factory=list)
 
 
 def _check_level_images(spec: PyramidSpec, images: np.ndarray,
@@ -340,7 +351,7 @@ def train_level(model: PyramidModel, level: int, images: np.ndarray,
     entry stage is aliased into every network of the level, so its
     gradient is averaged across them.  Records the per-iteration mean batch
     loss and, when a validation set is supplied, network 0's validation AUC
-    after each update.
+    after every `_VALIDATE_EVERY`-th update and after the last.
     """
     spec = model.spec
     if not 0 <= level < spec.levels:
@@ -362,6 +373,9 @@ def train_level(model: PyramidModel, level: int, images: np.ndarray,
                         val_images, val_pairs)
 
 
+# a diverging step overflows on its way to the non-finite parameter that the
+# fit's guard reports; numpy's warnings would only repeat it
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
                  offsets: Sequence[tuple[int, int]], images,
                  pair_source: PairSampler, cfg: TrainConfig,
@@ -379,11 +393,13 @@ def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
     other gradient by pairs.  Pairs go through each network in chunks that
     fit one memory slab (`layers._images_per_slab`), both members of pair j
     in rows 2j and 2j+1, so the branch gradients of a layer whose pair-loss
-    gradients cancel (the head bias) sum to exactly zero.  Runs `iterations`
-    steps, or until `time_budget` seconds elapse when that is given,
-    appending to `trace` the mean pair loss of each batch and network 0's
-    validation AUC (NaN without a validation set) after each update.  A
-    step that leaves a parameter non-finite raises PyramidError.
+    gradients cancel (the head bias) sum to exactly zero; each chunk is
+    scored by one `pair_loss_grads` call.  Runs `iterations` steps, or until
+    `time_budget` seconds elapse when that is given, appending to `trace`
+    the mean pair loss of each batch, and network 0's validation AUC (NaN
+    without a validation set) after every `_VALIDATE_EVERY`-th step and
+    after the last.  A step that leaves a parameter non-finite raises
+    PyramidError.
     """
     layers = list({id(layer): layer for net in nets
                    for layer in _layers(net)}.values())
@@ -417,6 +433,13 @@ def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
         val_ids = sorted({p.first for p in val_pairs}
                          | {p.second for p in val_pairs})
 
+    def validate(step):
+        trace.val_iterations.append(step - 1)
+        trace.val_aucs.append(
+            float("nan") if val_ids is None else
+            _validation_auc(params(nets[0]), nets[0], offsets[0], val_images,
+                            val_pairs, val_ids))
+
     started = time.perf_counter()
     step = 0
     while (step < iterations if time_budget is None
@@ -436,13 +459,16 @@ def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
                                      for i in (pair.first, pair.second)],
                             offsets[k], net.input_size)
                 out, caches = _forward_cached(stage_params, head_w, head_b, x)
+                pg = pair_loss_grads(out[0::2], out[1::2],
+                                     [pair.label for pair in part], comp)
                 g_out = np.empty_like(out)
-                for j, pair in enumerate(part):
-                    pg = pair_loss_grads(out[2 * j], out[2 * j + 1],
-                                         pair.label, comp)
-                    total_loss += pg.loss
-                    g_out[2 * j], g_out[2 * j + 1] = pg.grad_v1, pg.grad_v2
-                    grad_comps[k] += (pg.grad_log_alpha, pg.grad_beta)
+                g_out[0::2], g_out[1::2] = pg.grad_v1, pg.grad_v2
+                # pair by pair onto the running sums, as np.sum's
+                # pairwise order would change the bits
+                total_loss = float(_running_sum(total_loss, pg.loss))
+                grad_comps[k][:] = _running_sum(
+                    grad_comps[k],
+                    np.column_stack([pg.grad_log_alpha, pg.grad_beta]))
                 sg, hg = _backward_cached(stage_params, head_w, caches, g_out)
                 for layer, (dw, db) in zip(_layers(net), [*sg, hg]):
                     gw, gb = grad_of[id(layer)]
@@ -454,16 +480,21 @@ def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
             raise PyramidError(f"training diverged at step {step}: a "
                                f"parameter is no longer finite")
         trace.losses.append(total_loss / (len(nets) * len(pairs)))
-        trace.val_aucs.append(
-            float("nan") if val_ids is None else
-            _validation_auc(params(nets[0]), nets[0], offsets[0], val_images,
-                            val_pairs, val_ids))
+        if step % _VALIDATE_EVERY == 0:
+            validate(step)
+    if step % _VALIDATE_EVERY:
+        validate(step)
     # publish: the layers' immutable Tensors are replaced once per fit
     for layer in layers:
         layer.weights, layer.bias = map(Tensor.from_array, theta_of[id(layer)])
     for comp, values in zip(comps, theta_comps):
         comp.log_alpha, comp.beta = values.tolist()
     return trace
+
+
+def _running_sum(start, values: np.ndarray):
+    """start + values[0] + values[1] + ..., added one row at a time."""
+    return np.add.accumulate(np.concatenate([[start], values]))[-1]
 
 
 def _layers(net: Network) -> list:

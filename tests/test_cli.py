@@ -90,6 +90,25 @@ def test_train_writes_model_splits_and_traces(pipeline):
         assert len(rows) == 1 + 4  # header + one row per iteration
         losses = [float(r[1]) for r in rows[1:]]
         assert all(np.isfinite(losses))
+        # 4 steps: only the last is validated (NaN here: the one validation
+        # identity gives matched pairs only)
+        assert [r[2] for r in rows[1:]] == ["", "", "", "nan"]
+
+
+def test_train_trace_fills_val_auc_on_validated_iterations_only(tmp_path):
+    """Validation runs after every 10th step and after the last, and the
+    other rows of a trace leave val_auc empty."""
+    run = write_config(tmp_path, train={
+        "iterations_per_level": 12, "batch_size": 4,
+        "validation_fraction": 0.25})
+    assert main(["synth", "--config", str(run)]) == 0
+    assert main(["train", "--config", str(run)]) == 0
+    for level in (0, 1):
+        with open(tmp_path / "out" / f"trace_level{level}.csv", newline="",
+                  encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["iteration"] for r in rows] == [str(i) for i in range(12)]
+        assert [int(r["iteration"]) for r in rows if r["val_auc"]] == [9, 11]
 
 
 def test_extract_writes_one_row_per_eval_image(pipeline):
@@ -205,6 +224,16 @@ def test_seed_override_matches_config_seed(tmp_path):
 # config validation and error reporting
 
 
+def env_with_package():
+    """The environment with this package's source directory on PYTHONPATH,
+    so a child process imports the code under test, installed or not."""
+    src_dir = str(Path(pyrcnn.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def error_of(capsys, argv):
     code = main(argv)
     assert code == 1
@@ -240,6 +269,16 @@ def test_config_requires_seed_and_output_dir(tmp_path, capsys):
     path.write_text(json.dumps({"seed": 1}), encoding="utf-8")
     err = error_of(capsys, ["synth", "--config", str(path)])
     assert "requires 'seed' and 'output_dir'" in err
+
+
+@pytest.mark.parametrize("n_pairs", [-5, 0])
+def test_eval_pair_count_must_be_positive(pipeline, tmp_path, capsys, n_pairs):
+    cfg = write_config(tmp_path, evaluation={"n_pairs": n_pairs})
+    err = error_of(capsys, ["eval", "--config", str(cfg),
+                            str(pipeline["features"]),
+                            str(pipeline["out"] / "eval_index.csv")])
+    assert err.startswith(f"error: evaluation.n_pairs must be >= 1, got "
+                          f"{n_pairs}")
 
 
 def test_fpr_target_out_of_range(tmp_path, capsys):
@@ -305,6 +344,21 @@ def test_train_divergence_is_an_error(tmp_path, capsys):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "model.bin").exists()
+
+
+def test_train_divergence_stderr_is_only_the_error(tmp_path):
+    """Run as a process, a diverging train prints the error line and no
+    numpy warning before it (pytest would capture those in-process)."""
+    cfg = write_config(tmp_path, train={
+        "iterations_per_level": 4, "batch_size": 4,
+        "validation_fraction": 0.25, "learning_rate": 1e6})
+    assert main(["synth", "--config", str(cfg)]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "pyrcnn.cli", "train", "--config", str(cfg)],
+        capture_output=True, text=True, timeout=120, env=env_with_package())
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: training diverged"), proc.stderr
+    assert proc.stderr.count("\n") == 1
 
 
 def test_extract_missing_model_file(tmp_path, capsys):
@@ -394,11 +448,8 @@ def test_console_script_is_installed():
     # what the wrapper that an install generates for the entry point runs
     launcher = (f"import sys; from {module} import {function}; "
                 f"sys.exit({function}())")
-    src_dir = str(Path(pyrcnn.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src_dir, env.get("PYTHONPATH")) if p)
-    assert_help_lists_subcommands([sys.executable, "-c", launcher], env=env)
+    assert_help_lists_subcommands([sys.executable, "-c", launcher],
+                                  env=env_with_package())
     exe = shutil.which("pyrcnn")
     if exe is not None:
         assert_help_lists_subcommands([exe])

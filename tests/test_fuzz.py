@@ -1,5 +1,7 @@
 """Property tests: damaged input files end in the package's own errors."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from pyrcnn import (PyramidError, PyramidSpec, StageSpec, TensorError,
                     build_pyramid, load_model, save_model)
+from pyrcnn.cli import ConfigError, RunConfig, load_config
 
 # deterministic and without an example database, so a run writes no files
 # and a failure replays on every machine
@@ -80,3 +83,70 @@ def test_corrupted_header_integer_loads_or_fails_cleanly(model_file, draw):
     damaged = (data[:8 * slot] + np.asarray([value], "<i8").tobytes()
                + data[8 * slot + 8:])
     loads_or_fails_cleanly(path, damaged)
+
+
+# ---------------------------------------------------------------------------
+# config files
+
+VALID_CONFIG = {
+    "seed": 7,
+    "output_dir": "out",
+    "data": {"dir": "gallery", "n_identities": 48, "images_per_identity": 12,
+             "edge": 76, "holdout_fraction": 1 / 3, "brightness_delta": 0.3,
+             "max_translation": 4, "noise_sigma": 0.05},
+    "pyramid": {"levels": 3, "base_input": 16,
+                "shared": {"kernel": 5, "channels": 8, "pool": 2},
+                "template": [{"kernel": 3, "channels": 16, "pool": 2}],
+                "networks_per_level": 1, "patch_offsets": [[0, 0]],
+                "output_dim": 8},
+    "train": {"learning_rate": 0.05, "momentum": 0.9, "batch_size": 32,
+              "iterations_per_level": 200, "validation_fraction": 0.2},
+    "extraction": {"scheme": "single-top", "normalize": False},
+    "evaluation": {"fpr_targets": [0.1, 0.01], "n_pairs": 2000},
+}
+
+
+def config_fields(block, path=()):
+    """The key path of every value in a config, whole blocks included."""
+    for key, value in block.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from config_fields(value, path + (key,))
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            yield from config_fields(value[0], path + (key, 0))
+
+
+CONFIG_FIELDS = list(config_fields(VALID_CONFIG))
+
+# every JSON value, with the NaN and Infinity literals Python's json reads
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6)
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "run.json"
+
+
+def test_valid_config_loads(config_path):
+    config_path.write_text(json.dumps(VALID_CONFIG), encoding="utf-8")
+    assert isinstance(load_config(config_path), RunConfig)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(field=st.sampled_from(CONFIG_FIELDS), value=JSON_VALUES)
+def test_any_value_in_any_config_field_loads_or_fails_cleanly(
+        config_path, field, value):
+    raw = json.loads(json.dumps(VALID_CONFIG))
+    block = raw
+    for key in field[:-1]:
+        block = block[key]
+    block[field[-1]] = value
+    config_path.write_text(json.dumps(raw), encoding="utf-8")
+    try:
+        assert isinstance(load_config(config_path), RunConfig)
+    except ConfigError:
+        pass

@@ -468,3 +468,67 @@ def test_forward_rows_are_independent_of_batch_size(edge, channels):
             network_forward(net, tensor(x[i])).array.tobytes()
     cached, _ = layers._forward_cached(params, hw, hb, x)
     np.testing.assert_allclose(batched, cached, rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# pool routing on ties
+
+
+def tie_heavy_stage(rng, s):
+    """A 1x1 conv that sums two input channels, pooled s x s, over inputs
+    whose pre-activation windows are full of ties: constant positive, two
+    equal positive maxima, constant negative, all zero and all distinct.
+    The values are exact binary fractions, so every tie is exact, and the
+    two channels differ across tied entries, so where a window's gradient
+    goes shows in the weight gradient."""
+    n, grid = 3, 3
+    pre = np.empty((n, grid * s, grid * s))
+    for i in range(n):
+        for u in range(grid):
+            for v in range(grid):
+                kind = (i * grid * grid + u * grid + v) % 5
+                window = rng.permutation(s * s) * 0.25  # distinct
+                if kind == 0:
+                    window = np.full(s * s, 1.5)
+                elif kind == 1:
+                    top = rng.choice(s * s, 2, replace=False)
+                    window = np.full(s * s, 0.5)
+                    window[top] = 2.0
+                elif kind == 2:
+                    window = np.full(s * s, -1.0)
+                elif kind == 3:
+                    window = np.zeros(s * s)
+                pre[i, u * s:u * s + s, v * s:v * s + s] = \
+                    window.reshape(s, s)
+    first = rng.integers(0, 4, pre.shape).astype(np.float64)
+    x = np.stack([first, pre - first], axis=-1)
+    conv = conv_layer(np.ones((1, 1, 2, 1)))
+    head = FCLayer.initialize(grid * grid, 3, rng)
+    return Network([(conv, PoolSpec(s))], head, grid * s, 2), x, pre
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_backward_routes_ties_like_a_first_max_argmax(s):
+    """Each window's gradient reaches its first maximum in row-major order,
+    the rule of an argmax over the window, and nothing where the window's
+    maximum is not positive."""
+    rng = np.random.default_rng(700 + s)
+    net, x, pre = tie_heavy_stage(rng, s)
+    params = layers._stage_params(net)
+    hw, hb = net.head.weights.array, net.head.bias.array
+    g_out = rng.standard_normal((x.shape[0], net.output_dim))
+
+    _, caches = layers._forward_cached(params, hw, hb, x)
+    np.testing.assert_array_equal(caches[0]["pre"][..., 0], pre)
+    (dw, db), = layers._backward_cached(params, hw, caches, g_out)[0]
+
+    g_pool = (g_out @ hw.T).reshape(x.shape[0], 3, 3, 1)
+    g_pre = np.zeros(pre.shape + (1,))
+    for i, u, v in np.ndindex(g_pool.shape[:3]):
+        window = pre[i, u * s:u * s + s, v * s:v * s + s].reshape(-1)
+        k = int(np.argmax(window))
+        if window[k] > 0:
+            g_pre[i, u * s + k // s, v * s + k % s, 0] = g_pool[i, u, v, 0]
+    _, dw_ref, db_ref = layers._conv_bwd(x, params[0][0], g_pre, False)
+    np.testing.assert_array_equal(dw, dw_ref)
+    np.testing.assert_array_equal(db, db_ref)

@@ -5,6 +5,7 @@ import pytest
 
 from pyrcnn import (ComparatorParams, PairLabel, comparator, distance,
                     logistic, pair_loss, pair_loss_grads)
+from pyrcnn.loss import PairGradients
 
 
 def test_pair_label_values():
@@ -207,3 +208,51 @@ def test_loss_symmetric_in_pair_order():
         b = pair_loss_grads(v2, v1, label, params)
         assert a.loss == b.loss
         np.testing.assert_array_equal(a.grad_v1, b.grad_v2)
+
+
+def scored_alone(v1, v2, label, params):
+    """The per-pair reference: loss and gradients from the scalar distance,
+    comparator, logistic and pair_loss, in their order of operations."""
+    d = distance(v1, v2)
+    D = comparator(d, params)
+    dL_dD = float(label) * logistic(float(label) * D)
+    grad_v1 = dL_dD * params.alpha * ((v1 - v2) / d) if d > 0.0 \
+        else np.zeros_like(v1)
+    return (pair_loss(D, label), grad_v1, -grad_v1, dL_dD * d * params.alpha,
+            -dL_dD)
+
+
+def test_rows_are_the_bits_of_pairs_scored_one_at_a_time():
+    """One call on (n, m) rows, and a call on one pair, give every pair's
+    loss and gradients with the bits of the per-pair reference, coincident
+    and saturated pairs included."""
+    rng = np.random.default_rng(79)
+    v1 = rng.standard_normal((32, 8))
+    v2 = rng.standard_normal((32, 8))
+    v2[3] = v1[3]                 # zero distance
+    v1[5] *= 400.0                # a logit far in the tail
+    labels = [PairLabel.MATCHED if rng.integers(2) else PairLabel.UNMATCHED
+              for _ in range(32)]
+    params = ComparatorParams(log_alpha=0.3, beta=1.2)
+    rows = pair_loss_grads(v1, v2, labels, params)
+    assert rows.loss.shape == rows.grad_beta.shape == (32,)
+    assert rows.grad_v1.shape == (32, 8)
+    for i, label in enumerate(labels):
+        loss, g1, g2, g_la, g_be = scored_alone(v1[i], v2[i], label, params)
+        one = pair_loss_grads(v1[i], v2[i], label, params)
+        assert isinstance(one.loss, float)
+        for got in (one, PairGradients(rows.loss[i], rows.grad_v1[i],
+                                       rows.grad_v2[i],
+                                       rows.grad_log_alpha[i],
+                                       rows.grad_beta[i])):
+            assert got.loss == loss
+            assert got.grad_log_alpha == g_la
+            assert got.grad_beta == g_be
+            assert got.grad_v1.tobytes() == g1.tobytes()
+            assert got.grad_v2.tobytes() == g2.tobytes()
+
+
+def test_rows_need_one_label_each():
+    with pytest.raises(ValueError):
+        pair_loss_grads(np.zeros((3, 2)), np.ones((3, 2)),
+                        [PairLabel.MATCHED] * 2, ComparatorParams())

@@ -14,7 +14,8 @@ from pyrcnn import (ComparatorParams, ConvLayer, FacePair, FCLayer,
                     train_level, train_network)
 from pyrcnn.data import NuisanceConfig, load_image, split_identity_ids
 from pyrcnn.metrics import auc, compute_roc
-from pyrcnn.pyramid import _momentum_step
+from pyrcnn.layers import _stage_params
+from pyrcnn.pyramid import _VALIDATE_EVERY, _momentum_step, _validation_auc
 from pyrcnn.seeding import derive_seed, make_rng
 
 
@@ -557,7 +558,8 @@ def test_greedy_freezes_prefix_and_reports_traces(tmp_path):
     for t in traces:
         assert len(t.losses) == 12
         assert all(np.isfinite(t.losses))
-        assert len(t.val_aucs) == 12
+        assert t.val_iterations == [9, 11]  # every 10th step and the last
+        assert len(t.val_aucs) == 2
 
 
 def test_greedy_stage_weights_fixed_once_frozen(tmp_path):
@@ -704,7 +706,8 @@ def test_train_network_validation_auc_tracks_trained_net():
     cfg = TrainConfig(batch_size=4, seed=43)
     trace = train_network(net, comp, images, sampler, cfg, iterations=3,
                           val_images=val_images, val_pairs=val_pairs)
-    assert len(trace.val_aucs) == 3
+    assert trace.val_iterations == [2]  # only the last of 3 steps
+    assert len(trace.val_aucs) == 1
     assert all(0.0 <= v <= 1.0 for v in trace.val_aucs)
 
     feats = [network_forward(net, img).array for img in val_images]
@@ -713,6 +716,76 @@ def test_train_network_validation_auc_tracks_trained_net():
         d = distance(feats[p.first], feats[p.second])
         (matched if p.label == PairLabel.MATCHED else unmatched).append(d)
     assert trace.val_aucs[-1] == auc(compute_roc(matched, unmatched))
+
+
+def validation_fixture(seed):
+    """A 16-edge monolith, its training gallery and pair stream, and a
+    6-image validation set with every pair of it."""
+    rng = np.random.default_rng(seed)
+    net, comp = build_monolithic(PyramidSpec(levels=1), seed=seed)
+    images, identities = two_identity_images(rng, 4, net.input_size)
+    sampler = PairSampler(identities, make_rng(seed, "pairs"))
+    val_images = random_patches(rng, 6, net.input_size)
+    val_pairs = [FacePair(a, b, PairLabel.MATCHED if a // 3 == b // 3
+                          else PairLabel.UNMATCHED)
+                 for a in range(6) for b in range(a + 1, 6)]
+    return net, comp, images, sampler, val_images, val_pairs
+
+
+def fresh_validation_auc(net, val_images, val_pairs):
+    """`_validation_auc` on `net`'s current parameters."""
+    params = (_stage_params(net), net.head.weights.array,
+              net.head.bias.array)
+    return _validation_auc(params, net, (0, 0),
+                           [t.array for t in val_images], val_pairs,
+                           list(range(len(val_images))))
+
+
+def test_validation_runs_every_tenth_step_and_after_the_last():
+    """12 steps validate after steps 10 and 12 (iterations 9 and 11), and
+    each AUC is the one of the parameters after that step."""
+    assert _VALIDATE_EVERY == 10
+    cfg = TrainConfig(batch_size=4, seed=45)
+    aucs = {}
+    for iterations in (10, 12):
+        net, comp, images, sampler, val_images, val_pairs = \
+            validation_fixture(45)
+        trace = train_network(net, comp, images, sampler, cfg,
+                              iterations=iterations, val_images=val_images,
+                              val_pairs=val_pairs)
+        assert len(trace.losses) == iterations
+        assert len(trace.val_aucs) == len(trace.val_iterations)
+        aucs[iterations] = trace.val_aucs, trace.val_iterations, \
+            fresh_validation_auc(net, val_images, val_pairs)
+    assert aucs[10][1] == [9]
+    assert aucs[12][1] == [9, 11]
+    # step 10 of both runs is the same step, and a fit's last validation
+    # scores the parameters it ends with
+    assert aucs[12][0][0] == aucs[10][0][0] == aucs[10][2]
+    assert aucs[12][0][1] == aucs[12][2]
+
+
+def test_time_budget_run_validates_its_final_step():
+    net, comp, images, sampler, val_images, val_pairs = validation_fixture(46)
+    trace = train_network(net, comp, images, sampler,
+                          TrainConfig(batch_size=4, seed=46),
+                          time_budget=0.5, val_images=val_images,
+                          val_pairs=val_pairs)
+    steps = len(trace.losses)
+    assert steps >= 1
+    cadence = list(range(_VALIDATE_EVERY - 1, steps, _VALIDATE_EVERY))
+    assert trace.val_iterations == \
+        cadence + ([steps - 1] if steps % _VALIDATE_EVERY else [])
+    assert trace.val_aucs[-1] == \
+        fresh_validation_auc(net, val_images, val_pairs)
+
+
+def test_validation_without_a_set_records_nan_on_the_cadence():
+    net, comp, images, sampler, _, _ = validation_fixture(47)
+    trace = train_network(net, comp, images, sampler,
+                          TrainConfig(batch_size=4, seed=47), iterations=21)
+    assert trace.val_iterations == [9, 19, 20]
+    assert all(np.isnan(trace.val_aucs))
 
 
 def test_train_network_step_is_independent_of_chunking(monkeypatch):
