@@ -8,10 +8,10 @@ from .layers import (BlockCheck, ConvLayer, FCLayer, GradCheckReport, Network,
 from .loss import (ComparatorParams, PairGradients, PairLabel, comparator,
                    distance, logistic, pair_loss, pair_loss_grads)
 from .data import (DataError, DatasetIndex, FacePair, IndexRecord,
-                   LabeledImage, NuisanceConfig, PairSampler, center_crop,
-                   crop_patch, load_image, load_index, read_pgm, sample_pairs,
-                   split_by_identity, split_identity_ids, synth_generate,
-                   write_index, write_pgm)
+                   LabeledImage, NuisanceConfig, PairBatch, PairSampler,
+                   center_crop, crop_patch, load_image, load_index, read_pgm,
+                   sample_pairs, split_by_identity, split_identity_ids,
+                   synth_generate, write_index, write_pgm)
 from .pyramid import (LevelTrace, PyramidError, PyramidModel, PyramidSpec,
                       SharedStage, StageSpec, TrainConfig, assemble_network,
                       build_monolithic, build_pyramid, greedy_train,

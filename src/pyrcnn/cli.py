@@ -25,6 +25,7 @@ from .data import (DataError, NuisanceConfig, load_image, load_index,
 from .features import (extract_representations, read_features,
                        write_features, write_report)
 from .layers import _images_per_slab, _slab
+from .loss import PairLabel
 from .metrics import MetricError, evaluate_distances
 from .pyramid import (PyramidError, PyramidSpec, StageSpec, TrainConfig,
                       assemble_network, build_pyramid, greedy_train,
@@ -331,14 +332,13 @@ def cmd_eval(cfg: RunConfig, features_path, index_path) -> int:
         raise DataError(f"{features_path}: feature rows of different "
                         f"dimensions cannot be compared")
     vectors = np.stack(rows)  # row i: index record i
-    first = np.array([p.first for p in pairs], dtype=np.intp)
-    second = np.array([p.second for p in pairs], dtype=np.intp)
+    first, second = pairs.first, pairs.second
     dist = np.empty(len(pairs))
     step = _slab(vectors.shape[1])  # pairs per chunk: bounded temporaries
     for i in range(0, len(pairs), step):
         a, b = vectors[first[i:i + step]], vectors[second[i:i + step]]
         dist[i:i + step] = np.sqrt(np.sum((a - b) ** 2, axis=1))
-    matched = np.array([int(p.label) == 1 for p in pairs], dtype=bool)
+    matched = pairs.label == int(PairLabel.MATCHED)
     report = evaluate_distances(dist[matched], dist[~matched],
                                 cfg.evaluation["fpr_targets"])
     cfg.output_dir.mkdir(parents=True, exist_ok=True)

@@ -7,11 +7,24 @@ first appearance.  The synthetic generator renders one base pattern per
 identity (oriented gratings plus blobs on a padded canvas) and perturbs it
 with identity-preserving nuisances — brightness, translation, pixel noise —
 so that raw pixel distance is a poor verifier while identity stays learnable.
+
+Pairs travel as a `PairBatch`: three int arrays (`first`, `second`, `label`)
+that index into the image collection, readable as a sequence of `FacePair`s
+built on demand.  `PairSampler` draws a batch in whole-array operations
+from O(#images) state, yet its random stream is the one of drawing pairs
+one at a time: the matched picks are one `integers` call as before, turned
+into positions from per-identity combination counts instead of a list of
+every within-identity pair, and each rejection round for the unmatched
+pairs draws exactly two values per pair still missing, so no round reads
+past the candidate where the one-at-a-time loop would stop.  A given seed
+gives the same pairs, in the same order, and leaves the generator in the
+same state.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -112,7 +125,11 @@ def read_pgm(path) -> np.ndarray:
             start = pos
             while pos < len(raw) and raw[pos:pos + 1].isdigit():
                 pos += 1
-            fields.append(int(raw[start:pos]))
+            try:
+                fields.append(int(raw[start:pos]))
+            except ValueError:  # past int()'s limit of 4300 digits
+                raise DataError(f"{path}: PGM header number of "
+                                f"{pos - start} digits") from None
         else:
             raise DataError(f"{path}: bad PGM header byte {c!r}")
     width, height, maxval = fields
@@ -148,6 +165,27 @@ def write_pgm(path, image: np.ndarray) -> None:
 # index CSV
 
 
+def csv_rows(path):
+    """(line number, row) of every row of a UTF-8 CSV file, a row that
+    spans lines counting as one.
+
+    Text that is not UTF-8, or that the csv module refuses, raises
+    DataError naming the file and the line.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{line}: not UTF-8 text ({exc.reason} at "
+                        f"byte {exc.start})") from None
+    rows = csv.reader(io.StringIO(text, newline=""))
+    try:
+        yield from enumerate(rows, start=1)
+    except csv.Error as exc:
+        raise DataError(f"{path}:{rows.line_num}: {exc}") from None
+
+
 def load_index(path) -> DatasetIndex:
     """Parse the index CSV; identities become dense first-appearance ints."""
     path = Path(path)
@@ -158,43 +196,47 @@ def load_index(path) -> DatasetIndex:
     names: list[str] = []
     ids: dict[str, int] = {}
     seen_paths: set[Path] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = csv.reader(fh)
-        for lineno, row in enumerate(rows, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if lineno == 1:
-                if len(row) < 2 or row[0] != "path" or row[1] != "identity":
-                    raise DataError(
-                        f"{path}:1: header must start with 'path,identity'"
-                    )
-                continue
-            if len(row) < 2:
-                raise DataError(f"{path}:{lineno}: need path and identity")
-            extra = row[2:]
-            if len(extra) % 2:
+    for lineno, row in csv_rows(path):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if lineno == 1:
+            if len(row) < 2 or row[0] != "path" or row[1] != "identity":
                 raise DataError(
-                    f"{path}:{lineno}: odd number of landmark fields "
-                    f"({len(extra)})"
+                    f"{path}:1: header must start with 'path,identity'"
                 )
-            try:
-                coords = [float(v) for v in extra]
-            except ValueError as exc:
-                raise DataError(
-                    f"{path}:{lineno}: bad landmark value ({exc})"
-                ) from None
-            landmarks = tuple(
-                (coords[i], coords[i + 1]) for i in range(0, len(coords), 2)
-            ) or None
-            label = row[1]
-            if label not in ids:
-                ids[label] = len(names)
-                names.append(label)
+            continue
+        if len(row) < 2:
+            raise DataError(f"{path}:{lineno}: need path and identity")
+        extra = row[2:]
+        if len(extra) % 2:
+            raise DataError(
+                f"{path}:{lineno}: odd number of landmark fields "
+                f"({len(extra)})"
+            )
+        try:
+            coords = [float(v) for v in extra]
+        except ValueError as exc:
+            raise DataError(
+                f"{path}:{lineno}: bad landmark value ({exc})"
+            ) from None
+        landmarks = tuple(
+            (coords[i], coords[i + 1]) for i in range(0, len(coords), 2)
+        ) or None
+        label = row[1]
+        if label not in ids:
+            ids[label] = len(names)
+            names.append(label)
+        try:
             rec_path = (base / row[0]).resolve()
-            if rec_path in seen_paths:
-                raise DataError(f"{path}:{lineno}: duplicate path {row[0]}")
-            seen_paths.add(rec_path)
-            records.append(IndexRecord(rec_path, ids[label], landmarks))
+        except (ValueError, OSError, RuntimeError) as exc:
+            # a NUL byte, or a path the OS cannot resolve (a symlink loop)
+            raise DataError(
+                f"{path}:{lineno}: bad image path {row[0]!r} ({exc})"
+            ) from None
+        if rec_path in seen_paths:
+            raise DataError(f"{path}:{lineno}: duplicate path {row[0]}")
+        seen_paths.add(rec_path)
+        records.append(IndexRecord(rec_path, ids[label], landmarks))
     if not records:
         raise DataError(f"{path}: index contains no records")
     return DatasetIndex(records, names)
@@ -270,6 +312,59 @@ def split_by_identity(index: DatasetIndex, holdout_fraction: float,
     return _subindex(index, kept), _subindex(index, held)
 
 
+class PairBatch(Sequence[FacePair]):
+    """A batch of pairs held as three int arrays: `first`, `second` and
+    `label` (+1 matched, -1 unmatched).
+
+    Indexing or iterating builds each `FacePair` on demand; slicing gives
+    a `PairBatch` of views.  Two batches are equal when their values are.
+    """
+
+    __slots__ = ("first", "second", "label")
+
+    def __init__(self, first, second, label):
+        self.first = np.asarray(first, dtype=np.intp).reshape(-1)
+        self.second = np.asarray(second, dtype=np.intp).reshape(-1)
+        self.label = np.asarray(label, dtype=np.intp).reshape(-1)
+        if not self.first.size == self.second.size == self.label.size:
+            raise DataError(
+                f"pair arrays differ in length: {self.first.size}, "
+                f"{self.second.size}, {self.label.size}")
+
+    @classmethod
+    def from_pairs(cls, pairs: Sequence[FacePair]) -> "PairBatch":
+        """`pairs` itself when it is a PairBatch, else its values packed."""
+        if isinstance(pairs, PairBatch):
+            return pairs
+        return cls([p.first for p in pairs], [p.second for p in pairs],
+                   [int(p.label) for p in pairs])
+
+    def __len__(self) -> int:
+        return self.first.size
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return PairBatch(self.first[key], self.second[key],
+                             self.label[key])
+        return FacePair(int(self.first[key]), int(self.second[key]),
+                        PairLabel(int(self.label[key])))
+
+    def __iter__(self):
+        for i, j, label in zip(self.first.tolist(), self.second.tolist(),
+                               self.label.tolist()):
+            yield FacePair(i, j, PairLabel(label))
+
+    def __eq__(self, other):
+        if not isinstance(other, PairBatch):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in (
+            (self.first, other.first), (self.second, other.second),
+            (self.label, other.label)))
+
+    def __repr__(self) -> str:
+        return f"PairBatch(<{len(self)} pairs>)"
+
+
 class PairSampler:
     """Draws balanced matched/unmatched pairs over an identity list.
 
@@ -277,44 +372,76 @@ class PairSampler:
     combinations; unmatched pairs are uniform over cross-identity pairs
     (rejection sampling).  Pair members are positions into the identity
     list handed to the constructor.
+
+    The state is O(#images): the members of every identity in order of
+    first appearance, and where each member's run of combinations starts
+    in the enumeration of all C(k, 2) within-identity pairs (identities in
+    order of first appearance, each in the lexicographic order of
+    `itertools.combinations` over its member positions).
     """
 
     def __init__(self, identities: Sequence[int], rng: np.random.Generator):
-        self.identities = list(identities)
         self.rng = rng
         groups: dict[int, list[int]] = {}
-        for i, ident in enumerate(self.identities):
+        for i, ident in enumerate(identities):
             groups.setdefault(ident, []).append(i)
         if len(groups) < 2:
             raise DataError(
                 f"pair sampling needs >= 2 identities, got {len(groups)}"
             )
-        self.matched_combos = [
-            pair
-            for members in groups.values()
-            for pair in itertools.combinations(members, 2)
-        ]
-        if not self.matched_combos:
+        # dense group of every position: equal iff the identities are
+        self.group = np.empty(len(identities), dtype=np.intp)
+        for g, members in enumerate(groups.values()):
+            self.group[members] = g
+        # members grouped, and the number of later members in the group:
+        # the combinations (members[t], members[t + 1..]) in that order
+        self.members = np.fromiter(itertools.chain(*groups.values()),
+                                   dtype=np.intp, count=len(identities))
+        later = np.concatenate([np.arange(len(m) - 1, -1, -1, dtype=np.intp)
+                                for m in groups.values()])
+        self.starts = np.cumsum(later) - later
+        self.n_matched_combos = int(later.sum())
+        if not self.n_matched_combos:
             raise DataError(
                 "pair sampling needs at least one identity with >= 2 images"
             )
 
-    def batch(self, n: int) -> list[FacePair]:
+    def matched_pairs(self, picks) -> tuple[np.ndarray, np.ndarray]:
+        """The (first, second) positions of combinations number `picks`."""
+        picks = np.asarray(picks, dtype=np.intp)
+        # the last member whose run starts at or before the pick; members
+        # with no later partner share a start with the next member
+        t = np.searchsorted(self.starts, picks, side="right") - 1
+        return self.members[t], self.members[t + 1 + picks - self.starts[t]]
+
+    def batch(self, n: int) -> PairBatch:
+        """ceil(n/2) matched pairs, then n//2 unmatched ones.
+
+        The random stream is the one of drawing each unmatched candidate
+        with its own `integers(size=2)` call until n pairs are kept: every
+        round draws 2 values per pair still missing, and as each candidate
+        keeps at most one pair, no round draws past the candidate that
+        completes the batch.
+        """
         n_matched = (n + 1) // 2
-        pairs: list[FacePair] = []
-        picks = self.rng.integers(0, len(self.matched_combos), size=n_matched)
-        for p in picks:
-            i, j = self.matched_combos[p]
-            pairs.append(FacePair(i, j, PairLabel.MATCHED))
-        n_total = len(self.identities)
-        while len(pairs) < n:
-            i, j = self.rng.integers(0, n_total, size=2)
-            if self.identities[i] != self.identities[j]:
-                pairs.append(FacePair(int(i), int(j), PairLabel.UNMATCHED))
-        return pairs
+        picks = self.rng.integers(0, self.n_matched_combos, size=n_matched)
+        first, second = self.matched_pairs(picks)
+        firsts, seconds = [first], [second]
+        missing = n - n_matched
+        while missing > 0:
+            i, j = self.rng.integers(0, len(self.group),
+                                     size=2 * missing).reshape(-1, 2).T
+            keep = self.group[i] != self.group[j]
+            firsts.append(i[keep])
+            seconds.append(j[keep])
+            missing -= int(keep.sum())
+        label = np.full(n, int(PairLabel.UNMATCHED), dtype=np.intp)
+        label[:n_matched] = int(PairLabel.MATCHED)
+        return PairBatch(np.concatenate(firsts), np.concatenate(seconds),
+                         label)
 
 
-def sample_pairs(index: DatasetIndex, n: int, seed: int) -> list[FacePair]:
+def sample_pairs(index: DatasetIndex, n: int, seed: int) -> PairBatch:
     """n balanced pairs of record positions, ceil(n/2) matched."""
     sampler = PairSampler([rec.identity for rec in index.records],
                           np.random.default_rng(seed))

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import DataError, LabeledImage, crop_patch
+from .data import DataError, LabeledImage, crop_patch, csv_rows
 from .layers import ShapeError, _forward, _stage_forward, _stage_params
 from .metrics import VerificationReport
 from .pyramid import PyramidModel
@@ -160,33 +160,31 @@ def write_features(path, features: Sequence[FeatureVector]) -> None:
 def read_features(path) -> dict[str, np.ndarray]:
     """image_path -> feature vector, validating the declared dimension."""
     out: dict[str, np.ndarray] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = csv.reader(fh)
-        for lineno, row in enumerate(rows, start=1):
-            if lineno == 1 or not row:
-                continue
-            if len(row) < 2:
-                raise DataError(f"{path}:{lineno}: need image_path,dim,...")
-            try:
-                dim = int(row[1])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: dim {row[1]!r} is not an "
-                                f"integer") from None
-            try:
-                values = [float(v) for v in row[2:]]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-numeric value "
-                                f"({exc})") from None
-            bad = [v for v in values if not math.isfinite(v)]
-            if bad:
-                raise DataError(f"{path}:{lineno}: non-finite value "
-                                f"{bad[0]!r}")
-            if len(values) != dim:
-                raise DataError(
-                    f"{path}:{lineno}: declared dim {dim} but row has "
-                    f"{len(values)} values"
-                )
-            out[row[0]] = np.array(values)
+    for lineno, row in csv_rows(path):
+        if lineno == 1 or not row:
+            continue
+        if len(row) < 2:
+            raise DataError(f"{path}:{lineno}: need image_path,dim,...")
+        try:
+            dim = int(row[1])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: dim {row[1]!r} is not an "
+                            f"integer") from None
+        try:
+            values = [float(v) for v in row[2:]]
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: non-numeric value "
+                            f"({exc})") from None
+        bad = [v for v in values if not math.isfinite(v)]
+        if bad:
+            raise DataError(f"{path}:{lineno}: non-finite value "
+                            f"{bad[0]!r}")
+        if len(values) != dim:
+            raise DataError(
+                f"{path}:{lineno}: declared dim {dim} but row has "
+                f"{len(values)} values"
+            )
+        out[row[0]] = np.array(values)
     if not out:
         raise DataError(f"{path}: no feature rows")
     return out
@@ -208,6 +206,9 @@ def write_report(path, report: VerificationReport) -> None:
             writer.writerow([f"achieved_fpr@fpr={tag}", repr(achieved)])
         writer.writerow(["roc_points"])
         writer.writerow(["threshold", "fpr", "tpr"])
-        for point in report.curve.points:
-            writer.writerow([repr(point.threshold), repr(point.fpr),
-                             repr(point.tpr)])
+        # the rows csv.writer would write: a float's repr needs no quoting
+        curve = report.curve
+        fh.write("".join(
+            f"{t!r},{f!r},{r!r}\r\n" for t, f, r in zip(
+                curve.thresholds.tolist(), curve.fprs.tolist(),
+                curve.tprs.tolist())))

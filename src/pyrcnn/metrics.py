@@ -6,8 +6,13 @@ the ROC enumerates every distinct distance plus -inf/+inf sentinels, AUC is
 the trapezoidal area under that exact curve, and the operating-point picker
 chooses the largest threshold whose false-positive rate stays at or below
 the target — a conservative choice, the achieved FPR never exceeds the
-target.  Everything is a few sorts and searchsorted passes, so a million
-unmatched distances are no problem.
+target.
+
+A `RocCurve` is three arrays (thresholds, FPRs, TPRs); its `points` list
+of `RocPoint`s is built only when asked for.  `evaluate_distances` sorts
+each side once and reads the curve, the best accuracy and every operating
+point off the same sorted arrays and threshold counts, so a million
+unmatched distances cost a few sorts and searchsorted passes.
 """
 
 from __future__ import annotations
@@ -28,21 +33,27 @@ class RocPoint:
     tpr: float
 
 
-@dataclass
+@dataclass(eq=False)
 class RocCurve:
-    points: list[RocPoint]
+    """Operating points as arrays: point k is (thresholds[k], fprs[k],
+    tprs[k])."""
+
+    thresholds: np.ndarray
+    fprs: np.ndarray
+    tprs: np.ndarray
 
     @property
-    def thresholds(self) -> np.ndarray:
-        return np.array([p.threshold for p in self.points])
+    def points(self) -> list[RocPoint]:
+        return [RocPoint(t, f, r) for t, f, r in zip(
+            self.thresholds.tolist(), self.fprs.tolist(),
+            self.tprs.tolist())]
 
-    @property
-    def fprs(self) -> np.ndarray:
-        return np.array([p.fpr for p in self.points])
-
-    @property
-    def tprs(self) -> np.ndarray:
-        return np.array([p.tpr for p in self.points])
+    def __eq__(self, other):
+        if not isinstance(other, RocCurve):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in (
+            (self.thresholds, other.thresholds), (self.fprs, other.fprs),
+            (self.tprs, other.tprs)))
 
 
 @dataclass
@@ -56,26 +67,49 @@ class VerificationReport:
     curve: RocCurve
 
 
-def _clean(name: str, values) -> np.ndarray:
+def _sorted(name: str, values) -> np.ndarray:
+    """`values` as a sorted float array; empty or non-finite is an error."""
     arr = np.asarray(values, dtype=np.float64).reshape(-1)
     if arr.size == 0:
         raise MetricError(f"{name} distances must be nonempty")
     if not np.isfinite(arr).all():
         raise MetricError(f"{name} distances must be finite, got "
                           f"{float(arr[~np.isfinite(arr)][0])!r}")
-    return arr
+    return np.sort(arr)
+
+
+def _counts(m: np.ndarray, u: np.ndarray):
+    """Every distinct distance of sorted `m` and `u` plus sentinels, and
+    how many matched and unmatched distances lie below each."""
+    thresholds = np.concatenate(
+        ([-np.inf], np.unique(np.concatenate((m, u))), [np.inf]))
+    return (thresholds, np.searchsorted(m, thresholds, side="left"),
+            np.searchsorted(u, thresholds, side="left"))
+
+
+def _operating_point(m: np.ndarray, u: np.ndarray,
+                     target_fpr: float) -> tuple[float, float, float]:
+    if not 0.0 <= target_fpr < 1.0:
+        raise MetricError(f"target FPR must be in [0, 1), got {target_fpr}")
+    allowed = int(np.floor(target_fpr * u.size))
+    threshold = float(u[allowed])
+    achieved = float(np.searchsorted(u, threshold, side="left") / u.size)
+    tpr = float(np.searchsorted(m, threshold, side="left") / m.size)
+    return threshold, achieved, tpr
+
+
+def _best(thresholds: np.ndarray, below_m: np.ndarray, below_u: np.ndarray,
+          n_m: int, n_u: int) -> tuple[float, float]:
+    accuracy = (below_m + (n_u - below_u)) / (n_m + n_u)
+    best = int(np.argmax(accuracy))  # first max -> smallest threshold
+    return float(thresholds[best]), float(accuracy[best])
 
 
 def compute_roc(matched, unmatched) -> RocCurve:
     """Operating points at every distinct observed distance plus sentinels."""
-    m = np.sort(_clean("matched", matched))
-    u = np.sort(_clean("unmatched", unmatched))
-    thresholds = np.concatenate(
-        ([-np.inf], np.unique(np.concatenate((m, u))), [np.inf]))
-    tpr = np.searchsorted(m, thresholds, side="left") / m.size
-    fpr = np.searchsorted(u, thresholds, side="left") / u.size
-    return RocCurve([RocPoint(float(t), float(f), float(r))
-                     for t, f, r in zip(thresholds, fpr, tpr)])
+    m, u = _sorted("matched", matched), _sorted("unmatched", unmatched)
+    thresholds, below_m, below_u = _counts(m, u)
+    return RocCurve(thresholds, below_u / u.size, below_m / m.size)
 
 
 def auc(curve: RocCurve) -> float:
@@ -92,15 +126,8 @@ def tpr_at_fpr(matched, unmatched,
     once), mirroring the protocol of setting an access-control operating
     point from a large impostor set and then testing the genuine pairs.
     """
-    if not 0.0 <= target_fpr < 1.0:
-        raise MetricError(f"target FPR must be in [0, 1), got {target_fpr}")
-    m = np.sort(_clean("matched", matched))
-    u = np.sort(_clean("unmatched", unmatched))
-    allowed = int(np.floor(target_fpr * u.size))
-    threshold = float(u[allowed])
-    achieved = float(np.searchsorted(u, threshold, side="left") / u.size)
-    tpr = float(np.searchsorted(m, threshold, side="left") / m.size)
-    return threshold, achieved, tpr
+    return _operating_point(_sorted("matched", matched),
+                            _sorted("unmatched", unmatched), target_fpr)
 
 
 def best_accuracy(matched, unmatched) -> tuple[float, float]:
@@ -109,28 +136,20 @@ def best_accuracy(matched, unmatched) -> tuple[float, float]:
     Candidates are all distinct observed distances plus sentinels; ties
     break toward the smaller threshold.
     """
-    m = np.sort(_clean("matched", matched))
-    u = np.sort(_clean("unmatched", unmatched))
-    candidates = np.concatenate(
-        ([-np.inf], np.unique(np.concatenate((m, u))), [np.inf]))
-    tp = np.searchsorted(m, candidates, side="left")
-    tn = u.size - np.searchsorted(u, candidates, side="left")
-    accuracy = (tp + tn) / (m.size + u.size)
-    best = int(np.argmax(accuracy))  # first max -> smallest threshold
-    return float(candidates[best]), float(accuracy[best])
+    m, u = _sorted("matched", matched), _sorted("unmatched", unmatched)
+    return _best(*_counts(m, u), m.size, u.size)
 
 
 def evaluate_distances(matched, unmatched,
                        fpr_targets=(0.1, 0.01, 0.001)) -> VerificationReport:
-    """Bundle every metric for one matched/unmatched distance split."""
-    m = _clean("matched", matched)
-    u = _clean("unmatched", unmatched)
-    curve = compute_roc(m, u)
-    threshold, acc = best_accuracy(m, u)
-    rows = []
-    for target in fpr_targets:
-        thr, achieved, tpr = tpr_at_fpr(m, u, target)
-        rows.append((float(target), thr, achieved, tpr))
+    """Bundle every metric for one matched/unmatched distance split, each
+    side sorted once."""
+    m, u = _sorted("matched", matched), _sorted("unmatched", unmatched)
+    thresholds, below_m, below_u = _counts(m, u)
+    curve = RocCurve(thresholds, below_u / u.size, below_m / m.size)
+    threshold, acc = _best(thresholds, below_m, below_u, m.size, u.size)
+    rows = [(float(target), *_operating_point(m, u, target))
+            for target in fpr_targets]
     return VerificationReport(
         accuracy=acc, accuracy_threshold=threshold, auc=auc(curve),
         tpr_points=rows, n_matched=int(m.size), n_unmatched=int(u.size),

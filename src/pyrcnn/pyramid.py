@@ -46,12 +46,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import (DataError, FacePair, LabeledImage, PairSampler,
-                   center_crop, split_identity_ids)
+from .data import (DataError, FacePair, LabeledImage, PairBatch,
+                   PairSampler, center_crop, split_identity_ids)
 from .layers import (ConvLayer, FCLayer, Network, PoolSpec, _backward_cached,
                      _forward, _forward_cached, _images_per_slab, _slab,
                      _stage_forward)
-from .loss import ComparatorParams, pair_loss_grads
+from .loss import ComparatorParams, PairLabel, pair_loss_grads
 from .metrics import auc, compute_roc
 from .seeding import derive_seed, make_rng
 from .tensor import Tensor
@@ -430,8 +430,8 @@ def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
 
     val_ids = None
     if val_images is not None and val_pairs:
-        val_ids = sorted({p.first for p in val_pairs}
-                         | {p.second for p in val_pairs})
+        val_pairs = PairBatch.from_pairs(val_pairs)
+        val_ids = np.union1d(val_pairs.first, val_pairs.second)
 
     def validate(step):
         trace.val_iterations.append(step - 1)
@@ -445,7 +445,7 @@ def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
     while (step < iterations if time_budget is None
            else time.perf_counter() - started < time_budget):
         step += 1
-        pairs = pair_source.batch(cfg.batch_size)
+        pairs = PairBatch.from_pairs(pair_source.batch(cfg.batch_size))
         grad[:] = 0.0
         total_loss = 0.0
         for k, net in enumerate(nets):
@@ -455,12 +455,11 @@ def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
             for start in range(0, len(pairs), chunk):
                 part = pairs[start:start + chunk]
                 # rows 2j and 2j+1 hold pair j's two members
-                x = _gather(images, [i for pair in part
-                                     for i in (pair.first, pair.second)],
-                            offsets[k], net.input_size)
+                members = np.column_stack((part.first, part.second))
+                x = _gather(images, members.reshape(-1), offsets[k],
+                            net.input_size)
                 out, caches = _forward_cached(stage_params, head_w, head_b, x)
-                pg = pair_loss_grads(out[0::2], out[1::2],
-                                     [pair.label for pair in part], comp)
+                pg = pair_loss_grads(out[0::2], out[1::2], part.label, comp)
                 g_out = np.empty_like(out)
                 g_out[0::2], g_out[1::2] = pg.grad_v1, pg.grad_v2
                 # pair by pair onto the running sums, as np.sum's
@@ -511,20 +510,21 @@ def _gather(images, ids: Sequence[int], offset: tuple[int, int],
 
 def _validation_auc(params, net: Network, offset: tuple[int, int],
                     val_images, val_pairs: Sequence[FacePair],
-                    val_ids: list[int]) -> float:
+                    val_ids) -> float:
     """ROC AUC of the embedding distances over the validation pairs, with
     `net`'s geometry and `params` = (stage params, head weights, head
-    bias); NaN when the pairs are all matched or all unmatched."""
+    bias); NaN when the pairs are all matched or all unmatched.
+    `val_ids` are the images the pairs name, ascending."""
+    val_pairs = PairBatch.from_pairs(val_pairs)
     step = _images_per_slab(net)
     feats = np.concatenate([
         _forward(*params, _gather(val_images, val_ids[start:start + step],
                                   offset, net.input_size))
         for start in range(0, len(val_ids), step)])
-    row = {i: r for r, i in enumerate(val_ids)}
-    first = [row[p.first] for p in val_pairs]
-    second = [row[p.second] for p in val_pairs]
+    first = np.searchsorted(val_ids, val_pairs.first)
+    second = np.searchsorted(val_ids, val_pairs.second)
     dist = np.sqrt(np.sum((feats[first] - feats[second]) ** 2, axis=1))
-    matched = np.array([int(p.label) == 1 for p in val_pairs])
+    matched = val_pairs.label == int(PairLabel.MATCHED)
     if matched.all() or not matched.any():
         return float("nan")
     return auc(compute_roc(dist[matched], dist[~matched]))

@@ -421,6 +421,36 @@ def test_eval_features_of_mixed_dimensions(pipeline, tmp_path, capsys):
                           f"dimensions")
 
 
+def eval_error(capsys, pipeline, features, index):
+    return error_of(capsys, ["eval", "--config", str(pipeline["config"]),
+                             str(features), str(index)])
+
+
+def test_eval_features_csv_that_is_not_utf8(pipeline, tmp_path, capsys):
+    features = tmp_path / "features.csv"
+    features.write_bytes(b"image_path,dim\nb.pgm,1,0.5\nc\xff.pgm,1,0.5\n")
+    err = eval_error(capsys, pipeline, features,
+                     pipeline["out"] / "eval_index.csv")
+    assert err.startswith(f"error: {features}:3: not UTF-8 text")
+
+
+def test_eval_index_csv_that_is_not_utf8(pipeline, tmp_path, capsys):
+    index = tmp_path / "index.csv"
+    index.write_bytes(b"path,identity\na.pgm,p0\nb.pgm,p\xe91\n")
+    err = eval_error(capsys, pipeline, pipeline["features"], index)
+    assert err.startswith(f"error: {index}:3: not UTF-8 text")
+
+
+def test_index_path_with_a_nul_byte(pipeline, tmp_path, capsys):
+    index = tmp_path / "index.csv"
+    index.write_bytes(b"path,identity\nb.pgm,p0\na\x00.pgm,p0\n")
+    err = eval_error(capsys, pipeline, pipeline["features"], index)
+    # Python 3.10's csv module refuses the NUL itself, later ones pass the
+    # path on; either way the error names the file and line
+    assert err.startswith(f"error: {index}:3: ")
+    assert err.count("\n") == 1
+
+
 def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit):
         main([])

@@ -4,11 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pyrcnn import (DataError, LabeledImage, NuisanceConfig, PairLabel,
-                    PairSampler, Tensor, TensorError, center_crop, crop_patch,
-                    load_image, load_index, read_pgm, sample_pairs,
-                    split_by_identity, split_identity_ids, synth_generate,
-                    write_index, write_pgm)
+from pyrcnn import (DataError, FacePair, LabeledImage, NuisanceConfig,
+                    PairBatch, PairLabel, PairSampler, Tensor, TensorError,
+                    center_crop, crop_patch, load_image, load_index, read_pgm,
+                    sample_pairs, split_by_identity, split_identity_ids,
+                    synth_generate, write_index, write_pgm)
 
 
 def write_text(path, text):
@@ -279,6 +279,90 @@ def test_pairs_need_two_identities():
 def test_pairs_need_a_repeated_identity():
     with pytest.raises(DataError):
         PairSampler([0, 1, 2], np.random.default_rng(0))
+
+
+def within_identity_pairs(identities):
+    """Every same-identity (i, j), i < j: identities in order of first
+    appearance, each in `itertools.combinations` order."""
+    groups = {}
+    for i, ident in enumerate(identities):
+        groups.setdefault(ident, []).append(i)
+    return [pair for members in groups.values()
+            for pair in itertools.combinations(members, 2)]
+
+
+def per_pair_batch(identities, rng, n):
+    """The sampling loop PairSampler.batch replaced, kept as its oracle:
+    every within-identity pair listed, and one `integers(size=2)` call per
+    unmatched candidate."""
+    combos = within_identity_pairs(identities)
+    pairs = []
+    for p in rng.integers(0, len(combos), size=(n + 1) // 2):
+        i, j = combos[p]
+        pairs.append(FacePair(i, j, PairLabel.MATCHED))
+    while len(pairs) < n:
+        i, j = rng.integers(0, len(identities), size=2)
+        if identities[i] != identities[j]:
+            pairs.append(FacePair(int(i), int(j), PairLabel.UNMATCHED))
+    return pairs
+
+
+PAIR_LAYOUTS = {
+    "blocks": [i // 4 for i in range(48)],
+    "random": np.random.default_rng(9).integers(0, 7, 50).tolist(),
+    # nearly every candidate is accepted, but the repeats of one position
+    # still send some batches into second and third rounds
+    "singletons": [0, 0, 0] + list(range(1, 40)) + [0],
+    # most candidates are rejected: many rounds per batch
+    "one_large": [0] * 30 + [1, 2],
+}
+
+
+@pytest.mark.parametrize("layout", sorted(PAIR_LAYOUTS))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pair_stream_matches_the_per_pair_loop(layout, seed):
+    identities = PAIR_LAYOUTS[layout]
+    sampler = PairSampler(identities, np.random.default_rng(seed))
+    oracle_rng = np.random.default_rng(seed)
+    for n in (1, 2, 7, 32, 3001, 2, 1):  # consecutive batches, one stream
+        batch = sampler.batch(n)
+        assert isinstance(batch, PairBatch)
+        assert list(batch) == per_pair_batch(identities, oracle_rng, n), n
+    assert sampler.rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_matched_pair_numbers_follow_itertools_order(seed):
+    """Pick p is the p-th pair of the per-identity `itertools.combinations`
+    lists, identities in order of first appearance."""
+    rng = np.random.default_rng(seed)
+    sizes = [1, 2, 1, *rng.integers(1, 7, size=5).tolist()]
+    identities = [10 * k for k, size in enumerate(sizes) for _ in range(size)]
+    rng.shuffle(identities)
+    combos = within_identity_pairs(identities)
+    sampler = PairSampler(identities, rng)
+    assert sampler.n_matched_combos == len(combos)
+    first, second = sampler.matched_pairs(np.arange(len(combos)))
+    assert list(zip(first.tolist(), second.tolist())) == combos
+
+
+def test_pair_batch_behaves_as_a_sequence_of_face_pairs():
+    batch = PairSampler([0, 0, 1, 1, 2], np.random.default_rng(4)).batch(9)
+    pairs = list(batch)
+    assert len(batch) == len(pairs) == 9
+    assert [batch[i] for i in range(9)] == pairs
+    assert batch[-1] == pairs[-1]
+    assert all(type(p.first) is int and isinstance(p.label, PairLabel)
+               for p in pairs)
+    for part in (slice(2, 7), slice(None, None, 3), slice(5, 1, -1)):
+        assert isinstance(batch[part], PairBatch)
+        assert list(batch[part]) == pairs[part]
+    assert PairBatch.from_pairs(pairs) == batch
+    assert PairBatch.from_pairs(batch) is batch
+    assert batch[:4] != batch[5:]  # matched vs unmatched
+    assert batch != pairs  # a batch equals batches, not lists
+    with pytest.raises(IndexError):
+        batch[9]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Feature extraction schemes and the feature/report CSV formats."""
 
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -326,3 +327,24 @@ def test_write_report_layout(tmp_path):
     for row, point in zip(points, report.curve.points):
         assert [float(c) for c in row] == [point.threshold, point.fpr,
                                            point.tpr]
+
+
+def test_write_report_roc_rows_are_the_csv_writer_rows(tmp_path):
+    """The ROC section is byte for byte what csv.writer writes for each
+    point's repr() cells, sentinels and exponent forms included."""
+    rng = np.random.default_rng(3)
+    matched = np.concatenate([rng.uniform(0.0, 2.0, 40), [0.0, 1e-20, 1.0]])
+    unmatched = np.concatenate([rng.uniform(1.0, 3.0, 60), [1.0, 3e22]])
+    report = evaluate_distances(matched, unmatched)
+    path = tmp_path / "report.csv"
+    write_report(path, report)
+    want = io.StringIO()
+    writer = csv.writer(want)
+    writer.writerow(["roc_points"])
+    writer.writerow(["threshold", "fpr", "tpr"])
+    for point in report.curve.points:
+        writer.writerow([repr(point.threshold), repr(point.fpr),
+                         repr(point.tpr)])
+    text = path.read_bytes().decode("utf-8")
+    assert text.endswith(want.getvalue())
+    assert text.count("roc_points") == 1

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pyrcnn import (PyramidError, PyramidSpec, StageSpec, TensorError,
-                    build_pyramid, load_model, save_model)
+from pyrcnn import (DataError, PyramidError, PyramidSpec, StageSpec,
+                    TensorError, build_pyramid, load_index, load_model,
+                    read_features, read_pgm, save_model)
 from pyrcnn.cli import ConfigError, RunConfig, load_config
 
 # deterministic and without an example database, so a run writes no files
@@ -83,6 +84,63 @@ def test_corrupted_header_integer_loads_or_fails_cleanly(model_file, draw):
     damaged = (data[:8 * slot] + np.asarray([value], "<i8").tobytes()
                + data[8 * slot + 8:])
     loads_or_fails_cleanly(path, damaged)
+
+
+# ---------------------------------------------------------------------------
+# PGM, index and features files
+
+# one valid file per parser, small enough that the byte-level search is
+# dense, with each format's less common parts: a PGM header comment, index
+# landmarks and a quoted path, features of two rows in exponent notation
+TEXT_FILES = {
+    "pgm": (read_pgm, b"P5\n# made by hand\n4 3\n255\n"
+            + bytes(range(0, 240, 20))),
+    "index": (load_index, b'path,identity,lx1,ly1\r\na.pgm,p0,1.5,2\r\n'
+              b'"c, d.pgm",p1,0,3e0\r\nb.pgm,p0\r\n'),
+    "features": (read_features, b"image_path,dim\r\na.pgm,2,0.5,-1.25\r\n"
+                 b"b.pgm,2,1e-3,0.0\r\n"),
+}
+
+
+@pytest.fixture(scope="module")
+def text_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("files")
+
+
+def damaged(draw, data: bytes) -> bytes:
+    """`data` with up to three bytes replaced, then perhaps cut short."""
+    out = bytearray(data)
+    for _ in range(draw.draw(st.integers(0, 3), label="edits")):
+        pos = draw.draw(st.integers(0, len(out) - 1), label="position")
+        out[pos] = draw.draw(st.integers(0, 255), label="byte")
+    cut = draw.draw(st.integers(0, len(out)), label="length")
+    return bytes(out[:cut])
+
+
+@pytest.mark.parametrize("kind", sorted(TEXT_FILES))
+def test_valid_text_file_loads(text_dir, kind):
+    parse, data = TEXT_FILES[kind]
+    (text_dir / kind).write_bytes(data)
+    parse(text_dir / kind)
+
+
+@pytest.mark.parametrize("kind", sorted(TEXT_FILES))
+def test_missing_text_file_is_not_found(text_dir, kind):
+    with pytest.raises(FileNotFoundError):
+        TEXT_FILES[kind][0](text_dir / "absent")
+
+
+@pytest.mark.parametrize("kind", sorted(TEXT_FILES))
+@FUZZ
+@given(st.data())
+def test_damaged_text_file_loads_or_fails_cleanly(text_dir, kind, draw):
+    parse, data = TEXT_FILES[kind]
+    path = text_dir / kind
+    path.write_bytes(damaged(draw, data))
+    try:
+        parse(path)
+    except DataError:
+        pass
 
 
 # ---------------------------------------------------------------------------

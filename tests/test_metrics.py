@@ -257,6 +257,8 @@ def test_evaluate_distances_bundles_consistently():
     report = evaluate_distances(matched, unmatched)
     assert report.n_matched == 400 and report.n_unmatched == 400
     assert report.auc == auc(compute_roc(matched, unmatched))
+    assert report.curve == compute_roc(matched, unmatched)
+    assert report.curve != compute_roc(matched, unmatched[1:])
     t, a = best_accuracy(matched, unmatched)
     assert report.accuracy == a and report.accuracy_threshold == t
     assert [row[0] for row in report.tpr_points] == [0.1, 0.01, 0.001]
