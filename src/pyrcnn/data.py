@@ -26,6 +26,8 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import os
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -186,6 +188,31 @@ def csv_rows(path):
         raise DataError(f"{path}:{rows.line_num}: {exc}") from None
 
 
+def _resolve(path: str, dirs: dict[str, str]) -> Path:
+    """`Path(path).resolve()`, with each parent directory resolved once into
+    the cache `dirs`: a leaf that is not a symlink, '.' or '..' resolves to
+    its resolved parent joined with its name.  Anything else, a parent
+    that fails to resolve included, is the path's own `resolve()`, which
+    raises what it would have raised."""
+    head, name = os.path.split(path)
+    if name not in ("", ".", ".."):
+        parent = dirs.get(head)
+        if parent is None:
+            try:
+                parent = dirs[head] = str(Path(head).resolve())
+            except (ValueError, OSError, RuntimeError):
+                return Path(path).resolve()
+        leaf = os.path.join(parent, name)
+        try:
+            if not stat.S_ISLNK(os.lstat(leaf).st_mode):
+                return Path(leaf)
+        except OSError:  # missing or unreadable: resolve() keeps the name too
+            return Path(leaf)
+        except ValueError:  # a NUL byte
+            pass
+    return Path(path).resolve()
+
+
 def load_index(path) -> DatasetIndex:
     """Parse the index CSV; identities become dense first-appearance ints."""
     path = Path(path)
@@ -196,6 +223,7 @@ def load_index(path) -> DatasetIndex:
     names: list[str] = []
     ids: dict[str, int] = {}
     seen_paths: set[Path] = set()
+    dirs: dict[str, str] = {}
     for lineno, row in csv_rows(path):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -227,7 +255,7 @@ def load_index(path) -> DatasetIndex:
             ids[label] = len(names)
             names.append(label)
         try:
-            rec_path = (base / row[0]).resolve()
+            rec_path = _resolve(os.path.join(base, row[0]), dirs)
         except (ValueError, OSError, RuntimeError) as exc:
             # a NUL byte, or a path the OS cannot resolve (a symlink loop)
             raise DataError(

@@ -9,14 +9,45 @@ Conventions, fixed across the package:
 * convolution is *true* convolution with no padding: the kernel is indexed
   as input[x-a, y-b, c] * weights[a, b, c, z], which the vectorized kernels
   realize as cross-correlation with a spatially flipped copy of the weights;
-* it is unrolled (im2col + one GEMM, Chellapilla, Puri & Simard 2006),
-  with the column matrix built in slabs of images that stay within
-  `_SLAB_ELEMENTS` float64 values, so memory stays bounded at any batch
-  size; callers that batch (the Siamese trainer, validation) size their
-  batches by the same constant, applied to the largest pre-activation map;
+* it is unrolled (im2col + GEMM, Chellapilla, Puri & Simard 2006; on
+  lowering with less copying, Cho & Brand's MEC, 2017) one block of the
+  output at a time (below); callers that batch (the Siamese
+  trainer, validation, extraction) size their batches by the same
+  `_SLAB_ELEMENTS`, applied to the largest pre-activation map;
 * the activation g is the rectifier max(0, x) after every conv stage; the
   FC head is linear, so no embedding unit can be stuck at zero;
 * pooling takes non-overlapping s x s window maxima (window == stride).
+
+`_column_blocks` walks a conv's output in blocks whose column matrix holds
+at most `_SLAB_ELEMENTS` float64 values, so the column matrix and the
+column gradient stay bounded at any batch size and input edge: whole images
+while one image's columns fit (many 16-px images per block), else bands of
+one image's output rows (a 36-px, 8-channel image: 32*32*5*5*8 = 204,800
+values, in bands of 20 and 12 rows).  Only a single output row wider than
+the bound can exceed it; no geometry here has one.  Each block is copied
+into one buffer reused across the call, in (a, b, c) order:
+
+* with several input channels, from one strided window view of the batch
+  (runs of kw*c contiguous values);
+* with one input channel, as kh*kw copies of contiguous image rows, one
+  per kernel position, into a (kh*kw, m) array that the GEMMs read as its
+  transpose.  That is the same (m, kh*kw) matrix, and BLAS gives the same
+  bits for it through a transposed operand (the kernel tests hold this);
+  a window copy moves runs of kw values instead, about 3x the time at
+  76 px.
+
+The input gradient (col2im) is one product of the output gradient with
+the flipped kernel into a (kh, kw, n, oh, ow, c_in) array, then kh*kw adds
+in (a, b) order, each reading one contiguous tap into its shifted window
+of dx; the product is written over the block's column buffer, which dw
+has already read, so a call holds one block-sized buffer, not two.  Every dx entry receives its terms in the order of a row-major
+(m, kh*kw*c_in) scatter, so while a block holds whole images dx is those
+bits.  With one input channel the product is the 2-D (kh*kw, c_out) @
+(c_out, m) GEMM, since numpy runs a stack of one-column products as GEMV,
+which rounds differently.  Across row bands, the terms of a dx row near a
+band edge arrive band by band and dw sums the bands in turn, so both move
+in the last bits; forward rows do not depend on the block, so the forward
+is the same bits under any partition.
 
 There is one pooling kernel, `_pool`: the maximum of the s*s strided
 slices x[:, a::s, b::s].  Every stage pools its pre-activation map with it
@@ -61,7 +92,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .tensor import Tensor, TensorError
 
@@ -239,12 +270,45 @@ def _images_per_slab(net: Network) -> int:
     return _slab(largest)
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """(n*oh*ow, kh*kw*c) windows of an (n, h, w, c) batch, (a, b, c) order."""
+def _column_blocks(x: np.ndarray, kh: int, kw: int):
+    """Yield (i, j, r, s, col): the (m, kh*kw*c) column matrix, in (a, b, c)
+    order, of output rows r:s of images i:j of an (n, h, w, c) batch.
+
+    A block holds whole images (r:s spans every output row) while one
+    image's columns fit `_SLAB_ELEMENTS`, else a band of one image's output
+    rows, at least one; either way out[i:j, r:s] is contiguous.  `col` is a
+    view of one buffer, which the next block overwrites; the caller may
+    overwrite it too once it is done with the columns.
+    """
     n, h, w, c = x.shape
     oh, ow = h - kh + 1, w - kw + 1
-    win = sliding_window_view(x, (kh, kw), axis=(1, 2))    # n,oh,ow,c,kh,kw
-    return win.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, kh * kw * c)
+    k = kh * kw * c
+    if oh * ow * k <= _SLAB_ELEMENTS:
+        images, rows = _SLAB_ELEMENTS // (oh * ow * k), oh
+    else:
+        images, rows = 1, max(1, _SLAB_ELEMENTS // (ow * k))
+    buf = np.empty(min(n, images) * rows * ow * k)
+    if c > 1:
+        sn, sh, sw, sc = x.strides
+        win = as_strided(x, (n, oh, ow, kh, kw, c), (sn, sh, sw, sh, sw, sc),
+                         writeable=False)
+    for i in range(0, n, images):
+        j = min(i + images, n)
+        for r in range(0, oh, rows):
+            s = min(r + rows, oh)
+            m = (j - i) * (s - r) * ow
+            if c > 1:
+                col = buf[:m * k].reshape(m, k)
+                np.copyto(col.reshape(j - i, s - r, ow, kh, kw, c),
+                          win[i:j, r:s])
+            else:
+                # kernel-position-major copies of contiguous image rows
+                tap = buf[:m * k].reshape(kh, kw, j - i, s - r, ow)
+                for a in range(kh):
+                    for b in range(kw):
+                        tap[a, b] = x[i:j, r + a:s + a, b:b + ow, 0]
+                col = tap.reshape(k, m).T
+            yield i, j, r, s, col
 
 
 def _conv_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -253,10 +317,8 @@ def _conv_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     # true convolution == cross-correlation with the spatially flipped kernel
     wf = w[::-1, ::-1].reshape(kh * kw * c_in, c_out)
     out = np.empty((n_img, oh, ow, c_out))
-    step = _slab(oh * ow * kh * kw * c_in)
-    for i in range(0, n_img, step):
-        rows = out[i:i + step].reshape(-1, c_out)
-        np.matmul(_im2col(x[i:i + step], kh, kw), wf, out=rows)
+    for i, j, r, s, col in _column_blocks(x, kh, kw):
+        np.matmul(col, wf, out=out[i:j, r:s].reshape(-1, c_out))
     out += b
     return out
 
@@ -264,20 +326,28 @@ def _conv_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _conv_bwd(x: np.ndarray, w: np.ndarray, g: np.ndarray,
               need_dx: bool) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     kh, kw, c_in, c_out = w.shape
-    n_img, oh, ow = g.shape[0], g.shape[1], g.shape[2]
+    ow = g.shape[2]
     wf = w[::-1, ::-1].reshape(kh * kw * c_in, c_out)
+    # (kh*kw, c_out, c_in): one (m, c_out) @ (c_out, c_in) GEMM per tap
+    wt = np.ascontiguousarray(
+        wf.reshape(kh * kw, c_in, c_out).transpose(0, 2, 1))
     dwf = np.zeros((kh * kw * c_in, c_out))
     dx = np.zeros_like(x) if need_dx else None
-    step = _slab(oh * ow * kh * kw * c_in)
-    for i in range(0, n_img, step):
-        gm = g[i:i + step].reshape(-1, c_out)
-        dwf += _im2col(x[i:i + step], kh, kw).T @ gm
-        if need_dx:
-            dcol = (gm @ wf.T).reshape(-1, oh, ow, kh, kw, c_in)
-            dx_slab = dx[i:i + step]
-            for a in range(kh):
-                for b_ in range(kw):
-                    dx_slab[:, a:a + oh, b_:b_ + ow] += dcol[:, :, :, a, b_]
+    for i, j, r, s, col in _column_blocks(x, kh, kw):
+        gm = g[i:j, r:s].reshape(-1, c_out)
+        dwf += col.T @ gm
+        if not need_dx:
+            continue
+        # the column gradient overwrites the block's columns, now used
+        dcol = col.ravel(order="K").reshape(kh * kw, -1, c_in)
+        if c_in == 1:  # numpy makes a one-column product a GEMV
+            np.matmul(wf, gm.T, out=dcol[:, :, 0])
+        else:
+            np.matmul(gm, wt, out=dcol)
+        dcol = dcol.reshape(kh, kw, j - i, s - r, ow, c_in)
+        for a in range(kh):
+            for b_ in range(kw):
+                dx[i:j, r + a:s + a, b_:b_ + ow] += dcol[a, b_]
     dw = dwf.reshape(kh, kw, c_in, c_out)[::-1, ::-1]
     db = g.sum(axis=(0, 1, 2))
     return dx, dw, db

@@ -132,6 +132,44 @@ def test_index_duplicate_path_names_line(tmp_path):
     assert ":3:" in str(err.value)
 
 
+def symlinked_tree(root):
+    """real/{a,b,c,e}.pgm and real/sub/, reached also through a symlinked
+    directory (linkdir -> real, subl -> real/sub) and a symlinked file
+    (link.pgm -> real/b.pgm)."""
+    (root / "real" / "sub").mkdir(parents=True)
+    for name in ("a", "b", "c", "e"):
+        write_pgm(root / "real" / f"{name}.pgm", np.zeros((2, 2)))
+    (root / "linkdir").symlink_to(root / "real", target_is_directory=True)
+    (root / "subl").symlink_to(root / "real" / "sub",
+                               target_is_directory=True)
+    (root / "link.pgm").symlink_to(root / "real" / "b.pgm")
+
+
+def test_index_paths_are_per_row_resolve(tmp_path):
+    """Records carry the paths a per-row `Path.resolve()` gives, though
+    `load_index` resolves each directory once: a symlinked directory, a
+    symlinked file, '..' segments (after a symlink, '..' leaves its
+    target), a '..' leaf and a file that does not exist."""
+    symlinked_tree(tmp_path)
+    rows = ["linkdir/a.pgm", "link.pgm", "real/sub/../c.pgm",
+            "subl/../e.pgm", "linkdir/sub/..", "missing/x.pgm", "y.pgm"]
+    write_index(tmp_path / "i.csv", [(row, "p") for row in rows])
+    got = [r.path for r in load_index(tmp_path / "i.csv").records]
+    assert got == [(tmp_path / row).resolve() for row in rows]
+    assert got[3] == tmp_path / "real" / "e.pgm"
+
+
+@pytest.mark.parametrize("spelling", ["linkdir/a.pgm", "real/sub/../a.pgm",
+                                      "subl/../a.pgm", "./real//a.pgm"])
+def test_index_one_file_spelled_two_ways_is_a_duplicate(tmp_path, spelling):
+    symlinked_tree(tmp_path)
+    write_index(tmp_path / "i.csv", [("real/a.pgm", "p"), (spelling, "q")])
+    with pytest.raises(DataError) as err:
+        load_index(tmp_path / "i.csv")
+    assert str(err.value) == f"{tmp_path / 'i.csv'}:3: duplicate path " \
+        f"{spelling}"
+
+
 def test_index_empty_is_an_error(tmp_path):
     write_text(tmp_path / "i.csv", "path,identity\n")
     with pytest.raises(DataError):

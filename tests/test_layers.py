@@ -532,3 +532,130 @@ def test_backward_routes_ties_like_a_first_max_argmax(s):
     _, dw_ref, db_ref = layers._conv_bwd(x, params[0][0], g_pre, False)
     np.testing.assert_array_equal(dw, dw_ref)
     np.testing.assert_array_equal(db, db_ref)
+
+
+# ---------------------------------------------------------------------------
+# conv kernels against the sliding-window im2col and strided col2im scatter
+
+
+def slab_im2col(x, kh, kw):
+    """(n*oh*ow, kh*kw*c) windows of an (n, h, w, c) batch, (a, b, c) order."""
+    n, h, w, c = x.shape
+    oh, ow = h - kh + 1, w - kw + 1
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, kh * kw * c)
+
+
+def slab_conv_fwd(x, w, b):
+    """Reference forward: whole images per slab, one im2col per slab."""
+    kh, kw, c_in, c_out = w.shape
+    n, oh, ow = x.shape[0], x.shape[1] - kh + 1, x.shape[2] - kw + 1
+    wf = w[::-1, ::-1].reshape(kh * kw * c_in, c_out)
+    out = np.empty((n, oh, ow, c_out))
+    step = layers._slab(oh * ow * kh * kw * c_in)
+    for i in range(0, n, step):
+        np.matmul(slab_im2col(x[i:i + step], kh, kw), wf,
+                  out=out[i:i + step].reshape(-1, c_out))
+    return out + b
+
+
+def slab_conv_bwd(x, w, g):
+    """Reference backward: per slab, dw from the slab's im2col and dx by the
+    (a, b)-ordered scatter of the (m, kh*kw*c_in) column gradient."""
+    kh, kw, c_in, c_out = w.shape
+    n, oh, ow = g.shape[:3]
+    wf = w[::-1, ::-1].reshape(kh * kw * c_in, c_out)
+    dwf = np.zeros((kh * kw * c_in, c_out))
+    dx = np.zeros_like(x)
+    step = layers._slab(oh * ow * kh * kw * c_in)
+    for i in range(0, n, step):
+        gm = g[i:i + step].reshape(-1, c_out)
+        dwf += slab_im2col(x[i:i + step], kh, kw).T @ gm
+        dcol = (gm @ wf.T).reshape(-1, oh, ow, kh, kw, c_in)
+        for a in range(kh):
+            for b in range(kw):
+                dx[i:i + step, a:a + oh, b:b + ow] += dcol[:, :, :, a, b]
+    return dx, dwf.reshape(kh, kw, c_in, c_out)[::-1, ::-1], \
+        g.sum(axis=(0, 1, 2))
+
+
+def conv_case(edge, c_in, c_out, k, n):
+    rng = np.random.default_rng(edge * 100 + c_in * 10 + k)
+    o = edge - k + 1
+    return (rng.standard_normal((n, edge, edge, c_in)),
+            rng.standard_normal((k, k, c_in, c_out)),
+            rng.standard_normal(c_out),
+            rng.standard_normal((n, o, o, c_out)))
+
+
+# (edge, c_in, c_out, k) of every conv in the default pyramid and the
+# monolith, with batches that span several blocks where images are small.
+# One 36-px, 8-channel image has 204,800 column entries, past the default
+# slab, so its whole-image case raises the slab to hold one image.
+@pytest.mark.parametrize("edge, c_in, c_out, k, n, slab", [
+    (76, 1, 8, 5, 3, None),
+    (36, 8, 8, 5, 3, 1 << 18),
+    (16, 8, 8, 5, 9, None),
+    (16, 1, 8, 5, 40, None),
+    (6, 8, 16, 3, 120, None),
+])
+def test_conv_kernels_are_the_bits_of_the_slab_reference(
+        monkeypatch, edge, c_in, c_out, k, n, slab):
+    """While every block holds whole images, forward, dx and dw are the
+    bits of the sliding-window im2col and strided-scatter kernels."""
+    if slab is not None:
+        monkeypatch.setattr(layers, "_SLAB_ELEMENTS", slab)
+    x, w, b, g = conv_case(edge, c_in, c_out, k, n)
+    assert layers._conv_fwd(x, w, b).tobytes() == \
+        slab_conv_fwd(x, w, b).tobytes()
+    got, want = layers._conv_bwd(x, w, g, True), slab_conv_bwd(x, w, g)
+    for name, a, e in zip(("dx", "dw", "db"), got, want):
+        assert a.tobytes() == e.tobytes(), name
+    _, dw, db = layers._conv_bwd(x, w, g, False)
+    assert dw.tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("edge, c_in, c_out, k, n, slab", [
+    (36, 8, 8, 5, 2, None),      # the default slab: bands of 20 and 12 rows
+    (36, 8, 8, 5, 2, 7 * 6400),  # 7-row bands, a 4-row remainder
+    (76, 1, 8, 5, 2, 25 * 72),   # one-row bands
+    (16, 8, 8, 5, 3, 2000),      # a slab below one output row: 1-row bands
+])
+def test_conv_kernels_split_an_image_into_row_bands(
+        monkeypatch, edge, c_in, c_out, k, n, slab):
+    """When one image's columns exceed the slab, blocks are bands of its
+    output rows: the forward rows keep their bits, and dw and dx, summed
+    in another order across bands, agree to rounding."""
+    if slab is not None:
+        monkeypatch.setattr(layers, "_SLAB_ELEMENTS", slab)
+    x, w, b, g = conv_case(edge, c_in, c_out, k, n)
+    o = edge - k + 1
+    assert o * o * k * k * c_in > layers._SLAB_ELEMENTS
+    assert layers._conv_fwd(x, w, b).tobytes() == \
+        slab_conv_fwd(x, w, b).tobytes()
+    dx, dw, db = layers._conv_bwd(x, w, g, True)
+    ref_dx, ref_dw, ref_db = slab_conv_bwd(x, w, g)
+    np.testing.assert_allclose(dx, ref_dx, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(dw, ref_dw, rtol=1e-12, atol=1e-12)
+    assert db.tobytes() == ref_db.tobytes()
+
+
+def test_column_blocks_stay_within_the_slab_and_tile_the_output(monkeypatch):
+    """No column block of a 36-px, 8-channel batch exceeds `_SLAB_ELEMENTS`
+    (one whole image would: 32*32*5*5*8 = 204,800 entries), and the blocks
+    cover every output row of every image exactly once."""
+    x, w, b, g = conv_case(36, 8, 8, 5, 3)
+    sizes, covered = [], np.zeros((3, 32), dtype=int)
+    blocks = layers._column_blocks
+
+    def checked(x_, kh, kw):
+        for i, j, r, s, col in blocks(x_, kh, kw):
+            sizes.append(col.size)
+            covered[i:j, r:s] += 1
+            yield i, j, r, s, col
+
+    monkeypatch.setattr(layers, "_column_blocks", checked)
+    layers._conv_fwd(x, w, b)
+    layers._conv_bwd(x, w, g, True)
+    assert 0 < max(sizes) <= layers._SLAB_ELEMENTS
+    assert (covered == 2).all()

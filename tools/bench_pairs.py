@@ -1,0 +1,143 @@
+"""Paired A/B runs of the checked-in benchmark between two checkouts.
+
+    python3 tools/bench_pairs.py --parent ../base --change . \
+        --workload monolith_fixed --seeds 1-10 --out BENCH_9.json
+
+Runs ``perfbench/run.py --trace 0`` in each checkout, one pair per seed:
+both sides get the same seed, and the side that runs first alternates from
+pair to pair.  Each run uses its own checkout's benchmark and engine and
+the run length that checkout's BENCHMARK.json sets.  The output file holds
+the environment line of the first run (BLAS threads included) and, per
+workload and end-to-end metric, every run's value, each side's median and
+quartiles, and in how many pairs the change was better (ties count for
+neither side).  A run that exits non-zero is recorded with its error and
+counted as failed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'1-4,9' -> [1, 2, 3, 4, 9]."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def run_once(checkout: Path, workload: str, seed: int,
+             seconds: float) -> dict:
+    """One untraced benchmark run: its environment and result lines, or
+    the error it ended with."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        return {"error": proc.stderr.strip()[-2000:] or
+                f"exit {proc.returncode}"}
+    return {**json.loads(lines[-2]), **json.loads(lines[-1])}
+
+
+def summary(values: list[float]) -> dict:
+    if not values:
+        return {"n": 0}
+    if len(values) == 1:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"n": len(values), "median": statistics.median(values),
+            "q1": q1, "q3": q3}
+
+
+def compare(runs: dict, declared: list[dict]) -> dict:
+    """Per metric: both sides' runs and summaries, and the change's wins."""
+    out = {}
+    for spec in declared:
+        name, better = spec["name"], spec["better"]
+        values = {side: [r["metrics"][name]["value"] if "metrics" in r
+                         else None for r in runs[side]] for side in SIDES}
+        wins = pairs = 0
+        for p, c in zip(values["parent"], values["change"]):
+            if p is None or c is None:
+                continue
+            pairs += 1
+            wins += c < p if better == "lower" else c > p
+        entry = {"unit": spec["unit"], "better": better,
+                 "bound": spec.get("bound"), "change_wins": wins,
+                 "pairs": pairs}
+        for side in SIDES:
+            kept = [v for v in values[side] if v is not None]
+            entry[side] = {**summary(kept), "runs": values[side]}
+        if entry["parent"]["n"] and entry["change"]["n"] \
+                and entry["parent"]["median"]:
+            entry["change_over_parent"] = \
+                entry["change"]["median"] / entry["parent"]["median"]
+        out[name] = entry
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True,
+                    help="checkout of the parent commit")
+    ap.add_argument("--change", type=Path, required=True,
+                    help="checkout of the change")
+    ap.add_argument("--workload", action="append", required=True,
+                    help="workload name; repeat for several")
+    ap.add_argument("--seeds", type=parse_seeds, required=True,
+                    help="one pair per seed, e.g. 1-10 or 3,5,11")
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+
+    checkouts = {"parent": args.parent.resolve(),
+                 "change": args.change.resolve()}
+    specs = {side: json.loads((path / "BENCHMARK.json").read_text(
+        encoding="utf-8")) for side, path in checkouts.items()}
+    result = {"command": "perfbench/run.py --trace 0",
+              "environment": None, "blas_threads": None, "workloads": {}}
+    for workload in args.workload:
+        runs = {side: [] for side in SIDES}
+        order = []
+        for k, seed in enumerate(args.seeds):
+            first = SIDES[k % 2]
+            order.append(f"{first} first")
+            for side in (first, SIDES[1 - k % 2]):
+                run = run_once(checkouts[side], workload, seed,
+                               specs[side]["run_seconds"])
+                run["seed"] = seed
+                runs[side].append(run)
+                if result["environment"] is None and "environment" in run:
+                    result["environment"] = run["environment"]
+                    result["blas_threads"] = run["environment"]["blas_threads"]
+                shown = run.get("error") or json.dumps(
+                    {m: round(v["value"], 4)
+                     for m, v in run["metrics"].items()})
+                print(f"{workload} seed {seed} {side}: {shown}", flush=True)
+        result["workloads"][workload] = {
+            "seeds": args.seeds, "order": order,
+            "attempted": {s: sum(r.get("attempted", 0) for r in runs[s])
+                          for s in SIDES},
+            "failed": {s: sum(r.get("failed", 0) + ("error" in r)
+                              for r in runs[s]) for s in SIDES},
+            "errors": {s: [r["error"] for r in runs[s] if "error" in r]
+                       for s in SIDES},
+            "metrics": compare(runs, specs["change"]["end_to_end"]),
+        }
+        args.out.write_text(json.dumps(result, indent=1) + "\n",
+                            encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
