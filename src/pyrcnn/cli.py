@@ -13,9 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -50,10 +50,10 @@ class RunConfig:
     evaluation: dict
 
 
-def _check_keys(block: dict, allowed: set[str], where: str) -> None:
+def _check_keys(block: dict, allowed: Iterable[str], where: str) -> None:
     if not isinstance(block, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(block) - allowed
+    unknown = block.keys() - allowed
     if unknown:
         raise ConfigError(
             f"unknown key(s) in {where}: {', '.join(sorted(unknown))}"
@@ -89,6 +89,11 @@ def _str(value, name: str) -> str:
     return value
 
 
+def _nullable(kind):
+    """`kind`, with JSON null let through as None."""
+    return lambda value, name: None if value is None else kind(value, name)
+
+
 def _offsets(value, name: str) -> tuple[tuple[int, int], ...]:
     """(x, y) pairs from a list of two-integer lists; any other length is
     refused, never padded or cut."""
@@ -99,74 +104,73 @@ def _offsets(value, name: str) -> tuple[tuple[int, int], ...]:
     return tuple((_int(x, name), _int(y, name)) for x, y in value)
 
 
-def _field(block: dict, where: str, key: str, default, kind=_int):
-    """`block[key]` (or `default`), checked by `kind` as `where.key`."""
-    return kind(block.get(key, default), f"{where}.{key}")
+def _block(block: dict, table: dict, where: str) -> dict:
+    """The keys `block` sets, each checked by its `table` entry as
+    `where.key`; a key `table` lacks is an error."""
+    _check_keys(block, table, where)
+    return {key: table[key](value, f"{where}.{key}")
+            for key, value in block.items()}
 
 
-def _data_block(block: dict) -> dict:
-    _check_keys(block, {"dir", "n_identities", "images_per_identity", "edge",
-                        "holdout_fraction", "brightness_delta",
-                        "max_translation", "noise_sigma"}, "data")
-    return {
-        "dir": (None if block.get("dir") is None
-                else _field(block, "data", "dir", None, _str)),
-        "n_identities": _field(block, "data", "n_identities", 48),
-        "images_per_identity": _field(block, "data", "images_per_identity",
-                                      12),
-        "edge": _field(block, "data", "edge", 76),
-        "holdout_fraction": _field(block, "data", "holdout_fraction", 1 / 3,
-                                   _number),
-        "nuisance": NuisanceConfig(
-            brightness_delta=_field(block, "data", "brightness_delta", 0.3,
-                                    _number),
-            max_translation=(None if block.get("max_translation") is None
-                             else _field(block, "data", "max_translation",
-                                         None)),
-            noise_sigma=_field(block, "data", "noise_sigma", 0.05, _number),
-        ),
-    }
+_STAGE = {"kernel": _int, "channels": _int, "pool": _int}
 
 
-def _pyramid_block(block: dict) -> PyramidSpec:
-    _check_keys(block, {"levels", "base_input", "shared", "template",
-                        "networks_per_level", "patch_offsets", "output_dim"},
-                "pyramid")
-
-    def stage(d: dict, where: str) -> StageSpec:
-        _check_keys(d, {"kernel", "channels", "pool"}, where)
-        return StageSpec(_field(d, where, "kernel", 3),
-                         _field(d, where, "channels", 16),
-                         _field(d, where, "pool", 2))
-
-    shared = block.get("shared", {"kernel": 5, "channels": 8, "pool": 2})
-    template = block.get("template", [{"kernel": 3, "channels": 16, "pool": 2}])
-    return PyramidSpec(
-        levels=_field(block, "pyramid", "levels", 3),
-        base_input=_field(block, "pyramid", "base_input", 16),
-        shared=stage(shared, "pyramid.shared"),
-        template=tuple(stage(t, "pyramid.template") for t in template),
-        networks_per_level=_field(block, "pyramid", "networks_per_level", 1),
-        patch_offsets=_field(block, "pyramid", "patch_offsets", [[0, 0]],
-                             _offsets),
-        output_dim=_field(block, "pyramid", "output_dim", 8),
-    )
+def _shared(value, name: str) -> StageSpec:
+    """The default shared stage with the fields `value` sets."""
+    return replace(PyramidSpec.shared, **_block(value, _STAGE, name))
 
 
-def _train_block(block: dict, seed: int) -> TrainConfig:
-    _check_keys(block, {"learning_rate", "momentum", "batch_size",
-                        "iterations_per_level", "validation_fraction"},
-                "train")
-    return TrainConfig(
-        learning_rate=_field(block, "train", "learning_rate", 0.05, _number),
-        momentum=_field(block, "train", "momentum", 0.9, _number),
-        batch_size=_field(block, "train", "batch_size", 32),
-        iterations_per_level=_field(block, "train", "iterations_per_level",
-                                    200),
-        seed=seed,
-        validation_fraction=_field(block, "train", "validation_fraction", 0.2,
-                                   _number),
-    )
+def _template(value, name: str) -> tuple[StageSpec, ...]:
+    """One stage per object, each the default template stage with the
+    fields its object sets."""
+    if not isinstance(value, list):
+        raise TypeError(f"{name} must be a list of stage objects, got "
+                        f"{value!r}")
+    return tuple(replace(PyramidSpec.template[0], **_block(v, _STAGE, name))
+                 for v in value)
+
+
+def _scheme(value, name: str) -> str:
+    if _str(value, name) != "single-top":
+        raise ConfigError(f"unsupported extraction scheme {value!r}")
+    return value
+
+
+def _fpr_targets(value, name: str) -> list[float]:
+    if not isinstance(value, list):
+        raise TypeError(f"{name} must be a list of numbers, got {value!r}")
+    targets = [_number(t, name) for t in value]
+    for t in targets:
+        if not 0.0 <= t < 1.0:
+            raise ConfigError(f"FPR target {t} outside [0, 1)")
+    return targets
+
+
+def _pair_count(value, name: str) -> int:
+    if _int(value, name) < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
+    return value
+
+
+_NUISANCE = {"brightness_delta": _number, "max_translation": _nullable(_int),
+             "noise_sigma": _number}
+
+# Each block's allowed keys with their JSON checks.  Only the keys a block
+# sets are passed on, so every other field keeps its default: the dataclass's
+# own, or for settings only the CLI has, the literal in `_run_config`.
+_BLOCKS = {
+    "data": {"dir": _nullable(_str), "n_identities": _int,
+             "images_per_identity": _int, "edge": _int,
+             "holdout_fraction": _number, **_NUISANCE},
+    "pyramid": {"levels": _int, "base_input": _int, "shared": _shared,
+                "template": _template, "networks_per_level": _int,
+                "patch_offsets": _offsets, "output_dim": _int},
+    "train": {"learning_rate": _number, "momentum": _number,
+              "batch_size": _int, "iterations_per_level": _int,
+              "validation_fraction": _number},
+    "extraction": {"scheme": _scheme, "normalize": _bool},
+    "evaluation": {"fpr_targets": _fpr_targets, "n_pairs": _pair_count},
+}
 
 
 def load_config(path, seed_override: int | None = None) -> RunConfig:
@@ -179,8 +183,7 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    _check_keys(raw, {"seed", "output_dir", "data", "pyramid", "train",
-                      "extraction", "evaluation"}, "config")
+    _check_keys(raw, {"seed", "output_dir", *_BLOCKS}, "config")
     if "seed" not in raw or "output_dir" not in raw:
         raise ConfigError(f"{path}: config requires 'seed' and 'output_dir'")
     seed = raw["seed"] if seed_override is None else seed_override
@@ -198,33 +201,23 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
 
 def _run_config(raw: dict, base: Path, seed) -> RunConfig:
     seed = _int(seed, "seed")
-    extraction = raw.get("extraction", {})
-    _check_keys(extraction, {"scheme", "normalize"}, "extraction")
-    extraction = {"scheme": extraction.get("scheme", "single-top"),
-                  "normalize": _field(extraction, "extraction", "normalize",
-                                      False, _bool)}
-
-    evaluation = raw.get("evaluation", {})
-    _check_keys(evaluation, {"fpr_targets", "n_pairs"}, "evaluation")
-    targets = [_number(t, "evaluation.fpr_targets")
-               for t in evaluation.get("fpr_targets", [0.1, 0.01, 0.001])]
-    for t in targets:
-        if not 0.0 <= t < 1.0:
-            raise ConfigError(f"FPR target {t} outside [0, 1)")
-    n_pairs = _field(evaluation, "evaluation", "n_pairs", 2000)
-    if n_pairs < 1:
-        raise ConfigError(f"evaluation.n_pairs must be >= 1, got {n_pairs}")
-    evaluation = {"fpr_targets": targets, "n_pairs": n_pairs}
-
+    given = {name: _block(raw.get(name, {}), table, name)
+             for name, table in _BLOCKS.items()}
+    nuisance = {key: given["data"].pop(key)
+                for key in _NUISANCE if key in given["data"]}
     return RunConfig(
         seed=seed,
         output_dir=(base / raw["output_dir"]),
         base_dir=base,
-        data=_data_block(raw.get("data", {})),
-        pyramid=_pyramid_block(raw.get("pyramid", {})),
-        train=_train_block(raw.get("train", {}), seed),
-        extraction=extraction,
-        evaluation=evaluation,
+        data={"dir": None, "n_identities": 48, "images_per_identity": 12,
+              "edge": 76, "holdout_fraction": 1 / 3, **given["data"],
+              "nuisance": NuisanceConfig(**nuisance)},
+        pyramid=PyramidSpec(**{"levels": 3, **given["pyramid"]}),
+        train=TrainConfig(**given["train"], seed=seed),
+        extraction={"scheme": "single-top", "normalize": False,
+                    **given["extraction"]},
+        evaluation={"fpr_targets": [0.1, 0.01, 0.001], "n_pairs": 2000,
+                    **given["evaluation"]},
     )
 
 
@@ -293,22 +286,14 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_extract(cfg: RunConfig, model_path, index_path) -> int:
     model = load_model(model_path)
     index = load_index(index_path)
-    scheme = cfg.extraction["scheme"]
-    if scheme != "single-top":
-        raise ConfigError(f"unsupported extraction scheme {scheme!r}")
     # one slab of images loaded and embedded at a time
     step = _images_per_slab(assemble_network(model, model.spec.levels - 1, 0))
     features = []
     for start in range(0, len(index.records), step):
         images = [load_image(rec) for rec in index.records[start:start + step]]
         features.extend(extract_representations(
-            model, images, scheme, cfg.extraction["normalize"]))
-    dims = {fv.values.size for fv in features}
-    if dims != {model.spec.output_dim}:
-        raise ConfigError(
-            f"scheme {scheme!r} should emit dimension "
-            f"{model.spec.output_dim}, got {sorted(dims)}"
-        )
+            model, images, cfg.extraction["scheme"],
+            cfg.extraction["normalize"]))
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.output_dir / "features.csv"
     write_features(out, features)

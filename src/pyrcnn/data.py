@@ -490,15 +490,19 @@ def crop_patch(image: LabeledImage, origin: tuple[int, int],
     return Tensor.from_array(image.pixels.array[y:y + edge, x:x + edge, :])
 
 
+def center_origin(image: LabeledImage, edge: int) -> tuple[int, int]:
+    """(x, y) of the edge-`edge` square centred in `image`, rounded down."""
+    return ((image.pixels.shape[1] - edge) // 2,
+            (image.pixels.shape[0] - edge) // 2)
+
+
 def center_crop(image: LabeledImage, edge: int) -> Tensor:
     if edge > min(image.pixels.shape[0], image.pixels.shape[1]):
         raise TensorError(
             f"image {image.pixels.shape[1]}x{image.pixels.shape[0]} smaller "
             f"than required crop edge {edge}"
         )
-    x = (image.pixels.shape[1] - edge) // 2
-    y = (image.pixels.shape[0] - edge) // 2
-    return crop_patch(image, (x, y), edge)
+    return crop_patch(image, center_origin(image, edge), edge)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import DataError, LabeledImage, crop_patch, csv_rows
+from .data import DataError, LabeledImage, center_origin, crop_patch, csv_rows
 from .layers import ShapeError, _forward, _stage_forward, _stage_params
 from .metrics import VerificationReport
 from .pyramid import PyramidModel
@@ -40,27 +40,21 @@ class FeatureVector:
             raise DataError(f"non-finite feature values for {self.image_id}")
 
 
-def _raw_edge(model: PyramidModel, level: int) -> int:
-    """Raw-image patch edge that feeds `level`: the level's input edge,
-    enlarged when the spec trains networks at nonzero offsets."""
-    spec = model.spec
-    return spec.inverse_edge(spec.base_input + spec.max_offset(), level)
-
-
 def _level_outputs(model: PyramidModel, images: Sequence[LabeledImage],
                    level: int, origins: Sequence[tuple[int, int]],
-                   normalize: bool) -> np.ndarray:
-    """Every network's output at one level for a batch of images.
+                   normalize: bool, networks: int | None = None) -> np.ndarray:
+    """The outputs of one level's first `networks` networks (all of them
+    by default) for a batch of images.
 
-    Row i joins, in network order, the outputs for the edge-`_raw_edge`
-    patch of images[i] at origins[i].  The patches go together through the
-    frozen stages below the level and are handed to each of the level's
-    networks at its own training offset, on the forward-only kernel, so
+    Row i joins, in network order, the outputs for the edge
+    `spec.patch_edge(level)` patch of images[i] at origins[i].  The patches
+    go together through the frozen stages below the level and are handed to
+    each network at its own training offset, on the forward-only kernel, so
     each row is bit-equal to the assembled deep network run on the
     matching sub-crop of that image alone.
     """
     spec = model.spec
-    raw_edge = _raw_edge(model, level)
+    raw_edge = spec.patch_edge(level)
     x = np.stack([crop_patch(image, origin, raw_edge).array
                   for image, origin in zip(images, origins)])
     for stage in model.stages[:level]:
@@ -72,7 +66,7 @@ def _level_outputs(model: PyramidModel, images: Sequence[LabeledImage],
                            stage.conv.bias.array, stage.pool.window)
     outputs = []
     edge = spec.base_input
-    for k, net in enumerate(model.level_networks[level]):
+    for k, net in enumerate(model.level_networks[level][:networks]):
         ox, oy = spec.patch_offsets[k]
         vec = _forward(_stage_params(net), net.head.weights.array,
                        net.head.bias.array,
@@ -96,12 +90,10 @@ def extract_representations(model: PyramidModel,
     if not images:
         return []
     top = model.spec.levels - 1
-    edge = _raw_edge(model, top)
-    origins = [((image.pixels.shape[1] - edge) // 2,
-                (image.pixels.shape[0] - edge) // 2) for image in images]
-    rows = _level_outputs(model, images, top, origins, normalize)
-    dim = model.spec.output_dim
-    return [FeatureVector(row[:dim], image.source or str(image.identity),
+    edge = model.spec.patch_edge(top)
+    origins = [center_origin(image, edge) for image in images]
+    rows = _level_outputs(model, images, top, origins, normalize, networks=1)
+    return [FeatureVector(row, image.source or str(image.identity),
                           "single-top") for image, row in zip(images, rows)]
 
 
@@ -132,7 +124,7 @@ def concat_landmark_features(models: Sequence[PyramidModel],
     for i, model in enumerate(models):
         lx, ly = image.landmarks[i]
         for level in range(model.spec.levels):
-            half = _raw_edge(model, level) // 2
+            half = model.spec.patch_edge(level) // 2
             origin = (int(round(lx)) - half, int(round(ly)) - half)
             try:
                 parts.append(_level_outputs(model, [image], level, [origin],

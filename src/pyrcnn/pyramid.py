@@ -150,10 +150,15 @@ class PyramidSpec:
     def max_offset(self) -> int:
         return max(max(ox, oy) for ox, oy in self.patch_offsets)
 
+    def patch_edge(self, level: int) -> int:
+        """Raw-image edge of the patch that feeds `level`: its assembled
+        input edge, widened so every network's offset window fits."""
+        return self.inverse_edge(self.base_input + self.max_offset(), level)
+
     def data_edge(self, level: int) -> int:
-        """Edge of the (level-times preprocessed) training data grid."""
-        top = self.base_input + self.max_offset()
-        return self.inverse_edge(top, self.levels - 1 - level)
+        """Edge of the (level-times preprocessed) training data grid: the
+        top level's patch, `level` stages up."""
+        return self.patch_edge(self.levels - 1 - level)
 
     def raw_data_edge(self) -> int:
         return self.data_edge(0)
@@ -309,8 +314,10 @@ def _momentum_step(theta: np.ndarray, velocity: np.ndarray, grad: np.ndarray,
 # training
 
 
-# Validation runs after every `_VALIDATE_EVERY`-th step and after the last.
+# Validation runs after every `_VALIDATE_EVERY`-th step and after the last,
+# on `_VAL_PAIRS` pairs drawn once per `greedy_train` call.
 _VALIDATE_EVERY = 10
+_VAL_PAIRS = 128
 
 
 @dataclass
@@ -531,8 +538,7 @@ def _validation_auc(params, net: Network, offset: tuple[int, int],
 
 
 def greedy_train(model: PyramidModel, dataset: Sequence[LabeledImage],
-                 cfg: TrainConfig,
-                 val_pair_count: int = 128) -> list[LevelTrace]:
+                 cfg: TrainConfig) -> list[LevelTrace]:
     """Level-by-level training: train, freeze the entry stage, push the
     dataset through it, ascend.  Returns one trace per trained level.
 
@@ -571,7 +577,7 @@ def greedy_train(model: PyramidModel, dataset: Sequence[LabeledImage],
 
     try:
         val_pairs = PairSampler(val_ids, make_rng(cfg.seed, "val-pairs")) \
-            .batch(val_pair_count)
+            .batch(_VAL_PAIRS)
     except DataError:  # validation side too small for pairs: NaN AUCs
         val_pairs = val_imgs = None
 

@@ -1,0 +1,77 @@
+"""tools/bench_pairs.py: seed ranges, run summaries and pairwise wins."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def run(**values):
+    """One successful run's result with the given metric values."""
+    return {"metrics": {name: {"value": v} for name, v in values.items()}}
+
+
+def test_parse_seeds_expands_ranges_and_single_seeds():
+    assert bench_pairs.parse_seeds("1-4,9") == [1, 2, 3, 4, 9]
+    assert bench_pairs.parse_seeds("7") == [7]
+
+
+def test_summary_of_no_values():
+    assert bench_pairs.summary([]) == {"n": 0}
+
+
+def test_summary_of_one_value_is_its_own_quartiles():
+    assert bench_pairs.summary([2.5]) == {"n": 1, "median": 2.5, "q1": 2.5,
+                                          "q3": 2.5}
+
+
+def test_summary_of_several_values():
+    assert bench_pairs.summary([5.0, 1.0, 4.0, 2.0, 3.0]) == {
+        "n": 5, "median": 3.0, "q1": 2.0, "q3": 4.0}
+
+
+DECLARED = [{"name": "t", "unit": "s", "better": "lower", "bound": 0.25},
+            {"name": "r", "unit": "pairs/s", "better": "higher"}]
+
+
+def test_compare_counts_wins_by_direction_skipping_ties_and_errors():
+    runs = {
+        "parent": [run(t=1.0, r=10.0), run(t=2.0, r=20.0),
+                   {"error": "exit 1"}, run(t=3.0, r=30.0),
+                   run(t=4.0, r=40.0)],
+        "change": [run(t=0.5, r=5.0), run(t=2.0, r=20.0),
+                   run(t=1.0, r=10.0), {"error": "exit 1"},
+                   run(t=5.0, r=50.0)],
+    }
+    out = bench_pairs.compare(runs, DECLARED)
+
+    lower = out["t"]
+    # pair 0: change lower (a win); pair 1: tie (neither side); pairs 2 and
+    # 3: one side errored (skipped); pair 4: change higher (a loss)
+    assert (lower["pairs"], lower["change_wins"]) == (3, 1)
+    assert (lower["unit"], lower["better"], lower["bound"]) == ("s", "lower",
+                                                                0.25)
+    assert lower["parent"]["runs"] == [1.0, 2.0, None, 3.0, 4.0]
+    assert lower["change"]["runs"] == [0.5, 2.0, 1.0, None, 5.0]
+    assert lower["parent"]["n"] == lower["change"]["n"] == 4
+    assert lower["parent"]["median"] == 2.5
+    assert lower["change"]["median"] == 1.5
+    assert lower["change_over_parent"] == pytest.approx(0.6)
+
+    higher = out["r"]
+    # the same shape the other way up: only pair 4 is a win
+    assert (higher["pairs"], higher["change_wins"]) == (3, 1)
+    assert higher["bound"] is None
+
+
+def test_compare_without_a_successful_run_on_one_side():
+    runs = {"parent": [{"error": "boom"}], "change": [run(t=1.0, r=1.0)]}
+    out = bench_pairs.compare(runs, DECLARED)["t"]
+    assert (out["pairs"], out["change_wins"]) == (0, 0)
+    assert out["parent"] == {"n": 0, "runs": [None]}
+    assert "change_over_parent" not in out

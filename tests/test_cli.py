@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import pyrcnn
-from pyrcnn import cli, layers, read_features
-from pyrcnn.cli import main
+from pyrcnn import (NuisanceConfig, PyramidSpec, StageSpec, TrainConfig, cli,
+                    layers, read_features)
+from pyrcnn.cli import load_config, main
 
 
 def write_config(dirpath, **overrides):
@@ -317,6 +318,51 @@ def test_config_value_is_checked_not_coerced(tmp_path, capsys, block, key,
     err = error_of(capsys, ["synth", "--config", str(cfg)])
     assert err.startswith(f"error: {cfg}: bad config value ({block}.{key} "
                           f"must be {kind}, got {value!r})")
+
+
+@pytest.mark.parametrize("pyramid, where, value", [
+    ({"shared": {"kernel": "5"}}, "pyramid.shared.kernel", "'5'"),
+    ({"template": [{"channels": 4.0}]}, "pyramid.template.channels", "4.0"),
+])
+def test_stage_value_is_checked_under_its_nested_key(tmp_path, capsys,
+                                                     pyramid, where, value):
+    cfg = write_config(tmp_path, pyramid=pyramid)
+    err = error_of(capsys, ["synth", "--config", str(cfg)])
+    assert err.startswith(f"error: {cfg}: bad config value ({where} must be "
+                          f"an integer, got {value})")
+
+
+def test_partial_stage_block_keeps_that_stages_defaults(tmp_path):
+    """A stage block sets only the fields it names: a partial `shared`
+    keeps the shared stage's 8 channels, not the template stage's 16."""
+    cfg = write_config(tmp_path, pyramid={"shared": {"kernel": 5},
+                                          "template": [{"channels": 4}]})
+    spec = load_config(cfg).pyramid
+    assert spec.shared == StageSpec(kernel=5, channels=8, pool=2)
+    assert spec.template == (StageSpec(kernel=3, channels=4, pool=2),)
+
+
+def test_config_without_blocks_loads_the_dataclass_defaults(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"seed": 3, "output_dir": "out"}),
+                    encoding="utf-8")
+    cfg = load_config(path)
+    assert cfg.pyramid == PyramidSpec(levels=3)
+    assert cfg.train == TrainConfig(seed=3)
+    assert cfg.data["nuisance"] == NuisanceConfig()
+    assert load_config(path, seed_override=9).train == TrainConfig(seed=9)
+
+
+@pytest.mark.parametrize("scheme, message", [
+    ("pca", "unsupported extraction scheme 'pca'"),
+    (5, "bad config value (extraction.scheme must be a string, got 5)"),
+])
+def test_extraction_scheme_is_checked_at_load(tmp_path, capsys, scheme,
+                                              message):
+    cfg = write_config(tmp_path, extraction={"scheme": scheme})
+    err = error_of(capsys, ["synth", "--config", str(cfg)])
+    assert message in err
+    assert not (tmp_path / "gallery").exists()
 
 
 def test_config_block_that_is_not_an_object(tmp_path, capsys):
