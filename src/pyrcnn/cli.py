@@ -207,7 +207,7 @@ def _run_config(raw: dict, base: Path, seed) -> RunConfig:
                 for key in _NUISANCE if key in given["data"]}
     return RunConfig(
         seed=seed,
-        output_dir=(base / raw["output_dir"]),
+        output_dir=base / _str(raw["output_dir"], "output_dir"),
         base_dir=base,
         data={"dir": None, "n_identities": 48, "images_per_identity": 12,
               "edge": 76, "holdout_fraction": 1 / 3, **given["data"],

@@ -496,13 +496,21 @@ def center_origin(image: LabeledImage, edge: int) -> tuple[int, int]:
             (image.pixels.shape[0] - edge) // 2)
 
 
-def center_crop(image: LabeledImage, edge: int) -> Tensor:
+def center_window(image: LabeledImage, edge: int) -> np.ndarray:
+    """The edge-`edge` square centred in `image`, as a read-only view of
+    its pixels (no copy)."""
     if edge > min(image.pixels.shape[0], image.pixels.shape[1]):
         raise TensorError(
             f"image {image.pixels.shape[1]}x{image.pixels.shape[0]} smaller "
             f"than required crop edge {edge}"
         )
-    return crop_patch(image, center_origin(image, edge), edge)
+    x, y = center_origin(image, edge)
+    return image.pixels.array[y:y + edge, x:x + edge]
+
+
+def center_crop(image: LabeledImage, edge: int) -> Tensor:
+    """A copy of `center_window`."""
+    return Tensor.from_array(center_window(image, edge))
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,22 @@ def read_features(path) -> dict[str, np.ndarray]:
     return out
 
 
+# ROC rows formatted and written per block: bounds the report's text in
+# memory at any curve length
+_REPORT_ROWS = 1 << 14
+
+
+def _run_reprs(values: np.ndarray) -> list[str]:
+    """repr() of each value, computed once per run of equal neighbours.
+    Runs are of equal bits, so -0.0 and NaN keep their own text.  The FPR
+    and TPR columns are monotone, and most TPRs repeat the one before."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits = values.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    texts = np.array([repr(v) for v in values[starts].tolist()], dtype=object)
+    return np.repeat(texts, np.diff(starts, append=values.size)).tolist()
+
+
 def write_report(path, report: VerificationReport) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -198,9 +214,14 @@ def write_report(path, report: VerificationReport) -> None:
             writer.writerow([f"achieved_fpr@fpr={tag}", repr(achieved)])
         writer.writerow(["roc_points"])
         writer.writerow(["threshold", "fpr", "tpr"])
-        # the rows csv.writer would write: a float's repr needs no quoting
+        # the rows csv.writer would write (a float's repr needs no
+        # quoting), `_REPORT_ROWS` at a time
         curve = report.curve
-        fh.write("".join(
-            f"{t!r},{f!r},{r!r}\r\n" for t, f, r in zip(
-                curve.thresholds.tolist(), curve.fprs.tolist(),
-                curve.tprs.tolist())))
+        for i in range(0, len(curve.thresholds), _REPORT_ROWS):
+            rows = slice(i, i + _REPORT_ROWS)
+            fh.write("".join(
+                f"{t!r},{f},{r}\r\n" for t, f, r in zip(
+                    curve.thresholds[rows].tolist(),
+                    _run_reprs(curve.fprs[rows]),
+                    _run_reprs(curve.tprs[rows]))))
+

@@ -4,9 +4,9 @@ The model is a ladder of levels.  Every level trains the same-shaped
 subnetwork on small patches: an entry conv+pool stage, the level-invariant
 template stack, and an FC head.  A level's entry stage is a single object
 aliased into all of that level's networks; when the level finishes, the
-stage is frozen and becomes the filter-and-down-sample preprocessor through
-which the whole dataset flows before the next level trains.  The entry
-stage of the final level is trained like any other but never consumed.
+stage is frozen and becomes a filter-and-down-sample preprocessor for the
+levels above it.  The entry stage of the final level is trained like any
+other but never consumed.
 
 Training a level therefore always updates the same set of parameter
 blocks — one entry stage, one template stack + head + comparator per
@@ -14,9 +14,16 @@ network — no matter how high the level sits, while the *assembled* network
 for level l (frozen stages 0..l-1 plus level l's subnetwork) grows deeper
 and sees exponentially larger input patches.
 
-Each level's image set is one (n, h, w, c) array, and
-`preprocess_dataset` pushes it through a frozen stage a memory slab at a
-time into one preallocated output.
+Each level holds and trains on only the region its networks read: the
+top-left corner of its grid that spans every network offset, an edge
+`base_input + max_offset` square.  `greedy_train` takes, for level l, the
+`patch_edge(l)` top-left corner of each image's center crop, as a view of
+the image's own pixels, and `preprocess_dataset` pushes those corners
+through the frozen stages 0..l-1 a memory slab of images at a time into one
+preallocated (n, e, e, c) array; neither a copy of the raw gallery nor a
+full-size grid of a lower level is kept.  Each row is bit-equal to the
+stages run on that image alone, so the corner holds the same bits as the
+matching region of a whole crop's grid.
 
 Greedy levels and the monolithic baseline train through one Siamese loop
 (`_siamese_fit`): the same pair loss, momentum SGD and pair stream.  A
@@ -47,7 +54,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import (DataError, FacePair, LabeledImage, PairBatch,
-                   PairSampler, center_crop, split_identity_ids)
+                   PairSampler, center_window, split_identity_ids)
 from .layers import (ConvLayer, FCLayer, Network, PoolSpec, _backward_cached,
                      _forward, _forward_cached, _images_per_slab, _slab,
                      _stage_forward)
@@ -155,13 +162,9 @@ class PyramidSpec:
         input edge, widened so every network's offset window fits."""
         return self.inverse_edge(self.base_input + self.max_offset(), level)
 
-    def data_edge(self, level: int) -> int:
-        """Edge of the (level-times preprocessed) training data grid: the
-        top level's patch, `level` stages up."""
-        return self.patch_edge(self.levels - 1 - level)
-
     def raw_data_edge(self) -> int:
-        return self.data_edge(0)
+        """Edge of the center crop every level's patch is taken from."""
+        return self.patch_edge(self.levels - 1)
 
 
 @dataclass
@@ -274,26 +277,45 @@ def assemble_network(model: PyramidModel, level: int, which: int) -> Network:
                    in_channels=1)
 
 
-def preprocess_dataset(images: np.ndarray, stage: SharedStage) -> np.ndarray:
-    """Push an (n, h, w, c) image array through one frozen stage (Algorithm
-    step: filter and down-sample the whole dataset), a memory slab at a
-    time; row i of the result is bit-equal to the stage on image i alone."""
-    if not stage.frozen:
-        raise PyramidError("preprocess_dataset requires a frozen stage")
-    w, b = stage.conv.weights.array, stage.conv.bias.array
-    s = stage.pool.window
-    kh, kw, c_in, c_out = w.shape
-    shape = np.shape(images)
-    oh, ow = (shape[1] - kh + 1, shape[2] - kw + 1) if len(shape) == 4 \
-        else (0, 0)
-    if min(oh, ow) < 1 or oh % s or ow % s or shape[3] != c_in:
-        raise PyramidError(f"images of shape {shape} do not fit an "
-                           f"(n, h, w, {c_in}) input to a {kh}x{kw} stage "
-                           f"with pool {s}")
-    out = np.empty((len(images), oh // s, ow // s, c_out))
-    step = _slab(oh * ow * c_out)
+def preprocess_dataset(images, *stages: SharedStage) -> np.ndarray:
+    """Push n images, an (n, h, w, c) array or a sequence of (h, w, c)
+    arrays, through the frozen `stages` in order (Algorithm step: filter
+    and down-sample the dataset), a memory slab of images at a time, into
+    one preallocated (n, h', w', c') output; no stage's output for the
+    whole set is ever formed.  Row i is bit-equal to the stages on image i
+    alone; with no stages it is a copy of the images."""
+    if not all(stage.frozen for stage in stages):
+        raise PyramidError("preprocess_dataset requires frozen stages")
+    shapes = {np.shape(image) for image in images}
+    if len(shapes) != 1:
+        raise PyramidError("no images to preprocess" if not shapes else
+                           f"images of {len(shapes)} different shapes; "
+                           f"need one (h, w, c) shape")
+    (item,) = shapes
+    shape = (len(images), *item)
+    if len(item) != 3:
+        raise PyramidError(f"images of shape {shape} are not (n, h, w, c)")
+    h, w, c = item
+    largest = h * w * c  # elements per image of the largest map in a slab
+    for k, stage in enumerate(stages):
+        kh, kw, c_in, c_out = stage.conv.weights.shape
+        s = stage.pool.window
+        oh, ow = h - kh + 1, w - kw + 1
+        if min(oh, ow) < 1 or oh % s or ow % s or c != c_in:
+            raise PyramidError(
+                f"images of shape {shape} do not fit stage {k}: its input "
+                f"is ({h}, {w}, {c}), not an (h, w, {c_in}) input to a "
+                f"{kh}x{kw} conv with pool {s}")
+        largest = max(largest, oh * ow * c_out)
+        h, w, c = oh // s, ow // s, c_out
+    out = np.empty((len(images), h, w, c))
+    step = _slab(largest)
     for i in range(0, len(images), step):
-        out[i:i + step] = _stage_forward(images[i:i + step], w, b, s)
+        x = np.asarray(images[i:i + step])  # one slab, stacked
+        for stage in stages:
+            x = _stage_forward(x, stage.conv.weights.array,
+                               stage.conv.bias.array, stage.pool.window)
+        out[i:i + step] = x
     return out
 
 
@@ -539,8 +561,10 @@ def _validation_auc(params, net: Network, offset: tuple[int, int],
 
 def greedy_train(model: PyramidModel, dataset: Sequence[LabeledImage],
                  cfg: TrainConfig) -> list[LevelTrace]:
-    """Level-by-level training: train, freeze the entry stage, push the
-    dataset through it, ascend.  Returns one trace per trained level.
+    """Level-by-level training: train, freeze the entry stage, ascend.
+    Level l trains on the `patch_edge(l)` top-left corner of each image's
+    center crop, pushed through the frozen stages below it.  Returns one
+    trace per trained level.
 
     The dataset is split by identity into fit/validation parts; every
     level's pair stream and the validation pair set derive from cfg.seed
@@ -564,36 +588,38 @@ def greedy_train(model: PyramidModel, dataset: Sequence[LabeledImage],
     except DataError as exc:
         raise PyramidError(f"cannot split dataset: {exc}") from exc
 
+    # views of the images' center crops, never copied: each level reads
+    # the top-left corner of its own edge
     raw_edge = spec.raw_data_edge()
-    is_fit = [ident in fit_ids_set for ident in identities]
-    fit_imgs = np.empty((sum(is_fit), raw_edge, raw_edge, 1))
-    val_imgs = np.empty((len(dataset) - len(fit_imgs), raw_edge, raw_edge, 1))
-    fit_ids, val_ids = [], []
-    for img, fit in zip(dataset, is_fit):
-        ids = fit_ids if fit else val_ids
-        (fit_imgs if fit else val_imgs)[len(ids)] = \
-            center_crop(img, raw_edge).array
-        ids.append(img.identity)
+    fit_crops, val_crops, fit_ids, val_ids = [], [], [], []
+    for img in dataset:
+        fit = img.identity in fit_ids_set
+        (fit_crops if fit else val_crops).append(
+            center_window(img, raw_edge))
+        (fit_ids if fit else val_ids).append(img.identity)
 
     try:
         val_pairs = PairSampler(val_ids, make_rng(cfg.seed, "val-pairs")) \
             .batch(_VAL_PAIRS)
     except DataError:  # validation side too small for pairs: NaN AUCs
-        val_pairs = val_imgs = None
+        val_pairs = val_crops = None
 
-    traces, below = [], 0
+    def level_images(crops, level):
+        """Each crop's `patch_edge(level)` top-left corner, the region the
+        level's networks read, through the frozen stages below `level`."""
+        edge = spec.patch_edge(level)
+        return preprocess_dataset([c[:edge, :edge] for c in crops],
+                                  *model.stages[:level])
+
+    traces = []
     for level in range(start, spec.levels):
-        # push the data through the stages frozen since the last level (on
-        # resume, through the whole frozen prefix)
-        for stage in model.stages[below:level]:
-            fit_imgs = preprocess_dataset(fit_imgs, stage)
-            if val_imgs is not None:
-                val_imgs = preprocess_dataset(val_imgs, stage)
-        below = level
         sampler = PairSampler(fit_ids, make_rng(cfg.seed,
                                                 f"pairs-level{level}"))
-        traces.append(train_level(model, level, fit_imgs, sampler, cfg,
-                                  val_images=val_imgs, val_pairs=val_pairs))
+        traces.append(train_level(
+            model, level, level_images(fit_crops, level), sampler, cfg,
+            val_images=(None if val_crops is None
+                        else level_images(val_crops, level)),
+            val_pairs=val_pairs))
         model.levels_trained = level + 1
         if level < spec.levels - 1:
             model.stages[level].conv.frozen = True

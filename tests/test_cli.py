@@ -272,6 +272,14 @@ def test_config_requires_seed_and_output_dir(tmp_path, capsys):
     assert "requires 'seed' and 'output_dir'" in err
 
 
+@pytest.mark.parametrize("output_dir", [5, ["out"], None])
+def test_output_dir_must_be_a_string(tmp_path, capsys, output_dir):
+    cfg = write_config(tmp_path, output_dir=output_dir)
+    err = error_of(capsys, ["synth", "--config", str(cfg)])
+    assert err.startswith(f"error: {cfg}: bad config value (output_dir must "
+                          f"be a string, got {output_dir!r})")
+
+
 @pytest.mark.parametrize("n_pairs", [-5, 0])
 def test_eval_pair_count_must_be_positive(pipeline, tmp_path, capsys, n_pairs):
     cfg = write_config(tmp_path, evaluation={"n_pairs": n_pairs})
@@ -375,6 +383,22 @@ def test_synth_requires_data_dir(tmp_path, capsys):
     cfg = write_config(tmp_path, data={"n_identities": 4})
     err = error_of(capsys, ["synth", "--config", str(cfg)])
     assert "needs a 'dir' entry" in err
+
+
+def test_train_on_images_smaller_than_the_raw_edge(tmp_path, capsys):
+    """A 3-level pyramid whose networks sit at offsets up to 6 needs 100-px
+    crops; a 90-px gallery ends the run with an error, not a traceback or
+    a model."""
+    cfg = write_config(
+        tmp_path, data={"dir": "gallery", "n_identities": 4,
+                        "images_per_identity": 3, "edge": 90},
+        pyramid={"levels": 3, "networks_per_level": 4,
+                 "patch_offsets": [[0, 0], [0, 6], [6, 0], [6, 6]]})
+    assert main(["synth", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    err = error_of(capsys, ["train", "--config", str(cfg)])
+    assert err == "error: image 90x90 smaller than required crop edge 100\n"
+    assert not (tmp_path / "out" / "model.bin").exists()
 
 
 def test_train_divergence_is_an_error(tmp_path, capsys):

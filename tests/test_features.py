@@ -348,3 +348,34 @@ def test_write_report_roc_rows_are_the_csv_writer_rows(tmp_path):
     text = path.read_bytes().decode("utf-8")
     assert text.endswith(want.getvalue())
     assert text.count("roc_points") == 1
+
+
+def test_write_report_roc_blocks_match_a_per_cell_formatter(tmp_path,
+                                                           monkeypatch):
+    """ROC rows written in blocks, with one repr per run of equal FPR or
+    TPR values, are the bytes of formatting every cell on its own: across
+    block edges, and for runs of -0.0 next to 0.0 and of NaN."""
+    import dataclasses
+
+    import pyrcnn.features as features
+    from pyrcnn.metrics import RocCurve
+
+    rng = np.random.default_rng(5)
+    # few distinct matched distances: long runs of equal TPRs
+    matched = rng.choice([0.5, 1.0, 1.5, 2.0], 200)
+    unmatched = rng.uniform(0.0, 3.0, 60)
+    report = evaluate_distances(matched, unmatched)
+    assert len(np.unique(report.curve.tprs)) < len(report.curve.tprs) // 4
+    signed = dataclasses.replace(report, curve=RocCurve(
+        np.arange(6.0), np.array([-0.0, -0.0, 0.0, 0.0, np.nan, np.nan]),
+        np.array([0.0, -0.0, -0.0, np.nan, np.nan, 1.0])))
+    monkeypatch.setattr(features, "_REPORT_ROWS", 7)
+    for rep in (report, signed):
+        path = tmp_path / "report.csv"
+        write_report(path, rep)
+        curve = rep.curve
+        want = "".join(f"{t!r},{f!r},{r!r}\r\n" for t, f, r in zip(
+            curve.thresholds.tolist(), curve.fprs.tolist(),
+            curve.tprs.tolist()))
+        text = path.read_bytes().decode("utf-8")
+        assert text.endswith("threshold,fpr,tpr\r\n" + want)

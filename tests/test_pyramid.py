@@ -1,11 +1,14 @@
 """Pyramid construction, greedy level-wise training, and serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pyrcnn import (ComparatorParams, ConvLayer, FacePair, FCLayer,
-                    PairLabel, PairSampler, PoolSpec, PyramidError,
-                    PyramidSpec, SharedStage, StageSpec, Tensor, TrainConfig,
+                    LabeledImage, PairLabel, PairSampler, PoolSpec,
+                    PyramidError, PyramidSpec, SharedStage, StageSpec,
+                    Tensor, TrainConfig,
                     assemble_network, build_monolithic, build_pyramid,
                     center_crop, comparator, distance, greedy_train,
                     layer_forward, load_model, Network, network_backward,
@@ -75,12 +78,12 @@ def test_spec_default_edges_exact():
 
 def test_spec_data_edges_follow_offsets():
     spec = PyramidSpec(levels=3)
-    assert [spec.data_edge(l) for l in range(3)] == [76, 36, 16]
+    assert [spec.patch_edge(l) for l in range(3)] == [16, 36, 76]
     assert spec.raw_data_edge() == 76
     shifted = PyramidSpec(levels=2, networks_per_level=2,
                           patch_offsets=((0, 0), (6, 6)))
     assert shifted.max_offset() == 6
-    assert shifted.data_edge(1) == 22
+    assert shifted.patch_edge(0) == 22
     assert shifted.raw_data_edge() == 48
 
 
@@ -213,6 +216,32 @@ def test_preprocess_composes_like_chained_stages():
         want = layer_forward(layer_forward(img, conv0, PoolSpec(2)),
                              conv1, PoolSpec(2))
         assert got.tobytes() == want.array.tobytes()
+    # one call through both stages, on an array or a list of views
+    assert preprocess_dataset(stack(images), s0, s1).tobytes() == \
+        once.tobytes()
+    assert preprocess_dataset([t.array for t in images], s0, s1).tobytes() \
+        == once.tobytes()
+    # no stages: a copy of the images
+    assert preprocess_dataset([t.array for t in images]).tobytes() == \
+        stack(images).tobytes()
+
+
+def test_preprocess_of_a_corner_is_the_corner_of_the_grid():
+    """The stages on the top-left 36-px corner of 76-px crops give the
+    bits of the top-left 16-px corner of the crops' own grids: what lets a
+    greedy level hold only the region its networks read."""
+    rng = np.random.default_rng(13)
+    conv0 = ConvLayer.initialize(5, 1, 8, rng)
+    conv1 = ConvLayer.initialize(5, 8, 8, rng)
+    conv0.frozen = conv1.frozen = True
+    s0, s1 = SharedStage(conv0, PoolSpec(2)), SharedStage(conv1, PoolSpec(2))
+    crops = stack(random_patches(rng, 5, 76))
+    level1 = preprocess_dataset(crops, s0)
+    corner = preprocess_dataset([c[:36, :36] for c in crops], s0)
+    assert corner.tobytes() == \
+        np.ascontiguousarray(level1[:, :16, :16]).tobytes()
+    level2 = preprocess_dataset(level1, s1)
+    assert preprocess_dataset(crops, s0, s1).tobytes() == level2.tobytes()
 
 
 def test_preprocess_is_independent_of_slab_size(monkeypatch):
@@ -227,6 +256,8 @@ def test_preprocess_is_independent_of_slab_size(monkeypatch):
     whole = preprocess_dataset(images, stage)
     monkeypatch.setattr(layers, "_SLAB_ELEMENTS", 2 * 28 * 28 * 4)
     assert preprocess_dataset(images, stage).tobytes() == whole.tobytes()
+    assert preprocess_dataset(list(images), stage).tobytes() == \
+        whole.tobytes()
 
 
 def test_preprocess_rejects_mis_shaped_array():
@@ -241,6 +272,12 @@ def test_preprocess_rejects_mis_shaped_array():
         with pytest.raises(PyramidError) as err:
             preprocess_dataset(rng.uniform(0.0, 1.0, shape), stage)
         assert str(shape) in str(err.value)
+    mixed = [rng.uniform(0.0, 1.0, (32, 32, 1)),
+             rng.uniform(0.0, 1.0, (36, 36, 1))]
+    with pytest.raises(PyramidError, match="2 different shapes"):
+        preprocess_dataset(mixed, stage)
+    with pytest.raises(PyramidError, match="no images"):
+        preprocess_dataset([], stage)
 
 
 def test_two_path_equivalence_after_training_level_zero():
@@ -644,6 +681,58 @@ def test_greedy_deterministic_end_to_end(tmp_path):
     greedy_train(b, dataset, small_cfg(34))
     assert model_bytes(a, tmp_path, "a.bin") == \
         model_bytes(b, tmp_path, "b.bin")
+
+
+def test_greedy_corners_train_like_full_grids(tmp_path):
+    """greedy_train, which holds each level's corner of the crops, writes
+    the model that training every level on whole crops and whole grids
+    writes."""
+    spec, dataset = make_gallery(tmp_path, seed=36)
+    cfg = small_cfg(36)
+    auto = build_pyramid(spec, seed=36)
+    auto_traces = greedy_train(auto, dataset, cfg)
+
+    manual = build_pyramid(spec, seed=36)
+    fit_set, _ = split_identity_ids([img.identity for img in dataset],
+                                    cfg.validation_fraction,
+                                    derive_seed(cfg.seed, "val-split"))
+    grids = stack([center_crop(img, spec.raw_data_edge())
+                   for img in dataset if img.identity in fit_set])
+    fit_ids = [img.identity for img in dataset if img.identity in fit_set]
+    for level in range(spec.levels):
+        if level:
+            manual.stages[level - 1].conv.frozen = True
+            grids = preprocess_dataset(grids, manual.stages[level - 1])
+        sampler = PairSampler(fit_ids, make_rng(cfg.seed,
+                                                f"pairs-level{level}"))
+        trace = train_level(manual, level, grids, sampler, cfg)
+        assert trace.losses == auto_traces[level].losses
+    manual.levels_trained = spec.levels
+    assert model_bytes(auto, tmp_path, "auto.bin") == \
+        model_bytes(manual, tmp_path, "manual.bin")
+
+
+def test_greedy_train_holds_less_than_the_gallery():
+    """greedy_train keeps no copy of the raw crops and no full-size grid of
+    a lower level: the peak of what it allocates stays below the gallery's
+    own pixel bytes (a copy of the crops alone would reach them)."""
+    spec = PyramidSpec(levels=3)
+    edge = spec.raw_data_edge()
+    rng = np.random.default_rng(37)
+    dataset = [LabeledImage(tensor(rng.uniform(0.0, 1.0, (edge, edge, 1))),
+                            identity=i // 10) for i in range(320)]
+    pixel_bytes = sum(img.pixels.array.nbytes for img in dataset)
+    model = build_pyramid(spec, seed=37)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        greedy_train(model, dataset,
+                     TrainConfig(iterations_per_level=2, seed=37))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.levels_trained == 3
+    assert peak - start < pixel_bytes
 
 
 def test_greedy_rejects_empty_or_inconsistent(tmp_path):
