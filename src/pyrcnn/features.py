@@ -1,11 +1,11 @@
 """Representation extraction and the feature/report file formats.
 
-The default "single-top" scheme takes the top level's network 0 output on
-the center crop that training uses (`data.center_crop`), for a whole batch
-of images in one forward-only pass; the landmark scheme builds one pyramid
-per landmark, crops a patch around each landmark at every level's input
-edge, and concatenates all levels' and networks' outputs (landmark-major,
-then level ascending, then network index) into one long vector.
+"single-top", the only extraction scheme, takes the top level's network 0
+output on the center crop that training uses (`data.center_crop`), for a
+whole batch of images in one forward-only pass.  `concat_landmark_features`,
+a library function no config selects, takes one pyramid per landmark, a
+patch around each landmark at every level's input edge, and joins all
+outputs (landmark-major, then level, then network) into one vector.
 
 Feature files are CSV rows ``image_path,dim,v1,...,vdim`` with full-precision
 repr() floats so a rerun is byte-identical.  Report files hold metric
@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import DataError, LabeledImage, center_origin, crop_patch, csv_rows
-from .layers import ShapeError, _forward, _stage_forward, _stage_params
+from .layers import ShapeError, _forward, _net_params, _stage_forward
 from .metrics import VerificationReport
 from .pyramid import PyramidModel
 
@@ -62,15 +62,13 @@ def _level_outputs(model: PyramidModel, images: Sequence[LabeledImage],
             raise ShapeError(
                 f"cannot extract level {level}: lower stages not frozen"
             )
-        x = _stage_forward(x, stage.conv.weights.array,
-                           stage.conv.bias.array, stage.pool.window)
+        x = _stage_forward(x, stage.conv.weights, stage.conv.bias,
+                           stage.pool.window)
     outputs = []
     edge = spec.base_input
     for k, net in enumerate(model.level_networks[level][:networks]):
         ox, oy = spec.patch_offsets[k]
-        vec = _forward(_stage_params(net), net.head.weights.array,
-                       net.head.bias.array,
-                       x[:, oy:oy + edge, ox:ox + edge, :])
+        vec = _forward(*_net_params(net), x[:, oy:oy + edge, ox:ox + edge, :])
         if normalize:
             norm = np.sqrt(np.sum(vec * vec, axis=1, keepdims=True))
             vec = np.divide(vec, norm, out=vec, where=norm > 0.0)
@@ -150,7 +148,7 @@ def write_features(path, features: Sequence[FeatureVector]) -> None:
 
 
 def read_features(path) -> dict[str, np.ndarray]:
-    """image_path -> feature vector, validating the declared dimension."""
+    """image_path -> feature vector; each path once, each dim >= 1."""
     out: dict[str, np.ndarray] = {}
     for lineno, row in csv_rows(path):
         if lineno == 1 or not row:
@@ -162,6 +160,11 @@ def read_features(path) -> dict[str, np.ndarray]:
         except ValueError:
             raise DataError(f"{path}:{lineno}: dim {row[1]!r} is not an "
                             f"integer") from None
+        if dim < 1:
+            raise DataError(f"{path}:{lineno}: dim {dim} is below 1")
+        if row[0] in out:
+            raise DataError(f"{path}:{lineno}: image_path {row[0]!r} "
+                            f"repeats an earlier row")
         try:
             values = [float(v) for v in row[2:]]
         except ValueError as exc:

@@ -94,7 +94,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import Tensor, TensorError
+from .tensor import Tensor, TensorError, float_array
 
 
 class ShapeError(TensorError):
@@ -106,11 +106,14 @@ class ShapeError(TensorError):
 
 
 class ConvLayer:
-    """Convolution weights (kh x kw x c_in x c_out) with a per-channel bias."""
+    """Convolution weights (kh x kw x c_in x c_out) with a per-channel bias,
+    float64 copies of its inputs that the layer owns and training updates
+    in place."""
 
     __slots__ = ("weights", "bias", "frozen")
 
-    def __init__(self, weights: Tensor, bias: Tensor, frozen: bool = False):
+    def __init__(self, weights, bias, frozen: bool = False):
+        weights, bias = float_array(weights), float_array(bias)
         if len(weights.shape) != 4:
             raise ShapeError(
                 f"conv weights must be rank 4 (kh, kw, c_in, c_out), "
@@ -144,8 +147,7 @@ class ConvLayer:
         fan_out = kernel * kernel * out_channels
         w = glorot_uniform(rng, (kernel, kernel, in_channels, out_channels),
                            fan_in, fan_out)
-        return cls(Tensor.from_array(w),
-                   Tensor.from_array(np.zeros(out_channels)))
+        return cls(w, np.zeros(out_channels))
 
 
 @dataclass(frozen=True)
@@ -160,11 +162,13 @@ class PoolSpec:
 
 
 class FCLayer:
-    """Fully-connected head: weights (d_in x m), bias (m), linear output."""
+    """Fully-connected head: weights (d_in x m), bias (m), linear output;
+    owned like a `ConvLayer`'s."""
 
     __slots__ = ("weights", "bias", "frozen")
 
-    def __init__(self, weights: Tensor, bias: Tensor, frozen: bool = False):
+    def __init__(self, weights, bias, frozen: bool = False):
+        weights, bias = float_array(weights), float_array(bias)
         if len(weights.shape) != 2:
             raise ShapeError(
                 f"fc weights must be rank 2 (d_in, m), got {weights.shape}"
@@ -190,7 +194,7 @@ class FCLayer:
     def initialize(cls, d_in: int, out_dim: int,
                    rng: np.random.Generator) -> "FCLayer":
         w = glorot_uniform(rng, (d_in, out_dim), d_in, out_dim)
-        return cls(Tensor.from_array(w), Tensor.from_array(np.zeros(out_dim)))
+        return cls(w, np.zeros(out_dim))
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...],
@@ -398,9 +402,11 @@ def _forward(stage_params, head_w, head_b, x: np.ndarray) -> np.ndarray:
     return np.matmul(flat, head_w)[:, 0] + head_b
 
 
-def _stage_params(net: Network) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    return [(conv.weights.array, conv.bias.array, pool.window)
-            for conv, pool in net.stages]
+def _net_params(net: Network):
+    """(stage params, head weights, head bias): the layers' own arrays, in
+    the form `_forward` and `_forward_cached` take."""
+    return ([(conv.weights, conv.bias, pool.window)
+             for conv, pool in net.stages], net.head.weights, net.head.bias)
 
 
 def _forward_cached(stage_params, head_w, head_b, x: np.ndarray):
@@ -475,8 +481,7 @@ def conv_forward(input: Tensor, layer: ConvLayer) -> Tensor:
     """Valid (no padding) true convolution plus per-channel bias."""
     x = input.array
     _check_conv_input(x, input.shape, layer)
-    return Tensor.from_array(_conv_fwd(x[None], layer.weights.array,
-                                       layer.bias.array)[0])
+    return Tensor.from_array(_conv_fwd(x[None], layer.weights, layer.bias)[0])
 
 
 def activation(input: Tensor) -> Tensor:
@@ -501,8 +506,8 @@ def layer_forward(input: Tensor, conv: ConvLayer, spec: PoolSpec) -> Tensor:
     kh, kw = conv.kernel
     _check_pool_extents((x.shape[0] - kh + 1, x.shape[1] - kw + 1),
                         spec.window)
-    return Tensor.from_array(_stage_forward(x[None], conv.weights.array,
-                                            conv.bias.array, spec.window)[0])
+    return Tensor.from_array(_stage_forward(x[None], conv.weights,
+                                            conv.bias, spec.window)[0])
 
 
 def fc_forward(input: Tensor, layer: FCLayer) -> Tensor:
@@ -512,7 +517,7 @@ def fc_forward(input: Tensor, layer: FCLayer) -> Tensor:
         raise ShapeError(
             f"fc expects {layer.d_in} inputs, got {flat.shape[0]}"
         )
-    out = flat[None] @ layer.weights.array + layer.bias.array
+    out = flat[None] @ layer.weights + layer.bias
     return Tensor.from_array(out[0])
 
 
@@ -525,8 +530,7 @@ def network_forward(net: Network, patch: Tensor) -> Tensor:
             f"network expects {net.input_size}x{net.input_size}"
             f"x{net.in_channels} input, got {patch.shape}"
         )
-    out = _forward(_stage_params(net), net.head.weights.array,
-                   net.head.bias.array, x[None])
+    out = _forward(*_net_params(net), x[None])
     return Tensor.from_array(out[0])
 
 
@@ -550,11 +554,10 @@ def network_backward(net: Network, patch: Tensor,
             f"network expects {net.input_size}x{net.input_size}"
             f"x{net.in_channels} input, got {patch.shape}"
         )
-    params = _stage_params(net)
-    _, caches = _forward_cached(params, net.head.weights.array,
-                                net.head.bias.array, x[None])
-    stage_grads, head_grads = _backward_cached(params, net.head.weights.array,
-                                               caches, g_out[None])
+    params, head_w, head_b = _net_params(net)
+    _, caches = _forward_cached(params, head_w, head_b, x[None])
+    stage_grads, head_grads = _backward_cached(params, head_w, caches,
+                                               g_out[None])
     grads: dict[str, np.ndarray] = {}
     for i, ((conv, _), (dw, db)) in enumerate(zip(net.stages, stage_grads)):
         if not conv.frozen:
@@ -623,9 +626,9 @@ def gradient_check(net: Network, patch: Tensor, epsilon: float = 1e-5,
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     u = np.random.default_rng(0x5EED).standard_normal(net.output_dim)
-    params = [(w.copy(), b.copy(), s) for w, b, s in _stage_params(net)]
-    head_w = net.head.weights.array.copy()
-    head_b = net.head.bias.array.copy()
+    params, head_w, head_b = _net_params(net)
+    params = [(w.copy(), b.copy(), s) for w, b, s in params]
+    head_w, head_b = head_w.copy(), head_b.copy()
     x = patch.array[None]
 
     out, caches = _forward_cached(params, head_w, head_b, x)

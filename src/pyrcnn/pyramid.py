@@ -28,19 +28,21 @@ matching region of a whole crop's grid.
 Greedy levels and the monolithic baseline train through one Siamese loop
 (`_siamese_fit`): the same pair loss, momentum SGD and pair stream.  A
 level differs only in that its entry stage is one layer shared by all of
-its networks.  A fit packs every distinct layer's weights and bias, then
-every comparator's (log_alpha, beta), into one flat vector; forward,
-backward and validation read views of it, a momentum step is three
-in-place vector operations, and the vector is published into the layers'
-immutable `Tensor`s once, when the fit ends.  Each step stacks both
-members of every pair into one (n, h, w, c) batch per network, with one
-batched forward and one batched backward call; a batch whose largest
-pre-activation map would not fit the layers' memory slab is walked in pair
-chunks (the whole 32-pair batch at the 16-edge levels, one pair at a time
-at the 76-edge monolith), and each chunk's pairs are scored by one loss
-call.  Validation runs after every `_VALIDATE_EVERY`-th step and after the
-last one, and embeds its images in batches of the same size, on the
-forward-only kernel (`layers._forward`).
+its networks.  Each layer owns its weights and bias as float64 arrays,
+which the fit steps in place, three in-place operations per block;
+forward, backward and validation read the layers themselves.  The
+comparators' (log_alpha, beta) train as one (k, 2) array, written back
+when the fit ends.  A fit that raises, on divergence or otherwise, first
+restores every block it started from, so the model keeps its pre-fit
+values.  Each step stacks both members of every pair into one
+(n, h, w, c) batch per network, with one batched forward and one batched
+backward call; a batch whose largest pre-activation map would not fit the
+layers' memory slab is walked in pair chunks (the whole 32-pair batch at
+the 16-edge levels, one pair at a time at the 76-edge monolith), and each
+chunk's pairs are scored by one loss call.  Validation runs after every
+`_VALIDATE_EVERY`-th step and after the last one, and embeds its images
+in batches of the same size, on the forward-only kernel
+(`layers._forward`).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .data import (DataError, FacePair, LabeledImage, PairBatch,
                    PairSampler, center_window, split_identity_ids)
 from .layers import (ConvLayer, FCLayer, Network, PoolSpec, _backward_cached,
                      _forward, _forward_cached, _images_per_slab, _slab,
-                     _stage_forward)
+                     _net_params, _stage_forward)
 from .loss import ComparatorParams, PairLabel, pair_loss_grads
 from .metrics import auc, compute_roc
 from .seeding import derive_seed, make_rng
@@ -313,8 +315,8 @@ def preprocess_dataset(images, *stages: SharedStage) -> np.ndarray:
     for i in range(0, len(images), step):
         x = np.asarray(images[i:i + step])  # one slab, stacked
         for stage in stages:
-            x = _stage_forward(x, stage.conv.weights.array,
-                               stage.conv.bias.array, stage.pool.window)
+            x = _stage_forward(x, stage.conv.weights, stage.conv.bias,
+                               stage.pool.window)
         out[i:i + step] = x
     return out
 
@@ -325,7 +327,7 @@ def preprocess_dataset(images, *stages: SharedStage) -> np.ndarray:
 
 def _momentum_step(theta: np.ndarray, velocity: np.ndarray, grad: np.ndarray,
                    cfg: TrainConfig) -> None:
-    """One classical-momentum step, in place on flat vectors:
+    """One classical-momentum step, in place on same-shaped arrays:
     velocity <- momentum * velocity - lr * grad; theta <- theta + velocity."""
     velocity *= cfg.momentum
     velocity -= cfg.learning_rate * grad
@@ -418,7 +420,7 @@ def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
     (n, h, w, c) array or a sequence of (h, w, c) arrays.  Both members of a
     pair flow through identical weights, so a layer's gradient is the sum
     over the two branches.  A layer object aliased into k networks is one
-    parameter, packed once; its gradient is divided by k x pairs, every
+    parameter, stepped once; its gradient is divided by k x pairs, every
     other gradient by pairs.  Pairs go through each network in chunks that
     fit one memory slab (`layers._images_per_slab`), both members of pair j
     in rows 2j and 2j+1, so the branch gradients of a layer whose pair-loss
@@ -428,34 +430,20 @@ def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
     the mean pair loss of each batch, and network 0's validation AUC (NaN
     without a validation set) after every `_VALIDATE_EVERY`-th step and
     after the last.  A step that leaves a parameter non-finite raises
-    PyramidError.
+    PyramidError; any failure first restores the values the fit began with.
     """
     layers = list({id(layer): layer for net in nets
                    for layer in _layers(net)}.values())
-    blocks = [a for layer in layers
-              for a in (layer.weights.array, layer.bias.array)]
-    blocks += [np.array([comp.log_alpha, comp.beta]) for comp in comps]
-    sizes = [a.size for a in blocks]
-    theta = np.concatenate([a.reshape(-1) for a in blocks])
-    grad, velocity = np.zeros_like(theta), np.zeros_like(theta)
-    sharing = np.repeat([float(sum(layer in _layers(net) for net in nets))
-                         for layer in layers for _ in "wb"]
-                        + [1.0] * len(comps), sizes)
-
-    def views(vec):
-        """`vec`'s (weights, bias) views by layer id, and comparator views."""
-        parts = [v.reshape(a.shape) for v, a in
-                 zip(np.split(vec, np.cumsum(sizes)[:-1]), blocks)]
-        return ({id(layer): parts[2 * i:2 * i + 2]
-                 for i, layer in enumerate(layers)}, parts[2 * len(layers):])
-
-    theta_of, theta_comps = views(theta)
-    grad_of, grad_comps = views(grad)
-
-    def params(net):
-        """(stage params, head weights, head bias) of `net`, views of theta."""
-        return ([(*theta_of[id(conv)], pool.window)
-                 for conv, pool in net.stages], *theta_of[id(net.head)])
+    comp_params = np.array([[c.log_alpha, c.beta] for c in comps])
+    params = [a for layer in layers
+              for a in (layer.weights, layer.bias)] + [comp_params]
+    grads = [np.zeros_like(a) for a in params]
+    velocity = [np.zeros_like(a) for a in params]
+    sharing = [float(sum(layer in _layers(net) for net in nets))
+               for layer in layers for _ in "wb"] + [1.0]
+    grad_of = {id(layer): grads[2 * i:2 * i + 2]
+               for i, layer in enumerate(layers)}
+    started_from = [a.copy() for a in params]
 
     val_ids = None
     if val_images is not None and val_pairs:
@@ -466,57 +454,62 @@ def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
         trace.val_iterations.append(step - 1)
         trace.val_aucs.append(
             float("nan") if val_ids is None else
-            _validation_auc(params(nets[0]), nets[0], offsets[0], val_images,
-                            val_pairs, val_ids))
+            _validation_auc(nets[0], offsets[0], val_images, val_pairs,
+                            val_ids))
 
     started = time.perf_counter()
     step = 0
-    while (step < iterations if time_budget is None
-           else time.perf_counter() - started < time_budget):
-        step += 1
-        pairs = PairBatch.from_pairs(pair_source.batch(cfg.batch_size))
-        grad[:] = 0.0
-        total_loss = 0.0
-        for k, net in enumerate(nets):
-            stage_params, head_w, head_b = params(net)
-            comp = ComparatorParams(*theta_comps[k].tolist())
-            chunk = max(1, _images_per_slab(net) // 2)
-            for start in range(0, len(pairs), chunk):
-                part = pairs[start:start + chunk]
-                # rows 2j and 2j+1 hold pair j's two members
-                members = np.column_stack((part.first, part.second))
-                x = _gather(images, members.reshape(-1), offsets[k],
-                            net.input_size)
-                out, caches = _forward_cached(stage_params, head_w, head_b, x)
-                pg = pair_loss_grads(out[0::2], out[1::2], part.label, comp)
-                g_out = np.empty_like(out)
-                g_out[0::2], g_out[1::2] = pg.grad_v1, pg.grad_v2
-                # pair by pair onto the running sums, as np.sum's
-                # pairwise order would change the bits
-                total_loss = float(_running_sum(total_loss, pg.loss))
-                grad_comps[k][:] = _running_sum(
-                    grad_comps[k],
-                    np.column_stack([pg.grad_log_alpha, pg.grad_beta]))
-                sg, hg = _backward_cached(stage_params, head_w, caches, g_out)
-                for layer, (dw, db) in zip(_layers(net), [*sg, hg]):
-                    gw, gb = grad_of[id(layer)]
-                    gw += dw
-                    gb += db
-        grad /= sharing * len(pairs)
-        _momentum_step(theta, velocity, grad, cfg)
-        if not np.isfinite(theta).all():
-            raise PyramidError(f"training diverged at step {step}: a "
-                               f"parameter is no longer finite")
-        trace.losses.append(total_loss / (len(nets) * len(pairs)))
-        if step % _VALIDATE_EVERY == 0:
+    try:
+        while (step < iterations if time_budget is None
+               else time.perf_counter() - started < time_budget):
+            step += 1
+            pairs = PairBatch.from_pairs(pair_source.batch(cfg.batch_size))
+            for g in grads:
+                g.fill(0.0)
+            total_loss = 0.0
+            for k, net in enumerate(nets):
+                stages, head_w, head_b = _net_params(net)
+                comp = ComparatorParams(*comp_params[k].tolist())
+                chunk = max(1, _images_per_slab(net) // 2)
+                for start in range(0, len(pairs), chunk):
+                    part = pairs[start:start + chunk]
+                    # rows 2j and 2j+1 hold pair j's two members
+                    members = np.column_stack((part.first, part.second))
+                    x = _gather(images, members.reshape(-1), offsets[k],
+                                net.input_size)
+                    out, caches = _forward_cached(stages, head_w, head_b, x)
+                    pg = pair_loss_grads(out[0::2], out[1::2], part.label,
+                                         comp)
+                    g_out = np.empty_like(out)
+                    g_out[0::2], g_out[1::2] = pg.grad_v1, pg.grad_v2
+                    # pair by pair onto the running sums, as np.sum's
+                    # pairwise order would change the bits
+                    total_loss = float(_running_sum(total_loss, pg.loss))
+                    grads[-1][k] = _running_sum(
+                        grads[-1][k],
+                        np.column_stack([pg.grad_log_alpha, pg.grad_beta]))
+                    sg, hg = _backward_cached(stages, head_w, caches, g_out)
+                    for layer, (dw, db) in zip(_layers(net), [*sg, hg]):
+                        gw, gb = grad_of[id(layer)]
+                        gw += dw
+                        gb += db
+            for theta, v, g, shared in zip(params, velocity, grads, sharing):
+                g /= shared * len(pairs)
+                _momentum_step(theta, v, g, cfg)
+            if not all(np.isfinite(theta).all() for theta in params):
+                raise PyramidError(f"training diverged at step {step}: a "
+                                   f"parameter is no longer finite")
+            trace.losses.append(total_loss / (len(nets) * len(pairs)))
+            if step % _VALIDATE_EVERY == 0:
+                validate(step)
+        if step % _VALIDATE_EVERY:
             validate(step)
-    if step % _VALIDATE_EVERY:
-        validate(step)
-    # publish: the layers' immutable Tensors are replaced once per fit
-    for layer in layers:
-        layer.weights, layer.bias = map(Tensor.from_array, theta_of[id(layer)])
-    for comp, values in zip(comps, theta_comps):
-        comp.log_alpha, comp.beta = values.tolist()
+    except BaseException:  # a failed fit leaves the model as it found it
+        for theta, saved in zip(params, started_from):
+            theta[...] = saved
+        raise
+    for comp, (log_alpha, beta) in zip(comps, comp_params.tolist()):
+        comp.log_alpha, comp.beta = log_alpha, beta
     return trace
 
 
@@ -537,18 +530,16 @@ def _gather(images, ids: Sequence[int], offset: tuple[int, int],
     return np.stack([images[i][oy:oy + edge, ox:ox + edge] for i in ids])
 
 
-def _validation_auc(params, net: Network, offset: tuple[int, int],
-                    val_images, val_pairs: Sequence[FacePair],
-                    val_ids) -> float:
-    """ROC AUC of the embedding distances over the validation pairs, with
-    `net`'s geometry and `params` = (stage params, head weights, head
-    bias); NaN when the pairs are all matched or all unmatched.
-    `val_ids` are the images the pairs name, ascending."""
+def _validation_auc(net: Network, offset: tuple[int, int], val_images,
+                    val_pairs: Sequence[FacePair], val_ids) -> float:
+    """ROC AUC of `net`'s embedding distances, on its current parameters,
+    over the validation pairs; NaN when the pairs are all matched or all
+    unmatched.  `val_ids` are the images the pairs name, ascending."""
     val_pairs = PairBatch.from_pairs(val_pairs)
     step = _images_per_slab(net)
     feats = np.concatenate([
-        _forward(*params, _gather(val_images, val_ids[start:start + step],
-                                  offset, net.input_size))
+        _forward(*_net_params(net), _gather(
+            val_images, val_ids[start:start + step], offset, net.input_size))
         for start in range(0, len(val_ids), step)])
     first = np.searchsorted(val_ids, val_pairs.first)
     second = np.searchsorted(val_ids, val_pairs.second)
@@ -728,13 +719,13 @@ class _Cursor:
 def _model_tensors(model: PyramidModel):
     """Fixed serialization order for every parameter tensor."""
     for stage in model.stages:
-        yield stage.conv.weights.array
-        yield stage.conv.bias.array
+        yield stage.conv.weights
+        yield stage.conv.bias
     for nets, comps in zip(model.level_networks, model.comparators):
         for net, comp in zip(nets, comps):
             for layer in _layers(net)[1:]:  # template convs, then the head
-                yield layer.weights.array
-                yield layer.bias.array
+                yield layer.weights
+                yield layer.bias
             yield np.array([comp.log_alpha, comp.beta])
 
 
@@ -774,12 +765,11 @@ def load_model(path) -> PyramidModel:
                        networks_per_level=networks_per_level,
                        patch_offsets=offsets, output_dim=output_dim)
 
-    def tensor() -> Tensor:
-        return Tensor.from_array(cur.tensor())
-
+    # layers copy tensors already read: a bad spec cannot outgrow the file
     stages = []
     for level in range(levels):
-        conv = ConvLayer(tensor(), tensor(), frozen=bool(frozen[level]))
+        conv = ConvLayer(cur.tensor(), cur.tensor(),
+                         frozen=bool(frozen[level]))
         stages.append(SharedStage(conv, PoolSpec(sp)))
     level_networks, comparators = [], []
     for level in range(levels):
@@ -787,9 +777,9 @@ def load_model(path) -> PyramidModel:
         for _ in range(networks_per_level):
             layers = [(stages[level].conv, stages[level].pool)]
             for tspec in spec.template:
-                layers.append((ConvLayer(tensor(), tensor()),
+                layers.append((ConvLayer(cur.tensor(), cur.tensor()),
                                PoolSpec(tspec.pool)))
-            head = FCLayer(tensor(), tensor())
+            head = FCLayer(cur.tensor(), cur.tensor())
             nets.append(Network(layers, head, base_input,
                                 spec.entry_in_channels(level)))
             cmp = cur.tensor().reshape(-1)

@@ -1,10 +1,11 @@
-"""Dense float64 arrays with validation, the carrier type for the whole package.
+"""Dense float64 arrays with validation, the carrier type of the public API.
 
-Everything numeric — images, feature maps, kernels, feature vectors — travels
-as a `Tensor`: a row-major (height, width, channel) float64 block that is
-validated on construction and read-only afterwards.  There is deliberately no
-broadcasting and no view machinery; parameter updates elsewhere replace whole
-tensors instead of mutating them.
+Images, feature maps and feature vectors travel through the public API as a
+`Tensor`: a row-major (height, width, channel) float64 block that is
+validated on construction and read-only afterwards.  There is deliberately
+no broadcasting and no view machinery.  Model parameters are not Tensors:
+each layer owns its weights and bias as writable arrays from `float_array`,
+held to the same rules, and training updates them in place.
 """
 
 from __future__ import annotations
@@ -18,15 +19,16 @@ class TensorError(ValueError):
     """Bad shape, bad data, or out-of-bounds access on a Tensor."""
 
 
-def _validated(arr: np.ndarray) -> np.ndarray:
+def float_array(values) -> np.ndarray:
+    """A writable C-ordered float64 copy of an array-like with at least one
+    axis, no empty extent and only finite values."""
+    arr = np.array(values, dtype=np.float64, order="C")
     if arr.ndim == 0:
         raise TensorError("tensor must have at least one axis")
-    bad = [e for e in arr.shape if e < 1]
-    if bad:
+    if min(arr.shape) < 1:
         raise TensorError(f"all extents must be >= 1, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise TensorError("tensor values must be finite (no NaN/Inf)")
-    arr.flags.writeable = False
     return arr
 
 
@@ -47,14 +49,15 @@ class Tensor:
             raise TensorError(
                 f"shape {shape} requires {expected} values, got {data.size}"
             )
-        self.array = _validated(np.ascontiguousarray(data.reshape(shape)))
+        self.array = float_array(data.reshape(shape))
+        self.array.flags.writeable = False
 
     @classmethod
     def from_array(cls, arr) -> "Tensor":
         """Copy an array-like into a validated Tensor."""
-        a = np.array(arr, dtype=np.float64, order="C")
         t = cls.__new__(cls)
-        t.array = _validated(a)
+        t.array = float_array(arr)
+        t.array.flags.writeable = False
         return t
 
     @property

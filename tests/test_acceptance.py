@@ -106,13 +106,13 @@ def random_network(rng, edge, stage_specs, m):
     stages, channels, feat = [], 1, edge
     for kernel, out_channels, pool in stage_specs:
         conv = ConvLayer.initialize(kernel, channels, out_channels, rng)
-        conv.bias = Tensor.from_array(rng.uniform(-0.1, 0.1, out_channels))
+        conv.bias[:] = rng.uniform(-0.1, 0.1, out_channels)
         stages.append((conv, PoolSpec(pool)))
         channels = out_channels
         feat = (feat - kernel + 1) // pool
     d_in = feat * feat * channels
-    head = FCLayer(Tensor.from_array(rng.uniform(-0.5, 0.5, (d_in, m))),
-                   Tensor.from_array(rng.uniform(-0.1, 0.1, m)))
+    head = FCLayer(rng.uniform(-0.5, 0.5, (d_in, m)),
+                   rng.uniform(-0.1, 0.1, m))
     return Network(stages, head, edge, 1)
 
 

@@ -464,6 +464,9 @@ def test_extract_malformed_model_file(pipeline, tmp_path, capsys):
     ("a.pgm,single-top,0.1", "dim 'single-top' is not an integer"),
     ("a.pgm,2,0.1,abc", "non-numeric value"),
     ("a.pgm,2,0.1,nan", "non-finite value nan"),
+    ("a.pgm,0", "dim 0 is below 1"),
+    ("a.pgm,-1,0.1", "dim -1 is below 1"),
+    ("b.pgm,1,0.7", "image_path 'b.pgm' repeats an earlier row"),
 ])
 def test_eval_malformed_features_csv(pipeline, tmp_path, capsys, row,
                                      problem):

@@ -287,6 +287,19 @@ def test_read_features_rejects_non_finite_value(tmp_path, cell):
         read_features(path)
 
 
+@pytest.mark.parametrize("rows, problem", [
+    ("x.pgm,0\ny.pgm,0\n", "bad.csv:2: dim 0 is below 1"),
+    ("x.pgm,1,1.0\ny.pgm,1,2.0\nx.pgm,1,3.0\n",
+     "bad.csv:4: image_path 'x.pgm' repeats an earlier row"),
+])
+def test_read_features_rejects_empty_rows_and_repeated_paths(tmp_path, rows,
+                                                             problem):
+    path = tmp_path / "bad.csv"
+    path.write_text("image_path,dim\n" + rows, encoding="utf-8")
+    with pytest.raises(DataError, match=problem):
+        read_features(path)
+
+
 def test_read_features_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("image_path,dim\n", encoding="utf-8")

@@ -3,8 +3,9 @@ import pytest
 
 import pyrcnn.layers as layers
 from pyrcnn import (ConvLayer, FCLayer, Network, PoolSpec, ShapeError, Tensor,
-                    activation, conv_forward, fc_forward, gradient_check,
-                    layer_forward, maxpool, network_backward, network_forward)
+                    TensorError, activation, conv_forward, fc_forward,
+                    gradient_check, layer_forward, maxpool, network_backward,
+                    network_forward)
 
 
 def tensor(values):
@@ -15,7 +16,7 @@ def conv_layer(weights, bias=None, frozen=False):
     w = np.asarray(weights, dtype=np.float64)
     if bias is None:
         bias = np.zeros(w.shape[3])
-    return ConvLayer(Tensor.from_array(w), Tensor.from_array(bias), frozen)
+    return ConvLayer(w, bias, frozen)
 
 
 def true_conv_oracle(x, w, bias):
@@ -107,11 +108,40 @@ def test_conv_shape_errors():
 
 def test_conv_layer_validation():
     with pytest.raises(ShapeError):
-        ConvLayer(Tensor.from_array(np.zeros((3, 3, 1))),
-                  Tensor.from_array(np.zeros(1)))  # rank 3 weights
+        ConvLayer(np.zeros((3, 3, 1)), np.zeros(1))  # rank 3 weights
     with pytest.raises(ShapeError):
-        ConvLayer(Tensor.from_array(np.zeros((3, 3, 1, 2))),
-                  Tensor.from_array(np.zeros(3)))  # bias length
+        ConvLayer(np.zeros((3, 3, 1, 2)), np.zeros(3))  # bias length
+
+
+LAYER_SHAPES = [(ConvLayer, (3, 3, 1, 2)), (FCLayer, (4, 2))]
+
+
+@pytest.mark.parametrize("cls, shape", LAYER_SHAPES)
+def test_layer_owns_float64_copies_of_its_parameters(cls, shape):
+    w, b = np.ones(shape, dtype=np.int64), np.zeros(shape[-1])
+    layer = cls(w, b)
+    w[...] = 5
+    b[...] = 5.0
+    for arr in (layer.weights, layer.bias):
+        assert arr.dtype == np.float64 and arr.flags.writeable
+    np.testing.assert_array_equal(layer.weights, np.ones(shape))
+    np.testing.assert_array_equal(layer.bias, np.zeros(shape[-1]))
+
+
+@pytest.mark.parametrize("cls, shape", LAYER_SHAPES)
+@pytest.mark.parametrize("bad, problem", [
+    ("nan weights", "finite"), ("inf weights", "finite"),
+    ("-inf bias", "finite"), ("empty", "extents must be >= 1")])
+def test_layer_rejects_non_finite_or_empty_parameters(cls, shape, bad,
+                                                      problem):
+    w, b = np.ones(shape), np.zeros(shape[-1])
+    if bad == "empty":
+        w, b = np.ones(shape[:-1] + (0,)), np.zeros(0)
+    else:
+        value, which = bad.split()
+        (w if which == "weights" else b).flat[-1] = float(value)
+    with pytest.raises(TensorError, match=problem):
+        cls(w, b)
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +242,13 @@ def test_layer_forward_zero_kernel_annihilates():
 
 def test_fc_identity_map():
     x = tensor([1.0, 2.0, 3.0])
-    layer = FCLayer(Tensor.from_array(np.eye(3)),
-                    Tensor.from_array(np.zeros(3)))
+    layer = FCLayer(np.eye(3), np.zeros(3))
     np.testing.assert_array_equal(fc_forward(x, layer).array, x.array)
 
 
 def test_fc_zero_weights_rectified_bias():
     x = tensor(np.ones(4))
-    layer = FCLayer(Tensor.from_array(np.zeros((4, 3))),
-                    Tensor.from_array(np.array([1.5, -2.0, 0.0])))
+    layer = FCLayer(np.zeros((4, 3)), np.array([1.5, -2.0, 0.0]))
     # the head is linear: a negative bias comes back as is, not clipped to 0
     np.testing.assert_array_equal(fc_forward(x, layer).array, [1.5, -2.0, 0.0])
 
@@ -230,15 +258,14 @@ def test_fc_matches_dot_product_oracle():
     x = rng.standard_normal(7)
     w = rng.standard_normal((7, 4))
     b = rng.standard_normal(4)
-    layer = FCLayer(Tensor.from_array(w), Tensor.from_array(b))
+    layer = FCLayer(w, b)
     want = np.array([float(x @ w[:, j]) + b[j] for j in range(4)])
     np.testing.assert_allclose(fc_forward(tensor(x), layer).array, want,
                                atol=1e-12)
 
 
 def test_fc_length_mismatch():
-    layer = FCLayer(Tensor.from_array(np.zeros((4, 2))),
-                    Tensor.from_array(np.zeros(2)))
+    layer = FCLayer(np.zeros((4, 2)), np.zeros(2))
     with pytest.raises(ShapeError):
         fc_forward(tensor(np.zeros(5)), layer)
 
@@ -322,7 +349,7 @@ def test_linear_head_gradient_matches_fd_tightly():
     g_out = rng.standard_normal(3)
 
     def net_with(weights):
-        head = FCLayer(Tensor.from_array(weights), Tensor.from_array(b))
+        head = FCLayer(weights, b)
         return Network([], head, 3, 1)
 
     grads = network_backward(net_with(w), patch, g_out)
@@ -392,10 +419,10 @@ def test_initialize_glorot_bounds_and_zero_bias():
     rng = np.random.default_rng(203)
     conv = ConvLayer.initialize(5, 2, 8, rng)
     limit = np.sqrt(6.0 / (5 * 5 * 2 + 5 * 5 * 8))
-    assert np.abs(conv.weights.array).max() <= limit
-    np.testing.assert_array_equal(conv.bias.array, np.zeros(8))
+    assert np.abs(conv.weights).max() <= limit
+    np.testing.assert_array_equal(conv.bias, np.zeros(8))
     fc = FCLayer.initialize(30, 4, rng)
-    assert np.abs(fc.weights.array).max() <= np.sqrt(6.0 / 34)
+    assert np.abs(fc.weights).max() <= np.sqrt(6.0 / 34)
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +453,7 @@ def test_batched_kernels_match_per_image_ops(monkeypatch, edge, channels, n,
     net = geometry_net(rng, edge, channels)
     x = rng.uniform(0.0, 1.0, (n, edge, edge, channels))
     g_out = rng.standard_normal((n, net.output_dim))
-    params = layers._stage_params(net)
-    hw, hb = net.head.weights.array, net.head.bias.array
+    params, hw, hb = layers._net_params(net)
 
     out, caches = layers._forward_cached(params, hw, hb, x)
     for i in range(n):
@@ -456,8 +482,7 @@ def test_forward_rows_are_independent_of_batch_size(edge, channels):
     rng = np.random.default_rng(320 + edge + channels)
     net = geometry_net(rng, edge, channels)
     x = rng.uniform(0.0, 1.0, (5, edge, edge, channels))
-    params = layers._stage_params(net)
-    hw, hb = net.head.weights.array, net.head.bias.array
+    params, hw, hb = layers._net_params(net)
 
     batched = layers._forward(params, hw, hb, x)
     assert batched.shape == (5, net.output_dim)
@@ -514,8 +539,7 @@ def test_backward_routes_ties_like_a_first_max_argmax(s):
     maximum is not positive."""
     rng = np.random.default_rng(700 + s)
     net, x, pre = tie_heavy_stage(rng, s)
-    params = layers._stage_params(net)
-    hw, hb = net.head.weights.array, net.head.bias.array
+    params, hw, hb = layers._net_params(net)
     g_out = rng.standard_normal((x.shape[0], net.output_dim))
 
     _, caches = layers._forward_cached(params, hw, hb, x)

@@ -17,7 +17,6 @@ from pyrcnn import (ComparatorParams, ConvLayer, FacePair, FCLayer,
                     train_level, train_network)
 from pyrcnn.data import NuisanceConfig, load_image, split_identity_ids
 from pyrcnn.metrics import auc, compute_roc
-from pyrcnn.layers import _stage_params
 from pyrcnn.pyramid import _VALIDATE_EVERY, _momentum_step, _validation_auc
 from pyrcnn.seeding import derive_seed, make_rng
 
@@ -422,6 +421,63 @@ def test_train_level_rejects_array_without_batch_axis():
     assert f"shape {images[0].shape}" in str(err.value)
 
 
+def test_diverged_train_level_leaves_the_model_unchanged(tmp_path):
+    """A fit that diverges after applying a step raises and keeps the
+    parameters it started from."""
+    spec, model, images, identities = level0_fixture(48)
+    before = model_bytes(model, tmp_path, "before.bin")
+    sampler = PairSampler(identities, make_rng(48, "pairs"))
+    cfg = TrainConfig(learning_rate=1e300, batch_size=8,
+                      iterations_per_level=5, seed=48)
+    with pytest.raises(PyramidError, match="diverged at step 2"):
+        train_level(model, 0, stack(images), sampler, cfg)
+    assert model_bytes(model, tmp_path, "after.bin") == before
+
+
+def test_diverged_train_network_leaves_the_net_unchanged():
+    rng = np.random.default_rng(49)
+    net, comp = build_monolithic(PyramidSpec(levels=1), seed=49)
+    images, identities = two_identity_images(rng, 4, net.input_size)
+    sampler = PairSampler(identities, make_rng(49, "pairs"))
+
+    def values():
+        layers = [conv for conv, _ in net.stages] + [net.head]
+        return [a.copy() for layer in layers
+                for a in (layer.weights, layer.bias)] \
+            + [np.array([comp.log_alpha, comp.beta])]
+
+    before = values()
+    cfg = TrainConfig(learning_rate=1e300, batch_size=8, seed=49)
+    with pytest.raises(PyramidError, match="diverged at step 2"):
+        train_network(net, comp, images, sampler, cfg, iterations=5)
+    for a, b in zip(values(), before):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_a_fit_that_raises_leaves_the_model_unchanged(tmp_path):
+    """Any failure after a step was applied, not only divergence, leaves
+    the parameters the fit started from."""
+    spec, model, images, _ = level0_fixture(50)
+    before = model_bytes(model, tmp_path, "before.bin")
+
+    class FailingPairs(FixedPairs):
+        calls = 0
+
+        def batch(self, n):
+            self.calls += 1
+            if self.calls == 3:
+                raise RuntimeError("pair source failed")
+            return super().batch(n)
+
+    source = FailingPairs([FacePair(0, 1, PairLabel.MATCHED),
+                           FacePair(0, 4, PairLabel.UNMATCHED)])
+    cfg = TrainConfig(batch_size=2, iterations_per_level=5, seed=50)
+    with pytest.raises(RuntimeError, match="pair source failed"):
+        train_level(model, 0, stack(images), source, cfg)
+    assert source.calls == 3
+    assert model_bytes(model, tmp_path, "after.bin") == before
+
+
 def test_shared_entry_stage_gradient_is_averaged_across_networks():
     """Two identical networks on one aliased entry stage step it exactly as
     one network does; a sum over networks would double the step."""
@@ -443,15 +499,15 @@ def test_shared_entry_stage_gradient_is_averaged_across_networks():
         FCLayer(net0.head.weights, net0.head.bias), 16, 1)
     cmp0 = twin.comparators[0][0]
     twin.comparators[0][1] = ComparatorParams(cmp0.log_alpha, cmp0.beta)
-    assert (single.stages[0].conv.weights.array.tobytes()
-            == twin.stages[0].conv.weights.array.tobytes())
+    assert (single.stages[0].conv.weights.tobytes()
+            == twin.stages[0].conv.weights.tobytes())
 
     train_level(single, 0, images, FixedPairs(pairs), cfg)
     train_level(twin, 0, images, FixedPairs(pairs), cfg)
     for attr in ("weights", "bias"):
         np.testing.assert_allclose(
-            getattr(twin.stages[0].conv, attr).array,
-            getattr(single.stages[0].conv, attr).array, rtol=1e-12)
+            getattr(twin.stages[0].conv, attr),
+            getattr(single.stages[0].conv, attr), rtol=1e-12)
 
 
 def snapshot_all(model, tmp_path, name):
@@ -476,15 +532,15 @@ def test_train_level_updates_only_its_own_blocks():
     def collect(m):
         arrs = {}
         for l, stage in enumerate(m.stages):
-            arrs[f"stage{l}.w"] = stage.conv.weights.array.copy()
-            arrs[f"stage{l}.b"] = stage.conv.bias.array.copy()
+            arrs[f"stage{l}.w"] = stage.conv.weights.copy()
+            arrs[f"stage{l}.b"] = stage.conv.bias.copy()
         for l, nets in enumerate(m.level_networks):
             for k, net in enumerate(nets):
                 for j in range(1, len(net.stages)):
-                    arrs[f"L{l}n{k}c{j}.w"] = net.stages[j][0].weights.array.copy()
-                    arrs[f"L{l}n{k}c{j}.b"] = net.stages[j][0].bias.array.copy()
-                arrs[f"L{l}n{k}head.w"] = net.head.weights.array.copy()
-                arrs[f"L{l}n{k}head.b"] = net.head.bias.array.copy()
+                    arrs[f"L{l}n{k}c{j}.w"] = net.stages[j][0].weights.copy()
+                    arrs[f"L{l}n{k}c{j}.b"] = net.stages[j][0].bias.copy()
+                arrs[f"L{l}n{k}head.w"] = net.head.weights.copy()
+                arrs[f"L{l}n{k}head.b"] = net.head.bias.copy()
                 comp = m.comparators[l][k]
                 arrs[f"L{l}n{k}cmp"] = np.array([comp.log_alpha, comp.beta])
         return arrs
@@ -517,8 +573,7 @@ def test_tied_siamese_gradient_is_sum_of_branches():
     rng = np.random.default_rng(25)
     conv = ConvLayer.initialize(3, 1, 3, rng)
     head_w = rng.uniform(0.05, 0.2, (16 * 3, 4))
-    head = FCLayer(Tensor.from_array(head_w),
-                   Tensor.from_array(np.full(4, 0.3)))
+    head = FCLayer(head_w, np.full(4, 0.3))
     net = Network([(conv, PoolSpec(2))], head, 10, 1)
     p1 = tensor(rng.uniform(0.2, 1.0, (10, 10, 1)))
     p2 = tensor(rng.uniform(0.2, 1.0, (10, 10, 1)))
@@ -526,8 +581,8 @@ def test_tied_siamese_gradient_is_sum_of_branches():
     label = PairLabel.MATCHED
 
     def loss_with(weights):
-        trial = Network([(ConvLayer(Tensor.from_array(weights),
-                                    conv.bias), PoolSpec(2))], head, 10, 1)
+        trial = Network([(ConvLayer(weights, conv.bias), PoolSpec(2))],
+                        head, 10, 1)
         v1 = network_forward(trial, p1).array
         v2 = network_forward(trial, p2).array
         return pair_loss(comparator(distance(v1, v2), comp), label)
@@ -540,7 +595,7 @@ def test_tied_siamese_gradient_is_sum_of_branches():
     tied = g1["conv0.weights"] + g2["conv0.weights"]
 
     eps = 1e-6
-    w = conv.weights.array
+    w = conv.weights
     check = [(0, 0, 0, 0), (1, 2, 0, 1), (2, 1, 0, 2), (0, 2, 0, 1)]
     for idx in check:
         wp, wm = w.copy(), w.copy()
@@ -617,11 +672,11 @@ def test_greedy_stage_weights_fixed_once_frozen(tmp_path):
     sampler = PairSampler(fit_ids, make_rng(cfg.seed, "pairs-level0"))
     train_level(model, 0, fit_imgs, sampler, cfg)
     model.stages[0].conv.frozen = True
-    frozen_w = model.stages[0].conv.weights.array.copy()
+    frozen_w = model.stages[0].conv.weights.copy()
     level1 = preprocess_dataset(fit_imgs, model.stages[0])
     sampler = PairSampler(fit_ids, make_rng(cfg.seed, "pairs-level1"))
     train_level(model, 1, level1, sampler, cfg)
-    assert model.stages[0].conv.weights.array.tobytes() == frozen_w.tobytes()
+    assert model.stages[0].conv.weights.tobytes() == frozen_w.tobytes()
 
 
 def test_greedy_single_level_equals_manual_train_level(tmp_path):
@@ -671,6 +726,31 @@ def test_greedy_resume_matches_uninterrupted_run(tmp_path):
 
     assert model_bytes(full, tmp_path, "full.bin") == \
         model_bytes(part, tmp_path, "part.bin")
+
+
+def test_greedy_train_steps_the_layers_own_arrays(tmp_path):
+    """Training updates every layer's weights and bias in place: after
+    greedy_train each is the ndarray object it was before, now holding
+    trained values, and every network of a level still aliases that
+    level's entry stage."""
+    spec = PyramidSpec(levels=2, networks_per_level=2,
+                       patch_offsets=((0, 0), (2, 2)))
+    index = synth_generate(8, 4, spec.raw_data_edge(), NuisanceConfig(),
+                           seed=34, out_dir=tmp_path / "g")
+    dataset = [load_image(r) for r in index.records]
+    model = build_pyramid(spec, seed=34)
+    layers = [stage.conv for stage in model.stages]
+    for nets in model.level_networks:
+        for net in nets:
+            layers += [conv for conv, _ in net.stages[1:]] + [net.head]
+    arrays = [(layer.weights, layer.bias) for layer in layers]
+    initial = [w.copy() for w, _ in arrays]
+    greedy_train(model, dataset, small_cfg(34))
+    for layer, (w, b), w0 in zip(layers, arrays, initial):
+        assert layer.weights is w and layer.bias is b
+        assert not np.array_equal(w, w0)
+    for stage, nets in zip(model.stages, model.level_networks):
+        assert all(net.stages[0][0] is stage.conv for net in nets)
 
 
 def test_greedy_deterministic_end_to_end(tmp_path):
@@ -823,11 +903,8 @@ def validation_fixture(seed):
 
 def fresh_validation_auc(net, val_images, val_pairs):
     """`_validation_auc` on `net`'s current parameters."""
-    params = (_stage_params(net), net.head.weights.array,
-              net.head.bias.array)
-    return _validation_auc(params, net, (0, 0),
-                           [t.array for t in val_images], val_pairs,
-                           list(range(len(val_images))))
+    return _validation_auc(net, (0, 0), [t.array for t in val_images],
+                           val_pairs, list(range(len(val_images))))
 
 
 def test_validation_runs_every_tenth_step_and_after_the_last():
@@ -899,8 +976,8 @@ def test_train_network_step_is_independent_of_chunking(monkeypatch):
                               iterations=1, val_images=val_images,
                               val_pairs=val_pairs)
         blocks = [a for conv, _ in net.stages
-                  for a in (conv.weights.array, conv.bias.array)]
-        blocks += [net.head.weights.array, net.head.bias.array,
+                  for a in (conv.weights, conv.bias)]
+        blocks += [net.head.weights, net.head.bias,
                    np.array([comp.log_alpha, comp.beta])]
         return blocks, trace
 
