@@ -2,7 +2,7 @@
 
 from .tensor import Tensor, TensorError, approx_equal, create_tensor, crop
 from .layers import (BlockCheck, ConvLayer, FCLayer, GradCheckReport, Network,
-                     PoolSpec, ShapeError, activation, conv_forward,
+                     PoolSpec, ShapeError, Stage, activation, conv_forward,
                      fc_forward, gradient_check, layer_forward, maxpool,
                      network_backward, network_forward)
 from .loss import (ComparatorParams, PairGradients, PairLabel, comparator,
@@ -13,7 +13,7 @@ from .data import (DataError, DatasetIndex, FacePair, IndexRecord,
                    sample_pairs, split_by_identity, split_identity_ids,
                    synth_generate, write_index, write_pgm)
 from .pyramid import (LevelTrace, PyramidError, PyramidModel, PyramidSpec,
-                      SharedStage, StageSpec, TrainConfig, assemble_network,
+                      StageSpec, TrainConfig, assemble_network,
                       build_monolithic, build_pyramid, greedy_train,
                       load_model, preprocess_dataset, save_model,
                       train_level, train_network)

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import DataError, LabeledImage, center_origin, crop_patch, csv_rows
-from .layers import ShapeError, _forward, _net_params, _stage_forward
+from .layers import ShapeError, _forward, _stage_forward
 from .metrics import VerificationReport
 from .pyramid import PyramidModel
 
@@ -62,13 +62,12 @@ def _level_outputs(model: PyramidModel, images: Sequence[LabeledImage],
             raise ShapeError(
                 f"cannot extract level {level}: lower stages not frozen"
             )
-        x = _stage_forward(x, stage.conv.weights, stage.conv.bias,
-                           stage.pool.window)
+        x = _stage_forward(x, stage)
     outputs = []
     edge = spec.base_input
     for k, net in enumerate(model.level_networks[level][:networks]):
         ox, oy = spec.patch_offsets[k]
-        vec = _forward(*_net_params(net), x[:, oy:oy + edge, ox:ox + edge, :])
+        vec = _forward(net, x[:, oy:oy + edge, ox:ox + edge, :])
         if normalize:
             norm = np.sqrt(np.sum(vec * vec, axis=1, keepdims=True))
             vec = np.divide(vec, norm, out=vec, where=norm > 0.0)

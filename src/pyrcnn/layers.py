@@ -55,6 +55,15 @@ and rectifies the pooled map.  That is exact, not an approximation:
 max(0, max_i a_i) == max_i max(0, a_i) for the monotone rectifier, and it
 leaves 1/(s*s) of the rectifier work.
 
+A stage is a `Stage(conv, pool)`, the one stage type: a `Network`'s
+stages and a pyramid's entry stages are the same objects.  The kernels
+below the public API read a `Network` and its layers' own arrays, with no
+parameter tuples in between, and `_backward_cached` returns one (dw, db)
+per entry of `net.layers` (the stages' convs in order, then the head).
+`_stage_shapes` is the one walk of a stage chain's shapes: `Network`
+construction, `_images_per_slab` and `pyramid.preprocess_dataset` all
+read it.
+
 Two forward kernels share the conv and pool kernels.  `_forward_cached` is
 the training path: it keeps every stage's input and pre-activation, the
 pool routing and the sign of the pooled map for `_backward_cached`, and
@@ -89,7 +98,7 @@ rectifier kink (there the two-sided difference quotient is meaningless).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -105,15 +114,34 @@ class ShapeError(TensorError):
 # layer types
 
 
-class ConvLayer:
-    """Convolution weights (kh x kw x c_in x c_out) with a per-channel bias,
-    float64 copies of its inputs that the layer owns and training updates
-    in place."""
+class _Layer:
+    """Weights and a bias: float64 copies of the constructor's inputs that
+    the layer owns.  Training updates the arrays in place; they cannot be
+    replaced, so they always passed the constructor's checks."""
 
-    __slots__ = ("weights", "bias", "frozen")
+    __slots__ = ("_weights", "_bias", "frozen")
+
+    def __init__(self, weights, bias, frozen: bool):
+        self._weights, self._bias = float_array(weights), float_array(bias)
+        self.frozen = bool(frozen)
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._weights
+
+    @property
+    def bias(self) -> np.ndarray:
+        return self._bias
+
+
+class ConvLayer(_Layer):
+    """Convolution weights (kh x kw x c_in x c_out) with a per-channel bias."""
+
+    __slots__ = ()
 
     def __init__(self, weights, bias, frozen: bool = False):
-        weights, bias = float_array(weights), float_array(bias)
+        super().__init__(weights, bias, frozen)
+        weights, bias = self.weights, self.bias
         if len(weights.shape) != 4:
             raise ShapeError(
                 f"conv weights must be rank 4 (kh, kw, c_in, c_out), "
@@ -124,9 +152,6 @@ class ConvLayer:
                 f"conv bias must have length c_out={weights.shape[3]}, "
                 f"got shape {bias.shape}"
             )
-        self.weights = weights
-        self.bias = bias
-        self.frozen = bool(frozen)
 
     @property
     def kernel(self) -> tuple[int, int]:
@@ -161,14 +186,14 @@ class PoolSpec:
             raise ShapeError(f"pool window must be >= 1, got {self.window}")
 
 
-class FCLayer:
-    """Fully-connected head: weights (d_in x m), bias (m), linear output;
-    owned like a `ConvLayer`'s."""
+class FCLayer(_Layer):
+    """Fully-connected head: weights (d_in x m), bias (m), linear output."""
 
-    __slots__ = ("weights", "bias", "frozen")
+    __slots__ = ()
 
     def __init__(self, weights, bias, frozen: bool = False):
-        weights, bias = float_array(weights), float_array(bias)
+        super().__init__(weights, bias, frozen)
+        weights, bias = self.weights, self.bias
         if len(weights.shape) != 2:
             raise ShapeError(
                 f"fc weights must be rank 2 (d_in, m), got {weights.shape}"
@@ -178,9 +203,6 @@ class FCLayer:
                 f"fc bias must have length m={weights.shape[1]}, "
                 f"got shape {bias.shape}"
             )
-        self.weights = weights
-        self.bias = bias
-        self.frozen = bool(frozen)
 
     @property
     def d_in(self) -> int:
@@ -203,6 +225,43 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...],
     return rng.uniform(-limit, limit, size=shape)
 
 
+class Stage(NamedTuple):
+    """One conv+pool stage: the conv, then the s x s window max, then the
+    rectifier.  A pyramid level's entry stage is one `Stage` object, held
+    by every network of the level and by the assembled networks above it."""
+
+    conv: ConvLayer
+    pool: PoolSpec
+
+    @property
+    def frozen(self) -> bool:
+        return self.conv.frozen
+
+
+def _stage_shapes(stages: Sequence[Stage], h: int, w: int, c: int):
+    """((h', w', c'), largest): the map `stages` make of an (h, w, c) input,
+    and the largest stage pre-activation map on the way, in elements (1
+    with no stages).  Raises ShapeError naming the first stage that does
+    not fit its input."""
+    largest = 1
+    for i, stage in enumerate(stages):
+        conv, s = stage.conv, stage.pool.window
+        kh, kw = conv.kernel
+        if c != conv.in_channels:
+            raise ShapeError(f"stage {i} expects {conv.in_channels} input "
+                             f"channels but receives {c}")
+        if kh > h or kw > w:
+            raise ShapeError(f"stage {i} kernel {kh}x{kw} exceeds its "
+                             f"{h}x{w} input")
+        h, w, c = h - kh + 1, w - kw + 1, conv.out_channels
+        if h % s or w % s:
+            raise ShapeError(f"stage {i} pool window {s} does not divide its "
+                             f"{h}x{w} feature map")
+        largest = max(largest, h * w * c)
+        h, w = h // s, w // s
+    return (h, w, c), largest
+
+
 class Network:
     """Conv+pool stages terminated by one FC head.
 
@@ -214,34 +273,15 @@ class Network:
 
     __slots__ = ("stages", "head", "input_size", "in_channels", "output_dim")
 
-    def __init__(self, stages: Sequence[tuple[ConvLayer, PoolSpec]],
-                 head: FCLayer, input_size: int, in_channels: int = 1):
-        stages = [(conv, pool) for conv, pool in stages]
-        edge, channels = int(input_size), int(in_channels)
-        for i, (conv, pool) in enumerate(stages):
-            if conv.in_channels != channels:
-                raise ShapeError(
-                    f"stage {i} expects {conv.in_channels} input channels "
-                    f"but receives {channels}"
-                )
-            kh, kw = conv.kernel
-            if kh > edge or kw > edge:
-                raise ShapeError(
-                    f"stage {i} kernel {kh}x{kw} exceeds input edge {edge}"
-                )
-            edge = edge - kh + 1
-            if edge % pool.window:
-                raise ShapeError(
-                    f"stage {i} pool window {pool.window} does not divide "
-                    f"feature edge {edge}"
-                )
-            edge //= pool.window
-            channels = conv.out_channels
-        flat = edge * edge * channels
-        if head.d_in != flat:
+    def __init__(self, stages: Sequence[Stage], head: FCLayer,
+                 input_size: int, in_channels: int = 1):
+        stages = list(stages)
+        (h, w, c), _ = _stage_shapes(stages, int(input_size),
+                                     int(input_size), int(in_channels))
+        if head.d_in != h * w * c:
             raise ShapeError(
                 f"fc head expects {head.d_in} inputs but the last feature "
-                f"map flattens to {flat}"
+                f"map flattens to {h * w * c}"
             )
         self.stages = stages
         self.head = head
@@ -249,9 +289,14 @@ class Network:
         self.in_channels = int(in_channels)
         self.output_dim = head.out_dim
 
+    @property
+    def layers(self) -> list:
+        """The stages' convs in order, then the head."""
+        return [stage.conv for stage in self.stages] + [self.head]
+
 
 # ---------------------------------------------------------------------------
-# array kernels (everything below the public API works on bare ndarrays)
+# array kernels (ndarrays in and out; parameters read from a network's layers)
 
 # Upper bound, in float64 elements, on one im2col column matrix, and on the
 # largest pre-activation map of the inputs a caller batches into one call.
@@ -266,12 +311,8 @@ def _slab(per_item: int) -> int:
 def _images_per_slab(net: Network) -> int:
     """Inputs of `net` per batched call: as many as keep the largest stage
     pre-activation map of the batch within one slab."""
-    edge, largest = net.input_size, 1
-    for conv, pool in net.stages:
-        edge -= conv.kernel[0] - 1
-        largest = max(largest, edge * edge * conv.out_channels)
-        edge //= pool.window
-    return _slab(largest)
+    return _slab(_stage_shapes(net.stages, net.input_size, net.input_size,
+                               net.in_channels)[1])
 
 
 def _column_blocks(x: np.ndarray, kh: int, kw: int):
@@ -385,69 +426,62 @@ def _pool_routes(x: np.ndarray, pooled: np.ndarray, s: int) -> list:
     return masks
 
 
-def _stage_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
-                   s: int) -> np.ndarray:
+def _stage_forward(x: np.ndarray, stage: Stage) -> np.ndarray:
     """One stage without backprop state: conv, s x s window max of the
     pre-activation map, then the rectifier on the pooled map."""
-    out = _pool(_conv_fwd(x, w, b), s)
+    conv = stage.conv
+    out = _pool(_conv_fwd(x, conv.weights, conv.bias), stage.pool.window)
     return np.maximum(out, 0.0, out=out)
 
 
-def _forward(stage_params, head_w, head_b, x: np.ndarray) -> np.ndarray:
-    """(n, m) outputs of the full network on an (n, h, w, c) batch, with
-    no backprop state; row i is bit-equal to a batch of one on x[i]."""
-    for w, b, s in stage_params:
-        x = _stage_forward(x, w, b, s)
+def _forward(net: Network, x: np.ndarray) -> np.ndarray:
+    """(n, m) outputs of `net` on an (n, h, w, c) batch, with no backprop
+    state; row i is bit-equal to a batch of one on x[i]."""
+    for stage in net.stages:
+        x = _stage_forward(x, stage)
     flat = x.reshape(x.shape[0], 1, -1)
-    return np.matmul(flat, head_w)[:, 0] + head_b
+    return np.matmul(flat, net.head.weights)[:, 0] + net.head.bias
 
 
-def _net_params(net: Network):
-    """(stage params, head weights, head bias): the layers' own arrays, in
-    the form `_forward` and `_forward_cached` take."""
-    return ([(conv.weights, conv.bias, pool.window)
-             for conv, pool in net.stages], net.head.weights, net.head.bias)
-
-
-def _forward_cached(stage_params, head_w, head_b, x: np.ndarray):
-    """Run the full network on an (n, h, w, c) batch, keeping what backprop
-    needs; returns the (n, m) outputs and the caches."""
+def _forward_cached(net: Network, x: np.ndarray):
+    """Run `net` on an (n, h, w, c) batch, keeping what backprop needs;
+    returns the (n, m) outputs and the caches."""
     caches = []
-    for w, b, s in stage_params:
-        pre = _conv_fwd(x, w, b)
+    for conv, pool in net.stages:
+        s = pool.window
+        pre = _conv_fwd(x, conv.weights, conv.bias)
         pooled = _pool(pre, s)
         caches.append({"x": x, "pre": pre,
                        "routes": _pool_routes(pre, pooled, s),
                        "alive": pooled > 0})
         x = np.maximum(pooled, 0.0, out=pooled)
     flat = x.reshape(x.shape[0], -1)
-    out = flat @ head_w + head_b
+    out = flat @ net.head.weights + net.head.bias
     caches.append({"flat": flat, "map_shape": x.shape})
     return out, caches
 
 
-def _backward_cached(stage_params, head_w, caches, g_out: np.ndarray):
+def _backward_cached(net: Network, caches, g_out: np.ndarray):
     """Gradients of sum_i g_out[i] . output[i] w.r.t. all parameters, frozen
     or not: per-image gradients summed over the batch.
 
-    Returns (stage_grads, head_grads) where stage_grads is a list of
-    (dw, db) in stage order and head_grads is (dw, db).
+    Returns one (dw, db) per entry of `net.layers`: the stages' convs in
+    order, then the head.
     """
     fc = caches[-1]
-    head_grads = (fc["flat"].T @ g_out, g_out.sum(axis=0))
-    g = (g_out @ head_w.T).reshape(fc["map_shape"])
-    stage_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(stage_params)
-    for i in range(len(stage_params) - 1, -1, -1):
-        w, _, s = stage_params[i]
-        cache = caches[i]
+    grads = [(fc["flat"].T @ g_out, g_out.sum(axis=0))]
+    g = (g_out @ net.head.weights.T).reshape(fc["map_shape"])
+    for i, (conv, pool) in reversed(list(enumerate(net.stages))):
+        cache, s = caches[i], pool.window
         g = g * cache["alive"]  # the rectifier, on the pooled map
         g_pre = np.empty_like(cache["pre"])  # the slices cover every entry
         for (a, b), route in zip(np.ndindex(s, s), cache["routes"]):
             np.multiply(g, route, out=g_pre[:, a::s, b::s])
-        dx, dw, db = _conv_bwd(cache["x"], w, g_pre, need_dx=i > 0)
-        stage_grads[i] = (dw, db)
+        dx, dw, db = _conv_bwd(cache["x"], conv.weights, g_pre,
+                               need_dx=i > 0)
+        grads.append((dw, db))
         g = dx
-    return stage_grads, head_grads
+    return grads[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +540,7 @@ def layer_forward(input: Tensor, conv: ConvLayer, spec: PoolSpec) -> Tensor:
     kh, kw = conv.kernel
     _check_pool_extents((x.shape[0] - kh + 1, x.shape[1] - kw + 1),
                         spec.window)
-    return Tensor.from_array(_stage_forward(x[None], conv.weights,
-                                            conv.bias, spec.window)[0])
+    return Tensor.from_array(_stage_forward(x[None], Stage(conv, spec))[0])
 
 
 def fc_forward(input: Tensor, layer: FCLayer) -> Tensor:
@@ -521,17 +554,25 @@ def fc_forward(input: Tensor, layer: FCLayer) -> Tensor:
     return Tensor.from_array(out[0])
 
 
-def network_forward(net: Network, patch: Tensor) -> Tensor:
-    """Apply every stage then the head; returns the length-m representation."""
+def _network_input(net: Network, patch: Tensor) -> np.ndarray:
+    """`patch` as a batch of one, if it is the input `net` expects."""
     x = patch.array
-    if x.ndim != 3 or x.shape[0] != net.input_size \
-            or x.shape[1] != net.input_size or x.shape[2] != net.in_channels:
+    if x.shape != (net.input_size, net.input_size, net.in_channels):
         raise ShapeError(
             f"network expects {net.input_size}x{net.input_size}"
             f"x{net.in_channels} input, got {patch.shape}"
         )
-    out = _forward(*_net_params(net), x[None])
-    return Tensor.from_array(out[0])
+    return x[None]
+
+
+def _layer_names(net: Network) -> list[str]:
+    """"conv<i>" per stage, then "head": the names of `net.layers`."""
+    return [f"conv{i}" for i in range(len(net.stages))] + ["head"]
+
+
+def network_forward(net: Network, patch: Tensor) -> Tensor:
+    """Apply every stage then the head; returns the length-m representation."""
+    return Tensor.from_array(_forward(net, _network_input(net, patch))[0])
 
 
 def network_backward(net: Network, patch: Tensor,
@@ -547,25 +588,13 @@ def network_backward(net: Network, patch: Tensor,
             f"output_grad must have length {net.output_dim}, "
             f"got {g_out.shape[0]}"
         )
-    x = patch.array
-    if x.ndim != 3 or x.shape[0] != net.input_size \
-            or x.shape[1] != net.input_size or x.shape[2] != net.in_channels:
-        raise ShapeError(
-            f"network expects {net.input_size}x{net.input_size}"
-            f"x{net.in_channels} input, got {patch.shape}"
-        )
-    params, head_w, head_b = _net_params(net)
-    _, caches = _forward_cached(params, head_w, head_b, x[None])
-    stage_grads, head_grads = _backward_cached(params, head_w, caches,
-                                               g_out[None])
+    _, caches = _forward_cached(net, _network_input(net, patch))
     grads: dict[str, np.ndarray] = {}
-    for i, ((conv, _), (dw, db)) in enumerate(zip(net.stages, stage_grads)):
-        if not conv.frozen:
-            grads[f"conv{i}.weights"] = dw
-            grads[f"conv{i}.bias"] = db
-    if not net.head.frozen:
-        grads["head.weights"] = head_grads[0]
-        grads["head.bias"] = head_grads[1]
+    for name, layer, (dw, db) in zip(_layer_names(net), net.layers,
+                                     _backward_cached(net, caches,
+                                                      g_out[None])):
+        if not layer.frozen:
+            grads[f"{name}.weights"], grads[f"{name}.bias"] = dw, db
     return grads
 
 
@@ -626,19 +655,21 @@ def gradient_check(net: Network, patch: Tensor, epsilon: float = 1e-5,
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     u = np.random.default_rng(0x5EED).standard_normal(net.output_dim)
-    params, head_w, head_b = _net_params(net)
-    params = [(w.copy(), b.copy(), s) for w, b, s in params]
-    head_w, head_b = head_w.copy(), head_b.copy()
-    x = patch.array[None]
+    x = _network_input(net, patch)
+    # the layer constructors copy: perturbing `net` leaves the caller's alone
+    net = Network([Stage(ConvLayer(conv.weights, conv.bias, conv.frozen), pool)
+                   for conv, pool in net.stages],
+                  FCLayer(net.head.weights, net.head.bias, net.head.frozen),
+                  net.input_size, net.in_channels)
 
-    out, caches = _forward_cached(params, head_w, head_b, x)
-    stage_grads, head_grads = _backward_cached(params, head_w, caches, u[None])
+    _, caches = _forward_cached(net, x)
+    grads = _backward_cached(net, caches, u[None])
 
     margin = 10.0 * epsilon
     stage_pre_min = [np.abs(c["pre"]).min() for c in caches[:-1]]
 
     def scalar() -> float:
-        o, _ = _forward_cached(params, head_w, head_b, x)
+        o, _ = _forward_cached(net, x)
         return float(u @ o[0])
 
     def fd(arr: np.ndarray, index: tuple) -> float:
@@ -662,25 +693,20 @@ def gradient_check(net: Network, patch: Tensor, epsilon: float = 1e-5,
         return BlockCheck(name, worst, checked, skipped)
 
     blocks: list[BlockCheck] = []
-    for i, ((w, b, s), (conv, _)) in enumerate(zip(params, net.stages)):
-        if conv.frozen:
+    for i, (name, layer, (dw, db)) in enumerate(zip(
+            _layer_names(net), net.layers, grads)):
+        if layer.frozen:
             continue
-        downstream = min(stage_pre_min[i + 1:], default=np.inf)
-        if downstream < margin:
-            blocks.append(BlockCheck(f"conv{i}.weights", 0.0, 0, w.size))
-            blocks.append(BlockCheck(f"conv{i}.bias", 0.0, 0, b.size))
+        if i == len(net.stages):  # the head
+            w_ok = b_ok = lambda idx: True
+        elif min(stage_pre_min[i + 1:], default=np.inf) < margin:
+            blocks.append(BlockCheck(f"{name}.weights", 0.0, 0, dw.size))
+            blocks.append(BlockCheck(f"{name}.bias", 0.0, 0, db.size))
             continue
-        chan_min = np.abs(caches[i]["pre"]).min(axis=(0, 1, 2))
-        dw, db = stage_grads[i]
-        blocks.append(check_block(
-            f"conv{i}.weights", w, dw,
-            lambda idx: chan_min[idx[3]] >= margin))
-        blocks.append(check_block(
-            f"conv{i}.bias", b, db,
-            lambda idx: chan_min[idx[0]] >= margin))
-    if not net.head.frozen:
-        blocks.append(check_block(
-            "head.weights", head_w, head_grads[0], lambda idx: True))
-        blocks.append(check_block(
-            "head.bias", head_b, head_grads[1], lambda idx: True))
+        else:
+            chan_min = np.abs(caches[i]["pre"]).min(axis=(0, 1, 2))
+            w_ok = lambda idx: chan_min[idx[3]] >= margin
+            b_ok = lambda idx: chan_min[idx[0]] >= margin
+        blocks.append(check_block(f"{name}.weights", layer.weights, dw, w_ok))
+        blocks.append(check_block(f"{name}.bias", layer.bias, db, b_ok))
     return GradCheckReport(blocks, epsilon, tol)

@@ -2,8 +2,9 @@
 
 The model is a ladder of levels.  Every level trains the same-shaped
 subnetwork on small patches: an entry conv+pool stage, the level-invariant
-template stack, and an FC head.  A level's entry stage is a single object
-aliased into all of that level's networks; when the level finishes, the
+template stack, and an FC head.  A level's entry stage is a single
+`layers.Stage` held by the model and by all of that level's networks (and,
+assembled, by every network above it); when the level finishes, the
 stage is frozen and becomes a filter-and-down-sample preprocessor for the
 levels above it.  The entry stage of the final level is trained like any
 other but never consumed.
@@ -20,8 +21,9 @@ top-left corner of its grid that spans every network offset, an edge
 `patch_edge(l)` top-left corner of each image's center crop, as a view of
 the image's own pixels, and `preprocess_dataset` pushes those corners
 through the frozen stages 0..l-1 a memory slab of images at a time into one
-preallocated (n, e, e, c) array; neither a copy of the raw gallery nor a
-full-size grid of a lower level is kept.  Each row is bit-equal to the
+preallocated (n, e, e, c) array, sized by the shape walk that also checks
+a `Network` (`layers._stage_shapes`); neither a copy of the raw gallery nor
+a full-size grid of a lower level is kept.  Each row is bit-equal to the
 stages run on that image alone, so the corner holds the same bits as the
 matching region of a whole crop's grid.
 
@@ -30,7 +32,8 @@ Greedy levels and the monolithic baseline train through one Siamese loop
 level differs only in that its entry stage is one layer shared by all of
 its networks.  Each layer owns its weights and bias as float64 arrays,
 which the fit steps in place, three in-place operations per block;
-forward, backward and validation read the layers themselves.  The
+forward, backward and validation are kernels that read the networks
+themselves (`net.layers`: the stage convs, then the head).  The
 comparators' (log_alpha, beta) train as one (k, 2) array, written back
 when the fit ends.  A fit that raises, on divergence or otherwise, first
 restores every block it started from, so the model keeps its pre-fit
@@ -57,9 +60,9 @@ import numpy as np
 
 from .data import (DataError, FacePair, LabeledImage, PairBatch,
                    PairSampler, center_window, split_identity_ids)
-from .layers import (ConvLayer, FCLayer, Network, PoolSpec, _backward_cached,
-                     _forward, _forward_cached, _images_per_slab, _slab,
-                     _net_params, _stage_forward)
+from .layers import (ConvLayer, FCLayer, Network, PoolSpec, ShapeError, Stage,
+                     _backward_cached, _forward, _forward_cached,
+                     _images_per_slab, _slab, _stage_forward, _stage_shapes)
 from .loss import ComparatorParams, PairLabel, pair_loss_grads
 from .metrics import auc, compute_roc
 from .seeding import derive_seed, make_rng
@@ -194,19 +197,9 @@ class TrainConfig:
 
 
 @dataclass
-class SharedStage:
-    conv: ConvLayer
-    pool: PoolSpec
-
-    @property
-    def frozen(self) -> bool:
-        return self.conv.frozen
-
-
-@dataclass
 class PyramidModel:
     spec: PyramidSpec
-    stages: list[SharedStage]               # one entry stage per level
+    stages: list[Stage]                     # one entry stage per level
     level_networks: list[list[Network]]     # [level][network]
     comparators: list[list[ComparatorParams]]
     levels_trained: int = 0
@@ -231,27 +224,32 @@ def build_pyramid(spec: PyramidSpec, seed: int) -> PyramidModel:
     fc_dim = spec.fc_input_dim()
     stages, level_networks, comparators = [], [], []
     for level in range(spec.levels):
-        entry = ConvLayer.initialize(spec.shared.kernel,
-                                     spec.entry_in_channels(level),
-                                     spec.shared.channels, rng)
-        stage = SharedStage(entry, PoolSpec(spec.shared.pool))
+        (stage,) = _init_stages([spec.shared], spec.entry_in_channels(level),
+                                rng)
         nets, comps = [], []
         for _ in range(spec.networks_per_level):
-            layers = [(stage.conv, stage.pool)]
-            channels = spec.shared.channels
-            for tspec in spec.template:
-                layers.append((ConvLayer.initialize(tspec.kernel, channels,
-                                                    tspec.channels, rng),
-                               PoolSpec(tspec.pool)))
-                channels = tspec.channels
+            chain = [stage] + _init_stages(spec.template,
+                                           spec.shared.channels, rng)
             head = FCLayer.initialize(fc_dim, spec.output_dim, rng)
-            nets.append(Network(layers, head, spec.base_input,
+            nets.append(Network(chain, head, spec.base_input,
                                 spec.entry_in_channels(level)))
             comps.append(ComparatorParams())
         stages.append(stage)
         level_networks.append(nets)
         comparators.append(comps)
     return PyramidModel(spec, stages, level_networks, comparators)
+
+
+def _init_stages(specs: Sequence[StageSpec], channels: int,
+                 rng: np.random.Generator) -> list[Stage]:
+    """Freshly drawn stages for `specs`, in order, on `channels` inputs."""
+    stages = []
+    for st in specs:
+        stages.append(Stage(ConvLayer.initialize(st.kernel, channels,
+                                                 st.channels, rng),
+                            PoolSpec(st.pool)))
+        channels = st.channels
+    return stages
 
 
 def assemble_network(model: PyramidModel, level: int, which: int) -> Network:
@@ -274,12 +272,11 @@ def assemble_network(model: PyramidModel, level: int, which: int) -> Network:
             f"not all frozen"
         )
     subnet = model.level_networks[level][which]
-    layers = [(s.conv, s.pool) for s in model.stages[:level]] + subnet.stages
-    return Network(layers, subnet.head, spec.assembled_input_edge(level),
-                   in_channels=1)
+    return Network(model.stages[:level] + subnet.stages, subnet.head,
+                   spec.assembled_input_edge(level), in_channels=1)
 
 
-def preprocess_dataset(images, *stages: SharedStage) -> np.ndarray:
+def preprocess_dataset(images, *stages: Stage) -> np.ndarray:
     """Push n images, an (n, h, w, c) array or a sequence of (h, w, c)
     arrays, through the frozen `stages` in order (Algorithm step: filter
     and down-sample the dataset), a memory slab of images at a time, into
@@ -297,26 +294,18 @@ def preprocess_dataset(images, *stages: SharedStage) -> np.ndarray:
     shape = (len(images), *item)
     if len(item) != 3:
         raise PyramidError(f"images of shape {shape} are not (n, h, w, c)")
-    h, w, c = item
-    largest = h * w * c  # elements per image of the largest map in a slab
-    for k, stage in enumerate(stages):
-        kh, kw, c_in, c_out = stage.conv.weights.shape
-        s = stage.pool.window
-        oh, ow = h - kh + 1, w - kw + 1
-        if min(oh, ow) < 1 or oh % s or ow % s or c != c_in:
-            raise PyramidError(
-                f"images of shape {shape} do not fit stage {k}: its input "
-                f"is ({h}, {w}, {c}), not an (h, w, {c_in}) input to a "
-                f"{kh}x{kw} conv with pool {s}")
-        largest = max(largest, oh * ow * c_out)
-        h, w, c = oh // s, ow // s, c_out
-    out = np.empty((len(images), h, w, c))
-    step = _slab(largest)
+    try:
+        out_map, largest = _stage_shapes(stages, *item)
+    except ShapeError as exc:
+        raise PyramidError(f"images of shape {shape} do not fit: {exc}") \
+            from exc
+    out = np.empty((len(images), *out_map))
+    # elements per image of the largest map in a slab: input or stage
+    step = _slab(max(math.prod(item), largest))
     for i in range(0, len(images), step):
         x = np.asarray(images[i:i + step])  # one slab, stacked
         for stage in stages:
-            x = _stage_forward(x, stage.conv.weights, stage.conv.bias,
-                               stage.pool.window)
+            x = _stage_forward(x, stage)
         out[i:i + step] = x
     return out
 
@@ -433,13 +422,13 @@ def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
     PyramidError; any failure first restores the values the fit began with.
     """
     layers = list({id(layer): layer for net in nets
-                   for layer in _layers(net)}.values())
+                   for layer in net.layers}.values())
     comp_params = np.array([[c.log_alpha, c.beta] for c in comps])
     params = [a for layer in layers
               for a in (layer.weights, layer.bias)] + [comp_params]
     grads = [np.zeros_like(a) for a in params]
     velocity = [np.zeros_like(a) for a in params]
-    sharing = [float(sum(layer in _layers(net) for net in nets))
+    sharing = [float(sum(layer in net.layers for net in nets))
                for layer in layers for _ in "wb"] + [1.0]
     grad_of = {id(layer): grads[2 * i:2 * i + 2]
                for i, layer in enumerate(layers)}
@@ -468,7 +457,6 @@ def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
                 g.fill(0.0)
             total_loss = 0.0
             for k, net in enumerate(nets):
-                stages, head_w, head_b = _net_params(net)
                 comp = ComparatorParams(*comp_params[k].tolist())
                 chunk = max(1, _images_per_slab(net) // 2)
                 for start in range(0, len(pairs), chunk):
@@ -477,7 +465,7 @@ def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
                     members = np.column_stack((part.first, part.second))
                     x = _gather(images, members.reshape(-1), offsets[k],
                                 net.input_size)
-                    out, caches = _forward_cached(stages, head_w, head_b, x)
+                    out, caches = _forward_cached(net, x)
                     pg = pair_loss_grads(out[0::2], out[1::2], part.label,
                                          comp)
                     g_out = np.empty_like(out)
@@ -488,8 +476,8 @@ def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
                     grads[-1][k] = _running_sum(
                         grads[-1][k],
                         np.column_stack([pg.grad_log_alpha, pg.grad_beta]))
-                    sg, hg = _backward_cached(stages, head_w, caches, g_out)
-                    for layer, (dw, db) in zip(_layers(net), [*sg, hg]):
+                    for layer, (dw, db) in zip(
+                            net.layers, _backward_cached(net, caches, g_out)):
                         gw, gb = grad_of[id(layer)]
                         gw += dw
                         gb += db
@@ -518,11 +506,6 @@ def _running_sum(start, values: np.ndarray):
     return np.add.accumulate(np.concatenate([[start], values]))[-1]
 
 
-def _layers(net: Network) -> list:
-    """`net`'s conv layers in stage order, then its head."""
-    return [conv for conv, _ in net.stages] + [net.head]
-
-
 def _gather(images, ids: Sequence[int], offset: tuple[int, int],
             edge: int) -> np.ndarray:
     """The listed images' edge-`edge` patches at `offset` = (x, y)."""
@@ -538,7 +521,7 @@ def _validation_auc(net: Network, offset: tuple[int, int], val_images,
     val_pairs = PairBatch.from_pairs(val_pairs)
     step = _images_per_slab(net)
     feats = np.concatenate([
-        _forward(*_net_params(net), _gather(
+        _forward(net, _gather(
             val_images, val_ids[start:start + step], offset, net.input_size))
         for start in range(0, len(val_ids), step)])
     first = np.searchsorted(val_ids, val_pairs.first)
@@ -626,20 +609,10 @@ def build_monolithic(spec: PyramidSpec, seed: int) -> tuple[Network,
     """A single end-to-end network with the full assembled architecture:
     every level's stage geometry stacked, then the template and head."""
     rng = make_rng(seed, "monolith-init")
-    layers = []
-    channels = 1
-    for _ in range(spec.levels):
-        layers.append((ConvLayer.initialize(spec.shared.kernel, channels,
-                                            spec.shared.channels, rng),
-                       PoolSpec(spec.shared.pool)))
-        channels = spec.shared.channels
-    for tspec in spec.template:
-        layers.append((ConvLayer.initialize(tspec.kernel, channels,
-                                            tspec.channels, rng),
-                       PoolSpec(tspec.pool)))
-        channels = tspec.channels
+    chain = _init_stages([spec.shared] * spec.levels + list(spec.template),
+                         1, rng)
     head = FCLayer.initialize(spec.fc_input_dim(), spec.output_dim, rng)
-    net = Network(layers, head, spec.assembled_input_edge(spec.levels - 1),
+    net = Network(chain, head, spec.assembled_input_edge(spec.levels - 1),
                   in_channels=1)
     return net, ComparatorParams()
 
@@ -723,7 +696,7 @@ def _model_tensors(model: PyramidModel):
         yield stage.conv.bias
     for nets, comps in zip(model.level_networks, model.comparators):
         for net, comp in zip(nets, comps):
-            for layer in _layers(net)[1:]:  # template convs, then the head
+            for layer in net.layers[1:]:  # template convs, then the head
                 yield layer.weights
                 yield layer.bias
             yield np.array([comp.log_alpha, comp.beta])
@@ -770,17 +743,17 @@ def load_model(path) -> PyramidModel:
     for level in range(levels):
         conv = ConvLayer(cur.tensor(), cur.tensor(),
                          frozen=bool(frozen[level]))
-        stages.append(SharedStage(conv, PoolSpec(sp)))
+        stages.append(Stage(conv, PoolSpec(sp)))
     level_networks, comparators = [], []
     for level in range(levels):
         nets, comps = [], []
         for _ in range(networks_per_level):
-            layers = [(stages[level].conv, stages[level].pool)]
+            chain = [stages[level]]
             for tspec in spec.template:
-                layers.append((ConvLayer(cur.tensor(), cur.tensor()),
-                               PoolSpec(tspec.pool)))
+                chain.append(Stage(ConvLayer(cur.tensor(), cur.tensor()),
+                                   PoolSpec(tspec.pool)))
             head = FCLayer(cur.tensor(), cur.tensor())
-            nets.append(Network(layers, head, base_input,
+            nets.append(Network(chain, head, base_input,
                                 spec.entry_in_channels(level)))
             cmp = cur.tensor().reshape(-1)
             if cmp.size != 2:

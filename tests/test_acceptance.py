@@ -17,8 +17,8 @@ import pytest
 
 from pyrcnn import (ComparatorParams, ConvLayer, FCLayer, Network,
                     NuisanceConfig, PairLabel, PairSampler, PoolSpec,
-                    PyramidSpec, Tensor, TrainConfig, assemble_network, auc,
-                    best_accuracy, build_monolithic, build_pyramid,
+                    PyramidSpec, Stage, Tensor, TrainConfig, assemble_network,
+                    auc, best_accuracy, build_monolithic, build_pyramid,
                     center_crop, comparator, compute_roc, distance,
                     extract_representation, gradient_check, greedy_train,
                     load_image, load_model, network_forward, pair_loss,
@@ -107,7 +107,7 @@ def random_network(rng, edge, stage_specs, m):
     for kernel, out_channels, pool in stage_specs:
         conv = ConvLayer.initialize(kernel, channels, out_channels, rng)
         conv.bias[:] = rng.uniform(-0.1, 0.1, out_channels)
-        stages.append((conv, PoolSpec(pool)))
+        stages.append(Stage(conv, PoolSpec(pool)))
         channels = out_channels
         feat = (feat - kernel + 1) // pool
     d_in = feat * feat * channels

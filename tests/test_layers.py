@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import pyrcnn.layers as layers
-from pyrcnn import (ConvLayer, FCLayer, Network, PoolSpec, ShapeError, Tensor,
-                    TensorError, activation, conv_forward, fc_forward,
+from pyrcnn import (ConvLayer, FCLayer, Network, PoolSpec, ShapeError, Stage,
+                    Tensor, TensorError, activation, conv_forward, fc_forward,
                     gradient_check, layer_forward, maxpool, network_backward,
                     network_forward)
 
@@ -40,7 +40,7 @@ def small_net(rng, n_stages=2, input_size=14):
     edge, channels = input_size, 1
     stages = []
     for conv in convs:
-        stages.append((conv, PoolSpec(2)))
+        stages.append(Stage(conv, PoolSpec(2)))
         edge = (edge - 2) // 2
         channels = conv.out_channels
     head = FCLayer.initialize(edge * edge * channels, 5, rng)
@@ -142,6 +142,24 @@ def test_layer_rejects_non_finite_or_empty_parameters(cls, shape, bad,
         (w if which == "weights" else b).flat[-1] = float(value)
     with pytest.raises(TensorError, match=problem):
         cls(w, b)
+
+
+@pytest.mark.parametrize("cls, shape", LAYER_SHAPES)
+@pytest.mark.parametrize("attr", ["weights", "bias"])
+def test_layer_parameters_cannot_be_replaced(cls, shape, attr):
+    """A replacement would skip the constructor's checks (an int64 bias
+    breaks the in-place training step); writing into the array still
+    works."""
+    layer = cls(np.ones(shape), np.zeros(shape[-1]))
+    owned = getattr(layer, attr)
+    want = owned.copy()
+    with pytest.raises(AttributeError):
+        setattr(layer, attr, np.zeros(owned.shape, dtype=np.int64))
+    assert getattr(layer, attr) is owned
+    np.testing.assert_array_equal(owned, want)
+    owned[...] = 2.0
+    np.testing.assert_array_equal(getattr(layer, attr), np.full(owned.shape,
+                                                                2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +320,27 @@ def test_network_forward_deterministic_and_shape_checked():
 
 def test_network_shape_chain_validated():
     rng = np.random.default_rng(12)
-    conv = ConvLayer.initialize(3, 1, 4, rng)
+    stage = Stage(ConvLayer.initialize(3, 1, 4, rng), PoolSpec(2))
     head = FCLayer.initialize(10, 2, rng)
     with pytest.raises(ShapeError):
-        Network([(conv, PoolSpec(2))], head, 13, 1)  # 11 not divisible by 2
+        Network([stage], head, 13, 1)  # 11 not divisible by 2
     with pytest.raises(ShapeError):
-        Network([(conv, PoolSpec(2))], head, 14, 1)  # head d_in mismatch
+        Network([stage], head, 14, 1)  # head d_in mismatch
+
+
+def test_network_shape_errors_name_the_stage():
+    rng = np.random.default_rng(17)
+    first = Stage(ConvLayer.initialize(3, 1, 4, rng), PoolSpec(2))
+    head = FCLayer.initialize(4, 2, rng)
+    for second, edge, problem in [
+            (Stage(ConvLayer.initialize(3, 2, 4, rng), PoolSpec(1)), 14,
+             "stage 1 expects 2 input channels but receives 4"),
+            (Stage(ConvLayer.initialize(7, 4, 4, rng), PoolSpec(1)), 14,
+             "stage 1 kernel 7x7 exceeds its 6x6 input"),
+            (Stage(ConvLayer.initialize(3, 4, 4, rng), PoolSpec(3)), 14,
+             "stage 1 pool window 3 does not divide its 4x4 feature map")]:
+        with pytest.raises(ShapeError, match=problem):
+            Network([first, second], head, edge, 1)
 
 
 def test_network_backward_zero_grad_is_zero():
@@ -386,10 +419,10 @@ def test_gradient_check_flags_scaled_block(monkeypatch):
     patch = tensor(rng.uniform(0, 1, (14, 14, 1)))
     real = layers._backward_cached
 
-    def doubled(stage_params, head_w, caches, g_out):
-        stage_grads, head_grads = real(stage_params, head_w, caches, g_out)
-        stage_grads[1] = (stage_grads[1][0] * 2.0, stage_grads[1][1])
-        return stage_grads, head_grads
+    def doubled(net, caches, g_out):
+        grads = real(net, caches, g_out)
+        grads[1] = (grads[1][0] * 2.0, grads[1][1])
+        return grads
 
     monkeypatch.setattr(layers, "_backward_cached", doubled)
     report = gradient_check(net, patch)
@@ -434,10 +467,10 @@ def geometry_net(rng, edge, channels):
     to an 8-d head, at input edge `edge` with `channels` input channels."""
     stages, e, c = [], edge, channels
     while e > 16:
-        stages.append((ConvLayer.initialize(5, c, 8, rng), PoolSpec(2)))
+        stages.append(Stage(ConvLayer.initialize(5, c, 8, rng), PoolSpec(2)))
         e, c = (e - 4) // 2, 8
-    stages.append((ConvLayer.initialize(5, c, 8, rng), PoolSpec(2)))
-    stages.append((ConvLayer.initialize(3, 8, 16, rng), PoolSpec(2)))
+    stages.append(Stage(ConvLayer.initialize(5, c, 8, rng), PoolSpec(2)))
+    stages.append(Stage(ConvLayer.initialize(3, 8, 16, rng), PoolSpec(2)))
     return Network(stages, FCLayer.initialize(64, 8, rng), edge, channels)
 
 
@@ -453,15 +486,13 @@ def test_batched_kernels_match_per_image_ops(monkeypatch, edge, channels, n,
     net = geometry_net(rng, edge, channels)
     x = rng.uniform(0.0, 1.0, (n, edge, edge, channels))
     g_out = rng.standard_normal((n, net.output_dim))
-    params, hw, hb = layers._net_params(net)
 
-    out, caches = layers._forward_cached(params, hw, hb, x)
+    out, caches = layers._forward_cached(net, x)
     for i in range(n):
         np.testing.assert_allclose(
             out[i], network_forward(net, tensor(x[i])).array, rtol=1e-12)
 
-    stage_grads, head_grads = layers._backward_cached(params, hw, caches,
-                                                      g_out)
+    *stage_grads, head_grads = layers._backward_cached(net, caches, g_out)
     per_image = [network_backward(net, tensor(x[i]), g_out[i])
                  for i in range(n)]
     got = {"head.weights": head_grads[0], "head.bias": head_grads[1]}
@@ -482,17 +513,36 @@ def test_forward_rows_are_independent_of_batch_size(edge, channels):
     rng = np.random.default_rng(320 + edge + channels)
     net = geometry_net(rng, edge, channels)
     x = rng.uniform(0.0, 1.0, (5, edge, edge, channels))
-    params, hw, hb = layers._net_params(net)
 
-    batched = layers._forward(params, hw, hb, x)
+    batched = layers._forward(net, x)
     assert batched.shape == (5, net.output_dim)
     for i in range(5):
-        alone = layers._forward(params, hw, hb, x[i:i + 1])[0]
+        alone = layers._forward(net, x[i:i + 1])[0]
         assert alone.tobytes() == batched[i].tobytes()
         assert alone.tobytes() == \
             network_forward(net, tensor(x[i])).array.tobytes()
-    cached, _ = layers._forward_cached(params, hw, hb, x)
+    cached, _ = layers._forward_cached(net, x)
     np.testing.assert_allclose(batched, cached, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_stages, edge", [(2, 14), (0, 3)])
+def test_backward_gives_one_gradient_pair_per_layer(n_stages, edge):
+    """`_backward_cached` returns (dw, db) for each of `net.layers`, the
+    stages' convs then the head, shaped like the layer's arrays."""
+    rng = np.random.default_rng(330 + n_stages)
+    if n_stages:
+        net = small_net(rng, n_stages=n_stages, input_size=edge)
+    else:
+        net = Network([], FCLayer.initialize(edge * edge, 5, rng), edge, 1)
+    x = rng.uniform(0.0, 1.0, (3, edge, edge, 1))
+    _, caches = layers._forward_cached(net, x)
+    grads = layers._backward_cached(net, caches,
+                                    rng.standard_normal((3, net.output_dim)))
+    assert len(net.layers) == n_stages + 1 == len(grads)
+    assert net.layers[-1] is net.head
+    for layer, (dw, db) in zip(net.layers, grads):
+        assert dw.shape == layer.weights.shape
+        assert db.shape == layer.bias.shape
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +579,7 @@ def tie_heavy_stage(rng, s):
     x = np.stack([first, pre - first], axis=-1)
     conv = conv_layer(np.ones((1, 1, 2, 1)))
     head = FCLayer.initialize(grid * grid, 3, rng)
-    return Network([(conv, PoolSpec(s))], head, grid * s, 2), x, pre
+    return Network([Stage(conv, PoolSpec(s))], head, grid * s, 2), x, pre
 
 
 @pytest.mark.parametrize("s", [2, 3])
@@ -539,21 +589,21 @@ def test_backward_routes_ties_like_a_first_max_argmax(s):
     maximum is not positive."""
     rng = np.random.default_rng(700 + s)
     net, x, pre = tie_heavy_stage(rng, s)
-    params, hw, hb = layers._net_params(net)
     g_out = rng.standard_normal((x.shape[0], net.output_dim))
 
-    _, caches = layers._forward_cached(params, hw, hb, x)
+    _, caches = layers._forward_cached(net, x)
     np.testing.assert_array_equal(caches[0]["pre"][..., 0], pre)
-    (dw, db), = layers._backward_cached(params, hw, caches, g_out)[0]
+    (dw, db), _ = layers._backward_cached(net, caches, g_out)
 
-    g_pool = (g_out @ hw.T).reshape(x.shape[0], 3, 3, 1)
+    g_pool = (g_out @ net.head.weights.T).reshape(x.shape[0], 3, 3, 1)
     g_pre = np.zeros(pre.shape + (1,))
     for i, u, v in np.ndindex(g_pool.shape[:3]):
         window = pre[i, u * s:u * s + s, v * s:v * s + s].reshape(-1)
         k = int(np.argmax(window))
         if window[k] > 0:
             g_pre[i, u * s + k // s, v * s + k % s, 0] = g_pool[i, u, v, 0]
-    _, dw_ref, db_ref = layers._conv_bwd(x, params[0][0], g_pre, False)
+    _, dw_ref, db_ref = layers._conv_bwd(x, net.stages[0].conv.weights, g_pre,
+                                         False)
     np.testing.assert_array_equal(dw, dw_ref)
     np.testing.assert_array_equal(db, db_ref)
 

@@ -7,7 +7,7 @@ import pytest
 
 from pyrcnn import (ComparatorParams, ConvLayer, FacePair, FCLayer,
                     LabeledImage, PairLabel, PairSampler, PoolSpec,
-                    PyramidError, PyramidSpec, SharedStage, StageSpec,
+                    PyramidError, PyramidSpec, Stage, StageSpec,
                     Tensor, TrainConfig,
                     assemble_network, build_monolithic, build_pyramid,
                     center_crop, comparator, distance, greedy_train,
@@ -188,7 +188,7 @@ def test_preprocess_shape_arithmetic():
     rng = np.random.default_rng(6)
     conv = ConvLayer.initialize(5, 1, 4, rng)
     conv.frozen = True
-    stage = SharedStage(conv, PoolSpec(2))
+    stage = Stage(conv, PoolSpec(2))
     images = random_patches(rng, 3, 32)
     out = preprocess_dataset(stack(images), stage)
     assert [o.shape for o in out] == [(14, 14, 4)] * 3
@@ -198,7 +198,7 @@ def test_preprocess_shape_arithmetic():
 
 def test_preprocess_requires_frozen_stage():
     rng = np.random.default_rng(7)
-    stage = SharedStage(ConvLayer.initialize(5, 1, 4, rng), PoolSpec(2))
+    stage = Stage(ConvLayer.initialize(5, 1, 4, rng), PoolSpec(2))
     with pytest.raises(PyramidError):
         preprocess_dataset(stack(random_patches(rng, 1, 32)), stage)
 
@@ -208,7 +208,7 @@ def test_preprocess_composes_like_chained_stages():
     conv0 = ConvLayer.initialize(5, 1, 4, rng)
     conv1 = ConvLayer.initialize(5, 4, 4, rng)
     conv0.frozen = conv1.frozen = True
-    s0, s1 = SharedStage(conv0, PoolSpec(2)), SharedStage(conv1, PoolSpec(2))
+    s0, s1 = Stage(conv0, PoolSpec(2)), Stage(conv1, PoolSpec(2))
     images = random_patches(rng, 2, 76)
     once = preprocess_dataset(preprocess_dataset(stack(images), s0), s1)
     for img, got in zip(images, once):
@@ -233,7 +233,7 @@ def test_preprocess_of_a_corner_is_the_corner_of_the_grid():
     conv0 = ConvLayer.initialize(5, 1, 8, rng)
     conv1 = ConvLayer.initialize(5, 8, 8, rng)
     conv0.frozen = conv1.frozen = True
-    s0, s1 = SharedStage(conv0, PoolSpec(2)), SharedStage(conv1, PoolSpec(2))
+    s0, s1 = Stage(conv0, PoolSpec(2)), Stage(conv1, PoolSpec(2))
     crops = stack(random_patches(rng, 5, 76))
     level1 = preprocess_dataset(crops, s0)
     corner = preprocess_dataset([c[:36, :36] for c in crops], s0)
@@ -250,7 +250,7 @@ def test_preprocess_is_independent_of_slab_size(monkeypatch):
     rng = np.random.default_rng(12)
     conv = ConvLayer.initialize(5, 1, 4, rng)
     conv.frozen = True
-    stage = SharedStage(conv, PoolSpec(2))
+    stage = Stage(conv, PoolSpec(2))
     images = stack(random_patches(rng, 7, 32))
     whole = preprocess_dataset(images, stage)
     monkeypatch.setattr(layers, "_SLAB_ELEMENTS", 2 * 28 * 28 * 4)
@@ -263,7 +263,7 @@ def test_preprocess_rejects_mis_shaped_array():
     rng = np.random.default_rng(9)
     conv = ConvLayer.initialize(5, 1, 4, rng)
     conv.frozen = True
-    stage = SharedStage(conv, PoolSpec(2))
+    stage = Stage(conv, PoolSpec(2))
     for shape in [(32, 32, 1),       # one image, no batch axis
                   (2, 32, 32, 3),    # wrong channel count
                   (2, 3, 3, 1),      # smaller than the kernel
@@ -494,7 +494,7 @@ def test_shared_entry_stage_gradient_is_averaged_across_networks():
                                      patch_offsets=((0, 0), (0, 0))), seed=27)
     net0 = twin.level_networks[0][0]
     twin.level_networks[0][1] = Network(
-        [net0.stages[0]] + [(ConvLayer(c.weights, c.bias), p)
+        [net0.stages[0]] + [Stage(ConvLayer(c.weights, c.bias), p)
                             for c, p in net0.stages[1:]],
         FCLayer(net0.head.weights, net0.head.bias), 16, 1)
     cmp0 = twin.comparators[0][0]
@@ -574,14 +574,14 @@ def test_tied_siamese_gradient_is_sum_of_branches():
     conv = ConvLayer.initialize(3, 1, 3, rng)
     head_w = rng.uniform(0.05, 0.2, (16 * 3, 4))
     head = FCLayer(head_w, np.full(4, 0.3))
-    net = Network([(conv, PoolSpec(2))], head, 10, 1)
+    net = Network([Stage(conv, PoolSpec(2))], head, 10, 1)
     p1 = tensor(rng.uniform(0.2, 1.0, (10, 10, 1)))
     p2 = tensor(rng.uniform(0.2, 1.0, (10, 10, 1)))
     comp = ComparatorParams(log_alpha=0.2, beta=0.7)
     label = PairLabel.MATCHED
 
     def loss_with(weights):
-        trial = Network([(ConvLayer(weights, conv.bias), PoolSpec(2))],
+        trial = Network([Stage(ConvLayer(weights, conv.bias), PoolSpec(2))],
                         head, 10, 1)
         v1 = network_forward(trial, p1).array
         v2 = network_forward(trial, p2).array
@@ -995,6 +995,20 @@ def test_train_network_step_is_independent_of_chunking(monkeypatch):
     assert chunked_trace.losses == pytest.approx(whole_trace.losses,
                                                  rel=1e-12)
     assert chunked_trace.val_aucs == whole_trace.val_aucs
+
+
+def test_images_per_slab_at_the_default_geometries():
+    """Training chunks and validation batches are sized by this number,
+    so the trained bytes of the monolith depend on it: one slab over the
+    largest pre-activation map, 12*12*8 at both 16-edge levels and 72*72*8
+    at the 76-edge monolith."""
+    import pyrcnn.layers as layers
+
+    pyr = build_pyramid(PyramidSpec(levels=2), seed=1)
+    mono, _ = build_monolithic(PyramidSpec(levels=3), seed=1)
+    assert [layers._images_per_slab(net) for net in (
+        pyr.level_networks[0][0], pyr.level_networks[1][0], mono)] == \
+        [113, 113, 3]
 
 
 # ---------------------------------------------------------------------------
