@@ -3,8 +3,9 @@
 from .tensor import Tensor, TensorError, approx_equal, create_tensor, crop
 from .layers import (BlockCheck, ConvLayer, FCLayer, GradCheckReport, Network,
                      PoolSpec, ShapeError, Stage, activation, conv_forward,
-                     fc_forward, gradient_check, layer_forward, maxpool,
-                     network_backward, network_forward)
+                     fc_forward, forward_multiply_adds, gradient_check,
+                     layer_forward, maxpool, network_backward,
+                     network_forward)
 from .loss import (ComparatorParams, PairGradients, PairLabel, comparator,
                    distance, logistic, pair_loss, pair_loss_grads)
 from .data import (DataError, DatasetIndex, FacePair, IndexRecord,

@@ -3,7 +3,10 @@
 Images are single-channel binary PGM (P5) files listed by an index CSV with
 header ``path,identity[,lx1,ly1,...]``; relative paths resolve against the
 index file's directory.  Identity labels are re-numbered densely in order of
-first appearance.  The synthetic generator renders one base pattern per
+first appearance.  A loaded image keeps the file's 8-bit samples and maxval
+(`LabeledImage.raster`, one byte per pixel); its float pixels,
+`samples / maxval`, are made by `float_pixels` only for the window or slab
+being read.  The synthetic generator renders one base pattern per
 identity (oriented gratings plus blobs on a padded canvas) and perturbs it
 with identity-preserving nuisances — brightness, translation, pixel noise —
 so that raw pixel distance is a poor verifier while identity stays learnable.
@@ -47,29 +50,76 @@ class DataError(ValueError):
 # core records
 
 
-@dataclass
+def float_pixels(samples, maxval) -> np.ndarray:
+    """Stored samples as float64 pixels in [0, 1]: `samples / maxval`.
+
+    Every float view of an image is made here: `read_pgm`,
+    `LabeledImage.pixels`, the crops, and the slabs training and
+    extraction stack.  `samples` is one raster with one maxval, or n
+    stacked rasters with n maxvals.  A float image's maxval is 1, and
+    x / 1 == x bit for bit.
+    """
+    scale = np.reshape(maxval, (-1,) + (1,) * (np.ndim(samples) - 1))
+    return np.divide(samples, scale, dtype=np.float64)
+
+
 class LabeledImage:
-    """A loaded grayscale image with its identity and optional landmarks."""
+    """A grayscale image with its identity and optional landmarks, held as
+    its samples are stored: an h x w x 1 `raster` of values in
+    0..`maxval`.
 
-    pixels: Tensor
-    identity: int
-    landmarks: list[tuple[float, float]] | None = None
-    source: str | None = None
+    `pixels` is a float `Tensor` in [0, 1], kept as its float64 array with
+    maxval 1, or a uint8 array of samples with their maxval (1..255), kept
+    as it is: a PGM's image holds one byte per pixel.  The float pixels,
+    `float_pixels(raster, maxval)`, are computed only where they are read:
+    `pixels` for the whole image, and the windows the crops, training and
+    extraction take.
+    """
 
-    def __post_init__(self):
-        shape = self.pixels.shape
-        if len(shape) != 3 or shape[2] != 1:
+    __slots__ = ("raster", "maxval", "identity", "landmarks", "source")
+
+    def __init__(self, pixels, identity: int,
+                 landmarks: list[tuple[float, float]] | None = None,
+                 source: str | None = None, maxval: int = 1):
+        if isinstance(pixels, Tensor):
+            if maxval != 1:
+                raise DataError(f"a float image has maxval 1, got {maxval}")
+            raster = pixels.array
+        else:
+            raster = np.asarray(pixels)
+            if raster.dtype != np.uint8 or not 1 <= maxval <= 255:
+                raise DataError(
+                    f"stored samples must be uint8 with a maxval in 1..255, "
+                    f"got {raster.dtype} with maxval {maxval}")
+            raster = raster.view()
+            raster.flags.writeable = False
+        shape = raster.shape
+        if len(shape) != 3 or shape[2] != 1 or 0 in shape:
             raise DataError(f"image pixels must be h x w x 1, got {shape}")
-        arr = self.pixels.array
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        if raster.min() < 0 or raster.max() > maxval:
             raise DataError("pixel values must lie in [0, 1]")
-        if self.landmarks is not None:
+        if landmarks is not None:
             h, w = shape[0], shape[1]
-            for i, (lx, ly) in enumerate(self.landmarks):
+            for i, (lx, ly) in enumerate(landmarks):
                 if not (0 <= lx <= w - 1 and 0 <= ly <= h - 1):
                     raise DataError(
                         f"landmark {i} at ({lx}, {ly}) outside {w}x{h} image"
                     )
+        self.raster = raster
+        self.maxval = maxval
+        self.identity = identity
+        self.landmarks = landmarks
+        self.source = source
+
+    @property
+    def pixels(self) -> Tensor:
+        """The float64 pixels in [0, 1], made on each read."""
+        return Tensor.from_array(float_pixels(self.raster, self.maxval))
+
+    def __repr__(self) -> str:
+        h, w, _ = self.raster.shape
+        return (f"LabeledImage({w}x{h}, maxval {self.maxval}, identity "
+                f"{self.identity}, source {self.source!r})")
 
 
 @dataclass(frozen=True)
@@ -110,6 +160,11 @@ class DatasetIndex:
 
 def read_pgm(path) -> np.ndarray:
     """Read an 8-bit binary PGM into an h x w array of floats in [0, 1]."""
+    return float_pixels(*_read_pgm_samples(path))
+
+
+def _read_pgm_samples(path) -> tuple[np.ndarray, int]:
+    """An 8-bit binary PGM as stored: its h x w uint8 raster and maxval."""
     raw = Path(path).read_bytes()
     if raw[:2] != b"P5":
         raise DataError(f"{path}: expected binary PGM magic 'P5'")
@@ -144,7 +199,10 @@ def read_pgm(path) -> np.ndarray:
             f"{path}: raster has {len(data)} bytes, needs {width * height}"
         )
     arr = np.frombuffer(data, dtype=np.uint8).reshape(height, width)
-    return arr.astype(np.float64) / maxval
+    top = int(arr.max(initial=0))
+    if top > maxval:
+        raise DataError(f"{path}: PGM sample {top} exceeds maxval {maxval}")
+    return arr, maxval
 
 
 def write_pgm(path, image: np.ndarray) -> None:
@@ -285,15 +343,12 @@ def write_index(path, rows: Sequence[tuple]) -> None:
 
 
 def load_image(record: IndexRecord) -> LabeledImage:
-    """Load one index record's PGM into a LabeledImage."""
-    arr = read_pgm(record.path)
+    """Load one index record's PGM into a LabeledImage that keeps the
+    file's 8-bit samples."""
+    raster, maxval = _read_pgm_samples(record.path)
     landmarks = list(record.landmarks) if record.landmarks else None
-    return LabeledImage(
-        pixels=Tensor.from_array(arr[:, :, None]),
-        identity=record.identity,
-        landmarks=landmarks,
-        source=str(record.path),
-    )
+    return LabeledImage(raster[:, :, None], record.identity, landmarks,
+                        str(record.path), maxval)
 
 
 # ---------------------------------------------------------------------------
@@ -476,41 +531,50 @@ def sample_pairs(index: DatasetIndex, n: int, seed: int) -> PairBatch:
     return sampler.batch(n)
 
 
-def crop_patch(image: LabeledImage, origin: tuple[int, int],
-               edge: int) -> Tensor:
-    """Square sub-image at (x, y); out of bounds is an error, never clamped."""
+def crop_window(image: LabeledImage, origin: tuple[int, int],
+                edge: int) -> np.ndarray:
+    """The square at (x, y) of `image`'s stored samples, as a read-only
+    view (no copy); out of bounds is an error, never clamped."""
     x, y = int(origin[0]), int(origin[1])
-    h, w = image.pixels.shape[0], image.pixels.shape[1]
+    h, w = image.raster.shape[0], image.raster.shape[1]
     if edge < 1:
         raise DataError(f"patch edge must be >= 1, got {edge}")
     if x < 0 or y < 0 or x + edge > w or y + edge > h:
         raise DataError(
             f"patch origin ({x}, {y}) edge {edge} outside {w}x{h} image"
         )
-    return Tensor.from_array(image.pixels.array[y:y + edge, x:x + edge, :])
+    return image.raster[y:y + edge, x:x + edge]
+
+
+def crop_patch(image: LabeledImage, origin: tuple[int, int],
+               edge: int) -> Tensor:
+    """`crop_window` as float pixels."""
+    return Tensor.from_array(
+        float_pixels(crop_window(image, origin, edge), image.maxval))
 
 
 def center_origin(image: LabeledImage, edge: int) -> tuple[int, int]:
     """(x, y) of the edge-`edge` square centred in `image`, rounded down."""
-    return ((image.pixels.shape[1] - edge) // 2,
-            (image.pixels.shape[0] - edge) // 2)
+    return ((image.raster.shape[1] - edge) // 2,
+            (image.raster.shape[0] - edge) // 2)
 
 
 def center_window(image: LabeledImage, edge: int) -> np.ndarray:
     """The edge-`edge` square centred in `image`, as a read-only view of
-    its pixels (no copy)."""
-    if edge > min(image.pixels.shape[0], image.pixels.shape[1]):
+    its stored samples (no copy)."""
+    h, w = image.raster.shape[0], image.raster.shape[1]
+    if edge > min(h, w):
         raise TensorError(
-            f"image {image.pixels.shape[1]}x{image.pixels.shape[0]} smaller "
-            f"than required crop edge {edge}"
+            f"image {w}x{h} smaller than required crop edge {edge}"
         )
     x, y = center_origin(image, edge)
-    return image.pixels.array[y:y + edge, x:x + edge]
+    return image.raster[y:y + edge, x:x + edge]
 
 
 def center_crop(image: LabeledImage, edge: int) -> Tensor:
-    """A copy of `center_window`."""
-    return Tensor.from_array(center_window(image, edge))
+    """`center_window` as float pixels."""
+    return Tensor.from_array(
+        float_pixels(center_window(image, edge), image.maxval))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import DataError, LabeledImage, center_origin, crop_patch, csv_rows
+from .data import (DataError, LabeledImage, center_origin, crop_window,
+                   csv_rows, float_pixels)
 from .layers import ShapeError, _forward, _stage_forward
 from .metrics import VerificationReport
 from .pyramid import PyramidModel
@@ -48,15 +49,17 @@ def _level_outputs(model: PyramidModel, images: Sequence[LabeledImage],
 
     Row i joins, in network order, the outputs for the edge
     `spec.patch_edge(level)` patch of images[i] at origins[i].  The patches
-    go together through the frozen stages below the level and are handed to
-    each network at its own training offset, on the forward-only kernel, so
-    each row is bit-equal to the assembled deep network run on the
-    matching sub-crop of that image alone.
+    are stacked from the images' stored samples and made float pixels as
+    one slab; they go together through the frozen stages below the level
+    and are handed to each network at its own training offset, on the
+    forward-only kernel, so each row is bit-equal to the assembled deep
+    network run on the matching sub-crop of that image alone.
     """
     spec = model.spec
     raw_edge = spec.patch_edge(level)
-    x = np.stack([crop_patch(image, origin, raw_edge).array
-                  for image, origin in zip(images, origins)])
+    x = float_pixels(np.stack([crop_window(image, origin, raw_edge)
+                               for image, origin in zip(images, origins)]),
+                     [image.maxval for image in images])
     for stage in model.stages[:level]:
         if not stage.frozen:
             raise ShapeError(

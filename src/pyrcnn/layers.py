@@ -315,6 +315,20 @@ def _images_per_slab(net: Network) -> int:
                                net.in_channels)[1])
 
 
+def forward_multiply_adds(net: Network) -> int:
+    """Multiply-adds of one forward pass of `net` on one input, from its
+    geometry: each conv's pre-activation map times its kernel volume
+    (kh*kw*c_in), plus the head's weights; pooling and the rectifier make
+    none."""
+    total = net.head.weights.size
+    shape = (net.input_size, net.input_size, net.in_channels)
+    for stage in net.stages:
+        shape, pre_activation = _stage_shapes([stage], *shape)
+        total += pre_activation * stage.conv.weights.size \
+            // stage.conv.out_channels
+    return total
+
+
 def _column_blocks(x: np.ndarray, kh: int, kw: int):
     """Yield (i, j, r, s, col): the (m, kh*kw*c) column matrix, in (a, b, c)
     order, of output rows r:s of images i:j of an (n, h, w, c) batch.

@@ -19,13 +19,14 @@ Each level holds and trains on only the region its networks read: the
 top-left corner of its grid that spans every network offset, an edge
 `base_input + max_offset` square.  `greedy_train` takes, for level l, the
 `patch_edge(l)` top-left corner of each image's center crop, as a view of
-the image's own pixels, and `preprocess_dataset` pushes those corners
-through the frozen stages 0..l-1 a memory slab of images at a time into one
-preallocated (n, e, e, c) array, sized by the shape walk that also checks
-a `Network` (`layers._stage_shapes`); neither a copy of the raw gallery nor
-a full-size grid of a lower level is kept.  Each row is bit-equal to the
-stages run on that image alone, so the corner holds the same bits as the
-matching region of a whole crop's grid.
+the image's stored (8-bit, for a PGM) samples, and `preprocess_dataset`
+makes those corners float pixels and pushes them through the frozen stages
+0..l-1 a memory slab of images at a time into one preallocated
+(n, e, e, c) array, sized by the shape walk that also checks a `Network`
+(`layers._stage_shapes`); neither a float copy of the raw gallery nor a
+full-size grid of a lower level is ever formed.  Each row is bit-equal to
+the stages run on that image alone, so the corner holds the same bits as
+the matching region of a whole crop's grid.
 
 Greedy levels and the monolithic baseline train through one Siamese loop
 (`_siamese_fit`): the same pair loss, momentum SGD and pair stream.  A
@@ -59,7 +60,8 @@ from typing import Sequence
 import numpy as np
 
 from .data import (DataError, FacePair, LabeledImage, PairBatch,
-                   PairSampler, center_window, split_identity_ids)
+                   PairSampler, center_window, float_pixels,
+                   split_identity_ids)
 from .layers import (ConvLayer, FCLayer, Network, PoolSpec, ShapeError, Stage,
                      _backward_cached, _forward, _forward_cached,
                      _images_per_slab, _slab, _stage_forward, _stage_shapes)
@@ -276,13 +278,19 @@ def assemble_network(model: PyramidModel, level: int, which: int) -> Network:
                    spec.assembled_input_edge(level), in_channels=1)
 
 
-def preprocess_dataset(images, *stages: Stage) -> np.ndarray:
+def preprocess_dataset(images, *stages: Stage, maxval=1) -> np.ndarray:
     """Push n images, an (n, h, w, c) array or a sequence of (h, w, c)
     arrays, through the frozen `stages` in order (Algorithm step: filter
     and down-sample the dataset), a memory slab of images at a time, into
     one preallocated (n, h', w', c') output; no stage's output for the
-    whole set is ever formed.  Row i is bit-equal to the stages on image i
-    alone; with no stages it is a copy of the images."""
+    whole set is ever formed.
+
+    The images are stored samples in 0..`maxval`, one maxval per image or
+    one for all (1, the default, for float pixels); each slab becomes
+    float pixels (`data.float_pixels`) only as it is stacked, so no float
+    copy of the whole set is formed either.  Row i is bit-equal to the
+    stages on image i's float pixels alone; with no stages it is those
+    pixels."""
     if not all(stage.frozen for stage in stages):
         raise PyramidError("preprocess_dataset requires frozen stages")
     shapes = {np.shape(image) for image in images}
@@ -299,11 +307,13 @@ def preprocess_dataset(images, *stages: Stage) -> np.ndarray:
     except ShapeError as exc:
         raise PyramidError(f"images of shape {shape} do not fit: {exc}") \
             from exc
+    maxvals = np.broadcast_to(maxval, len(images))
     out = np.empty((len(images), *out_map))
     # elements per image of the largest map in a slab: input or stage
     step = _slab(max(math.prod(item), largest))
     for i in range(0, len(images), step):
-        x = np.asarray(images[i:i + step])  # one slab, stacked
+        # one slab, stacked and made float
+        x = float_pixels(np.asarray(images[i:i + step]), maxvals[i:i + step])
         for stage in stages:
             x = _stage_forward(x, stage)
         out[i:i + step] = x
@@ -562,14 +572,15 @@ def greedy_train(model: PyramidModel, dataset: Sequence[LabeledImage],
     except DataError as exc:
         raise PyramidError(f"cannot split dataset: {exc}") from exc
 
-    # views of the images' center crops, never copied: each level reads
-    # the top-left corner of its own edge
+    # the images' center crops with their maxvals, each crop a view of the
+    # image's stored samples, never copied: each level reads the top-left
+    # corner of its own edge
     raw_edge = spec.raw_data_edge()
     fit_crops, val_crops, fit_ids, val_ids = [], [], [], []
     for img in dataset:
         fit = img.identity in fit_ids_set
         (fit_crops if fit else val_crops).append(
-            center_window(img, raw_edge))
+            (center_window(img, raw_edge), img.maxval))
         (fit_ids if fit else val_ids).append(img.identity)
 
     try:
@@ -582,8 +593,9 @@ def greedy_train(model: PyramidModel, dataset: Sequence[LabeledImage],
         """Each crop's `patch_edge(level)` top-left corner, the region the
         level's networks read, through the frozen stages below `level`."""
         edge = spec.patch_edge(level)
-        return preprocess_dataset([c[:edge, :edge] for c in crops],
-                                  *model.stages[:level])
+        return preprocess_dataset([c[:edge, :edge] for c, _ in crops],
+                                  *model.stages[:level],
+                                  maxval=[m for _, m in crops])
 
     traces = []
     for level in range(start, spec.levels):

@@ -1,6 +1,8 @@
-"""tools/bench_pairs.py: seed ranges, run summaries and pairwise wins."""
+"""tools/bench_pairs.py: seed ranges, run summaries, pairwise wins and
+the traced level costs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -75,3 +77,52 @@ def test_compare_without_a_successful_run_on_one_side():
     assert (out["pairs"], out["change_wins"]) == (0, 0)
     assert out["parent"] == {"n": 0, "runs": [None]}
     assert "change_over_parent" not in out
+
+
+LEVELS = {"pyramid.level0_s": 1.2, "pyramid.level1_s": 2.0,
+          "pyramid.level2_s": 2.2, "pyramid.level_cost_ratio": 2.2 / 1.2}
+
+
+def test_level_cost_of_a_traced_run_or_its_error():
+    assert bench_pairs.level_cost(run(**LEVELS, **{"layers.fwd_s": 0.5})) \
+        == LEVELS
+    assert bench_pairs.level_cost({"error": "exit 1"}) == {"error": "exit 1"}
+
+
+def test_main_makes_one_traced_run_per_side_and_workload(tmp_path,
+                                                         monkeypatch):
+    """Every pair is untraced; then each side makes one traced run on the
+    first seed, whose level times land under `level_cost` in wall
+    seconds."""
+    declared = {"run_seconds": 15, "end_to_end": DECLARED}
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(
+            json.dumps(declared), encoding="utf-8")
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace=False):
+        calls.append((checkout.name, workload, seed, trace))
+        if trace:  # the change's levels take twice as long
+            scale = 2 if checkout.name == "b" else 1
+            return run(**{k: v * scale for k, v in LEVELS.items()})
+        return {**run(t=1.0, r=2.0), "environment": {"blas_threads": 1},
+                "attempted": 3, "failed": 0}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "a"), "--change",
+                             str(tmp_path / "b"), "--workload", "w1",
+                             "--workload", "w2", "--seeds", "5-6",
+                             "--out", str(out)]) == 0
+    assert [c for c in calls if c[3]] == [("a", "w1", 5, True),
+                                          ("b", "w1", 5, True),
+                                          ("a", "w2", 5, True),
+                                          ("b", "w2", 5, True)]
+    assert len([c for c in calls if not c[3]]) == 2 * 2 * 2
+    result = json.loads(out.read_text(encoding="utf-8"))
+    cost = result["workloads"]["w2"]["level_cost"]
+    assert (cost["unit"], cost["seed"]) == ("wall s", 5)
+    assert cost["parent"] == LEVELS
+    assert cost["change"]["pyramid.level1_s"] == 4.0
+    assert result["workloads"]["w1"]["metrics"]["t"]["pairs"] == 2

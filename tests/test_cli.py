@@ -401,6 +401,54 @@ def test_train_on_images_smaller_than_the_raw_edge(tmp_path, capsys):
     assert not (tmp_path / "out" / "model.bin").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "extract"])
+def test_pgm_sample_above_maxval_is_an_error_naming_the_file(
+        tmp_path, capsys, command):
+    cfg = write_config(tmp_path)
+    assert main(["synth", "--config", str(cfg)]) == 0
+    if command == "extract":
+        assert main(["train", "--config", str(cfg)]) == 0
+    gallery = tmp_path / "gallery"
+    bad = sorted(gallery.glob("*.pgm"))[0].resolve()
+    raster = bytearray(36 * 36)
+    raster[5] = 200
+    bad.write_bytes(b"P5\n36 36\n100\n" + raster)
+    capsys.readouterr()
+    argv = {"train": ["train", "--config", str(cfg)],
+            "extract": ["extract", "--config", str(cfg),
+                        str(tmp_path / "out" / "model.bin"),
+                        str(gallery / "index.csv")]}[command]
+    err = error_of(capsys, argv)
+    assert err == f"error: {bad}: PGM sample 200 exceeds maxval 100\n"
+    if command == "train":
+        assert not (tmp_path / "out" / "model.bin").exists()
+
+
+def test_train_on_stored_samples_matches_training_on_float_pixels(
+        tmp_path, monkeypatch):
+    """`train` keeps each image's 8-bit samples and makes float pixels a
+    slab at a time; it writes the model and trace bytes that training on
+    float images holding `read_pgm`'s values writes.  Half the gallery is
+    rewritten at maxval 127, so the slabs mix maxvals."""
+    cfg = write_config(tmp_path)
+    assert main(["synth", "--config", str(cfg)]) == 0
+    for path in sorted((tmp_path / "gallery").glob("*.pgm"))[::2]:
+        samples = np.frombuffer(path.read_bytes()[-36 * 36:], np.uint8)
+        path.write_bytes(b"P5\n36 36\n127\n" + (samples // 2).tobytes())
+    assert main(["train", "--config", str(cfg)]) == 0
+    (tmp_path / "out").rename(tmp_path / "stored")
+
+    def float_image(record):
+        pixels = pyrcnn.read_pgm(record.path)[:, :, None]
+        return pyrcnn.LabeledImage(pyrcnn.Tensor.from_array(pixels),
+                                   identity=record.identity)
+    monkeypatch.setattr(cli, "load_image", float_image)
+    assert main(["train", "--config", str(cfg)]) == 0
+    for name in ("model.bin", "trace_level0.csv", "trace_level1.csv"):
+        assert (tmp_path / "out" / name).read_bytes() == \
+            (tmp_path / "stored" / name).read_bytes()
+
+
 def test_train_divergence_is_an_error(tmp_path, capsys):
     """A learning rate that drives the parameters to inf/NaN ends the run
     with an error, not a traceback or a model."""

@@ -1,14 +1,18 @@
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pyrcnn import (DataError, FacePair, LabeledImage, NuisanceConfig,
-                    PairBatch, PairLabel, PairSampler, Tensor, TensorError,
-                    center_crop, crop_patch, load_image, load_index, read_pgm,
-                    sample_pairs, split_by_identity, split_identity_ids,
-                    synth_generate, write_index, write_pgm)
+from pyrcnn import (DataError, FacePair, IndexRecord, LabeledImage,
+                    NuisanceConfig, PairBatch, PairLabel, PairSampler, Tensor,
+                    TensorError, center_crop, crop_patch, load_image,
+                    load_index, read_pgm, sample_pairs, split_by_identity,
+                    split_identity_ids, synth_generate, write_index,
+                    write_pgm)
 
 
 def write_text(path, text):
@@ -80,6 +84,72 @@ def test_pgm_round_trip_exact(tmp_path):
 def test_write_pgm_rejects_out_of_range(tmp_path):
     with pytest.raises(DataError):
         write_pgm(tmp_path / "b.pgm", np.full((2, 2), 1.5))
+
+
+def test_pgm_sample_above_maxval_names_the_file(tmp_path):
+    p = tmp_path / "a.pgm"
+    p.write_bytes(b"P5\n4 4\n100\n" + bytes(5) + bytes([200]) + bytes(10))
+    for read in (read_pgm, lambda path: load_image(IndexRecord(path, 0))):
+        with pytest.raises(DataError) as err:
+            read(p)
+        assert str(err.value) == f"{p}: PGM sample 200 exceeds maxval 100"
+
+
+@pytest.fixture(scope="module")
+def pgm_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("pgm")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_stored_samples_read_as_read_pgm_floats(pgm_dir, draw):
+    """An image keeps its PGM's 8-bit samples, and every float view of it
+    (`pixels`, `center_crop`, `crop_patch`) is bit-equal to `read_pgm`'s
+    array, which is `samples / maxval` in float64."""
+    maxval = draw.draw(st.integers(1, 255), label="maxval")
+    h = draw.draw(st.integers(1, 9), label="h")
+    w = draw.draw(st.integers(1, 9), label="w")
+    seed = draw.draw(st.integers(0, 2**32 - 1), label="seed")
+    samples = np.random.default_rng(seed).integers(
+        0, maxval + 1, size=(h, w), dtype=np.uint8)
+    path = pgm_dir / "a.pgm"
+    path.write_bytes(b"P5\n%d %d\n%d\n" % (w, h, maxval) + samples.tobytes())
+
+    want = read_pgm(path)
+    assert want.tobytes() == (samples.astype(np.float64) / maxval).tobytes()
+    image = load_image(IndexRecord(path, 0))
+    assert image.raster.dtype == np.uint8 and image.maxval == maxval
+    assert not image.raster.flags.writeable
+    assert image.pixels.array.tobytes() == want[:, :, None].tobytes()
+    edge = draw.draw(st.integers(1, min(h, w)), label="edge")
+    y, x = (h - edge) // 2, (w - edge) // 2
+    assert center_crop(image, edge).array.tobytes() == \
+        want[y:y + edge, x:x + edge, None].tobytes()
+    x = draw.draw(st.integers(0, w - edge), label="x")
+    y = draw.draw(st.integers(0, h - edge), label="y")
+    assert crop_patch(image, (x, y), edge).array.tobytes() == \
+        want[y:y + edge, x:x + edge, None].tobytes()
+
+
+def test_load_image_holds_about_one_byte_per_sample(tmp_path):
+    """A loaded 76-px gallery keeps its 8-bit samples, not float64 pixels:
+    under 1.5 bytes per pixel of a 100-image index, everything included."""
+    rng = np.random.default_rng(14)
+    rows = []
+    for i in range(100):
+        write_pgm(tmp_path / f"{i}.pgm", rng.uniform(0.0, 1.0, (76, 76)))
+        rows.append((f"{i}.pgm", f"p{i % 10}"))
+    write_index(tmp_path / "index.csv", rows)
+    records = load_index(tmp_path / "index.csv").records
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        images = [load_image(rec) for rec in records]
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(images) == 100
+    assert (held - start) / (100 * 76 * 76) < 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +276,27 @@ def test_labeled_image_validation():
         make_image(np.zeros((4, 4)), landmarks=[(10.0, 1.0)])  # out of bounds
     with pytest.raises(DataError):
         LabeledImage(Tensor.from_array(np.zeros((4, 4, 2))), 0)  # 2 channels
+    samples = np.full((4, 4, 1), 7, dtype=np.uint8)
+    for bad in (dict(pixels=samples, maxval=6),  # a sample above maxval
+                dict(pixels=samples, maxval=0),
+                dict(pixels=samples, maxval=256),
+                dict(pixels=samples.astype(np.float64)),  # floats, no Tensor
+                dict(pixels=samples[:0]),  # no rows
+                dict(pixels=Tensor.from_array(samples / 7.0), maxval=7)):
+        with pytest.raises(DataError):
+            LabeledImage(identity=0, **bad)
+
+
+def test_labeled_image_from_floats_or_stored_samples():
+    floats = np.random.default_rng(2).uniform(0.0, 1.0, (5, 4, 1))
+    image = LabeledImage(Tensor.from_array(floats), identity=3)
+    assert (image.raster.dtype, image.maxval) == (np.float64, 1)
+    assert image.pixels.array.tobytes() == floats.tobytes()
+    samples = np.arange(20, dtype=np.uint8).reshape(5, 4, 1)
+    image = LabeledImage(samples, identity=3, maxval=19)
+    assert image.raster.dtype == np.uint8
+    assert not image.raster.flags.writeable
+    assert image.pixels.array.tobytes() == (samples / 19.0).tobytes()
 
 
 # ---------------------------------------------------------------------------

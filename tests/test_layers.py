@@ -1,11 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import pyrcnn.layers as layers
 from pyrcnn import (ConvLayer, FCLayer, Network, PoolSpec, ShapeError, Stage,
                     Tensor, TensorError, activation, conv_forward, fc_forward,
-                    gradient_check, layer_forward, maxpool, network_backward,
-                    network_forward)
+                    forward_multiply_adds, gradient_check, layer_forward,
+                    maxpool, network_backward, network_forward)
 
 
 def tensor(values):
@@ -460,6 +462,35 @@ def test_initialize_glorot_bounds_and_zero_bias():
 
 # ---------------------------------------------------------------------------
 # batched kernels against the per-image operations
+
+
+@pytest.mark.parametrize("n_stages, input_size", [(2, 14), (1, 10), (0, 5)])
+def test_forward_multiply_adds_counts_a_direct_forward(n_stages, input_size):
+    """The count from geometry equals the multiplies of a direct-summation
+    forward, one per term, whose output is the network's."""
+    rng = np.random.default_rng(71 + n_stages)
+    net = small_net(rng, n_stages, input_size)
+    x = rng.uniform(0.0, 1.0, (input_size, input_size, 1))
+    count, a = 0, x
+    for stage in net.stages:
+        w = stage.conv.weights
+        kh, kw, c_in, c_out = w.shape
+        pre = np.zeros((a.shape[0] - kh + 1, a.shape[1] - kw + 1, c_out))
+        for u, v, z, i, j, c in itertools.product(
+                *map(range, pre.shape + (kh, kw, c_in))):
+            pre[u, v, z] += a[u + kh - 1 - i, v + kw - 1 - j, c] \
+                * w[i, j, c, z]
+            count += 1
+        a = maxpool(activation(tensor(pre + stage.conv.bias)),
+                    stage.pool).array
+    flat, out = a.reshape(-1), net.head.bias.copy()
+    for k, m in itertools.product(range(net.head.d_in),
+                                  range(net.head.out_dim)):
+        out[m] += flat[k] * net.head.weights[k, m]
+        count += 1
+    np.testing.assert_allclose(out, network_forward(net, tensor(x)).array,
+                               rtol=1e-12, atol=1e-12)
+    assert forward_multiply_adds(net) == count
 
 
 def geometry_net(rng, edge, channels):

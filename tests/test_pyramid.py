@@ -10,7 +10,8 @@ from pyrcnn import (ComparatorParams, ConvLayer, FacePair, FCLayer,
                     PyramidError, PyramidSpec, Stage, StageSpec,
                     Tensor, TrainConfig,
                     assemble_network, build_monolithic, build_pyramid,
-                    center_crop, comparator, distance, greedy_train,
+                    center_crop, comparator, distance, forward_multiply_adds,
+                    greedy_train,
                     layer_forward, load_model, Network, network_backward,
                     network_forward, pair_loss, pair_loss_grads,
                     preprocess_dataset, save_model, synth_generate,
@@ -1009,6 +1010,18 @@ def test_images_per_slab_at_the_default_geometries():
     assert [layers._images_per_slab(net) for net in (
         pyr.level_networks[0][0], pyr.level_networks[1][0], mono)] == \
         [113, 113, 3]
+
+
+def test_forward_multiply_adds_of_the_default_pyramid():
+    """Each level's network costs the same multiply-adds above level 0,
+    whose entry stage reads one channel instead of 8: 249,344 / 47,744 =
+    5.2x.  The budget-matched monolith costs 11.7x a level-1 network."""
+    spec = PyramidSpec(levels=3)
+    model = build_pyramid(spec, seed=1)
+    assert [forward_multiply_adds(nets[0]) for nets in
+            model.level_networks] == [47_744, 249_344, 249_344]
+    assert forward_multiply_adds(build_monolithic(spec, seed=1)[0]) == \
+        2_924_544
 
 
 # ---------------------------------------------------------------------------

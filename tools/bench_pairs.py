@@ -12,6 +12,11 @@ workload and end-to-end metric, every run's value, each side's median and
 quartiles, and in how many pairs the change was better (ties count for
 neither side).  A run that exits non-zero is recorded with its error and
 counted as failed.
+
+Per workload, each side also makes one traced run (``--trace 1``) on the
+first seed, after the pairs.  Its greedy level times, in wall seconds,
+and their ratio (slowest level over fastest; 0 without levels) go under
+``level_cost``: the paper's claim that every level costs about the same.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+LEVEL_COST = ("pyramid.level0_s", "pyramid.level1_s", "pyramid.level2_s",
+              "pyramid.level_cost_ratio")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -35,12 +42,13 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_once(checkout: Path, workload: str, seed: int,
-             seconds: float) -> dict:
-    """One untraced benchmark run: its environment and result lines, or
-    the error it ended with."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             trace: bool = False) -> dict:
+    """One benchmark run, untraced or traced: its environment and result
+    lines, or the error it ended with."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", str(int(trace))]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
@@ -87,6 +95,13 @@ def compare(runs: dict, declared: list[dict]) -> dict:
     return out
 
 
+def level_cost(run: dict) -> dict:
+    """The level times and their ratio from one traced run, or its error."""
+    if "metrics" not in run:
+        return {"error": run.get("error")}
+    return {name: run["metrics"][name]["value"] for name in LEVEL_COST}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True,
@@ -104,7 +119,7 @@ def main(argv=None) -> int:
                  "change": args.change.resolve()}
     specs = {side: json.loads((path / "BENCHMARK.json").read_text(
         encoding="utf-8")) for side, path in checkouts.items()}
-    result = {"command": "perfbench/run.py --trace 0",
+    result = {"command": "perfbench/run.py --trace 0; level_cost: --trace 1",
               "environment": None, "blas_threads": None, "workloads": {}}
     for workload in args.workload:
         runs = {side: [] for side in SIDES}
@@ -134,6 +149,15 @@ def main(argv=None) -> int:
                        for s in SIDES},
             "metrics": compare(runs, specs["change"]["end_to_end"]),
         }
+        traced = {side: run_once(checkouts[side], workload, args.seeds[0],
+                                 specs[side]["run_seconds"], trace=True)
+                  for side in SIDES}
+        result["workloads"][workload]["level_cost"] = {
+            "unit": "wall s", "seed": args.seeds[0],
+            **{side: level_cost(traced[side]) for side in SIDES}}
+        print(f"{workload} level cost: "
+              f"{json.dumps(result['workloads'][workload]['level_cost'])}",
+              flush=True)
         args.out.write_text(json.dumps(result, indent=1) + "\n",
                             encoding="utf-8")
     return 0
