@@ -97,7 +97,10 @@ class LabeledImage:
         if len(shape) != 3 or shape[2] != 1 or 0 in shape:
             raise DataError(f"image pixels must be h x w x 1, got {shape}")
         if raster.min() < 0 or raster.max() > maxval:
-            raise DataError("pixel values must lie in [0, 1]")
+            raise DataError(
+                "pixel values must lie in [0, 1]" if isinstance(pixels, Tensor)
+                else f"stored samples must lie in 0..{maxval}, "
+                     f"got {raster.max()}")
         if landmarks is not None:
             h, w = shape[0], shape[1]
             for i, (lx, ly) in enumerate(landmarks):

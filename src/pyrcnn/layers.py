@@ -60,9 +60,11 @@ stages and a pyramid's entry stages are the same objects.  The kernels
 below the public API read a `Network` and its layers' own arrays, with no
 parameter tuples in between, and `_backward_cached` returns one (dw, db)
 per entry of `net.layers` (the stages' convs in order, then the head).
-`_stage_shapes` is the one walk of a stage chain's shapes: `Network`
-construction, `_images_per_slab` and `pyramid.preprocess_dataset` all
-read it.
+A stage's shape is its `geometry`, (kh, kw, c_in, c_out, pool), and
+`_stage_shapes`, the one walk of a chain of them, is the only check that a
+kernel fits and a pool divides: behind `Network`, slab sizing, the
+per-image ops (`maxpool` walks a 1x1 stage that keeps its channels),
+`pyramid.preprocess_dataset`, and the spec's validation and `load_model`.
 
 Two forward kernels share the conv and pool kernels.  `_forward_cached` is
 the training path: it keeps every stage's input and pre-activation, the
@@ -154,10 +156,6 @@ class ConvLayer(_Layer):
             )
 
     @property
-    def kernel(self) -> tuple[int, int]:
-        return self.weights.shape[0], self.weights.shape[1]
-
-    @property
     def in_channels(self) -> int:
         return self.weights.shape[2]
 
@@ -237,26 +235,30 @@ class Stage(NamedTuple):
     def frozen(self) -> bool:
         return self.conv.frozen
 
+    @property
+    def geometry(self) -> tuple[int, int, int, int, int]:
+        """(kh, kw, c_in, c_out, pool): all that `_stage_shapes` reads."""
+        return (*self.conv.weights.shape, self.pool.window)
 
-def _stage_shapes(stages: Sequence[Stage], h: int, w: int, c: int):
-    """((h', w', c'), largest): the map `stages` make of an (h, w, c) input,
-    and the largest stage pre-activation map on the way, in elements (1
-    with no stages).  Raises ShapeError naming the first stage that does
-    not fit its input."""
+
+def _stage_shapes(geometry: Sequence[tuple[int, ...]], h: int, w: int,
+                  c: int):
+    """((h', w', c'), largest): the map stages of the (kh, kw, c_in, c_out,
+    pool) `geometry` make of an (h, w, c) input, and the largest stage
+    pre-activation map on the way, in elements (1 with no stages).  Raises
+    ShapeError naming the first stage that does not fit its input."""
     largest = 1
-    for i, stage in enumerate(stages):
-        conv, s = stage.conv, stage.pool.window
-        kh, kw = conv.kernel
-        if c != conv.in_channels:
-            raise ShapeError(f"stage {i} expects {conv.in_channels} input "
-                             f"channels but receives {c}")
+    for i, (kh, kw, c_in, c_out, s) in enumerate(geometry):
+        if c != c_in:
+            raise ShapeError(f"stage {i} expects {c_in} input channels but "
+                             f"receives {c}")
         if kh > h or kw > w:
             raise ShapeError(f"stage {i} kernel {kh}x{kw} exceeds its "
                              f"{h}x{w} input")
-        h, w, c = h - kh + 1, w - kw + 1, conv.out_channels
+        h, w, c = h - kh + 1, w - kw + 1, c_out
         if h % s or w % s:
             raise ShapeError(f"stage {i} pool window {s} does not divide its "
-                             f"{h}x{w} feature map")
+                             f"{h}x{w} feature map on axis {int(h % s == 0)}")
         largest = max(largest, h * w * c)
         h, w = h // s, w // s
     return (h, w, c), largest
@@ -276,8 +278,9 @@ class Network:
     def __init__(self, stages: Sequence[Stage], head: FCLayer,
                  input_size: int, in_channels: int = 1):
         stages = list(stages)
-        (h, w, c), _ = _stage_shapes(stages, int(input_size),
-                                     int(input_size), int(in_channels))
+        (h, w, c), _ = _stage_shapes([stage.geometry for stage in stages],
+                                     int(input_size), int(input_size),
+                                     int(in_channels))
         if head.d_in != h * w * c:
             raise ShapeError(
                 f"fc head expects {head.d_in} inputs but the last feature "
@@ -311,7 +314,8 @@ def _slab(per_item: int) -> int:
 def _images_per_slab(net: Network) -> int:
     """Inputs of `net` per batched call: as many as keep the largest stage
     pre-activation map of the batch within one slab."""
-    return _slab(_stage_shapes(net.stages, net.input_size, net.input_size,
+    return _slab(_stage_shapes([stage.geometry for stage in net.stages],
+                               net.input_size, net.input_size,
                                net.in_channels)[1])
 
 
@@ -323,7 +327,7 @@ def forward_multiply_adds(net: Network) -> int:
     total = net.head.weights.size
     shape = (net.input_size, net.input_size, net.in_channels)
     for stage in net.stages:
-        shape, pre_activation = _stage_shapes([stage], *shape)
+        shape, pre_activation = _stage_shapes([stage.geometry], *shape)
         total += pre_activation * stage.conv.weights.size \
             // stage.conv.out_channels
     return total
@@ -502,33 +506,18 @@ def _backward_cached(net: Network, caches, g_out: np.ndarray):
 # public operations
 
 
-def _check_conv_input(x: np.ndarray, shape, layer: ConvLayer) -> None:
+def _checked_input(input: Tensor, geometry, what: str) -> np.ndarray:
+    """`input`'s array, if stages of `geometry` take it."""
+    x = input.array
     if x.ndim != 3:
-        raise ShapeError(f"conv input must be h x w x c, got {shape}")
-    kh, kw = layer.kernel
-    if x.shape[2] != layer.in_channels:
-        raise ShapeError(
-            f"conv expects {layer.in_channels} channels, got {x.shape[2]}"
-        )
-    if kh > x.shape[0] or kw > x.shape[1]:
-        raise ShapeError(
-            f"kernel {kh}x{kw} larger than input {x.shape[0]}x{x.shape[1]}"
-        )
-
-
-def _check_pool_extents(extents: tuple[int, int], s: int) -> None:
-    for axis in (0, 1):
-        if extents[axis] % s:
-            raise ShapeError(
-                f"pool window {s} does not divide extent {extents[axis]} "
-                f"on axis {axis}"
-            )
+        raise ShapeError(f"{what} input must be h x w x c, got {input.shape}")
+    _stage_shapes(geometry, *x.shape)
+    return x
 
 
 def conv_forward(input: Tensor, layer: ConvLayer) -> Tensor:
     """Valid (no padding) true convolution plus per-channel bias."""
-    x = input.array
-    _check_conv_input(x, input.shape, layer)
+    x = _checked_input(input, [(*layer.weights.shape, 1)], "conv")
     return Tensor.from_array(_conv_fwd(x[None], layer.weights, layer.bias)[0])
 
 
@@ -538,23 +527,19 @@ def activation(input: Tensor) -> Tensor:
 
 
 def maxpool(input: Tensor, spec: PoolSpec) -> Tensor:
-    """Non-overlapping window maxima; spatial extents shrink by the window."""
-    x = input.array
-    if x.ndim != 3:
-        raise ShapeError(f"pool input must be h x w x c, got {input.shape}")
-    _check_pool_extents(x.shape, spec.window)
+    """Non-overlapping window maxima; spatial extents shrink by the window.
+    Its input is checked as a 1x1 stage's that keeps the channels."""
+    c = input.shape[-1]
+    x = _checked_input(input, [(1, 1, c, c, spec.window)], "pool")
     return Tensor.from_array(_pool(x[None], spec.window)[0])
 
 
 def layer_forward(input: Tensor, conv: ConvLayer, spec: PoolSpec) -> Tensor:
     """One full stage, maxpool(activation(conv_forward(input))), on the
     forward-only kernel."""
-    x = input.array
-    _check_conv_input(x, input.shape, conv)
-    kh, kw = conv.kernel
-    _check_pool_extents((x.shape[0] - kh + 1, x.shape[1] - kw + 1),
-                        spec.window)
-    return Tensor.from_array(_stage_forward(x[None], Stage(conv, spec))[0])
+    stage = Stage(conv, spec)
+    x = _checked_input(input, [stage.geometry], "stage")
+    return Tensor.from_array(_stage_forward(x[None], stage)[0])
 
 
 def fc_forward(input: Tensor, layer: FCLayer) -> Tensor:

@@ -15,6 +15,11 @@ network — no matter how high the level sits, while the *assembled* network
 for level l (frozen stages 0..l-1 plus level l's subnetwork) grows deeper
 and sees exponentially larger input patches.
 
+`PyramidSpec.stage_geometry(level)` is the (kh, kw, c_in, c_out, pool) of
+each stage a level's networks have.  The spec validates it with the
+layers' shape walk (`layers._stage_shapes`), the builders draw their
+stages from it, and `load_model` refuses a file whose layers differ.
+
 Each level holds and trains on only the region its networks read: the
 top-left corner of its grid that spans every network offset, an edge
 `base_input + max_offset` square.  `greedy_train` takes, for level l, the
@@ -127,30 +132,30 @@ class PyramidSpec:
                 raise PyramidError(
                     f"patch offsets must be nonnegative, got ({ox}, {oy})"
                 )
-        self.fc_input_dim()  # raises if the template chain does not close
+        self.fc_input_dim()  # raises if the stage chain does not close
 
     def entry_in_channels(self, level: int) -> int:
         return 1 if level == 0 else self.shared.channels
 
-    def subnet_stage_specs(self) -> list[StageSpec]:
-        return [self.shared, *self.template]
+    def stage_geometry(self, level: int) -> list[tuple[int, ...]]:
+        """The (kh, kw, c_in, c_out, pool) of every stage a level-`level`
+        network has: the entry stage, then the template."""
+        geometry, c = [], self.entry_in_channels(level)
+        for st in (self.shared, *self.template):
+            geometry.append((st.kernel, st.kernel, c, st.channels, st.pool))
+            c = st.channels
+        return geometry
 
     def fc_input_dim(self) -> int:
-        edge = self.base_input
-        channels = None
-        for i, st in enumerate(self.subnet_stage_specs()):
-            if st.kernel > edge:
-                raise PyramidError(
-                    f"stage {i} kernel {st.kernel} exceeds feature edge {edge}"
-                )
-            edge -= st.kernel - 1
-            if edge % st.pool:
-                raise PyramidError(
-                    f"stage {i} pool {st.pool} does not divide edge {edge}"
-                )
-            edge //= st.pool
-            channels = st.channels
-        return edge * edge * channels
+        """Inputs of every network's head: the `base_input` map flattened
+        after the stages of `stage_geometry`."""
+        try:
+            (h, w, c), _ = _stage_shapes(self.stage_geometry(0),
+                                         self.base_input, self.base_input, 1)
+        except ShapeError as exc:
+            raise PyramidError(f"base_input {self.base_input} does not fit "
+                               f"the stages: {exc}") from None
+        return h * w * c
 
     def inverse_edge(self, edge: int, n_stages: int) -> int:
         for _ in range(n_stages):
@@ -226,12 +231,11 @@ def build_pyramid(spec: PyramidSpec, seed: int) -> PyramidModel:
     fc_dim = spec.fc_input_dim()
     stages, level_networks, comparators = [], [], []
     for level in range(spec.levels):
-        (stage,) = _init_stages([spec.shared], spec.entry_in_channels(level),
-                                rng)
+        entry, *template = spec.stage_geometry(level)
+        (stage,) = _init_stages([entry], rng)
         nets, comps = [], []
         for _ in range(spec.networks_per_level):
-            chain = [stage] + _init_stages(spec.template,
-                                           spec.shared.channels, rng)
+            chain = [stage] + _init_stages(template, rng)
             head = FCLayer.initialize(fc_dim, spec.output_dim, rng)
             nets.append(Network(chain, head, spec.base_input,
                                 spec.entry_in_channels(level)))
@@ -242,16 +246,12 @@ def build_pyramid(spec: PyramidSpec, seed: int) -> PyramidModel:
     return PyramidModel(spec, stages, level_networks, comparators)
 
 
-def _init_stages(specs: Sequence[StageSpec], channels: int,
+def _init_stages(geometry: Sequence[tuple[int, ...]],
                  rng: np.random.Generator) -> list[Stage]:
-    """Freshly drawn stages for `specs`, in order, on `channels` inputs."""
-    stages = []
-    for st in specs:
-        stages.append(Stage(ConvLayer.initialize(st.kernel, channels,
-                                                 st.channels, rng),
-                            PoolSpec(st.pool)))
-        channels = st.channels
-    return stages
+    """Freshly drawn stages of the (k, k, c_in, c_out, pool) `geometry`, in
+    order."""
+    return [Stage(ConvLayer.initialize(k, c_in, c_out, rng), PoolSpec(pool))
+            for k, _, c_in, c_out, pool in geometry]
 
 
 def assemble_network(model: PyramidModel, level: int, which: int) -> Network:
@@ -303,7 +303,8 @@ def preprocess_dataset(images, *stages: Stage, maxval=1) -> np.ndarray:
     if len(item) != 3:
         raise PyramidError(f"images of shape {shape} are not (n, h, w, c)")
     try:
-        out_map, largest = _stage_shapes(stages, *item)
+        out_map, largest = _stage_shapes(
+            [stage.geometry for stage in stages], *item)
     except ShapeError as exc:
         raise PyramidError(f"images of shape {shape} do not fit: {exc}") \
             from exc
@@ -621,11 +622,12 @@ def build_monolithic(spec: PyramidSpec, seed: int) -> tuple[Network,
     """A single end-to-end network with the full assembled architecture:
     every level's stage geometry stacked, then the template and head."""
     rng = make_rng(seed, "monolith-init")
-    chain = _init_stages([spec.shared] * spec.levels + list(spec.template),
-                         1, rng)
+    top = spec.levels - 1
+    chain = _init_stages([spec.stage_geometry(level)[0]
+                          for level in range(top)]
+                         + spec.stage_geometry(top), rng)
     head = FCLayer.initialize(spec.fc_input_dim(), spec.output_dim, rng)
-    net = Network(chain, head, spec.assembled_input_edge(spec.levels - 1),
-                  in_channels=1)
+    net = Network(chain, head, spec.assembled_input_edge(top), in_channels=1)
     return net, ComparatorParams()
 
 
@@ -759,12 +761,18 @@ def load_model(path) -> PyramidModel:
     level_networks, comparators = [], []
     for level in range(levels):
         nets, comps = [], []
-        for _ in range(networks_per_level):
-            chain = [stages[level]]
-            for tspec in spec.template:
-                chain.append(Stage(ConvLayer(cur.tensor(), cur.tensor()),
-                                   PoolSpec(tspec.pool)))
+        for k in range(networks_per_level):
+            chain = [stages[level]] + [
+                Stage(ConvLayer(cur.tensor(), cur.tensor()), PoolSpec(t.pool))
+                for t in spec.template]
             head = FCLayer(cur.tensor(), cur.tensor())
+            want = spec.stage_geometry(level), output_dim
+            got = [stage.geometry for stage in chain], head.out_dim
+            if got != want:
+                raise PyramidError(
+                    f"{path}: level {level} network {k} has stages {got[0]} "
+                    f"and {got[1]} outputs; its spec needs {want[0]} and "
+                    f"{want[1]}")
             nets.append(Network(chain, head, base_input,
                                 spec.entry_in_channels(level)))
             cmp = cur.tensor().reshape(-1)

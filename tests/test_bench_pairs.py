@@ -1,5 +1,5 @@
-"""tools/bench_pairs.py: seed ranges, run summaries, pairwise wins and
-the traced level costs."""
+"""tools/bench_pairs.py: seed ranges, run summaries, pairwise wins, the
+traced level costs and the engine's size."""
 
 import importlib.util
 import json
@@ -87,6 +87,30 @@ def test_level_cost_of_a_traced_run_or_its_error():
     assert bench_pairs.level_cost(run(**LEVELS, **{"layers.fwd_s": 0.5})) \
         == LEVELS
     assert bench_pairs.level_cost({"error": "exit 1"}) == {"error": "exit 1"}
+
+
+def test_main_records_each_sides_engine_lines(tmp_path, monkeypatch):
+    """`source_lines` counts the lines of src/pyrcnn/*.py in each checkout,
+    no other file."""
+    sources = {"a": {"x.py": "1\n2\n3\n", "y.py": "1\n"},
+               "b": {"x.py": "1\n2\n"}}
+    for side, files in sources.items():
+        engine = tmp_path / side / "src" / "pyrcnn"
+        engine.mkdir(parents=True)
+        for name, text in files.items():
+            (engine / name).write_text(text, encoding="utf-8")
+        (engine / "notes.txt").write_text("1\n2\n", encoding="utf-8")
+        (tmp_path / side / "BENCHMARK.json").write_text(
+            json.dumps({"run_seconds": 1, "end_to_end": DECLARED}),
+            encoding="utf-8")
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda *args, **kwargs: run(t=1.0, r=2.0, **LEVELS))
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "a"), "--change",
+                             str(tmp_path / "b"), "--workload", "w",
+                             "--seeds", "1", "--out", str(out)]) == 0
+    result = json.loads(out.read_text(encoding="utf-8"))
+    assert result["source_lines"] == {"parent": 4, "change": 2}
 
 
 def test_main_makes_one_traced_run_per_side_and_workload(tmp_path,

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import pyrcnn
-from pyrcnn import (NuisanceConfig, PyramidSpec, StageSpec, TrainConfig, cli,
-                    layers, read_features)
+from pyrcnn import (NuisanceConfig, PyramidSpec, StageSpec, TrainConfig,
+                    build_pyramid, cli, layers, read_features, save_model)
 from pyrcnn.cli import load_config, main
 
 
@@ -265,6 +265,15 @@ def test_config_invalid_json(tmp_path, capsys):
     assert "invalid JSON" in err
 
 
+def test_spec_that_does_not_close_names_base_input_and_stage(tmp_path,
+                                                            capsys):
+    cfg = write_config(tmp_path, pyramid={"base_input": 15})
+    err = error_of(capsys, ["synth", "--config", str(cfg)])
+    assert err.startswith("error: base_input 15 ")
+    assert "stage 0 pool window 2 does not divide its 11x11 feature map" \
+        in err
+
+
 def test_config_requires_seed_and_output_dir(tmp_path, capsys):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"seed": 1}), encoding="utf-8")
@@ -506,6 +515,22 @@ def test_extract_malformed_model_file(pipeline, tmp_path, capsys):
                             str(pipeline["out"] / "eval_index.csv")])
     assert err.startswith("error: ")
     assert "comparator tensor has 3 values" in err
+
+
+def test_extract_model_whose_layers_disagree_with_its_spec(pipeline,
+                                                         tmp_path, capsys):
+    """A 1x1 shared kernel stored under a header that says 5x5: both
+    chains close, so only comparing them rejects the file."""
+    bad = tmp_path / "model.bin"
+    save_model(build_pyramid(PyramidSpec(levels=1, shared=StageSpec(1, 8, 2)),
+                             seed=3), bad)
+    data = bad.read_bytes()
+    bad.write_bytes(data[:40] + np.asarray([5], "<i8").tobytes() + data[48:])
+    cfg = write_config(tmp_path)
+    err = error_of(capsys, ["extract", "--config", str(cfg), str(bad),
+                            str(pipeline["out"] / "eval_index.csv")])
+    assert err.startswith("error: ")
+    assert "level 0 network 0 has stages [(1, 1, 1, 8, 2)," in err
 
 
 @pytest.mark.parametrize("row, problem", [

@@ -287,6 +287,15 @@ def test_labeled_image_validation():
             LabeledImage(identity=0, **bad)
 
 
+def test_labeled_image_range_error_speaks_of_its_own_scale():
+    with pytest.raises(DataError, match=r"stored samples must lie in "
+                                        r"0\.\.100, got 200"):
+        LabeledImage(np.full((4, 4, 1), 200, np.uint8), identity=0,
+                     maxval=100)
+    with pytest.raises(DataError, match=r"pixel values must lie in \[0, 1\]"):
+        LabeledImage(Tensor.from_array(np.full((4, 4, 1), 2.0)), identity=0)
+
+
 def test_labeled_image_from_floats_or_stored_samples():
     floats = np.random.default_rng(2).uniform(0.0, 1.0, (5, 4, 1))
     image = LabeledImage(Tensor.from_array(floats), identity=3)

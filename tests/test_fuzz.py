@@ -36,12 +36,25 @@ def model_file(tmp_path_factory):
     return data, root / "damaged.bin"
 
 
-def loads_or_fails_cleanly(path, data: bytes) -> None:
+@pytest.fixture(scope="module")
+def pointwise_model_file(tmp_path_factory):
+    """A one-level model whose shared stage has a 1x1 kernel: its header
+    rewritten to a 5x5 or 9x9 kernel is another valid spec, while the
+    stored layers still make a chain that closes."""
+    model = build_pyramid(PyramidSpec(levels=1, shared=StageSpec(1, 8, 2)),
+                          seed=61)
+    path = tmp_path_factory.mktemp("pointwise") / "model.bin"
+    save_model(model, path)
+    return path.read_bytes(), path
+
+
+def loads_or_fails_cleanly(path, data: bytes):
+    """The model `data` holds, or None when loading it fails cleanly."""
     path.write_bytes(data)
     try:
-        load_model(path)
+        return load_model(path)
     except (PyramidError, TensorError):
-        pass
+        return None
 
 
 def test_model_file_round_trips(model_file):
@@ -84,6 +97,34 @@ def test_corrupted_header_integer_loads_or_fails_cleanly(model_file, draw):
     damaged = (data[:8 * slot] + np.asarray([value], "<i8").tobytes()
                + data[8 * slot + 8:])
     loads_or_fails_cleanly(path, damaged)
+
+
+@pytest.mark.parametrize("which", ["model_file", "pointwise_model_file"])
+@FUZZ
+@given(st.data())
+def test_rewritten_spec_header_loads_only_a_model_that_matches_it(
+        request, which, draw):
+    """Up to three of the 8 spec header integers (levels, base_input,
+    networks_per_level, output_dim, the shared stage and the template
+    length) rewritten: a model that loads has the layers its spec needs."""
+    data, path = request.getfixturevalue(which)
+    rewrites = draw.draw(st.dictionaries(st.integers(0, 7),
+                                         st.integers(-1, 12), min_size=1,
+                                         max_size=3), label="rewrites")
+    header = np.frombuffer(data, "<i8", count=8, offset=8).copy()
+    for slot, value in rewrites.items():
+        header[slot] = value
+    model = loads_or_fails_cleanly(path, data[:8] + header.tobytes()
+                                   + data[72:])
+    if model is None:
+        return
+    spec = model.spec
+    for level, nets in enumerate(model.level_networks):
+        for net in nets:
+            assert [s.geometry for s in net.stages] \
+                == spec.stage_geometry(level)
+            assert (net.head.d_in, net.head.out_dim) \
+                == (spec.fc_input_dim(), spec.output_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,30 @@ def test_maxpool_indivisible_names_axis():
     assert "axis 0" in str(err.value)
 
 
+def test_per_image_ops_check_their_input_through_the_stage_walk():
+    """conv_forward, maxpool and layer_forward report the walk's errors,
+    naming the failing pool axis."""
+    rng = np.random.default_rng(18)
+    conv = ConvLayer.initialize(3, 2, 4, rng)
+    for call, problem in [
+            (lambda: conv_forward(tensor(np.zeros((4, 4, 1))), conv),
+             "stage 0 expects 2 input channels but receives 1"),
+            (lambda: conv_forward(tensor(np.zeros((2, 4, 2))), conv),
+             "stage 0 kernel 3x3 exceeds its 2x4 input"),
+            (lambda: maxpool(tensor(np.zeros((4, 5, 3))), PoolSpec(2)),
+             "stage 0 pool window 2 does not divide its 4x5 feature map "
+             "on axis 1"),
+            (lambda: layer_forward(tensor(np.zeros((7, 6, 2))), conv,
+                                   PoolSpec(2)),
+             "stage 0 pool window 2 does not divide its 5x4 feature map "
+             "on axis 0"),
+            (lambda: layer_forward(tensor(np.zeros((6, 6))), conv,
+                                   PoolSpec(2)),
+             "stage input must be h x w x c")]:
+        with pytest.raises(ShapeError, match=problem):
+            call()
+
+
 def test_layer_forward_is_the_composition():
     """The forward-only stage (rectify after pooling) gives the bits of the
     chained public ops (rectify, then pool), rectifier ties included."""

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pyrcnn import (ComparatorParams, ConvLayer, FacePair, FCLayer,
                     LabeledImage, PairLabel, PairSampler, PoolSpec,
@@ -17,6 +19,7 @@ from pyrcnn import (ComparatorParams, ConvLayer, FacePair, FCLayer,
                     preprocess_dataset, save_model, synth_generate,
                     train_level, train_network)
 from pyrcnn.data import NuisanceConfig, load_image, split_identity_ids
+from pyrcnn.layers import _stage_shapes
 from pyrcnn.metrics import auc, compute_roc
 from pyrcnn.pyramid import _VALIDATE_EVERY, _momentum_step, _validation_auc
 from pyrcnn.seeding import derive_seed, make_rng
@@ -85,6 +88,58 @@ def test_spec_data_edges_follow_offsets():
     assert shifted.max_offset() == 6
     assert shifted.patch_edge(0) == 22
     assert shifted.raw_data_edge() == 48
+
+
+def test_stage_geometry_is_what_the_builders_make():
+    spec = PyramidSpec(levels=3, template=(StageSpec(3, 16, 2),
+                                           StageSpec(1, 4, 1)))
+    assert spec.stage_geometry(0) == [(5, 5, 1, 8, 2), (3, 3, 8, 16, 2),
+                                      (1, 1, 16, 4, 1)]
+    assert spec.stage_geometry(1)[0] == (5, 5, 8, 8, 2)
+    model = build_pyramid(spec, seed=1)
+    for level, nets in enumerate(model.level_networks):
+        for net in nets:
+            assert [s.geometry for s in net.stages] \
+                == spec.stage_geometry(level)
+    mono, _ = build_monolithic(spec, seed=1)
+    assert [s.geometry for s in mono.stages] == \
+        [spec.stage_geometry(level)[0] for level in range(2)] \
+        + spec.stage_geometry(2)
+
+
+STAGE_SPECS = st.builds(StageSpec, kernel=st.integers(1, 5),
+                        channels=st.integers(1, 3), pool=st.integers(1, 3))
+
+
+@st.composite
+def closing_specs(draw):
+    """A small valid spec, its base_input walked back from a final edge."""
+    shared = draw(STAGE_SPECS)
+    template = tuple(draw(st.lists(STAGE_SPECS, max_size=2)))
+    edge = draw(st.integers(1, 3))
+    for stage in reversed((shared, *template)):
+        edge = edge * stage.pool + stage.kernel - 1
+    offsets = tuple(draw(st.lists(st.tuples(st.integers(0, 6),
+                                            st.integers(0, 6)),
+                                  min_size=1, max_size=3)))
+    return PyramidSpec(levels=draw(st.integers(1, 3)), base_input=edge,
+                       shared=shared, template=template,
+                       networks_per_level=len(offsets),
+                       patch_offsets=offsets, output_dim=2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(closing_specs())
+def test_patch_edge_walks_forward_to_the_level_grid(spec):
+    """`inverse_edge`, the rule behind `patch_edge`, undone by the one
+    forward walk: the entry stages below level l take a `patch_edge(l)`
+    patch to the `base_input + max_offset` grid that level l reads."""
+    grid = spec.base_input + spec.max_offset()
+    for level in range(spec.levels):
+        entries = [spec.stage_geometry(j)[0] for j in range(level)]
+        edge = spec.patch_edge(level)
+        assert _stage_shapes(entries, edge, edge, 1)[0] == \
+            (grid, grid, spec.entry_in_channels(level))
 
 
 def test_spec_validation_errors():
@@ -1085,6 +1140,27 @@ def test_serialization_rejects_corruption(tmp_path):
     trailing.write_bytes(data + b"\x00" * 8)
     with pytest.raises(PyramidError):
         load_model(trailing)
+
+
+@pytest.mark.parametrize("slot, value, problem", [
+    (4, 5, r"level 0 network 0 has stages \[\(1, 1, 1, 8, 2\), .*; its "
+           r"spec needs \[\(5, 5, 1, 8, 2\), "),
+    (3, 5, r"level 0 network 0 has .* and 8 outputs; its spec needs .* and "
+           r"5$"),
+], ids=["shared kernel", "output_dim"])
+def test_load_model_rejects_layers_that_disagree_with_their_spec(
+        tmp_path, slot, value, problem):
+    """A header rewritten to another valid spec leaves the stored layers
+    a chain that still closes (1x1 kernels: 144 head inputs, where the
+    rewritten 5x5 spec needs 64); the layers must match the spec."""
+    spec = PyramidSpec(levels=1, shared=StageSpec(1, 8, 2))
+    path = tmp_path / "m.bin"
+    save_model(build_pyramid(spec, seed=54), path)
+    data = path.read_bytes()
+    at = 8 + 8 * slot  # past the magic
+    path.write_bytes(data[:at] + _i8(value) + data[at + 8:])
+    with pytest.raises(PyramidError, match=problem):
+        load_model(path)
 
 
 def _i8(*values):

@@ -17,6 +17,10 @@ Per workload, each side also makes one traced run (``--trace 1``) on the
 first seed, after the pairs.  Its greedy level times, in wall seconds,
 and their ratio (slowest level over fastest; 0 without levels) go under
 ``level_cost``: the paper's claim that every level costs about the same.
+
+Each side's engine size, the line count of its ``src/pyrcnn/*.py``, goes
+under ``source_lines``, so a change that claims less code is measured by
+the same tool as its benchmark numbers.
 """
 
 from __future__ import annotations
@@ -102,6 +106,13 @@ def level_cost(run: dict) -> dict:
     return {name: run["metrics"][name]["value"] for name in LEVEL_COST}
 
 
+def source_lines(checkout: Path) -> int:
+    """Lines (newlines, as ``wc -l`` counts them) of the engine's modules,
+    ``src/pyrcnn/*.py``, in one checkout."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "pyrcnn").glob("*.py"))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True,
@@ -120,7 +131,10 @@ def main(argv=None) -> int:
     specs = {side: json.loads((path / "BENCHMARK.json").read_text(
         encoding="utf-8")) for side, path in checkouts.items()}
     result = {"command": "perfbench/run.py --trace 0; level_cost: --trace 1",
-              "environment": None, "blas_threads": None, "workloads": {}}
+              "environment": None, "blas_threads": None,
+              "source_lines": {side: source_lines(path)
+                               for side, path in checkouts.items()},
+              "workloads": {}}
     for workload in args.workload:
         runs = {side: [] for side in SIDES}
         order = []
