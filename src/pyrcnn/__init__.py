@@ -1,6 +1,6 @@
 """Greedy layer-shared Siamese CNN training with verification evaluation."""
 
-from .tensor import Tensor, TensorError, approx_equal, create_tensor, crop
+from .tensor import Tensor, TensorError
 from .layers import (BlockCheck, ConvLayer, FCLayer, GradCheckReport, Network,
                      PoolSpec, ShapeError, Stage, activation, conv_forward,
                      fc_forward, forward_multiply_adds, gradient_check,

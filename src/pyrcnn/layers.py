@@ -9,45 +9,57 @@ Conventions, fixed across the package:
 * convolution is *true* convolution with no padding: the kernel is indexed
   as input[x-a, y-b, c] * weights[a, b, c, z], which the vectorized kernels
   realize as cross-correlation with a spatially flipped copy of the weights;
-* it is unrolled (im2col + GEMM, Chellapilla, Puri & Simard 2006; on
-  lowering with less copying, Cho & Brand's MEC, 2017) one block of the
-  output at a time (below); callers that batch (the Siamese
-  trainer, validation, extraction) size their batches by the same
-  `_SLAB_ELEMENTS`, applied to the largest pre-activation map;
+* the forward lowers it into row strips (Cho & Brand's MEC, 2017) and
+  the backward's dw into im2col column blocks (Chellapilla, Puri & Simard
+  2006), one block of the output at a time (below); callers that batch
+  (the Siamese trainer, validation, extraction) size their batches by the
+  same `_SLAB_ELEMENTS`, applied to the largest pre-activation map;
 * the activation g is the rectifier max(0, x) after every conv stage; the
   FC head is linear, so no embedding unit can be stuck at zero;
 * pooling takes non-overlapping s x s window maxima (window == stride).
 
-`_column_blocks` walks a conv's output in blocks whose column matrix holds
-at most `_SLAB_ELEMENTS` float64 values, so the column matrix and the
-column gradient stay bounded at any batch size and input edge: whole images
-while one image's columns fit (many 16-px images per block), else bands of
-one image's output rows (a 36-px, 8-channel image: 32*32*5*5*8 = 204,800
-values, in bands of 20 and 12 rows).  Only a single output row wider than
-the bound can exceed it; no geometry here has one.  Each block is copied
-into one buffer reused across the call, in (a, b, c) order:
+The forward, `_conv_fwd`, copies each block of its batch once into row
+strips (`_strip_blocks`): for image i, output column x and input row y,
+the kw*c values x[i, y, x:x+kw, :], laid out (m, ow, rows, kw*c) and
+filled by one copy from a strided window view of the batch.  An image's
+output row r reads kh consecutive strips of each column, so its
+(ow, kh*kw*c) column matrix is a strided view of the strips, and one
+`np.matmul` writes the block's output in place, one GEMM per image output
+row.  A strip holds kw*c values where a column row holds kh*kw*c: a 76-px
+image copies 27,360 values, not 129,600.  A block holds whole images
+while one image's strips fit `_SLAB_ELEMENTS`, else a band of one image's
+output rows r:s, reading input rows r:s+kh-1.  Every GEMM has the same
+shape at any batch size and partition, so an image's map is the same bits
+alone, in a batch and in bands.  Where the BLAS gives a row the bits it
+gives it inside one GEMM over a whole slab's columns, as at every
+geometry of the default pyramid (output widths 72, 32, 12 and 4), those
+are the same bits too; a GEMV (c_out = 1 or output width 1) or rows past
+the GEMM's last full row panel round differently.
 
-* with several input channels, from one strided window view of the batch
-  (runs of kw*c contiguous values);
-* with one input channel, as kh*kw copies of contiguous image rows, one
-  per kernel position, into a (kh*kw, m) array that the GEMMs read as its
-  transpose.  That is the same (m, kh*kw) matrix, and BLAS gives the same
-  bits for it through a transposed operand (the kernel tests hold this);
-  a window copy moves runs of kw values instead, about 3x the time at
-  76 px.
+The backward's dw keeps im2col: `_column_blocks` walks the output in
+blocks whose column matrix holds at most `_SLAB_ELEMENTS` values, whole
+images while one image's columns fit, else bands of one image's output
+rows (a 36-px, 8-channel image: 32*32*5*5*8 = 204,800 values, in bands of
+20 and 12 rows; only a single output row wider than the bound could
+exceed it).  dw sums one product per block, so this partition fixes dw's
+bits, and that is why two walks remain: strip blocks hold more images.
+Each block is copied into one buffer, in (a, b, c) order: with several
+input channels from a strided window view of the batch; with one, as
+kh*kw copies of contiguous image rows into a (kh*kw, m) array that the
+GEMM reads as its transpose (the same matrix and bits).
 
-The input gradient (col2im) is one product of the output gradient with
-the flipped kernel into a (kh, kw, n, oh, ow, c_in) array, then kh*kw adds
-in (a, b) order, each reading one contiguous tap into its shifted window
-of dx; the product is written over the block's column buffer, which dw
-has already read, so a call holds one block-sized buffer, not two.  Every dx entry receives its terms in the order of a row-major
-(m, kh*kw*c_in) scatter, so while a block holds whole images dx is those
-bits.  With one input channel the product is the 2-D (kh*kw, c_out) @
-(c_out, m) GEMM, since numpy runs a stack of one-column products as GEMV,
-which rounds differently.  Across row bands, the terms of a dx row near a
-band edge arrive band by band and dw sums the bands in turn, so both move
-in the last bits; forward rows do not depend on the block, so the forward
-is the same bits under any partition.
+The input gradient (col2im) reads no columns: it is one product of the
+output gradient with the flipped kernel into a (kh, kw, n, oh, ow, c_in)
+array, then kh*kw adds in (a, b) order, each reading one contiguous tap
+into its shifted window of dx.  The product is written over the block's
+column buffer, which dw has already read, so a call holds one block-sized
+buffer, not two.  Every dx entry receives its terms in the order of a
+row-major (m, kh*kw*c_in) scatter, so while a block holds whole images dx
+is those bits.  With one input channel the product is the 2-D (kh*kw,
+c_out) @ (c_out, m) GEMM, since numpy runs a stack of one-column products
+as GEMV, which rounds differently.  Across row bands, the terms of a dx
+row near a band edge arrive band by band and dw sums the bands in turn,
+so both move in the last bits.
 
 There is one pooling kernel, `_pool`: the maximum of the s*s strided
 slices x[:, a::s, b::s].  Every stage pools its pre-activation map with it
@@ -88,8 +100,8 @@ evaluates the head one row at a time (a stack of (1, d) @ (d, m)
 products).  A batched (n, d) @ (d, m) product is a different BLAS routine
 from the batch-of-one product and differs from it in the last bits, so
 the per-row form is what makes an image's embedding the same bits whether
-it is computed alone or in a batch.  (The conv GEMM rows are already
-bit-equal across batch sizes.)
+it is computed alone or in a batch.  (The conv GEMMs, one per image
+output row, already are.)
 
 The gradient-check harness compares backprop against central finite
 differences of a fixed random projection of the network output, skipping
@@ -301,8 +313,9 @@ class Network:
 # ---------------------------------------------------------------------------
 # array kernels (ndarrays in and out; parameters read from a network's layers)
 
-# Upper bound, in float64 elements, on one im2col column matrix, and on the
-# largest pre-activation map of the inputs a caller batches into one call.
+# Upper bound, in float64 elements, on one block's row strips or column
+# matrix, and on the largest pre-activation map of the inputs a caller
+# batches into one call.
 _SLAB_ELEMENTS = 1 << 17
 
 
@@ -374,15 +387,47 @@ def _column_blocks(x: np.ndarray, kh: int, kw: int):
             yield i, j, r, s, col
 
 
+def _strip_blocks(x: np.ndarray, kh: int, kw: int):
+    """Yield (i, j, r, s, rows): the (ow, kh*kw*c) column matrix, in
+    (a, b, c) order, of each output row r:s of images i:j of an (n, h, w, c)
+    batch, as a (j-i, s-r, ow, kh*kw*c) strided view of the block's row
+    strips (module docstring).  The strips live in one buffer, which the
+    next block overwrites."""
+    n, h, w, c = x.shape
+    oh, ow, k = h - kh + 1, w - kw + 1, kw * c
+    if ow * h * k <= _SLAB_ELEMENTS:
+        images, rows = min(n, _SLAB_ELEMENTS // (ow * h * k)), oh
+    else:
+        images, rows = 1, max(1, _SLAB_ELEMENTS // (ow * k) - kh + 1)
+    hb = rows + kh - 1
+    buf = np.empty((images, ow, hb, kw, c))
+    e = buf.itemsize
+    stack = np.ndarray((images, rows, ow, kh * k), buffer=buf,
+                       strides=(ow * hb * k * e, k * e, hb * k * e, e))
+    sn, sh, sw, sc = x.strides
+    win = as_strided(x, (n, ow, h, kw, c), (sn, sw, sh, sw, sc),
+                     writeable=False)
+    for i in range(0, n, images):
+        j = min(i + images, n)
+        for r in range(0, oh, rows):
+            s = min(r + rows, oh)
+            np.copyto(buf[:j - i, :, :s - r + kh - 1],
+                      win[i:j, :, r:s + kh - 1])
+            yield i, j, r, s, stack[:j - i, :s - r]
+
+
 def _conv_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     kh, kw, c_in, c_out = w.shape
     n_img, oh, ow = x.shape[0], x.shape[1] - kh + 1, x.shape[2] - kw + 1
     # true convolution == cross-correlation with the spatially flipped kernel
     wf = w[::-1, ::-1].reshape(kh * kw * c_in, c_out)
     out = np.empty((n_img, oh, ow, c_out))
-    for i, j, r, s, col in _column_blocks(x, kh, kw):
-        np.matmul(col, wf, out=out[i:j, r:s].reshape(-1, c_out))
-    out += b
+    for i, j, r, s, rows in _strip_blocks(x, kh, kw):
+        np.matmul(rows, wf, out=out[i:j, r:s])
+    # the bias as whole output rows: numpy adds long runs much faster than
+    # it broadcasts a c_out-long vector
+    flat = out.reshape(-1, ow * c_out)
+    flat += b[None].repeat(ow, axis=0).ravel()
     return out
 
 

@@ -74,41 +74,3 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
-
-def create_tensor(shape: Sequence[int], values) -> Tensor:
-    """Build a Tensor from an explicit shape and a flat row-major value list."""
-    return Tensor(shape, values)
-
-
-def crop(t: Tensor, origin: Sequence[int], extent: Sequence[int]) -> Tensor:
-    """Copy the sub-block starting at `origin` with the given per-axis `extent`.
-
-    `origin` and `extent` must each supply one entry per axis; the region has
-    to lie fully inside the tensor (no clamping, no padding).
-    """
-    if len(origin) != t.array.ndim or len(extent) != t.array.ndim:
-        raise TensorError(
-            f"origin/extent must have {t.array.ndim} entries, got "
-            f"{len(origin)}/{len(extent)}"
-        )
-    slices = []
-    for axis, (o, e, dim) in enumerate(zip(origin, extent, t.shape)):
-        o, e = int(o), int(e)
-        if e < 1:
-            raise TensorError(f"extent must be >= 1 on axis {axis}, got {e}")
-        if o < 0 or o + e > dim:
-            raise TensorError(
-                f"crop out of bounds on axis {axis}: origin {o} + extent {e} "
-                f"exceeds size {dim}"
-            )
-        slices.append(slice(o, o + e))
-    return Tensor.from_array(t.array[tuple(slices)])
-
-
-def approx_equal(a: Tensor, b: Tensor, tol: float) -> bool:
-    """True iff shapes match and the max absolute difference is <= tol."""
-    if tol < 0:
-        raise TensorError(f"tolerance must be nonnegative, got {tol}")
-    if a.shape != b.shape:
-        return False
-    return bool(np.max(np.abs(a.array - b.array)) <= tol)

@@ -79,6 +79,57 @@ def test_compare_without_a_successful_run_on_one_side():
     assert "change_over_parent" not in out
 
 
+def verdict(parent, change, better="lower", bound=0.25):
+    """The verdict on hand-made runs of one metric `t`."""
+    runs = {"parent": [run(t=v) for v in parent],
+            "change": [run(t=v) for v in change]}
+    declared = [{"name": "t", "unit": "s", "better": better, "bound": bound}]
+    return bench_pairs.compare(runs, declared)["t"]["verdict"]
+
+
+PARENT = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.1, 9.9]
+
+
+def test_verdict_gain_needs_nine_in_ten_wins_and_a_gap_past_the_iqr():
+    faster = [v - 1.0 for v in PARENT]
+    assert verdict(PARENT, faster) == "gain"
+    assert verdict([-v for v in PARENT], [-v for v in faster],
+                   better="higher") == "gain"
+    # 8 of 10 wins: not a gain, and within the bound
+    eight = faster[:8] + [v + 0.5 for v in PARENT[8:]]
+    assert verdict(PARENT, eight) == "no_worse"
+    # 10 of 10 wins by less than the parent's IQR (0.2 here)
+    assert verdict(PARENT, [v - 0.05 for v in PARENT]) == "no_worse"
+
+
+def test_verdict_worse_past_the_bound_as_a_fraction_of_the_parent():
+    assert verdict(PARENT, [v * 1.3 for v in PARENT]) == "worse"
+    assert verdict(PARENT, [v * 1.2 for v in PARENT]) == "no_worse"
+    assert verdict(PARENT, [v * 0.7 for v in PARENT],
+                   better="higher") == "worse"
+    assert verdict(PARENT, [v * 1.3 for v in PARENT],
+                   better="higher") == "gain"
+
+
+def test_verdict_unresolved_when_a_side_spreads_past_the_bound():
+    wide = [6.0, 14.0, 7.0, 13.0, 10.0, 8.0, 12.0, 9.0, 11.0, 10.0]
+    assert verdict(wide, PARENT) == "unresolved"
+    assert verdict(PARENT, wide) == "unresolved"
+    # a wider spread, each change run better than every parent run but
+    # the median gap (6.1) within the parent's IQR (10.6)
+    wider = [6.0, 20.0, 6.5, 19.0, 7.0, 18.0, 7.5, 17.0, 8.0, 16.0]
+    assert verdict(wider, [5.9] * 10) == "no_worse"
+    assert verdict(wider, [5.9] * 9 + [6.1]) == "unresolved"
+
+
+def test_verdict_unresolved_without_a_bound_or_a_side():
+    assert verdict(PARENT, PARENT, bound=None) == "unresolved"
+    runs = {"parent": [{"error": "exit 1"}] * 2, "change": [run(t=1.0)] * 2}
+    declared = [{"name": "t", "unit": "s", "better": "lower", "bound": 0.25}]
+    assert bench_pairs.compare(runs, declared)["t"]["verdict"] == \
+        "unresolved"
+
+
 LEVELS = {"pyramid.level0_s": 1.2, "pyramid.level1_s": 2.0,
           "pyramid.level2_s": 2.2, "pyramid.level_cost_ratio": 2.2 / 1.2}
 

@@ -1,7 +1,10 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pyrcnn.layers as layers
 from pyrcnn import (ConvLayer, FCLayer, Network, PoolSpec, ShapeError, Stage,
@@ -752,9 +755,10 @@ def test_conv_kernels_are_the_bits_of_the_slab_reference(
 ])
 def test_conv_kernels_split_an_image_into_row_bands(
         monkeypatch, edge, c_in, c_out, k, n, slab):
-    """When one image's columns exceed the slab, blocks are bands of its
-    output rows: the forward rows keep their bits, and dw and dx, summed
-    in another order across bands, agree to rounding."""
+    """When one image's columns exceed the slab, the backward's blocks are
+    bands of its output rows (so are the forward's row strips in all but
+    the first case): the forward rows keep their bits, and dw and dx,
+    summed in another order across bands, agree to rounding."""
     if slab is not None:
         monkeypatch.setattr(layers, "_SLAB_ELEMENTS", slab)
     x, w, b, g = conv_case(edge, c_in, c_out, k, n)
@@ -772,7 +776,8 @@ def test_conv_kernels_split_an_image_into_row_bands(
 def test_column_blocks_stay_within_the_slab_and_tile_the_output(monkeypatch):
     """No column block of a 36-px, 8-channel batch exceeds `_SLAB_ELEMENTS`
     (one whole image would: 32*32*5*5*8 = 204,800 entries), and the blocks
-    cover every output row of every image exactly once."""
+    cover every output row of every image exactly once.  Only the backward
+    walks them; the forward lowers into row strips."""
     x, w, b, g = conv_case(36, 8, 8, 5, 3)
     sizes, covered = [], np.zeros((3, 32), dtype=int)
     blocks = layers._column_blocks
@@ -785,6 +790,102 @@ def test_column_blocks_stay_within_the_slab_and_tile_the_output(monkeypatch):
 
     monkeypatch.setattr(layers, "_column_blocks", checked)
     layers._conv_fwd(x, w, b)
+    assert not sizes
     layers._conv_bwd(x, w, g, True)
     assert 0 < max(sizes) <= layers._SLAB_ELEMENTS
-    assert (covered == 2).all()
+    assert (covered == 1).all()
+
+
+# ---------------------------------------------------------------------------
+# the row-strip forward
+
+
+def row_conv_fwd(x, w, b):
+    """Reference forward with one GEMM per image output row: that row's
+    rows of `slab_im2col`, copied (a reshape can leave a view of x that
+    numpy multiplies without BLAS), times the flipped kernel, so each
+    row's bits depend on the image alone."""
+    kh, kw, c_in, c_out = w.shape
+    n, oh, ow = x.shape[0], x.shape[1] - kh + 1, x.shape[2] - kw + 1
+    wf = w[::-1, ::-1].reshape(kh * kw * c_in, c_out)
+    out = np.empty((n, oh, ow, c_out))
+    for i in range(n):
+        col = np.array(slab_im2col(x[i:i + 1], kh, kw)).reshape(oh, ow, -1)
+        for r in range(oh):
+            out[i, r] = col[r] @ wf
+    return out + b
+
+
+@st.composite
+def conv_geometries(draw):
+    """(x, w, b, slab): an (n, h, w, c_in) batch and a (kh, kw, c_in,
+    c_out) kernel with edges 1-12, kernels 1-5 within them, 1-3 channels
+    each way and 1-3 images, under the default slab or one small enough
+    to split an image into row bands."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    kh, kw = draw(st.integers(1, min(5, h))), draw(st.integers(1, min(5, w)))
+    c_in, c_out, n = (draw(st.integers(1, 3)) for _ in range(3))
+    slab = draw(st.sampled_from([layers._SLAB_ELEMENTS, 1, 60, 400]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (rng.standard_normal((n, h, w, c_in)),
+            rng.standard_normal((kh, kw, c_in, c_out)),
+            rng.standard_normal(c_out), slab)
+
+
+def _geometry(edge, k, c_in, c_out, n, slab=layers._SLAB_ELEMENTS):
+    rng = np.random.default_rng(edge * 1000 + k * 100 + c_in * 10 + c_out)
+    return (rng.standard_normal((n, edge, edge, c_in)),
+            rng.standard_normal((k, k, c_in, c_out)),
+            rng.standard_normal(c_out), slab)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(conv_geometries())
+@example(_geometry(5, 5, 2, 3, 3))      # output width 1: a GEMV per row
+@example(_geometry(9, 3, 3, 1, 2))      # c_out = 1: a GEMV per row
+@example(_geometry(1, 1, 1, 1, 1))      # one multiply, no BLAS
+@example(_geometry(12, 2, 3, 3, 3, 1))  # one-row bands over a tiny slab
+def test_strip_forward_is_the_bits_of_one_gemm_per_output_row(case):
+    """Over small geometries, `_conv_fwd` is bit-equal to `row_conv_fwd`
+    under any slab, so an image's map has the same bits alone, in a batch
+    and in row bands; and it equals the slab reference to rounding.  (It
+    is those bits as well wherever the BLAS gives an output row the bits
+    it gives the same row inside a whole slab's GEMM, as at every geometry
+    of the default pyramid, which the slab-reference test above holds.
+    With GEMV, or rows past the GEMM's last full row panel, the two round
+    differently.)"""
+    x, w, b, slab = case
+    with mock.patch.object(layers, "_SLAB_ELEMENTS", slab):
+        got = layers._conv_fwd(x, w, b)
+    assert got.tobytes() == row_conv_fwd(x, w, b).tobytes()
+    np.testing.assert_allclose(got, slab_conv_fwd(x, w, b), rtol=1e-12,
+                               atol=1e-12)
+
+
+@pytest.mark.parametrize("edge, c_in, k, slab", [
+    (36, 8, 5, 20000),  # 11-row bands: 32 * 15 * 40 = 19,200 strip values
+    (76, 1, 5, 2000),   # one-row bands: 72 * 5 * 5 = 1,800
+    (16, 8, 5, 3 * 12 * 16 * 40),  # three whole images per block
+])
+def test_strip_blocks_stay_within_the_slab_and_tile_the_output(
+        monkeypatch, edge, c_in, k, slab):
+    """Under a small `_SLAB_ELEMENTS`, no block's row strips exceed it, and
+    the blocks cover every output row of every image exactly once."""
+    monkeypatch.setattr(layers, "_SLAB_ELEMENTS", slab)
+    n, o = 4, edge - k + 1
+    x, w, b, _ = conv_case(edge, c_in, 8, k, n)
+    sizes, covered = [], np.zeros((n, o), dtype=int)
+    blocks = layers._strip_blocks
+
+    def checked(x_, kh, kw):
+        for i, j, r, s, rows in blocks(x_, kh, kw):
+            assert rows.shape == (j - i, s - r, o, kh * kw * c_in)
+            sizes.append((j - i) * o * (s - r + kh - 1) * kw * c_in)
+            covered[i:j, r:s] += 1
+            yield i, j, r, s, rows
+
+    monkeypatch.setattr(layers, "_strip_blocks", checked)
+    got = layers._conv_fwd(x, w, b)
+    assert 0 < max(sizes) <= slab
+    assert (covered == 1).all()
+    assert got.tobytes() == row_conv_fwd(x, w, b).tobytes()

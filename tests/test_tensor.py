@@ -1,35 +1,35 @@
 import numpy as np
 import pytest
 
-from pyrcnn import Tensor, TensorError, approx_equal, create_tensor, crop
+from pyrcnn import Tensor, TensorError
 
 
 def test_row_major_layout():
-    t = create_tensor([2, 2], [1, 2, 3, 4])
+    t = Tensor([2, 2], [1, 2, 3, 4])
     assert t.array[1, 0] == 3
     assert t.array[0, 1] == 2
 
 
 def test_degenerate_shape():
-    t = create_tensor([1], [0])
+    t = Tensor([1], [0])
     assert t.shape == (1,)
     assert t.array[0] == 0.0
 
 
 def test_length_mismatch_names_both_sizes():
     with pytest.raises(TensorError) as err:
-        create_tensor([2, 3], [1, 2, 3, 4, 5])
+        Tensor([2, 3], [1, 2, 3, 4, 5])
     assert "6" in str(err.value) and "5" in str(err.value)
 
 
 def test_zero_extent_rejected():
     with pytest.raises(TensorError):
-        create_tensor([2, 0], [])
+        Tensor([2, 0], [])
 
 
 def test_non_finite_rejected():
     with pytest.raises(TensorError):
-        create_tensor([2], [1.0, np.nan])
+        Tensor([2], [1.0, np.nan])
     with pytest.raises(TensorError):
         Tensor.from_array(np.array([np.inf, 0.0]))
 
@@ -38,7 +38,7 @@ def test_round_trip_exact():
     rng = np.random.default_rng(0)
     for shape in [(3,), (2, 5), (4, 3, 2)]:
         data = rng.standard_normal(int(np.prod(shape)))
-        t = create_tensor(shape, data)
+        t = Tensor(shape, data)
         np.testing.assert_array_equal(t.array.reshape(-1), data)
 
 
@@ -50,53 +50,3 @@ def test_values_are_copied_and_read_only():
     with pytest.raises(ValueError):
         t.array[0, 0] = 5.0
 
-
-def test_identity_crop():
-    t = create_tensor([4, 4], range(16))
-    c = crop(t, [0, 0], [4, 4])
-    np.testing.assert_array_equal(c.array, t.array)
-
-
-def test_crop_interior_block():
-    t = create_tensor([4, 4], range(16))
-    c = crop(t, [1, 1], [2, 2])
-    np.testing.assert_array_equal(c.array, [[5, 6], [9, 10]])
-
-
-def test_crop_out_of_bounds_names_axis():
-    t = create_tensor([4, 4], range(16))
-    with pytest.raises(TensorError) as err:
-        crop(t, [3, 3], [2, 2])
-    assert "axis 0" in str(err.value)
-    with pytest.raises(TensorError) as err:
-        crop(t, [0, 3], [2, 2])
-    assert "axis 1" in str(err.value)
-
-
-def test_crop_is_pure():
-    t = create_tensor([4, 4], range(16))
-    a = crop(t, [1, 0], [2, 3])
-    b = crop(t, [1, 0], [2, 3])
-    assert a.array.tobytes() == b.array.tobytes()
-    np.testing.assert_array_equal(t.array.reshape(-1), np.arange(16))
-
-
-def test_approx_equal_basics():
-    a = create_tensor([2, 2], [1, 2, 3, 4])
-    b = create_tensor([2, 2], np.array([1, 2, 3, 4]) + 1e-6)
-    assert approx_equal(a, a, 0.0)
-    assert approx_equal(a, b, 1e-5)
-    assert approx_equal(b, a, 1e-5)
-    assert not approx_equal(a, b, 1e-7)
-
-
-def test_approx_equal_shape_mismatch_is_false():
-    a = create_tensor([2, 2], [1, 2, 3, 4])
-    b = create_tensor([4], [1, 2, 3, 4])
-    assert not approx_equal(a, b, 10.0)
-
-
-def test_approx_equal_rejects_negative_tol():
-    a = create_tensor([1], [0])
-    with pytest.raises(TensorError):
-        approx_equal(a, a, -1e-9)

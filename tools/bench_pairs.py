@@ -9,9 +9,23 @@ pair to pair.  Each run uses its own checkout's benchmark and engine and
 the run length that checkout's BENCHMARK.json sets.  The output file holds
 the environment line of the first run (BLAS threads included) and, per
 workload and end-to-end metric, every run's value, each side's median and
-quartiles, and in how many pairs the change was better (ties count for
-neither side).  A run that exits non-zero is recorded with its error and
-counted as failed.
+quartiles, in how many pairs the change was better (ties count for
+neither side), and a verdict.  A run that exits non-zero is recorded with
+its error and counted as failed.
+
+The verdict reads the metric's ``bound`` as a fraction of the parent's
+median and is the first of these that holds:
+
+- ``gain``: the change wins at least 9 of every 10 pairs and its median
+  is better than the parent's by more than the parent's interquartile
+  range;
+- ``worse``: the change's median is worse than the parent's by more than
+  the bound;
+- ``unresolved``: either side's interquartile range is wider than the
+  bound (or the metric has no bound, or a side has no successful run),
+  and not every run of the change is better than every run of the
+  parent;
+- ``no_worse``: otherwise.
 
 Per workload, each side also makes one traced run (``--trace 1``) on the
 first seed, after the pairs.  Its greedy level times, in wall seconds,
@@ -72,8 +86,34 @@ def summary(values: list[float]) -> dict:
             "q1": q1, "q3": q3}
 
 
+def verdict(entry: dict) -> str:
+    """`gain`, `worse`, `unresolved` or `no_worse` for one metric's
+    `compare` entry (see the module docstring)."""
+    parent, change = entry["parent"], entry["change"]
+    if not parent["n"] or not change["n"]:
+        return "unresolved"
+    sign = -1.0 if entry["better"] == "lower" else 1.0
+    gain = sign * (change["median"] - parent["median"])  # > 0: better
+    if 10 * entry["change_wins"] >= 9 * entry["pairs"] > 0 \
+            and gain > parent["q3"] - parent["q1"]:
+        return "gain"
+    bound = entry["bound"]
+    scale = abs(parent["median"])
+    if bound is not None and -gain > bound * scale:
+        return "worse"
+    spread = max(side["q3"] - side["q1"] for side in (parent, change))
+    # every change run better than every parent run settles any spread
+    better = {side: [sign * v for v in entry[side]["runs"] if v is not None]
+              for side in SIDES}
+    if (bound is None or spread > bound * scale) \
+            and min(better["change"]) <= max(better["parent"]):
+        return "unresolved"
+    return "no_worse"
+
+
 def compare(runs: dict, declared: list[dict]) -> dict:
-    """Per metric: both sides' runs and summaries, and the change's wins."""
+    """Per metric: both sides' runs and summaries, the change's wins and
+    the verdict."""
     out = {}
     for spec in declared:
         name, better = spec["name"], spec["better"]
@@ -95,6 +135,7 @@ def compare(runs: dict, declared: list[dict]) -> dict:
                 and entry["parent"]["median"]:
             entry["change_over_parent"] = \
                 entry["change"]["median"] / entry["parent"]["median"]
+        entry["verdict"] = verdict(entry)
         out[name] = entry
     return out
 
@@ -163,6 +204,8 @@ def main(argv=None) -> int:
                        for s in SIDES},
             "metrics": compare(runs, specs["change"]["end_to_end"]),
         }
+        for name, entry in result["workloads"][workload]["metrics"].items():
+            print(f"{workload} {name}: {entry['verdict']}", flush=True)
         traced = {side: run_once(checkouts[side], workload, args.seeds[0],
                                  specs[side]["run_seconds"], trace=True)
                   for side in SIDES}
