@@ -321,11 +321,17 @@ def cmd_eval(cfg: RunConfig, features_path, index_path) -> int:
     dist = np.empty(len(pairs))
     step = _slab(vectors.shape[1])  # pairs per chunk: bounded temporaries
     for i in range(0, len(pairs), step):
-        a, b = vectors[first[i:i + step]], vectors[second[i:i + step]]
-        dist[i:i + step] = np.sqrt(np.sum((a - b) ** 2, axis=1))
+        diff = vectors[first[i:i + step]]
+        diff -= vectors[second[i:i + step]]
+        np.sqrt(np.sum(np.square(diff, out=diff), axis=1),
+                out=dist[i:i + step])
     matched = pairs.label == int(PairLabel.MATCHED)
-    report = evaluate_distances(dist[matched], dist[~matched],
-                                cfg.evaluation["fpr_targets"])
+    sides = dist[matched], dist[~matched]
+    del dist, matched
+    for side in sides:  # in place: evaluate_distances uses sorted sides as is
+        side.sort()
+    report = evaluate_distances(*sides, cfg.evaluation["fpr_targets"])
+    del sides
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.output_dir / "report.csv"
     write_report(out, report)

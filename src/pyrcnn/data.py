@@ -11,17 +11,18 @@ identity (oriented gratings plus blobs on a padded canvas) and perturbs it
 with identity-preserving nuisances — brightness, translation, pixel noise —
 so that raw pixel distance is a poor verifier while identity stays learnable.
 
-Pairs travel as a `PairBatch`: three int arrays (`first`, `second`, `label`)
-that index into the image collection, readable as a sequence of `FacePair`s
-built on demand.  `PairSampler` draws a batch in whole-array operations
-from O(#images) state, yet its random stream is the one of drawing pairs
-one at a time: the matched picks are one `integers` call as before, turned
-into positions from per-identity combination counts instead of a list of
-every within-identity pair, and each rejection round for the unmatched
-pairs draws exactly two values per pair still missing, so no round reads
-past the candidate where the one-at-a-time loop would stop.  A given seed
-gives the same pairs, in the same order, and leaves the generator in the
-same state.
+Pairs travel as a `PairBatch`: two int32 position arrays (`first`,
+`second`) into the image collection and an int8 `label` array, 9 bytes a
+pair, readable as a sequence of `FacePair`s built on demand.  `PairSampler`
+draws a batch in whole-array operations from O(#images) state, writing
+each draw straight into the batch's arrays, yet its random stream is the
+one of drawing pairs one at a time: the matched picks are one `integers`
+call as before, turned into positions from per-identity combination counts
+instead of a list of every within-identity pair, and each rejection round
+for the unmatched pairs draws exactly two values per pair still missing, so
+no round reads past the candidate where the one-at-a-time loop would stop.
+A given seed gives the same pairs, in the same order, and leaves the
+generator in the same state.
 """
 
 from __future__ import annotations
@@ -398,9 +399,27 @@ def split_by_identity(index: DatasetIndex, holdout_fraction: float,
     return _subindex(index, kept), _subindex(index, held)
 
 
+def _int_array(values, dtype, what: str) -> np.ndarray:
+    """`values` as a 1-d `dtype` array, not copied when it is one already;
+    a value that is not an integer or does not fit is an error, never
+    truncated or wrapped."""
+    arr = np.asarray(values).reshape(-1)
+    if arr.dtype == dtype or arr.size == 0:
+        return arr.astype(dtype, copy=False)
+    if arr.dtype.kind not in "iu":
+        raise DataError(f"pair {what}s must be integers, got {arr.dtype}")
+    lo, hi = np.iinfo(dtype).min, np.iinfo(dtype).max
+    bad = arr[(arr < lo) | (arr > hi)]
+    if bad.size:
+        raise DataError(f"pair {what} {bad[0]} does not fit {dtype.__name__}")
+    return arr.astype(dtype)
+
+
 class PairBatch(Sequence[FacePair]):
-    """A batch of pairs held as three int arrays: `first`, `second` and
-    `label` (+1 matched, -1 unmatched).
+    """A batch of pairs held as three arrays: `first` and `second`, int32
+    positions, and `label`, int8 (+1 matched, -1 unmatched).  The
+    constructor takes any integer arrays and refuses a position outside
+    int32 or a label other than +1 or -1.
 
     Indexing or iterating builds each `FacePair` on demand; slicing gives
     a `PairBatch` of views.  Two batches are equal when their values are.
@@ -409,9 +428,13 @@ class PairBatch(Sequence[FacePair]):
     __slots__ = ("first", "second", "label")
 
     def __init__(self, first, second, label):
-        self.first = np.asarray(first, dtype=np.intp).reshape(-1)
-        self.second = np.asarray(second, dtype=np.intp).reshape(-1)
-        self.label = np.asarray(label, dtype=np.intp).reshape(-1)
+        self.first = _int_array(first, np.int32, "position")
+        self.second = _int_array(second, np.int32, "position")
+        self.label = _int_array(label, np.int8, "label")
+        bad = (self.label != 1) & (self.label != -1)
+        if bad.any():
+            raise DataError(f"pair labels must be +1 or -1, got "
+                            f"{self.label[bad][0]}")
         if not self.first.size == self.second.size == self.label.size:
             raise DataError(
                 f"pair arrays differ in length: {self.first.size}, "
@@ -510,21 +533,20 @@ class PairSampler:
         completes the batch.
         """
         n_matched = (n + 1) // 2
+        first, second = np.empty(n, np.int32), np.empty(n, np.int32)
         picks = self.rng.integers(0, self.n_matched_combos, size=n_matched)
-        first, second = self.matched_pairs(picks)
-        firsts, seconds = [first], [second]
-        missing = n - n_matched
-        while missing > 0:
+        first[:n_matched], second[:n_matched] = self.matched_pairs(picks)
+        kept = n_matched
+        while kept < n:
             i, j = self.rng.integers(0, len(self.group),
-                                     size=2 * missing).reshape(-1, 2).T
+                                     size=2 * (n - kept)).reshape(-1, 2).T
             keep = self.group[i] != self.group[j]
-            firsts.append(i[keep])
-            seconds.append(j[keep])
-            missing -= int(keep.sum())
-        label = np.full(n, int(PairLabel.UNMATCHED), dtype=np.intp)
+            end = kept + int(keep.sum())
+            first[kept:end], second[kept:end] = i[keep], j[keep]
+            kept = end
+        label = np.full(n, int(PairLabel.UNMATCHED), dtype=np.int8)
         label[:n_matched] = int(PairLabel.MATCHED)
-        return PairBatch(np.concatenate(firsts), np.concatenate(seconds),
-                         label)
+        return PairBatch(first, second, label)
 
 
 def sample_pairs(index: DatasetIndex, n: int, seed: int) -> PairBatch:

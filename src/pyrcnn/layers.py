@@ -61,11 +61,15 @@ as GEMV, which rounds differently.  Across row bands, the terms of a dx
 row near a band edge arrive band by band and dw sums the bands in turn,
 so both move in the last bits.
 
-There is one pooling kernel, `_pool`: the maximum of the s*s strided
-slices x[:, a::s, b::s].  Every stage pools its pre-activation map with it
-and rectifies the pooled map.  That is exact, not an approximation:
-max(0, max_i a_i) == max_i max(0, a_i) for the monotone rectifier, and it
-leaves 1/(s*s) of the rectifier work.
+`_conv_fwd` returns the product without the bias; `_add_bias` adds it in
+place, as whole output rows.  There is one pooling kernel, `_pool`: the
+maximum of the s*s strided slices x[:, a::s, b::s].  Every stage pools its
+pre-activation map with it and rectifies the pooled map.  That is exact,
+not an approximation: max(0, max_i a_i) == max_i max(0, a_i) for the
+monotone rectifier, and it leaves 1/(s*s) of the rectifier work.  The
+inference path adds the bias after the pool too, for the same reason:
+rounding is monotone, so fl(max_i p_i + b) == max_i fl(p_i + b), and it
+leaves 1/(s*s) of the adds.
 
 A stage is a `Stage(conv, pool)`, the one stage type: a `Network`'s
 stages and a pyramid's entry stages are the same objects.  The kernels
@@ -416,7 +420,9 @@ def _strip_blocks(x: np.ndarray, kh: int, kw: int):
             yield i, j, r, s, stack[:j - i, :s - r]
 
 
-def _conv_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _conv_fwd(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The valid true convolution of an (n, h, w, c_in) batch with `w`,
+    without the bias."""
     kh, kw, c_in, c_out = w.shape
     n_img, oh, ow = x.shape[0], x.shape[1] - kh + 1, x.shape[2] - kw + 1
     # true convolution == cross-correlation with the spatially flipped kernel
@@ -424,11 +430,17 @@ def _conv_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.empty((n_img, oh, ow, c_out))
     for i, j, r, s, rows in _strip_blocks(x, kh, kw):
         np.matmul(rows, wf, out=out[i:j, r:s])
-    # the bias as whole output rows: numpy adds long runs much faster than
-    # it broadcasts a c_out-long vector
-    flat = out.reshape(-1, ow * c_out)
-    flat += b[None].repeat(ow, axis=0).ravel()
     return out
+
+
+def _add_bias(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`x` + `b` over the channels of an (n, h, w, c) map, in place, as
+    whole rows: numpy adds long runs much faster than it broadcasts a
+    c-long vector."""
+    width = x.shape[2]
+    flat = x.reshape(-1, width * b.size)
+    flat += b[None].repeat(width, axis=0).ravel()
+    return x
 
 
 def _conv_bwd(x: np.ndarray, w: np.ndarray, g: np.ndarray,
@@ -491,9 +503,9 @@ def _pool_routes(x: np.ndarray, pooled: np.ndarray, s: int) -> list:
 
 def _stage_forward(x: np.ndarray, stage: Stage) -> np.ndarray:
     """One stage without backprop state: conv, s x s window max of the
-    pre-activation map, then the rectifier on the pooled map."""
-    conv = stage.conv
-    out = _pool(_conv_fwd(x, conv.weights, conv.bias), stage.pool.window)
+    unbiased map, then the bias and the rectifier on the pooled map."""
+    out = _add_bias(_pool(_conv_fwd(x, stage.conv.weights),
+                          stage.pool.window), stage.conv.bias)
     return np.maximum(out, 0.0, out=out)
 
 
@@ -512,7 +524,7 @@ def _forward_cached(net: Network, x: np.ndarray):
     caches = []
     for conv, pool in net.stages:
         s = pool.window
-        pre = _conv_fwd(x, conv.weights, conv.bias)
+        pre = _add_bias(_conv_fwd(x, conv.weights), conv.bias)
         pooled = _pool(pre, s)
         caches.append({"x": x, "pre": pre,
                        "routes": _pool_routes(pre, pooled, s),
@@ -563,7 +575,8 @@ def _checked_input(input: Tensor, geometry, what: str) -> np.ndarray:
 def conv_forward(input: Tensor, layer: ConvLayer) -> Tensor:
     """Valid (no padding) true convolution plus per-channel bias."""
     x = _checked_input(input, [(*layer.weights.shape, 1)], "conv")
-    return Tensor.from_array(_conv_fwd(x[None], layer.weights, layer.bias)[0])
+    return Tensor.from_array(
+        _add_bias(_conv_fwd(x[None], layer.weights), layer.bias)[0])
 
 
 def activation(input: Tensor) -> Tensor:

@@ -12,7 +12,12 @@ A `RocCurve` is three arrays (thresholds, FPRs, TPRs); its `points` list
 of `RocPoint`s is built only when asked for.  `evaluate_distances` sorts
 each side once and reads the curve, the best accuracy and every operating
 point off the same sorted arrays and threshold counts, so a million
-unmatched distances cost a few sorts and searchsorted passes.
+unmatched distances cost a few sorts and searchsorted passes.  A side
+that is already a sorted 1-d float64 array is used in place, not copied,
+so a caller that sorts its own arrays in place (as `pyrcnn eval` does)
+holds each distance once.  The thresholds are the distinct values of each
+sorted side, merged by one stable sort of the two runs, not a sort of
+their concatenation.
 """
 
 from __future__ import annotations
@@ -68,21 +73,34 @@ class VerificationReport:
 
 
 def _sorted(name: str, values) -> np.ndarray:
-    """`values` as a sorted float array; empty or non-finite is an error."""
+    """`values` as a sorted float array: `values` itself when it is one
+    already, else a sorted copy.  Empty or non-finite is an error."""
     arr = np.asarray(values, dtype=np.float64).reshape(-1)
     if arr.size == 0:
         raise MetricError(f"{name} distances must be nonempty")
     if not np.isfinite(arr).all():
         raise MetricError(f"{name} distances must be finite, got "
                           f"{float(arr[~np.isfinite(arr)][0])!r}")
+    if (arr[1:] >= arr[:-1]).all():
+        return arr
     return np.sort(arr)
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The first value of each run of equal values of sorted `a`."""
+    first = np.empty(a.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return a[first]
 
 
 def _counts(m: np.ndarray, u: np.ndarray):
     """Every distinct distance of sorted `m` and `u` plus sentinels, and
     how many matched and unmatched distances lie below each."""
     thresholds = np.concatenate(
-        ([-np.inf], np.unique(np.concatenate((m, u))), [np.inf]))
+        ([-np.inf], _distinct(m), _distinct(u), [np.inf]))
+    thresholds[1:-1].sort(kind="stable")  # two sorted runs: one merge
+    thresholds = _distinct(thresholds)
     return (thresholds, np.searchsorted(m, thresholds, side="left"),
             np.searchsorted(u, thresholds, side="left"))
 
@@ -100,9 +118,11 @@ def _operating_point(m: np.ndarray, u: np.ndarray,
 
 def _best(thresholds: np.ndarray, below_m: np.ndarray, below_u: np.ndarray,
           n_m: int, n_u: int) -> tuple[float, float]:
-    accuracy = (below_m + (n_u - below_u)) / (n_m + n_u)
-    best = int(np.argmax(accuracy))  # first max -> smallest threshold
-    return float(thresholds[best]), float(accuracy[best])
+    # accuracy (below_m + n_u - below_u) / (n_m + n_u) is largest where
+    # below_m - below_u is; the first max is the smallest threshold
+    best = int(np.argmax(below_m - below_u))
+    correct = int(below_m[best]) + n_u - int(below_u[best])
+    return float(thresholds[best]), correct / (n_m + n_u)
 
 
 def compute_roc(matched, unmatched) -> RocCurve:
@@ -146,8 +166,9 @@ def evaluate_distances(matched, unmatched,
     side sorted once."""
     m, u = _sorted("matched", matched), _sorted("unmatched", unmatched)
     thresholds, below_m, below_u = _counts(m, u)
-    curve = RocCurve(thresholds, below_u / u.size, below_m / m.size)
     threshold, acc = _best(thresholds, below_m, below_u, m.size, u.size)
+    curve = RocCurve(thresholds, below_u / u.size, below_m / m.size)
+    del below_m, below_u  # the curve holds them as rates
     rows = [(float(target), *_operating_point(m, u, target))
             for target in fpr_targets]
     return VerificationReport(

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,47 @@ def test_eval_report_matches_per_pair_distances(pipeline, tmp_path):
     pyrcnn.write_report(want, pyrcnn.evaluate_distances(
         matched, unmatched, cfg.evaluation["fpr_targets"]))
     assert pipeline["report"].read_bytes() == want.read_bytes()
+
+
+EVAL_BYTES_PER_PAIR = 64
+
+
+def test_eval_peak_memory_per_pair(tmp_path, monkeypatch):
+    """`eval` of 100,000 pairs (sampling, distances, `evaluate_distances`)
+    peaks under `EVAL_BYTES_PER_PAIR` bytes a pair of traced memory.
+
+    The budget is the arrays alive at the peak, with every distance
+    distinct (the most thresholds), when the curve's rates are made or its
+    area is taken: the pairs (int32 positions, int8 labels) 9 B, the two
+    sorted distance sides 8 B, the thresholds 8 B, the int64 counts below
+    each threshold 16 B, the FPRs and TPRs 16 B (or, for the area, two
+    threshold-sized temporaries in place of the counts): 57 B a pair.  The
+    other 7 B, 700 kB, hold the 2,000 feature vectors, the sampler's
+    per-image arrays and the small temporaries.  The files are replaced by
+    in-memory stand-ins, so the report writer's block of rows is not in
+    the peak."""
+    n_images, n_pairs = 2000, 100_000
+    rng = np.random.default_rng(17)
+    index = pyrcnn.DatasetIndex(
+        [pyrcnn.IndexRecord(tmp_path / f"{i}.pgm", i // 20)
+         for i in range(n_images)], [f"p{k}" for k in range(n_images // 20)])
+    feats = {str(rec.path): v for rec, v in
+             zip(index.records, rng.standard_normal((n_images, 8)))}
+    reports = []
+    monkeypatch.setattr(cli, "read_features", lambda path: feats)
+    monkeypatch.setattr(cli, "load_index", lambda path: index)
+    monkeypatch.setattr(cli, "write_report",
+                        lambda path, report: reports.append(report))
+    cfg = load_config(write_config(tmp_path, evaluation={"n_pairs": n_pairs}))
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        assert cli.cmd_eval(cfg, "features.csv", "index.csv") == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert reports[0].n_matched == reports[0].n_unmatched == n_pairs // 2
+    assert (peak - start) / n_pairs < EVAL_BYTES_PER_PAIR
 
 
 def test_rerun_reproduces_artifacts(tmp_path):

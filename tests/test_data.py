@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pyrcnn import (DataError, FacePair, IndexRecord, LabeledImage,
-                    NuisanceConfig, PairBatch, PairLabel, PairSampler, Tensor,
-                    TensorError, center_crop, crop_patch, load_image,
-                    load_index, read_pgm, sample_pairs, split_by_identity,
-                    split_identity_ids, synth_generate, write_index,
-                    write_pgm)
+from pyrcnn import (DataError, DatasetIndex, FacePair, IndexRecord,
+                    LabeledImage, NuisanceConfig, PairBatch, PairLabel,
+                    PairSampler, Tensor, TensorError, center_crop, crop_patch,
+                    load_image, load_index, read_pgm, sample_pairs,
+                    split_by_identity, split_identity_ids, synth_generate,
+                    write_index, write_pgm)
 
 
 def write_text(path, text):
@@ -501,6 +501,50 @@ def test_pair_batch_behaves_as_a_sequence_of_face_pairs():
     assert batch != pairs  # a batch equals batches, not lists
     with pytest.raises(IndexError):
         batch[9]
+
+
+def test_pair_batch_holds_int32_positions_and_int8_labels():
+    """9 bytes a pair, and arrays of those types are kept, not copied."""
+    batch = PairSampler([0, 0, 1, 1, 2], np.random.default_rng(5)).batch(8)
+    assert (batch.first.dtype, batch.second.dtype, batch.label.dtype) == \
+        (np.int32, np.int32, np.int8)
+    again = PairBatch(batch.first, batch.second, batch.label)
+    assert all(np.shares_memory(a, b) for a, b in (
+        (again.first, batch.first), (again.second, batch.second),
+        (again.label, batch.label)))
+    assert PairBatch([], [], []).first.dtype == np.int32
+
+
+@pytest.mark.parametrize("first, second, label, match", [
+    ([2**31], [0], [1], "does not fit int32"),
+    ([0], [-2**31 - 1], [1], "does not fit int32"),
+    (np.array([2**63], dtype=np.uint64), [0], [1], "does not fit int32"),
+    ([0.0], [1], [1], "must be integers"),
+    ([0], [1], [0], r"must be \+1 or -1"),
+    ([0, 1], [1, 2], [1, 2], r"must be \+1 or -1"),
+    ([0], [1], [257], "does not fit int8"),
+    ([0], [1], [True], "must be integers"),
+])
+def test_pair_batch_refuses_values_it_cannot_hold(first, second, label,
+                                                  match):
+    """A position outside int32 or a label other than +1/-1 is an error,
+    never wrapped or truncated into another pair."""
+    with pytest.raises(DataError, match=match):
+        PairBatch(first, second, label)
+
+
+def test_sample_pairs_keeps_its_random_stream():
+    """Pinned from the intp sampler that built its batch by concatenating
+    per-round arrays: the compact arrays draw the same stream."""
+    ids = [0, 0, 0, 1, 1, 2, 2, 2, 2, 3, 1, 0]
+    index = DatasetIndex([IndexRecord(Path(f"/g/{i}.pgm"), ident)
+                          for i, ident in enumerate(ids)], list("abcd"))
+    batch = sample_pairs(index, 15, 2024)
+    assert batch.first.tolist() == [1, 5, 0, 1, 1, 1, 6, 5, 10, 10, 3, 9, 8,
+                                    2, 7]
+    assert batch.second.tolist() == [2, 7, 2, 2, 11, 11, 8, 8, 11, 0, 2, 7,
+                                     0, 5, 9]
+    assert batch.label.tolist() == [1] * 8 + [-1] * 7
 
 
 # ---------------------------------------------------------------------------

@@ -603,6 +603,30 @@ def test_backward_gives_one_gradient_pair_per_layer(n_stages, edge):
         assert db.shape == layer.bias.shape
 
 
+@pytest.mark.parametrize("edge, c_in, k, s", [
+    (76, 1, 5, 2), (36, 8, 5, 2), (16, 8, 5, 2), (6, 8, 3, 2), (11, 2, 3, 3),
+])
+def test_inference_stage_adds_the_bias_after_the_pool(edge, c_in, k, s):
+    """`_stage_forward` pools the unbiased map and adds the bias to the
+    window maxima: the bits of adding it to every entry first (as the
+    training kernel does) and pooling then, since rounding is monotone.
+    The batches straddle zero and one image has an all-zero region, whose
+    windows tie everywhere."""
+    rng = np.random.default_rng(360 + edge + c_in + s)
+    conv = ConvLayer.initialize(k, c_in, 8, rng)
+    conv = ConvLayer(conv.weights, rng.uniform(-0.5, 0.5, 8))
+    stage = Stage(conv, PoolSpec(s))
+    for _ in range(10):
+        x = rng.uniform(-1.0, 1.0, (3, edge, edge, c_in))
+        x[1, :edge // 2] = 0.0
+        biased = layers._add_bias(layers._conv_fwd(x, conv.weights),
+                                  conv.bias)
+        want = np.maximum(layers._pool(biased, s), 0.0)
+        assert layers._stage_forward(x, stage).tobytes() == want.tobytes()
+    np.testing.assert_array_equal(
+        biased, layers._conv_fwd(x, conv.weights) + conv.bias)
+
+
 # ---------------------------------------------------------------------------
 # pool routing on ties
 
@@ -668,6 +692,11 @@ def test_backward_routes_ties_like_a_first_max_argmax(s):
 
 # ---------------------------------------------------------------------------
 # conv kernels against the sliding-window im2col and strided col2im scatter
+
+
+def biased_conv_fwd(x, w, b):
+    """The conv kernel with its bias added, as every forward adds it."""
+    return layers._add_bias(layers._conv_fwd(x, w), b)
 
 
 def slab_im2col(x, kh, kw):
@@ -738,7 +767,7 @@ def test_conv_kernels_are_the_bits_of_the_slab_reference(
     if slab is not None:
         monkeypatch.setattr(layers, "_SLAB_ELEMENTS", slab)
     x, w, b, g = conv_case(edge, c_in, c_out, k, n)
-    assert layers._conv_fwd(x, w, b).tobytes() == \
+    assert biased_conv_fwd(x, w, b).tobytes() == \
         slab_conv_fwd(x, w, b).tobytes()
     got, want = layers._conv_bwd(x, w, g, True), slab_conv_bwd(x, w, g)
     for name, a, e in zip(("dx", "dw", "db"), got, want):
@@ -764,7 +793,7 @@ def test_conv_kernels_split_an_image_into_row_bands(
     x, w, b, g = conv_case(edge, c_in, c_out, k, n)
     o = edge - k + 1
     assert o * o * k * k * c_in > layers._SLAB_ELEMENTS
-    assert layers._conv_fwd(x, w, b).tobytes() == \
+    assert biased_conv_fwd(x, w, b).tobytes() == \
         slab_conv_fwd(x, w, b).tobytes()
     dx, dw, db = layers._conv_bwd(x, w, g, True)
     ref_dx, ref_dw, ref_db = slab_conv_bwd(x, w, g)
@@ -789,7 +818,7 @@ def test_column_blocks_stay_within_the_slab_and_tile_the_output(monkeypatch):
             yield i, j, r, s, col
 
     monkeypatch.setattr(layers, "_column_blocks", checked)
-    layers._conv_fwd(x, w, b)
+    biased_conv_fwd(x, w, b)
     assert not sizes
     layers._conv_bwd(x, w, g, True)
     assert 0 < max(sizes) <= layers._SLAB_ELEMENTS
@@ -856,7 +885,7 @@ def test_strip_forward_is_the_bits_of_one_gemm_per_output_row(case):
     differently.)"""
     x, w, b, slab = case
     with mock.patch.object(layers, "_SLAB_ELEMENTS", slab):
-        got = layers._conv_fwd(x, w, b)
+        got = biased_conv_fwd(x, w, b)
     assert got.tobytes() == row_conv_fwd(x, w, b).tobytes()
     np.testing.assert_allclose(got, slab_conv_fwd(x, w, b), rtol=1e-12,
                                atol=1e-12)
@@ -885,7 +914,7 @@ def test_strip_blocks_stay_within_the_slab_and_tile_the_output(
             yield i, j, r, s, rows
 
     monkeypatch.setattr(layers, "_strip_blocks", checked)
-    got = layers._conv_fwd(x, w, b)
+    got = biased_conv_fwd(x, w, b)
     assert 0 < max(sizes) <= slab
     assert (covered == 1).all()
     assert got.tobytes() == row_conv_fwd(x, w, b).tobytes()

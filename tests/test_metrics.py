@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pyrcnn import (MetricError, auc, best_accuracy, compute_roc,
-                    evaluate_distances, tpr_at_fpr)
+                    evaluate_distances, metrics, tpr_at_fpr)
 
 
 def counting_roc_oracle(matched, unmatched):
@@ -273,3 +275,73 @@ def test_evaluate_distances_custom_targets():
     report = evaluate_distances([1.0, 2.0], [3.0, 4.0], fpr_targets=(0.5,))
     assert len(report.tpr_points) == 1
     assert report.tpr_points[0][0] == 0.5
+
+
+# ---------------------------------------------------------------------------
+# thresholds merged from the sorted sides
+
+
+def unique_thresholds(m, u):
+    """The thresholds as np.unique of the concatenated sides makes them."""
+    return np.concatenate(([-np.inf], np.unique(np.concatenate((m, u))),
+                           [np.inf]))
+
+
+def three_temporary_best(thresholds, below_m, below_u, n_m, n_u):
+    """The best accuracy from the full accuracy array."""
+    accuracy = (below_m + (n_u - below_u)) / (n_m + n_u)
+    best = int(np.argmax(accuracy))
+    return float(thresholds[best]), float(accuracy[best])
+
+
+# duplicates, signed zeros, one-element sides and all-equal sides
+_value = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.5, 1e-300]),
+                   st.floats(-1e6, 1e6, allow_nan=False))
+_side = st.one_of(
+    st.lists(_value, min_size=1, max_size=40),
+    st.builds(lambda v, k: [v] * k, _value, st.integers(1, 12)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_side, _side)
+def test_merged_thresholds_are_the_unique_values(matched, unmatched):
+    """`_counts` merges each sorted side's distinct values: the bits of
+    np.unique over the concatenation wherever +0.0 and -0.0 do not both
+    occur (then np.unique may keep either zero, and the values are equal);
+    and every public entry point reads the same results off them."""
+    m, u = np.sort(matched), np.sort(unmatched)
+    thresholds, below_m, below_u = metrics._counts(m, u)
+    want = unique_thresholds(m, u)
+    both = np.concatenate((m, u))
+    zeros = np.signbit(both[both == 0.0])
+    if zeros.all() or not zeros.any():
+        assert thresholds.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(thresholds, want)
+    assert below_m.tolist() == np.searchsorted(m, want).tolist()
+    assert below_u.tolist() == np.searchsorted(u, want).tolist()
+
+    best = metrics._best(thresholds, below_m, below_u, m.size, u.size)
+    assert best == three_temporary_best(thresholds, below_m, below_u,
+                                        m.size, u.size)
+    report = evaluate_distances(matched, unmatched)
+    in_place = evaluate_distances(m, u)
+    for got in (report, in_place):
+        assert got.curve == compute_roc(matched, unmatched)
+        assert (got.accuracy_threshold, got.accuracy) == \
+            best_accuracy(matched, unmatched) == best
+        assert got.auc == report.auc
+        assert got.tpr_points == report.tpr_points
+    assert m.tolist() == sorted(matched) and u.tolist() == sorted(unmatched)
+
+
+def test_sorted_side_is_used_in_place():
+    """A sorted 1-d float64 side is not copied; any other input is sorted
+    into a new array and left as it was."""
+    side = np.array([0.5, 1.0, 1.0, 2.0])
+    assert np.shares_memory(metrics._sorted("matched", side), side)
+    shuffled = np.array([2.0, 0.5, 1.0])
+    got = metrics._sorted("matched", shuffled)
+    assert not np.shares_memory(got, shuffled)
+    assert got.tolist() == [0.5, 1.0, 2.0]
+    assert shuffled.tolist() == [2.0, 0.5, 1.0]
+    assert metrics._sorted("matched", [1, 3]).dtype == np.float64
