@@ -151,12 +151,6 @@ class DatasetIndex:
     def n_identities(self) -> int:
         return len(self.identity_names)
 
-    def by_identity(self) -> dict[int, list[int]]:
-        groups: dict[int, list[int]] = {}
-        for i, rec in enumerate(self.records):
-            groups.setdefault(rec.identity, []).append(i)
-        return groups
-
 
 # ---------------------------------------------------------------------------
 # PGM files

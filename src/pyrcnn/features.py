@@ -189,7 +189,7 @@ def read_features(path) -> dict[str, np.ndarray]:
 
 # ROC rows formatted and written per block: bounds the report's text in
 # memory at any curve length
-_REPORT_ROWS = 1 << 14
+_REPORT_ROWS = 1 << 11
 
 
 def _run_reprs(values: np.ndarray) -> list[str]:

@@ -79,8 +79,8 @@ per entry of `net.layers` (the stages' convs in order, then the head).
 A stage's shape is its `geometry`, (kh, kw, c_in, c_out, pool), and
 `_stage_shapes`, the one walk of a chain of them, is the only check that a
 kernel fits and a pool divides: behind `Network`, slab sizing, the
-per-image ops (`maxpool` walks a 1x1 stage that keeps its channels),
-`pyramid.preprocess_dataset`, and the spec's validation and `load_model`.
+per-image ops (`maxpool` walks a 1x1 stage that keeps its channels), the
+spec's validation and `pyramid._image_set`, the one image-set rule.
 
 Two forward kernels share the conv and pool kernels.  `_forward_cached` is
 the training path: it keeps every stage's input and pre-activation, the

@@ -18,7 +18,11 @@ and sees exponentially larger input patches.
 `PyramidSpec.stage_geometry(level)` is the (kh, kw, c_in, c_out, pool) of
 each stage a level's networks have.  The spec validates it with the
 layers' shape walk (`layers._stage_shapes`), the builders draw their
-stages from it, and `load_model` refuses a file whose layers differ.
+stages from it, and `load_model` refuses a file whose layers differ.  The
+model file's tensor order has one owner, `_file_order`, which
+`save_model` and `load_model` both walk.  Every image set (the training
+and validation images of a fit, `preprocess_dataset`'s input) passes one
+rule, `_image_set`, with one message form.
 
 Each level holds and trains on only the region its networks read: the
 top-left corner of its grid that spans every network offset, an edge
@@ -27,31 +31,22 @@ top-left corner of its grid that spans every network offset, an edge
 the image's stored (8-bit, for a PGM) samples, and `preprocess_dataset`
 makes those corners float pixels and pushes them through the frozen stages
 0..l-1 a memory slab of images at a time into one preallocated
-(n, e, e, c) array, sized by the shape walk that also checks a `Network`
-(`layers._stage_shapes`); neither a float copy of the raw gallery nor a
+(n, e, e, c) array; neither a float copy of the raw gallery nor a
 full-size grid of a lower level is ever formed.  Each row is bit-equal to
 the stages run on that image alone, so the corner holds the same bits as
 the matching region of a whole crop's grid.
 
 Greedy levels and the monolithic baseline train through one Siamese loop
-(`_siamese_fit`): the same pair loss, momentum SGD and pair stream.  A
-level differs only in that its entry stage is one layer shared by all of
-its networks.  Each layer owns its weights and bias as float64 arrays,
-which the fit steps in place, three in-place operations per block;
-forward, backward and validation are kernels that read the networks
-themselves (`net.layers`: the stage convs, then the head).  The
+(`_siamese_fit`): the same pair loss, momentum SGD, pair stream and
+validation.  A level differs only in that its entry stage is one layer
+shared by all of its networks.  Each layer owns its weights and bias as
+float64 arrays, which the fit steps in place, three in-place operations
+per block; forward, backward and validation are kernels that read the
+networks themselves (`net.layers`: the stage convs, then the head).  The
 comparators' (log_alpha, beta) train as one (k, 2) array, written back
-when the fit ends.  A fit that raises, on divergence or otherwise, first
-restores every block it started from, so the model keeps its pre-fit
-values.  Each step stacks both members of every pair into one
-(n, h, w, c) batch per network, with one batched forward and one batched
-backward call; a batch whose largest pre-activation map would not fit the
-layers' memory slab is walked in pair chunks (the whole 32-pair batch at
-the 16-edge levels, one pair at a time at the 76-edge monolith), and each
-chunk's pairs are scored by one loss call.  Validation runs after every
-`_VALIDATE_EVERY`-th step and after the last one, and embeds its images
-in batches of the same size, on the forward-only kernel
-(`layers._forward`).
+when the fit ends.  A step walks its pairs in chunks that fit the layers'
+memory slab: the whole 32-pair batch at the 16-edge levels, one pair at a
+time at the 76-edge monolith.
 """
 
 from __future__ import annotations
@@ -278,40 +273,64 @@ def assemble_network(model: PyramidModel, level: int, which: int) -> Network:
                    spec.assembled_input_edge(level), in_channels=1)
 
 
+def _image_set(images, what: str, edge: int, channels: int | None,
+               geometry: Sequence[tuple[int, ...]] = ()):
+    """The one rule for an image set: an (n, h, w, c) array, or a sequence
+    of (h, w, c) arrays or Tensors, with n >= 1, h and w >= `edge`,
+    `channels` channels (any when None), an (h, w, c) that the stages of
+    `geometry` fit and only finite values.  Returns the set (a sequence as
+    a list of arrays, never a stacked copy) and `layers._stage_shapes`'s
+    walk of one image; any other set is a PyramidError that names the
+    `what` set, the shape found and the shape needed."""
+    if isinstance(images, np.ndarray):
+        shape, shapes = images.shape, ()
+    else:
+        images = [x.array if isinstance(x, Tensor) else np.asarray(x)
+                  for x in images]
+        shapes = sorted({x.shape for x in images})
+        shape = (len(images), *shapes[0]) if shapes else (0,)
+    if len(shapes) > 1:
+        found = (f"{len(shapes)} different shapes, from {shapes[0]} to "
+                 f"{shapes[-1]}")
+    elif shape[:1] == (0,):
+        found = "no images"
+    elif len(shape) != 4 or min(shape[1:3]) < edge \
+            or channels not in (None, shape[3]):
+        found = f"shape {shape}"
+    else:
+        try:
+            walk = _stage_shapes(geometry, *shape[1:])
+        except ShapeError as exc:
+            found = f"shape {shape} ({exc})"
+        else:
+            if all(np.isfinite(x).all() for x in (
+                    [images] if isinstance(images, np.ndarray) else images)):
+                return images, walk
+            found = f"shape {shape} with non-finite values"
+    raise PyramidError(
+        f"{what} images: {found}; need (n, h, w, c) with n >= 1, h and w >= "
+        f"{edge}" + ("" if channels is None else f", c = {channels} channels")
+        + (", fitting the stages" if geometry else ""))
+
+
 def preprocess_dataset(images, *stages: Stage, maxval=1) -> np.ndarray:
-    """Push n images, an (n, h, w, c) array or a sequence of (h, w, c)
-    arrays, through the frozen `stages` in order (Algorithm step: filter
-    and down-sample the dataset), a memory slab of images at a time, into
-    one preallocated (n, h', w', c') output; no stage's output for the
-    whole set is ever formed.
+    """Push an image set (`_image_set`) through the frozen `stages` in
+    order (Algorithm step: filter and down-sample the dataset), a memory
+    slab of images at a time, into one preallocated (n, h', w', c') output.
 
     The images are stored samples in 0..`maxval`, one maxval per image or
     one for all (1, the default, for float pixels); each slab becomes
-    float pixels (`data.float_pixels`) only as it is stacked, so no float
-    copy of the whole set is formed either.  Row i is bit-equal to the
-    stages on image i's float pixels alone; with no stages it is those
-    pixels."""
+    float pixels (`data.float_pixels`) only as it is stacked.  Row i is
+    bit-equal to the stages on image i's float pixels alone; with no
+    stages it is those pixels."""
     if not all(stage.frozen for stage in stages):
         raise PyramidError("preprocess_dataset requires frozen stages")
-    shapes = {np.shape(image) for image in images}
-    if len(shapes) != 1:
-        raise PyramidError("no images to preprocess" if not shapes else
-                           f"images of {len(shapes)} different shapes; "
-                           f"need one (h, w, c) shape")
-    (item,) = shapes
-    shape = (len(images), *item)
-    if len(item) != 3:
-        raise PyramidError(f"images of shape {shape} are not (n, h, w, c)")
-    try:
-        out_map, largest = _stage_shapes(
-            [stage.geometry for stage in stages], *item)
-    except ShapeError as exc:
-        raise PyramidError(f"images of shape {shape} do not fit: {exc}") \
-            from exc
+    geometry = [stage.geometry for stage in stages]
+    images, (out_map, largest) = _image_set(images, "input", 1, None, geometry)
     maxvals = np.broadcast_to(maxval, len(images))
     out = np.empty((len(images), *out_map))
     # elements per image of the largest map in a slab: input or stage
-    step = _slab(max(math.prod(item), largest))
+    step = _slab(max(images[0].size, largest))
     for i in range(0, len(images), step):
         # one slab, stacked and made float
         x = float_pixels(np.asarray(images[i:i + step]), maxvals[i:i + step])
@@ -356,27 +375,13 @@ class LevelTrace:
     val_iterations: list[int] = field(default_factory=list)
 
 
-def _check_level_images(spec: PyramidSpec, images: np.ndarray,
-                        level: int, what: str) -> None:
-    need = spec.base_input + spec.max_offset()
-    channels = spec.entry_in_channels(level)
-    shape = np.shape(images)
-    if len(shape) != 4 or shape[3] != channels or shape[1] != shape[2] \
-            or shape[1] < need:
-        raise PyramidError(
-            f"{what} images have shape {shape}; level {level} needs an "
-            f"(n, e, e, {channels}) array, e >= {need}, {channels} channels")
-    if not np.isfinite(images).all():
-        raise PyramidError(f"{what} images hold non-finite values")
-
-
-def train_level(model: PyramidModel, level: int, images: np.ndarray,
+def train_level(model: PyramidModel, level: int, images,
                 pair_source: PairSampler, cfg: TrainConfig,
-                val_images: np.ndarray | None = None,
+                val_images=None,
                 val_pairs: Sequence[FacePair] | None = None) -> LevelTrace:
     """Siamese training of one level's networks (and its entry stage).
 
-    `images` (and `val_images`) are (n, e, e, c) arrays, already
+    `images` (and `val_images`) are image sets (`_image_set`), already
     preprocessed through all frozen stages below `level`.  Runs the shared
     Siamese loop (`_siamese_fit`) for cfg.iterations_per_level steps; the
     entry stage is aliased into every network of the level, so its
@@ -393,11 +398,6 @@ def train_level(model: PyramidModel, level: int, images: np.ndarray,
         )
     if model.stages[level].frozen:
         raise PyramidError(f"level {level} is already trained and frozen")
-    if len(images) == 0:
-        raise PyramidError("no training images supplied")
-    _check_level_images(spec, images, level, "training")
-    if val_images is not None:
-        _check_level_images(spec, val_images, level, "validation")
     return _siamese_fit(model.level_networks[level], model.comparators[level],
                         spec.patch_offsets, images, pair_source, cfg,
                         LevelTrace(level), cfg.iterations_per_level, None,
@@ -416,8 +416,8 @@ def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
     """Momentum-SGD on the pair loss for every network in `nets` at once.
 
     Network k is fed the edge-`input_size` patch of each image at
-    `offsets[k]` and scored by `comps[k]`; `images` and `val_images` are an
-    (n, h, w, c) array or a sequence of (h, w, c) arrays.  Both members of a
+    `offsets[k]` and scored by `comps[k]`; `images` and `val_images` are
+    image sets (`_image_set`) that the networks read.  Both members of a
     pair flow through identical weights, so a layer's gradient is the sum
     over the two branches.  A layer object aliased into k networks is one
     parameter, stepped once; its gradient is divided by k x pairs, every
@@ -432,6 +432,11 @@ def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
     after the last.  A step that leaves a parameter non-finite raises
     PyramidError; any failure first restores the values the fit began with.
     """
+    need = (max(net.input_size + max(o) for net, o in zip(nets, offsets)),
+            nets[0].in_channels)
+    images, _ = _image_set(images, "training", *need)
+    if val_images is not None:
+        val_images, _ = _image_set(val_images, "validation", *need)
     layers = list({id(layer): layer for net in nets
                    for layer in net.layers}.values())
     comp_params = np.array([[c.log_alpha, c.beta] for c in comps])
@@ -631,32 +636,24 @@ def build_monolithic(spec: PyramidSpec, seed: int) -> tuple[Network,
     return net, ComparatorParams()
 
 
-def train_network(net: Network, comp: ComparatorParams,
-                  images: Sequence[Tensor], pair_source: PairSampler,
-                  cfg: TrainConfig, iterations: int | None = None,
-                  time_budget: float | None = None,
-                  val_images: Sequence[Tensor] | None = None,
+def train_network(net: Network, comp: ComparatorParams, images,
+                  pair_source: PairSampler, cfg: TrainConfig,
+                  iterations: int | None = None,
+                  time_budget: float | None = None, val_images=None,
                   val_pairs: Sequence[FacePair] | None = None) -> LevelTrace:
     """Plain Siamese training of one network on full-size crops: the same
     loop, loss, optimizer and pair stream semantics as train_level, with no
-    layer shared and the patch taken at offset (0, 0).
+    layer shared and the patch taken at offset (0, 0).  `images` and
+    `val_images` are image sets of `_image_set` (Tensors, say) of edge
+    `net.input_size` or more.
 
     Runs for `iterations` steps or until `time_budget` seconds elapse
     (whichever is given; time_budget wins if both are set).
     """
     if iterations is None and time_budget is None:
         iterations = cfg.iterations_per_level
-    edge = net.input_size
-    for i, img in enumerate(images):
-        if img.shape[0] < edge or img.shape[1] < edge \
-                or img.shape[2] != net.in_channels:
-            raise PyramidError(
-                f"image {i} shape {img.shape} cannot feed edge-{edge} network"
-            )
-    arrays = [t.array for t in images]  # not one stacked copy of the set
-    val_arrays = None if val_images is None else [t.array for t in val_images]
-    return _siamese_fit([net], [comp], [(0, 0)], arrays, pair_source, cfg,
-                        LevelTrace(-1), iterations, time_budget, val_arrays,
+    return _siamese_fit([net], [comp], [(0, 0)], images, pair_source, cfg,
+                        LevelTrace(-1), iterations, time_budget, val_images,
                         val_pairs)
 
 
@@ -674,17 +671,21 @@ def _tensor_bytes(arr: np.ndarray) -> bytes:
 
 
 class _Cursor:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+    """Reads a model file past its magic, refusing to read past its end."""
 
-    def ints(self, n: int) -> list[int]:
+    def __init__(self, data: bytes):
+        self.data, self.pos = data, len(MAGIC)
+
+    def _take(self, n: int, dtype: str) -> np.ndarray:
         end = self.pos + 8 * n
         if end > len(self.data):
             raise PyramidError("model file truncated")
-        out = np.frombuffer(self.data[self.pos:end], dtype="<i8")
+        out = np.frombuffer(self.data[self.pos:end], dtype=dtype)
         self.pos = end
-        return [int(v) for v in out]
+        return out
+
+    def ints(self, n: int) -> list[int]:
+        return [int(v) for v in self._take(n, "<i8")]
 
     def tensor(self) -> np.ndarray:
         (rank,) = self.ints(1)
@@ -694,26 +695,23 @@ class _Cursor:
         if min(shape) < 1:
             raise PyramidError(f"corrupt tensor shape {tuple(shape)} in "
                                f"model file")
-        count = math.prod(shape)  # Python ints: a huge shape cannot wrap
-        end = self.pos + 8 * count
-        if end > len(self.data):
-            raise PyramidError("model file truncated")
-        arr = np.frombuffer(self.data[self.pos:end], dtype="<f8")
-        self.pos = end
-        return arr.reshape(shape)
+        # Python ints: a huge shape cannot wrap
+        return self._take(math.prod(shape), "<f8").reshape(shape)
 
 
-def _model_tensors(model: PyramidModel):
-    """Fixed serialization order for every parameter tensor."""
-    for stage in model.stages:
-        yield stage.conv.weights
-        yield stage.conv.bias
-    for nets, comps in zip(model.level_networks, model.comparators):
-        for net, comp in zip(nets, comps):
-            for layer in net.layers[1:]:  # template convs, then the head
-                yield layer.weights
-                yield layer.bias
-            yield np.array([comp.log_alpha, comp.beta])
+def _file_order(spec: PyramidSpec):
+    """PYRCNN01's tensor order, which `save_model` and `load_model` walk:
+    each level's entry conv, then, per level and network, its template
+    convs, its head and its comparator.  Yields (level, network, layer):
+    `layer` indexes the network's `layers` (weights, bias; the entry conv
+    is layer 0 of network 0), or is None for the comparator's tensor."""
+    for level in range(spec.levels):
+        yield level, 0, 0
+    for level in range(spec.levels):
+        for k in range(spec.networks_per_level):
+            for j in range(1, len(spec.template) + 2):
+                yield level, k, j
+            yield level, k, None
 
 
 def save_model(model: PyramidModel, path) -> None:
@@ -729,7 +727,14 @@ def save_model(model: PyramidModel, path) -> None:
     ints.append(model.levels_trained)
     ints += [1 if stage.frozen else 0 for stage in model.stages]
     chunks = [MAGIC, np.asarray(ints, dtype="<i8").tobytes()]
-    chunks += [_tensor_bytes(arr) for arr in _model_tensors(model)]
+    for level, k, j in _file_order(spec):
+        if j is None:
+            comp = model.comparators[level][k]
+            chunks.append(
+                _tensor_bytes(np.array([comp.log_alpha, comp.beta])))
+        else:
+            layer = model.level_networks[level][k].layers[j]
+            chunks += [_tensor_bytes(layer.weights), _tensor_bytes(layer.bias)]
     Path(path).write_bytes(b"".join(chunks))
 
 
@@ -740,7 +745,6 @@ def load_model(path) -> PyramidModel:
             f"{path}: not a model file (expected magic {MAGIC.decode()})"
         )
     cur = _Cursor(data)
-    cur.pos = len(MAGIC)
     (levels, base_input, networks_per_level, output_dim,
      sk, sc, sp, n_template) = cur.ints(8)
     template = tuple(StageSpec(*cur.ints(3)) for _ in range(n_template))
@@ -752,20 +756,22 @@ def load_model(path) -> PyramidModel:
                        networks_per_level=networks_per_level,
                        patch_offsets=offsets, output_dim=output_dim)
 
-    # layers copy tensors already read: a bad spec cannot outgrow the file
-    stages = []
-    for level in range(levels):
-        conv = ConvLayer(cur.tensor(), cur.tensor(),
-                         frozen=bool(frozen[level]))
-        stages.append(Stage(conv, PoolSpec(sp)))
+    # every tensor is read, and its size checked against the file, before
+    # any layer is made: a bad spec cannot outgrow the file
+    read = {slot: [cur.tensor() for _ in range(1 if slot[2] is None else 2)]
+            for slot in _file_order(spec)}
+    if cur.pos != len(data):
+        raise PyramidError(f"{path}: {len(data) - cur.pos} trailing bytes")
+    stages = [Stage(ConvLayer(*read[level, 0, 0], frozen=bool(frozen[level])),
+                    PoolSpec(sp)) for level in range(levels)]
     level_networks, comparators = [], []
     for level in range(levels):
         nets, comps = [], []
         for k in range(networks_per_level):
             chain = [stages[level]] + [
-                Stage(ConvLayer(cur.tensor(), cur.tensor()), PoolSpec(t.pool))
-                for t in spec.template]
-            head = FCLayer(cur.tensor(), cur.tensor())
+                Stage(ConvLayer(*read[level, k, j]), PoolSpec(t.pool))
+                for j, t in enumerate(spec.template, 1)]
+            head = FCLayer(*read[level, k, len(chain)])
             want = spec.stage_geometry(level), output_dim
             got = [stage.geometry for stage in chain], head.out_dim
             if got != want:
@@ -775,15 +781,13 @@ def load_model(path) -> PyramidModel:
                     f"{want[1]}")
             nets.append(Network(chain, head, base_input,
                                 spec.entry_in_channels(level)))
-            cmp = cur.tensor().reshape(-1)
+            (cmp,) = read[level, k, None]
             if cmp.size != 2:
                 raise PyramidError(
                     f"{path}: comparator tensor has {cmp.size} values, "
                     f"expected 2 (log_alpha, beta)")
-            comps.append(ComparatorParams(*cmp.tolist()))
+            comps.append(ComparatorParams(*cmp.reshape(-1).tolist()))
         level_networks.append(nets)
         comparators.append(comps)
-    if cur.pos != len(data):
-        raise PyramidError(f"{path}: {len(data) - cur.pos} trailing bytes")
     return PyramidModel(spec, stages, level_networks, comparators,
                         levels_trained)

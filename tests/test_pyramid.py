@@ -1,5 +1,7 @@
 """Pyramid construction, greedy level-wise training, and serialization."""
 
+import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -475,6 +477,88 @@ def test_train_level_rejects_array_without_batch_axis():
     with pytest.raises(PyramidError) as err:
         train_level(model, 0, images[0].array, FixedPairs([]), cfg)
     assert f"shape {images[0].shape}" in str(err.value)
+
+
+def _image_set_entry(which):
+    """(call, what, edge, channels, good edge, small edge) of one of the five
+    image sets: `call(bad)` passes `bad` in that set's place, with every
+    other argument valid and one training step's worth of pairs.  The
+    preprocessing input needs no channel count of its own (None): its
+    stages' walk checks the channels, as it checks the edge."""
+    rng = np.random.default_rng(31)
+    cfg = TrainConfig(iterations_per_level=1, batch_size=4, seed=31)
+    if which == "preprocess_dataset":
+        conv = ConvLayer.initialize(5, 1, 4, rng)
+        conv.frozen = True
+        stage = Stage(conv, PoolSpec(2))
+        return (lambda bad: preprocess_dataset(bad, stage)), "input", 1, \
+            None, 16, 3
+    net, comp, images, sampler, val_images, val_pairs = validation_fixture(31)
+    role = which.split(".")[1]
+    if which.startswith("train_level"):
+        model = build_pyramid(PyramidSpec(levels=1), seed=31)
+        good = stack(images)
+
+        def call(bad):
+            if role == "images":
+                train_level(model, 0, bad, sampler, cfg)
+            else:
+                train_level(model, 0, good, sampler, cfg, val_images=bad,
+                            val_pairs=val_pairs)
+    else:
+        def call(bad):
+            if role == "images":
+                train_network(net, comp, bad, sampler, cfg, iterations=1)
+            else:
+                train_network(net, comp, images, sampler, cfg, iterations=1,
+                              val_images=bad, val_pairs=val_pairs)
+    what = "training" if role == "images" else "validation"
+    return call, what, 16, 1, 16, 12
+
+
+def _bad_image_set(problem, edge, channels, small):
+    """An image set of the given `problem`, otherwise of `edge` x `edge` x
+    `channels` images (six, as the validation pairs name), in each of the
+    forms a set takes."""
+    rng = np.random.default_rng(32)
+    if problem == "rank":  # rank-2 Tensors, no channel axis
+        return [tensor(rng.uniform(0, 1, (edge, edge))) for _ in range(6)]
+    if problem == "ragged":
+        return [rng.uniform(0, 1, (e, e, channels)) for e in (edge, edge + 2)]
+    if problem == "small":
+        return random_patches(rng, 6, small, channels)
+    images = rng.uniform(0, 1, (6, edge, edge, channels + (
+        problem == "channels")))
+    if problem == "nan":
+        images[2, 3, 4, 0] = np.nan
+    return images
+
+
+@pytest.mark.parametrize("problem", ["rank", "ragged", "channels", "small",
+                                     "nan"])
+@pytest.mark.parametrize("which", [
+    "train_level.images", "train_level.val_images", "train_network.images",
+    "train_network.val_images", "preprocess_dataset"])
+def test_every_image_set_is_refused_by_one_rule(which, problem):
+    """The five image sets share one rule and one message form: the set,
+    the shape found and the shape needed.  (Before the rule, 12-px
+    validation images reached numpy's matmul after one training step, and
+    rank-2 Tensors an IndexError, in train_network.)"""
+    call, what, edge, channels, good, small = _image_set_entry(which)
+    bad = _bad_image_set(problem, good, channels or 1, small)
+    with pytest.raises(PyramidError) as err:
+        call(bad)
+    message = str(err.value)
+    need = (", fitting the stages" if channels is None
+            else f", c = {channels} channels")
+    assert re.fullmatch(rf"{what} images: (.+); need \(n, h, w, c\) with "
+                        rf"n >= 1, h and w >= {edge}{need}", message), message
+    if problem == "ragged":
+        assert "2 different shapes" in message
+    else:
+        assert f"shape {(len(bad), *bad[0].shape)}" in message
+    if problem == "nan":
+        assert "non-finite" in message
 
 
 def test_diverged_train_level_leaves_the_model_unchanged(tmp_path):
@@ -1118,6 +1202,66 @@ def test_serialization_restores_aliasing_and_forward(tmp_path):
         a = network_forward(net_a, patch).array
         b = network_forward(net_b, patch).array
         assert a.tobytes() == b.tobytes()
+
+
+def test_model_file_layout_is_spelled_out(tmp_path):
+    """PYRCNN01, written out here without the library: the magic, the spec
+    integers, then every tensor as int64 rank, int64 extents and float64
+    values, in this order: each level's entry conv (weights, bias), then,
+    per level and network, the template conv, the head and the comparator
+    (log_alpha, beta).  Every tensor holds its own values, so a file that
+    swaps two of them is caught, and a load puts each on its layer."""
+    spec = PyramidSpec(levels=2, networks_per_level=2,
+                       patch_offsets=((0, 0), (2, 4)))
+    model = build_pyramid(spec, seed=57)
+    model.stages[0].conv.frozen = True
+    model.levels_trained = 1
+    layers = {id(layer): layer for nets in model.level_networks
+              for net in nets for layer in net.layers}.values()
+    for i, layer in enumerate(layers):
+        for j, array in enumerate((layer.weights, layer.bias)):
+            array[...] = 2 * i + j + np.arange(array.size).reshape(
+                array.shape) / 1e4
+    for level, comps in enumerate(model.comparators):
+        for k, comp in enumerate(comps):
+            comp.log_alpha, comp.beta = -1.5 - level - k / 8, level + k / 8
+
+    def tensor_bytes(*values):
+        array = np.asarray(values if len(values) > 1 else values[0])
+        return (struct.pack(f"<{1 + array.ndim}q", array.ndim, *array.shape)
+                + struct.pack(f"<{array.size}d", *array.reshape(-1)))
+
+    header = (2, 16, 2, 8,            # levels, base_input, networks, dim
+              5, 8, 2, 1, 3, 16, 2,   # shared stage, template count, stage
+              0, 0, 2, 4,             # patch offsets
+              1, 1, 0)                # levels trained, frozen flags
+    expected = [b"PYRCNN01", struct.pack(f"<{len(header)}q", *header)]
+    for stage in model.stages:
+        expected += [tensor_bytes(stage.conv.weights),
+                     tensor_bytes(stage.conv.bias)]
+    for nets, comps in zip(model.level_networks, model.comparators):
+        for net, comp in zip(nets, comps):
+            template, head = net.stages[1].conv, net.head
+            expected += [tensor_bytes(template.weights),
+                         tensor_bytes(template.bias),
+                         tensor_bytes(head.weights), tensor_bytes(head.bias),
+                         tensor_bytes(comp.log_alpha, comp.beta)]
+    path = tmp_path / "m.bin"
+    save_model(model, path)
+    assert path.read_bytes() == b"".join(expected)
+    loaded = load_model(path)
+    assert loaded.levels_trained == 1
+    assert [stage.frozen for stage in loaded.stages] == [True, False]
+    for level in range(2):
+        for k in range(2):
+            want = model.level_networks[level][k]
+            got = loaded.level_networks[level][k]
+            assert got.stages[0] is loaded.stages[level]
+            for a, b in zip(want.layers, got.layers):
+                assert a.weights.tobytes() == b.weights.tobytes()
+                assert a.bias.tobytes() == b.bias.tobytes()
+            assert loaded.comparators[level][k] == \
+                model.comparators[level][k]
 
 
 def test_serialization_rejects_corruption(tmp_path):
