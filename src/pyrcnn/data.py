@@ -54,11 +54,10 @@ class DataError(ValueError):
 def float_pixels(samples, maxval) -> np.ndarray:
     """Stored samples as float64 pixels in [0, 1]: `samples / maxval`.
 
-    Every float view of an image is made here: `read_pgm`,
-    `LabeledImage.pixels`, the crops, and the slabs training and
-    extraction stack.  `samples` is one raster with one maxval, or n
-    stacked rasters with n maxvals.  A float image's maxval is 1, and
-    x / 1 == x bit for bit.
+    Every float view of an image is made here: `read_pgm`, `center_crop`,
+    and the slabs training and extraction stack.  `samples` is one raster
+    with one maxval, or n stacked rasters with n maxvals.  A float image's
+    maxval is 1, and x / 1 == x bit for bit.
     """
     scale = np.reshape(maxval, (-1,) + (1,) * (np.ndim(samples) - 1))
     return np.divide(samples, scale, dtype=np.float64)
@@ -73,8 +72,7 @@ class LabeledImage:
     maxval 1, or a uint8 array of samples with their maxval (1..255), kept
     as it is: a PGM's image holds one byte per pixel.  The float pixels,
     `float_pixels(raster, maxval)`, are computed only where they are read:
-    `pixels` for the whole image, and the windows the crops, training and
-    extraction take.
+    the windows `center_crop`, training and extraction take.
     """
 
     __slots__ = ("raster", "maxval", "identity", "landmarks", "source")
@@ -114,11 +112,6 @@ class LabeledImage:
         self.identity = identity
         self.landmarks = landmarks
         self.source = source
-
-    @property
-    def pixels(self) -> Tensor:
-        """The float64 pixels in [0, 1], made on each read."""
-        return Tensor.from_array(float_pixels(self.raster, self.maxval))
 
     def __repr__(self) -> str:
         h, w, _ = self.raster.shape
@@ -563,13 +556,6 @@ def crop_window(image: LabeledImage, origin: tuple[int, int],
             f"patch origin ({x}, {y}) edge {edge} outside {w}x{h} image"
         )
     return image.raster[y:y + edge, x:x + edge]
-
-
-def crop_patch(image: LabeledImage, origin: tuple[int, int],
-               edge: int) -> Tensor:
-    """`crop_window` as float pixels."""
-    return Tensor.from_array(
-        float_pixels(crop_window(image, origin, edge), image.maxval))
 
 
 def center_origin(image: LabeledImage, edge: int) -> tuple[int, int]:

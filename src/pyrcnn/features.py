@@ -97,13 +97,6 @@ def extract_representations(model: PyramidModel,
                           "single-top") for image, row in zip(images, rows)]
 
 
-def extract_representation(model: PyramidModel, image: LabeledImage,
-                           scheme: str = "single-top",
-                           normalize: bool = False) -> FeatureVector:
-    """Top-level network 0 output on the image's center crop."""
-    return extract_representations(model, [image], scheme, normalize)[0]
-
-
 def concat_landmark_features(models: Sequence[PyramidModel],
                              image: LabeledImage,
                              normalize: bool = False) -> FeatureVector:

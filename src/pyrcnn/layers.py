@@ -98,14 +98,13 @@ gradient either way.  (A masked-out negative gradient leaves -0.0, not
 0.0; a signed zero changes no nonzero sum and no momentum step, so the
 trained parameters are the same bits.)
 
-`_forward` is the inference path behind `network_forward`,
-`layer_forward`, validation and extraction.  It keeps nothing, and it
-evaluates the head one row at a time (a stack of (1, d) @ (d, m)
-products).  A batched (n, d) @ (d, m) product is a different BLAS routine
-from the batch-of-one product and differs from it in the last bits, so
-the per-row form is what makes an image's embedding the same bits whether
-it is computed alone or in a batch.  (The conv GEMMs, one per image
-output row, already are.)
+`_forward` is the inference path behind `network_forward`, validation
+and extraction.  It keeps nothing, and it evaluates the head one row at a
+time (a stack of (1, d) @ (d, m) products).  A batched (n, d) @ (d, m)
+product is a different BLAS routine from the batch-of-one product and
+differs from it in the last bits, so the per-row form is what makes an
+image's embedding the same bits whether it is computed alone or in a
+batch.  (The conv GEMMs, one per image output row, already are.)
 
 The gradient-check harness compares backprop against central finite
 differences of a fixed random projection of the network output, skipping
@@ -590,14 +589,6 @@ def maxpool(input: Tensor, spec: PoolSpec) -> Tensor:
     c = input.shape[-1]
     x = _checked_input(input, [(1, 1, c, c, spec.window)], "pool")
     return Tensor.from_array(_pool(x[None], spec.window)[0])
-
-
-def layer_forward(input: Tensor, conv: ConvLayer, spec: PoolSpec) -> Tensor:
-    """One full stage, maxpool(activation(conv_forward(input))), on the
-    forward-only kernel."""
-    stage = Stage(conv, spec)
-    x = _checked_input(input, [stage.geometry], "stage")
-    return Tensor.from_array(_stage_forward(x[None], stage)[0])
 
 
 def fc_forward(input: Tensor, layer: FCLayer) -> Tensor:

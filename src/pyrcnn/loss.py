@@ -5,6 +5,10 @@ alpha = exp(log_alpha) kept positive by construction, and penalized by
 softplus(delta * D) where delta is +1 for matched pairs and -1 for
 unmatched ones.  Minimizing the loss therefore pulls matched features
 together and pushes unmatched ones apart.
+
+Training calls only `pair_loss_grads`, on whole batches.  The scalar
+functions `distance`, `comparator`, `logistic` and `pair_loss` score one
+pair at a time: the reference `pair_loss_grads` is tested against.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ the ROC enumerates every distinct distance plus -inf/+inf sentinels, AUC is
 the trapezoidal area under that exact curve, and the operating-point picker
 chooses the largest threshold whose false-positive rate stays at or below
 the target — a conservative choice, the achieved FPR never exceeds the
-target.
+target.  The best accuracy and the operating points come only in
+`evaluate_distances`'s report.
 
 A `RocCurve` is three arrays (thresholds, FPRs, TPRs); its `points` list
 of `RocPoint`s is built only when asked for.  `evaluate_distances` sorts
@@ -107,6 +108,8 @@ def _counts(m: np.ndarray, u: np.ndarray):
 
 def _operating_point(m: np.ndarray, u: np.ndarray,
                      target_fpr: float) -> tuple[float, float, float]:
+    """(threshold, achieved FPR, TPR), the threshold set from the
+    unmatched (impostor) distances alone, as an access-control point is."""
     if not 0.0 <= target_fpr < 1.0:
         raise MetricError(f"target FPR must be in [0, 1), got {target_fpr}")
     allowed = int(np.floor(target_fpr * u.size))
@@ -135,29 +138,6 @@ def compute_roc(matched, unmatched) -> RocCurve:
 def auc(curve: RocCurve) -> float:
     """Trapezoidal area under the exact ROC, over FPR in [0, 1]."""
     return float(np.trapezoid(curve.tprs, curve.fprs))
-
-
-def tpr_at_fpr(matched, unmatched,
-               target_fpr: float) -> tuple[float, float, float]:
-    """(threshold, achieved FPR, TPR) at the largest threshold whose FPR
-    does not exceed the target.
-
-    The threshold is calibrated on the unmatched distances alone (sorted
-    once), mirroring the protocol of setting an access-control operating
-    point from a large impostor set and then testing the genuine pairs.
-    """
-    return _operating_point(_sorted("matched", matched),
-                            _sorted("unmatched", unmatched), target_fpr)
-
-
-def best_accuracy(matched, unmatched) -> tuple[float, float]:
-    """Exhaustive threshold sweep maximizing (TP + TN) / (P + N).
-
-    Candidates are all distinct observed distances plus sentinels; ties
-    break toward the smaller threshold.
-    """
-    m, u = _sorted("matched", matched), _sorted("unmatched", unmatched)
-    return _best(*_counts(m, u), m.size, u.size)
 
 
 def evaluate_distances(matched, unmatched,

@@ -19,8 +19,9 @@ and sees exponentially larger input patches.
 each stage a level's networks have.  The spec validates it with the
 layers' shape walk (`layers._stage_shapes`), the builders draw their
 stages from it, and `load_model` refuses a file whose layers differ.  The
-model file's tensor order has one owner, `_file_order`, which
-`save_model` and `load_model` both walk.  Every image set (the training
+model file's bytes have one writer, `_model_bytes`, which walks the tensor
+order's owner, `_file_order`, as `load_model` does, and a load is refused
+unless `_model_bytes` gives the file back.  Every image set (the training
 and validation images of a fit, `preprocess_dataset`'s input) passes one
 rule, `_image_set`, with one message form.
 
@@ -700,7 +701,7 @@ class _Cursor:
 
 
 def _file_order(spec: PyramidSpec):
-    """PYRCNN01's tensor order, which `save_model` and `load_model` walk:
+    """PYRCNN01's tensor order, which `_model_bytes` and `load_model` walk:
     each level's entry conv, then, per level and network, its template
     convs, its head and its comparator.  Yields (level, network, layer):
     `layer` indexes the network's `layers` (weights, bias; the entry conv
@@ -714,8 +715,8 @@ def _file_order(spec: PyramidSpec):
             yield level, k, None
 
 
-def save_model(model: PyramidModel, path) -> None:
-    """Single binary file: magic, spec integers, then tensors in fixed order."""
+def _model_bytes(model: PyramidModel) -> bytes:
+    """PYRCNN01: magic, spec integers, then tensors in `_file_order`."""
     spec = model.spec
     ints = [spec.levels, spec.base_input, spec.networks_per_level,
             spec.output_dim, spec.shared.kernel, spec.shared.channels,
@@ -735,10 +736,17 @@ def save_model(model: PyramidModel, path) -> None:
         else:
             layer = model.level_networks[level][k].layers[j]
             chunks += [_tensor_bytes(layer.weights), _tensor_bytes(layer.bias)]
-    Path(path).write_bytes(b"".join(chunks))
+    return b"".join(chunks)
+
+
+def save_model(model: PyramidModel, path) -> None:
+    """Single binary file, `_model_bytes(model)`."""
+    Path(path).write_bytes(_model_bytes(model))
 
 
 def load_model(path) -> PyramidModel:
+    """The model in `path`, if `_model_bytes` gives the file back and
+    0 <= levels trained <= levels."""
     data = Path(path).read_bytes()
     if data[:len(MAGIC)] != MAGIC:
         raise PyramidError(
@@ -755,13 +763,14 @@ def load_model(path) -> PyramidModel:
                        shared=StageSpec(sk, sc, sp), template=template,
                        networks_per_level=networks_per_level,
                        patch_offsets=offsets, output_dim=output_dim)
+    if not 0 <= levels_trained <= levels:
+        raise PyramidError(f"{path}: {levels_trained} levels trained, "
+                           f"outside 0..{levels}")
 
     # every tensor is read, and its size checked against the file, before
     # any layer is made: a bad spec cannot outgrow the file
     read = {slot: [cur.tensor() for _ in range(1 if slot[2] is None else 2)]
             for slot in _file_order(spec)}
-    if cur.pos != len(data):
-        raise PyramidError(f"{path}: {len(data) - cur.pos} trailing bytes")
     stages = [Stage(ConvLayer(*read[level, 0, 0], frozen=bool(frozen[level])),
                     PoolSpec(sp)) for level in range(levels)]
     level_networks, comparators = [], []
@@ -789,5 +798,9 @@ def load_model(path) -> PyramidModel:
             comps.append(ComparatorParams(*cmp.reshape(-1).tolist()))
         level_networks.append(nets)
         comparators.append(comps)
-    return PyramidModel(spec, stages, level_networks, comparators,
-                        levels_trained)
+    model = PyramidModel(spec, stages, level_networks, comparators,
+                         levels_trained)
+    if _model_bytes(model) != data:
+        raise PyramidError(f"{path}: not the bytes save_model writes for "
+                           f"the model it describes")
+    return model

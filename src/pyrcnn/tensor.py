@@ -1,16 +1,15 @@
 """Dense float64 arrays with validation, the carrier type of the public API.
 
 Images, feature maps and feature vectors travel through the public API as a
-`Tensor`: a row-major (height, width, channel) float64 block that is
-validated on construction and read-only afterwards.  There is deliberately
-no broadcasting and no view machinery.  Model parameters are not Tensors:
-each layer owns its weights and bias as writable arrays from `float_array`,
-held to the same rules, and training updates them in place.
+`Tensor`: a row-major (height, width, channel) float64 block that its one
+constructor, `Tensor.from_array`, validates and copies, and that is
+read-only afterwards.  There is deliberately no broadcasting and no view
+machinery.  Model parameters are not Tensors: each layer owns its weights
+and bias as writable arrays from `float_array`, held to the same rules, and
+training updates them in place.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -38,19 +37,6 @@ class Tensor:
     __slots__ = ("array",)
 
     array: np.ndarray
-
-    def __init__(self, shape: Sequence[int], values) -> None:
-        shape = tuple(int(e) for e in shape)
-        if len(shape) == 0:
-            raise TensorError("shape must be nonempty")
-        data = np.array(values, dtype=np.float64).reshape(-1)
-        expected = int(np.prod(shape)) if all(e >= 1 for e in shape) else -1
-        if data.size != expected:
-            raise TensorError(
-                f"shape {shape} requires {expected} values, got {data.size}"
-            )
-        self.array = float_array(data.reshape(shape))
-        self.array.flags.writeable = False
 
     @classmethod
     def from_array(cls, arr) -> "Tensor":

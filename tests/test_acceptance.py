@@ -18,13 +18,14 @@ import pytest
 from pyrcnn import (ComparatorParams, ConvLayer, FCLayer, Network,
                     NuisanceConfig, PairLabel, PairSampler, PoolSpec,
                     PyramidSpec, Stage, Tensor, TrainConfig, assemble_network,
-                    auc, best_accuracy, build_monolithic, build_pyramid,
-                    center_crop, comparator, compute_roc, distance,
-                    extract_representation, gradient_check, greedy_train,
+                    auc, build_monolithic, build_pyramid, center_crop,
+                    comparator, compute_roc, distance, evaluate_distances,
+                    extract_representations, gradient_check, greedy_train,
                     load_image, load_model, network_forward, pair_loss,
                     pair_loss_grads, preprocess_dataset, sample_pairs,
-                    save_model, split_by_identity, synth_generate, tpr_at_fpr,
+                    save_model, split_by_identity, synth_generate,
                     train_network)
+from pyrcnn.data import float_pixels
 from pyrcnn.seeding import derive_seed, make_rng
 
 SEEDS = (101, 202, 303)
@@ -83,8 +84,8 @@ def pair_distances(vectors, pairs):
 
 def heldout_auc(run, model):
     """AUC of the model's representation over the run's held-out pairs."""
-    feats = [extract_representation(model, im).values
-             for im in run.eval_images]
+    feats = [fv.values
+             for fv in extract_representations(model, run.eval_images)]
     matched, unmatched = pair_distances(feats, run.pairs)
     return auc(compute_roc(matched, unmatched))
 
@@ -213,13 +214,14 @@ def test_criterion_3_identity_preserving_learning(workdir):
     assert len({im.identity for im in run.eval_images}) == 16
     assert run.train_seconds < 600.0
 
-    deep = [extract_representation(run.model, im).values
-            for im in run.eval_images]
+    deep = [fv.values
+            for fv in extract_representations(run.model, run.eval_images)]
     matched, unmatched = pair_distances(deep, run.pairs)
     deep_auc = auc(compute_roc(matched, unmatched))
-    _, deep_acc = best_accuracy(matched, unmatched)
+    deep_acc = evaluate_distances(matched, unmatched).accuracy
 
-    raw = [im.pixels.array.reshape(-1) for im in run.eval_images]
+    raw = [float_pixels(im.raster, im.maxval).reshape(-1)
+           for im in run.eval_images]
     raw_auc = auc(compute_roc(*pair_distances(raw, run.pairs)))
 
     assert deep_auc >= 0.90
@@ -312,24 +314,26 @@ def test_criterion_5_evaluator_exactness():
 
         assert abs(auc(curve) - pairwise_auc(matched, unmatched)) < 1e-9
 
+        targets = (0.0, 0.001, 0.01, 0.1, 0.37)
+        report = evaluate_distances(matched, unmatched, targets)
         accuracies = (m_less + (n_u - u_less)) / (n_m + n_u)
-        thr, acc = best_accuracy(matched, unmatched)
+        thr, acc = report.accuracy_threshold, report.accuracy
         assert acc == accuracies.max()
         recounted = (int((matched < thr).sum())
                      + int((unmatched >= thr).sum())) / (n_m + n_u)
         assert recounted == acc
 
-        for target in (0.0, 0.001, 0.01, 0.1, 0.37):
+        assert [row[0] for row in report.tpr_points] == list(targets)
+        for target, got_thr, got_fpr, got_tpr in report.tpr_points:
             feasible = u_less <= target * n_u
             want_thr = thresholds[feasible].max()
-            got_thr, got_fpr, got_tpr = tpr_at_fpr(matched, unmatched, target)
             assert got_thr == want_thr
             assert got_fpr == int((unmatched < want_thr).sum()) / n_u
             assert got_tpr == int((matched < want_thr).sum()) / n_m
 
     # worked example: 1000 unmatched at 1..1000, matched {0.5, 5.5, 20.5}
-    thr, fpr, tpr = tpr_at_fpr(np.array([0.5, 5.5, 20.5]),
-                               np.arange(1.0, 1001.0), 0.01)
+    ((_, thr, fpr, tpr),) = evaluate_distances(
+        np.array([0.5, 5.5, 20.5]), np.arange(1.0, 1001.0), (0.01,)).tpr_points
     assert thr == 11.0 and fpr == 0.01 and tpr == 2.0 / 3.0
     print("criterion 5 PASS: roc/accuracy/tpr@fpr match counting oracles "
           "exactly on 10 instances; auc within 1e-9; worked example exact")
@@ -344,7 +348,8 @@ def test_criterion_6_million_pair_protocol():
     unmatched = rng.normal(2.0, 0.5, 1_000_000)
     matched = rng.normal(1.0, 0.4, 10_000)
     started = time.perf_counter()
-    _, achieved, tpr = tpr_at_fpr(matched, unmatched, 0.001)
+    ((_, _, achieved, tpr),) = evaluate_distances(matched, unmatched,
+                                                  (0.001,)).tpr_points
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     assert achieved <= 0.001

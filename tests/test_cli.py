@@ -559,6 +559,24 @@ def test_extract_malformed_model_file(pipeline, tmp_path, capsys):
     assert "comparator tensor has 3 values" in err
 
 
+def test_extract_model_file_save_would_not_write(pipeline, tmp_path, capsys):
+    """Level 0's frozen flag rewritten from 1 to 2 still reads as frozen,
+    but the model saves it as 1: load accepts only the bytes save writes."""
+    data = pipeline["model"].read_bytes()
+    # past the magic, 8 spec integers, one template stage, one offset pair
+    # and levels trained
+    at = 8 + 8 * 14
+    assert data[at:at + 8] == np.asarray([1], "<i8").tobytes()
+    bad = tmp_path / "model.bin"
+    bad.write_bytes(data[:at] + np.asarray([2], "<i8").tobytes()
+                    + data[at + 8:])
+    cfg = write_config(tmp_path)
+    err = error_of(capsys, ["extract", "--config", str(cfg), str(bad),
+                            str(pipeline["out"] / "eval_index.csv")])
+    assert err.startswith("error: ")
+    assert "not the bytes save_model writes" in err
+
+
 def test_extract_model_whose_layers_disagree_with_its_spec(pipeline,
                                                          tmp_path, capsys):
     """A 1x1 shared kernel stored under a header that says 5x5: both

@@ -9,14 +9,20 @@ from hypothesis import strategies as st
 
 from pyrcnn import (DataError, DatasetIndex, FacePair, IndexRecord,
                     LabeledImage, NuisanceConfig, PairBatch, PairLabel,
-                    PairSampler, Tensor, TensorError, center_crop, crop_patch,
+                    PairSampler, Tensor, TensorError, center_crop,
                     load_image, load_index, read_pgm, sample_pairs,
                     split_by_identity, split_identity_ids, synth_generate,
                     write_index, write_pgm)
+from pyrcnn.data import crop_window, float_pixels
 
 
 def write_text(path, text):
     Path(path).write_text(text, encoding="utf-8")
+
+
+def pixels(image):
+    """An image's float pixels, `samples / maxval`."""
+    return float_pixels(image.raster, image.maxval)
 
 
 def make_image(arr, identity=0, landmarks=None):
@@ -104,8 +110,9 @@ def pgm_dir(tmp_path_factory):
 @given(st.data())
 def test_stored_samples_read_as_read_pgm_floats(pgm_dir, draw):
     """An image keeps its PGM's 8-bit samples, and every float view of it
-    (`pixels`, `center_crop`, `crop_patch`) is bit-equal to `read_pgm`'s
-    array, which is `samples / maxval` in float64."""
+    (`float_pixels` of the whole raster or of a `crop_window`, and
+    `center_crop`) is bit-equal to `read_pgm`'s array, which is
+    `samples / maxval` in float64."""
     maxval = draw.draw(st.integers(1, 255), label="maxval")
     h = draw.draw(st.integers(1, 9), label="h")
     w = draw.draw(st.integers(1, 9), label="w")
@@ -120,14 +127,15 @@ def test_stored_samples_read_as_read_pgm_floats(pgm_dir, draw):
     image = load_image(IndexRecord(path, 0))
     assert image.raster.dtype == np.uint8 and image.maxval == maxval
     assert not image.raster.flags.writeable
-    assert image.pixels.array.tobytes() == want[:, :, None].tobytes()
+    assert pixels(image).tobytes() == want[:, :, None].tobytes()
     edge = draw.draw(st.integers(1, min(h, w)), label="edge")
     y, x = (h - edge) // 2, (w - edge) // 2
     assert center_crop(image, edge).array.tobytes() == \
         want[y:y + edge, x:x + edge, None].tobytes()
     x = draw.draw(st.integers(0, w - edge), label="x")
     y = draw.draw(st.integers(0, h - edge), label="y")
-    assert crop_patch(image, (x, y), edge).array.tobytes() == \
+    window = crop_window(image, (x, y), edge)
+    assert float_pixels(window, image.maxval).tobytes() == \
         want[y:y + edge, x:x + edge, None].tobytes()
 
 
@@ -266,7 +274,7 @@ def test_load_image_carries_identity_and_landmarks(tmp_path):
     img = load_image(index.records[0])
     assert img.identity == 0
     assert img.landmarks == [(2.0, 3.0)]
-    assert img.pixels.shape == (6, 6, 1)
+    assert img.raster.shape == (6, 6, 1)
 
 
 def test_labeled_image_validation():
@@ -300,12 +308,12 @@ def test_labeled_image_from_floats_or_stored_samples():
     floats = np.random.default_rng(2).uniform(0.0, 1.0, (5, 4, 1))
     image = LabeledImage(Tensor.from_array(floats), identity=3)
     assert (image.raster.dtype, image.maxval) == (np.float64, 1)
-    assert image.pixels.array.tobytes() == floats.tobytes()
+    assert pixels(image).tobytes() == floats.tobytes()
     samples = np.arange(20, dtype=np.uint8).reshape(5, 4, 1)
     image = LabeledImage(samples, identity=3, maxval=19)
     assert image.raster.dtype == np.uint8
     assert not image.raster.flags.writeable
-    assert image.pixels.array.tobytes() == (samples / 19.0).tobytes()
+    assert pixels(image).tobytes() == (samples / 19.0).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -553,32 +561,32 @@ def test_sample_pairs_keeps_its_random_stream():
 
 def test_crop_whole_image_identity():
     img = make_image(np.random.default_rng(3).uniform(0, 1, (8, 8)))
-    out = crop_patch(img, (0, 0), 8)
-    np.testing.assert_array_equal(out.array, img.pixels.array)
+    out = crop_window(img, (0, 0), 8)
+    np.testing.assert_array_equal(out, pixels(img))
 
 
 def test_crop_central_region_indexing():
     base = np.zeros((64, 64))
     base[16:48, 16:48] = 1.0
     img = make_image(base)
-    out = crop_patch(img, (16, 16), 32)
-    np.testing.assert_array_equal(out.array, np.ones((32, 32, 1)))
+    out = crop_window(img, (16, 16), 32)
+    np.testing.assert_array_equal(out, np.ones((32, 32, 1)))
 
 
 def test_crop_x_is_column_y_is_row():
     base = np.zeros((6, 6))
     base[1, 4] = 1.0  # row 1, column 4
     img = make_image(base)
-    out = crop_patch(img, (4, 1), 2)  # origin x=4 (col), y=1 (row)
-    assert out.array[0, 0, 0] == 1.0
+    out = crop_window(img, (4, 1), 2)  # origin x=4 (col), y=1 (row)
+    assert out[0, 0, 0] == 1.0
 
 
 def test_crop_out_of_bounds():
     img = make_image(np.zeros((64, 64)))
     with pytest.raises(DataError):
-        crop_patch(img, (40, 40), 32)
+        crop_window(img, (40, 40), 32)
     with pytest.raises(DataError):
-        crop_patch(img, (-1, 0), 8)
+        crop_window(img, (-1, 0), 8)
 
 
 def test_center_crop_arithmetic():
@@ -610,11 +618,11 @@ def test_synth_zero_nuisance_identical_within_identity(tmp_path):
     for i, rec in enumerate(index.records):
         groups.setdefault(rec.identity, []).append(i)
     for members in groups.values():
-        imgs = [load_image(index.records[i]).pixels.array for i in members]
+        imgs = [pixels(load_image(index.records[i])) for i in members]
         for other in imgs[1:]:
             np.testing.assert_array_equal(imgs[0], other)
     # distinct identities still differ
-    first_of = [load_image(index.records[m[0]]).pixels.array
+    first_of = [pixels(load_image(index.records[m[0]]))
                 for m in groups.values()]
     assert not np.array_equal(first_of[0], first_of[1])
 
@@ -627,12 +635,12 @@ def test_synth_pixel_range_and_determinism(tmp_path):
         assert f.read_bytes() == (b_dir / f.name).read_bytes()
     index = load_index(a_dir / "index.csv")
     for rec in index.records:
-        arr = load_image(rec).pixels.array
+        arr = pixels(load_image(rec))
         assert arr.min() >= 0.0 and arr.max() <= 1.0
 
 
 def _distance_stats(index):
-    imgs = [load_image(r).pixels.array.ravel() for r in index.records]
+    imgs = [pixels(load_image(r)).ravel() for r in index.records]
     ids = [r.identity for r in index.records]
     intra_by, inter_by = {}, {}
     for i, j in itertools.combinations(range(len(imgs)), 2):

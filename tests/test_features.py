@@ -9,10 +9,10 @@ from numpy.testing import assert_allclose
 
 from pyrcnn import (DataError, FeatureVector, LabeledImage, PyramidSpec,
                     Tensor, assemble_network, build_pyramid, center_crop,
-                    concat_landmark_features, crop_patch,
-                    evaluate_distances, extract_representation,
+                    concat_landmark_features, evaluate_distances,
                     extract_representations, network_forward,
                     read_features, write_features, write_report)
+from pyrcnn.data import crop_window, float_pixels
 from pyrcnn.layers import ShapeError
 
 
@@ -23,6 +23,12 @@ def image_of(arr, landmarks=None, source=None):
 
 def random_image(rng, edge, landmarks=None):
     return image_of(rng.uniform(0.0, 1.0, (edge, edge)), landmarks)
+
+
+def extract_one(model, image, **options):
+    """The feature vector of one image: a batch of one."""
+    (fv,) = extract_representations(model, [image], **options)
+    return fv
 
 
 def frozen_pyramid(levels, seed):
@@ -60,12 +66,12 @@ def test_feature_vector_rejects_non_finite():
 
 def test_extract_length_matches_output_dim():
     rng = np.random.default_rng(10)
-    fv = extract_representation(frozen_pyramid(1, 0), random_image(rng, 16))
+    fv = extract_one(frozen_pyramid(1, 0), random_image(rng, 16))
     assert fv.values.shape == (8,)
     assert fv.scheme == "single-top"
 
     wide = build_pyramid(PyramidSpec(levels=1, output_dim=13), 0)
-    fv13 = extract_representation(wide, random_image(rng, 16))
+    fv13 = extract_one(wide, random_image(rng, 16))
     assert fv13.values.shape == (13,)
 
 
@@ -73,8 +79,8 @@ def test_extract_identical_images_identical_vectors():
     rng = np.random.default_rng(11)
     arr = rng.uniform(0.0, 1.0, (36, 36))
     model = frozen_pyramid(2, 1)
-    a = extract_representation(model, image_of(arr))
-    b = extract_representation(model, image_of(arr.copy()))
+    a = extract_one(model, image_of(arr))
+    b = extract_one(model, image_of(arr.copy()))
     assert np.array_equal(a.values, b.values)
 
 
@@ -84,8 +90,9 @@ def test_extract_matches_assembled_network():
     model = frozen_pyramid(2, 2)
     image = random_image(rng, 36)  # exactly the level-1 raw input edge
     assembled = assemble_network(model, 1, 0)
-    expected = network_forward(assembled, image.pixels).array
-    fv = extract_representation(model, image)
+    pixels = Tensor.from_array(float_pixels(image.raster, image.maxval))
+    expected = network_forward(assembled, pixels).array
+    fv = extract_one(model, image)
     assert_allclose(fv.values, expected, rtol=0.0, atol=1e-12)
 
 
@@ -95,9 +102,10 @@ def test_extract_center_crop_on_larger_image():
     rng = np.random.default_rng(13)
     model = frozen_pyramid(2, 3)
     image = random_image(rng, 40)
-    patch = crop_patch(image, (2, 2), 36)
+    patch = Tensor.from_array(
+        float_pixels(crop_window(image, (2, 2), 36), image.maxval))
     expected = network_forward(assemble_network(model, 1, 0), patch).array
-    fv = extract_representation(model, image)
+    fv = extract_one(model, image)
     assert_allclose(fv.values, expected, rtol=0.0, atol=1e-12)
 
 
@@ -110,7 +118,7 @@ def test_extract_crops_where_training_crops():
     image = random_image(rng, 38)
     expected = network_forward(assemble_network(model, 1, 0),
                                center_crop(image, 36)).array
-    fv = extract_representation(model, image)
+    fv = extract_one(model, image)
     assert fv.values.tobytes() == expected.tobytes()
 
 
@@ -122,7 +130,7 @@ def test_extract_batch_rows_equal_single_image_calls(normalize):
     batch = extract_representations(model, images, normalize=normalize)
     assert len(batch) == len(images)
     for image, fv in zip(images, batch):
-        alone = extract_representation(model, image, normalize=normalize)
+        alone = extract_one(model, image, normalize=normalize)
         assert fv.values.tobytes() == alone.values.tobytes()
     assert extract_representations(model, []) == []
 
@@ -131,29 +139,29 @@ def test_extract_unknown_scheme():
     model = frozen_pyramid(1, 4)
     img = random_image(np.random.default_rng(14), 16)
     with pytest.raises(DataError, match="scheme"):
-        extract_representation(model, img, scheme="landmark-grid")
+        extract_one(model, img, scheme="landmark-grid")
 
 
 def test_extract_image_too_small():
     model = frozen_pyramid(2, 5)  # needs a 36-pixel patch
     img = random_image(np.random.default_rng(15), 20)
     with pytest.raises(DataError, match="outside"):
-        extract_representation(model, img)
+        extract_one(model, img)
 
 
 def test_extract_requires_frozen_lower_stages():
     model = build_pyramid(PyramidSpec(levels=2), 6)  # nothing frozen
     img = random_image(np.random.default_rng(16), 36)
     with pytest.raises(ShapeError, match="not frozen"):
-        extract_representation(model, img)
+        extract_one(model, img)
 
 
 def test_extract_normalize_rescales_to_unit_norm():
     rng = np.random.default_rng(17)
     model = frozen_pyramid(1, 7)
     img = random_image(rng, 16)
-    raw = extract_representation(model, img).values
-    unit = extract_representation(model, img, normalize=True).values
+    raw = extract_one(model, img).values
+    unit = extract_one(model, img, normalize=True).values
     assert np.linalg.norm(raw) > 0.0
     assert_allclose(np.linalg.norm(unit), 1.0, rtol=0.0, atol=1e-12)
     assert_allclose(unit, raw / np.linalg.norm(raw), rtol=0.0, atol=1e-15)
@@ -170,7 +178,7 @@ def test_concat_single_landmark_degenerates_to_single_top():
     arr = rng.uniform(0.0, 1.0, (16, 16))
     center = (16 - 1) / 2.0
     img = image_of(arr, landmarks=[(center, center)])
-    single = extract_representation(model, img)
+    single = extract_one(model, img)
     multi = concat_landmark_features([model], img)
     assert multi.scheme == "landmark"
     assert np.array_equal(multi.values, single.values)

@@ -49,12 +49,17 @@ def pointwise_model_file(tmp_path_factory):
 
 
 def loads_or_fails_cleanly(path, data: bytes):
-    """The model `data` holds, or None when loading it fails cleanly."""
+    """The model `data` holds, or None when loading it fails cleanly.  A
+    model that loads saves back to `data` itself: load accepts only the
+    bytes save writes."""
     path.write_bytes(data)
     try:
-        return load_model(path)
+        model = load_model(path)
     except (PyramidError, TensorError):
         return None
+    save_model(model, path)
+    assert path.read_bytes() == data
+    return model
 
 
 def test_model_file_round_trips(model_file):

@@ -9,12 +9,18 @@ from hypothesis import strategies as st
 import pyrcnn.layers as layers
 from pyrcnn import (ConvLayer, FCLayer, Network, PoolSpec, ShapeError, Stage,
                     Tensor, TensorError, activation, conv_forward, fc_forward,
-                    forward_multiply_adds, gradient_check, layer_forward,
-                    maxpool, network_backward, network_forward)
+                    forward_multiply_adds, gradient_check, maxpool,
+                    network_backward, network_forward)
 
 
 def tensor(values):
     return Tensor.from_array(np.asarray(values, dtype=np.float64))
+
+
+def stage_on_image(x, conv, spec):
+    """One stage on one image, as the chained public ops: conv with bias,
+    rectify, then pool."""
+    return maxpool(activation(conv_forward(x, conv)), spec)
 
 
 def conv_layer(weights, bias=None, frozen=False):
@@ -230,8 +236,8 @@ def test_maxpool_indivisible_names_axis():
 
 
 def test_per_image_ops_check_their_input_through_the_stage_walk():
-    """conv_forward, maxpool and layer_forward report the walk's errors,
-    naming the failing pool axis."""
+    """conv_forward and maxpool report the walk's errors, naming the
+    failing pool axis."""
     rng = np.random.default_rng(18)
     conv = ConvLayer.initialize(3, 2, 4, rng)
     for call, problem in [
@@ -242,45 +248,48 @@ def test_per_image_ops_check_their_input_through_the_stage_walk():
             (lambda: maxpool(tensor(np.zeros((4, 5, 3))), PoolSpec(2)),
              "stage 0 pool window 2 does not divide its 4x5 feature map "
              "on axis 1"),
-            (lambda: layer_forward(tensor(np.zeros((7, 6, 2))), conv,
-                                   PoolSpec(2)),
+            (lambda: maxpool(conv_forward(tensor(np.zeros((7, 6, 2))), conv),
+                             PoolSpec(2)),
              "stage 0 pool window 2 does not divide its 5x4 feature map "
              "on axis 0"),
-            (lambda: layer_forward(tensor(np.zeros((6, 6))), conv,
-                                   PoolSpec(2)),
-             "stage input must be h x w x c")]:
+            (lambda: conv_forward(tensor(np.zeros((6, 6))), conv),
+             "conv input must be h x w x c")]:
         with pytest.raises(ShapeError, match=problem):
             call()
 
 
 def test_layer_forward_is_the_composition():
-    """The forward-only stage (rectify after pooling) gives the bits of the
-    chained public ops (rectify, then pool), rectifier ties included."""
+    """The forward-only stage kernel on a batch (pool the unbiased map,
+    then add the bias and rectify) gives each image the bits of the chained
+    public ops on that image alone (bias, rectify, then pool), rectifier
+    ties included."""
     rng = np.random.default_rng(6)
     for edge, kernel, c_in, c_out, window in [
             (10, 3, 1, 2, 2),
             (17, 3, 3, 4, 3),    # 3x3 windows over a 15-edge map
             (20, 5, 8, 16, 1)]:  # window 1: pooling is the identity
-        x = tensor(rng.standard_normal((edge, edge, c_in)))
+        x = rng.standard_normal((3, edge, edge, c_in))
         layer = conv_layer(rng.standard_normal((kernel, kernel, c_in, c_out)),
                            rng.standard_normal(c_out))
         spec = PoolSpec(window)
-        fused = layer_forward(x, layer, spec)
-        chained = maxpool(activation(conv_forward(x, layer)), spec)
-        assert fused.array.tobytes() == chained.array.tobytes()
+        fused = layers._stage_forward(x, Stage(layer, spec))
+        for image, got in zip(x, fused):
+            chained = stage_on_image(tensor(image), layer, spec)
+            assert got.tobytes() == chained.array.tobytes()
 
 
 def test_layer_forward_shape_arithmetic():
-    x = tensor(np.zeros((32, 32, 1)))
-    layer = conv_layer(np.zeros((5, 5, 1, 6)))
-    assert layer_forward(x, layer, PoolSpec(2)).shape == (14, 14, 6)
+    x = np.zeros((2, 32, 32, 1))
+    stage = Stage(conv_layer(np.zeros((5, 5, 1, 6))), PoolSpec(2))
+    assert layers._stage_forward(x, stage).shape == (2, 14, 14, 6)
+    assert stage_on_image(tensor(x[0]), *stage).shape == (14, 14, 6)
 
 
 def test_layer_forward_zero_kernel_annihilates():
-    x = tensor(np.random.default_rng(8).uniform(0, 1, (12, 12, 1)))
-    layer = conv_layer(np.zeros((3, 3, 1, 2)))
-    out = layer_forward(x, layer, PoolSpec(5))
-    np.testing.assert_array_equal(out.array, np.zeros((2, 2, 2)))
+    x = np.random.default_rng(8).uniform(0, 1, (1, 12, 12, 1))
+    stage = Stage(conv_layer(np.zeros((3, 3, 1, 2))), PoolSpec(5))
+    np.testing.assert_array_equal(layers._stage_forward(x, stage),
+                                  np.zeros((1, 2, 2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +336,7 @@ def test_network_forward_matches_manual_composition():
     patch = tensor(rng.uniform(0, 1, (14, 14, 1)))
     x = patch
     for conv, pool in net.stages:
-        x = layer_forward(x, conv, pool)
+        x = stage_on_image(x, conv, pool)
     want = fc_forward(x, net.head).array
     got = network_forward(net, patch).array
     assert got.shape == (net.output_dim,)

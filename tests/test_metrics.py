@@ -3,8 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pyrcnn import (MetricError, auc, best_accuracy, compute_roc,
-                    evaluate_distances, metrics, tpr_at_fpr)
+from pyrcnn import (MetricError, auc, compute_roc, evaluate_distances,
+                    metrics)
+
+
+def operating_point(matched, unmatched, target):
+    """(threshold, achieved FPR, TPR) at one target, from the report."""
+    ((_, *point),) = evaluate_distances(matched, unmatched,
+                                        (target,)).tpr_points
+    return tuple(point)
+
+
+def best_point(matched, unmatched):
+    """(threshold, accuracy) of the report's best accuracy."""
+    report = evaluate_distances(matched, unmatched)
+    return report.accuracy_threshold, report.accuracy
 
 
 def counting_roc_oracle(matched, unmatched):
@@ -144,13 +157,13 @@ def test_auc_invariant_under_increasing_transform():
 
 
 # ---------------------------------------------------------------------------
-# tpr_at_fpr
+# operating points (evaluate_distances' tpr_points)
 
 
 def test_tpr_worked_example():
     unmatched = np.arange(1, 1001, dtype=np.float64)
     matched = [0.5, 5.5, 20.5]
-    threshold, achieved, tpr = tpr_at_fpr(matched, unmatched, 0.01)
+    threshold, achieved, tpr = operating_point(matched, unmatched, 0.01)
     assert threshold == 11.0
     assert achieved == 0.01
     assert tpr == pytest.approx(2.0 / 3.0)
@@ -160,7 +173,7 @@ def test_tpr_fully_separated():
     matched = [0.1, 0.2, 0.3]
     unmatched = [5.0, 6.0, 7.0, 8.0]
     for target in (0.0, 0.1, 0.5):
-        _, achieved, tpr = tpr_at_fpr(matched, unmatched, target)
+        _, achieved, tpr = operating_point(matched, unmatched, target)
         assert tpr == 1.0
         assert achieved <= target
 
@@ -168,7 +181,7 @@ def test_tpr_fully_separated():
 def test_tpr_zero_target():
     matched = [0.5, 1.5, 3.0]
     unmatched = [1.0, 2.0, 3.0, 4.0]
-    threshold, achieved, tpr = tpr_at_fpr(matched, unmatched, 0.0)
+    threshold, achieved, tpr = operating_point(matched, unmatched, 0.0)
     assert threshold <= 1.0
     assert achieved == 0.0
     assert tpr == pytest.approx(1.0 / 3.0)  # only 0.5 lies below
@@ -179,7 +192,7 @@ def test_tpr_matches_exhaustive_oracle():
     for _ in range(8):
         matched, unmatched = random_scores(rng, 300, tie_heavy=True)
         for target in (0.0, 0.01, 0.1, 0.37, 0.9):
-            got = tpr_at_fpr(matched, unmatched, target)
+            got = operating_point(matched, unmatched, target)
             want = tpr_oracle(matched, unmatched, target)
             assert got[0] == want[0]
             assert got[1] == want[1]
@@ -192,7 +205,8 @@ def test_tpr_achieved_never_exceeds_target_and_is_monotone():
         matched, unmatched = random_scores(rng, 250, tie_heavy=True)
         last_tpr = -1.0
         for target in np.linspace(0.0, 0.99, 23):
-            _, achieved, tpr = tpr_at_fpr(matched, unmatched, float(target))
+            _, achieved, tpr = operating_point(matched, unmatched,
+                                               float(target))
             assert achieved <= target + 1e-15
             assert tpr >= last_tpr
             last_tpr = tpr
@@ -200,24 +214,24 @@ def test_tpr_achieved_never_exceeds_target_and_is_monotone():
 
 def test_tpr_rejects_bad_target():
     with pytest.raises(MetricError):
-        tpr_at_fpr([1.0], [2.0], 1.0)
+        operating_point([1.0], [2.0], 1.0)
     with pytest.raises(MetricError):
-        tpr_at_fpr([1.0], [2.0], -0.1)
+        operating_point([1.0], [2.0], -0.1)
 
 
 # ---------------------------------------------------------------------------
-# best_accuracy
+# best accuracy (evaluate_distances' accuracy and accuracy_threshold)
 
 
 def test_accuracy_separable():
-    threshold, acc = best_accuracy([1.0, 2.0], [3.0, 4.0])
+    threshold, acc = best_point([1.0, 2.0], [3.0, 4.0])
     assert acc == 1.0
     assert 2.0 < threshold <= 3.0
 
 
 def test_accuracy_indistinguishable():
     scores = [1.0, 2.0, 3.0, 4.0]
-    _, acc = best_accuracy(scores, scores)
+    _, acc = best_point(scores, scores)
     assert acc == 0.5
 
 
@@ -225,7 +239,7 @@ def test_accuracy_matches_sweep_oracle():
     rng = np.random.default_rng(37)
     for tie_heavy in (False, True):
         matched, unmatched = random_scores(rng, 250, tie_heavy)
-        got_t, got_a = best_accuracy(matched, unmatched)
+        got_t, got_a = best_point(matched, unmatched)
         want_t, want_a = sweep_accuracy_oracle(matched, unmatched)
         assert got_a == want_a
         assert got_t == want_t
@@ -233,7 +247,7 @@ def test_accuracy_matches_sweep_oracle():
 
 def test_accuracy_tie_breaks_toward_smaller_threshold():
     # thresholds 2 and 4 both score 3/4; the smaller must win
-    threshold, acc = best_accuracy([1.0, 3.0], [2.0, 4.0])
+    threshold, acc = best_point([1.0, 3.0], [2.0, 4.0])
     assert acc == 0.75
     assert threshold == 2.0
 
@@ -245,7 +259,7 @@ def test_accuracy_never_below_majority():
         n_u = int(rng.integers(1, 60))
         matched = rng.normal(0, 1, n_m)
         unmatched = rng.normal(0, 1, n_u)  # same distribution: hard case
-        _, acc = best_accuracy(matched, unmatched)
+        _, acc = best_point(matched, unmatched)
         assert acc >= max(n_m, n_u) / (n_m + n_u)
 
 
@@ -261,11 +275,14 @@ def test_evaluate_distances_bundles_consistently():
     assert report.auc == auc(compute_roc(matched, unmatched))
     assert report.curve == compute_roc(matched, unmatched)
     assert report.curve != compute_roc(matched, unmatched[1:])
-    t, a = best_accuracy(matched, unmatched)
-    assert report.accuracy == a and report.accuracy_threshold == t
+    assert (report.accuracy_threshold, report.accuracy) == \
+        sweep_accuracy_oracle(matched, unmatched)
     assert [row[0] for row in report.tpr_points] == [0.1, 0.01, 0.001]
     for target, thr, achieved, tpr in report.tpr_points:
-        assert (thr, achieved, tpr) == tpr_at_fpr(matched, unmatched, target)
+        # each target alone gives the row it has among the others
+        assert (thr, achieved, tpr) == \
+            operating_point(matched, unmatched, target)
+        assert (thr, achieved, tpr) == tpr_oracle(matched, unmatched, target)
         assert achieved <= target
     assert 0.0 <= report.accuracy <= 1.0
     assert 0.0 <= report.auc <= 1.0
@@ -327,8 +344,7 @@ def test_merged_thresholds_are_the_unique_values(matched, unmatched):
     in_place = evaluate_distances(m, u)
     for got in (report, in_place):
         assert got.curve == compute_roc(matched, unmatched)
-        assert (got.accuracy_threshold, got.accuracy) == \
-            best_accuracy(matched, unmatched) == best
+        assert (got.accuracy_threshold, got.accuracy) == best
         assert got.auc == report.auc
         assert got.tpr_points == report.tpr_points
     assert m.tolist() == sorted(matched) and u.tolist() == sorted(unmatched)

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from pyrcnn import (ComparatorParams, ConvLayer, FacePair, FCLayer,
                     LabeledImage, PairLabel, PairSampler, PoolSpec,
                     PyramidError, PyramidSpec, Stage, StageSpec,
-                    Tensor, TrainConfig,
+                    Tensor, TrainConfig, activation,
                     assemble_network, build_monolithic, build_pyramid,
-                    center_crop, comparator, distance, forward_multiply_adds,
-                    greedy_train,
-                    layer_forward, load_model, Network, network_backward,
+                    center_crop, comparator, conv_forward, distance,
+                    forward_multiply_adds, greedy_train, load_model, maxpool,
+                    Network, network_backward,
                     network_forward, pair_loss, pair_loss_grads,
                     preprocess_dataset, save_model, synth_generate,
                     train_level, train_network)
@@ -270,8 +270,9 @@ def test_preprocess_composes_like_chained_stages():
     images = random_patches(rng, 2, 76)
     once = preprocess_dataset(preprocess_dataset(stack(images), s0), s1)
     for img, got in zip(images, once):
-        want = layer_forward(layer_forward(img, conv0, PoolSpec(2)),
-                             conv1, PoolSpec(2))
+        want = img
+        for conv in (conv0, conv1):
+            want = maxpool(activation(conv_forward(want, conv)), PoolSpec(2))
         assert got.tobytes() == want.array.tobytes()
     # one call through both stages, on an array or a list of views
     assert preprocess_dataset(stack(images), s0, s1).tobytes() == \
@@ -941,7 +942,7 @@ def test_greedy_train_holds_less_than_the_gallery():
     rng = np.random.default_rng(37)
     dataset = [LabeledImage(tensor(rng.uniform(0.0, 1.0, (edge, edge, 1))),
                             identity=i // 10) for i in range(320)]
-    pixel_bytes = sum(img.pixels.array.nbytes for img in dataset)
+    pixel_bytes = sum(img.raster.nbytes for img in dataset)  # float64
     model = build_pyramid(spec, seed=37)
     tracemalloc.start()
     try:
@@ -1321,8 +1322,10 @@ def _f8(*values):
     (_i8(2, -1, -2) + _f8(0.0, 1.0), "corrupt tensor shape"),
     # 2**33 x 2**31 wraps to 0 in int64 arithmetic
     (_i8(2, 1 << 33, 1 << 31) + _f8(0.0, 1.0), "truncated"),
+    # two values, but save writes a comparator as shape (2,)
+    (_i8(2, 1, 2) + _f8(0.0, 1.0), "not the bytes save_model writes"),
 ], ids=["three comparator values", "negative extent", "two negative extents",
-        "extent product past int64"])
+        "extent product past int64", "comparator shape (1, 2)"])
 def test_load_model_rejects_malformed_tensor(tmp_path, last_tensor, problem):
     """The comparator tensor closes the file: rank 1, shape (2,), 2 values
     (32 bytes).  A malformed replacement is a PyramidError, never a bare
@@ -1330,5 +1333,31 @@ def test_load_model_rejects_malformed_tensor(tmp_path, last_tensor, problem):
     path = tmp_path / "m.bin"
     save_model(build_pyramid(PyramidSpec(levels=1), seed=53), path)
     path.write_bytes(path.read_bytes()[:-32] + last_tensor)
+    with pytest.raises(PyramidError, match=problem):
+        load_model(path)
+
+
+# one level, one network: header integers 0-7 are the spec, then 3 per
+# template stage, 2 patch-offset integers, levels trained and one frozen
+# flag
+@pytest.mark.parametrize("template, slot, value, problem", [
+    ((StageSpec(3, 16, 2),), 14, 2, "not the bytes save_model writes"),
+    ((), 7, -3, "not the bytes save_model writes"),
+    ((StageSpec(3, 16, 2),), 13, -1, r"-1 levels trained, outside 0\.\.1"),
+    ((StageSpec(3, 16, 2),), 13, 2, r"2 levels trained, outside 0\.\.1"),
+], ids=["frozen flag 2", "template count -3", "levels trained -1",
+        "levels trained above levels"])
+def test_load_model_refuses_headers_save_model_never_writes(
+        tmp_path, template, slot, value, problem):
+    """Each header reads as a model, but one whose save does not give the
+    file back (a flag of 2 saves as 1, a template count of -3 as 0), or
+    whose levels trained lie outside 0..levels: load accepts only the bytes
+    save writes."""
+    path = tmp_path / "m.bin"
+    save_model(build_pyramid(PyramidSpec(levels=1, template=template),
+                             seed=55), path)
+    data = path.read_bytes()
+    at = 8 + 8 * slot  # past the magic
+    path.write_bytes(data[:at] + _i8(value) + data[at + 8:])
     with pytest.raises(PyramidError, match=problem):
         load_model(path)

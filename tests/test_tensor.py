@@ -5,31 +5,25 @@ from pyrcnn import Tensor, TensorError
 
 
 def test_row_major_layout():
-    t = Tensor([2, 2], [1, 2, 3, 4])
+    t = Tensor.from_array(np.array([1, 2, 3, 4]).reshape(2, 2))
     assert t.array[1, 0] == 3
     assert t.array[0, 1] == 2
 
 
 def test_degenerate_shape():
-    t = Tensor([1], [0])
+    t = Tensor.from_array([0])
     assert t.shape == (1,)
     assert t.array[0] == 0.0
 
 
-def test_length_mismatch_names_both_sizes():
-    with pytest.raises(TensorError) as err:
-        Tensor([2, 3], [1, 2, 3, 4, 5])
-    assert "6" in str(err.value) and "5" in str(err.value)
-
-
 def test_zero_extent_rejected():
     with pytest.raises(TensorError):
-        Tensor([2, 0], [])
+        Tensor.from_array(np.zeros((2, 0)))
 
 
 def test_non_finite_rejected():
     with pytest.raises(TensorError):
-        Tensor([2], [1.0, np.nan])
+        Tensor.from_array([1.0, np.nan])
     with pytest.raises(TensorError):
         Tensor.from_array(np.array([np.inf, 0.0]))
 
@@ -38,7 +32,8 @@ def test_round_trip_exact():
     rng = np.random.default_rng(0)
     for shape in [(3,), (2, 5), (4, 3, 2)]:
         data = rng.standard_normal(int(np.prod(shape)))
-        t = Tensor(shape, data)
+        t = Tensor.from_array(data.reshape(shape))
+        assert t.shape == shape
         np.testing.assert_array_equal(t.array.reshape(-1), data)
 
 
@@ -49,4 +44,3 @@ def test_values_are_copied_and_read_only():
     assert t.array[0, 0] == 1.0
     with pytest.raises(ValueError):
         t.array[0, 0] = 5.0
-
