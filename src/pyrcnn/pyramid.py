@@ -25,17 +25,19 @@ unless `_model_bytes` gives the file back.  Every image set (the training
 and validation images of a fit, `preprocess_dataset`'s input) passes one
 rule, `_image_set`, with one message form.
 
-Each level holds and trains on only the region its networks read: the
+Each level holds and trains on only what its networks read: the images
+its pair batches and the validation pairs name, and of each only the
 top-left corner of its grid that spans every network offset, an edge
-`base_input + max_offset` square.  `greedy_train` takes, for level l, the
-`patch_edge(l)` top-left corner of each image's center crop, as a view of
-the image's stored (8-bit, for a PGM) samples, and `preprocess_dataset`
-makes those corners float pixels and pushes them through the frozen stages
-0..l-1 a memory slab of images at a time into one preallocated
-(n, e, e, c) array; neither a float copy of the raw gallery nor a
-full-size grid of a lower level is ever formed.  Each row is bit-equal to
-the stages run on that image alone, so the corner holds the same bits as
-the matching region of a whole crop's grid.
+`base_input + max_offset` square.  `greedy_train` draws a level's batches
+before it preprocesses, then takes, for level l, the `patch_edge(l)`
+top-left corner of the center crop of each image those batches name, as a
+view of the image's stored (8-bit, for a PGM) samples, and
+`preprocess_dataset` makes those corners float pixels and pushes them
+through the frozen stages 0..l-1 a memory slab of images at a time into
+one preallocated (n, e, e, c) array; neither a float copy of the raw
+gallery nor a full-size grid of a lower level is ever formed.  Each row is
+bit-equal to the stages run on that image alone, so a level's rows hold the
+bits of the matching regions of the whole set's full grids.
 
 Greedy levels and the monolithic baseline train through one Siamese loop
 (`_siamese_fit`): the same pair loss, momentum SGD, pair stream and
@@ -383,7 +385,8 @@ def train_level(model: PyramidModel, level: int, images,
     """Siamese training of one level's networks (and its entry stage).
 
     `images` (and `val_images`) are image sets (`_image_set`), already
-    preprocessed through all frozen stages below `level`.  Runs the shared
+    preprocessed through all frozen stages below `level`; `pair_source` is
+    anything with PairSampler's `batch(n)`.  Runs the shared
     Siamese loop (`_siamese_fit`) for cfg.iterations_per_level steps; the
     entry stage is aliased into every network of the level, so its
     gradient is averaged across them.  Records the per-iteration mean batch
@@ -550,6 +553,38 @@ def _validation_auc(net: Network, offset: tuple[int, int], val_images,
     return auc(compute_roc(dist[matched], dist[~matched]))
 
 
+class _DrawnPairs:
+    """A pair stream drawn ahead: `iterations` batches of `size` pairs from
+    `sampler`, held as one PairBatch, `pairs`.  `batch(size)` hands them
+    back in order, as views; a different size, or one batch more than was
+    drawn, is a PyramidError."""
+
+    def __init__(self, sampler: PairSampler, size: int, iterations: int):
+        batches = [sampler.batch(size) for _ in range(iterations)]
+        self.pairs = PairBatch(np.concatenate([b.first for b in batches]),
+                               np.concatenate([b.second for b in batches]),
+                               np.concatenate([b.label for b in batches]))
+        self.size, self.taken = size, 0
+
+    def batch(self, n: int) -> PairBatch:
+        if n != self.size or self.taken == len(self.pairs):
+            raise PyramidError(
+                f"asked for batch {self.taken // self.size + 1} of {n} "
+                f"pairs; {len(self.pairs) // self.size} batches of "
+                f"{self.size} were drawn")
+        self.taken += n
+        return self.pairs[self.taken - n:self.taken]
+
+
+def _compact(pairs: PairBatch) -> np.ndarray:
+    """The positions `pairs` name, ascending; renumbers `pairs` in place to
+    index that list."""
+    used = np.union1d(pairs.first, pairs.second)
+    pairs.first[...] = np.searchsorted(used, pairs.first)
+    pairs.second[...] = np.searchsorted(used, pairs.second)
+    return used
+
+
 def greedy_train(model: PyramidModel, dataset: Sequence[LabeledImage],
                  cfg: TrainConfig) -> list[LevelTrace]:
     """Level-by-level training: train, freeze the entry stage, ascend.
@@ -559,8 +594,13 @@ def greedy_train(model: PyramidModel, dataset: Sequence[LabeledImage],
 
     The dataset is split by identity into fit/validation parts; every
     level's pair stream and the validation pair set derive from cfg.seed
-    so a rerun reproduces the exact sequence.  A partially trained model
-    (contiguous frozen prefix) resumes at its first untrained level.
+    so a rerun reproduces the exact sequence.  A level draws all of its
+    batches before it trains, and filters and down-samples only the fit
+    images those batches name and the validation images the validation
+    pairs name; the pairs are renumbered into those images, so the level
+    reads the same rows, in the same order, as it would from the whole
+    set.  A partially trained model (contiguous frozen prefix) resumes at
+    its first untrained level.
     """
     spec = model.spec
     if not dataset:
@@ -595,6 +635,8 @@ def greedy_train(model: PyramidModel, dataset: Sequence[LabeledImage],
             .batch(_VAL_PAIRS)
     except DataError:  # validation side too small for pairs: NaN AUCs
         val_pairs = val_crops = None
+    else:  # only the images the pairs name, the pairs renumbered into them
+        val_crops = [val_crops[i] for i in _compact(val_pairs)]
 
     def level_images(crops, level):
         """Each crop's `patch_edge(level)` top-left corner, the region the
@@ -606,10 +648,13 @@ def greedy_train(model: PyramidModel, dataset: Sequence[LabeledImage],
 
     traces = []
     for level in range(start, spec.levels):
-        sampler = PairSampler(fit_ids, make_rng(cfg.seed,
-                                                f"pairs-level{level}"))
+        drawn = _DrawnPairs(
+            PairSampler(fit_ids, make_rng(cfg.seed, f"pairs-level{level}")),
+            cfg.batch_size, cfg.iterations_per_level)
+        used = _compact(drawn.pairs)
         traces.append(train_level(
-            model, level, level_images(fit_crops, level), sampler, cfg,
+            model, level, level_images([fit_crops[i] for i in used], level),
+            drawn, cfg,
             val_images=(None if val_crops is None
                         else level_images(val_crops, level)),
             val_pairs=val_pairs))

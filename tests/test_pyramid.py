@@ -1,5 +1,6 @@
 """Pyramid construction, greedy level-wise training, and serialization."""
 
+import dataclasses
 import re
 import struct
 import tracemalloc
@@ -20,10 +21,13 @@ from pyrcnn import (ComparatorParams, ConvLayer, FacePair, FCLayer,
                     network_forward, pair_loss, pair_loss_grads,
                     preprocess_dataset, save_model, synth_generate,
                     train_level, train_network)
-from pyrcnn.data import NuisanceConfig, load_image, split_identity_ids
+from pyrcnn import pyramid
+from pyrcnn.data import (NuisanceConfig, float_pixels, load_image,
+                         split_identity_ids)
 from pyrcnn.layers import _stage_shapes
 from pyrcnn.metrics import auc, compute_roc
-from pyrcnn.pyramid import _VALIDATE_EVERY, _momentum_step, _validation_auc
+from pyrcnn.pyramid import (_VAL_PAIRS, _VALIDATE_EVERY, _momentum_step,
+                            _validation_auc)
 from pyrcnn.seeding import derive_seed, make_rng
 
 
@@ -904,30 +908,61 @@ def test_greedy_deterministic_end_to_end(tmp_path):
         model_bytes(b, tmp_path, "b.bin")
 
 
+def named(pairs):
+    """The positions a sequence of pairs names, ascending."""
+    return np.union1d([p.first for p in pairs], [p.second for p in pairs])
+
+
+def level_draws(fit_ids, cfg, level):
+    """Every pair of the batches greedy_train draws for `level`, in
+    order."""
+    sampler = PairSampler(fit_ids, make_rng(cfg.seed, f"pairs-level{level}"))
+    return [p for _ in range(cfg.iterations_per_level)
+            for p in sampler.batch(cfg.batch_size)]
+
+
+def split_gallery(spec, dataset, cfg):
+    """greedy_train's fit and validation sides: each side's whole center
+    crops, as one stacked array, and its identity list."""
+    fit_set, _ = split_identity_ids([img.identity for img in dataset],
+                                    cfg.validation_fraction,
+                                    derive_seed(cfg.seed, "val-split"))
+    sides = [[img for img in dataset if (img.identity in fit_set) == fit]
+             for fit in (True, False)]
+    return [(stack([center_crop(img, spec.raw_data_edge()) for img in side]),
+             [img.identity for img in side]) for side in sides]
+
+
 def test_greedy_corners_train_like_full_grids(tmp_path):
-    """greedy_train, which holds each level's corner of the crops, writes
-    the model that training every level on whole crops and whole grids
-    writes."""
-    spec, dataset = make_gallery(tmp_path, seed=36)
-    cfg = small_cfg(36)
+    """greedy_train, which holds each level's corner of the images it
+    reads, writes the model, the losses and the validation AUCs that
+    training every level on whole crops and whole grids of both sides
+    writes.  The gallery is large enough that the batches and the
+    validation pairs leave images of both sides unread."""
+    spec, dataset = make_gallery(tmp_path, seed=36, n_id=24, n_per=12)
+    cfg = dataclasses.replace(small_cfg(36), validation_fraction=0.5)
     auto = build_pyramid(spec, seed=36)
     auto_traces = greedy_train(auto, dataset, cfg)
 
     manual = build_pyramid(spec, seed=36)
-    fit_set, _ = split_identity_ids([img.identity for img in dataset],
-                                    cfg.validation_fraction,
-                                    derive_seed(cfg.seed, "val-split"))
-    grids = stack([center_crop(img, spec.raw_data_edge())
-                   for img in dataset if img.identity in fit_set])
-    fit_ids = [img.identity for img in dataset if img.identity in fit_set]
+    (grids, fit_ids), (val_grids, val_ids) = split_gallery(spec, dataset, cfg)
+    val_pairs = PairSampler(val_ids, make_rng(cfg.seed, "val-pairs")) \
+        .batch(_VAL_PAIRS)
+    assert len(named(val_pairs)) < len(val_ids)
     for level in range(spec.levels):
         if level:
             manual.stages[level - 1].conv.frozen = True
             grids = preprocess_dataset(grids, manual.stages[level - 1])
+            val_grids = preprocess_dataset(val_grids,
+                                           manual.stages[level - 1])
+        assert len(named(level_draws(fit_ids, cfg, level))) < len(fit_ids)
         sampler = PairSampler(fit_ids, make_rng(cfg.seed,
                                                 f"pairs-level{level}"))
-        trace = train_level(manual, level, grids, sampler, cfg)
+        trace = train_level(manual, level, grids, sampler, cfg,
+                            val_images=val_grids, val_pairs=val_pairs)
         assert trace.losses == auto_traces[level].losses
+        assert trace.val_iterations == auto_traces[level].val_iterations
+        assert trace.val_aucs == auto_traces[level].val_aucs
     manual.levels_trained = spec.levels
     assert model_bytes(auto, tmp_path, "auto.bin") == \
         model_bytes(manual, tmp_path, "manual.bin")
@@ -954,6 +989,80 @@ def test_greedy_train_holds_less_than_the_gallery():
         tracemalloc.stop()
     assert model.levels_trained == 3
     assert peak - start < pixel_bytes
+
+
+def test_greedy_train_holds_only_the_images_it_reads():
+    """With one 4-pair batch per level, greedy_train never holds a full
+    level-1 grid of the gallery: a level's grids hold only the images its
+    batches and the validation pairs name."""
+    spec = PyramidSpec(levels=3)
+    edge = spec.raw_data_edge()
+    rng = np.random.default_rng(39)
+    dataset = [LabeledImage(tensor(rng.uniform(0.0, 1.0, (edge, edge, 1))),
+                            identity=i // 10) for i in range(320)]
+    grid_bytes = 320 * spec.base_input ** 2 * spec.shared.channels * 8
+    cfg = TrainConfig(batch_size=4, iterations_per_level=1, seed=39)
+    # a first run pays the one-time costs, such as numpy.ma, which
+    # np.unique imports on its first call (about 1 MB)
+    greedy_train(build_pyramid(spec, seed=39), dataset, cfg)
+    model = build_pyramid(spec, seed=39)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        greedy_train(model, dataset, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.levels_trained == 3
+    assert peak - start < grid_bytes
+
+
+def test_greedy_level_preprocesses_only_what_it_reads(tmp_path,
+                                                     monkeypatch):
+    """Each level filters and down-samples the fit images its batches name
+    and the validation images the validation pairs name, each once and in
+    ascending order, and no other image."""
+    spec, dataset = make_gallery(tmp_path, seed=38, n_id=24, n_per=12)
+    cfg = TrainConfig(batch_size=4, iterations_per_level=3, seed=38,
+                      validation_fraction=0.5)
+    (fit_crops, fit_ids), (val_crops, val_ids) = split_gallery(spec, dataset,
+                                                               cfg)
+    assert cfg.iterations_per_level * cfg.batch_size * 2 < len(fit_ids)
+    calls = []
+
+    def recording(images, *stages, **kwargs):
+        calls.append(float_pixels(np.stack(images), kwargs["maxval"]))
+        return preprocess_dataset(images, *stages, **kwargs)
+
+    monkeypatch.setattr(pyramid, "preprocess_dataset", recording)
+    greedy_train(build_pyramid(spec, seed=38), dataset, cfg)
+    val_used = named(PairSampler(val_ids, make_rng(cfg.seed, "val-pairs"))
+                     .batch(_VAL_PAIRS))
+    assert len(val_used) < len(val_ids)
+    assert len(calls) == 2 * spec.levels  # fit, then validation, per level
+    for level in range(spec.levels):
+        used = named(level_draws(fit_ids, cfg, level))
+        assert len(used) < len(fit_ids)
+        edge = spec.patch_edge(level)
+        for got, crops, want in ((calls[2 * level], fit_crops, used),
+                                 (calls[2 * level + 1], val_crops,
+                                  val_used)):
+            assert len(got) == len(want)
+            assert np.array_equal(got, crops[want, :edge, :edge])
+
+
+def test_drawn_pairs_replay_their_batches_and_no_more():
+    """A level's drawn pair source hands back the sampler's batches in
+    order and refuses another size or a batch past the last."""
+    ids = [0, 0, 1, 1, 2, 2]
+    drawn = pyramid._DrawnPairs(PairSampler(ids, make_rng(5, "p")), 4, 3)
+    again = PairSampler(ids, make_rng(5, "p"))
+    with pytest.raises(PyramidError, match="batch 1 of 3"):
+        drawn.batch(3)
+    for _ in range(3):
+        assert drawn.batch(4) == again.batch(4)
+    with pytest.raises(PyramidError, match="batch 4 of 4"):
+        drawn.batch(4)
 
 
 def test_greedy_rejects_empty_or_inconsistent(tmp_path):
