@@ -31,6 +31,7 @@ import csv
 import io
 import itertools
 import os
+import re
 import stat
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -95,11 +96,12 @@ class LabeledImage:
         shape = raster.shape
         if len(shape) != 3 or shape[2] != 1 or 0 in shape:
             raise DataError(f"image pixels must be h x w x 1, got {shape}")
-        if raster.min() < 0 or raster.max() > maxval:
-            raise DataError(
-                "pixel values must lie in [0, 1]" if isinstance(pixels, Tensor)
-                else f"stored samples must lie in 0..{maxval}, "
-                     f"got {raster.max()}")
+        if isinstance(pixels, Tensor):
+            if raster.min() < 0 or raster.max() > 1:
+                raise DataError("pixel values must lie in [0, 1]")
+        elif maxval < 255 and raster.max() > maxval:  # uint8: 0..255 always
+            raise DataError(f"stored samples must lie in 0..{maxval}, "
+                            f"got {raster.max()}")
         if landmarks is not None:
             h, w = shape[0], shape[1]
             for i, (lx, ly) in enumerate(landmarks):
@@ -154,32 +156,31 @@ def read_pgm(path) -> np.ndarray:
     return float_pixels(*_read_pgm_samples(path))
 
 
+# One PGM header number, after any whitespace and whole-line comments; a
+# comment that reaches the end of the file leaves the header truncated.
+_PGM_FIELD = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\n]*\n)*([0-9]*)")
+
+
 def _read_pgm_samples(path) -> tuple[np.ndarray, int]:
     """An 8-bit binary PGM as stored: its h x w uint8 raster and maxval."""
-    raw = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        raw = fh.read()
     if raw[:2] != b"P5":
         raise DataError(f"{path}: expected binary PGM magic 'P5'")
     pos, fields = 2, []
     while len(fields) < 3:
-        if pos >= len(raw):
-            raise DataError(f"{path}: truncated PGM header")
-        c = raw[pos:pos + 1]
-        if c == b"#":
-            while pos < len(raw) and raw[pos:pos + 1] != b"\n":
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        elif c.isdigit():
-            start = pos
-            while pos < len(raw) and raw[pos:pos + 1].isdigit():
-                pos += 1
-            try:
-                fields.append(int(raw[start:pos]))
-            except ValueError:  # past int()'s limit of 4300 digits
-                raise DataError(f"{path}: PGM header number of "
-                                f"{pos - start} digits") from None
-        else:
+        field = _PGM_FIELD.match(raw, pos)
+        start, pos = field.start(1), field.end()
+        if start == pos:
+            c = raw[pos:pos + 1]
+            if c in (b"", b"#"):
+                raise DataError(f"{path}: truncated PGM header")
             raise DataError(f"{path}: bad PGM header byte {c!r}")
+        try:
+            fields.append(int(field[1]))
+        except ValueError:  # past int()'s limit of 4300 digits
+            raise DataError(f"{path}: PGM header number of "
+                            f"{pos - start} digits") from None
     width, height, maxval = fields
     if maxval > 255 or maxval < 1:
         raise DataError(f"{path}: PGM maxval {maxval} unsupported (need <=255)")
@@ -190,9 +191,11 @@ def _read_pgm_samples(path) -> tuple[np.ndarray, int]:
             f"{path}: raster has {len(data)} bytes, needs {width * height}"
         )
     arr = np.frombuffer(data, dtype=np.uint8).reshape(height, width)
-    top = int(arr.max(initial=0))
-    if top > maxval:
-        raise DataError(f"{path}: PGM sample {top} exceeds maxval {maxval}")
+    if maxval < 255:  # no byte exceeds 255
+        top = int(arr.max(initial=0))
+        if top > maxval:
+            raise DataError(f"{path}: PGM sample {top} exceeds maxval "
+                            f"{maxval}")
     return arr, maxval
 
 
@@ -203,7 +206,8 @@ def write_pgm(path, image: np.ndarray) -> None:
         arr = arr[:, :, 0]
     if arr.ndim != 2:
         raise DataError(f"PGM image must be 2-d, got shape {arr.shape}")
-    if arr.min() < 0.0 or arr.max() > 1.0:
+    # a range test that NaN, which fails every comparison, also fails
+    if not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise DataError("PGM pixel values must lie in [0, 1]")
     h, w = arr.shape
     quantized = np.rint(arr * 255.0).astype(np.uint8)

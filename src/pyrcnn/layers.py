@@ -36,6 +36,17 @@ geometry of the default pyramid (output widths 72, 32, 12 and 4), those
 are the same bits too; a GEMV (c_out = 1 or output width 1) or rows past
 the GEMM's last full row panel round differently.
 
+The strips, and so the rows of each output row's GEMM, run in *pool
+order* for the stage's s x s window: output column x = X*s + b sits at
+b*(ow/s) + X, so the map's row u holds its window column b's entries as
+one contiguous run of ow/s*c values.  The GEMM keeps its shape, its
+(a, b, c) order and its K, and each entry is the same dot product, only
+in another row of it.  On the OpenBLAS this was measured on, that keeps
+every entry's bits at c_out >= 4 (a sweep of small geometries, and every
+stage of the default pyramid, which has 8 or 16); at c_out 1-3 a column
+that the order moves into or out of the GEMM's tail rows can round
+differently.  With s = 1 the order is the natural one (`conv_forward`).
+
 The backward's dw keeps im2col: `_column_blocks` walks the output in
 blocks whose column matrix holds at most `_SLAB_ELEMENTS` values, whole
 images while one image's columns fit, else bands of one image's output
@@ -62,11 +73,16 @@ row near a band edge arrive band by band and dw sums the bands in turn,
 so both move in the last bits.
 
 `_conv_fwd` returns the product without the bias; `_add_bias` adds it in
-place, as whole output rows.  There is one pooling kernel, `_pool`: the
-maximum of the s*s strided slices x[:, a::s, b::s].  Every stage pools its
-pre-activation map with it and rectifies the pooled map.  That is exact,
-not an approximation: max(0, max_i a_i) == max_i max(0, a_i) for the
-monotone rectifier, and it leaves 1/(s*s) of the rectifier work.  The
+place, as whole output rows (the channel order is the same in either
+column order).  There is one pooling kernel, `_pool`: the maximum over
+the s*s window positions (a, b), in row-major order, each read as one
+contiguous slice of the pool-order map, `x.reshape(n, oh/s, s, s,
+ow/s*c)[:, :, a, b]`, where a natural map's x[:, a::s, b::s] reads runs of
+c values; the pooled map comes out in natural order.  (`maxpool`, the
+public per-image op, reorders its natural input once.)  Every stage pools
+its pre-activation map with it and rectifies the pooled map.  That is
+exact, not an approximation: max(0, max_i a_i) == max_i max(0, a_i) for
+the monotone rectifier, and it leaves 1/(s*s) of the rectifier work.  The
 inference path adds the bias after the pool too, for the same reason:
 rounding is monotone, so fl(max_i p_i + b) == max_i fl(p_i + b), and it
 leaves 1/(s*s) of the adds.
@@ -87,11 +103,13 @@ the training path: it keeps every stage's input and pre-activation, the
 pool routing and the sign of the pooled map for `_backward_cached`, and
 only training, `network_backward` and `gradient_check` call it.  The
 routing is s*s boolean masks, one per window position (a, b) in row-major
-order: an entry is routed when it equals its window's maximum and no
-earlier position of the window was, so each window routes exactly its
-first maximum (the first-max-wins rule of an argmax over the window).
-Backward keeps the gradient where the pooled map is positive and writes
-`g * mask` into each strided slice.  That is the gradient of
+order and shaped like the pooled map: an entry is routed when it equals
+its window's maximum and no earlier position of the window was, so each
+window routes exactly its first maximum (the first-max-wins rule of an
+argmax over the window).  Backward keeps the gradient where the pooled
+map is positive and writes `g * mask` into each strided slice
+g_pre[:, a::s, b::s] of a natural-order gradient, which the column blocks
+of `_conv_bwd` read as before.  That is the gradient of
 rectify-then-pool: a window with a positive maximum has the same winners
 before and after the rectifier, and a window without one passes no
 gradient either way.  (A masked-out negative gradient leaves -0.0, not
@@ -390,12 +408,14 @@ def _column_blocks(x: np.ndarray, kh: int, kw: int):
             yield i, j, r, s, col
 
 
-def _strip_blocks(x: np.ndarray, kh: int, kw: int):
+def _strip_blocks(x: np.ndarray, kh: int, kw: int, pool: int):
     """Yield (i, j, r, s, rows): the (ow, kh*kw*c) column matrix, in
     (a, b, c) order, of each output row r:s of images i:j of an (n, h, w, c)
     batch, as a (j-i, s-r, ow, kh*kw*c) strided view of the block's row
-    strips (module docstring).  The strips live in one buffer, which the
-    next block overwrites."""
+    strips (module docstring).  The strips of an image row, and so its
+    matrix rows, run in pool order: output column x = X*pool + b sits at
+    b*(ow/pool) + X.  The strips live in one buffer, which the next block
+    overwrites."""
     n, h, w, c = x.shape
     oh, ow, k = h - kh + 1, w - kw + 1, kw * c
     if ow * h * k <= _SLAB_ELEMENTS:
@@ -403,31 +423,32 @@ def _strip_blocks(x: np.ndarray, kh: int, kw: int):
     else:
         images, rows = 1, max(1, _SLAB_ELEMENTS // (ow * k) - kh + 1)
     hb = rows + kh - 1
-    buf = np.empty((images, ow, hb, kw, c))
+    buf = np.empty((images, pool, ow // pool, hb, kw, c))
     e = buf.itemsize
     stack = np.ndarray((images, rows, ow, kh * k), buffer=buf,
                        strides=(ow * hb * k * e, k * e, hb * k * e, e))
     sn, sh, sw, sc = x.strides
-    win = as_strided(x, (n, ow, h, kw, c), (sn, sw, sh, sw, sc),
-                     writeable=False)
+    win = as_strided(x, (n, pool, ow // pool, h, kw, c),
+                     (sn, sw, pool * sw, sh, sw, sc), writeable=False)
     for i in range(0, n, images):
         j = min(i + images, n)
         for r in range(0, oh, rows):
             s = min(r + rows, oh)
-            np.copyto(buf[:j - i, :, :s - r + kh - 1],
-                      win[i:j, :, r:s + kh - 1])
+            np.copyto(buf[:j - i, :, :, :s - r + kh - 1],
+                      win[i:j, :, :, r:s + kh - 1])
             yield i, j, r, s, stack[:j - i, :s - r]
 
 
-def _conv_fwd(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _conv_fwd(x: np.ndarray, w: np.ndarray, pool: int) -> np.ndarray:
     """The valid true convolution of an (n, h, w, c_in) batch with `w`,
-    without the bias."""
+    without the bias, each output row in pool order for a `pool` x `pool`
+    window (natural order when `pool` is 1)."""
     kh, kw, c_in, c_out = w.shape
     n_img, oh, ow = x.shape[0], x.shape[1] - kh + 1, x.shape[2] - kw + 1
     # true convolution == cross-correlation with the spatially flipped kernel
     wf = w[::-1, ::-1].reshape(kh * kw * c_in, c_out)
     out = np.empty((n_img, oh, ow, c_out))
-    for i, j, r, s, rows in _strip_blocks(x, kh, kw):
+    for i, j, r, s, rows in _strip_blocks(x, kh, kw, pool):
         np.matmul(rows, wf, out=out[i:j, r:s])
     return out
 
@@ -472,39 +493,54 @@ def _conv_bwd(x: np.ndarray, w: np.ndarray, g: np.ndarray,
     return dx, dw, db
 
 
+def _windows(x: np.ndarray, s: int) -> np.ndarray:
+    """A pool-order (n, h, w, c) map as (n, h/s, s, s, w/s*c): [:, :, a, b]
+    holds window position (a, b) of every window, contiguous within a
+    row, in the (h/s, w/s, c) order of the pooled map."""
+    n, h, w, c = x.shape
+    return x.reshape(n, h // s, s, s, w // s * c)
+
+
 def _pool(x: np.ndarray, s: int) -> np.ndarray:
-    """s x s window maxima of an (n, h, w, c) batch: the maximum of the s*s
-    strided slices x[:, a::s, b::s]."""
-    out = x[:, ::s, ::s].copy()
+    """s x s window maxima of a pool-order (n, h, w, c) map, as a natural
+    (n, h/s, w/s, c) map: the maximum of the s*s window positions, taken in
+    row-major order."""
+    n, h, w, c = x.shape
+    win = _windows(x, s)
+    out = win[:, :, 0, 0].copy()
     for a in range(s):
         for b in range(s):
             if a or b:
-                np.maximum(out, x[:, a::s, b::s], out=out)
-    return out
+                np.maximum(out, win[:, :, a, b], out=out)
+    return out.reshape(n, h // s, w // s, c)
 
 
 def _pool_routes(x: np.ndarray, pooled: np.ndarray, s: int) -> list:
-    """One boolean mask per window position (a, b), in row-major order, of
-    the entries of x that `pooled` = `_pool(x, s)` took: each window's first
-    maximum, so every window has exactly one routed entry."""
+    """One boolean mask per window position (a, b), in row-major order and
+    shaped like `pooled` = `_pool(x, s)`, of the entries of the pool-order
+    map x that it took: each window's first maximum, so every window has
+    exactly one routed entry."""
+    win = _windows(x, s)
+    top = pooled.reshape(win[:, :, 0, 0].shape)
     masks, taken = [], None
     for a in range(s):
         for b in range(s):
-            hit = x[:, a::s, b::s] == pooled
+            hit = win[:, :, a, b] == top
             if taken is None:
                 taken = hit.copy()
             else:
                 hit &= ~taken
                 taken |= hit
-            masks.append(hit)
+            masks.append(hit.reshape(pooled.shape))
     return masks
 
 
 def _stage_forward(x: np.ndarray, stage: Stage) -> np.ndarray:
     """One stage without backprop state: conv, s x s window max of the
     unbiased map, then the bias and the rectifier on the pooled map."""
-    out = _add_bias(_pool(_conv_fwd(x, stage.conv.weights),
-                          stage.pool.window), stage.conv.bias)
+    s = stage.pool.window
+    out = _add_bias(_pool(_conv_fwd(x, stage.conv.weights, s), s),
+                    stage.conv.bias)
     return np.maximum(out, 0.0, out=out)
 
 
@@ -518,12 +554,13 @@ def _forward(net: Network, x: np.ndarray) -> np.ndarray:
 
 
 def _forward_cached(net: Network, x: np.ndarray):
-    """Run `net` on an (n, h, w, c) batch, keeping what backprop needs;
-    returns the (n, m) outputs and the caches."""
+    """Run `net` on an (n, h, w, c) batch, keeping what backprop needs
+    (each stage's pre-activation map in pool order); returns the (n, m)
+    outputs and the caches."""
     caches = []
     for conv, pool in net.stages:
         s = pool.window
-        pre = _add_bias(_conv_fwd(x, conv.weights), conv.bias)
+        pre = _add_bias(_conv_fwd(x, conv.weights, s), conv.bias)
         pooled = _pool(pre, s)
         caches.append({"x": x, "pre": pre,
                        "routes": _pool_routes(pre, pooled, s),
@@ -575,7 +612,7 @@ def conv_forward(input: Tensor, layer: ConvLayer) -> Tensor:
     """Valid (no padding) true convolution plus per-channel bias."""
     x = _checked_input(input, [(*layer.weights.shape, 1)], "conv")
     return Tensor.from_array(
-        _add_bias(_conv_fwd(x[None], layer.weights), layer.bias)[0])
+        _add_bias(_conv_fwd(x[None], layer.weights, 1), layer.bias)[0])
 
 
 def activation(input: Tensor) -> Tensor:
@@ -587,8 +624,11 @@ def maxpool(input: Tensor, spec: PoolSpec) -> Tensor:
     """Non-overlapping window maxima; spatial extents shrink by the window.
     Its input is checked as a 1x1 stage's that keeps the channels."""
     c = input.shape[-1]
-    x = _checked_input(input, [(1, 1, c, c, spec.window)], "pool")
-    return Tensor.from_array(_pool(x[None], spec.window)[0])
+    s = spec.window
+    h, w, _ = _checked_input(input, [(1, 1, c, c, s)], "pool").shape
+    # the natural map, reordered once into the pool order `_pool` reads
+    x = input.array.reshape(1, h, w // s, s, c).transpose(0, 1, 3, 2, 4)
+    return Tensor.from_array(_pool(x.reshape(1, h, w, c), s)[0])
 
 
 def fc_forward(input: Tensor, layer: FCLayer) -> Tensor:

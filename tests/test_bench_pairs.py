@@ -140,6 +140,23 @@ def test_level_cost_of_a_traced_run_or_its_error():
     assert bench_pairs.level_cost({"error": "exit 1"}) == {"error": "exit 1"}
 
 
+def test_median_level_cost_keeps_every_run_and_skips_errors():
+    """Each value's median is over the runs that succeeded, and every run
+    stays listed with its seed, an errored one with its error."""
+    scaled = [{k: v * f for k, v in LEVELS.items()} for f in (1, 3, 2)]
+    runs = [{**run(**levels), "seed": seed}
+            for seed, levels in zip((4, 5, 7), scaled)]
+    runs.insert(1, {"error": "exit 1", "seed": 6})
+    cost = bench_pairs.median_level_cost(runs)
+    assert cost["median"] == {k: v * 2 for k, v in LEVELS.items()}
+    assert cost["runs"] == [{"seed": 4, **scaled[0]},
+                            {"seed": 6, "error": "exit 1"},
+                            {"seed": 5, **scaled[1]},
+                            {"seed": 7, **scaled[2]}]
+    assert bench_pairs.median_level_cost([{"error": "boom", "seed": 1}]) \
+        == {"median": None, "runs": [{"seed": 1, "error": "boom"}]}
+
+
 def test_main_records_each_sides_engine_lines(tmp_path, monkeypatch):
     """`source_lines` counts the lines of src/pyrcnn/*.py in each checkout,
     no other file."""
@@ -164,10 +181,11 @@ def test_main_records_each_sides_engine_lines(tmp_path, monkeypatch):
     assert result["source_lines"] == {"parent": 4, "change": 2}
 
 
-def test_main_makes_one_traced_run_per_side_and_workload(tmp_path,
-                                                         monkeypatch):
-    """Every pair is untraced; then each side makes one traced run on the
-    first seed, whose level times land under `level_cost` in wall
+def test_main_makes_traced_runs_per_side_on_the_first_three_seeds(
+        tmp_path, monkeypatch):
+    """Every pair is untraced; then each side makes one traced run on each
+    of the first three seeds, alternating which side goes first, and
+    their level times and medians land under `level_cost` in wall
     seconds."""
     declared = {"run_seconds": 15, "end_to_end": DECLARED}
     for side in ("a", "b"):
@@ -178,8 +196,10 @@ def test_main_makes_one_traced_run_per_side_and_workload(tmp_path,
 
     def fake_run(checkout, workload, seed, seconds, trace=False):
         calls.append((checkout.name, workload, seed, trace))
-        if trace:  # the change's levels take twice as long
-            scale = 2 if checkout.name == "b" else 1
+        if trace:  # the change's levels take twice as long; seed 6 fails
+            if seed == 6:
+                return {"error": "exit 1"}
+            scale = (2 if checkout.name == "b" else 1) * seed
             return run(**{k: v * scale for k, v in LEVELS.items()})
         return {**run(t=1.0, r=2.0), "environment": {"blas_threads": 1},
                 "attempted": 3, "failed": 0}
@@ -188,16 +208,22 @@ def test_main_makes_one_traced_run_per_side_and_workload(tmp_path,
     out = tmp_path / "out.json"
     assert bench_pairs.main(["--parent", str(tmp_path / "a"), "--change",
                              str(tmp_path / "b"), "--workload", "w1",
-                             "--workload", "w2", "--seeds", "5-6",
+                             "--workload", "w2", "--seeds", "5-7,9",
                              "--out", str(out)]) == 0
-    assert [c for c in calls if c[3]] == [("a", "w1", 5, True),
-                                          ("b", "w1", 5, True),
-                                          ("a", "w2", 5, True),
-                                          ("b", "w2", 5, True)]
-    assert len([c for c in calls if not c[3]]) == 2 * 2 * 2
+    traced = [("a", 5), ("b", 5), ("b", 6), ("a", 6), ("a", 7), ("b", 7)]
+    assert [c for c in calls if c[3]] == \
+        [(side, w, seed, True) for w in ("w1", "w2") for side, seed in traced]
+    assert len([c for c in calls if not c[3]]) == 2 * 4 * 2
     result = json.loads(out.read_text(encoding="utf-8"))
     cost = result["workloads"]["w2"]["level_cost"]
-    assert (cost["unit"], cost["seed"]) == ("wall s", 5)
-    assert cost["parent"] == LEVELS
-    assert cost["change"]["pyramid.level1_s"] == 4.0
-    assert result["workloads"]["w1"]["metrics"]["t"]["pairs"] == 2
+    assert (cost["unit"], cost["seeds"]) == ("wall s", [5, 6, 7])
+    # the medians of seeds 5 and 7, seed 6 having failed
+    assert cost["parent"]["median"] == pytest.approx(
+        {k: v * 6 for k, v in LEVELS.items()})
+    assert cost["change"]["median"]["pyramid.level1_s"] == \
+        pytest.approx(2.0 * 2 * 6)
+    assert [r["seed"] for r in cost["parent"]["runs"]] == [5, 6, 7]
+    assert cost["parent"]["runs"][0] == {"seed": 5, **{
+        k: v * 5 for k, v in LEVELS.items()}}
+    assert cost["parent"]["runs"][1] == {"seed": 6, "error": "exit 1"}
+    assert result["workloads"]["w1"]["metrics"]["t"]["pairs"] == 4

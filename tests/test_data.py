@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,21 @@ def test_pgm_header_comments(tmp_path):
     assert read_pgm(p).shape == (2, 2)
 
 
+@pytest.mark.parametrize("header, problem", [
+    (b"P5\n2 2", "truncated PGM header"),
+    (b"P5\n2 2\n# a comment to the end of the file", "truncated PGM header"),
+    (b"P5\n2 x 255\n", "bad PGM header byte b'x'"),
+    (b"P5\n2#c\n2-255\n", "bad PGM header byte b'-'"),
+    (b"P5 " + b"9" * 5000 + b" 1 255\n", "PGM header number of 5000 digits"),
+])
+def test_pgm_header_errors_name_the_problem(tmp_path, header, problem):
+    p = tmp_path / "a.pgm"
+    p.write_bytes(header)
+    with pytest.raises(DataError) as err:
+        read_pgm(p)
+    assert str(err.value) == f"{p}: {problem}"
+
+
 def test_pgm_rejects_wrong_magic(tmp_path):
     p = tmp_path / "a.png"
     p.write_bytes(b"\x89PNG\r\n\x1a\n" + bytes(16))
@@ -90,6 +106,20 @@ def test_pgm_round_trip_exact(tmp_path):
 def test_write_pgm_rejects_out_of_range(tmp_path):
     with pytest.raises(DataError):
         write_pgm(tmp_path / "b.pgm", np.full((2, 2), 1.5))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_pgm_refuses_non_finite_pixels(tmp_path, bad):
+    """A NaN pixel is refused like one out of range, not written as 0
+    behind a numpy warning, and no file is left behind."""
+    img = np.full((2, 3), 0.5)
+    img[1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError,
+                           match=r"PGM pixel values must lie in \[0, 1\]"):
+            write_pgm(tmp_path / "b.pgm", img)
+    assert not (tmp_path / "b.pgm").exists()
 
 
 def test_pgm_sample_above_maxval_names_the_file(tmp_path):

@@ -58,6 +58,22 @@ def small_net(rng, n_stages=2, input_size=14):
     return Network(stages, head, input_size, 1)
 
 
+def pool_order(x, s):
+    """A natural (n, h, w, c) map with each row in the pool order of an
+    s x s window, the layout `_conv_fwd` writes: column x = X*s + b moves
+    to b*(w/s) + X."""
+    n, h, w, c = x.shape
+    return x.reshape(n, h, w // s, s, c).transpose(0, 1, 3, 2, 4) \
+        .reshape(x.shape)
+
+
+def natural_order(x, s):
+    """The natural map of a pool-order one: the inverse of `pool_order`."""
+    n, h, w, c = x.shape
+    return x.reshape(n, h, s, w // s, c).transpose(0, 1, 3, 2, 4) \
+        .reshape(x.shape)
+
+
 # ---------------------------------------------------------------------------
 # convolution
 
@@ -616,9 +632,9 @@ def test_backward_gives_one_gradient_pair_per_layer(n_stages, edge):
     (76, 1, 5, 2), (36, 8, 5, 2), (16, 8, 5, 2), (6, 8, 3, 2), (11, 2, 3, 3),
 ])
 def test_inference_stage_adds_the_bias_after_the_pool(edge, c_in, k, s):
-    """`_stage_forward` pools the unbiased map and adds the bias to the
-    window maxima: the bits of adding it to every entry first (as the
-    training kernel does) and pooling then, since rounding is monotone.
+    """`_stage_forward` pools the unbiased pool-order map and adds the bias
+    to the window maxima: the bits of adding it to every entry first (as
+    the training kernel does) and pooling then, since rounding is monotone.
     The batches straddle zero and one image has an all-zero region, whose
     windows tie everywhere."""
     rng = np.random.default_rng(360 + edge + c_in + s)
@@ -628,12 +644,12 @@ def test_inference_stage_adds_the_bias_after_the_pool(edge, c_in, k, s):
     for _ in range(10):
         x = rng.uniform(-1.0, 1.0, (3, edge, edge, c_in))
         x[1, :edge // 2] = 0.0
-        biased = layers._add_bias(layers._conv_fwd(x, conv.weights),
+        biased = layers._add_bias(layers._conv_fwd(x, conv.weights, s),
                                   conv.bias)
         want = np.maximum(layers._pool(biased, s), 0.0)
         assert layers._stage_forward(x, stage).tobytes() == want.tobytes()
     np.testing.assert_array_equal(
-        biased, layers._conv_fwd(x, conv.weights) + conv.bias)
+        biased, layers._conv_fwd(x, conv.weights, s) + conv.bias)
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +699,8 @@ def test_backward_routes_ties_like_a_first_max_argmax(s):
     g_out = rng.standard_normal((x.shape[0], net.output_dim))
 
     _, caches = layers._forward_cached(net, x)
-    np.testing.assert_array_equal(caches[0]["pre"][..., 0], pre)
+    np.testing.assert_array_equal(caches[0]["pre"],
+                                  pool_order(pre[..., None], s))
     (dw, db), _ = layers._backward_cached(net, caches, g_out)
 
     g_pool = (g_out @ net.head.weights.T).reshape(x.shape[0], 3, 3, 1)
@@ -703,9 +720,10 @@ def test_backward_routes_ties_like_a_first_max_argmax(s):
 # conv kernels against the sliding-window im2col and strided col2im scatter
 
 
-def biased_conv_fwd(x, w, b):
-    """The conv kernel with its bias added, as every forward adds it."""
-    return layers._add_bias(layers._conv_fwd(x, w), b)
+def biased_conv_fwd(x, w, b, s):
+    """The conv kernel in the pool order of an s x s window, with its bias
+    added as every forward adds it, then put back in natural order."""
+    return natural_order(layers._add_bias(layers._conv_fwd(x, w, s), b), s)
 
 
 def slab_im2col(x, kh, kw):
@@ -771,13 +789,15 @@ def conv_case(edge, c_in, c_out, k, n):
 ])
 def test_conv_kernels_are_the_bits_of_the_slab_reference(
         monkeypatch, edge, c_in, c_out, k, n, slab):
-    """While every block holds whole images, forward, dx and dw are the
-    bits of the sliding-window im2col and strided-scatter kernels."""
+    """While every block holds whole images, forward (in natural or in the
+    stages' 2x2 pool order), dx and dw are the bits of the sliding-window
+    im2col and strided-scatter kernels."""
     if slab is not None:
         monkeypatch.setattr(layers, "_SLAB_ELEMENTS", slab)
     x, w, b, g = conv_case(edge, c_in, c_out, k, n)
-    assert biased_conv_fwd(x, w, b).tobytes() == \
-        slab_conv_fwd(x, w, b).tobytes()
+    for s in (1, 2):
+        assert biased_conv_fwd(x, w, b, s).tobytes() == \
+            slab_conv_fwd(x, w, b).tobytes()
     got, want = layers._conv_bwd(x, w, g, True), slab_conv_bwd(x, w, g)
     for name, a, e in zip(("dx", "dw", "db"), got, want):
         assert a.tobytes() == e.tobytes(), name
@@ -802,8 +822,9 @@ def test_conv_kernels_split_an_image_into_row_bands(
     x, w, b, g = conv_case(edge, c_in, c_out, k, n)
     o = edge - k + 1
     assert o * o * k * k * c_in > layers._SLAB_ELEMENTS
-    assert biased_conv_fwd(x, w, b).tobytes() == \
-        slab_conv_fwd(x, w, b).tobytes()
+    for s in (1, 2):
+        assert biased_conv_fwd(x, w, b, s).tobytes() == \
+            slab_conv_fwd(x, w, b).tobytes()
     dx, dw, db = layers._conv_bwd(x, w, g, True)
     ref_dx, ref_dw, ref_db = slab_conv_bwd(x, w, g)
     np.testing.assert_allclose(dx, ref_dx, rtol=1e-12, atol=1e-12)
@@ -827,7 +848,7 @@ def test_column_blocks_stay_within_the_slab_and_tile_the_output(monkeypatch):
             yield i, j, r, s, col
 
     monkeypatch.setattr(layers, "_column_blocks", checked)
-    biased_conv_fwd(x, w, b)
+    biased_conv_fwd(x, w, b, 2)
     assert not sizes
     layers._conv_bwd(x, w, g, True)
     assert 0 < max(sizes) <= layers._SLAB_ELEMENTS
@@ -838,43 +859,49 @@ def test_column_blocks_stay_within_the_slab_and_tile_the_output(monkeypatch):
 # the row-strip forward
 
 
-def row_conv_fwd(x, w, b):
-    """Reference forward with one GEMM per image output row: that row's
-    rows of `slab_im2col`, copied (a reshape can leave a view of x that
-    numpy multiplies without BLAS), times the flipped kernel, so each
-    row's bits depend on the image alone."""
+def row_conv_fwd(x, w, b, s=1):
+    """Reference forward with one GEMM per image output row, in natural
+    order: that row's rows of `slab_im2col`, taken in the pool order of an
+    s x s window (a copy: a reshape can leave a view of x that numpy
+    multiplies without BLAS), times the flipped kernel, so each row's bits
+    depend on the image alone."""
     kh, kw, c_in, c_out = w.shape
     n, oh, ow = x.shape[0], x.shape[1] - kh + 1, x.shape[2] - kw + 1
     wf = w[::-1, ::-1].reshape(kh * kw * c_in, c_out)
+    order = np.arange(ow).reshape(ow // s, s).T.ravel()
     out = np.empty((n, oh, ow, c_out))
     for i in range(n):
         col = np.array(slab_im2col(x[i:i + 1], kh, kw)).reshape(oh, ow, -1)
         for r in range(oh):
-            out[i, r] = col[r] @ wf
+            out[i, r, order] = col[r, order] @ wf
     return out + b
 
 
 @st.composite
 def conv_geometries(draw):
-    """(x, w, b, slab): an (n, h, w, c_in) batch and a (kh, kw, c_in,
-    c_out) kernel with edges 1-12, kernels 1-5 within them, 1-3 channels
-    each way and 1-3 images, under the default slab or one small enough
-    to split an image into row bands."""
+    """(x, w, b, slab, s): an (n, h, w, c_in) batch and a (kh, kw, c_in,
+    c_out) kernel with edges 1-12, kernels 1-5 within them, 1-3 input
+    channels, 1-6 output channels and 1-3 images, under the default slab
+    or one small enough to split an image into row bands, and a pool
+    window s of 1-4 that divides the output width."""
     h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     kh, kw = draw(st.integers(1, min(5, h))), draw(st.integers(1, min(5, w)))
-    c_in, c_out, n = (draw(st.integers(1, 3)) for _ in range(3))
+    c_in, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    c_out = draw(st.integers(1, 6))
     slab = draw(st.sampled_from([layers._SLAB_ELEMENTS, 1, 60, 400]))
+    ow = w - kw + 1
+    s = draw(st.sampled_from([d for d in (1, 2, 3, 4) if ow % d == 0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return (rng.standard_normal((n, h, w, c_in)),
             rng.standard_normal((kh, kw, c_in, c_out)),
-            rng.standard_normal(c_out), slab)
+            rng.standard_normal(c_out), slab, s)
 
 
-def _geometry(edge, k, c_in, c_out, n, slab=layers._SLAB_ELEMENTS):
+def _geometry(edge, k, c_in, c_out, n, slab=layers._SLAB_ELEMENTS, s=1):
     rng = np.random.default_rng(edge * 1000 + k * 100 + c_in * 10 + c_out)
     return (rng.standard_normal((n, edge, edge, c_in)),
             rng.standard_normal((k, k, c_in, c_out)),
-            rng.standard_normal(c_out), slab)
+            rng.standard_normal(c_out), slab, s)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -883,19 +910,27 @@ def _geometry(edge, k, c_in, c_out, n, slab=layers._SLAB_ELEMENTS):
 @example(_geometry(9, 3, 3, 1, 2))      # c_out = 1: a GEMV per row
 @example(_geometry(1, 1, 1, 1, 1))      # one multiply, no BLAS
 @example(_geometry(12, 2, 3, 3, 3, 1))  # one-row bands over a tiny slab
+@example(_geometry(12, 3, 2, 4, 2, 60, 2))  # pool order, c_out 4, bands
+@example(_geometry(9, 1, 1, 6, 1, s=3))  # pool order at s = 3
 def test_strip_forward_is_the_bits_of_one_gemm_per_output_row(case):
-    """Over small geometries, `_conv_fwd` is bit-equal to `row_conv_fwd`
-    under any slab, so an image's map has the same bits alone, in a batch
-    and in row bands; and it equals the slab reference to rounding.  (It
-    is those bits as well wherever the BLAS gives an output row the bits
-    it gives the same row inside a whole slab's GEMM, as at every geometry
-    of the default pyramid, which the slab-reference test above holds.
-    With GEMV, or rows past the GEMM's last full row panel, the two round
-    differently.)"""
-    x, w, b, slab = case
+    """Over small geometries, `_conv_fwd` in pool order is bit-equal to
+    `row_conv_fwd` with its rows in that order under any slab, so an
+    image's map has the same bits alone, in a batch and in row bands; and
+    it equals the slab reference to rounding.  Where c_out >= 4 (every
+    stage of the default pyramid has 8 or 16), the order does not change
+    a row's bits: un-permuted, the map is `row_conv_fwd`'s natural one.
+    (It is those bits as well wherever the BLAS gives an output row the
+    bits it gives the same row inside a whole slab's GEMM, as at every
+    geometry of the default pyramid, which the slab-reference test above
+    holds.  With GEMV, or rows past the GEMM's last full row panel, the
+    two round differently, and so can a column that the pool order moves
+    into or out of those tail rows when c_out <= 3.)"""
+    x, w, b, slab, s = case
     with mock.patch.object(layers, "_SLAB_ELEMENTS", slab):
-        got = biased_conv_fwd(x, w, b)
-    assert got.tobytes() == row_conv_fwd(x, w, b).tobytes()
+        got = biased_conv_fwd(x, w, b, s)
+    assert got.tobytes() == row_conv_fwd(x, w, b, s).tobytes()
+    if s == 1 or w.shape[3] >= 4:
+        assert got.tobytes() == row_conv_fwd(x, w, b).tobytes()
     np.testing.assert_allclose(got, slab_conv_fwd(x, w, b), rtol=1e-12,
                                atol=1e-12)
 
@@ -907,23 +942,129 @@ def test_strip_forward_is_the_bits_of_one_gemm_per_output_row(case):
 ])
 def test_strip_blocks_stay_within_the_slab_and_tile_the_output(
         monkeypatch, edge, c_in, k, slab):
-    """Under a small `_SLAB_ELEMENTS`, no block's row strips exceed it, and
-    the blocks cover every output row of every image exactly once."""
+    """Under a small `_SLAB_ELEMENTS`, no block's row strips exceed it, the
+    blocks cover every output row of every image exactly once, and the
+    2x2 pool order keeps each row's natural bits."""
     monkeypatch.setattr(layers, "_SLAB_ELEMENTS", slab)
     n, o = 4, edge - k + 1
     x, w, b, _ = conv_case(edge, c_in, 8, k, n)
     sizes, covered = [], np.zeros((n, o), dtype=int)
     blocks = layers._strip_blocks
 
-    def checked(x_, kh, kw):
-        for i, j, r, s, rows in blocks(x_, kh, kw):
+    def checked(x_, kh, kw, pool):
+        for i, j, r, s, rows in blocks(x_, kh, kw, pool):
             assert rows.shape == (j - i, s - r, o, kh * kw * c_in)
             sizes.append((j - i) * o * (s - r + kh - 1) * kw * c_in)
             covered[i:j, r:s] += 1
             yield i, j, r, s, rows
 
     monkeypatch.setattr(layers, "_strip_blocks", checked)
-    got = biased_conv_fwd(x, w, b)
+    got = biased_conv_fwd(x, w, b, 2)
     assert 0 < max(sizes) <= slab
     assert (covered == 1).all()
     assert got.tobytes() == row_conv_fwd(x, w, b).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the pool order against the natural-order kernels
+
+
+def natural_conv_fwd(x, w):
+    """The row-strip forward with each image row's strips, and so its GEMM
+    rows, in natural column order: one (ow, kh*kw*c_in) @ (kh*kw*c_in,
+    c_out) GEMM per image output row, over a strided view of strips
+    copied from a window view of the whole batch."""
+    kh, kw, c_in, c_out = w.shape
+    n, h, wd, _ = x.shape
+    oh, ow, k = h - kh + 1, wd - kw + 1, kw * c_in
+    sn, sh, sw, sc = x.strides
+    strips = np.ascontiguousarray(np.lib.stride_tricks.as_strided(
+        x, (n, ow, h, kw, c_in), (sn, sw, sh, sw, sc)))
+    e = strips.itemsize
+    rows = np.lib.stride_tricks.as_strided(
+        strips, (n, oh, ow, kh * k), (ow * h * k * e, k * e, h * k * e, e))
+    return np.matmul(rows, w[::-1, ::-1].reshape(kh * kw * c_in, c_out))
+
+
+def natural_pool(pre, s):
+    """Window maxima of a natural map: the maximum of the s*s strided
+    slices pre[:, a::s, b::s], in row-major order."""
+    out = pre[:, ::s, ::s].copy()
+    for a, b in itertools.islice(np.ndindex(s, s), 1, None):
+        np.maximum(out, pre[:, a::s, b::s], out=out)
+    return out
+
+
+def natural_routes(pre, pooled, s):
+    """Per window position (a, b), in row-major order, the entries of the
+    natural map that are their window's first maximum."""
+    masks, taken = [], np.zeros(pooled.shape, dtype=bool)
+    for a, b in np.ndindex(s, s):
+        hit = (pre[:, a::s, b::s] == pooled) & ~taken
+        taken |= hit
+        masks.append(hit)
+    return masks
+
+
+@pytest.mark.parametrize("edge, c_in, k, c_out, s", [
+    (76, 1, 5, 8, 2), (36, 8, 5, 8, 2), (16, 8, 5, 8, 2), (16, 1, 5, 8, 2),
+    (6, 8, 3, 16, 2), (14, 2, 3, 8, 3),
+])
+def test_pool_order_keeps_the_bits_of_the_natural_kernels(
+        monkeypatch, edge, c_in, k, c_out, s):
+    """At every stage geometry of the default pyramid and at s = 3, the
+    inference stage, the training forward's pre-activation map (put back
+    in natural order), pooled map and routes, and the backward's dw, dx
+    and db are the bits of the natural-order kernels.  The stage under
+    test sits behind a frozen 1x1 identity stage, so the backward computes
+    its dx; one image has an all-zero region, whose windows tie."""
+    rng = np.random.default_rng(900 + edge + c_in + s)
+    conv = ConvLayer(rng.uniform(-0.3, 0.3, (k, k, c_in, c_out)),
+                     rng.uniform(-0.5, 0.5, c_out))
+    stage = Stage(conv, PoolSpec(s))
+    o = (edge - k + 1) // s
+    ident = Stage(conv_layer(np.eye(c_in)[None, None], frozen=True),
+                  PoolSpec(1))
+    net = Network([ident, stage], FCLayer.initialize(o * o * c_out, 8, rng),
+                  edge, c_in)
+    x = rng.uniform(0.0, 1.0, (3, edge, edge, c_in))
+    x[1, :edge // 2] = 0.0
+
+    pre = natural_conv_fwd(x, conv.weights)
+    want = np.maximum(natural_pool(pre, s) + conv.bias, 0.0)
+    assert layers._stage_forward(x, stage).tobytes() == want.tobytes()
+
+    biased = pre + conv.bias
+    pooled = natural_pool(biased, s)
+    routes = natural_routes(biased, pooled, s)
+    _, caches = layers._forward_cached(net, x)
+    assert caches[1]["x"].tobytes() == x.tobytes()
+    got = caches[1]
+    assert natural_order(got["pre"], s).tobytes() == biased.tobytes()
+    assert layers._pool(got["pre"], s).tobytes() == pooled.tobytes()
+    assert caches[2]["flat"].tobytes() == \
+        np.maximum(pooled, 0.0).reshape(3, -1).tobytes()
+    assert len(got["routes"]) == s * s
+    for mask, route in zip(got["routes"], routes):
+        assert mask.shape == route.shape
+        assert mask.tobytes() == route.tobytes()
+
+    g_out = rng.standard_normal((3, 8))
+    g = (g_out @ net.head.weights.T).reshape(pooled.shape) * (pooled > 0)
+    g_pre = np.empty_like(biased)
+    for (a, b), route in zip(np.ndindex(s, s), routes):
+        g_pre[:, a::s, b::s] = g * route
+    want_dx, want_dw, want_db = layers._conv_bwd(x, conv.weights, g_pre, True)
+    seen = []
+    conv_bwd = layers._conv_bwd
+
+    def recorded(*args, **kwargs):
+        seen.append(conv_bwd(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(layers, "_conv_bwd", recorded)
+    grads = layers._backward_cached(net, caches, g_out)
+    dx, dw, db = seen[0]
+    assert dx.tobytes() == want_dx.tobytes()
+    assert dw.tobytes() == want_dw.tobytes() == grads[1][0].tobytes()
+    assert db.tobytes() == want_db.tobytes() == grads[1][1].tobytes()

@@ -27,10 +27,13 @@ median and is the first of these that holds:
   parent;
 - ``no_worse``: otherwise.
 
-Per workload, each side also makes one traced run (``--trace 1``) on the
-first seed, after the pairs.  Its greedy level times, in wall seconds,
-and their ratio (slowest level over fastest; 0 without levels) go under
-``level_cost``: the paper's claim that every level costs about the same.
+Per workload, each side also makes one traced run (``--trace 1``) on each
+of the first three seeds, after the pairs, the side that runs first
+alternating as in the pairs.  Their greedy level times, in wall seconds,
+and the ratio of each run (slowest level over fastest; 0 without levels)
+go under ``level_cost``: every run's values (or its error) and, per
+value, the median over the runs that succeeded: the paper's claim that
+every level costs about the same, measured on more than one sample.
 
 Each side's engine size, the line count of its ``src/pyrcnn/*.py``, goes
 under ``source_lines``, so a change that claims less code is measured by
@@ -49,6 +52,7 @@ from pathlib import Path
 SIDES = ("parent", "change")
 LEVEL_COST = ("pyramid.level0_s", "pyramid.level1_s", "pyramid.level2_s",
               "pyramid.level_cost_ratio")
+TRACED_SEEDS = 3
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -147,6 +151,17 @@ def level_cost(run: dict) -> dict:
     return {name: run["metrics"][name]["value"] for name in LEVEL_COST}
 
 
+def median_level_cost(runs: list[dict]) -> dict:
+    """One side's traced runs: each run's `level_cost` with its seed, and
+    per value the median over the runs without an error (None if none
+    succeeded)."""
+    costs = [{"seed": run["seed"], **level_cost(run)} for run in runs]
+    kept = [cost for cost in costs if "error" not in cost]
+    return {"median": {name: statistics.median(cost[name] for cost in kept)
+                       for name in LEVEL_COST} if kept else None,
+            "runs": costs}
+
+
 def source_lines(checkout: Path) -> int:
     """Lines (newlines, as ``wc -l`` counts them) of the engine's modules,
     ``src/pyrcnn/*.py``, in one checkout."""
@@ -171,7 +186,8 @@ def main(argv=None) -> int:
                  "change": args.change.resolve()}
     specs = {side: json.loads((path / "BENCHMARK.json").read_text(
         encoding="utf-8")) for side, path in checkouts.items()}
-    result = {"command": "perfbench/run.py --trace 0; level_cost: --trace 1",
+    result = {"command": "perfbench/run.py --trace 0; level_cost: --trace 1 "
+                         f"on the first {TRACED_SEEDS} seeds",
               "environment": None, "blas_threads": None,
               "source_lines": {side: source_lines(path)
                                for side, path in checkouts.items()},
@@ -206,12 +222,16 @@ def main(argv=None) -> int:
         }
         for name, entry in result["workloads"][workload]["metrics"].items():
             print(f"{workload} {name}: {entry['verdict']}", flush=True)
-        traced = {side: run_once(checkouts[side], workload, args.seeds[0],
-                                 specs[side]["run_seconds"], trace=True)
-                  for side in SIDES}
+        traced = {side: [] for side in SIDES}
+        seeds = args.seeds[:TRACED_SEEDS]
+        for k, seed in enumerate(seeds):
+            for side in (SIDES[k % 2], SIDES[1 - k % 2]):
+                run = run_once(checkouts[side], workload, seed,
+                               specs[side]["run_seconds"], trace=True)
+                traced[side].append({**run, "seed": seed})
         result["workloads"][workload]["level_cost"] = {
-            "unit": "wall s", "seed": args.seeds[0],
-            **{side: level_cost(traced[side]) for side in SIDES}}
+            "unit": "wall s", "seeds": seeds,
+            **{side: median_level_cost(traced[side]) for side in SIDES}}
         print(f"{workload} level cost: "
               f"{json.dumps(result['workloads'][workload]['level_cost'])}",
               flush=True)
