@@ -24,12 +24,11 @@ from .data import (DataError, NuisanceConfig, load_image, load_index,
                    write_index)
 from .features import (extract_representations, read_features,
                        write_features, write_report)
-from .layers import _images_per_slab, _slab
+from .layers import _slab
 from .loss import PairLabel
 from .metrics import MetricError, evaluate_distances
 from .pyramid import (PyramidError, PyramidSpec, StageSpec, TrainConfig,
-                      assemble_network, build_pyramid, greedy_train,
-                      load_model, save_model)
+                      build_pyramid, greedy_train, load_model, save_model)
 from .seeding import derive_seed
 from .tensor import TensorError
 
@@ -147,8 +146,9 @@ def _fpr_targets(value, name: str) -> list[float]:
 
 
 def _pair_count(value, name: str) -> int:
-    if _int(value, name) < 1:
-        raise ConfigError(f"{name} must be >= 1, got {value}")
+    if _int(value, name) < 2:
+        raise ConfigError(f"{name} must be >= 2 (one matched and one "
+                          f"unmatched pair), got {value}")
     return value
 
 
@@ -285,9 +285,15 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_extract(cfg: RunConfig, model_path, index_path) -> int:
     model = load_model(model_path)
+    spec = model.spec
+    if model.levels_trained < spec.levels:
+        raise PyramidError(f"{model_path}: {model.levels_trained} of "
+                           f"{spec.levels} levels trained; extract needs "
+                           f"every level")
     index = load_index(index_path)
-    # one slab of images loaded and embedded at a time
-    step = _images_per_slab(assemble_network(model, model.spec.levels - 1, 0))
+    # one top-level batch of images loaded and embedded at a time; the
+    # frozen stages below walk it in slabs of their own
+    step = spec.level_batch(spec.levels - 1)
     features = []
     for start in range(0, len(index.records), step):
         images = [load_image(rec) for rec in index.records[start:start + step]]

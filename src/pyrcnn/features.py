@@ -1,11 +1,16 @@
 """Representation extraction and the feature/report file formats.
 
 "single-top", the only extraction scheme, takes the top level's network 0
-output on the center crop that training uses (`data.center_crop`), for a
-whole batch of images in one forward-only pass.  `concat_landmark_features`,
-a library function no config selects, takes one pyramid per landmark, a
-patch around each landmark at every level's input edge, and joins all
-outputs (landmark-major, then level, then network) into one vector.
+output on the center crop that training uses (`data.center_crop`).  As in
+training, the frozen stages below the level filter and down-sample a batch
+of patches (`pyramid.preprocess_dataset`, a slab of a few raw patches at a
+time), and the level's networks then run once, forward-only, on the whole
+batch of small grids.  `PyramidSpec.level_batch` is the batch whose grids
+and network maps each fit one slab; `extract` embeds that many images at
+a time.  `concat_landmark_features`, a library function no config
+selects, takes one pyramid per landmark, a patch around each landmark at
+every level's input edge, and joins all outputs (landmark-major, then
+level, then network) into one vector.
 
 Feature files are CSV rows ``image_path,dim,v1,...,vdim`` with full-precision
 repr() floats so a rerun is byte-identical.  Report files hold metric
@@ -23,10 +28,12 @@ from typing import Sequence
 import numpy as np
 
 from .data import (DataError, LabeledImage, center_origin, crop_window,
-                   csv_rows, float_pixels)
-from .layers import ShapeError, _forward, _stage_forward
+                   csv_rows)
+from .layers import ShapeError, _forward
 from .metrics import VerificationReport
-from .pyramid import PyramidModel
+# by name, so perfbench's `pyramid.preprocess` span, which wraps the module
+# attribute, counts only training's calls
+from .pyramid import PyramidModel, preprocess_dataset
 
 
 @dataclass
@@ -48,24 +55,25 @@ def _level_outputs(model: PyramidModel, images: Sequence[LabeledImage],
     by default) for a batch of images.
 
     Row i joins, in network order, the outputs for the edge
-    `spec.patch_edge(level)` patch of images[i] at origins[i].  The patches
-    are stacked from the images' stored samples and made float pixels as
-    one slab; they go together through the frozen stages below the level
-    and are handed to each network at its own training offset, on the
-    forward-only kernel, so each row is bit-equal to the assembled deep
-    network run on the matching sub-crop of that image alone.
+    `spec.patch_edge(level)` patch of images[i] at origins[i].  As in
+    training, the frozen stages below the level filter and down-sample the
+    patches (views of the images' stored samples) through
+    `preprocess_dataset`, a slab of patches at a time.  The level's
+    networks then run once on the whole batch of grids, each on the
+    forward-only kernel at its own training offset, so each row is
+    bit-equal to the assembled deep network run on the matching sub-crop
+    of that image alone.
     """
     spec = model.spec
+    stages = model.stages[:level]
+    if not all(stage.frozen for stage in stages):
+        raise ShapeError(
+            f"cannot extract level {level}: lower stages not frozen"
+        )
     raw_edge = spec.patch_edge(level)
-    x = float_pixels(np.stack([crop_window(image, origin, raw_edge)
-                               for image, origin in zip(images, origins)]),
-                     [image.maxval for image in images])
-    for stage in model.stages[:level]:
-        if not stage.frozen:
-            raise ShapeError(
-                f"cannot extract level {level}: lower stages not frozen"
-            )
-        x = _stage_forward(x, stage)
+    x = preprocess_dataset([crop_window(image, origin, raw_edge)
+                            for image, origin in zip(images, origins)],
+                           *stages, maxval=[image.maxval for image in images])
     outputs = []
     edge = spec.base_input
     for k, net in enumerate(model.level_networks[level][:networks]):

@@ -12,8 +12,11 @@ Conventions, fixed across the package:
 * the forward lowers it into row strips (Cho & Brand's MEC, 2017) and
   the backward's dw into im2col column blocks (Chellapilla, Puri & Simard
   2006), one block of the output at a time (below); callers that batch
-  (the Siamese trainer, validation, extraction) size their batches by the
-  same `_SLAB_ELEMENTS`, applied to the largest pre-activation map;
+  size their batches by the same `_SLAB_ELEMENTS`: the Siamese trainer
+  and validation by the largest pre-activation map
+  (`_images_per_slab`), the forward-only frozen stages and extraction's
+  level networks by the larger of the batch's input and its largest
+  pre-activation map (`_inputs_per_slab`);
 * the activation g is the rectifier max(0, x) after every conv stage; the
   FC head is linear, so no embedding unit can be stuck at zero;
 * pooling takes non-overlapping s x s window maxima (window == stride).
@@ -335,8 +338,8 @@ class Network:
 # array kernels (ndarrays in and out; parameters read from a network's layers)
 
 # Upper bound, in float64 elements, on one block's row strips or column
-# matrix, and on the largest pre-activation map of the inputs a caller
-# batches into one call.
+# matrix, and on the largest pre-activation map (and, forward-only, the
+# input) of the inputs a caller batches into one call.
 _SLAB_ELEMENTS = 1 << 17
 
 
@@ -351,6 +354,13 @@ def _images_per_slab(net: Network) -> int:
     return _slab(_stage_shapes([stage.geometry for stage in net.stages],
                                net.input_size, net.input_size,
                                net.in_channels)[1])
+
+
+def _inputs_per_slab(input_elements: int, largest: int) -> int:
+    """Inputs of `input_elements` each per forward-only batched call whose
+    largest stage pre-activation map holds `largest` elements per input:
+    as many as keep both the batch's input and that map within one slab."""
+    return _slab(max(input_elements, largest))
 
 
 def forward_multiply_adds(net: Network) -> int:

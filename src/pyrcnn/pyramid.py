@@ -67,7 +67,8 @@ from .data import (DataError, FacePair, LabeledImage, PairBatch,
                    split_identity_ids)
 from .layers import (ConvLayer, FCLayer, Network, PoolSpec, ShapeError, Stage,
                      _backward_cached, _forward, _forward_cached,
-                     _images_per_slab, _slab, _stage_forward, _stage_shapes)
+                     _images_per_slab, _inputs_per_slab, _stage_forward,
+                     _stage_shapes)
 from .loss import ComparatorParams, PairLabel, pair_loss_grads
 from .metrics import auc, compute_roc
 from .seeding import derive_seed, make_rng
@@ -171,6 +172,18 @@ class PyramidSpec:
         """Raw-image edge of the patch that feeds `level`: its assembled
         input edge, widened so every network's offset window fits."""
         return self.inverse_edge(self.base_input + self.max_offset(), level)
+
+    def level_batch(self, level: int) -> int:
+        """Patches per forward-only batch of `level`'s networks
+        (`layers._inputs_per_slab`): their input is the frozen stages'
+        (base_input + max_offset)-edge grid of each patch, and each
+        network's largest pre-activation map is that of its base_input
+        window."""
+        c = self.entry_in_channels(level)
+        grid = self.base_input + self.max_offset()
+        _, largest = _stage_shapes(self.stage_geometry(level),
+                                   self.base_input, self.base_input, c)
+        return _inputs_per_slab(grid * grid * c, largest)
 
     def raw_data_edge(self) -> int:
         """Edge of the center crop every level's patch is taken from."""
@@ -319,7 +332,8 @@ def _image_set(images, what: str, edge: int, channels: int | None,
 def preprocess_dataset(images, *stages: Stage, maxval=1) -> np.ndarray:
     """Push an image set (`_image_set`) through the frozen `stages` in
     order (Algorithm step: filter and down-sample the dataset), a memory
-    slab of images at a time, into one preallocated (n, h', w', c') output.
+    slab of images at a time (`layers._inputs_per_slab`), into one
+    preallocated (n, h', w', c') output.
 
     The images are stored samples in 0..`maxval`, one maxval per image or
     one for all (1, the default, for float pixels); each slab becomes
@@ -332,8 +346,7 @@ def preprocess_dataset(images, *stages: Stage, maxval=1) -> np.ndarray:
     images, (out_map, largest) = _image_set(images, "input", 1, None, geometry)
     maxvals = np.broadcast_to(maxval, len(images))
     out = np.empty((len(images), *out_map))
-    # elements per image of the largest map in a slab: input or stage
-    step = _slab(max(images[0].size, largest))
+    step = _inputs_per_slab(images[0].size, largest)
     for i in range(0, len(images), step):
         # one slab, stacked and made float
         x = float_pixels(np.asarray(images[i:i + step]), maxvals[i:i + step])

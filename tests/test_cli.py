@@ -14,7 +14,8 @@ import pytest
 
 import pyrcnn
 from pyrcnn import (NuisanceConfig, PyramidSpec, StageSpec, TrainConfig,
-                    build_pyramid, cli, layers, read_features, save_model)
+                    build_pyramid, cli, features, layers, pyramid,
+                    read_features, save_model)
 from pyrcnn.cli import load_config, main
 
 
@@ -121,26 +122,36 @@ def test_extract_writes_one_row_per_eval_image(pipeline):
 
 def test_extract_streams_chunks_bit_equal_to_assembled_network(
         tmp_path, monkeypatch):
-    """`extract` embeds the index a slab of images at a time; every row is
-    the bits of the assembled top network on the image's center_crop, the
-    crop training uses (a 38-pixel gallery, where rounding the image centre
-    would shift it by a pixel)."""
+    """`extract` embeds the index a top-level batch of images at a time,
+    and the frozen stage below walks each batch in slabs of its own; every
+    row is the bits of the assembled top network on the image's
+    center_crop, the crop training uses (a 38-pixel gallery, where rounding
+    the image centre would shift it by a pixel)."""
     paths = run_pipeline(tmp_path, data={
         "dir": "gallery", "n_identities": 6, "images_per_identity": 3,
         "edge": 38, "holdout_fraction": 1 / 3})
     model = pyrcnn.load_model(paths["model"])
     net = pyrcnn.assemble_network(model, 1, 0)
-    # 36-edge input: the largest pre-activation map holds 32*32*8 values
-    monkeypatch.setattr(layers, "_SLAB_ELEMENTS", 4 * 32 * 32 * 8)
-    chunks = []
+    # a level-1 patch's 16-edge grid holds 16*16*8 values, more than its
+    # networks' 12*12*8 maps; stage 0's 32*32*8 map of one 36-edge crop
+    # fills the whole slab, so the frozen stage takes one crop at a time
+    monkeypatch.setattr(layers, "_SLAB_ELEMENTS", 4 * 16 * 16 * 8)
+    chunks, slabs, batches = [], [], []
     batched = cli.extract_representations
     monkeypatch.setattr(cli, "extract_representations",
                         lambda m, images, *a: chunks.append(len(images))
                         or batched(m, images, *a))
+    stage_forward, forward = pyramid._stage_forward, features._forward
+    monkeypatch.setattr(pyramid, "_stage_forward",
+                        lambda x, stage: slabs.append(len(x))
+                        or stage_forward(x, stage))
+    monkeypatch.setattr(features, "_forward",
+                        lambda n, x: batches.append(len(x)) or forward(n, x))
     index = paths["gallery"] / "index.csv"
     assert main(["extract", "--config", str(paths["config"]),
                  str(paths["model"]), str(index)]) == 0
-    assert chunks == [4, 4, 4, 4, 2]
+    assert chunks == batches == [4, 4, 4, 4, 2]
+    assert slabs == [1] * 18
     rows = read_features(paths["features"])
     records = pyrcnn.load_index(index).records
     assert len(rows) == len(records) == 18
@@ -331,14 +342,14 @@ def test_output_dir_must_be_a_string(tmp_path, capsys, output_dir):
                           f"be a string, got {output_dir!r})")
 
 
-@pytest.mark.parametrize("n_pairs", [-5, 0])
+@pytest.mark.parametrize("n_pairs", [-5, 0, 1])
 def test_eval_pair_count_must_be_positive(pipeline, tmp_path, capsys, n_pairs):
     cfg = write_config(tmp_path, evaluation={"n_pairs": n_pairs})
     err = error_of(capsys, ["eval", "--config", str(cfg),
                             str(pipeline["features"]),
                             str(pipeline["out"] / "eval_index.csv")])
-    assert err.startswith(f"error: evaluation.n_pairs must be >= 1, got "
-                          f"{n_pairs}")
+    assert err.startswith(f"error: evaluation.n_pairs must be >= 2 (one "
+                          f"matched and one unmatched pair), got {n_pairs}")
 
 
 def test_fpr_target_out_of_range(tmp_path, capsys):
@@ -591,6 +602,67 @@ def test_extract_model_whose_layers_disagree_with_its_spec(pipeline,
                             str(pipeline["out"] / "eval_index.csv")])
     assert err.startswith("error: ")
     assert "level 0 network 0 has stages [(1, 1, 1, 8, 2)," in err
+
+
+@pytest.mark.parametrize("trained, frozen, problem", [
+    (2, 2, "{path}: 2 of 3 levels trained; extract needs every level"),
+    (3, 0, "cannot extract level 2: lower stages not frozen"),
+])
+def test_extract_refuses_a_model_not_fully_trained(pipeline, tmp_path,
+                                                   capsys, trained, frozen,
+                                                   problem):
+    """A model file with an untrained level, or with a lower stage left
+    unfrozen, is an error, and no features.csv is written."""
+    model = build_pyramid(PyramidSpec(levels=3), seed=3)
+    for stage in model.stages[:frozen]:
+        stage.conv.frozen = True
+    model.levels_trained = trained
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    cfg = write_config(tmp_path)
+    err = error_of(capsys, ["extract", "--config", str(cfg), str(path),
+                            str(pipeline["out"] / "eval_index.csv")])
+    assert err == f"error: {problem.format(path=path)}\n"
+    assert not (tmp_path / "out" / "features.csv").exists()
+
+
+@pytest.mark.parametrize("slab", [layers._SLAB_ELEMENTS, 5 * 22 * 22 * 8])
+def test_extract_hands_no_stage_or_network_more_than_one_slab(
+        tmp_path, monkeypatch, slab):
+    """Through `extract`, every batch a frozen stage or a top-level network
+    reads, and every top-level grid the networks' windows are cut from,
+    holds at most one slab: a 3-level model whose offsets widen the top
+    grid to 22 px, on a 100-px gallery."""
+    cfg = write_config(tmp_path, data={
+        "dir": "gallery", "n_identities": 4, "images_per_identity": 3,
+        "edge": 100, "holdout_fraction": 1 / 3})
+    assert main(["synth", "--config", str(cfg)]) == 0
+    model = build_pyramid(PyramidSpec(levels=3, networks_per_level=2,
+                                      patch_offsets=((0, 0), (6, 6))), seed=5)
+    for stage in model.stages[:-1]:
+        stage.conv.frozen = True
+    model.levels_trained = 3
+    save_model(model, tmp_path / "model.bin")
+    monkeypatch.setattr(layers, "_SLAB_ELEMENTS", slab)
+    seen = []
+    stage_forward, forward = pyramid._stage_forward, features._forward
+    preprocess = features.preprocess_dataset
+    monkeypatch.setattr(pyramid, "_stage_forward",
+                        lambda x, stage: seen.append(x.size)
+                        or stage_forward(x, stage))
+    monkeypatch.setattr(features, "_forward",
+                        lambda n, x: seen.append(x.size) or forward(n, x))
+
+    def grids(*args, **kwargs):
+        out = preprocess(*args, **kwargs)
+        seen.append(out.size)
+        return out
+
+    monkeypatch.setattr(features, "preprocess_dataset", grids)
+    assert main(["extract", "--config", str(cfg), str(tmp_path / "model.bin"),
+                 str(tmp_path / "gallery" / "index.csv")]) == 0
+    assert len(read_features(tmp_path / "out" / "features.csv")) == 12
+    assert 0 < max(seen) <= slab
 
 
 @pytest.mark.parametrize("row, problem", [

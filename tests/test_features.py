@@ -12,8 +12,9 @@ from pyrcnn import (DataError, FeatureVector, LabeledImage, PyramidSpec,
                     concat_landmark_features, evaluate_distances,
                     extract_representations, network_forward,
                     read_features, write_features, write_report)
-from pyrcnn.data import crop_window, float_pixels
-from pyrcnn.layers import ShapeError
+from pyrcnn.data import center_origin, crop_window, float_pixels
+from pyrcnn.features import _level_outputs
+from pyrcnn.layers import ShapeError, _forward, _stage_forward
 
 
 def image_of(arr, landmarks=None, source=None):
@@ -133,6 +134,49 @@ def test_extract_batch_rows_equal_single_image_calls(normalize):
         alone = extract_one(model, image, normalize=normalize)
         assert fv.values.tobytes() == alone.values.tobytes()
     assert extract_representations(model, []) == []
+
+
+def stacked_route(model, images, level, origins):
+    """A level's outputs the direct way, the reference for `_level_outputs`:
+    the patches stacked into one float batch, each frozen stage run on the
+    whole batch, then every network on its offset window."""
+    spec = model.spec
+    edge, e = spec.patch_edge(level), spec.base_input
+    x = float_pixels(np.stack([crop_window(image, origin, edge)
+                               for image, origin in zip(images, origins)]),
+                     [image.maxval for image in images])
+    for stage in model.stages[:level]:
+        x = _stage_forward(x, stage)
+    return np.concatenate([
+        _forward(net, x[:, oy:oy + e, ox:ox + e, :])
+        for net, (ox, oy) in zip(model.level_networks[level],
+                                 spec.patch_offsets)], axis=1)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_level_outputs_of_offset_networks_equal_the_stacked_route(level):
+    """A 2-level model with 4 networks at offsets up to 6: all networks'
+    rows, for a batch and for each image alone, are the bits of the
+    stacked route."""
+    spec = PyramidSpec(levels=2, networks_per_level=4,
+                       patch_offsets=((0, 0), (0, 6), (6, 0), (6, 6)))
+    model = build_pyramid(spec, 26)
+    model.stages[0].conv.frozen = True
+    rng = np.random.default_rng(27)
+    # float images and 8-bit samples of two maxvals, of several sizes
+    images = [random_image(rng, 48), random_image(rng, 53)] + [
+        LabeledImage(rng.integers(0, m + 1, (e, e, 1), dtype=np.uint8), 0,
+                     maxval=m) for e, m in ((48, 255), (50, 200), (60, 255))]
+    origins = [center_origin(image, spec.patch_edge(level))
+               for image in images]
+    want = stacked_route(model, images, level, origins)
+    got = _level_outputs(model, images, level, origins, normalize=False)
+    assert got.shape == (5, 4 * spec.output_dim)
+    assert got.tobytes() == want.tobytes()
+    for i, (image, origin) in enumerate(zip(images, origins)):
+        alone = _level_outputs(model, [image], level, [origin],
+                               normalize=False)
+        assert alone.tobytes() == want[i:i + 1].tobytes()
 
 
 def test_extract_unknown_scheme():
