@@ -19,9 +19,8 @@ from .pyramid import (LevelTrace, PyramidError, PyramidModel, PyramidSpec,
                       train_level, train_network)
 from .metrics import (MetricError, RocCurve, RocPoint, VerificationReport,
                       auc, compute_roc, evaluate_distances)
-from .features import (FeatureVector, concat_landmark_features,
-                       extract_representations, read_features, write_features,
-                       write_report)
+from .features import (FeatureVector, extract_representations,
+                       read_features, write_features, write_report)
 from .seeding import derive_seed, make_rng
 
 __version__ = "0.1.0"

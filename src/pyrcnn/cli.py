@@ -255,8 +255,8 @@ def cmd_train(cfg: RunConfig) -> int:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     for name, part in (("train_index.csv", train_index),
                        ("eval_index.csv", eval_index)):
-        rows = [(str(rec.path), part.identity_names[rec.identity],
-                 rec.landmarks) for rec in part.records]
+        rows = [(str(rec.path), part.identity_names[rec.identity])
+                for rec in part.records]
         write_index(cfg.output_dir / name, rows)
     print(f"train: {len(train_index.records)} images / "
           f"{train_index.n_identities} identities for training, "

@@ -65,9 +65,8 @@ def float_pixels(samples, maxval) -> np.ndarray:
 
 
 class LabeledImage:
-    """A grayscale image with its identity and optional landmarks, held as
-    its samples are stored: an h x w x 1 `raster` of values in
-    0..`maxval`.
+    """A grayscale image with its identity, held as its samples are
+    stored: an h x w x 1 `raster` of values in 0..`maxval`.
 
     `pixels` is a float `Tensor` in [0, 1], kept as its float64 array with
     maxval 1, or a uint8 array of samples with their maxval (1..255), kept
@@ -76,11 +75,10 @@ class LabeledImage:
     the windows `center_crop`, training and extraction take.
     """
 
-    __slots__ = ("raster", "maxval", "identity", "landmarks", "source")
+    __slots__ = ("raster", "maxval", "identity", "source")
 
-    def __init__(self, pixels, identity: int,
-                 landmarks: list[tuple[float, float]] | None = None,
-                 source: str | None = None, maxval: int = 1):
+    def __init__(self, pixels, identity: int, source: str | None = None,
+                 maxval: int = 1):
         if isinstance(pixels, Tensor):
             if maxval != 1:
                 raise DataError(f"a float image has maxval 1, got {maxval}")
@@ -102,17 +100,9 @@ class LabeledImage:
         elif maxval < 255 and raster.max() > maxval:  # uint8: 0..255 always
             raise DataError(f"stored samples must lie in 0..{maxval}, "
                             f"got {raster.max()}")
-        if landmarks is not None:
-            h, w = shape[0], shape[1]
-            for i, (lx, ly) in enumerate(landmarks):
-                if not (0 <= lx <= w - 1 and 0 <= ly <= h - 1):
-                    raise DataError(
-                        f"landmark {i} at ({lx}, {ly}) outside {w}x{h} image"
-                    )
         self.raster = raster
         self.maxval = maxval
         self.identity = identity
-        self.landmarks = landmarks
         self.source = source
 
     def __repr__(self) -> str:
@@ -134,7 +124,6 @@ class FacePair:
 class IndexRecord:
     path: Path
     identity: int
-    landmarks: tuple[tuple[float, float], ...] | None = None
 
 
 @dataclass
@@ -288,21 +277,9 @@ def load_index(path) -> DatasetIndex:
             continue
         if len(row) < 2:
             raise DataError(f"{path}:{lineno}: need path and identity")
-        extra = row[2:]
-        if len(extra) % 2:
-            raise DataError(
-                f"{path}:{lineno}: odd number of landmark fields "
-                f"({len(extra)})"
-            )
-        try:
-            coords = [float(v) for v in extra]
-        except ValueError as exc:
-            raise DataError(
-                f"{path}:{lineno}: bad landmark value ({exc})"
-            ) from None
-        landmarks = tuple(
-            (coords[i], coords[i + 1]) for i in range(0, len(coords), 2)
-        ) or None
+        if len(row) > 2:
+            raise DataError(f"{path}:{lineno}: expected 2 fields (path, "
+                            f"identity), got {len(row)}")
         label = row[1]
         if label not in ids:
             ids[label] = len(names)
@@ -317,32 +294,26 @@ def load_index(path) -> DatasetIndex:
         if rec_path in seen_paths:
             raise DataError(f"{path}:{lineno}: duplicate path {row[0]}")
         seen_paths.add(rec_path)
-        records.append(IndexRecord(rec_path, ids[label], landmarks))
+        records.append(IndexRecord(rec_path, ids[label]))
     if not records:
         raise DataError(f"{path}: index contains no records")
     return DatasetIndex(records, names)
 
 
-def write_index(path, rows: Sequence[tuple]) -> None:
-    """Write (relative_path, identity_label[, landmarks]) rows as index CSV."""
+def write_index(path, rows: Sequence[tuple[str, str]]) -> None:
+    """Write (path, identity_label) rows as index CSV, under the
+    ``path,identity`` header."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["path", "identity"])
-        for row in rows:
-            rel, label = row[0], row[1]
-            flat = []
-            if len(row) > 2 and row[2]:
-                for lx, ly in row[2]:
-                    flat += [repr(float(lx)), repr(float(ly))]
-            writer.writerow([rel, label] + flat)
+        writer.writerows(rows)
 
 
 def load_image(record: IndexRecord) -> LabeledImage:
     """Load one index record's PGM into a LabeledImage that keeps the
     file's 8-bit samples."""
     raster, maxval = _read_pgm_samples(record.path)
-    landmarks = list(record.landmarks) if record.landmarks else None
-    return LabeledImage(raster[:, :, None], record.identity, landmarks,
+    return LabeledImage(raster[:, :, None], record.identity,
                         str(record.path), maxval)
 
 
@@ -377,8 +348,7 @@ def _subindex(index: DatasetIndex, keep: set[int]) -> DatasetIndex:
         if rec.identity not in remap:
             remap[rec.identity] = len(names)
             names.append(index.identity_names[rec.identity])
-        records.append(IndexRecord(rec.path, remap[rec.identity],
-                                   rec.landmarks))
+        records.append(IndexRecord(rec.path, remap[rec.identity]))
     return DatasetIndex(records, names)
 
 

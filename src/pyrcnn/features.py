@@ -6,11 +6,8 @@ training, the frozen stages below the level filter and down-sample a batch
 of patches (`pyramid.preprocess_dataset`, a slab of a few raw patches at a
 time), and the level's networks then run once, forward-only, on the whole
 batch of small grids.  `PyramidSpec.level_batch` is the batch whose grids
-and network maps each fit one slab; `extract` embeds that many images at
-a time.  `concat_landmark_features`, a library function no config
-selects, takes one pyramid per landmark, a patch around each landmark at
-every level's input edge, and joins all outputs (landmark-major, then
-level, then network) into one vector.
+and network maps each fit one slab, in whole slabs of the frozen stages;
+`extract_representations` embeds that many images at a time.
 
 Feature files are CSV rows ``image_path,dim,v1,...,vdim`` with full-precision
 repr() floats so a rerun is byte-identical.  Report files hold metric
@@ -49,34 +46,34 @@ class FeatureVector:
 
 
 def _level_outputs(model: PyramidModel, images: Sequence[LabeledImage],
-                   level: int, origins: Sequence[tuple[int, int]],
                    normalize: bool, networks: int | None = None) -> np.ndarray:
-    """The outputs of one level's first `networks` networks (all of them
-    by default) for a batch of images.
+    """The outputs of the top level's first `networks` networks (all of
+    them by default) for a batch of images.
 
-    Row i joins, in network order, the outputs for the edge
-    `spec.patch_edge(level)` patch of images[i] at origins[i].  As in
-    training, the frozen stages below the level filter and down-sample the
-    patches (views of the images' stored samples) through
-    `preprocess_dataset`, a slab of patches at a time.  The level's
-    networks then run once on the whole batch of grids, each on the
-    forward-only kernel at its own training offset, so each row is
-    bit-equal to the assembled deep network run on the matching sub-crop
-    of that image alone.
+    Row i joins, in network order, the outputs for the center crop of
+    images[i] at the top level's raw edge, `spec.patch_edge(top)`: the
+    crop `data.center_crop` takes.  As in training, the frozen stages
+    below the top filter and down-sample the crops (views of the images'
+    stored samples) through `preprocess_dataset`, a slab of crops at a
+    time.  The top level's networks then run once on the whole batch of
+    grids, each on the forward-only kernel at its own training offset, so
+    each row is bit-equal to the assembled deep network run on the
+    matching sub-crop of that image alone.
     """
     spec = model.spec
-    stages = model.stages[:level]
+    top = spec.levels - 1
+    stages = model.stages[:top]
     if not all(stage.frozen for stage in stages):
         raise ShapeError(
-            f"cannot extract level {level}: lower stages not frozen"
+            f"cannot extract level {top}: lower stages not frozen"
         )
-    raw_edge = spec.patch_edge(level)
-    x = preprocess_dataset([crop_window(image, origin, raw_edge)
-                            for image, origin in zip(images, origins)],
+    raw_edge = spec.patch_edge(top)
+    x = preprocess_dataset([crop_window(image, center_origin(image, raw_edge),
+                                        raw_edge) for image in images],
                            *stages, maxval=[image.maxval for image in images])
     outputs = []
     edge = spec.base_input
-    for k, net in enumerate(model.level_networks[level][:networks]):
+    for k, net in enumerate(model.level_networks[top][:networks]):
         ox, oy = spec.patch_offsets[k]
         vec = _forward(net, x[:, oy:oy + edge, ox:ox + edge, :])
         if normalize:
@@ -91,50 +88,20 @@ def extract_representations(model: PyramidModel,
                             scheme: str = "single-top",
                             normalize: bool = False) -> list[FeatureVector]:
     """Top-level network 0 output on each image's center crop, the crop
-    `data.center_crop` takes at the top level's raw edge; all images in
-    one batch."""
+    `data.center_crop` takes at the top level's raw edge.  The images are
+    embedded `PyramidSpec.level_batch(top)` at a time, so a whole gallery
+    never forms one top-level grid."""
     if scheme != "single-top":
         raise DataError(f"unknown extraction scheme {scheme!r}")
-    if not images:
-        return []
-    top = model.spec.levels - 1
-    edge = model.spec.patch_edge(top)
-    origins = [center_origin(image, edge) for image in images]
-    rows = _level_outputs(model, images, top, origins, normalize, networks=1)
-    return [FeatureVector(row, image.source or str(image.identity),
-                          "single-top") for image, row in zip(images, rows)]
-
-
-def concat_landmark_features(models: Sequence[PyramidModel],
-                             image: LabeledImage,
-                             normalize: bool = False) -> FeatureVector:
-    """One pyramid per landmark; all levels' and networks' outputs joined.
-
-    Block order: landmark-major, levels ascending inside a landmark,
-    network index inside a level; total dimension is the sum over
-    pyramids of levels * networks_per_level * output_dim.  Each level's
-    patch is centred on the landmark (rounded to the nearest pixel).
-    """
-    if image.landmarks is None or len(image.landmarks) < len(models):
-        have = 0 if image.landmarks is None else len(image.landmarks)
-        raise DataError(
-            f"image supplies {have} landmarks but {len(models)} pyramids "
-            f"were given"
-        )
-    parts: list[np.ndarray] = []
-    for i, model in enumerate(models):
-        lx, ly = image.landmarks[i]
-        for level in range(model.spec.levels):
-            half = model.spec.patch_edge(level) // 2
-            origin = (int(round(lx)) - half, int(round(ly)) - half)
-            try:
-                parts.append(_level_outputs(model, [image], level, [origin],
-                                            normalize)[0])
-            except (DataError, ShapeError) as exc:
-                raise DataError(f"landmark {i} at ({lx}, {ly}): {exc}") \
-                    from exc
-    return FeatureVector(np.concatenate(parts),
-                         image.source or str(image.identity), "landmark")
+    step = model.spec.level_batch(model.spec.levels - 1)
+    features = []
+    for start in range(0, len(images), step):
+        batch = images[start:start + step]
+        rows = _level_outputs(model, batch, normalize, networks=1)
+        features.extend(FeatureVector(row, image.source or str(image.identity),
+                                      "single-top")
+                        for image, row in zip(batch, rows))
+    return features
 
 
 # ---------------------------------------------------------------------------

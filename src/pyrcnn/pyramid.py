@@ -178,12 +178,19 @@ class PyramidSpec:
         (`layers._inputs_per_slab`): their input is the frozen stages'
         (base_input + max_offset)-edge grid of each patch, and each
         network's largest pre-activation map is that of its base_input
-        window."""
+        window.  A batch of more than one slab of the frozen stages below
+        (`preprocess_dataset`'s slab of raw `patch_edge(level)` patches)
+        is rounded down to whole slabs, so none ends in a short one."""
         c = self.entry_in_channels(level)
         grid = self.base_input + self.max_offset()
         _, largest = _stage_shapes(self.stage_geometry(level),
                                    self.base_input, self.base_input, c)
-        return _inputs_per_slab(grid * grid * c, largest)
+        batch = _inputs_per_slab(grid * grid * c, largest)
+        edge = self.patch_edge(level)
+        _, frozen = _stage_shapes(
+            [self.stage_geometry(i)[0] for i in range(level)], edge, edge, 1)
+        slab = _inputs_per_slab(edge * edge, frozen)
+        return batch if batch < slab else batch - batch % slab
 
     def raw_data_edge(self) -> int:
         """Edge of the center crop every level's patch is taken from."""

@@ -1,8 +1,9 @@
 """tools/bench_pairs.py: seed ranges, run summaries, pairwise wins, the
-traced level costs and the engine's size."""
+traced level costs, the wall seconds and the engine's size."""
 
 import importlib.util
 import json
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -227,3 +228,75 @@ def test_main_makes_traced_runs_per_side_on_the_first_three_seeds(
         k: v * 5 for k, v in LEVELS.items()}}
     assert cost["parent"]["runs"][1] == {"seed": 6, "error": "exit 1"}
     assert result["workloads"]["w1"]["metrics"]["t"]["pairs"] == 4
+
+
+FAKE_RUN = textwrap.dedent("""\
+    import argparse, json, pathlib
+    ap = argparse.ArgumentParser()
+    for flag in ("--workload", "--seed", "--seconds", "--trace"):
+        ap.add_argument(flag)
+    args = ap.parse_args()
+    results = pathlib.Path(".bench_work/results")
+    results.mkdir(parents=True, exist_ok=True)
+    wall = {"setup_s": [3.0, 1.0, 2.0], "train_s": [4.0],
+            "extract_s": [1.0, 2.0], "eval_s": [0.5, 0.25, 9.0]}
+    tag = f"{args.workload}-seed{args.seed}-trace{args.trace}"
+    (results / f"{tag}.json").write_text(json.dumps(
+        {"samples": {"train_s": [1.0], "wall": wall}}))
+    print(json.dumps({"environment": {"blas_threads": 1}}))
+    print(json.dumps({"attempted": 1, "failed": 0, "metrics": {}}))
+""")
+
+
+def test_run_once_reads_an_untraced_runs_wall_medians(tmp_path):
+    """An untraced run's `wall` holds, per timed phase, the median of the
+    wall samples in its checkout's result file; a traced run has none."""
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(FAKE_RUN,
+                                                   encoding="utf-8")
+    out = bench_pairs.run_once(tmp_path, "w", 3, 15)
+    assert out["wall"] == {"setup_s": 2.0, "train_s": 4.0, "extract_s": 1.5,
+                           "eval_s": 0.5}
+    assert out["attempted"] == 1
+    assert "wall" not in bench_pairs.run_once(tmp_path, "w", 3, 15,
+                                              trace=True)
+
+
+def test_main_records_each_sides_median_wall_seconds(tmp_path, monkeypatch):
+    """`wall_s` holds every untraced run's wall medians (None for a failed
+    run) and per side their median over the runs that succeeded, next to
+    the reference-second metrics."""
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(
+            json.dumps({"run_seconds": 15, "end_to_end": DECLARED}),
+            encoding="utf-8")
+
+    def fake_run(checkout, workload, seed, seconds, trace=False):
+        if trace:
+            return run(**LEVELS)
+        if checkout.name == "b" and seed == 2:
+            return {"error": "exit 1"}
+        scale = seed * (0.5 if checkout.name == "b" else 1.0)
+        return {**run(t=1.0, r=2.0),
+                "wall": {phase: scale * (k + 1) for k, phase in
+                         enumerate(bench_pairs.WALL_PHASES)}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "a"), "--change",
+                             str(tmp_path / "b"), "--workload", "w",
+                             "--seeds", "1-3", "--out", str(out)]) == 0
+    wall = json.loads(out.read_text(encoding="utf-8"))["workloads"]["w"][
+        "wall_s"]
+    assert wall["unit"] == "wall s"
+    assert wall["parent"]["median"] == {"setup_s": 2.0, "train_s": 4.0,
+                                        "extract_s": 6.0, "eval_s": 8.0}
+    # the change's seeds 1 and 3, seed 2 having failed
+    assert wall["change"]["median"] == {"setup_s": 1.0, "train_s": 2.0,
+                                        "extract_s": 3.0, "eval_s": 4.0}
+    assert wall["change"]["runs"][1] is None
+    assert wall["parent"]["runs"][2] == {"setup_s": 3.0, "train_s": 6.0,
+                                         "extract_s": 9.0, "eval_s": 12.0}
+    assert bench_pairs.median_wall([{"error": "exit 1"}]) == {
+        "median": None, "runs": [None]}

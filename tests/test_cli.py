@@ -486,6 +486,28 @@ def test_pgm_sample_above_maxval_is_an_error_naming_the_file(
         assert not (tmp_path / "out" / "model.bin").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "extract"])
+def test_index_row_of_more_than_two_fields_is_an_error(
+        pipeline, tmp_path, capsys, command):
+    """A gallery index row with a third field ends `train` and `extract`
+    in one error line naming the file and the line, with exit 1 and
+    nothing written."""
+    cfg = write_config(tmp_path)
+    assert main(["synth", "--config", str(cfg)]) == 0
+    index = tmp_path / "gallery" / "index.csv"
+    lines = index.read_text(encoding="utf-8").splitlines()
+    lines[2] += ",1.5,2.0"
+    index.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    argv = {"train": ["train", "--config", str(cfg)],
+            "extract": ["extract", "--config", str(cfg),
+                        str(pipeline["model"]), str(index)]}[command]
+    err = error_of(capsys, argv)
+    assert err == f"error: {index}:3: expected 2 fields (path, identity), " \
+        f"got 4\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_on_stored_samples_matches_training_on_float_pixels(
         tmp_path, monkeypatch):
     """`train` keeps each image's 8-bit samples and makes float pixels a

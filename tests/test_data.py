@@ -1,3 +1,4 @@
+import csv
 import itertools
 import tracemalloc
 import warnings
@@ -26,11 +27,11 @@ def pixels(image):
     return float_pixels(image.raster, image.maxval)
 
 
-def make_image(arr, identity=0, landmarks=None):
+def make_image(arr, identity=0):
     a = np.asarray(arr, dtype=np.float64)
     if a.ndim == 2:
         a = a[:, :, None]
-    return LabeledImage(Tensor.from_array(a), identity, landmarks)
+    return LabeledImage(Tensor.from_array(a), identity)
 
 
 # ---------------------------------------------------------------------------
@@ -212,19 +213,18 @@ def test_index_identities_dense_first_appearance(tmp_path):
     assert [r.identity for r in index.records] == [0, 1, 0, 2]
 
 
-def test_index_parses_landmarks(tmp_path):
-    write_text(tmp_path / "i.csv",
-               "path,identity\na.pgm,p,1.5,2.0,3,4,5.25,6\nb.pgm,q\n")
-    index = load_index(tmp_path / "i.csv")
-    assert index.records[0].landmarks == ((1.5, 2.0), (3.0, 4.0), (5.25, 6.0))
-    assert index.records[1].landmarks is None
-
-
-def test_index_odd_landmark_fields_names_line(tmp_path):
-    write_text(tmp_path / "i.csv", "path,identity\na.pgm,p\nb.pgm,q,1.0\n")
+@pytest.mark.parametrize("row", ["b.pgm,q,1.0", "b.pgm,q,1.5,2.0",
+                                 "b.pgm,q,,", '"b, c.pgm",q,1,2,3'])
+def test_index_row_of_more_than_two_fields_names_line(tmp_path, row):
+    """An index row is exactly path,identity: a third field is refused,
+    with the file, the line and the field count."""
+    path = tmp_path / "i.csv"
+    write_text(path, f"path,identity\na.pgm,p\n{row}\n")
+    n = len(next(csv.reader([row])))
     with pytest.raises(DataError) as err:
-        load_index(tmp_path / "i.csv")
-    assert ":3:" in str(err.value)
+        load_index(path)
+    assert str(err.value) == \
+        f"{path}:3: expected 2 fields (path, identity), got {n}"
 
 
 def test_index_bad_header(tmp_path):
@@ -290,28 +290,29 @@ def test_index_missing_file():
 
 
 def test_write_index_round_trip(tmp_path):
-    write_index(tmp_path / "i.csv",
-                [("a.pgm", "p", [(1.0, 2.0)]), ("b.pgm", "q", None)])
+    write_index(tmp_path / "i.csv", [("a.pgm", "p"), ("b.pgm", "q")])
     index = load_index(tmp_path / "i.csv")
-    assert index.records[0].landmarks == ((1.0, 2.0),)
+    assert [r.path for r in index.records] == [tmp_path / "a.pgm",
+                                               tmp_path / "b.pgm"]
     assert index.identity_names == ["p", "q"]
 
 
 def test_load_image_carries_identity_and_landmarks(tmp_path):
+    """A loaded image carries its identity and source; it has no
+    landmarks, which an index row no longer holds."""
     write_pgm(tmp_path / "x.pgm", np.full((6, 6), 0.5))
-    write_text(tmp_path / "i.csv", "path,identity\nx.pgm,zed,2,3\n")
+    write_text(tmp_path / "i.csv", "path,identity\nx.pgm,zed\n")
     index = load_index(tmp_path / "i.csv")
     img = load_image(index.records[0])
     assert img.identity == 0
-    assert img.landmarks == [(2.0, 3.0)]
+    assert img.source == str(tmp_path / "x.pgm")
+    assert not hasattr(img, "landmarks")
     assert img.raster.shape == (6, 6, 1)
 
 
 def test_labeled_image_validation():
     with pytest.raises(DataError):
         make_image(np.full((4, 4), 2.0))  # out of [0,1]
-    with pytest.raises(DataError):
-        make_image(np.zeros((4, 4)), landmarks=[(10.0, 1.0)])  # out of bounds
     with pytest.raises(DataError):
         LabeledImage(Tensor.from_array(np.zeros((4, 4, 2))), 0)  # 2 channels
     samples = np.full((4, 4, 1), 7, dtype=np.uint8)

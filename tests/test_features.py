@@ -9,21 +9,21 @@ from numpy.testing import assert_allclose
 
 from pyrcnn import (DataError, FeatureVector, LabeledImage, PyramidSpec,
                     Tensor, assemble_network, build_pyramid, center_crop,
-                    concat_landmark_features, evaluate_distances,
-                    extract_representations, network_forward,
-                    read_features, write_features, write_report)
+                    evaluate_distances, extract_representations, features,
+                    layers, network_forward, pyramid, read_features,
+                    write_features, write_report)
 from pyrcnn.data import center_origin, crop_window, float_pixels
 from pyrcnn.features import _level_outputs
 from pyrcnn.layers import ShapeError, _forward, _stage_forward
 
 
-def image_of(arr, landmarks=None, source=None):
+def image_of(arr, source=None):
     return LabeledImage(pixels=Tensor.from_array(arr[:, :, None]),
-                        identity=0, landmarks=landmarks, source=source)
+                        identity=0, source=source)
 
 
-def random_image(rng, edge, landmarks=None):
-    return image_of(rng.uniform(0.0, 1.0, (edge, edge)), landmarks)
+def random_image(rng, edge):
+    return image_of(rng.uniform(0.0, 1.0, (edge, edge)))
 
 
 def extract_one(model, image, **options):
@@ -136,47 +136,89 @@ def test_extract_batch_rows_equal_single_image_calls(normalize):
     assert extract_representations(model, []) == []
 
 
-def stacked_route(model, images, level, origins):
-    """A level's outputs the direct way, the reference for `_level_outputs`:
-    the patches stacked into one float batch, each frozen stage run on the
-    whole batch, then every network on its offset window."""
+def stacked_route(model, images):
+    """The top level's outputs the direct way, the reference for
+    `_level_outputs`: the center crops stacked into one float batch, each
+    frozen stage run on the whole batch, then every network on its offset
+    window."""
     spec = model.spec
-    edge, e = spec.patch_edge(level), spec.base_input
-    x = float_pixels(np.stack([crop_window(image, origin, edge)
-                               for image, origin in zip(images, origins)]),
+    top = spec.levels - 1
+    edge, e = spec.patch_edge(top), spec.base_input
+    x = float_pixels(np.stack([crop_window(image, center_origin(image, edge),
+                                           edge) for image in images]),
                      [image.maxval for image in images])
-    for stage in model.stages[:level]:
+    for stage in model.stages[:top]:
         x = _stage_forward(x, stage)
     return np.concatenate([
         _forward(net, x[:, oy:oy + e, ox:ox + e, :])
-        for net, (ox, oy) in zip(model.level_networks[level],
+        for net, (ox, oy) in zip(model.level_networks[top],
                                  spec.patch_offsets)], axis=1)
 
 
-@pytest.mark.parametrize("level", [0, 1])
-def test_level_outputs_of_offset_networks_equal_the_stacked_route(level):
-    """A 2-level model with 4 networks at offsets up to 6: all networks'
-    rows, for a batch and for each image alone, are the bits of the
-    stacked route."""
-    spec = PyramidSpec(levels=2, networks_per_level=4,
+@pytest.mark.parametrize("top", [0, 1])
+def test_level_outputs_of_offset_networks_equal_the_stacked_route(top):
+    """A 1-level and a 2-level model with 4 networks at offsets up to 6:
+    all the top level's rows, for a batch and for each image alone, are
+    the bits of the stacked route."""
+    spec = PyramidSpec(levels=top + 1, networks_per_level=4,
                        patch_offsets=((0, 0), (0, 6), (6, 0), (6, 6)))
     model = build_pyramid(spec, 26)
-    model.stages[0].conv.frozen = True
+    for stage in model.stages[:top]:
+        stage.conv.frozen = True
     rng = np.random.default_rng(27)
     # float images and 8-bit samples of two maxvals, of several sizes
     images = [random_image(rng, 48), random_image(rng, 53)] + [
         LabeledImage(rng.integers(0, m + 1, (e, e, 1), dtype=np.uint8), 0,
                      maxval=m) for e, m in ((48, 255), (50, 200), (60, 255))]
-    origins = [center_origin(image, spec.patch_edge(level))
-               for image in images]
-    want = stacked_route(model, images, level, origins)
-    got = _level_outputs(model, images, level, origins, normalize=False)
+    want = stacked_route(model, images)
+    got = _level_outputs(model, images, normalize=False)
     assert got.shape == (5, 4 * spec.output_dim)
     assert got.tobytes() == want.tobytes()
-    for i, (image, origin) in enumerate(zip(images, origins)):
-        alone = _level_outputs(model, [image], level, [origin],
-                               normalize=False)
+    for i, image in enumerate(images):
+        alone = _level_outputs(model, [image], normalize=False)
         assert alone.tobytes() == want[i:i + 1].tobytes()
+
+
+def test_extract_walks_a_gallery_in_level_batches(monkeypatch):
+    """`extract_representations` hands `_level_outputs` at most
+    `level_batch(top)` images a call, and each row is the bits of a
+    one-image call: a 2-level model under a slab that takes 3 level-1
+    grids."""
+    monkeypatch.setattr(layers, "_SLAB_ELEMENTS", 3 * 16 * 16 * 8)
+    model = frozen_pyramid(2, 28)
+    step = model.spec.level_batch(1)
+    assert step == 3
+    rng = np.random.default_rng(29)
+    images = [random_image(rng, edge) for edge in (36, 40, 37) * 3]
+    calls = []
+    level_outputs = features._level_outputs
+    monkeypatch.setattr(features, "_level_outputs",
+                        lambda m, batch, *a, **k: calls.append(len(batch))
+                        or level_outputs(m, batch, *a, **k))
+    rows = extract_representations(model, images)
+    assert calls == [3, 3, 3]
+    alone = [extract_one(model, image) for image in images]
+    assert [fv.values.tobytes() for fv in rows] == \
+        [fv.values.tobytes() for fv in alone]
+
+
+def test_level_batch_is_whole_frozen_stage_slabs(monkeypatch):
+    """At the default spec the frozen stages take 3 crops of 76 px per
+    slab, so a top-level batch is 63 crops, not 64, and 130 images take
+    44 slabs, not 45: no batch but the last ends in a short slab."""
+    model = frozen_pyramid(3, 30)
+    assert model.spec.level_batch(2) == 63
+    rng = np.random.default_rng(31)
+    images = [LabeledImage(rng.integers(0, 256, (76, 76, 1), dtype=np.uint8),
+                           0, maxval=255) for _ in range(130)]
+    slabs = []
+    stage_forward = pyramid._stage_forward
+    monkeypatch.setattr(pyramid, "_stage_forward",
+                        lambda x, stage: slabs.append(len(x))
+                        or stage_forward(x, stage))
+    assert len(extract_representations(model, images)) == 130
+    # stages 0 and 1 each see every slab
+    assert slabs == [n for n in [3] * 42 + [3, 1] for _ in range(2)]
 
 
 def test_extract_unknown_scheme():
@@ -209,92 +251,6 @@ def test_extract_normalize_rescales_to_unit_norm():
     assert np.linalg.norm(raw) > 0.0
     assert_allclose(np.linalg.norm(unit), 1.0, rtol=0.0, atol=1e-12)
     assert_allclose(unit, raw / np.linalg.norm(raw), rtol=0.0, atol=1e-15)
-
-
-# ---------------------------------------------------------------------------
-# landmark scheme
-
-
-def test_concat_single_landmark_degenerates_to_single_top():
-    """1 pyramid, 1 level, landmark at the image center == single-top."""
-    rng = np.random.default_rng(20)
-    model = frozen_pyramid(1, 8)
-    arr = rng.uniform(0.0, 1.0, (16, 16))
-    center = (16 - 1) / 2.0
-    img = image_of(arr, landmarks=[(center, center)])
-    single = extract_one(model, img)
-    multi = concat_landmark_features([model], img)
-    assert multi.scheme == "landmark"
-    assert np.array_equal(multi.values, single.values)
-
-
-def three_landmark_setup():
-    rng = np.random.default_rng(21)
-    models = [frozen_pyramid(3, seed) for seed in (31, 32, 33)]
-    landmarks = [(50.0, 50.0), (80.0, 80.0), (100.0, 60.0)]
-    arr = rng.uniform(0.0, 1.0, (160, 160))
-    return models, arr, landmarks
-
-
-def test_concat_dimension_and_block_layout():
-    models, arr, landmarks = three_landmark_setup()
-    img = image_of(arr, landmarks=landmarks)
-    full = concat_landmark_features(models, img)
-    assert full.values.shape == (3 * 3 * 1 * 8,)  # landmarks*levels*nets*dim
-
-    # landmark-major: block i is what pyramid i alone yields at landmark i
-    blocks = full.values.reshape(3, 24)
-    for i in range(3):
-        solo = concat_landmark_features(
-            [models[i]], image_of(arr, landmarks=[landmarks[i]]))
-        assert np.array_equal(blocks[i], solo.values)
-
-
-def test_concat_permuting_landmarks_permutes_blocks():
-    models, arr, landmarks = three_landmark_setup()
-    full = concat_landmark_features(models, image_of(arr, landmarks=landmarks))
-    perm = [2, 0, 1]
-    permuted = concat_landmark_features(
-        [models[i] for i in perm],
-        image_of(arr, landmarks=[landmarks[i] for i in perm]))
-    assert np.array_equal(permuted.values.reshape(3, 24),
-                          full.values.reshape(3, 24)[perm])
-
-
-def test_concat_normalize_normalizes_each_network_block():
-    models, arr, landmarks = three_landmark_setup()
-    img = image_of(arr, landmarks=landmarks)
-    unit = concat_landmark_features(models, img, normalize=True)
-    norms = np.linalg.norm(unit.values.reshape(9, 8), axis=1)
-    assert_allclose(norms, np.ones(9), rtol=0.0, atol=1e-12)
-
-
-def test_concat_missing_landmark():
-    models = [frozen_pyramid(1, 9), frozen_pyramid(1, 10)]
-    img = random_image(np.random.default_rng(22), 64,
-                       landmarks=[(32.0, 32.0)])
-    with pytest.raises(DataError, match="1 landmarks but 2 pyramids"):
-        concat_landmark_features(models, img)
-    bare = random_image(np.random.default_rng(23), 64)
-    with pytest.raises(DataError, match="0 landmarks but 2 pyramids"):
-        concat_landmark_features(models, bare)
-
-
-def test_concat_out_of_bounds_patch_names_landmark():
-    model = frozen_pyramid(1, 11)
-    # landmark near the left edge: a 16-pixel patch around x=3 starts at -5
-    img = random_image(np.random.default_rng(24), 32,
-                       landmarks=[(3.0, 8.0)])
-    with pytest.raises(DataError, match=r"landmark 0 at \(3\.0, 8\.0\)"):
-        concat_landmark_features([model], img)
-
-
-def test_concat_unfrozen_stage_names_landmark():
-    model = build_pyramid(PyramidSpec(levels=2), 12)
-    img = random_image(np.random.default_rng(25), 80,
-                       landmarks=[(40.0, 40.0)])
-    with pytest.raises(DataError, match="landmark 0 .* not frozen"):
-        concat_landmark_features([model], img)
 
 
 # ---------------------------------------------------------------------------

@@ -136,13 +136,13 @@ def test_rewritten_spec_header_loads_only_a_model_that_matches_it(
 # PGM, index and features files
 
 # one valid file per parser, small enough that the byte-level search is
-# dense, with each format's less common parts: a PGM header comment, index
-# landmarks and a quoted path, features of two rows in exponent notation
+# dense, with each format's less common parts: a PGM header comment, an
+# index's quoted path, features of two rows in exponent notation
 TEXT_FILES = {
     "pgm": (read_pgm, b"P5\n# made by hand\n4 3\n255\n"
             + bytes(range(0, 240, 20))),
-    "index": (load_index, b'path,identity,lx1,ly1\r\na.pgm,p0,1.5,2\r\n'
-              b'"c, d.pgm",p1,0,3e0\r\nb.pgm,p0\r\n'),
+    "index": (load_index, b'path,identity\r\na.pgm,p0\r\n'
+              b'"c, d.pgm",p1\r\nb.pgm,p0\r\n'),
     "features": (read_features, b"image_path,dim\r\na.pgm,2,0.5,-1.25\r\n"
                  b"b.pgm,2,1e-3,0.0\r\n"),
 }

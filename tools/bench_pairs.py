@@ -35,6 +35,15 @@ go under ``level_cost``: every run's values (or its error) and, per
 value, the median over the runs that succeeded: the paper's claim that
 every level costs about the same, measured on more than one sample.
 
+The end-to-end times are seconds at the reference speed of the meter's
+own kernel (``perfbench/speed.py``), and a change that slows that kernel
+(a worker thread beside it, say) reads as a gain.  So each untraced
+run's wall seconds go under ``wall_s`` too: per timed phase (setup,
+train, extract, eval), the median of the run's ``samples.wall`` in
+``.bench_work/results/<workload>-seed<N>-trace0.json`` of its checkout,
+and per side the median of those over its runs.  A gain in reference
+seconds that the wall seconds do not share comes from the meter.
+
 Each side's engine size, the line count of its ``src/pyrcnn/*.py``, goes
 under ``source_lines``, so a change that claims less code is measured by
 the same tool as its benchmark numbers.
@@ -53,6 +62,7 @@ SIDES = ("parent", "change")
 LEVEL_COST = ("pyramid.level0_s", "pyramid.level1_s", "pyramid.level2_s",
               "pyramid.level_cost_ratio")
 TRACED_SEEDS = 3
+WALL_PHASES = ("setup_s", "train_s", "extract_s", "eval_s")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -67,7 +77,8 @@ def parse_seeds(text: str) -> list[int]:
 def run_once(checkout: Path, workload: str, seed: int, seconds: float,
              trace: bool = False) -> dict:
     """One benchmark run, untraced or traced: its environment and result
-    lines, or the error it ended with."""
+    lines, and for an untraced run its `wall_medians`, or the error it
+    ended with."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(int(trace))]
@@ -76,7 +87,19 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
     if proc.returncode != 0 or len(lines) < 2:
         return {"error": proc.stderr.strip()[-2000:] or
                 f"exit {proc.returncode}"}
-    return {**json.loads(lines[-2]), **json.loads(lines[-1])}
+    result = {**json.loads(lines[-2]), **json.loads(lines[-1])}
+    if not trace:
+        result["wall"] = wall_medians(
+            checkout / ".bench_work" / "results"
+            / f"{workload}-seed{seed}-trace0.json")
+    return result
+
+
+def wall_medians(path: Path) -> dict:
+    """Per timed phase, the median wall seconds of the untraced run whose
+    result file is `path` (its `samples.wall`)."""
+    wall = json.loads(path.read_text(encoding="utf-8"))["samples"]["wall"]
+    return {phase: statistics.median(wall[phase]) for phase in WALL_PHASES}
 
 
 def summary(values: list[float]) -> dict:
@@ -162,6 +185,17 @@ def median_level_cost(runs: list[dict]) -> dict:
             "runs": costs}
 
 
+def median_wall(runs: list[dict]) -> dict:
+    """One side's untraced runs: each run's `wall_medians` (None for a run
+    that failed) and, per phase, their median over the runs that have
+    them (None if none has)."""
+    walls = [run.get("wall") for run in runs]
+    kept = [wall for wall in walls if wall]
+    return {"median": {phase: statistics.median(wall[phase] for wall in kept)
+                       for phase in WALL_PHASES} if kept else None,
+            "runs": walls}
+
+
 def source_lines(checkout: Path) -> int:
     """Lines (newlines, as ``wc -l`` counts them) of the engine's modules,
     ``src/pyrcnn/*.py``, in one checkout."""
@@ -219,9 +253,15 @@ def main(argv=None) -> int:
             "errors": {s: [r["error"] for r in runs[s] if "error" in r]
                        for s in SIDES},
             "metrics": compare(runs, specs["change"]["end_to_end"]),
+            "wall_s": {"unit": "wall s",
+                       **{side: median_wall(runs[side]) for side in SIDES}},
         }
         for name, entry in result["workloads"][workload]["metrics"].items():
             print(f"{workload} {name}: {entry['verdict']}", flush=True)
+        wall = result["workloads"][workload]["wall_s"]
+        print(f"{workload} wall s: "
+              f"{json.dumps({side: wall[side]['median'] for side in SIDES})}",
+              flush=True)
         traced = {side: [] for side in SIDES}
         seeds = args.seeds[:TRACED_SEEDS]
         for k, seed in enumerate(seeds):
