@@ -23,8 +23,15 @@ Conventions, fixed across the package:
 
 The forward, `_conv_fwd`, copies each block of its batch once into row
 strips (`_strip_blocks`): for image i, output column x and input row y,
-the kw*c values x[i, y, x:x+kw, :], laid out (m, ow, rows, kw*c) and
-filled by one copy from a strided window view of the batch.  An image's
+the kw*c values x[i, y, x:x+kw, :], laid out (m, ow, rows, kw*c).  In a
+C-contiguous batch those values are one run, so the fill is one copy
+whose elements are whole kernel rows (`_kernel_rows`: an opaque kw*c-value
+item at each (i, x, y) of a strided view of the batch) into the strips
+viewed as the same items, a byte copy that moves a row per element, not a
+value.  A batch of another layout (an offset crop of a larger grid, as a
+multi-network level's extraction passes) is copied contiguous one block of
+images at a time: a whole-batch copy, freed beside the strip buffer, made
+glibc trim and refault about 1.9 MB on every call.  An image's
 output row r reads kh consecutive strips of each column, so its
 (ow, kh*kw*c) column matrix is a strided view of the strips, and one
 `np.matmul` writes the block's output in place, one GEMM per image output
@@ -58,9 +65,10 @@ rows (a 36-px, 8-channel image: 32*32*5*5*8 = 204,800 values, in bands of
 exceed it).  dw sums one product per block, so this partition fixes dw's
 bits, and that is why two walks remain: strip blocks hold more images.
 Each block is copied into one buffer, in (a, b, c) order: with several
-input channels from a strided window view of the batch; with one, as
-kh*kw copies of contiguous image rows into a (kh*kw, m) array that the
-GEMM reads as its transpose (the same matrix and bits).
+input channels by one copy of whole kernel rows, as the strips are filled,
+from the (n, oh, ow, kh) kernel-row view of the batch; with one, as kh*kw
+copies of contiguous image rows into a (kh*kw, m) array that the GEMM
+reads as its transpose (the same matrix and bits).
 
 The input gradient (col2im) reads no columns: it is one product of the
 output gradient with the flipped kernel into a (kh, kw, n, oh, ow, c_in)
@@ -77,14 +85,20 @@ so both move in the last bits.
 
 `_conv_fwd` returns the product without the bias; `_add_bias` adds it in
 place, as whole output rows (the channel order is the same in either
-column order).  There is one pooling kernel, `_pool`: the maximum over
-the s*s window positions (a, b), in row-major order, each read as one
-contiguous slice of the pool-order map, `x.reshape(n, oh/s, s, s,
-ow/s*c)[:, :, a, b]`, where a natural map's x[:, a::s, b::s] reads runs of
-c values; the pooled map comes out in natural order.  (`maxpool`, the
-public per-image op, reorders its natural input once.)  Every stage pools
-its pre-activation map with it and rectifies the pooled map.  That is
-exact, not an approximation: max(0, max_i a_i) == max_i max(0, a_i) for
+column order).  There is one pooling kernel, `_pool`: one reduction over
+the two window axes of an (n, oh/s, s, s, ow/s, c) window view, taking
+the s*s positions (a, b) in row-major order (numpy's maximum keeps the
+later of two equal values, so a +0/-0 tie keeps the last tied position's
+sign, as s*s sequential `np.maximum` passes would); the pooled map comes
+out in natural order.  A pool-order map gives that view by a reshape
+(`_windows`), and the reduction reads it as (n, oh/s, s*s, ow/s*c) rows
+of contiguous runs.  `maxpool`, the public per-image op, gives its natural
+map's view by a reshape and a transpose; the reduction reads that view
+C-contiguous, so it is copied once (numpy's reduction over the strided
+view, runs of c values, was about 4x slower than the copy and the
+contiguous reduction).  Every stage pools its pre-activation map with
+`_pool` and rectifies the pooled map.  That is exact, not an
+approximation: max(0, max_i a_i) == max_i max(0, a_i) for
 the monotone rectifier, and it leaves 1/(s*s) of the rectifier work.  The
 inference path adds the bias after the pool too, for the same reason:
 rounding is monotone, so fl(max_i p_i + b) == max_i fl(p_i + b), and it
@@ -139,7 +153,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .tensor import Tensor, TensorError, float_array
 
@@ -377,6 +390,22 @@ def forward_multiply_adds(net: Network) -> int:
     return total
 
 
+def _kernel_rows(x: np.ndarray, kw: int, shape, strides) -> np.ndarray:
+    """A read-only view of the C-contiguous (n, h, w, c) batch `x` whose
+    elements are whole kernel rows: the element at byte offset o is the
+    kw*c values that start there, as one opaque item, so one copy of such
+    a view moves kw*c values per element, bytes unchanged."""
+    rows = np.ndarray(shape, _row_type(kw * x.shape[3]), buffer=x,
+                      strides=strides)
+    rows.flags.writeable = False
+    return rows
+
+
+def _row_type(k: int) -> np.dtype:
+    """The opaque element type of k float64 values."""
+    return np.dtype((np.void, 8 * k))
+
+
 def _column_blocks(x: np.ndarray, kh: int, kw: int):
     """Yield (i, j, r, s, col): the (m, kh*kw*c) column matrix, in (a, b, c)
     order, of output rows r:s of images i:j of an (n, h, w, c) batch.
@@ -395,19 +424,19 @@ def _column_blocks(x: np.ndarray, kh: int, kw: int):
     else:
         images, rows = 1, max(1, _SLAB_ELEMENTS // (ow * k))
     buf = np.empty(min(n, images) * rows * ow * k)
-    if c > 1:
-        sn, sh, sw, sc = x.strides
-        win = as_strided(x, (n, oh, ow, kh, kw, c), (sn, sh, sw, sh, sw, sc),
-                         writeable=False)
     for i in range(0, n, images):
         j = min(i + images, n)
+        if c > 1:
+            xb = np.ascontiguousarray(x[i:j], dtype=np.float64)
+            sn, sh, sw, _ = xb.strides
+            win = _kernel_rows(xb, kw, (j - i, oh, ow, kh), (sn, sh, sw, sh))
         for r in range(0, oh, rows):
             s = min(r + rows, oh)
             m = (j - i) * (s - r) * ow
             if c > 1:
                 col = buf[:m * k].reshape(m, k)
-                np.copyto(col.reshape(j - i, s - r, ow, kh, kw, c),
-                          win[i:j, r:s])
+                np.copyto(col.reshape(j - i, s - r, ow, kh, kw * c)
+                          .view(win.dtype)[..., 0], win[:, r:s])
             else:
                 # kernel-position-major copies of contiguous image rows
                 tap = buf[:m * k].reshape(kh, kw, j - i, s - r, ow)
@@ -433,19 +462,21 @@ def _strip_blocks(x: np.ndarray, kh: int, kw: int, pool: int):
     else:
         images, rows = 1, max(1, _SLAB_ELEMENTS // (ow * k) - kh + 1)
     hb = rows + kh - 1
-    buf = np.empty((images, pool, ow // pool, hb, kw, c))
+    buf = np.empty((images, pool, ow // pool, hb, k))
     e = buf.itemsize
     stack = np.ndarray((images, rows, ow, kh * k), buffer=buf,
                        strides=(ow * hb * k * e, k * e, hb * k * e, e))
-    sn, sh, sw, sc = x.strides
-    win = as_strided(x, (n, pool, ow // pool, h, kw, c),
-                     (sn, sw, pool * sw, sh, sw, sc), writeable=False)
+    strips = buf.view(_row_type(k))[..., 0]
     for i in range(0, n, images):
         j = min(i + images, n)
+        xb = np.ascontiguousarray(x[i:j], dtype=np.float64)
+        sn, sh, sw, _ = xb.strides
+        win = _kernel_rows(xb, kw, (j - i, pool, ow // pool, h),
+                           (sn, sw, pool * sw, sh))
         for r in range(0, oh, rows):
             s = min(r + rows, oh)
-            np.copyto(buf[:j - i, :, :, :s - r + kh - 1],
-                      win[i:j, :, :, r:s + kh - 1])
+            np.copyto(strips[:j - i, :, :, :s - r + kh - 1],
+                      win[:, :, :, r:s + kh - 1])
             yield i, j, r, s, stack[:j - i, :s - r]
 
 
@@ -504,44 +535,39 @@ def _conv_bwd(x: np.ndarray, w: np.ndarray, g: np.ndarray,
 
 
 def _windows(x: np.ndarray, s: int) -> np.ndarray:
-    """A pool-order (n, h, w, c) map as (n, h/s, s, s, w/s*c): [:, :, a, b]
-    holds window position (a, b) of every window, contiguous within a
-    row, in the (h/s, w/s, c) order of the pooled map."""
+    """A pool-order (n, h, w, c) map as its (n, h/s, s, s, w/s, c) window
+    view, by a reshape: [:, :, a, b] holds window position (a, b) of every
+    window, in the (h/s, w/s, c) order of the pooled map."""
     n, h, w, c = x.shape
-    return x.reshape(n, h // s, s, s, w // s * c)
+    return x.reshape(n, h // s, s, s, w // s, c)
 
 
-def _pool(x: np.ndarray, s: int) -> np.ndarray:
-    """s x s window maxima of a pool-order (n, h, w, c) map, as a natural
-    (n, h/s, w/s, c) map: the maximum of the s*s window positions, taken in
-    row-major order."""
-    n, h, w, c = x.shape
-    win = _windows(x, s)
-    out = win[:, :, 0, 0].copy()
-    for a in range(s):
-        for b in range(s):
-            if a or b:
-                np.maximum(out, win[:, :, a, b], out=out)
-    return out.reshape(n, h // s, w // s, c)
+def _pool(win: np.ndarray) -> np.ndarray:
+    """The window maxima of an (n, h/s, s, s, w/s, c) window view, as a
+    natural (n, h/s, w/s, c) map: one reduction over the s*s window
+    positions, taken in row-major order.  The reduction reads the view
+    C-contiguous, as a pool-order map's already is (`_windows`)."""
+    n, oh, s, _, ow, c = win.shape
+    flat = np.ascontiguousarray(win).reshape(n, oh, s * s, ow * c)
+    return flat.max(axis=2).reshape(n, oh, ow, c)
 
 
 def _pool_routes(x: np.ndarray, pooled: np.ndarray, s: int) -> list:
     """One boolean mask per window position (a, b), in row-major order and
-    shaped like `pooled` = `_pool(x, s)`, of the entries of the pool-order
-    map x that it took: each window's first maximum, so every window has
-    exactly one routed entry."""
+    shaped like `pooled` = `_pool(_windows(x, s))`, of the entries of the
+    pool-order map x that it took: each window's first maximum, so every
+    window has exactly one routed entry."""
     win = _windows(x, s)
-    top = pooled.reshape(win[:, :, 0, 0].shape)
     masks, taken = [], None
     for a in range(s):
         for b in range(s):
-            hit = win[:, :, a, b] == top
+            hit = win[:, :, a, b] == pooled
             if taken is None:
                 taken = hit.copy()
             else:
                 hit &= ~taken
                 taken |= hit
-            masks.append(hit.reshape(pooled.shape))
+            masks.append(hit)
     return masks
 
 
@@ -549,7 +575,7 @@ def _stage_forward(x: np.ndarray, stage: Stage) -> np.ndarray:
     """One stage without backprop state: conv, s x s window max of the
     unbiased map, then the bias and the rectifier on the pooled map."""
     s = stage.pool.window
-    out = _add_bias(_pool(_conv_fwd(x, stage.conv.weights, s), s),
+    out = _add_bias(_pool(_windows(_conv_fwd(x, stage.conv.weights, s), s)),
                     stage.conv.bias)
     return np.maximum(out, 0.0, out=out)
 
@@ -571,7 +597,7 @@ def _forward_cached(net: Network, x: np.ndarray):
     for conv, pool in net.stages:
         s = pool.window
         pre = _add_bias(_conv_fwd(x, conv.weights, s), conv.bias)
-        pooled = _pool(pre, s)
+        pooled = _pool(_windows(pre, s))
         caches.append({"x": x, "pre": pre,
                        "routes": _pool_routes(pre, pooled, s),
                        "alive": pooled > 0})
@@ -636,9 +662,9 @@ def maxpool(input: Tensor, spec: PoolSpec) -> Tensor:
     c = input.shape[-1]
     s = spec.window
     h, w, _ = _checked_input(input, [(1, 1, c, c, s)], "pool").shape
-    # the natural map, reordered once into the pool order `_pool` reads
-    x = input.array.reshape(1, h, w // s, s, c).transpose(0, 1, 3, 2, 4)
-    return Tensor.from_array(_pool(x.reshape(1, h, w, c), s)[0])
+    # the natural map's window view: a reshape and a transpose
+    win = input.array.reshape(1, h // s, s, w // s, s, c)
+    return Tensor.from_array(_pool(win.transpose(0, 1, 2, 4, 3, 5))[0])
 
 
 def fc_forward(input: Tensor, layer: FCLayer) -> Tensor:

@@ -646,7 +646,7 @@ def test_inference_stage_adds_the_bias_after_the_pool(edge, c_in, k, s):
         x[1, :edge // 2] = 0.0
         biased = layers._add_bias(layers._conv_fwd(x, conv.weights, s),
                                   conv.bias)
-        want = np.maximum(layers._pool(biased, s), 0.0)
+        want = np.maximum(layers._pool(layers._windows(biased, s)), 0.0)
         assert layers._stage_forward(x, stage).tobytes() == want.tobytes()
     np.testing.assert_array_equal(
         biased, layers._conv_fwd(x, conv.weights, s) + conv.bias)
@@ -965,6 +965,81 @@ def test_strip_blocks_stay_within_the_slab_and_tile_the_output(
     assert got.tobytes() == row_conv_fwd(x, w, b).tobytes()
 
 
+def window_strips(x, kh, kw, pool, i, j, r, s):
+    """The row strips of output rows r:s of images i:j, filled value by
+    value from a 6-D strided window view of the batch, and the (j-i, s-r,
+    ow, kh*kw*c) matrix view `_strip_blocks` yields over them."""
+    n, h, w, c = x.shape
+    ow, k = w - kw + 1, kw * c
+    sn, sh, sw, sc = x.strides
+    win = np.lib.stride_tricks.as_strided(
+        x, (n, pool, ow // pool, h, kw, c), (sn, sw, pool * sw, sh, sw, sc),
+        writeable=False)
+    strips = np.ascontiguousarray(win[i:j, :, :, r:s + kh - 1])
+    hb, e = s - r + kh - 1, strips.itemsize
+    return np.lib.stride_tricks.as_strided(
+        strips, (j - i, s - r, ow, kh * k),
+        (ow * hb * k * e, k * e, hb * k * e, e))
+
+
+def window_columns(x, kh, kw, i, j, r, s):
+    """The (m, kh*kw*c) column matrix of output rows r:s of images i:j,
+    filled value by value from a 6-D strided window view of the batch."""
+    n, h, w, c = x.shape
+    oh, ow = h - kh + 1, w - kw + 1
+    sn, sh, sw, sc = x.strides
+    win = np.lib.stride_tricks.as_strided(
+        x, (n, oh, ow, kh, kw, c), (sn, sh, sw, sh, sw, sc), writeable=False)
+    return np.array(win[i:j, r:s]).reshape(-1, kh * kw * c)
+
+
+def laid_out(x, layout):
+    """`x` as a batch a caller can pass: C-contiguous, read-only, an offset
+    slice of a larger batch (as a 4-network level's crops are) or
+    Fortran-ordered."""
+    if layout == "read-only":
+        x = x.copy()
+        x.flags.writeable = False
+    elif layout == "offset":
+        n, h, w, c = x.shape
+        big = np.full((n, h + 6, w + 6, c), np.nan)
+        big[:, 6:6 + h, :w] = x
+        x = big[:, 6:6 + h, :w]
+    elif layout == "fortran":
+        x = np.asfortranarray(x)
+    return x
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "read-only", "offset",
+                                    "fortran"])
+@pytest.mark.parametrize("edge, c_in, slab", [
+    (16, 1, 2000),   # two whole images per strip block, one-row columns
+    (16, 8, 20000),  # two whole images per strip block, 8-row column bands
+    (36, 8, 20000),  # row bands of both
+])
+def test_row_fills_copy_the_bytes_of_the_window_fill(monkeypatch, layout,
+                                                     edge, c_in, slab):
+    """Every block of `_strip_blocks` (in natural and 2x2 pool order) and of
+    `_column_blocks` holds the bytes of the value-by-value copy from a 6-D
+    window view, whatever the memory layout of the batch it reads."""
+    monkeypatch.setattr(layers, "_SLAB_ELEMENTS", slab)
+    x = np.random.default_rng(edge + c_in).standard_normal((4, edge, edge,
+                                                            c_in))
+    x[1, :3] = -0.0
+    x = laid_out(x, layout)
+    blocks = 0
+    for pool in (1, 2):
+        for i, j, r, s, rows in layers._strip_blocks(x, 5, 5, pool):
+            want = window_strips(x, 5, 5, pool, i, j, r, s)
+            assert rows.tobytes() == want.tobytes()
+            blocks += 1
+    for i, j, r, s, col in layers._column_blocks(x, 5, 5):
+        want = window_columns(x, 5, 5, i, j, r, s)
+        assert col.tobytes() == want.tobytes()
+        blocks += 1
+    assert blocks > 6
+
+
 # ---------------------------------------------------------------------------
 # the pool order against the natural-order kernels
 
@@ -1041,7 +1116,8 @@ def test_pool_order_keeps_the_bits_of_the_natural_kernels(
     assert caches[1]["x"].tobytes() == x.tobytes()
     got = caches[1]
     assert natural_order(got["pre"], s).tobytes() == biased.tobytes()
-    assert layers._pool(got["pre"], s).tobytes() == pooled.tobytes()
+    assert layers._pool(layers._windows(got["pre"], s)).tobytes() == \
+        pooled.tobytes()
     assert caches[2]["flat"].tobytes() == \
         np.maximum(pooled, 0.0).reshape(3, -1).tobytes()
     assert len(got["routes"]) == s * s
@@ -1068,3 +1144,39 @@ def test_pool_order_keeps_the_bits_of_the_natural_kernels(
     assert dx.tobytes() == want_dx.tobytes()
     assert dw.tobytes() == want_dw.tobytes() == grads[1][0].tobytes()
     assert db.tobytes() == want_db.tobytes() == grads[1][1].tobytes()
+
+
+def tie_maps(rng, n, s):
+    """n random natural maps, 1-3 images of (1-4)*s x (1-4)*s x 1-8 entries
+    drawn from +-0, NaN, +-inf and +-1, so most windows tie."""
+    values = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0])
+    for _ in range(n):
+        shape = (rng.integers(1, 4), rng.integers(1, 5) * s,
+                 rng.integers(1, 5) * s, rng.integers(1, 9))
+        yield rng.choice(values, shape)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_pool_is_the_bytes_of_the_sequential_window_maximum(s):
+    """`_pool` of a pool-order map's window view is the bytes of
+    `natural_pool`'s s*s `np.maximum` passes in row-major order, where
+    ties between +0 and -0 keep the sign of the last tied position and NaN
+    and infinities tie too."""
+    rng = np.random.default_rng(40 + s)
+    for x in tie_maps(rng, 300, s):
+        got = layers._pool(layers._windows(pool_order(x, s), s))
+        assert got.tobytes() == natural_pool(x, s).tobytes()
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_maxpool_is_the_bytes_of_the_pool_order_kernel(s):
+    """`maxpool` pools the natural map's window view through `_pool`: the
+    bytes of reordering the map into pool order and pooling that, on
+    finite maps whose windows tie between +0 and -0."""
+    rng = np.random.default_rng(50 + s)
+    for x in tie_maps(rng, 300, s):
+        x = np.where(np.isfinite(x), x, 0.5)
+        want = layers._pool(layers._windows(pool_order(x, s), s))
+        for image, pooled in zip(x, want):
+            got = maxpool(tensor(image), PoolSpec(s)).array
+            assert got.tobytes() == pooled.tobytes()
