@@ -284,6 +284,8 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_extract(cfg: RunConfig, model_path, index_path) -> int:
+    """Write ``features.csv``: every index image embedded, each loaded only
+    when `extract_representations` draws its batch."""
     model = load_model(model_path)
     spec = model.spec
     if model.levels_trained < spec.levels:
@@ -291,15 +293,9 @@ def cmd_extract(cfg: RunConfig, model_path, index_path) -> int:
                            f"{spec.levels} levels trained; extract needs "
                            f"every level")
     index = load_index(index_path)
-    # one top-level batch of images loaded and embedded at a time; the
-    # frozen stages below walk it in slabs of their own
-    step = spec.level_batch(spec.levels - 1)
-    features = []
-    for start in range(0, len(index.records), step):
-        images = [load_image(rec) for rec in index.records[start:start + step]]
-        features.extend(extract_representations(
-            model, images, cfg.extraction["scheme"],
-            cfg.extraction["normalize"]))
+    features = extract_representations(
+        model, (load_image(rec) for rec in index.records),
+        cfg.extraction["scheme"], cfg.extraction["normalize"])
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.output_dir / "features.csv"
     write_features(out, features)

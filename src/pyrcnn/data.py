@@ -1,9 +1,9 @@
 """Gallery ingestion, identity-disjoint splits, pair sampling, synthesis.
 
 Images are single-channel binary PGM (P5) files listed by an index CSV with
-header ``path,identity[,lx1,ly1,...]``; relative paths resolve against the
-index file's directory.  Identity labels are re-numbered densely in order of
-first appearance.  A loaded image keeps the file's 8-bit samples and maxval
+header ``path,identity``; relative paths resolve against the index file's
+directory.  Identity labels are re-numbered densely in order of first
+appearance.  A loaded image keeps the file's 8-bit samples and maxval
 (`LabeledImage.raster`, one byte per pixel); its float pixels,
 `samples / maxval`, are made by `float_pixels` only for the window or slab
 being read.  The synthetic generator renders one base pattern per
@@ -323,7 +323,8 @@ def load_image(record: IndexRecord) -> LabeledImage:
 
 def split_identity_ids(identities: Sequence[int], holdout_fraction: float,
                        seed: int) -> tuple[set[int], set[int]]:
-    """Partition distinct identity ids into (kept, held-out) sets."""
+    """Partition distinct identity ids into (kept, held-out) sets; the
+    held-out side gets ceil(fraction * n) ids, and neither side is empty."""
     distinct = sorted(set(identities))
     if len(distinct) < 2:
         raise DataError("need at least 2 identities to split")
@@ -331,9 +332,14 @@ def split_identity_ids(identities: Sequence[int], holdout_fraction: float,
         raise DataError(
             f"holdout fraction must be in (0,1), got {holdout_fraction}"
         )
+    n_eval = int(np.ceil(holdout_fraction * len(distinct)))
+    if n_eval == len(distinct):
+        raise DataError(
+            f"holdout fraction {holdout_fraction} holds out all "
+            f"{len(distinct)} identities, leaving none to train on"
+        )
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(distinct))
-    n_eval = int(np.ceil(holdout_fraction * len(distinct)))
     held = {distinct[i] for i in order[:n_eval]}
     return set(distinct) - held, held
 
@@ -517,36 +523,17 @@ def sample_pairs(index: DatasetIndex, n: int, seed: int) -> PairBatch:
     return sampler.batch(n)
 
 
-def crop_window(image: LabeledImage, origin: tuple[int, int],
-                edge: int) -> np.ndarray:
-    """The square at (x, y) of `image`'s stored samples, as a read-only
-    view (no copy); out of bounds is an error, never clamped."""
-    x, y = int(origin[0]), int(origin[1])
-    h, w = image.raster.shape[0], image.raster.shape[1]
-    if edge < 1:
-        raise DataError(f"patch edge must be >= 1, got {edge}")
-    if x < 0 or y < 0 or x + edge > w or y + edge > h:
-        raise DataError(
-            f"patch origin ({x}, {y}) edge {edge} outside {w}x{h} image"
-        )
-    return image.raster[y:y + edge, x:x + edge]
-
-
-def center_origin(image: LabeledImage, edge: int) -> tuple[int, int]:
-    """(x, y) of the edge-`edge` square centred in `image`, rounded down."""
-    return ((image.raster.shape[1] - edge) // 2,
-            (image.raster.shape[0] - edge) // 2)
-
-
 def center_window(image: LabeledImage, edge: int) -> np.ndarray:
-    """The edge-`edge` square centred in `image`, as a read-only view of
-    its stored samples (no copy)."""
+    """The edge-`edge` square centred in `image`, its origin rounded down
+    on each axis (x from the columns, y from the rows), as a read-only
+    view of its stored samples (no copy).  Training and extraction both
+    cut their crops here; a square wider than either side is an error."""
     h, w = image.raster.shape[0], image.raster.shape[1]
     if edge > min(h, w):
         raise TensorError(
             f"image {w}x{h} smaller than required crop edge {edge}"
         )
-    x, y = center_origin(image, edge)
+    x, y = (w - edge) // 2, (h - edge) // 2
     return image.raster[y:y + edge, x:x + edge]
 
 

@@ -1,13 +1,15 @@
 """Representation extraction and the feature/report file formats.
 
 "single-top", the only extraction scheme, takes the top level's network 0
-output on the center crop that training uses (`data.center_crop`).  As in
-training, the frozen stages below the level filter and down-sample a batch
-of patches (`pyramid.preprocess_dataset`, a slab of a few raw patches at a
-time), and the level's networks then run once, forward-only, on the whole
-batch of small grids.  `PyramidSpec.level_batch` is the batch whose grids
-and network maps each fit one slab, in whole slabs of the frozen stages;
-`extract_representations` embeds that many images at a time.
+output on the crop that training cuts (`data.center_window` at
+`PyramidSpec.raw_data_edge`).  As in training, the frozen stages below the
+level filter and down-sample a batch of crops (`pyramid.preprocess_dataset`,
+a slab of a few raw crops at a time), and the level's networks then run
+once, forward-only, on the whole batch of small grids.
+`PyramidSpec.level_batch` is the batch whose grids and network maps each fit
+one slab, in whole slabs of the frozen stages; `extract_representations`
+draws that many images at a time from any iterable, so a generator that
+loads them is read one batch at a time.
 
 Feature files are CSV rows ``image_path,dim,v1,...,vdim`` with full-precision
 repr() floats so a rerun is byte-identical.  Report files hold metric
@@ -18,14 +20,14 @@ triples.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import (DataError, LabeledImage, center_origin, crop_window,
-                   csv_rows)
+from .data import DataError, LabeledImage, center_window, csv_rows
 from .layers import ShapeError, _forward
 from .metrics import VerificationReport
 # by name, so perfbench's `pyramid.preprocess` span, which wraps the module
@@ -50,15 +52,15 @@ def _level_outputs(model: PyramidModel, images: Sequence[LabeledImage],
     """The outputs of the top level's first `networks` networks (all of
     them by default) for a batch of images.
 
-    Row i joins, in network order, the outputs for the center crop of
-    images[i] at the top level's raw edge, `spec.patch_edge(top)`: the
-    crop `data.center_crop` takes.  As in training, the frozen stages
-    below the top filter and down-sample the crops (views of the images'
-    stored samples) through `preprocess_dataset`, a slab of crops at a
-    time.  The top level's networks then run once on the whole batch of
-    grids, each on the forward-only kernel at its own training offset, so
-    each row is bit-equal to the assembled deep network run on the
-    matching sub-crop of that image alone.
+    Row i joins, in network order, the outputs for images[i]'s crop
+    `data.center_window(image, spec.raw_data_edge())`, the crop
+    `greedy_train` cuts.  As in training, the frozen stages below the top
+    filter and down-sample the crops (views of the images' stored samples)
+    through `preprocess_dataset`, a slab of crops at a time.  The top
+    level's networks then run once on the whole batch of grids, each on
+    the forward-only kernel at its own training offset, so each row is
+    bit-equal to the assembled deep network run on the matching sub-crop
+    of that image alone.
     """
     spec = model.spec
     top = spec.levels - 1
@@ -67,9 +69,9 @@ def _level_outputs(model: PyramidModel, images: Sequence[LabeledImage],
         raise ShapeError(
             f"cannot extract level {top}: lower stages not frozen"
         )
-    raw_edge = spec.patch_edge(top)
-    x = preprocess_dataset([crop_window(image, center_origin(image, raw_edge),
-                                        raw_edge) for image in images],
+    raw_edge = spec.raw_data_edge()
+    x = preprocess_dataset([center_window(image, raw_edge)
+                            for image in images],
                            *stages, maxval=[image.maxval for image in images])
     outputs = []
     edge = spec.base_input
@@ -84,19 +86,20 @@ def _level_outputs(model: PyramidModel, images: Sequence[LabeledImage],
 
 
 def extract_representations(model: PyramidModel,
-                            images: Sequence[LabeledImage],
+                            images: Iterable[LabeledImage],
                             scheme: str = "single-top",
                             normalize: bool = False) -> list[FeatureVector]:
-    """Top-level network 0 output on each image's center crop, the crop
-    `data.center_crop` takes at the top level's raw edge.  The images are
-    embedded `PyramidSpec.level_batch(top)` at a time, so a whole gallery
-    never forms one top-level grid."""
+    """Top-level network 0 output on each image's training crop (see
+    `_level_outputs`), in the order `images` gives them.  `images` may be
+    any iterable; `PyramidSpec.level_batch(top)` of them are drawn and
+    embedded at a time, so a whole gallery never forms one top-level grid
+    and a generator is never read more than one batch ahead."""
     if scheme != "single-top":
         raise DataError(f"unknown extraction scheme {scheme!r}")
     step = model.spec.level_batch(model.spec.levels - 1)
+    images = iter(images)
     features = []
-    for start in range(0, len(images), step):
-        batch = images[start:start + step]
+    while batch := list(itertools.islice(images, step)):
         rows = _level_outputs(model, batch, normalize, networks=1)
         features.extend(FeatureVector(row, image.source or str(image.identity),
                                       "single-top")
@@ -118,9 +121,12 @@ def write_features(path, features: Sequence[FeatureVector]) -> None:
 
 
 def read_features(path) -> dict[str, np.ndarray]:
-    """image_path -> feature vector; each path once, each dim >= 1."""
+    """image_path -> feature vector; each path once, each dim >= 1.  Line
+    1 must be the ``image_path,dim`` header `write_features` writes."""
     out: dict[str, np.ndarray] = {}
     for lineno, row in csv_rows(path):
+        if lineno == 1 and row != ["image_path", "dim"]:
+            raise DataError(f"{path}:1: header must be 'image_path,dim'")
         if lineno == 1 or not row:
             continue
         if len(row) < 2:

@@ -668,9 +668,13 @@ def greedy_train(model: PyramidModel, dataset: Sequence[LabeledImage],
 
     traces = []
     for level in range(start, spec.levels):
-        drawn = _DrawnPairs(
-            PairSampler(fit_ids, make_rng(cfg.seed, f"pairs-level{level}")),
-            cfg.batch_size, cfg.iterations_per_level)
+        try:
+            sampler = PairSampler(fit_ids,
+                                  make_rng(cfg.seed, f"pairs-level{level}"))
+        except DataError as exc:
+            raise PyramidError(
+                f"cannot sample training pairs: {exc}") from exc
+        drawn = _DrawnPairs(sampler, cfg.batch_size, cfg.iterations_per_level)
         used = _compact(drawn.pairs)
         traces.append(train_level(
             model, level, level_images([fit_crops[i] for i in used], level),

@@ -122,7 +122,8 @@ def test_extract_writes_one_row_per_eval_image(pipeline):
 
 def test_extract_streams_chunks_bit_equal_to_assembled_network(
         tmp_path, monkeypatch):
-    """`extract` embeds the index a top-level batch of images at a time,
+    """`extract` embeds the index a top-level batch of images at a time
+    (`extract_representations` hands `_level_outputs` one batch a call),
     and the frozen stage below walks each batch in slabs of its own; every
     row is the bits of the assembled top network on the image's
     center_crop, the crop training uses (a 38-pixel gallery, where rounding
@@ -137,10 +138,10 @@ def test_extract_streams_chunks_bit_equal_to_assembled_network(
     # fills the whole slab, so the frozen stage takes one crop at a time
     monkeypatch.setattr(layers, "_SLAB_ELEMENTS", 4 * 16 * 16 * 8)
     chunks, slabs, batches = [], [], []
-    batched = cli.extract_representations
-    monkeypatch.setattr(cli, "extract_representations",
-                        lambda m, images, *a: chunks.append(len(images))
-                        or batched(m, images, *a))
+    level_outputs = features._level_outputs
+    monkeypatch.setattr(features, "_level_outputs",
+                        lambda m, images, *a, **k: chunks.append(len(images))
+                        or level_outputs(m, images, *a, **k))
     stage_forward, forward = pyramid._stage_forward, features._forward
     monkeypatch.setattr(pyramid, "_stage_forward",
                         lambda x, stage: slabs.append(len(x))
@@ -159,6 +160,46 @@ def test_extract_streams_chunks_bit_equal_to_assembled_network(
         crop = pyrcnn.center_crop(pyrcnn.load_image(rec), 36)
         want = pyrcnn.network_forward(net, crop).array
         assert np.array_equal(rows[str(rec.path)], want)
+
+
+def saved_model(tmp_path, spec, seed=5):
+    """A model of `spec` with every lower stage frozen and every level
+    marked trained, saved as `tmp_path`/model.bin."""
+    model = build_pyramid(spec, seed=seed)
+    for stage in model.stages[:-1]:
+        stage.conv.frozen = True
+    model.levels_trained = spec.levels
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    return path
+
+
+def test_extract_loads_at_most_one_batch_ahead(tmp_path, monkeypatch):
+    """`extract` loads its images lazily: when an embedding call reads a
+    batch, no more than `level_batch(top)` images have been loaded that
+    it has not read, so the gallery is never held in memory at once."""
+    cfg = write_config(tmp_path)
+    assert main(["synth", "--config", str(cfg)]) == 0
+    model = saved_model(tmp_path, PyramidSpec(levels=2))
+    monkeypatch.setattr(layers, "_SLAB_ELEMENTS", 4 * 16 * 16 * 8)
+    assert PyramidSpec(levels=2).level_batch(1) == 4
+    loaded, loaded_at_call, batches = [], [], []
+    load_image, level_outputs = cli.load_image, features._level_outputs
+    monkeypatch.setattr(cli, "load_image",
+                        lambda rec: loaded.append(rec) or load_image(rec))
+
+    def embed(m, images, *args, **kwargs):
+        loaded_at_call.append(len(loaded))
+        batches.append(len(images))
+        assert [im.source for im in images] == \
+            [str(rec.path) for rec in loaded[-len(images):]]
+        return level_outputs(m, images, *args, **kwargs)
+
+    monkeypatch.setattr(features, "_level_outputs", embed)
+    assert main(["extract", "--config", str(cfg), str(model),
+                 str(tmp_path / "gallery" / "index.csv")]) == 0
+    assert batches == [4, 4, 4, 4, 2]
+    assert loaded_at_call == [4, 8, 12, 16, 18]
 
 
 def test_eval_writes_report(pipeline):
@@ -463,6 +504,37 @@ def test_train_on_images_smaller_than_the_raw_edge(tmp_path, capsys):
     assert not (tmp_path / "out" / "model.bin").exists()
 
 
+def test_extract_on_images_smaller_than_the_raw_edge(tmp_path, capsys):
+    """A 2-level model reads 36-px crops; a 30-px gallery ends `extract`
+    with the error `train` gives for it, naming no crop origin, and no
+    features are written."""
+    cfg = write_config(tmp_path, data={
+        "dir": "gallery", "n_identities": 4, "images_per_identity": 3,
+        "edge": 30})
+    assert main(["synth", "--config", str(cfg)]) == 0
+    model = saved_model(tmp_path, PyramidSpec(levels=2))
+    capsys.readouterr()
+    err = error_of(capsys, ["extract", "--config", str(cfg), str(model),
+                            str(tmp_path / "gallery" / "index.csv")])
+    assert err == "error: image 30x30 smaller than required crop edge 36\n"
+    assert not (tmp_path / "out" / "features.csv").exists()
+    assert error_of(capsys, ["train", "--config", str(cfg)]) == err
+
+
+def test_train_on_a_holdout_that_keeps_no_identity(tmp_path, capsys):
+    """A holdout fraction of 0.8 over 4 identities holds out all 4: `train`
+    fails before it writes anything, not after writing the split."""
+    cfg = write_config(tmp_path, data={
+        "dir": "gallery", "n_identities": 4, "images_per_identity": 3,
+        "edge": 36, "holdout_fraction": 0.8})
+    assert main(["synth", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    err = error_of(capsys, ["train", "--config", str(cfg)])
+    assert err == ("error: holdout fraction 0.8 holds out all 4 identities, "
+                   "leaving none to train on\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "extract"])
 def test_pgm_sample_above_maxval_is_an_error_naming_the_file(
         tmp_path, capsys, command):
@@ -659,12 +731,8 @@ def test_extract_hands_no_stage_or_network_more_than_one_slab(
         "dir": "gallery", "n_identities": 4, "images_per_identity": 3,
         "edge": 100, "holdout_fraction": 1 / 3})
     assert main(["synth", "--config", str(cfg)]) == 0
-    model = build_pyramid(PyramidSpec(levels=3, networks_per_level=2,
-                                      patch_offsets=((0, 0), (6, 6))), seed=5)
-    for stage in model.stages[:-1]:
-        stage.conv.frozen = True
-    model.levels_trained = 3
-    save_model(model, tmp_path / "model.bin")
+    model = saved_model(tmp_path, PyramidSpec(
+        levels=3, networks_per_level=2, patch_offsets=((0, 0), (6, 6))))
     monkeypatch.setattr(layers, "_SLAB_ELEMENTS", slab)
     seen = []
     stage_forward, forward = pyramid._stage_forward, features._forward
@@ -681,7 +749,7 @@ def test_extract_hands_no_stage_or_network_more_than_one_slab(
         return out
 
     monkeypatch.setattr(features, "preprocess_dataset", grids)
-    assert main(["extract", "--config", str(cfg), str(tmp_path / "model.bin"),
+    assert main(["extract", "--config", str(cfg), str(model),
                  str(tmp_path / "gallery" / "index.csv")]) == 0
     assert len(read_features(tmp_path / "out" / "features.csv")) == 12
     assert 0 < max(seen) <= slab
@@ -704,6 +772,18 @@ def test_eval_malformed_features_csv(pipeline, tmp_path, capsys, row,
                             str(features),
                             str(pipeline["out"] / "eval_index.csv")])
     assert err.startswith(f"error: {features}:3: {problem}")
+
+
+def test_eval_features_csv_without_its_header(pipeline, tmp_path, capsys):
+    """A file of vector rows only is refused at line 1, not read without
+    its first vector."""
+    rows = pipeline["features"].read_text(encoding="utf-8").splitlines()
+    features = tmp_path / "features.csv"
+    features.write_text("\n".join(rows[1:]) + "\n", encoding="utf-8")
+    err = error_of(capsys, ["eval", "--config", str(pipeline["config"]),
+                            str(features),
+                            str(pipeline["out"] / "eval_index.csv")])
+    assert err == f"error: {features}:1: header must be 'image_path,dim'\n"
 
 
 def test_eval_features_of_mixed_dimensions(pipeline, tmp_path, capsys):

@@ -15,7 +15,7 @@ from pyrcnn import (DataError, DatasetIndex, FacePair, IndexRecord,
                     load_image, load_index, read_pgm, sample_pairs,
                     split_by_identity, split_identity_ids, synth_generate,
                     write_index, write_pgm)
-from pyrcnn.data import crop_window, float_pixels
+from pyrcnn.data import center_window, float_pixels
 
 
 def write_text(path, text):
@@ -141,8 +141,8 @@ def pgm_dir(tmp_path_factory):
 @given(st.data())
 def test_stored_samples_read_as_read_pgm_floats(pgm_dir, draw):
     """An image keeps its PGM's 8-bit samples, and every float view of it
-    (`float_pixels` of the whole raster or of a `crop_window`, and
-    `center_crop`) is bit-equal to `read_pgm`'s array, which is
+    (`float_pixels` of the whole raster or of a window sliced from it,
+    and `center_crop`) is bit-equal to `read_pgm`'s array, which is
     `samples / maxval` in float64."""
     maxval = draw.draw(st.integers(1, 255), label="maxval")
     h = draw.draw(st.integers(1, 9), label="h")
@@ -165,7 +165,7 @@ def test_stored_samples_read_as_read_pgm_floats(pgm_dir, draw):
         want[y:y + edge, x:x + edge, None].tobytes()
     x = draw.draw(st.integers(0, w - edge), label="x")
     y = draw.draw(st.integers(0, h - edge), label="y")
-    window = crop_window(image, (x, y), edge)
+    window = image.raster[y:y + edge, x:x + edge]
     assert float_pixels(window, image.maxval).tobytes() == \
         want[y:y + edge, x:x + edge, None].tobytes()
 
@@ -383,6 +383,17 @@ def test_split_rejects_bad_arguments():
         split_identity_ids([1, 2], 1.0, seed=0)  # fraction not in (0,1)
 
 
+def test_split_that_would_keep_no_identity_is_refused():
+    """ceil(0.8 * 4) holds out all 4 identities: an error naming the
+    fraction and the count, not an empty training side."""
+    with pytest.raises(DataError) as err:
+        split_identity_ids([0, 1, 2, 3], 0.8, seed=0)
+    assert str(err.value) == ("holdout fraction 0.8 holds out all 4 "
+                              "identities, leaving none to train on")
+    train, held = split_identity_ids([0, 1, 2, 3, 4], 0.8, seed=0)
+    assert len(train) == 1 and len(held) == 4
+
+
 def test_split_by_identity_renumbers_densely(tmp_path):
     rows = [(f"im{i}.pgm", f"p{i % 4}") for i in range(8)]
     write_text(tmp_path / "i.csv", "path,identity\n"
@@ -592,32 +603,39 @@ def test_sample_pairs_keeps_its_random_stream():
 
 def test_crop_whole_image_identity():
     img = make_image(np.random.default_rng(3).uniform(0, 1, (8, 8)))
-    out = crop_window(img, (0, 0), 8)
+    out = center_window(img, 8)
     np.testing.assert_array_equal(out, pixels(img))
+    assert np.shares_memory(out, img.raster)  # a view, not a copy
 
 
 def test_crop_central_region_indexing():
-    base = np.zeros((64, 64))
-    base[16:48, 16:48] = 1.0
+    """A 64-wide, 40-high image: the 32-px window starts at column 16 and
+    row 4."""
+    base = np.zeros((40, 64))
+    base[4:36, 16:48] = 1.0
     img = make_image(base)
-    out = crop_window(img, (16, 16), 32)
+    out = center_window(img, 32)
     np.testing.assert_array_equal(out, np.ones((32, 32, 1)))
 
 
 def test_crop_x_is_column_y_is_row():
-    base = np.zeros((6, 6))
-    base[1, 4] = 1.0  # row 1, column 4
+    """A 9-wide, 6-high image: x = (9 - 2) // 2 = 3 comes from the columns
+    and y = (6 - 2) // 2 = 2 from the rows, each rounded down."""
+    base = np.zeros((6, 9))
+    base[2, 3] = 1.0  # row 2, column 3
     img = make_image(base)
-    out = crop_window(img, (4, 1), 2)  # origin x=4 (col), y=1 (row)
-    assert out[0, 0, 0] == 1.0
+    out = center_window(img, 2)
+    np.testing.assert_array_equal(out[:, :, 0], [[1.0, 0.0], [0.0, 0.0]])
 
 
 def test_crop_out_of_bounds():
-    img = make_image(np.zeros((64, 64)))
-    with pytest.raises(DataError):
-        crop_window(img, (40, 40), 32)
-    with pytest.raises(DataError):
-        crop_window(img, (-1, 0), 8)
+    """An edge that fits the width but not the height is refused, naming
+    the image's width x height."""
+    img = make_image(np.zeros((40, 64)))
+    assert center_window(img, 40).shape == (40, 40, 1)
+    with pytest.raises(TensorError) as err:
+        center_window(img, 48)
+    assert str(err.value) == "image 64x40 smaller than required crop edge 48"
 
 
 def test_center_crop_arithmetic():

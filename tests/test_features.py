@@ -8,11 +8,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pyrcnn import (DataError, FeatureVector, LabeledImage, PyramidSpec,
-                    Tensor, assemble_network, build_pyramid, center_crop,
-                    evaluate_distances, extract_representations, features,
-                    layers, network_forward, pyramid, read_features,
-                    write_features, write_report)
-from pyrcnn.data import center_origin, crop_window, float_pixels
+                    Tensor, TensorError, assemble_network, build_pyramid,
+                    center_crop, evaluate_distances, extract_representations,
+                    features, layers, network_forward, pyramid,
+                    read_features, write_features, write_report)
+from pyrcnn.data import float_pixels
 from pyrcnn.features import _level_outputs
 from pyrcnn.layers import ShapeError, _forward, _stage_forward
 
@@ -104,7 +104,7 @@ def test_extract_center_crop_on_larger_image():
     model = frozen_pyramid(2, 3)
     image = random_image(rng, 40)
     patch = Tensor.from_array(
-        float_pixels(crop_window(image, (2, 2), 36), image.maxval))
+        float_pixels(image.raster[2:38, 2:38], image.maxval))
     expected = network_forward(assemble_network(model, 1, 0), patch).array
     fv = extract_one(model, image)
     assert_allclose(fv.values, expected, rtol=0.0, atol=1e-12)
@@ -144,8 +144,12 @@ def stacked_route(model, images):
     spec = model.spec
     top = spec.levels - 1
     edge, e = spec.patch_edge(top), spec.base_input
-    x = float_pixels(np.stack([crop_window(image, center_origin(image, edge),
-                                           edge) for image in images]),
+
+    def centre(raster):  # the edge-`edge` square, origin rounded down
+        y, x = (raster.shape[0] - edge) // 2, (raster.shape[1] - edge) // 2
+        return raster[y:y + edge, x:x + edge]
+
+    x = float_pixels(np.stack([centre(image.raster) for image in images]),
                      [image.maxval for image in images])
     for stage in model.stages[:top]:
         x = _stage_forward(x, stage)
@@ -229,10 +233,12 @@ def test_extract_unknown_scheme():
 
 
 def test_extract_image_too_small():
+    """The error training gives for the same image, naming no origin."""
     model = frozen_pyramid(2, 5)  # needs a 36-pixel patch
     img = random_image(np.random.default_rng(15), 20)
-    with pytest.raises(DataError, match="outside"):
+    with pytest.raises(TensorError) as err:
         extract_one(model, img)
+    assert str(err.value) == "image 20x20 smaller than required crop edge 36"
 
 
 def test_extract_requires_frozen_lower_stages():
@@ -306,6 +312,18 @@ def test_read_features_rejects_empty_rows_and_repeated_paths(tmp_path, rows,
     path.write_text("image_path,dim\n" + rows, encoding="utf-8")
     with pytest.raises(DataError, match=problem):
         read_features(path)
+
+
+@pytest.mark.parametrize("header", ["", "path,dim\n", "image_path,dim,v1\n"])
+def test_read_features_refuses_a_file_without_its_header(tmp_path, header):
+    """Line 1 is the header, never a vector: a headerless file would
+    otherwise lose its first row without a word."""
+    path = tmp_path / "f.csv"
+    path.write_text(header + "a.pgm,2,0.5,1.0\nb.pgm,2,0.25,0.75\n",
+                    encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        read_features(path)
+    assert str(err.value) == f"{path}:1: header must be 'image_path,dim'"
 
 
 def test_read_features_empty_file(tmp_path):

@@ -1075,6 +1075,19 @@ def test_greedy_rejects_empty_or_inconsistent(tmp_path):
         greedy_train(model, dataset, small_cfg(35))
 
 
+def test_greedy_names_the_training_pairs_when_the_fit_side_has_one_identity(
+        tmp_path):
+    """Two identities, one held out for validation: the fit side cannot
+    give an unmatched pair, and the error says so."""
+    spec, dataset = make_gallery(tmp_path, seed=36, n_id=2, levels=1)
+    model = build_pyramid(spec, seed=36)
+    with pytest.raises(PyramidError) as err:
+        greedy_train(model, dataset, small_cfg(36))
+    assert str(err.value) == ("cannot sample training pairs: pair sampling "
+                              "needs >= 2 identities, got 1")
+    assert model.levels_trained == 0
+
+
 # ---------------------------------------------------------------------------
 # monolithic baseline
 

@@ -1,7 +1,10 @@
-"""tools/same_bytes.py: the per-file comparison of two run directories."""
+"""tools/same_bytes.py: the per-file comparison of two run directories,
+and the configs it runs."""
 
 import importlib.util
 from pathlib import Path
+
+from pyrcnn import PyramidSpec
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "same_bytes.py"
 _SPEC = importlib.util.spec_from_file_location("same_bytes", _PATH)
@@ -59,3 +62,11 @@ def test_runs_that_differ_only_in_their_directory_are_the_same(tmp_path):
     feats.write_text(feats.read_text().replace("id000_00", "id000_01"))
     assert same_bytes.compare_file("features.csv", a / "out", b / "out", a,
                                    b) == "line 2 differs"
+
+
+def test_crop_config_centres_its_crop_off_by_a_rounded_half_pixel():
+    """The ``crop`` config's gallery is 3 px wider than the raw crop, so
+    the center origin is 3 // 2 = 1: rounding 1.5 the other way moves it."""
+    config = same_bytes.CONFIGS["crop"]
+    spec = PyramidSpec(**config["pyramid"])
+    assert config["data"]["edge"] - spec.raw_data_edge() == 3

@@ -3,12 +3,15 @@
     python3 tools/same_bytes.py --parent ../base --change .
 
 Runs ``pyrcnn synth``, ``train``, ``extract`` and ``eval`` with each
-checkout's ``src/`` for two configs, each in its own run directory under
-a temporary directory, removed afterwards:
+checkout's ``src/`` for three configs, each in its own run directory
+under a temporary directory, removed afterwards:
 
 - ``readme``: the README config, seed 7;
 - ``offsets``: a 2-level pyramid of 4 networks per level at patch offsets
-  (0, 0), (0, 6), (6, 0), (6, 6), seed 11.
+  (0, 0), (0, 6), (6, 0), (6, 6), seed 11;
+- ``crop``: the default 3-level pyramid on a 79-px gallery, seed 13, so
+  the 76-px center crop starts at (79 - 76) // 2 = 1 and a change in how
+  its origin rounds changes the bytes (the other two crop at 0 and 14).
 
 It then compares, per config, ``model.bin``, every ``trace_level*.csv``,
 ``train_index.csv``, ``eval_index.csv``, ``features.csv`` and
@@ -50,7 +53,17 @@ OFFSETS_CONFIG = {
     "train": {"iterations_per_level": 60, "batch_size": 16},
     "evaluation": {"n_pairs": 2000},
 }
-CONFIGS = {"readme": README_CONFIG, "offsets": OFFSETS_CONFIG}
+CROP_CONFIG = {
+    "seed": 13,
+    "output_dir": "out",
+    "data": {"dir": "gallery", "n_identities": 16, "images_per_identity": 6,
+             "edge": 79},
+    "pyramid": {"levels": 3},
+    "train": {"iterations_per_level": 40, "batch_size": 16},
+    "evaluation": {"n_pairs": 500},
+}
+CONFIGS = {"readme": README_CONFIG, "offsets": OFFSETS_CONFIG,
+           "crop": CROP_CONFIG}
 SIDES = ("parent", "change")
 # files whose first column is an image path inside the run directory
 PATH_COLUMN = ("train_index.csv", "eval_index.csv", "features.csv")
