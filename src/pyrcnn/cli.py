@@ -252,12 +252,6 @@ def cmd_train(cfg: RunConfig) -> int:
     train_index, eval_index = split_by_identity(
         index, cfg.data["holdout_fraction"], derive_seed(cfg.seed,
                                                          "holdout-split"))
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    for name, part in (("train_index.csv", train_index),
-                       ("eval_index.csv", eval_index)):
-        rows = [(str(rec.path), part.identity_names[rec.identity])
-                for rec in part.records]
-        write_index(cfg.output_dir / name, rows)
     print(f"train: {len(train_index.records)} images / "
           f"{train_index.n_identities} identities for training, "
           f"{len(eval_index.records)} images / {eval_index.n_identities} "
@@ -266,6 +260,13 @@ def cmd_train(cfg: RunConfig) -> int:
     images = [load_image(rec) for rec in train_index.records]
     model = build_pyramid(cfg.pyramid, cfg.seed)
     traces = greedy_train(model, images, cfg.train)
+    # the split files go only next to a trained model
+    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    for name, part in (("train_index.csv", train_index),
+                       ("eval_index.csv", eval_index)):
+        rows = [(str(rec.path), part.identity_names[rec.identity])
+                for rec in part.records]
+        write_index(cfg.output_dir / name, rows)
     model_path = cfg.output_dir / "model.bin"
     save_model(model, model_path)
     for trace in traces:

@@ -267,13 +267,13 @@ def load_index(path) -> DatasetIndex:
     seen_paths: set[Path] = set()
     dirs: dict[str, str] = {}
     for lineno, row in csv_rows(path):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if lineno == 1:
+        if lineno == 1:  # the header, even a blank one
             if len(row) < 2 or row[0] != "path" or row[1] != "identity":
                 raise DataError(
                     f"{path}:1: header must start with 'path,identity'"
                 )
+            continue
+        if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) < 2:
             raise DataError(f"{path}:{lineno}: need path and identity")

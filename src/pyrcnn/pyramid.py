@@ -548,8 +548,12 @@ def _running_sum(start, values: np.ndarray):
 
 def _gather(images, ids: Sequence[int], offset: tuple[int, int],
             edge: int) -> np.ndarray:
-    """The listed images' edge-`edge` patches at `offset` = (x, y)."""
+    """The listed images' edge-`edge` patches at `offset` = (x, y), as one
+    C-contiguous (len(ids), edge, edge, c) array: one take from an array
+    set, a stack of slices from a list."""
     ox, oy = offset
+    if isinstance(images, np.ndarray):
+        return images[ids, oy:oy + edge, ox:ox + edge]
     return np.stack([images[i][oy:oy + edge, ox:ox + edge] for i in ids])
 
 

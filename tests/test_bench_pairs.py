@@ -3,6 +3,7 @@ traced level costs, the wall seconds and the engine's size."""
 
 import importlib.util
 import json
+import os
 import textwrap
 from pathlib import Path
 
@@ -180,6 +181,34 @@ def test_main_records_each_sides_engine_lines(tmp_path, monkeypatch):
                              "--seeds", "1", "--out", str(out)]) == 0
     result = json.loads(out.read_text(encoding="utf-8"))
     assert result["source_lines"] == {"parent": 4, "change": 2}
+
+
+def test_main_records_the_blas_runtime_the_runs_inherit(tmp_path,
+                                                        monkeypatch):
+    """`blas_runtime` is the configuration a process with the tool's own
+    environment reads, the one every run inherits."""
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(
+            json.dumps({"run_seconds": 1, "end_to_end": DECLARED}),
+            encoding="utf-8")
+    seen = []
+
+    def fake_blas(env):
+        seen.append(env)
+        return "OpenBLAS 0.3.31  DYNAMIC_ARCH SkylakeX MAX_THREADS=64"
+
+    monkeypatch.setattr(bench_pairs, "blas_runtime_in", fake_blas)
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda *args, **kwargs: run(t=1.0, r=2.0, **LEVELS))
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "a"), "--change",
+                             str(tmp_path / "b"), "--workload", "w",
+                             "--seeds", "1", "--out", str(out)]) == 0
+    result = json.loads(out.read_text(encoding="utf-8"))
+    assert result["blas_runtime"] == \
+        "OpenBLAS 0.3.31  DYNAMIC_ARCH SkylakeX MAX_THREADS=64"
+    assert seen == [dict(os.environ)]
 
 
 def test_main_makes_traced_runs_per_side_on_the_first_three_seeds(

@@ -535,6 +535,37 @@ def test_train_on_a_holdout_that_keeps_no_identity(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_train_on_an_index_with_a_blank_first_line(tmp_path, capsys):
+    """A gallery index whose header sits below a blank first line ends
+    `train` in the header error, exit 1, with nothing written."""
+    cfg = write_config(tmp_path)
+    assert main(["synth", "--config", str(cfg)]) == 0
+    index = tmp_path / "gallery" / "index.csv"
+    index.write_text("\n" + index.read_text(encoding="utf-8"),
+                     encoding="utf-8")
+    capsys.readouterr()
+    err = error_of(capsys, ["train", "--config", str(cfg)])
+    assert err == f"error: {index}:1: header must start with " \
+        f"'path,identity'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_failure_writes_no_split_files(tmp_path, capsys):
+    """3 identities x 3 images keep one identity to fit on, so a 1-level,
+    16-px `train` cannot sample pairs: it exits 1 with the error and
+    leaves neither split file, nor a model."""
+    cfg = write_config(tmp_path, data={
+        "dir": "gallery", "n_identities": 3, "images_per_identity": 3,
+        "edge": 16}, pyramid={"levels": 1})
+    assert main(["synth", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    err = error_of(capsys, ["train", "--config", str(cfg)])
+    assert err.startswith("error: cannot sample training pairs: ")
+    out = tmp_path / "out"
+    for name in ("train_index.csv", "eval_index.csv", "model.bin"):
+        assert not (out / name).exists()
+
+
 @pytest.mark.parametrize("command", ["train", "extract"])
 def test_pgm_sample_above_maxval_is_an_error_naming_the_file(
         tmp_path, capsys, command):

@@ -233,6 +233,24 @@ def test_index_bad_header(tmp_path):
         load_index(tmp_path / "i.csv")
 
 
+@pytest.mark.parametrize("first", ["", "  "])
+def test_index_blank_first_line_is_a_missing_header(tmp_path, first):
+    """Line 1 is the header whatever it holds: a blank first line does not
+    let the header on line 2 load as a record."""
+    path = tmp_path / "i.csv"
+    write_text(path, f"{first}\npath,identity\na.pgm,p0\n")
+    with pytest.raises(DataError) as err:
+        load_index(path)
+    assert str(err.value) == \
+        f"{path}:1: header must start with 'path,identity'"
+
+
+def test_index_blank_lines_after_the_header_are_skipped(tmp_path):
+    write_text(tmp_path / "i.csv", "path,identity\n\na.pgm,p0\n \n")
+    assert [r.path.name for r in load_index(tmp_path / "i.csv").records] \
+        == ["a.pgm"]
+
+
 def test_index_duplicate_path_names_line(tmp_path):
     write_text(tmp_path / "i.csv", "path,identity\na.pgm,p\na.pgm,q\n")
     with pytest.raises(DataError) as err:

@@ -995,8 +995,8 @@ def window_columns(x, kh, kw, i, j, r, s):
 
 def laid_out(x, layout):
     """`x` as a batch a caller can pass: C-contiguous, read-only, an offset
-    slice of a larger batch (as a 4-network level's crops are) or
-    Fortran-ordered."""
+    slice of a larger batch (as a 4-network level's crops are), a strided
+    slice (every other image of one, at an offset) or Fortran-ordered."""
     if layout == "read-only":
         x = x.copy()
         x.flags.writeable = False
@@ -1005,13 +1005,18 @@ def laid_out(x, layout):
         big = np.full((n, h + 6, w + 6, c), np.nan)
         big[:, 6:6 + h, :w] = x
         x = big[:, 6:6 + h, :w]
+    elif layout == "strided":
+        n, h, w, c = x.shape
+        big = np.full((2 * n, h + 3, w + 6, c), np.nan)
+        big[::2, 3:, 6:] = x
+        x = big[::2, 3:, 6:]
     elif layout == "fortran":
         x = np.asfortranarray(x)
     return x
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "read-only", "offset",
-                                    "fortran"])
+                                    "strided", "fortran"])
 @pytest.mark.parametrize("edge, c_in, slab", [
     (16, 1, 2000),   # two whole images per strip block, one-row columns
     (16, 8, 20000),  # two whole images per strip block, 8-row column bands
@@ -1038,6 +1043,24 @@ def test_row_fills_copy_the_bytes_of_the_window_fill(monkeypatch, layout,
         assert col.tobytes() == want.tobytes()
         blocks += 1
     assert blocks > 6
+
+
+@pytest.mark.parametrize("c_out", [1, 2, 3, 8, 16])
+def test_conv_bwd_db_is_the_bits_of_the_axis_sum(c_out):
+    """db, one sequential pass over the gradient map where c_out >= 2, is
+    byte for byte `g.sum(axis=(0, 1, 2))` on random maps of any batch up
+    to 64 (the sum is numpy's pairwise order at c_out = 1, and so is db)."""
+    rng = np.random.default_rng(100 + c_out)
+    for _ in range(40):
+        n, k, c_in = int(rng.integers(1, 65)), int(rng.choice([1, 3, 5])), \
+            int(rng.choice([1, 2, 8]))
+        h, w = int(rng.integers(k, 21)), int(rng.integers(k, 21))
+        x = rng.standard_normal((n, h, w, c_in))
+        wt = rng.standard_normal((k, k, c_in, c_out))
+        g = rng.standard_normal((n, h - k + 1, w - k + 1, c_out)) \
+            * 10.0 ** rng.integers(-3, 4)
+        _, _, db = layers._conv_bwd(x, wt, g, False)
+        assert db.tobytes() == g.sum(axis=(0, 1, 2)).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1164,6 +1164,25 @@ def validation_fixture(seed):
     return net, comp, images, sampler, val_images, val_pairs
 
 
+@pytest.mark.parametrize("offset", [(0, 0), (6, 6)])
+def test_gather_takes_the_bytes_of_the_stacked_slices(offset):
+    """`_gather` on an array set is one take with the bytes of the stacked
+    patches, C-contiguous, repeats and any order of ids included; a list
+    set gives the same array."""
+    rng = np.random.default_rng(5)
+    images = rng.standard_normal((12, 22, 22, 8))
+    images[3, 7:9] = -0.0
+    ids = rng.integers(0, 12, 64)
+    ox, oy = offset
+    want = np.stack([images[i][oy:oy + 16, ox:ox + 16] for i in ids])
+    got = pyramid._gather(images, ids, offset, 16)
+    assert got.shape == (64, 16, 16, 8) and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    listed = pyramid._gather(list(images), ids.tolist(), offset, 16)
+    assert listed.flags.c_contiguous
+    assert listed.tobytes() == want.tobytes()
+
+
 def fresh_validation_auc(net, val_images, val_pairs):
     """`_validation_auc` on `net`'s current parameters."""
     return _validation_auc(net, (0, 0), [t.array for t in val_images],

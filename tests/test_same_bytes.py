@@ -2,6 +2,7 @@
 and the configs it runs."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 from pyrcnn import PyramidSpec
@@ -70,3 +71,48 @@ def test_crop_config_centres_its_crop_off_by_a_rounded_half_pixel():
     config = same_bytes.CONFIGS["crop"]
     spec = PyramidSpec(**config["pyramid"])
     assert config["data"]["edge"] - spec.raw_data_edge() == 3
+
+
+def test_blas_runtime_names_numpys_openblas_or_says_unknown(tmp_path):
+    """The configuration comes from numpy's bundled OpenBLAS (build
+    options, then the core) when ``numpy.libs`` holds one; a directory
+    without that library gives ``unknown``."""
+    config = same_bytes.blas_runtime()
+    spec = importlib.util.find_spec("numpy")
+    libs = Path(spec.origin).parent.parent / "numpy.libs"
+    if any(libs.glob("libscipy_openblas*")):
+        assert config.startswith("OpenBLAS ")
+        assert "MAX_THREADS=" in config
+    else:
+        assert config == "unknown"
+    assert same_bytes.blas_runtime(tmp_path) == "unknown"
+
+
+def test_blas_runtime_in_a_process_reads_its_environment():
+    """A process with this environment reads this process's configuration;
+    one with ``OPENBLAS_CORETYPE`` set reads the core it forces, where the
+    library picks its core at run time."""
+    here = same_bytes.blas_runtime()
+    assert same_bytes.blas_runtime_in(dict(os.environ)) == here
+    if "DYNAMIC_ARCH" in here.split():
+        forced = same_bytes.blas_runtime_in(
+            {**os.environ, "OPENBLAS_CORETYPE": "Sandybridge"})
+        assert "Sandybridge" in forced.split()
+
+
+def test_main_prints_each_sides_blas_first(tmp_path, capsys, monkeypatch):
+    """Each side's configuration is read in that side's environment, and
+    printed before any config runs."""
+    def fake_blas(env):
+        return (f"core of {Path(env['PYTHONPATH']).parent.name} at "
+                f"{env['OPENBLAS_NUM_THREADS']} thread")
+
+    monkeypatch.setattr(same_bytes, "blas_runtime_in", fake_blas)
+    monkeypatch.setattr(same_bytes, "run_pipeline",
+                        lambda checkout, run_dir, config: "boom")
+    assert same_bytes.main(["--parent", str(tmp_path / "a"), "--change",
+                            str(tmp_path / "b")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "parent BLAS: core of a at 1 thread",
+        "change BLAS: core of b at 1 thread",
+        "readme: parent failed: boom"]

@@ -46,17 +46,24 @@ seconds that the wall seconds do not share comes from the meter.
 
 Each side's engine size, the line count of its ``src/pyrcnn/*.py``, goes
 under ``source_lines``, so a change that claims less code is measured by
-the same tool as its benchmark numbers.
+the same tool as its benchmark numbers.  ``blas_runtime`` holds the
+runtime configuration of numpy's OpenBLAS, with the core it runs, as a
+process with the runs' environment reads it (``same_bytes.blas_runtime``;
+``unknown`` for another BLAS): bit-equal results hold for one kernel.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from same_bytes import blas_runtime_in  # noqa: E402
 
 SIDES = ("parent", "change")
 LEVEL_COST = ("pyramid.level0_s", "pyramid.level1_s", "pyramid.level2_s",
@@ -223,6 +230,7 @@ def main(argv=None) -> int:
     result = {"command": "perfbench/run.py --trace 0; level_cost: --trace 1 "
                          f"on the first {TRACED_SEEDS} seeds",
               "environment": None, "blas_threads": None,
+              "blas_runtime": blas_runtime_in(dict(os.environ)),
               "source_lines": {side: source_lines(path)
                                for side, path in checkouts.items()},
               "workloads": {}}

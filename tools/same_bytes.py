@@ -20,12 +20,17 @@ its path inside the run directory, so their first column is compared with
 the run directory's own prefix mapped to ``<run>``; every other byte must
 be the same.  It prints one verdict per file and exits 1 on the first
 difference (or when a side's command fails), else 0.  Both sides run with
-one BLAS thread.
+one BLAS thread.  First it prints each side's runtime BLAS
+configuration, read in a process with that side's environment
+(``blas_runtime``): the bytes compared are those of that kernel, and
+``OPENBLAS_CORETYPE`` in the tool's environment picks another.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import importlib.util
 import json
 import os
 import subprocess
@@ -126,14 +131,49 @@ def compare_runs(run_a: Path, run_b: Path, label: str = "") -> bool:
     return True
 
 
+def blas_runtime(libs: Path | None = None) -> str:
+    """The runtime configuration of numpy's bundled OpenBLAS in this
+    process, its build options then the core it runs (for example
+    ``OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX
+    MAX_THREADS=64``), read by ctypes from the library in `libs` (numpy's
+    ``numpy.libs`` by default); ``unknown`` for any other BLAS."""
+    if libs is None:
+        numpy = Path(importlib.util.find_spec("numpy").origin)
+        libs = numpy.parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            get_config = ctypes.CDLL(str(lib)).scipy_openblas_get_config64_
+        except (OSError, AttributeError):
+            continue
+        get_config.restype = ctypes.c_char_p
+        return get_config().decode()
+    return "unknown"
+
+
+def side_env(checkout: Path) -> dict:
+    """The environment a side's commands run in: the engine in
+    `checkout`/src and one BLAS thread."""
+    return {**os.environ, "PYTHONPATH": str(checkout / "src"),
+            **{name: "1" for name in BLAS_ENV}}
+
+
+def blas_runtime_in(env: dict) -> str:
+    """`blas_runtime` as a process with environment `env` reads it (a
+    fresh process: the core is chosen when the library loads)."""
+    code = (f"import runpy; print(runpy.run_path("
+            f"{str(Path(__file__).resolve())!r})['blas_runtime']())")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    return proc.stdout.strip() or "unknown"
+
+
 def run_pipeline(checkout: Path, run_dir: Path, config: dict) -> str | None:
     """synth, train, extract and eval of `config` in `run_dir` with the
     engine in `checkout`/src; None, or the failing command's error."""
     run_dir.mkdir(parents=True)
     cfg = run_dir / "run.json"
     cfg.write_text(json.dumps(config, indent=1) + "\n", encoding="utf-8")
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src"),
-           **{name: "1" for name in BLAS_ENV}}
+    env = side_env(checkout)
     out = run_dir / "out"
     for args in (["synth"], ["train"],
                  ["extract", out / "model.bin", out / "eval_index.csv"],
@@ -156,6 +196,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(),
                  "change": args.change.resolve()}
+    for side in SIDES:
+        print(f"{side} BLAS: {blas_runtime_in(side_env(checkouts[side]))}",
+              flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp).resolve()
         for name, config in CONFIGS.items():
