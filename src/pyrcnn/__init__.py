@@ -5,8 +5,7 @@ from .layers import (BlockCheck, ConvLayer, FCLayer, GradCheckReport, Network,
                      PoolSpec, ShapeError, Stage, activation, conv_forward,
                      fc_forward, forward_multiply_adds, gradient_check,
                      maxpool, network_backward, network_forward)
-from .loss import (ComparatorParams, PairGradients, PairLabel, comparator,
-                   distance, logistic, pair_loss, pair_loss_grads)
+from .loss import ComparatorParams, PairGradients, PairLabel, pair_loss_grads
 from .data import (DataError, DatasetIndex, FacePair, IndexRecord,
                    LabeledImage, NuisanceConfig, PairBatch, PairSampler,
                    center_crop, load_image, load_index, read_pgm, sample_pairs,

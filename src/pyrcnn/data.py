@@ -13,7 +13,7 @@ so that raw pixel distance is a poor verifier while identity stays learnable.
 
 Pairs travel as a `PairBatch`: two int32 position arrays (`first`,
 `second`) into the image collection and an int8 `label` array, 9 bytes a
-pair, readable as a sequence of `FacePair`s built on demand.  `PairSampler`
+pair; iterating one builds its `FacePair`s on demand.  `PairSampler`
 draws a batch in whole-array operations from O(#images) state, writing
 each draw straight into the batch's arrays, yet its random stream is the
 one of drawing pairs one at a time: the matched picks are one `integers`
@@ -382,14 +382,15 @@ def _int_array(values, dtype, what: str) -> np.ndarray:
     return arr.astype(dtype)
 
 
-class PairBatch(Sequence[FacePair]):
+class PairBatch:
     """A batch of pairs held as three arrays: `first` and `second`, int32
     positions, and `label`, int8 (+1 matched, -1 unmatched).  The
     constructor takes any integer arrays and refuses a position outside
     int32 or a label other than +1 or -1.
 
-    Indexing or iterating builds each `FacePair` on demand; slicing gives
-    a `PairBatch` of views.  Two batches are equal when their values are.
+    A slice is a `PairBatch` of views, any other key a TypeError (never a
+    one-pair batch); iterating builds each `FacePair` on demand.  Two
+    batches are equal when their values are.
     """
 
     __slots__ = ("first", "second", "label")
@@ -407,23 +408,13 @@ class PairBatch(Sequence[FacePair]):
                 f"pair arrays differ in length: {self.first.size}, "
                 f"{self.second.size}, {self.label.size}")
 
-    @classmethod
-    def from_pairs(cls, pairs: Sequence[FacePair]) -> "PairBatch":
-        """`pairs` itself when it is a PairBatch, else its values packed."""
-        if isinstance(pairs, PairBatch):
-            return pairs
-        return cls([p.first for p in pairs], [p.second for p in pairs],
-                   [int(p.label) for p in pairs])
-
     def __len__(self) -> int:
         return self.first.size
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return PairBatch(self.first[key], self.second[key],
-                             self.label[key])
-        return FacePair(int(self.first[key]), int(self.second[key]),
-                        PairLabel(int(self.label[key])))
+    def __getitem__(self, key: slice) -> "PairBatch":
+        if not isinstance(key, slice):
+            raise TypeError(f"PairBatch key {key!r} is not a slice")
+        return PairBatch(self.first[key], self.second[key], self.label[key])
 
     def __iter__(self):
         for i, j, label in zip(self.first.tolist(), self.second.tolist(),

@@ -62,9 +62,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import (DataError, FacePair, LabeledImage, PairBatch,
-                   PairSampler, center_window, float_pixels,
-                   split_identity_ids)
+from .data import (DataError, LabeledImage, PairBatch, PairSampler,
+                   center_window, float_pixels, split_identity_ids)
 from .layers import (ConvLayer, FCLayer, Network, PoolSpec, ShapeError, Stage,
                      _backward_cached, _forward, _forward_cached,
                      _images_per_slab, _inputs_per_slab, _stage_forward,
@@ -401,17 +400,18 @@ class LevelTrace:
 def train_level(model: PyramidModel, level: int, images,
                 pair_source: PairSampler, cfg: TrainConfig,
                 val_images=None,
-                val_pairs: Sequence[FacePair] | None = None) -> LevelTrace:
+                val_pairs: PairBatch | None = None) -> LevelTrace:
     """Siamese training of one level's networks (and its entry stage).
 
     `images` (and `val_images`) are image sets (`_image_set`), already
     preprocessed through all frozen stages below `level`; `pair_source` is
-    anything with PairSampler's `batch(n)`.  Runs the shared
-    Siamese loop (`_siamese_fit`) for cfg.iterations_per_level steps; the
-    entry stage is aliased into every network of the level, so its
-    gradient is averaged across them.  Records the per-iteration mean batch
-    loss and, when a validation set is supplied, network 0's validation AUC
-    after every `_VALIDATE_EVERY`-th update and after the last.
+    anything whose `batch(n)` gives a PairBatch, as PairSampler's does, and
+    `val_pairs` a PairBatch.  Runs the shared Siamese loop (`_siamese_fit`)
+    for cfg.iterations_per_level steps; the entry stage is aliased into
+    every network of the level, so its gradient is averaged across them.
+    Records the per-iteration mean batch loss and, when a validation set is
+    supplied, network 0's validation AUC after every `_VALIDATE_EVERY`-th
+    update and after the last.
     """
     spec = model.spec
     if not 0 <= level < spec.levels:
@@ -436,7 +436,7 @@ def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
                  pair_source: PairSampler, cfg: TrainConfig,
                  trace: LevelTrace, iterations: int | None,
                  time_budget: float | None, val_images,
-                 val_pairs: Sequence[FacePair] | None) -> LevelTrace:
+                 val_pairs: PairBatch | None) -> LevelTrace:
     """Momentum-SGD on the pair loss for every network in `nets` at once.
 
     Network k is fed the edge-`input_size` patch of each image at
@@ -474,10 +474,11 @@ def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
                for i, layer in enumerate(layers)}
     started_from = [a.copy() for a in params]
 
-    val_ids = None
-    if val_images is not None and val_pairs:
-        val_pairs = PairBatch.from_pairs(val_pairs)
-        val_ids = np.union1d(val_pairs.first, val_pairs.second)
+    if not isinstance(val_pairs, (PairBatch, type(None))):
+        raise PyramidError(f"validation pairs must be a PairBatch, got "
+                           f"{type(val_pairs).__name__}")
+    val_ids = (None if val_images is None or not val_pairs
+               else np.union1d(val_pairs.first, val_pairs.second))
 
     def validate(step):
         trace.val_iterations.append(step - 1)
@@ -492,7 +493,10 @@ def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
         while (step < iterations if time_budget is None
                else time.perf_counter() - started < time_budget):
             step += 1
-            pairs = PairBatch.from_pairs(pair_source.batch(cfg.batch_size))
+            pairs = pair_source.batch(cfg.batch_size)
+            if not isinstance(pairs, PairBatch):
+                raise PyramidError(f"a pair source's batch must be a "
+                                   f"PairBatch, got {type(pairs).__name__}")
             for g in grads:
                 g.fill(0.0)
             total_loss = 0.0
@@ -558,11 +562,10 @@ def _gather(images, ids: Sequence[int], offset: tuple[int, int],
 
 
 def _validation_auc(net: Network, offset: tuple[int, int], val_images,
-                    val_pairs: Sequence[FacePair], val_ids) -> float:
+                    val_pairs: PairBatch, val_ids) -> float:
     """ROC AUC of `net`'s embedding distances, on its current parameters,
     over the validation pairs; NaN when the pairs are all matched or all
     unmatched.  `val_ids` are the images the pairs name, ascending."""
-    val_pairs = PairBatch.from_pairs(val_pairs)
     step = _images_per_slab(net)
     feats = np.concatenate([
         _forward(net, _gather(
@@ -714,7 +717,7 @@ def train_network(net: Network, comp: ComparatorParams, images,
                   pair_source: PairSampler, cfg: TrainConfig,
                   iterations: int | None = None,
                   time_budget: float | None = None, val_images=None,
-                  val_pairs: Sequence[FacePair] | None = None) -> LevelTrace:
+                  val_pairs: PairBatch | None = None) -> LevelTrace:
     """Plain Siamese training of one network on full-size crops: the same
     loop, loss, optimizer and pair stream semantics as train_level, with no
     layer shared and the patch taken at offset (0, 0).  `images` and

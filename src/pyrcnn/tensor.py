@@ -50,13 +50,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.array.shape
 
-    @property
-    def size(self) -> int:
-        return self.array.size
-
-    def tolist(self):
-        return self.array.tolist()
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 

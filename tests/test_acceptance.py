@@ -15,16 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from loss_reference import comparator, distance, pair_loss
 from pyrcnn import (ComparatorParams, ConvLayer, FCLayer, Network,
                     NuisanceConfig, PairLabel, PairSampler, PoolSpec,
                     PyramidSpec, Stage, Tensor, TrainConfig, assemble_network,
                     auc, build_monolithic, build_pyramid, center_crop,
-                    comparator, compute_roc, distance, evaluate_distances,
-                    extract_representations, gradient_check, greedy_train,
-                    load_image, load_model, network_forward, pair_loss,
-                    pair_loss_grads, preprocess_dataset, sample_pairs,
-                    save_model, split_by_identity, synth_generate,
-                    train_network)
+                    compute_roc, evaluate_distances, extract_representations,
+                    gradient_check, greedy_train, load_image, load_model,
+                    network_forward, pair_loss_grads, preprocess_dataset,
+                    sample_pairs, save_model, split_by_identity,
+                    synth_generate, train_network)
 from pyrcnn.data import float_pixels
 from pyrcnn.seeding import derive_seed, make_rng
 
@@ -140,7 +140,7 @@ def test_criterion_1_gradient_soundness():
         label = PairLabel.MATCHED if i % 2 else PairLabel.UNMATCHED
         params = ComparatorParams(log_alpha=float(rng.uniform(-0.5, 0.5)),
                                   beta=float(rng.uniform(0.0, 2.0)))
-        pg = pair_loss_grads(v1, v2, label, params)
+        pg = pair_loss_grads([v1], [v2], [label], params)  # one-row batch
 
         def loss_at(a, b, log_alpha, beta):
             d = distance(a, b)
@@ -151,21 +151,21 @@ def test_criterion_1_gradient_soundness():
             step = np.zeros(6)
             step[j] = eps
             for analytic, lo, hi in (
-                    (pg.grad_v1[j], loss_at(v1 - step, v2, params.log_alpha,
-                                            params.beta),
+                    (pg.grad_v1[0, j],
+                     loss_at(v1 - step, v2, params.log_alpha, params.beta),
                      loss_at(v1 + step, v2, params.log_alpha, params.beta)),
-                    (pg.grad_v2[j], loss_at(v1, v2 - step, params.log_alpha,
-                                            params.beta),
+                    (pg.grad_v2[0, j],
+                     loss_at(v1, v2 - step, params.log_alpha, params.beta),
                      loss_at(v1, v2 + step, params.log_alpha, params.beta))):
                 fd = (hi - lo) / (2.0 * eps)
                 rel = abs(analytic - fd) / max(abs(fd), 1e-6)
                 assert rel < 1e-4
                 worst = max(worst, rel)
         for analytic, lo, hi in (
-                (pg.grad_log_alpha,
+                (pg.grad_log_alpha[0],
                  loss_at(v1, v2, params.log_alpha - eps, params.beta),
                  loss_at(v1, v2, params.log_alpha + eps, params.beta)),
-                (pg.grad_beta,
+                (pg.grad_beta[0],
                  loss_at(v1, v2, params.log_alpha, params.beta - eps),
                  loss_at(v1, v2, params.log_alpha, params.beta + eps))):
             fd = (hi - lo) / (2.0 * eps)

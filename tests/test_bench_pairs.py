@@ -183,6 +183,36 @@ def test_main_records_each_sides_engine_lines(tmp_path, monkeypatch):
     assert result["source_lines"] == {"parent": 4, "change": 2}
 
 
+def test_main_records_each_sides_test_lines(tmp_path, monkeypatch):
+    """`test_lines` counts the lines of tests/*.py in each checkout, no
+    other file, so code moved from src/pyrcnn into tests/ shows as fewer
+    source lines and more test lines."""
+    sources = {"a": {"x.py": "1\n2\n3\n", "y.py": "1\n"},
+               "b": {"x.py": "1\n2\n"}}
+    tests = {"a": {"test_x.py": "1\n"},
+             "b": {"test_x.py": "1\n", "reference.py": "1\n2\n"}}
+    for side in sources:
+        for folder, files in ((("src", "pyrcnn"), sources[side]),
+                              (("tests",), tests[side])):
+            where = tmp_path.joinpath(side, *folder)
+            where.mkdir(parents=True)
+            for name, text in files.items():
+                (where / name).write_text(text, encoding="utf-8")
+            (where / "notes.txt").write_text("1\n2\n", encoding="utf-8")
+        (tmp_path / side / "BENCHMARK.json").write_text(
+            json.dumps({"run_seconds": 1, "end_to_end": DECLARED}),
+            encoding="utf-8")
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda *args, **kwargs: run(t=1.0, r=2.0, **LEVELS))
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "a"), "--change",
+                             str(tmp_path / "b"), "--workload", "w",
+                             "--seeds", "1", "--out", str(out)]) == 0
+    result = json.loads(out.read_text(encoding="utf-8"))
+    assert result["source_lines"] == {"parent": 4, "change": 2}
+    assert result["test_lines"] == {"parent": 1, "change": 3}
+
+
 def test_main_records_the_blas_runtime_the_runs_inherit(tmp_path,
                                                         monkeypatch):
     """`blas_runtime` is the configuration a process with the tool's own

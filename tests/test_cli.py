@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import pyrcnn
+from loss_reference import distance
 from pyrcnn import (NuisanceConfig, PyramidSpec, StageSpec, TrainConfig,
                     build_pyramid, cli, features, layers, pyramid,
                     read_features, save_model)
@@ -224,7 +225,7 @@ def test_eval_report_matches_per_pair_distances(pipeline, tmp_path):
     vectors = [feats[str(rec.path)] for rec in index.records]
     matched, unmatched = [], []
     for pair in pairs:
-        d = pyrcnn.distance(vectors[pair.first], vectors[pair.second])
+        d = distance(vectors[pair.first], vectors[pair.second])
         (matched if int(pair.label) == 1 else unmatched).append(d)
     want = tmp_path / "report.csv"
     pyrcnn.write_report(want, pyrcnn.evaluate_distances(

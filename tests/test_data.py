@@ -553,22 +553,27 @@ def test_matched_pair_numbers_follow_itertools_order(seed):
 
 
 def test_pair_batch_behaves_as_a_sequence_of_face_pairs():
+    """Iterating yields FacePairs, slicing gives batches; an integer key
+    is a TypeError, never a one-pair batch."""
     batch = PairSampler([0, 0, 1, 1, 2], np.random.default_rng(4)).batch(9)
     pairs = list(batch)
     assert len(batch) == len(pairs) == 9
-    assert [batch[i] for i in range(9)] == pairs
-    assert batch[-1] == pairs[-1]
+    assert pairs == [FacePair(int(i), int(j), PairLabel(int(lab)))
+                     for i, j, lab in zip(batch.first, batch.second,
+                                          batch.label)]
     assert all(type(p.first) is int and isinstance(p.label, PairLabel)
                for p in pairs)
     for part in (slice(2, 7), slice(None, None, 3), slice(5, 1, -1)):
         assert isinstance(batch[part], PairBatch)
         assert list(batch[part]) == pairs[part]
-    assert PairBatch.from_pairs(pairs) == batch
-    assert PairBatch.from_pairs(batch) is batch
+    assert batch[:] == batch
+    assert batch == PairBatch(batch.first.copy(), batch.second.copy(),
+                              batch.label.copy())
     assert batch[:4] != batch[5:]  # matched vs unmatched
     assert batch != pairs  # a batch equals batches, not lists
-    with pytest.raises(IndexError):
-        batch[9]
+    for key in (0, -1, 9, np.int64(2)):
+        with pytest.raises(TypeError, match="is not a slice"):
+            batch[key]
 
 
 def test_pair_batch_holds_int32_positions_and_int8_labels():

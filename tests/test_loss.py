@@ -3,9 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from pyrcnn import (ComparatorParams, PairLabel, comparator, distance,
-                    logistic, pair_loss, pair_loss_grads)
+from loss_reference import comparator, distance, logistic, pair_loss
+from pyrcnn import ComparatorParams, PairLabel, pair_loss_grads
 from pyrcnn.loss import PairGradients
+
+
+def row(g, i=0):
+    """Pair i of a batch's gradients, as scalars and (m,) vectors."""
+    return PairGradients(g.loss[i], g.grad_v1[i], g.grad_v2[i],
+                         g.grad_log_alpha[i], g.grad_beta[i])
 
 
 def test_pair_label_values():
@@ -123,7 +129,8 @@ def test_grads_at_zero_logit_hand_computed():
     # v1=(3,4), v2=(0,0): d=5; alpha=1, beta=5 puts the logit at zero,
     # where dL/dD = 1/2 for a matched pair.
     params = ComparatorParams(log_alpha=0.0, beta=5.0)
-    g = pair_loss_grads([3.0, 4.0], [0.0, 0.0], PairLabel.MATCHED, params)
+    g = row(pair_loss_grads([[3.0, 4.0]], [[0.0, 0.0]], [PairLabel.MATCHED],
+                           params))
     assert g.loss == pytest.approx(math.log(2.0))
     np.testing.assert_allclose(g.grad_v1, [0.3, 0.4], rtol=1e-12)
     np.testing.assert_allclose(g.grad_v2, [-0.3, -0.4], rtol=1e-12)
@@ -145,7 +152,7 @@ def test_grads_match_finite_differences():
         label = PairLabel.MATCHED if rng.integers(2) else PairLabel.UNMATCHED
         params = ComparatorParams(log_alpha=float(rng.normal(0, 0.5)),
                                   beta=float(rng.normal(1, 0.5)))
-        g = pair_loss_grads(v1, v2, label, params)
+        g = row(pair_loss_grads([v1], [v2], [label], params))
 
         def loss_at(a, b, la, be):
             p = ComparatorParams(log_alpha=la, beta=be)
@@ -180,7 +187,7 @@ def test_grads_at_zero_distance():
     for label in (PairLabel.MATCHED, PairLabel.UNMATCHED):
         for beta in (0.5, 1.0, 2.0):
             params = ComparatorParams(log_alpha=0.4, beta=beta)
-            g = pair_loss_grads(v, v, label, params)
+            g = row(pair_loss_grads([v], [v], [label], params))
             np.testing.assert_array_equal(g.grad_v1, np.zeros(3))
             np.testing.assert_array_equal(g.grad_v2, np.zeros(3))
             assert g.grad_log_alpha == 0.0
@@ -195,7 +202,15 @@ def test_grads_at_zero_distance():
 
 def test_grads_length_mismatch():
     with pytest.raises(ValueError):
-        pair_loss_grads([1.0], [1.0, 2.0], PairLabel.MATCHED,
+        pair_loss_grads([[1.0]], [[1.0, 2.0]], [PairLabel.MATCHED],
+                        ComparatorParams())
+
+
+def test_grads_take_rows_not_single_vectors():
+    """One pair is a one-row batch; two bare vectors are an error, never
+    read as one pair."""
+    with pytest.raises(ValueError, match=r"\(n, m\) row arrays"):
+        pair_loss_grads([1.0, 2.0], [1.0, 3.0], PairLabel.MATCHED,
                         ComparatorParams())
 
 
@@ -204,8 +219,8 @@ def test_loss_symmetric_in_pair_order():
     v1, v2 = rng.standard_normal(5), rng.standard_normal(5)
     params = ComparatorParams(log_alpha=0.2, beta=0.8)
     for label in (PairLabel.MATCHED, PairLabel.UNMATCHED):
-        a = pair_loss_grads(v1, v2, label, params)
-        b = pair_loss_grads(v2, v1, label, params)
+        a = row(pair_loss_grads([v1], [v2], [label], params))
+        b = row(pair_loss_grads([v2], [v1], [label], params))
         assert a.loss == b.loss
         np.testing.assert_array_equal(a.grad_v1, b.grad_v2)
 
@@ -223,9 +238,9 @@ def scored_alone(v1, v2, label, params):
 
 
 def test_rows_are_the_bits_of_pairs_scored_one_at_a_time():
-    """One call on (n, m) rows, and a call on one pair, give every pair's
-    loss and gradients with the bits of the per-pair reference, coincident
-    and saturated pairs included."""
+    """One call on (n, m) rows, and a call on each pair's one-row batch,
+    give every pair's loss and gradients with the bits of the per-pair
+    reference, coincident and saturated pairs included."""
     rng = np.random.default_rng(79)
     v1 = rng.standard_normal((32, 8))
     v2 = rng.standard_normal((32, 8))
@@ -239,12 +254,9 @@ def test_rows_are_the_bits_of_pairs_scored_one_at_a_time():
     assert rows.grad_v1.shape == (32, 8)
     for i, label in enumerate(labels):
         loss, g1, g2, g_la, g_be = scored_alone(v1[i], v2[i], label, params)
-        one = pair_loss_grads(v1[i], v2[i], label, params)
-        assert isinstance(one.loss, float)
-        for got in (one, PairGradients(rows.loss[i], rows.grad_v1[i],
-                                       rows.grad_v2[i],
-                                       rows.grad_log_alpha[i],
-                                       rows.grad_beta[i])):
+        one = pair_loss_grads(v1[i:i + 1], v2[i:i + 1], [label], params)
+        assert one.loss.shape == (1,) and one.grad_v1.shape == (1, 8)
+        for got in (row(one), row(rows, i)):
             assert got.loss == loss
             assert got.grad_log_alpha == g_la
             assert got.grad_beta == g_be

@@ -10,15 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pyrcnn import (ComparatorParams, ConvLayer, FacePair, FCLayer,
-                    LabeledImage, PairLabel, PairSampler, PoolSpec,
+from loss_reference import comparator, distance, pair_loss
+from pyrcnn import (ComparatorParams, ConvLayer, FCLayer,
+                    LabeledImage, PairBatch, PairLabel, PairSampler, PoolSpec,
                     PyramidError, PyramidSpec, Stage, StageSpec,
                     Tensor, TrainConfig, activation,
                     assemble_network, build_monolithic, build_pyramid,
-                    center_crop, comparator, conv_forward, distance,
+                    center_crop, conv_forward,
                     forward_multiply_adds, greedy_train, load_model, maxpool,
                     Network, network_backward,
-                    network_forward, pair_loss, pair_loss_grads,
+                    network_forward, pair_loss_grads,
                     preprocess_dataset, save_model, synth_generate,
                     train_level, train_network)
 from pyrcnn import pyramid
@@ -45,15 +46,30 @@ def stack(tensors):
     return np.stack([t.array for t in tensors])
 
 
-class FixedPairs:
-    """A pair source that replays the same batch forever."""
+def pair_batch(triples):
+    """The PairBatch of (first, second, label) triples."""
+    triples = list(triples)
+    first, second, label = zip(*triples) if triples else ((), (), ())
+    return PairBatch(first, second, [int(lab) for lab in label])
 
-    def __init__(self, pairs):
-        self.pairs = pairs
+
+def pairs_of_six():
+    """Every pair of 6 images, matched when both are in 0-2 or in 3-5."""
+    return pair_batch((a, b, PairLabel.MATCHED if a // 3 == b // 3
+                       else PairLabel.UNMATCHED)
+                      for a in range(6) for b in range(a + 1, 6))
+
+
+class FixedPairs:
+    """A pair source that replays the same batch of (first, second, label)
+    triples forever."""
+
+    def __init__(self, triples):
+        self.pairs = pair_batch(triples)
 
     def batch(self, n):
         assert n == len(self.pairs)
-        return list(self.pairs)
+        return self.pairs[:]
 
 
 def model_bytes(model, tmp_path, name):
@@ -415,7 +431,7 @@ def test_train_level_zero_learning_rate_flat(tmp_path):
     fixed = [  # two matched, two unmatched, fixed forever
         (0, 1, PairLabel.MATCHED), (4, 5, PairLabel.MATCHED),
         (0, 4, PairLabel.UNMATCHED), (1, 5, PairLabel.UNMATCHED)]
-    source = FixedPairs([FacePair(a, b, l) for a, b, l in fixed])
+    source = FixedPairs(fixed)
     cfg = TrainConfig(learning_rate=0.0, batch_size=4,
                       iterations_per_level=5, seed=0)
     trace = train_level(model, 0, stack(images), source, cfg)
@@ -473,7 +489,7 @@ def test_train_level_rejects_non_finite_images():
         train_level(model, 0, bad, FixedPairs([]), cfg)
     with pytest.raises(PyramidError, match="non-finite"):
         train_level(model, 0, stack(images), FixedPairs([]), cfg,
-                    val_images=bad, val_pairs=[])
+                    val_images=bad, val_pairs=pair_batch([]))
 
 
 def test_train_level_rejects_array_without_batch_axis():
@@ -614,8 +630,8 @@ def test_a_fit_that_raises_leaves_the_model_unchanged(tmp_path):
                 raise RuntimeError("pair source failed")
             return super().batch(n)
 
-    source = FailingPairs([FacePair(0, 1, PairLabel.MATCHED),
-                           FacePair(0, 4, PairLabel.UNMATCHED)])
+    source = FailingPairs([(0, 1, PairLabel.MATCHED),
+                           (0, 4, PairLabel.UNMATCHED)])
     cfg = TrainConfig(batch_size=2, iterations_per_level=5, seed=50)
     with pytest.raises(RuntimeError, match="pair source failed"):
         train_level(model, 0, stack(images), source, cfg)
@@ -623,14 +639,62 @@ def test_a_fit_that_raises_leaves_the_model_unchanged(tmp_path):
     assert model_bytes(model, tmp_path, "after.bin") == before
 
 
+class ListAfterOneBatch(FixedPairs):
+    """A pair source whose second batch is a list of FacePairs."""
+
+    calls = 0
+
+    def batch(self, n):
+        self.calls += 1
+        pairs = super().batch(n)
+        return pairs if self.calls == 1 else list(pairs)
+
+
+def parameter_bytes(net, comp):
+    """The bytes of every layer's weights and bias, and the comparator."""
+    return ([a.tobytes() for layer in net.layers
+             for a in (layer.weights, layer.bias)]
+            + [(comp.log_alpha, comp.beta)])
+
+
+@pytest.mark.parametrize("given", ["pair source", "val_pairs"])
+@pytest.mark.parametrize("entry", ["train_level", "train_network"])
+def test_pairs_that_are_not_a_pair_batch_are_a_pyramid_error(entry, given):
+    """A pair source's batch, or val_pairs, that is a list of FacePairs is
+    a PyramidError naming the type it got, never packed or an
+    AttributeError; the fit restores the parameters it started from, also
+    after a step it took."""
+    _, model, images, _ = level0_fixture(51)
+    triples = [(0, 1, PairLabel.MATCHED), (0, 4, PairLabel.UNMATCHED)]
+    cfg = TrainConfig(batch_size=2, iterations_per_level=5, seed=51)
+    if given == "pair source":
+        source, extra = ListAfterOneBatch(triples), {}
+    else:
+        source = FixedPairs(triples)
+        extra = dict(val_images=stack(images),
+                     val_pairs=list(pair_batch(triples)))
+    if entry == "train_level":
+        net, comp = model.level_networks[0][0], model.comparators[0][0]
+    else:
+        net, comp = build_monolithic(PyramidSpec(levels=1), seed=51)
+    before = parameter_bytes(net, comp)
+    with pytest.raises(PyramidError, match="must be a PairBatch, got list"):
+        if entry == "train_level":
+            train_level(model, 0, stack(images), source, cfg, **extra)
+        else:
+            train_network(net, comp, stack(images), source, cfg, **extra)
+    if given == "pair source":
+        assert source.calls == 2  # one step was taken, then undone
+    assert parameter_bytes(net, comp) == before
+
+
 def test_shared_entry_stage_gradient_is_averaged_across_networks():
     """Two identical networks on one aliased entry stage step it exactly as
     one network does; a sum over networks would double the step."""
     rng = np.random.default_rng(27)
     images = stack(random_patches(rng, 6, 16))
-    pairs = [FacePair(a, b, l) for a, b, l in (
-        (0, 1, PairLabel.MATCHED), (2, 3, PairLabel.MATCHED),
-        (0, 4, PairLabel.UNMATCHED), (1, 5, PairLabel.UNMATCHED))]
+    pairs = [(0, 1, PairLabel.MATCHED), (2, 3, PairLabel.MATCHED),
+             (0, 4, PairLabel.UNMATCHED), (1, 5, PairLabel.UNMATCHED)]
     cfg = TrainConfig(learning_rate=0.05, momentum=0.9, batch_size=4,
                       iterations_per_level=5, seed=27)
 
@@ -734,9 +798,9 @@ def test_tied_siamese_gradient_is_sum_of_branches():
 
     v1 = network_forward(net, p1).array
     v2 = network_forward(net, p2).array
-    pg = pair_loss_grads(v1, v2, label, comp)
-    g1 = network_backward(net, p1, pg.grad_v1)
-    g2 = network_backward(net, p2, pg.grad_v2)
+    pg = pair_loss_grads([v1], [v2], [label], comp)  # a one-row batch
+    g1 = network_backward(net, p1, pg.grad_v1[0])
+    g2 = network_backward(net, p2, pg.grad_v2[0])
     tied = g1["conv0.weights"] + g2["conv0.weights"]
 
     eps = 1e-6
@@ -760,9 +824,9 @@ def test_siamese_symmetry_under_pair_swap():
     comp = model.comparators[0][0]
     v1 = network_forward(net, p1).array
     v2 = network_forward(net, p2).array
-    a = pair_loss_grads(v1, v2, PairLabel.MATCHED, comp)
-    b = pair_loss_grads(v2, v1, PairLabel.MATCHED, comp)
-    assert a.loss == b.loss
+    a = pair_loss_grads([v1], [v2], [PairLabel.MATCHED], comp)
+    b = pair_loss_grads([v2], [v1], [PairLabel.MATCHED], comp)
+    np.testing.assert_array_equal(a.loss, b.loss)
     np.testing.assert_array_equal(a.grad_v1, b.grad_v2)
 
 
@@ -1132,9 +1196,10 @@ def test_train_network_validation_auc_tracks_trained_net():
     sampler = PairSampler(identities, make_rng(43, "pairs"))
     val_images = random_patches(rng, 6, net.input_size)
     val_ids = [0, 0, 1, 1, 2, 2]
-    val_pairs = [FacePair(a, b, PairLabel.MATCHED if val_ids[a] == val_ids[b]
-                          else PairLabel.UNMATCHED)
-                 for a in range(6) for b in range(a + 1, 6)]
+    val_pairs = pair_batch((a, b, PairLabel.MATCHED
+                            if val_ids[a] == val_ids[b]
+                            else PairLabel.UNMATCHED)
+                           for a in range(6) for b in range(a + 1, 6))
     cfg = TrainConfig(batch_size=4, seed=43)
     trace = train_network(net, comp, images, sampler, cfg, iterations=3,
                           val_images=val_images, val_pairs=val_pairs)
@@ -1158,10 +1223,7 @@ def validation_fixture(seed):
     images, identities = two_identity_images(rng, 4, net.input_size)
     sampler = PairSampler(identities, make_rng(seed, "pairs"))
     val_images = random_patches(rng, 6, net.input_size)
-    val_pairs = [FacePair(a, b, PairLabel.MATCHED if a // 3 == b // 3
-                          else PairLabel.UNMATCHED)
-                 for a in range(6) for b in range(a + 1, 6)]
-    return net, comp, images, sampler, val_images, val_pairs
+    return net, comp, images, sampler, val_images, pairs_of_six()
 
 
 @pytest.mark.parametrize("offset", [(0, 0), (6, 6)])
@@ -1244,12 +1306,9 @@ def test_train_network_step_is_independent_of_chunking(monkeypatch):
     rng = np.random.default_rng(44)
     images, _ = two_identity_images(rng, 3, 16)
     val_images = random_patches(rng, 6, 16)
-    pairs = [FacePair(a, b, l) for a, b, l in (
-        (0, 1, PairLabel.MATCHED), (3, 4, PairLabel.MATCHED),
-        (0, 3, PairLabel.UNMATCHED), (2, 5, PairLabel.UNMATCHED))]
-    val_pairs = [FacePair(a, b, PairLabel.MATCHED if a // 3 == b // 3
-                          else PairLabel.UNMATCHED)
-                 for a in range(6) for b in range(a + 1, 6)]
+    pairs = [(0, 1, PairLabel.MATCHED), (3, 4, PairLabel.MATCHED),
+             (0, 3, PairLabel.UNMATCHED), (2, 5, PairLabel.UNMATCHED)]
+    val_pairs = pairs_of_six()
     cfg = TrainConfig(batch_size=4, seed=44)
 
     def one_step():

@@ -46,7 +46,9 @@ seconds that the wall seconds do not share comes from the meter.
 
 Each side's engine size, the line count of its ``src/pyrcnn/*.py``, goes
 under ``source_lines``, so a change that claims less code is measured by
-the same tool as its benchmark numbers.  ``blas_runtime`` holds the
+the same tool as its benchmark numbers; the line count of its
+``tests/*.py`` goes under ``test_lines``, so code moved from the engine
+into the tests shows on both sides.  ``blas_runtime`` holds the
 runtime configuration of numpy's OpenBLAS, with the core it runs, as a
 process with the runs' environment reads it (``same_bytes.blas_runtime``;
 ``unknown`` for another BLAS): bit-equal results hold for one kernel.
@@ -203,11 +205,10 @@ def median_wall(runs: list[dict]) -> dict:
             "runs": walls}
 
 
-def source_lines(checkout: Path) -> int:
-    """Lines (newlines, as ``wc -l`` counts them) of the engine's modules,
-    ``src/pyrcnn/*.py``, in one checkout."""
+def python_lines(directory: Path) -> int:
+    """Lines (newlines, as ``wc -l`` counts them) of ``directory/*.py``."""
     return sum(path.read_bytes().count(b"\n")
-               for path in (checkout / "src" / "pyrcnn").glob("*.py"))
+               for path in directory.glob("*.py"))
 
 
 def main(argv=None) -> int:
@@ -231,8 +232,10 @@ def main(argv=None) -> int:
                          f"on the first {TRACED_SEEDS} seeds",
               "environment": None, "blas_threads": None,
               "blas_runtime": blas_runtime_in(dict(os.environ)),
-              "source_lines": {side: source_lines(path)
+              "source_lines": {side: python_lines(path / "src" / "pyrcnn")
                                for side, path in checkouts.items()},
+              "test_lines": {side: python_lines(path / "tests")
+                             for side, path in checkouts.items()},
               "workloads": {}}
     for workload in args.workload:
         runs = {side: [] for side in SIDES}
