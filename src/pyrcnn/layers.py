@@ -91,16 +91,41 @@ them pairwise, so db keeps `sum` there.
 
 The input gradient (col2im) reads no columns: it is one product of the
 output gradient with the flipped kernel into a (kh, kw, n, oh, ow, c_in)
-array, then kh*kw adds in (a, b) order, each reading one contiguous tap
-into its shifted window of dx.  The product is written over the block's
-column buffer, which dw has already read, so a call holds one block-sized
-buffer, not two.  Every dx entry receives its terms in the order of a
-row-major (m, kh*kw*c_in) scatter, so while a block holds whole images dx
-is those bits.  With one input channel the product is the 2-D (kh*kw,
-c_out) @ (c_out, m) GEMM, since numpy runs a stack of one-column products
-as GEMV, which rounds differently.  Across row bands, the terms of a dx
-row near a band edge arrive band by band and dw sums the bands in turn,
-so both move in the last bits.
+array, one (m, c_out) @ (c_out, c_in) GEMM per tap, then kh*kw adds in
+(a, b) order, each reading one contiguous tap into its shifted window of
+dx.  The product is written over the block's column buffer, which dw has
+already read, so a call holds one block-sized buffer, not two.  Every dx
+entry receives its terms in the order of a row-major (m, kh*kw*c_in)
+scatter, so while a block holds whole images dx is those bits.  With one
+input channel the product is the scatter's own 2-D (m, c_out) @ (c_out,
+kh*kw) GEMM, and each tap is added from its column of it: numpy runs a
+stack of one-column products as GEMV, and the transposed (kh*kw, c_out) @
+(c_out, m) product rounded differently on OpenBLAS's Haswell kernel.
+Across row bands, the terms of a dx row near a band edge arrive band by
+band and dw sums the bands in turn, so both move in the last bits.
+
+On a band of output rows r:s, with several input channels, a tap's window
+of dx is s-r short runs of ow*c_in values, one per output row, w*c_in
+apart: the monolith's 36-px, 8-channel stage made 25 taps x 20 adds of a
+20-row band.  There `_add_band_taps` zero-pads the band's gradient rows
+from ow to the input width w, so the per-tap products are laid out as
+w-wide rows (the column buffer holds w-wide rows on bands for them), and
+adds tap (a, b) as one run of the flattened image, ((s-r-1)*w + ow)*c_in
+values from ((r+a)*w + b)*c_in.  Each dx entry gets the same terms in the
+same band, a, b order.  The pad positions, the kw-1 columns past each
+row's ow (which wrap into the next row's first columns), add products of
+zeros, +-0; a running sum that starts at +0 never becomes -0 under
+round-to-nearest, so adding +-0 leaves it unchanged, and dx keeps its
+bits: that backward went from about 1.2 to 0.8 ms for two images.  The
+padded GEMM has w/ow times the rows, and a row that moves into or out of
+its tail panel can round differently: against the row-wise adds, 13 of
+308 random band geometries moved a last bit on the SkylakeX kernel, 20 on
+Haswell and none on Sandybridge; the monolith's 36-px stage moved on
+none.  Whole-image blocks (greedy's 64-image template stage) and the
+one-channel tap path keep the row-wise adds: the padded layout measured
+12-50% slower there, the pad costing more than the adds it saves (an
+e6c8 backward of 64 images, 4x4 outputs of 6x6 inputs, went from about
+280 to 325 us padded per block, and to about 1,000 us per image).
 
 `_conv_fwd` returns the product without the bias; `_add_bias` adds it in
 place, as whole output rows (the channel order is the same in either
@@ -431,18 +456,21 @@ def _column_blocks(x: np.ndarray, kh: int, kw: int):
 
     A block holds whole images (r:s spans every output row) while one
     image's columns fit `_SLAB_ELEMENTS`, else a band of one image's output
-    rows, at least one; either way out[i:j, r:s] is contiguous.  `col` is a
-    view of one buffer, which the next block overwrites; the caller may
-    overwrite it too once it is done with the columns.
+    rows, at least one, and fewer than oh; either way out[i:j, r:s] is
+    contiguous.  `col` is a view of one flat buffer, `col.base`, which the
+    next block overwrites; the caller may overwrite all of it once it is
+    done with the columns.  On bands it holds rows of the input's width w,
+    not ow: (s-r)*w*kh*kw*c values, room for `_add_band_taps`' product.
     """
     n, h, w, c = x.shape
     oh, ow = h - kh + 1, w - kw + 1
     k = kh * kw * c
     if oh * ow * k <= _SLAB_ELEMENTS:
         images, rows = _SLAB_ELEMENTS // (oh * ow * k), oh
+        buf = np.empty(min(n, images) * rows * ow * k)
     else:
         images, rows = 1, max(1, _SLAB_ELEMENTS // (ow * k))
-    buf = np.empty(min(n, images) * rows * ow * k)
+        buf = np.empty(rows * w * k)
     if c > 1:  # one kernel-row view of the whole batch, sliced per block
         xc = np.ascontiguousarray(x, dtype=np.float64)
         sn, sh, sw, _ = xc.strides
@@ -526,15 +554,16 @@ def _add_bias(x: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _conv_bwd(x: np.ndarray, w: np.ndarray, g: np.ndarray,
               need_dx: bool) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     kh, kw, c_in, c_out = w.shape
-    ow = g.shape[2]
-    wf = w[::-1, ::-1].reshape(kh * kw * c_in, c_out)
+    oh, ow = g.shape[1:3]
+    k = kh * kw * c_in
+    wf = w[::-1, ::-1].reshape(k, c_out)
     # (kh*kw, c_out, c_in): one (m, c_out) @ (c_out, c_in) GEMM per tap
     wt = np.ascontiguousarray(
         wf.reshape(kh * kw, c_in, c_out).transpose(0, 2, 1))
     # dw as (c_out, K), but (K, c_out) on the tap path (module docstring)
     taps = c_in == 1
-    dwf = np.zeros((kh * kw, c_out) if taps else (c_out, kh * kw * c_in))
-    dx = np.zeros_like(x) if need_dx else None
+    dwf = np.zeros((kh * kw, c_out) if taps else (c_out, k))
+    dx = np.zeros(x.shape) if need_dx else None
     for i, j, r, s, col in _column_blocks(x, kh, kw):
         gm = g[i:j, r:s].reshape(-1, c_out)
         if taps:
@@ -544,12 +573,19 @@ def _conv_bwd(x: np.ndarray, w: np.ndarray, g: np.ndarray,
         if not need_dx:
             continue
         # the column gradient overwrites the block's columns, now used
-        dcol = col.ravel(order="K").reshape(kh * kw, -1, c_in)
-        if c_in == 1:  # numpy makes a one-column product a GEMV
-            np.matmul(wf, gm.T, out=dcol[:, :, 0])
+        buf = col.base
+        if taps:  # (m, kh*kw), read tap by tap from its columns
+            dcol = np.matmul(gm, wf.T, out=buf[:gm.shape[0] * k]
+                             .reshape(-1, k))
+            dcol = dcol.reshape(j - i, s - r, ow, kh, kw, 1) \
+                .transpose(3, 4, 0, 1, 2, 5)
+        elif s - r < oh:  # a band of image i's rows: one run per tap
+            _add_band_taps(dx[i], g[i, r:s], wt, kw, r, buf)
+            continue
         else:
-            np.matmul(gm, wt, out=dcol)
-        dcol = dcol.reshape(kh, kw, j - i, s - r, ow, c_in)
+            dcol = np.matmul(gm, wt, out=buf[:gm.shape[0] * k]
+                             .reshape(kh * kw, -1, c_in))
+            dcol = dcol.reshape(kh, kw, j - i, s - r, ow, c_in)
         for a in range(kh):
             for b_ in range(kw):
                 dx[i:j, r + a:s + a, b_:b_ + ow] += dcol[a, b_]
@@ -558,6 +594,31 @@ def _conv_bwd(x: np.ndarray, w: np.ndarray, g: np.ndarray,
     # adds pairwise
     db = np.einsum("nhwc->c", g) if c_out > 1 else g.sum(axis=(0, 1, 2))
     return dx, dw, db
+
+
+def _add_band_taps(dx: np.ndarray, g: np.ndarray, wt: np.ndarray, kw: int,
+                   r: int, buf: np.ndarray) -> None:
+    """Add to one image's (h, w, c_in) input gradient `dx` the terms of
+    its output rows r:r+t, whose gradient is the (t, ow, c_out) `g`, with
+    the (kh*kw, c_out, c_in) per-tap kernel `wt`: the rows zero-padded to
+    width w, so that tap (a, b) is one run of the flattened dx, of
+    ((t-1)*w + ow)*c_in values from ((r+a)*w + b)*c_in.  The per-tap
+    products are written over the flat `buf`, of at least t*w*kh*kw*c_in
+    values (module docstring)."""
+    t, ow, c_out = g.shape
+    w = dx.shape[1]
+    taps, _, c_in = wt.shape
+    padded = np.zeros((t, w, c_out))
+    padded[:, :ow] = g
+    prod = np.matmul(padded.reshape(-1, c_out), wt,
+                     out=buf[:taps * t * w * c_in].reshape(taps, -1, c_in))
+    prod = prod.reshape(taps, -1)
+    run = ((t - 1) * w + ow) * c_in
+    flat = dx.reshape(-1)
+    for tap in range(taps):
+        a, b = divmod(tap, kw)
+        start = ((r + a) * w + b) * c_in
+        flat[start:start + run] += prod[tap, :run]
 
 
 def _windows(x: np.ndarray, s: int) -> np.ndarray:

@@ -456,6 +456,10 @@ def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
     after the last.  A step that leaves a parameter non-finite raises
     PyramidError; any failure first restores the values the fit began with.
     """
+    if (val_images is None) != (val_pairs is None):
+        missing = "val_images" if val_images is None else "val_pairs"
+        raise PyramidError(f"a validation set needs val_images and "
+                           f"val_pairs, but {missing} is missing")
     need = (max(net.input_size + max(o) for net, o in zip(nets, offsets)),
             nets[0].in_channels)
     images, _ = _image_set(images, "training", *need)

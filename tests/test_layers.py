@@ -855,6 +855,88 @@ def test_column_blocks_stay_within_the_slab_and_tile_the_output(monkeypatch):
     assert (covered == 1).all()
 
 
+def band_conv_bwd_dx(x, w, g):
+    """Reference dx with the row-wise adds of every column block: per block
+    the (m, c_out) @ (c_out, c_in) product of each tap, then kh*kw adds in
+    (a, b) order into shifted windows of dx, one run per output row of a
+    band.  At c_in >= 2 this is how the backward built dx on every block
+    before it added a band's taps as one run each."""
+    kh, kw, c_in, c_out = w.shape
+    ow = g.shape[2]
+    wt = np.ascontiguousarray(
+        w[::-1, ::-1].reshape(kh * kw, c_in, c_out).transpose(0, 2, 1))
+    dx = np.zeros(x.shape)
+    for i, j, r, s, _ in layers._column_blocks(x, kh, kw):
+        dcol = np.matmul(g[i:j, r:s].reshape(-1, c_out), wt)
+        dcol = dcol.reshape(kh, kw, j - i, s - r, ow, c_in)
+        for a in range(kh):
+            for b in range(kw):
+                dx[i:j, r + a:s + a, b:b + ow] += dcol[a, b]
+    return dx
+
+
+def recording_band_taps(monkeypatch):
+    """The (r, t) of every band `_add_band_taps` adds, as it adds them."""
+    calls, add = [], layers._add_band_taps
+
+    def recorded(dx, g, wt, kw, r, buf):
+        assert buf.size >= g.shape[0] * dx.shape[1] * wt.size // wt.shape[1]
+        calls.append((r, g.shape[0]))
+        return add(dx, g, wt, kw, r, buf)
+
+    monkeypatch.setattr(layers, "_add_band_taps", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("slab, bands", [
+    (None, [(0, 20), (20, 12)]),  # the default slab, as the monolith runs
+    (7 * 6400, [(0, 7), (7, 7), (14, 7), (21, 7), (28, 4)]),
+    (2000, [(r, 1) for r in range(32)]),  # below one output row
+])
+def test_band_dx_adds_each_tap_as_one_run_with_the_bits_of_row_adds(
+        monkeypatch, n, slab, bands):
+    """On bands of a 36-px, 8-channel image, the backward adds each tap
+    (a, b) to dx as one run over the band's rows zero-padded to the input
+    width; the pad adds only +-0 to sums that start at +0, so dx is the
+    bits of the row-wise adds, -0.0 gradient entries included."""
+    if slab is not None:
+        monkeypatch.setattr(layers, "_SLAB_ELEMENTS", slab)
+    x, w, _, g = conv_case(36, 8, 8, 5, n)
+    g[:, ::3] = -0.0
+    g[:, :, 1::4] *= -0.0
+    calls = recording_band_taps(monkeypatch)
+    dx, dw, db = layers._conv_bwd(x, w, g, True)
+    assert calls == bands * n
+    assert dx.tobytes() == band_conv_bwd_dx(x, w, g).tobytes()
+    _, dw_only, db_only = layers._conv_bwd(x, w, g, False)
+    assert dw.tobytes() == dw_only.tobytes()
+    assert db.tobytes() == db_only.tobytes()
+
+
+@pytest.mark.parametrize("edge, c_in, c_out, k, n, slab", [
+    (6, 8, 16, 3, 64, None),    # greedy's template stage: whole images
+    (36, 8, 8, 5, 2, 1 << 18),  # one whole 36-px image per block
+    (76, 1, 8, 5, 2, 25 * 72),  # one-row bands on the tap path
+])
+def test_whole_images_and_the_tap_path_keep_the_row_adds(
+        monkeypatch, edge, c_in, c_out, k, n, slab):
+    """Whole-image blocks and the c_in = 1 tap path never take the padded
+    band path, and keep the bits of the row-wise adds (at c_in = 1, of the
+    slab reference's (m, c_out) @ (c_out, kh*kw) product)."""
+    if slab is not None:
+        monkeypatch.setattr(layers, "_SLAB_ELEMENTS", slab)
+    x, w, _, g = conv_case(edge, c_in, c_out, k, n)
+    calls = recording_band_taps(monkeypatch)
+    dx, _, _ = layers._conv_bwd(x, w, g, True)
+    assert calls == []
+    if c_in > 1:
+        assert dx.tobytes() == band_conv_bwd_dx(x, w, g).tobytes()
+    o = edge - k + 1
+    if o * o * k * k * c_in <= layers._SLAB_ELEMENTS:  # whole images
+        assert dx.tobytes() == slab_conv_bwd(x, w, g)[0].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the row-strip forward
 

@@ -1298,6 +1298,32 @@ def test_validation_without_a_set_records_nan_on_the_cadence():
     assert all(np.isnan(trace.val_aucs))
 
 
+@pytest.mark.parametrize("missing", ["val_images", "val_pairs"])
+@pytest.mark.parametrize("entry", ["train_level", "train_network"])
+def test_half_a_validation_set_is_a_pyramid_error(entry, missing):
+    """val_images without val_pairs, or val_pairs without val_images, is a
+    PyramidError naming the missing half, raised before any step: the pair
+    source is never asked for a batch and every parameter keeps its
+    bytes."""
+    net, comp, images, _, val_images, val_pairs = validation_fixture(48)
+    given = {"val_images": val_images, "val_pairs": val_pairs}
+    del given[missing]
+    source = ListAfterOneBatch([(0, 1, PairLabel.MATCHED),
+                                (0, 4, PairLabel.UNMATCHED)])
+    cfg = TrainConfig(batch_size=2, iterations_per_level=3, seed=48)
+    if entry == "train_level":
+        model = build_pyramid(PyramidSpec(levels=1), seed=48)
+        net, comp = model.level_networks[0][0], model.comparators[0][0]
+    before = parameter_bytes(net, comp)
+    with pytest.raises(PyramidError, match=f"{missing} is missing"):
+        if entry == "train_level":
+            train_level(model, 0, stack(images), source, cfg, **given)
+        else:
+            train_network(net, comp, images, source, cfg, **given)
+    assert source.calls == 0
+    assert parameter_bytes(net, comp) == before
+
+
 def test_train_network_step_is_independent_of_chunking(monkeypatch):
     """A batch walked in one chunk or in one-pair chunks (and validation
     embedded in one or several slabs) gives the same step."""

@@ -5,7 +5,9 @@ import importlib.util
 import os
 from pathlib import Path
 
-from pyrcnn import PyramidSpec
+import numpy as np
+
+from pyrcnn import PyramidSpec, build_monolithic, layers
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "same_bytes.py"
 _SPEC = importlib.util.spec_from_file_location("same_bytes", _PATH)
@@ -116,3 +118,53 @@ def test_main_prints_each_sides_blas_first(tmp_path, capsys, monkeypatch):
         "parent BLAS: core of a at 1 thread",
         "change BLAS: core of b at 1 thread",
         "readme: parent failed: boom"]
+
+
+def test_monolith_run_trains_the_network_whose_backward_has_row_bands(
+        tmp_path):
+    """`run_monolith` trains the end-to-end network, one of whose stages
+    the backward splits into row bands, and writes every trained parameter
+    and the comparator as float64 bytes: moved from the initialization,
+    and the same bytes on a second run of the same checkout."""
+    net, comp = build_monolithic(PyramidSpec(levels=3),
+                                 same_bytes.MONOLITH_CONFIG["seed"])
+    edge, banded = net.input_size, []
+    for stage in net.stages:
+        kh, kw, c_in, _, s = stage.geometry
+        o = edge - kh + 1
+        banded.append(o * o * kh * kw * c_in > layers._SLAB_ELEMENTS)
+        edge = o // s
+    assert any(banded[1:])  # a stage whose input gradient is taken
+    init = b"".join(a.tobytes() for layer in net.layers
+                    for a in (layer.weights, layer.bias)) \
+        + np.array([comp.log_alpha, comp.beta]).tobytes()
+    repo = Path(__file__).resolve().parents[1]
+    runs = [tmp_path / side for side in same_bytes.SIDES]
+    for run in runs:
+        assert same_bytes.run_monolith(repo, run) is None
+    trained = (runs[0] / "out" / "monolith.bin").read_bytes()
+    assert len(trained) == len(init) and trained != init
+    assert same_bytes.compare_runs(*runs, names=["monolith.bin"])
+
+
+def test_main_compares_the_monolith_after_the_cli_configs(tmp_path, capsys,
+                                                          monkeypatch):
+    """After the CLI configs, main compares the monolith run's one file."""
+    def fake_pipeline(checkout, run_dir, config):
+        fake_run(run_dir)
+
+    def fake_monolith(checkout, run_dir):
+        (run_dir / "out").mkdir(parents=True)
+        (run_dir / "out" / "monolith.bin").write_bytes(
+            b"\x00" * (8 if checkout.name == "a" else 16))
+
+    monkeypatch.setattr(same_bytes, "blas_runtime_in", lambda env: "core")
+    monkeypatch.setattr(same_bytes, "run_pipeline", fake_pipeline)
+    monkeypatch.setattr(same_bytes, "run_monolith", fake_monolith)
+    assert same_bytes.main(["--parent", str(tmp_path / "a"), "--change",
+                            str(tmp_path / "b")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 + 3 * 7 + 1
+    assert lines[-2] == "crop report.csv: same"
+    assert lines[-1] == \
+        "monolith monolith.bin: byte 8 differs (8 against 16 bytes)"

@@ -15,7 +15,13 @@ under a temporary directory, removed afterwards:
 
 It then compares, per config, ``model.bin``, every ``trace_level*.csv``,
 ``train_index.csv``, ``eval_index.csv``, ``features.csv`` and
-``report.csv``.  The index files and ``features.csv`` name each image by
+``report.csv``.  The CLI never trains the end-to-end network, whose 36-px
+stage is the one conv the backward splits into row bands, so a fourth
+run, ``monolith``, synthesizes a small gallery (seed 17) and, in a process
+of its own, trains ``build_monolithic``'s network with ``train_network``
+on the gallery's 76-px center crops for a few steps (`train_monolith`);
+its ``monolith.bin``, the trained parameters' bytes, is compared too.
+The index files and ``features.csv`` name each image by
 its path inside the run directory, so their first column is compared with
 the run directory's own prefix mapped to ``<run>``; every other byte must
 be the same.  It prints one verdict per file and exits 1 on the first
@@ -36,6 +42,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 README_CONFIG = {
@@ -69,6 +76,13 @@ CROP_CONFIG = {
 }
 CONFIGS = {"readme": README_CONFIG, "offsets": OFFSETS_CONFIG,
            "crop": CROP_CONFIG}
+MONOLITH_CONFIG = {
+    "seed": 17,
+    "output_dir": "out",
+    "data": {"dir": "gallery", "n_identities": 8, "images_per_identity": 4,
+             "edge": 80},
+}
+MONOLITH_STEPS, MONOLITH_BATCH = 4, 8
 SIDES = ("parent", "change")
 # files whose first column is an image path inside the run directory
 PATH_COLUMN = ("train_index.csv", "eval_index.csv", "features.csv")
@@ -118,12 +132,14 @@ def compare_file(name: str, a: Path, b: Path, run_a: Path,
     return f"byte {at} differs ({len(da)} against {len(db)} bytes)"
 
 
-def compare_runs(run_a: Path, run_b: Path, label: str = "") -> bool:
+def compare_runs(run_a: Path, run_b: Path, label: str = "",
+                 names: list[str] | None = None) -> bool:
     """Print one verdict per artefact of run directories `run_a` and
-    `run_b` (outputs under ``out/``) and stop at the first difference;
-    True when every file is the same."""
+    `run_b` (outputs under ``out/``; `names`, or every one `artefacts`
+    lists) and stop at the first difference; True when every file is the
+    same."""
     out_a, out_b = run_a / "out", run_b / "out"
-    for name in artefacts(out_a, out_b):
+    for name in names or artefacts(out_a, out_b):
         problem = compare_file(name, out_a, out_b, run_a, run_b)
         print(f"{label}{name}: {problem or 'same'}", flush=True)
         if problem:
@@ -167,24 +183,80 @@ def blas_runtime_in(env: dict) -> str:
     return proc.stdout.strip() or "unknown"
 
 
-def run_pipeline(checkout: Path, run_dir: Path, config: dict) -> str | None:
-    """synth, train, extract and eval of `config` in `run_dir` with the
-    engine in `checkout`/src; None, or the failing command's error."""
+def _run(name: str, cmd: list, run_dir: Path, env: dict) -> str | None:
+    """None when `cmd` succeeds in `run_dir`, else `name` and its error."""
+    proc = subprocess.run(cmd, cwd=run_dir, env=env, capture_output=True,
+                          text=True)
+    return f"{name}: {proc.stderr.strip()[-2000:]}" if proc.returncode \
+        else None
+
+
+def _cli_runs(checkout: Path, run_dir: Path, config: dict, commands):
+    """Write `config` to `run_dir`/run.json, then run each of the CLI
+    `commands` (argument lists) on it with the engine in `checkout`/src;
+    None, or the first failing command's error."""
     run_dir.mkdir(parents=True)
     cfg = run_dir / "run.json"
     cfg.write_text(json.dumps(config, indent=1) + "\n", encoding="utf-8")
-    env = side_env(checkout)
-    out = run_dir / "out"
-    for args in (["synth"], ["train"],
-                 ["extract", out / "model.bin", out / "eval_index.csv"],
-                 ["eval", out / "features.csv", out / "eval_index.csv"]):
-        cmd = [sys.executable, "-m", "pyrcnn.cli", args[0], "--config",
-               str(cfg), *map(str, args[1:])]
-        proc = subprocess.run(cmd, cwd=run_dir, env=env, capture_output=True,
-                              text=True)
-        if proc.returncode:
-            return f"{args[0]}: {proc.stderr.strip()[-2000:]}"
+    for args in commands:
+        error = _run(args[0], [sys.executable, "-m", "pyrcnn.cli", args[0],
+                               "--config", str(cfg), *map(str, args[1:])],
+                     run_dir, side_env(checkout))
+        if error:
+            return error
     return None
+
+
+def run_pipeline(checkout: Path, run_dir: Path, config: dict) -> str | None:
+    """synth, train, extract and eval of `config` in `run_dir` with the
+    engine in `checkout`/src; None, or the failing command's error."""
+    out = run_dir / "out"
+    return _cli_runs(checkout, run_dir, config, (
+        ["synth"], ["train"],
+        ["extract", out / "model.bin", out / "eval_index.csv"],
+        ["eval", out / "features.csv", out / "eval_index.csv"]))
+
+
+def train_monolith() -> None:
+    """In a run directory holding `MONOLITH_CONFIG`'s run.json and
+    gallery: train ``build_monolithic``'s network of the default 3-level
+    spec, seeded by the config, with ``train_network`` for
+    `MONOLITH_STEPS` steps of `MONOLITH_BATCH` pairs on every image's
+    76-px center crop, and write each layer's weights and bias, then the
+    comparator's (log_alpha, beta), as float64 bytes to out/monolith.bin.
+    It imports the engine of the process's own path."""
+    import numpy as np
+    from pyrcnn import (PairSampler, PyramidSpec, TrainConfig,
+                        build_monolithic, center_crop, load_image, load_index,
+                        make_rng, train_network)
+    config = json.loads(Path("run.json").read_text(encoding="utf-8"))
+    seed = config["seed"]
+    index = load_index(Path(config["data"]["dir"]) / "index.csv")
+    net, comp = build_monolithic(PyramidSpec(levels=3), seed)
+    crops = [center_crop(load_image(r), net.input_size)
+             for r in index.records]
+    sampler = PairSampler([r.identity for r in index.records],
+                          make_rng(seed, "pairs"))
+    train_network(net, comp, crops, sampler,
+                  TrainConfig(seed=seed, batch_size=MONOLITH_BATCH),
+                  iterations=MONOLITH_STEPS)
+    out = Path(config["output_dir"])
+    out.mkdir(parents=True, exist_ok=True)
+    arrays = [a for layer in net.layers for a in (layer.weights, layer.bias)]
+    (out / "monolith.bin").write_bytes(b"".join(
+        np.ascontiguousarray(a, dtype="<f8").tobytes()
+        for a in arrays + [np.array([comp.log_alpha, comp.beta])]))
+
+
+def run_monolith(checkout: Path, run_dir: Path) -> str | None:
+    """synth of `MONOLITH_CONFIG` in `run_dir`, then `train_monolith` in a
+    process with the engine in `checkout`/src; None, or the failing
+    step's error."""
+    code = (f"import runpy; runpy.run_path("
+            f"{str(Path(__file__).resolve())!r})['train_monolith']()")
+    return (_cli_runs(checkout, run_dir, MONOLITH_CONFIG, (["synth"],))
+            or _run("train_monolith", [sys.executable, "-c", code], run_dir,
+                    side_env(checkout)))
 
 
 def main(argv=None) -> int:
@@ -201,14 +273,18 @@ def main(argv=None) -> int:
               flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp).resolve()
-        for name, config in CONFIGS.items():
+        runners = [(name, partial(run_pipeline, config=config), None)
+                   for name, config in CONFIGS.items()]
+        runners.append(("monolith", run_monolith, ["monolith.bin"]))
+        for name, run, names in runners:
             runs = {side: work / name / side for side in SIDES}
             for side in SIDES:
-                error = run_pipeline(checkouts[side], runs[side], config)
+                error = run(checkouts[side], runs[side])
                 if error:
                     print(f"{name}: {side} failed: {error}", flush=True)
                     return 1
-            if not compare_runs(runs["parent"], runs["change"], f"{name} "):
+            if not compare_runs(runs["parent"], runs["change"], f"{name} ",
+                                names):
                 return 1
     return 0
 
