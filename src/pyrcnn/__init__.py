@@ -8,7 +8,7 @@ from .layers import (BlockCheck, ConvLayer, FCLayer, GradCheckReport, Network,
 from .loss import ComparatorParams, PairGradients, PairLabel, pair_loss_grads
 from .data import (DataError, DatasetIndex, FacePair, IndexRecord,
                    LabeledImage, NuisanceConfig, PairBatch, PairSampler,
-                   center_crop, load_image, load_index, read_pgm, sample_pairs,
+                   center_crop, load_image, load_index, sample_pairs,
                    split_by_identity, split_identity_ids, synth_generate,
                    write_index, write_pgm)
 from .pyramid import (LevelTrace, PyramidError, PyramidModel, PyramidSpec,
@@ -17,7 +17,7 @@ from .pyramid import (LevelTrace, PyramidError, PyramidModel, PyramidSpec,
                       load_model, preprocess_dataset, save_model,
                       train_level, train_network)
 from .metrics import (MetricError, RocCurve, RocPoint, VerificationReport,
-                      auc, compute_roc, evaluate_distances)
+                      auc, evaluate_distances)
 from .features import (FeatureVector, extract_representations,
                        read_features, write_features, write_report)
 from .seeding import derive_seed, make_rng

@@ -24,9 +24,7 @@ from .data import (DataError, NuisanceConfig, load_image, load_index,
                    write_index)
 from .features import (extract_representations, read_features,
                        write_features, write_report)
-from .layers import _slab
-from .loss import PairLabel
-from .metrics import MetricError, evaluate_distances
+from .metrics import MetricError, evaluate_distances, pair_distances
 from .pyramid import (PyramidError, PyramidSpec, StageSpec, TrainConfig,
                       build_pyramid, greedy_train, load_model, save_model)
 from .seeding import derive_seed
@@ -74,12 +72,6 @@ def _number(value, name: str) -> float:
     if not np.isfinite(number):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     return number
-
-
-def _bool(value, name: str) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"{name} must be true or false, got {value!r}")
-    return value
 
 
 def _str(value, name: str) -> str:
@@ -168,7 +160,7 @@ _BLOCKS = {
     "train": {"learning_rate": _number, "momentum": _number,
               "batch_size": _int, "iterations_per_level": _int,
               "validation_fraction": _number},
-    "extraction": {"scheme": _scheme, "normalize": _bool},
+    "extraction": {"scheme": _scheme},
     "evaluation": {"fpr_targets": _fpr_targets, "n_pairs": _pair_count},
 }
 
@@ -214,8 +206,7 @@ def _run_config(raw: dict, base: Path, seed) -> RunConfig:
               "nuisance": NuisanceConfig(**nuisance)},
         pyramid=PyramidSpec(**{"levels": 3, **given["pyramid"]}),
         train=TrainConfig(**given["train"], seed=seed),
-        extraction={"scheme": "single-top", "normalize": False,
-                    **given["extraction"]},
+        extraction={"scheme": "single-top", **given["extraction"]},
         evaluation={"fpr_targets": [0.1, 0.01, 0.001], "n_pairs": 2000,
                     **given["evaluation"]},
     )
@@ -240,10 +231,6 @@ def cmd_synth(cfg: RunConfig) -> int:
     print(f"synth: {len(index.records)} images, {index.n_identities} "
           f"identities -> {out}")
     return 0
-
-
-def _float_cell(v: float) -> str:
-    return "nan" if np.isnan(v) else repr(float(v))
 
 
 def cmd_train(cfg: RunConfig) -> int:
@@ -272,12 +259,12 @@ def cmd_train(cfg: RunConfig) -> int:
     for trace in traces:
         trace_path = cfg.output_dir / f"trace_level{trace.level}.csv"
         # val_auc is left empty on the iterations that were not validated
-        val_cells = {i: _float_cell(v)
+        val_cells = {i: repr(float(v))
                      for i, v in zip(trace.val_iterations, trace.val_aucs)}
         with open(trace_path, "w", newline="", encoding="utf-8") as fh:
             fh.write("iteration,mean_loss,val_auc\n")
             for i, loss in enumerate(trace.losses):
-                fh.write(f"{i},{_float_cell(loss)},{val_cells.get(i, '')}\n")
+                fh.write(f"{i},{float(loss)!r},{val_cells.get(i, '')}\n")
         print(f"train: level {trace.level} loss {trace.losses[0]:.4f} -> "
               f"{trace.losses[-1]:.4f} ({trace_path.name})")
     print(f"train: model -> {model_path}")
@@ -296,7 +283,7 @@ def cmd_extract(cfg: RunConfig, model_path, index_path) -> int:
     index = load_index(index_path)
     features = extract_representations(
         model, (load_image(rec) for rec in index.records),
-        cfg.extraction["scheme"], cfg.extraction["normalize"])
+        cfg.extraction["scheme"])
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.output_dir / "features.csv"
     write_features(out, features)
@@ -320,21 +307,8 @@ def cmd_eval(cfg: RunConfig, features_path, index_path) -> int:
         raise DataError(f"{features_path}: feature rows of different "
                         f"dimensions cannot be compared")
     vectors = np.stack(rows)  # row i: index record i
-    first, second = pairs.first, pairs.second
-    dist = np.empty(len(pairs))
-    step = _slab(vectors.shape[1])  # pairs per chunk: bounded temporaries
-    for i in range(0, len(pairs), step):
-        diff = vectors[first[i:i + step]]
-        diff -= vectors[second[i:i + step]]
-        np.sqrt(np.sum(np.square(diff, out=diff), axis=1),
-                out=dist[i:i + step])
-    matched = pairs.label == int(PairLabel.MATCHED)
-    sides = dist[matched], dist[~matched]
-    del dist, matched
-    for side in sides:  # in place: evaluate_distances uses sorted sides as is
-        side.sort()
-    report = evaluate_distances(*sides, cfg.evaluation["fpr_targets"])
-    del sides
+    report = evaluate_distances(*pair_distances(vectors, pairs),
+                                cfg.evaluation["fpr_targets"])
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.output_dir / "report.csv"
     write_report(out, report)
@@ -377,18 +351,24 @@ def main(argv=None) -> int:
             return cmd_synth(cfg)
         if args.command == "train":
             return cmd_train(cfg)
-        if args.command == "extract":
-            for p in (args.model, args.index):
-                if not Path(p).is_file():
-                    raise ConfigError(f"file not found: {p}")
-            return cmd_extract(cfg, args.model, args.index)
-        for p in (args.features, args.index):
+        extract = args.command == "extract"
+        files = (args.model if extract else args.features, args.index)
+        for p in files:
             if not Path(p).is_file():
                 raise ConfigError(f"file not found: {p}")
-        return cmd_eval(cfg, args.features, args.index)
+        return (cmd_extract if extract else cmd_eval)(cfg, *files)
     except (ConfigError, DataError, PyramidError, MetricError, TensorError,
-            FileNotFoundError, OSError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (MemoryError, ValueError) as exc:
+        # numpy refusing an array size it cannot hold or index, as a config
+        # size of 10**30 asks for; any other ValueError is a defect
+        if not isinstance(exc, MemoryError) and not str(exc).startswith(
+                ("Maximum allowed dimension exceeded", "array is too big")):
+            raise
+        print(f"error: {args.command}: array too large ({exc})",
+              file=sys.stderr)
         return 1
 
 

@@ -55,10 +55,10 @@ class DataError(ValueError):
 def float_pixels(samples, maxval) -> np.ndarray:
     """Stored samples as float64 pixels in [0, 1]: `samples / maxval`.
 
-    Every float view of an image is made here: `read_pgm`, `center_crop`,
-    and the slabs training and extraction stack.  `samples` is one raster
-    with one maxval, or n stacked rasters with n maxvals.  A float image's
-    maxval is 1, and x / 1 == x bit for bit.
+    Every float view of an image is made here: `center_crop`, and the slabs
+    training and extraction stack.  `samples` is one raster with one
+    maxval, or n stacked rasters with n maxvals.  A float image's maxval
+    is 1, and x / 1 == x bit for bit.
     """
     scale = np.reshape(maxval, (-1,) + (1,) * (np.ndim(samples) - 1))
     return np.divide(samples, scale, dtype=np.float64)
@@ -66,41 +66,30 @@ def float_pixels(samples, maxval) -> np.ndarray:
 
 class LabeledImage:
     """A grayscale image with its identity, held as its samples are
-    stored: an h x w x 1 `raster` of values in 0..`maxval`.
-
-    `pixels` is a float `Tensor` in [0, 1], kept as its float64 array with
-    maxval 1, or a uint8 array of samples with their maxval (1..255), kept
-    as it is: a PGM's image holds one byte per pixel.  The float pixels,
-    `float_pixels(raster, maxval)`, are computed only where they are read:
-    the windows `center_crop`, training and extraction take.
+    stored: an h x w x 1 uint8 `raster` of values in 0..`maxval` (1..255),
+    kept as a read-only view; a PGM's image holds one byte per pixel.  The
+    float pixels, `float_pixels(raster, maxval)`, are computed only where
+    they are read: the windows `center_crop`, training and extraction take.
     """
 
     __slots__ = ("raster", "maxval", "identity", "source")
 
-    def __init__(self, pixels, identity: int, source: str | None = None,
-                 maxval: int = 1):
-        if isinstance(pixels, Tensor):
-            if maxval != 1:
-                raise DataError(f"a float image has maxval 1, got {maxval}")
-            raster = pixels.array
-        else:
-            raster = np.asarray(pixels)
-            if raster.dtype != np.uint8 or not 1 <= maxval <= 255:
-                raise DataError(
-                    f"stored samples must be uint8 with a maxval in 1..255, "
-                    f"got {raster.dtype} with maxval {maxval}")
-            raster = raster.view()
-            raster.flags.writeable = False
-        shape = raster.shape
+    def __init__(self, pixels: np.ndarray, identity: int,
+                 source: str | None = None, maxval: int = 255):
+        if not isinstance(pixels, np.ndarray) or pixels.dtype != np.uint8 \
+                or not 1 <= maxval <= 255:
+            got = getattr(pixels, "dtype", type(pixels).__name__)
+            raise DataError(
+                f"stored samples must be a uint8 array with a maxval in "
+                f"1..255, got {got} with maxval {maxval}")
+        shape = pixels.shape
         if len(shape) != 3 or shape[2] != 1 or 0 in shape:
             raise DataError(f"image pixels must be h x w x 1, got {shape}")
-        if isinstance(pixels, Tensor):
-            if raster.min() < 0 or raster.max() > 1:
-                raise DataError("pixel values must lie in [0, 1]")
-        elif maxval < 255 and raster.max() > maxval:  # uint8: 0..255 always
+        if maxval < 255 and pixels.max() > maxval:  # uint8: 0..255 always
             raise DataError(f"stored samples must lie in 0..{maxval}, "
-                            f"got {raster.max()}")
-        self.raster = raster
+                            f"got {pixels.max()}")
+        self.raster = pixels.view()
+        self.raster.flags.writeable = False
         self.maxval = maxval
         self.identity = identity
         self.source = source
@@ -138,11 +127,6 @@ class DatasetIndex:
 
 # ---------------------------------------------------------------------------
 # PGM files
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read an 8-bit binary PGM into an h x w array of floats in [0, 1]."""
-    return float_pixels(*_read_pgm_samples(path))
 
 
 # One PGM header number, after any whitespace and whole-line comments; a

@@ -48,7 +48,7 @@ class FeatureVector:
 
 
 def _level_outputs(model: PyramidModel, images: Sequence[LabeledImage],
-                   normalize: bool, networks: int | None = None) -> np.ndarray:
+                   networks: int | None = None) -> np.ndarray:
     """The outputs of the top level's first `networks` networks (all of
     them by default) for a batch of images.
 
@@ -77,18 +77,13 @@ def _level_outputs(model: PyramidModel, images: Sequence[LabeledImage],
     edge = spec.base_input
     for k, net in enumerate(model.level_networks[top][:networks]):
         ox, oy = spec.patch_offsets[k]
-        vec = _forward(net, x[:, oy:oy + edge, ox:ox + edge, :])
-        if normalize:
-            norm = np.sqrt(np.sum(vec * vec, axis=1, keepdims=True))
-            vec = np.divide(vec, norm, out=vec, where=norm > 0.0)
-        outputs.append(vec)
+        outputs.append(_forward(net, x[:, oy:oy + edge, ox:ox + edge, :]))
     return np.concatenate(outputs, axis=1)
 
 
 def extract_representations(model: PyramidModel,
                             images: Iterable[LabeledImage],
-                            scheme: str = "single-top",
-                            normalize: bool = False) -> list[FeatureVector]:
+                            scheme: str = "single-top") -> list[FeatureVector]:
     """Top-level network 0 output on each image's training crop (see
     `_level_outputs`), in the order `images` gives them.  `images` may be
     any iterable; `PyramidSpec.level_batch(top)` of them are drawn and
@@ -100,7 +95,7 @@ def extract_representations(model: PyramidModel,
     images = iter(images)
     features = []
     while batch := list(itertools.islice(images, step)):
-        rows = _level_outputs(model, batch, normalize, networks=1)
+        rows = _level_outputs(model, batch, networks=1)
         features.extend(FeatureVector(row, image.source or str(image.identity),
                                       "single-top")
                         for image, row in zip(batch, rows))

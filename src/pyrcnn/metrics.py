@@ -15,10 +15,10 @@ each side once and reads the curve, the best accuracy and every operating
 point off the same sorted arrays and threshold counts, so a million
 unmatched distances cost a few sorts and searchsorted passes.  A side
 that is already a sorted 1-d float64 array is used in place, not copied,
-so a caller that sorts its own arrays in place (as `pyrcnn eval` does)
-holds each distance once.  The thresholds are the distinct values of each
-sorted side, merged by one stable sort of the two runs, not a sort of
-their concatenation.
+so the sides of `pair_distances`, the one route from embeddings to
+distances (`pyrcnn eval`'s and validation's), are held once.  The
+thresholds are the distinct values of each sorted side, merged by one
+stable sort of the two runs, not a sort of their concatenation.
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .layers import _slab
+from .loss import PairLabel
 
 
 class MetricError(ValueError):
@@ -128,16 +131,29 @@ def _best(thresholds: np.ndarray, below_m: np.ndarray, below_u: np.ndarray,
     return float(thresholds[best]), correct / (n_m + n_u)
 
 
-def compute_roc(matched, unmatched) -> RocCurve:
-    """Operating points at every distinct observed distance plus sentinels."""
-    m, u = _sorted("matched", matched), _sorted("unmatched", unmatched)
-    thresholds, below_m, below_u = _counts(m, u)
-    return RocCurve(thresholds, below_u / u.size, below_m / m.size)
-
-
 def auc(curve: RocCurve) -> float:
     """Trapezoidal area under the exact ROC, over FPR in [0, 1]."""
     return float(np.trapezoid(curve.tprs, curve.fprs))
+
+
+def pair_distances(vectors: np.ndarray,
+                   pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The Euclidean distances between rows `pairs.first` and `pairs.second`
+    of the (n, d) `vectors`, as the sorted (matched, unmatched) sides of
+    `pairs.label`.  A slab of pairs at a time bounds the temporaries."""
+    first, second = pairs.first, pairs.second
+    dist = np.empty(len(first))
+    step = _slab(vectors.shape[1])
+    for i in range(0, len(first), step):
+        diff = vectors[first[i:i + step]]
+        diff -= vectors[second[i:i + step]]
+        np.sqrt(np.sum(np.square(diff, out=diff), axis=1),
+                out=dist[i:i + step])
+    matched = pairs.label == int(PairLabel.MATCHED)
+    sides = dist[matched], dist[~matched]
+    for side in sides:
+        side.sort()
+    return sides
 
 
 def evaluate_distances(matched, unmatched,

@@ -68,8 +68,8 @@ from .layers import (ConvLayer, FCLayer, Network, PoolSpec, ShapeError, Stage,
                      _backward_cached, _forward, _forward_cached,
                      _images_per_slab, _inputs_per_slab, _stage_forward,
                      _stage_shapes)
-from .loss import ComparatorParams, PairLabel, pair_loss_grads
-from .metrics import auc, compute_roc
+from .loss import ComparatorParams, pair_loss_grads
+from .metrics import evaluate_distances, pair_distances
 from .seeding import derive_seed, make_rng
 from .tensor import Tensor
 
@@ -481,15 +481,12 @@ def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
     if not isinstance(val_pairs, (PairBatch, type(None))):
         raise PyramidError(f"validation pairs must be a PairBatch, got "
                            f"{type(val_pairs).__name__}")
-    val_ids = (None if val_images is None or not val_pairs
-               else np.union1d(val_pairs.first, val_pairs.second))
 
     def validate(step):
         trace.val_iterations.append(step - 1)
         trace.val_aucs.append(
-            float("nan") if val_ids is None else
-            _validation_auc(nets[0], offsets[0], val_images, val_pairs,
-                            val_ids))
+            float("nan") if val_images is None else
+            _validation_auc(nets[0], offsets[0], val_images, val_pairs))
 
     started = time.perf_counter()
     step = 0
@@ -566,35 +563,38 @@ def _gather(images, ids: Sequence[int], offset: tuple[int, int],
 
 
 def _validation_auc(net: Network, offset: tuple[int, int], val_images,
-                    val_pairs: PairBatch, val_ids) -> float:
+                    val_pairs: PairBatch) -> float:
     """ROC AUC of `net`'s embedding distances, on its current parameters,
-    over the validation pairs; NaN when the pairs are all matched or all
-    unmatched.  `val_ids` are the images the pairs name, ascending."""
+    over the validation pairs, scored as `pyrcnn eval` scores its pairs;
+    NaN when the pairs are all matched or all unmatched.  Every image of
+    the set is embedded, a slab at a time, from views of its patches."""
+    (ox, oy), edge = offset, net.input_size
     step = _images_per_slab(net)
     feats = np.concatenate([
-        _forward(net, _gather(
-            val_images, val_ids[start:start + step], offset, net.input_size))
-        for start in range(0, len(val_ids), step)])
-    first = np.searchsorted(val_ids, val_pairs.first)
-    second = np.searchsorted(val_ids, val_pairs.second)
-    dist = np.sqrt(np.sum((feats[first] - feats[second]) ** 2, axis=1))
-    matched = val_pairs.label == int(PairLabel.MATCHED)
-    if matched.all() or not matched.any():
+        _forward(net, np.asarray(val_images[start:start + step])
+                 [:, oy:oy + edge, ox:ox + edge])
+        for start in range(0, len(val_images), step)])
+    sides = pair_distances(feats, val_pairs)
+    if not all(side.size for side in sides):
         return float("nan")
-    return auc(compute_roc(dist[matched], dist[~matched]))
+    return evaluate_distances(*sides, ()).auc
 
 
 class _DrawnPairs:
     """A pair stream drawn ahead: `iterations` batches of `size` pairs from
-    `sampler`, held as one PairBatch, `pairs`.  `batch(size)` hands them
-    back in order, as views; a different size, or one batch more than was
-    drawn, is a PyramidError."""
+    `sampler`, written in order into one PairBatch, `pairs`, whose arrays
+    are allocated before the first draw.  `batch(size)` hands them back in
+    order, as views; a different size, or one batch more than was drawn,
+    is a PyramidError."""
 
     def __init__(self, sampler: PairSampler, size: int, iterations: int):
-        batches = [sampler.batch(size) for _ in range(iterations)]
-        self.pairs = PairBatch(np.concatenate([b.first for b in batches]),
-                               np.concatenate([b.second for b in batches]),
-                               np.concatenate([b.label for b in batches]))
+        first, second = np.empty((2, size * iterations), np.int32)
+        label = np.empty(size * iterations, np.int8)
+        for start in range(0, label.size, size):
+            batch, end = sampler.batch(size), start + size
+            first[start:end], second[start:end], label[start:end] = \
+                batch.first, batch.second, batch.label
+        self.pairs = PairBatch(first, second, label)
         self.size, self.taken = size, 0
 
     def batch(self, n: int) -> PairBatch:

@@ -20,7 +20,7 @@ from pyrcnn import (ComparatorParams, ConvLayer, FCLayer, Network,
                     NuisanceConfig, PairLabel, PairSampler, PoolSpec,
                     PyramidSpec, Stage, Tensor, TrainConfig, assemble_network,
                     auc, build_monolithic, build_pyramid, center_crop,
-                    compute_roc, evaluate_distances, extract_representations,
+                    evaluate_distances, extract_representations,
                     gradient_check, greedy_train, load_image, load_model,
                     network_forward, pair_loss_grads, preprocess_dataset,
                     sample_pairs, save_model, split_by_identity,
@@ -87,7 +87,7 @@ def heldout_auc(run, model):
     feats = [fv.values
              for fv in extract_representations(model, run.eval_images)]
     matched, unmatched = pair_distances(feats, run.pairs)
-    return auc(compute_roc(matched, unmatched))
+    return evaluate_distances(matched, unmatched).auc
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +217,12 @@ def test_criterion_3_identity_preserving_learning(workdir):
     deep = [fv.values
             for fv in extract_representations(run.model, run.eval_images)]
     matched, unmatched = pair_distances(deep, run.pairs)
-    deep_auc = auc(compute_roc(matched, unmatched))
+    deep_auc = evaluate_distances(matched, unmatched).auc
     deep_acc = evaluate_distances(matched, unmatched).accuracy
 
     raw = [float_pixels(im.raster, im.maxval).reshape(-1)
            for im in run.eval_images]
-    raw_auc = auc(compute_roc(*pair_distances(raw, run.pairs)))
+    raw_auc = evaluate_distances(*pair_distances(raw, run.pairs)).auc
 
     assert deep_auc >= 0.90
     assert deep_acc >= 0.80
@@ -254,7 +254,7 @@ def test_criterion_4_greedy_training_benefit(workdir):
         feats = [network_forward(mono, center_crop(im, mono.input_size)).array
                  for im in run.eval_images]
         matched, unmatched = pair_distances(feats, run.pairs)
-        monolith_aucs.append(auc(compute_roc(matched, unmatched)))
+        monolith_aucs.append(evaluate_distances(matched, unmatched).auc)
 
     mean_pyramid = float(np.mean(pyramid_aucs))
     mean_monolith = float(np.mean(monolith_aucs))
@@ -305,7 +305,7 @@ def test_criterion_5_evaluator_exactness():
         matched, unmatched = random_scores(rng, tie_heavy=i % 2 == 1)
         n_m, n_u = len(matched), len(unmatched)
 
-        curve = compute_roc(matched, unmatched)
+        curve = evaluate_distances(matched, unmatched, ()).curve
         thresholds = np.array([p.threshold for p in curve.points])
         m_less = counted(matched, thresholds)
         u_less = counted(unmatched, thresholds)

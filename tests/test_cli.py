@@ -346,6 +346,10 @@ def test_unknown_nested_key(tmp_path, capsys):
     cfg = write_config(tmp_path, data={"dir": "g", "rotation": 5})
     err = error_of(capsys, ["synth", "--config", str(cfg)])
     assert "unknown key(s) in data: rotation" in err
+    # extraction has one route, so no key to rescale its vectors
+    cfg = write_config(tmp_path, extraction={"normalize": False})
+    err = error_of(capsys, ["synth", "--config", str(cfg)])
+    assert "unknown key(s) in extraction: normalize" in err
 
 
 def test_config_file_missing(tmp_path, capsys):
@@ -408,8 +412,8 @@ def test_config_value_of_wrong_type(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("block, key, value, kind", [
-    ("extraction", "normalize", "false", "true or false"),
-    ("extraction", "normalize", 0, "true or false"),
+    ("data", "max_translation", 2.5, "an integer"),
+    ("train", "momentum", True, "a number"),
     ("data", "n_identities", 4.9, "an integer"),
     ("data", "n_identities", True, "an integer"),
     ("pyramid", "levels", 2.5, "an integer"),
@@ -424,8 +428,7 @@ def test_config_value_of_wrong_type(tmp_path, capsys):
 ])
 def test_config_value_is_checked_not_coerced(tmp_path, capsys, block, key,
                                              value, kind):
-    base = {"data": {"dir": "g"}, "extraction": {}, "pyramid": {},
-            "train": {}}[block]
+    base = {"data": {"dir": "g"}, "pyramid": {}, "train": {}}[block]
     cfg = write_config(tmp_path, **{block: {**base, key: value}})
     err = error_of(capsys, ["synth", "--config", str(cfg)])
     assert err.startswith(f"error: {cfg}: bad config value ({block}.{key} "
@@ -612,31 +615,6 @@ def test_index_row_of_more_than_two_fields_is_an_error(
     assert not (tmp_path / "out").exists()
 
 
-def test_train_on_stored_samples_matches_training_on_float_pixels(
-        tmp_path, monkeypatch):
-    """`train` keeps each image's 8-bit samples and makes float pixels a
-    slab at a time; it writes the model and trace bytes that training on
-    float images holding `read_pgm`'s values writes.  Half the gallery is
-    rewritten at maxval 127, so the slabs mix maxvals."""
-    cfg = write_config(tmp_path)
-    assert main(["synth", "--config", str(cfg)]) == 0
-    for path in sorted((tmp_path / "gallery").glob("*.pgm"))[::2]:
-        samples = np.frombuffer(path.read_bytes()[-36 * 36:], np.uint8)
-        path.write_bytes(b"P5\n36 36\n127\n" + (samples // 2).tobytes())
-    assert main(["train", "--config", str(cfg)]) == 0
-    (tmp_path / "out").rename(tmp_path / "stored")
-
-    def float_image(record):
-        pixels = pyrcnn.read_pgm(record.path)[:, :, None]
-        return pyrcnn.LabeledImage(pyrcnn.Tensor.from_array(pixels),
-                                   identity=record.identity)
-    monkeypatch.setattr(cli, "load_image", float_image)
-    assert main(["train", "--config", str(cfg)]) == 0
-    for name in ("model.bin", "trace_level0.csv", "trace_level1.csv"):
-        assert (tmp_path / "out" / name).read_bytes() == \
-            (tmp_path / "stored" / name).read_bytes()
-
-
 def test_train_divergence_is_an_error(tmp_path, capsys):
     """A learning rate that drives the parameters to inf/NaN ends the run
     with an error, not a traceback or a model."""
@@ -665,6 +643,52 @@ def test_train_divergence_stderr_is_only_the_error(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: training diverged"), proc.stderr
     assert proc.stderr.count("\n") == 1
+
+
+# A child process's address-space cap: room for the interpreter, numpy and
+# OpenBLAS, far below any of the sizes below
+CHILD_ADDRESS_SPACE = 1 << 30
+
+
+@pytest.mark.parametrize("command, block, key, value", [
+    ("eval", "evaluation", "n_pairs", 10**30),
+    ("eval", "evaluation", "n_pairs", 10**12),
+    ("train", "train", "batch_size", 10**30),
+    ("train", "train", "iterations_per_level", 10**30),
+    ("synth", "data", "edge", 10**9),
+    ("train", "pyramid", "output_dim", 10**12),
+    ("train", "pyramid", "shared", {"channels": 10**9}),
+], ids=["n_pairs-1e30", "n_pairs-1e12", "batch_size-1e30",
+        "iterations_per_level-1e30", "edge-1e9", "output_dim-1e12",
+        "shared.channels-1e9"])
+def test_oversized_config_value_is_an_error_not_a_traceback(
+        pipeline, tmp_path, command, block, key, value):
+    """A config size past what numpy can index or the process can hold
+    ends in one `error:` line naming the command, with exit code 1.  Each
+    case runs in a process under an address-space cap and a timeout, so a
+    size that is drawn, not refused, fails the test instead of filling
+    the machine."""
+    raw = json.loads(write_config(tmp_path).read_text(encoding="utf-8"))
+    raw[block][key] = value
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    argv = {"synth": [], "train": [],
+            "eval": [pipeline["features"],
+                     pipeline["out"] / "eval_index.csv"]}[command]
+    if command == "train":
+        assert main(["synth", "--config", str(cfg)]) == 0
+    capped = ("import resource, sys; "
+              f"resource.setrlimit(resource.RLIMIT_AS, "
+              f"({CHILD_ADDRESS_SPACE}, {CHILD_ADDRESS_SPACE})); "
+              "from pyrcnn.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", capped, command, "--config", str(cfg),
+         *map(str, argv)],
+        capture_output=True, text=True, timeout=60,
+        env={**env_with_package(), "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: {command}: "), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_extract_missing_model_file(tmp_path, capsys):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from pyrcnn import (DataError, DatasetIndex, FacePair, IndexRecord,
                     LabeledImage, NuisanceConfig, PairBatch, PairLabel,
                     PairSampler, Tensor, TensorError, center_crop,
-                    load_image, load_index, read_pgm, sample_pairs,
+                    load_image, load_index, sample_pairs,
                     split_by_identity, split_identity_ids, synth_generate,
                     write_index, write_pgm)
 from pyrcnn.data import center_window, float_pixels
@@ -27,11 +27,15 @@ def pixels(image):
     return float_pixels(image.raster, image.maxval)
 
 
-def make_image(arr, identity=0):
-    a = np.asarray(arr, dtype=np.float64)
-    if a.ndim == 2:
-        a = a[:, :, None]
-    return LabeledImage(Tensor.from_array(a), identity)
+def make_image(samples, identity=0, maxval=255):
+    """The image of an h x w array of stored samples in 0..`maxval`."""
+    return LabeledImage(np.asarray(samples, dtype=np.uint8)[:, :, None],
+                        identity, maxval=maxval)
+
+
+def read_pgm(path):
+    """A PGM's float pixels as `load_image` reads them, h x w."""
+    return pixels(load_image(IndexRecord(path, 0)))[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +130,9 @@ def test_write_pgm_refuses_non_finite_pixels(tmp_path, bad):
 def test_pgm_sample_above_maxval_names_the_file(tmp_path):
     p = tmp_path / "a.pgm"
     p.write_bytes(b"P5\n4 4\n100\n" + bytes(5) + bytes([200]) + bytes(10))
-    for read in (read_pgm, lambda path: load_image(IndexRecord(path, 0))):
-        with pytest.raises(DataError) as err:
-            read(p)
-        assert str(err.value) == f"{p}: PGM sample 200 exceeds maxval 100"
+    with pytest.raises(DataError) as err:
+        load_image(IndexRecord(p, 0))
+    assert str(err.value) == f"{p}: PGM sample 200 exceeds maxval 100"
 
 
 @pytest.fixture(scope="module")
@@ -142,8 +145,7 @@ def pgm_dir(tmp_path_factory):
 def test_stored_samples_read_as_read_pgm_floats(pgm_dir, draw):
     """An image keeps its PGM's 8-bit samples, and every float view of it
     (`float_pixels` of the whole raster or of a window sliced from it,
-    and `center_crop`) is bit-equal to `read_pgm`'s array, which is
-    `samples / maxval` in float64."""
+    and `center_crop`) is bit-equal to `samples / maxval` in float64."""
     maxval = draw.draw(st.integers(1, 255), label="maxval")
     h = draw.draw(st.integers(1, 9), label="h")
     w = draw.draw(st.integers(1, 9), label="w")
@@ -153,8 +155,7 @@ def test_stored_samples_read_as_read_pgm_floats(pgm_dir, draw):
     path = pgm_dir / "a.pgm"
     path.write_bytes(b"P5\n%d %d\n%d\n" % (w, h, maxval) + samples.tobytes())
 
-    want = read_pgm(path)
-    assert want.tobytes() == (samples.astype(np.float64) / maxval).tobytes()
+    want = samples.astype(np.float64) / maxval
     image = load_image(IndexRecord(path, 0))
     assert image.raster.dtype == np.uint8 and image.maxval == maxval
     assert not image.raster.flags.writeable
@@ -330,16 +331,17 @@ def test_load_image_carries_identity_and_landmarks(tmp_path):
 
 def test_labeled_image_validation():
     with pytest.raises(DataError):
-        make_image(np.full((4, 4), 2.0))  # out of [0,1]
+        make_image(np.full((4, 4), 200), maxval=100)  # out of 0..maxval
     with pytest.raises(DataError):
-        LabeledImage(Tensor.from_array(np.zeros((4, 4, 2))), 0)  # 2 channels
+        LabeledImage(np.zeros((4, 4, 2), np.uint8), 0)  # 2 channels
     samples = np.full((4, 4, 1), 7, dtype=np.uint8)
     for bad in (dict(pixels=samples, maxval=6),  # a sample above maxval
                 dict(pixels=samples, maxval=0),
                 dict(pixels=samples, maxval=256),
-                dict(pixels=samples.astype(np.float64)),  # floats, no Tensor
+                dict(pixels=samples.astype(np.uint16), maxval=7),
+                dict(pixels=samples.tolist(), maxval=7),
                 dict(pixels=samples[:0]),  # no rows
-                dict(pixels=Tensor.from_array(samples / 7.0), maxval=7)):
+                dict(pixels=samples[:, :, 0])):  # no channel axis
         with pytest.raises(DataError):
             LabeledImage(identity=0, **bad)
 
@@ -349,15 +351,29 @@ def test_labeled_image_range_error_speaks_of_its_own_scale():
                                         r"0\.\.100, got 200"):
         LabeledImage(np.full((4, 4, 1), 200, np.uint8), identity=0,
                      maxval=100)
-    with pytest.raises(DataError, match=r"pixel values must lie in \[0, 1\]"):
-        LabeledImage(Tensor.from_array(np.full((4, 4, 1), 2.0)), identity=0)
+
+
+@pytest.mark.parametrize("pixels, got", [
+    (np.full((4, 4, 1), 0.5), "float64"),
+    (np.full((4, 4, 1), 0.5, np.float32), "float32"),
+    (Tensor.from_array(np.full((4, 4, 1), 0.5)), "Tensor"),
+])
+def test_labeled_image_refuses_float_pixels_naming_uint8(pixels, got):
+    """An image holds stored samples only: float pixels, as an array or a
+    Tensor, are refused with an error that names the type it needs."""
+    with pytest.raises(DataError) as err:
+        LabeledImage(pixels, identity=0, maxval=255)
+    assert str(err.value) == (f"stored samples must be a uint8 array with "
+                              f"a maxval in 1..255, got {got} with maxval "
+                              f"255")
 
 
 def test_labeled_image_from_floats_or_stored_samples():
-    floats = np.random.default_rng(2).uniform(0.0, 1.0, (5, 4, 1))
-    image = LabeledImage(Tensor.from_array(floats), identity=3)
-    assert (image.raster.dtype, image.maxval) == (np.float64, 1)
-    assert pixels(image).tobytes() == floats.tobytes()
+    """Float pixels are refused (see above); stored samples are kept as a
+    read-only view whose float pixels are `samples / maxval`."""
+    with pytest.raises(DataError, match="uint8"):
+        LabeledImage(np.random.default_rng(2).uniform(0.0, 1.0, (5, 4, 1)),
+                     identity=3)
     samples = np.arange(20, dtype=np.uint8).reshape(5, 4, 1)
     image = LabeledImage(samples, identity=3, maxval=19)
     assert image.raster.dtype == np.uint8
@@ -625,9 +641,9 @@ def test_sample_pairs_keeps_its_random_stream():
 
 
 def test_crop_whole_image_identity():
-    img = make_image(np.random.default_rng(3).uniform(0, 1, (8, 8)))
+    img = make_image(np.random.default_rng(3).integers(0, 256, (8, 8)))
     out = center_window(img, 8)
-    np.testing.assert_array_equal(out, pixels(img))
+    np.testing.assert_array_equal(out, img.raster)
     assert np.shares_memory(out, img.raster)  # a view, not a copy
 
 
@@ -636,7 +652,7 @@ def test_crop_central_region_indexing():
     row 4."""
     base = np.zeros((40, 64))
     base[4:36, 16:48] = 1.0
-    img = make_image(base)
+    img = make_image(base, maxval=1)
     out = center_window(img, 32)
     np.testing.assert_array_equal(out, np.ones((32, 32, 1)))
 
@@ -646,7 +662,7 @@ def test_crop_x_is_column_y_is_row():
     and y = (6 - 2) // 2 = 2 from the rows, each rounded down."""
     base = np.zeros((6, 9))
     base[2, 3] = 1.0  # row 2, column 3
-    img = make_image(base)
+    img = make_image(base, maxval=1)
     out = center_window(img, 2)
     np.testing.assert_array_equal(out[:, :, 0], [[1.0, 0.0], [0.0, 0.0]])
 
@@ -663,7 +679,7 @@ def test_crop_out_of_bounds():
 
 def test_center_crop_arithmetic():
     base = np.arange(36, dtype=np.float64).reshape(6, 6) / 36.0
-    img = make_image(base)
+    img = make_image(np.arange(36).reshape(6, 6), maxval=36)
     out = center_crop(img, 2)
     np.testing.assert_array_equal(out.array[:, :, 0], base[2:4, 2:4])
     with pytest.raises(TensorError):

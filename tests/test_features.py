@@ -17,13 +17,14 @@ from pyrcnn.features import _level_outputs
 from pyrcnn.layers import ShapeError, _forward, _stage_forward
 
 
-def image_of(arr, source=None):
-    return LabeledImage(pixels=Tensor.from_array(arr[:, :, None]),
+def image_of(samples, source=None):
+    """The image of an h x w array of 8-bit samples (maxval 255)."""
+    return LabeledImage(pixels=np.asarray(samples, np.uint8)[:, :, None],
                         identity=0, source=source)
 
 
 def random_image(rng, edge):
-    return image_of(rng.uniform(0.0, 1.0, (edge, edge)))
+    return image_of(rng.integers(0, 256, (edge, edge)))
 
 
 def extract_one(model, image, **options):
@@ -78,7 +79,7 @@ def test_extract_length_matches_output_dim():
 
 def test_extract_identical_images_identical_vectors():
     rng = np.random.default_rng(11)
-    arr = rng.uniform(0.0, 1.0, (36, 36))
+    arr = rng.integers(0, 256, (36, 36))
     model = frozen_pyramid(2, 1)
     a = extract_one(model, image_of(arr))
     b = extract_one(model, image_of(arr.copy()))
@@ -123,15 +124,18 @@ def test_extract_crops_where_training_crops():
     assert fv.values.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("normalize", [False, True])
-def test_extract_batch_rows_equal_single_image_calls(normalize):
+@pytest.mark.parametrize("lazy", [False, True])
+def test_extract_batch_rows_equal_single_image_calls(lazy):
+    """A batch's rows are the bits of one-image calls, whether the images
+    come as a list or are drawn from a generator."""
     rng = np.random.default_rng(19)
     model = frozen_pyramid(2, 9)
     images = [random_image(rng, edge) for edge in (36, 38, 40, 41, 36)]
-    batch = extract_representations(model, images, normalize=normalize)
+    batch = extract_representations(
+        model, (image for image in images) if lazy else images)
     assert len(batch) == len(images)
     for image, fv in zip(images, batch):
-        alone = extract_one(model, image, normalize=normalize)
+        alone = extract_one(model, image)
         assert fv.values.tobytes() == alone.values.tobytes()
     assert extract_representations(model, []) == []
 
@@ -170,16 +174,16 @@ def test_level_outputs_of_offset_networks_equal_the_stacked_route(top):
     for stage in model.stages[:top]:
         stage.conv.frozen = True
     rng = np.random.default_rng(27)
-    # float images and 8-bit samples of two maxvals, of several sizes
+    # 8-bit samples of two maxvals, of several sizes
     images = [random_image(rng, 48), random_image(rng, 53)] + [
         LabeledImage(rng.integers(0, m + 1, (e, e, 1), dtype=np.uint8), 0,
                      maxval=m) for e, m in ((48, 255), (50, 200), (60, 255))]
     want = stacked_route(model, images)
-    got = _level_outputs(model, images, normalize=False)
+    got = _level_outputs(model, images)
     assert got.shape == (5, 4 * spec.output_dim)
     assert got.tobytes() == want.tobytes()
     for i, image in enumerate(images):
-        alone = _level_outputs(model, [image], normalize=False)
+        alone = _level_outputs(model, [image])
         assert alone.tobytes() == want[i:i + 1].tobytes()
 
 
@@ -247,16 +251,6 @@ def test_extract_requires_frozen_lower_stages():
     with pytest.raises(ShapeError, match="not frozen"):
         extract_one(model, img)
 
-
-def test_extract_normalize_rescales_to_unit_norm():
-    rng = np.random.default_rng(17)
-    model = frozen_pyramid(1, 7)
-    img = random_image(rng, 16)
-    raw = extract_one(model, img).values
-    unit = extract_one(model, img, normalize=True).values
-    assert np.linalg.norm(raw) > 0.0
-    assert_allclose(np.linalg.norm(unit), 1.0, rtol=0.0, atol=1e-12)
-    assert_allclose(unit, raw / np.linalg.norm(raw), rtol=0.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

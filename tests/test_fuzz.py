@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pyrcnn import (DataError, PyramidError, PyramidSpec, StageSpec,
-                    TensorError, build_pyramid, load_index, load_model,
-                    read_features, read_pgm, save_model)
+from pyrcnn import (DataError, IndexRecord, PyramidError, PyramidSpec,
+                    StageSpec, TensorError, build_pyramid, load_image,
+                    load_index, load_model, read_features, save_model)
 from pyrcnn.cli import ConfigError, RunConfig, load_config
 
 # deterministic and without an example database, so a run writes no files
@@ -135,11 +135,16 @@ def test_rewritten_spec_header_loads_only_a_model_that_matches_it(
 # ---------------------------------------------------------------------------
 # PGM, index and features files
 
+def load_pgm(path):
+    """One PGM loaded as an index record's image."""
+    return load_image(IndexRecord(path, 0))
+
+
 # one valid file per parser, small enough that the byte-level search is
 # dense, with each format's less common parts: a PGM header comment, an
 # index's quoted path, features of two rows in exponent notation
 TEXT_FILES = {
-    "pgm": (read_pgm, b"P5\n# made by hand\n4 3\n255\n"
+    "pgm": (load_pgm, b"P5\n# made by hand\n4 3\n255\n"
             + bytes(range(0, 240, 20))),
     "index": (load_index, b'path,identity\r\na.pgm,p0\r\n'
               b'"c, d.pgm",p1\r\nb.pgm,p0\r\n'),
@@ -205,7 +210,7 @@ VALID_CONFIG = {
                 "output_dim": 8},
     "train": {"learning_rate": 0.05, "momentum": 0.9, "batch_size": 32,
               "iterations_per_level": 200, "validation_fraction": 0.2},
-    "extraction": {"scheme": "single-top", "normalize": False},
+    "extraction": {"scheme": "single-top"},
     "evaluation": {"fpr_targets": [0.1, 0.01], "n_pairs": 2000},
 }
 

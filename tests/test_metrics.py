@@ -3,8 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pyrcnn import (MetricError, auc, compute_roc, evaluate_distances,
-                    metrics)
+from loss_reference import distance
+from pyrcnn import (MetricError, PairBatch, RocCurve, auc,
+                    evaluate_distances, layers, metrics)
+
+
+def roc(matched, unmatched):
+    """The exact ROC of one matched/unmatched split, from the report."""
+    return evaluate_distances(matched, unmatched, ()).curve
 
 
 def operating_point(matched, unmatched, target):
@@ -74,17 +80,17 @@ def random_scores(rng, n_each, tie_heavy=False):
 
 
 # ---------------------------------------------------------------------------
-# compute_roc
+# the ROC curve
 
 
 def test_roc_perfect_separation_has_ideal_point():
-    curve = compute_roc([1.0, 2.0], [3.0, 4.0])
+    curve = roc([1.0, 2.0], [3.0, 4.0])
     assert any(p.fpr == 0.0 and p.tpr == 1.0 for p in curve.points)
 
 
 def test_roc_identical_multisets_on_diagonal():
     scores = [0.5, 1.0, 1.0, 2.0]
-    curve = compute_roc(scores, scores)
+    curve = roc(scores, scores)
     for p in curve.points:
         assert p.fpr == p.tpr
 
@@ -93,7 +99,7 @@ def test_roc_matches_counting_oracle():
     rng = np.random.default_rng(31)
     for tie_heavy in (False, True):
         matched, unmatched = random_scores(rng, 500, tie_heavy)
-        curve = compute_roc(matched, unmatched)
+        curve = roc(matched, unmatched)
         oracle = counting_roc_oracle(matched, unmatched)
         assert len(curve.points) == len(oracle)
         for p, (t, fpr, tpr) in zip(curve.points, oracle):
@@ -106,7 +112,7 @@ def test_roc_monotone_along_thresholds():
     rng = np.random.default_rng(32)
     for _ in range(5):
         matched, unmatched = random_scores(rng, 200, tie_heavy=True)
-        curve = compute_roc(matched, unmatched)
+        curve = roc(matched, unmatched)
         fprs, tprs = curve.fprs, curve.tprs
         assert (np.diff(fprs) >= 0).all()
         assert (np.diff(tprs) >= 0).all()
@@ -116,16 +122,16 @@ def test_roc_monotone_along_thresholds():
 
 def test_roc_rejects_empty():
     with pytest.raises(MetricError):
-        compute_roc([], [1.0])
+        roc([], [1.0])
     with pytest.raises(MetricError):
-        compute_roc([1.0], [])
+        roc([1.0], [])
 
 
 def test_metrics_reject_non_finite_distances():
     with pytest.raises(MetricError, match="matched distances must be finite"):
         evaluate_distances([np.nan, 1.0], [2.0, 3.0])
     with pytest.raises(MetricError, match="unmatched .* finite, got inf"):
-        compute_roc([1.0], [2.0, np.inf])
+        roc([1.0], [2.0, np.inf])
 
 
 # ---------------------------------------------------------------------------
@@ -133,16 +139,16 @@ def test_metrics_reject_non_finite_distances():
 
 
 def test_auc_perfect_and_diagonal():
-    assert auc(compute_roc([1.0, 2.0], [3.0, 4.0])) == 1.0
+    assert auc(roc([1.0, 2.0], [3.0, 4.0])) == 1.0
     scores = [1.0, 2.0, 3.0]
-    assert auc(compute_roc(scores, scores)) == pytest.approx(0.5)
+    assert auc(roc(scores, scores)) == pytest.approx(0.5)
 
 
 def test_auc_equals_pairwise_ranking_probability():
     rng = np.random.default_rng(33)
     for tie_heavy in (False, True):
         matched, unmatched = random_scores(rng, 200, tie_heavy)
-        got = auc(compute_roc(matched, unmatched))
+        got = auc(roc(matched, unmatched))
         want = pairwise_auc_oracle(matched, unmatched)
         assert abs(got - want) < 1e-9
 
@@ -150,9 +156,9 @@ def test_auc_equals_pairwise_ranking_probability():
 def test_auc_invariant_under_increasing_transform():
     rng = np.random.default_rng(34)
     matched, unmatched = random_scores(rng, 150)
-    base = auc(compute_roc(matched, unmatched))
+    base = auc(roc(matched, unmatched))
     for f in (np.exp, lambda x: 3.0 * x - 7.0, lambda x: x ** 3):
-        assert auc(compute_roc(f(matched), f(unmatched))) == \
+        assert auc(roc(f(matched), f(unmatched))) == \
             pytest.approx(base, abs=1e-12)
 
 
@@ -272,9 +278,9 @@ def test_evaluate_distances_bundles_consistently():
     matched, unmatched = random_scores(rng, 400)
     report = evaluate_distances(matched, unmatched)
     assert report.n_matched == 400 and report.n_unmatched == 400
-    assert report.auc == auc(compute_roc(matched, unmatched))
-    assert report.curve == compute_roc(matched, unmatched)
-    assert report.curve != compute_roc(matched, unmatched[1:])
+    assert report.auc == auc(report.curve)
+    assert report.curve == roc(matched, unmatched)
+    assert report.curve != roc(matched, unmatched[1:])
     assert (report.accuracy_threshold, report.accuracy) == \
         sweep_accuracy_oracle(matched, unmatched)
     assert [row[0] for row in report.tpr_points] == [0.1, 0.01, 0.001]
@@ -286,6 +292,24 @@ def test_evaluate_distances_bundles_consistently():
         assert achieved <= target
     assert 0.0 <= report.accuracy <= 1.0
     assert 0.0 <= report.auc <= 1.0
+
+
+def test_pair_distances_are_per_pair_distances_split_and_sorted(
+        monkeypatch):
+    """With a slab of 3 pairs, 20 pairs are measured over 7 slabs; each
+    side holds the bits of its pairs' one-at-a-time distances, sorted."""
+    monkeypatch.setattr(layers, "_SLAB_ELEMENTS", 3 * 8)
+    rng = np.random.default_rng(40)
+    vectors = rng.standard_normal((10, 8))
+    pairs = PairBatch(rng.integers(0, 10, 20), rng.integers(0, 10, 20),
+                      [1, -1, -1, 1] * 5)
+    matched, unmatched = metrics.pair_distances(vectors, pairs)
+    want = {1: [], -1: []}
+    for p in pairs:
+        want[int(p.label)].append(distance(vectors[p.first],
+                                           vectors[p.second]))
+    assert matched.tolist() == sorted(want[1])
+    assert unmatched.tolist() == sorted(want[-1])
 
 
 def test_evaluate_distances_custom_targets():
@@ -343,7 +367,8 @@ def test_merged_thresholds_are_the_unique_values(matched, unmatched):
     report = evaluate_distances(matched, unmatched)
     in_place = evaluate_distances(m, u)
     for got in (report, in_place):
-        assert got.curve == compute_roc(matched, unmatched)
+        assert got.curve == RocCurve(thresholds, below_u / u.size,
+                                     below_m / m.size)
         assert (got.accuracy_threshold, got.accuracy) == best
         assert got.auc == report.auc
         assert got.tpr_points == report.tpr_points

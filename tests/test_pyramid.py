@@ -22,11 +22,11 @@ from pyrcnn import (ComparatorParams, ConvLayer, FCLayer,
                     network_forward, pair_loss_grads,
                     preprocess_dataset, save_model, synth_generate,
                     train_level, train_network)
-from pyrcnn import pyramid
+from pyrcnn import layers, pyramid
 from pyrcnn.data import (NuisanceConfig, float_pixels, load_image,
                          split_identity_ids)
 from pyrcnn.layers import _stage_shapes
-from pyrcnn.metrics import auc, compute_roc
+from pyrcnn.metrics import evaluate_distances
 from pyrcnn.pyramid import (_VAL_PAIRS, _VALIDATE_EVERY, _momentum_step,
                             _validation_auc)
 from pyrcnn.seeding import derive_seed, make_rng
@@ -1002,8 +1002,11 @@ def test_greedy_corners_train_like_full_grids(tmp_path):
     reads, writes the model, the losses and the validation AUCs that
     training every level on whole crops and whole grids of both sides
     writes.  The gallery is large enough that the batches and the
-    validation pairs leave images of both sides unread."""
+    validation pairs leave images of both sides unread, and every other
+    image is stored at maxval 127, so the slabs mix maxvals."""
     spec, dataset = make_gallery(tmp_path, seed=36, n_id=24, n_per=12)
+    dataset = [LabeledImage(img.raster // 2, img.identity, maxval=127)
+               if i % 2 else img for i, img in enumerate(dataset)]
     cfg = dataclasses.replace(small_cfg(36), validation_fraction=0.5)
     auto = build_pyramid(spec, seed=36)
     auto_traces = greedy_train(auto, dataset, cfg)
@@ -1039,9 +1042,9 @@ def test_greedy_train_holds_less_than_the_gallery():
     spec = PyramidSpec(levels=3)
     edge = spec.raw_data_edge()
     rng = np.random.default_rng(37)
-    dataset = [LabeledImage(tensor(rng.uniform(0.0, 1.0, (edge, edge, 1))),
+    dataset = [LabeledImage(rng.integers(0, 256, (edge, edge, 1), np.uint8),
                             identity=i // 10) for i in range(320)]
-    pixel_bytes = sum(img.raster.nbytes for img in dataset)  # float64
+    pixel_bytes = sum(8 * img.raster.size for img in dataset)  # as float64
     model = build_pyramid(spec, seed=37)
     tracemalloc.start()
     try:
@@ -1062,7 +1065,7 @@ def test_greedy_train_holds_only_the_images_it_reads():
     spec = PyramidSpec(levels=3)
     edge = spec.raw_data_edge()
     rng = np.random.default_rng(39)
-    dataset = [LabeledImage(tensor(rng.uniform(0.0, 1.0, (edge, edge, 1))),
+    dataset = [LabeledImage(rng.integers(0, 256, (edge, edge, 1), np.uint8),
                             identity=i // 10) for i in range(320)]
     grid_bytes = 320 * spec.base_input ** 2 * spec.shared.channels * 8
     cfg = TrainConfig(batch_size=4, iterations_per_level=1, seed=39)
@@ -1127,6 +1130,26 @@ def test_drawn_pairs_replay_their_batches_and_no_more():
         assert drawn.batch(4) == again.batch(4)
     with pytest.raises(PyramidError, match="batch 4 of 4"):
         drawn.batch(4)
+
+
+@pytest.mark.parametrize("seed, size, iterations", [
+    (5, 4, 3), (6, 1, 7), (7, 32, 200), (8, 7, 1)])
+def test_drawn_pairs_are_the_concatenated_batches(seed, size, iterations):
+    """The preallocated draw holds the pairs, in order, that concatenating
+    the sampler's batches gives, and leaves the sampler's generator in the
+    same state."""
+    ids = [i // 3 for i in range(30)]
+    sampler = PairSampler(ids, make_rng(seed, "p"))
+    drawn = pyramid._DrawnPairs(sampler, size, iterations)
+    again = PairSampler(ids, make_rng(seed, "p"))
+    batches = [again.batch(size) for _ in range(iterations)]
+    want = PairBatch(*(np.concatenate([getattr(b, name) for b in batches])
+                       for name in ("first", "second", "label")))
+    assert drawn.pairs == want
+    assert [a.dtype for a in (drawn.pairs.first, drawn.pairs.second,
+                              drawn.pairs.label)] == \
+        [np.int32, np.int32, np.int8]
+    assert sampler.rng.integers(1 << 30) == again.rng.integers(1 << 30)
 
 
 def test_greedy_rejects_empty_or_inconsistent(tmp_path):
@@ -1212,7 +1235,7 @@ def test_train_network_validation_auc_tracks_trained_net():
     for p in val_pairs:
         d = distance(feats[p.first], feats[p.second])
         (matched if p.label == PairLabel.MATCHED else unmatched).append(d)
-    assert trace.val_aucs[-1] == auc(compute_roc(matched, unmatched))
+    assert trace.val_aucs[-1] == evaluate_distances(matched, unmatched).auc
 
 
 def validation_fixture(seed):
@@ -1248,7 +1271,36 @@ def test_gather_takes_the_bytes_of_the_stacked_slices(offset):
 def fresh_validation_auc(net, val_images, val_pairs):
     """`_validation_auc` on `net`'s current parameters."""
     return _validation_auc(net, (0, 0), [t.array for t in val_images],
-                           val_pairs, list(range(len(val_images))))
+                           val_pairs)
+
+
+@pytest.mark.parametrize("offset", [(0, 0), (6, 6)])
+def test_validation_auc_is_eval_scoring_of_one_image_features(monkeypatch,
+                                                              offset):
+    """On a validation set of 9 images whose pairs name only 6, embedded
+    two images a slab, `_validation_auc` is `evaluate_distances` over the
+    distances of features computed one image at a time, for an array set
+    and for a list set."""
+    net, _ = build_monolithic(PyramidSpec(levels=1), seed=48)
+    largest = _stage_shapes([stage.geometry for stage in net.stages],
+                            16, 16, 1)[1]
+    monkeypatch.setattr(layers, "_SLAB_ELEMENTS", 2 * largest)
+    assert layers._images_per_slab(net) == 2
+    rng = np.random.default_rng(48)
+    images = rng.uniform(0.0, 1.0, (9, 22, 22, 1))
+    six = pairs_of_six()
+    pairs = PairBatch(six.first + 3, six.second + 3, six.label)
+    ox, oy = offset
+    feats = [network_forward(net, tensor(x[oy:oy + 16, ox:ox + 16])).array
+             for x in images]
+    matched, unmatched = [], []
+    for p in pairs:
+        d = distance(feats[p.first], feats[p.second])
+        (matched if p.label == PairLabel.MATCHED else unmatched).append(d)
+    want = evaluate_distances(matched, unmatched).auc
+    assert 0.0 < want < 1.0
+    assert _validation_auc(net, offset, images, pairs) == want
+    assert _validation_auc(net, offset, list(images), pairs) == want
 
 
 def test_validation_runs_every_tenth_step_and_after_the_last():
