@@ -43,7 +43,6 @@ class RunConfig:
     data: dict
     pyramid: PyramidSpec
     train: TrainConfig
-    extraction: dict
     evaluation: dict
 
 
@@ -121,12 +120,6 @@ def _template(value, name: str) -> tuple[StageSpec, ...]:
                  for v in value)
 
 
-def _scheme(value, name: str) -> str:
-    if _str(value, name) != "single-top":
-        raise ConfigError(f"unsupported extraction scheme {value!r}")
-    return value
-
-
 def _fpr_targets(value, name: str) -> list[float]:
     if not isinstance(value, list):
         raise TypeError(f"{name} must be a list of numbers, got {value!r}")
@@ -160,7 +153,6 @@ _BLOCKS = {
     "train": {"learning_rate": _number, "momentum": _number,
               "batch_size": _int, "iterations_per_level": _int,
               "validation_fraction": _number},
-    "extraction": {"scheme": _scheme},
     "evaluation": {"fpr_targets": _fpr_targets, "n_pairs": _pair_count},
 }
 
@@ -206,7 +198,6 @@ def _run_config(raw: dict, base: Path, seed) -> RunConfig:
               "nuisance": NuisanceConfig(**nuisance)},
         pyramid=PyramidSpec(**{"levels": 3, **given["pyramid"]}),
         train=TrainConfig(**given["train"], seed=seed),
-        extraction={"scheme": "single-top", **given["extraction"]},
         evaluation={"fpr_targets": [0.1, 0.01, 0.001], "n_pairs": 2000,
                     **given["evaluation"]},
     )
@@ -282,8 +273,7 @@ def cmd_extract(cfg: RunConfig, model_path, index_path) -> int:
                            f"every level")
     index = load_index(index_path)
     features = extract_representations(
-        model, (load_image(rec) for rec in index.records),
-        cfg.extraction["scheme"])
+        model, (load_image(rec) for rec in index.records))
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.output_dir / "features.csv"
     write_features(out, features)

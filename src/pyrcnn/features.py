@@ -1,15 +1,15 @@
 """Representation extraction and the feature/report file formats.
 
-"single-top", the only extraction scheme, takes the top level's network 0
-output on the crop that training cuts (`data.center_window` at
-`PyramidSpec.raw_data_edge`).  As in training, the frozen stages below the
-level filter and down-sample a batch of crops (`pyramid.preprocess_dataset`,
-a slab of a few raw crops at a time), and the level's networks then run
-once, forward-only, on the whole batch of small grids.
-`PyramidSpec.level_batch` is the batch whose grids and network maps each fit
-one slab, in whole slabs of the frozen stages; `extract_representations`
-draws that many images at a time from any iterable, so a generator that
-loads them is read one batch at a time.
+Extraction takes the top level's network 0 output on the grid training
+reads: `pyramid._level_grids` cuts each image's center crop
+(`data.center_window` at `PyramidSpec.raw_data_edge`) and filters and
+down-samples a batch of crops through the frozen stages below the top, and
+`pyramid._embed`, validation's forward-only walk, runs the level's networks
+on the whole batch of small grids.  `PyramidSpec.level_batch` is the batch
+whose grids and network maps each fit one slab, in whole slabs of the
+frozen stages; `extract_representations` draws that many images at a time
+from any iterable, so a generator that loads them is read one batch at a
+time.
 
 Feature files are CSV rows ``image_path,dim,v1,...,vdim`` with full-precision
 repr() floats so a rerun is byte-identical.  Report files hold metric
@@ -27,12 +27,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import DataError, LabeledImage, center_window, csv_rows
-from .layers import ShapeError, _forward
+from .data import DataError, LabeledImage, csv_rows
+from .layers import ShapeError
 from .metrics import VerificationReport
-# by name, so perfbench's `pyramid.preprocess` span, which wraps the module
-# attribute, counts only training's calls
-from .pyramid import PyramidModel, preprocess_dataset
+from .pyramid import PyramidModel, _embed, _level_grids
 
 
 @dataclass
@@ -52,45 +50,33 @@ def _level_outputs(model: PyramidModel, images: Sequence[LabeledImage],
     """The outputs of the top level's first `networks` networks (all of
     them by default) for a batch of images.
 
-    Row i joins, in network order, the outputs for images[i]'s crop
-    `data.center_window(image, spec.raw_data_edge())`, the crop
-    `greedy_train` cuts.  As in training, the frozen stages below the top
-    filter and down-sample the crops (views of the images' stored samples)
-    through `preprocess_dataset`, a slab of crops at a time.  The top
-    level's networks then run once on the whole batch of grids, each on
-    the forward-only kernel at its own training offset, so each row is
-    bit-equal to the assembled deep network run on the matching sub-crop
-    of that image alone.
+    Row i joins, in network order, the `_embed` outputs of the top level's
+    networks, each at its own training offset, on images[i]'s grid from
+    `_level_grids`, the grid training reads; each row is bit-equal to the
+    assembled deep network run on the matching sub-crop of that image
+    alone.
     """
     spec = model.spec
     top = spec.levels - 1
-    stages = model.stages[:top]
-    if not all(stage.frozen for stage in stages):
+    if not all(stage.frozen for stage in model.stages[:top]):
         raise ShapeError(
             f"cannot extract level {top}: lower stages not frozen"
         )
-    raw_edge = spec.raw_data_edge()
-    x = preprocess_dataset([center_window(image, raw_edge)
-                            for image in images],
-                           *stages, maxval=[image.maxval for image in images])
-    outputs = []
-    edge = spec.base_input
-    for k, net in enumerate(model.level_networks[top][:networks]):
-        ox, oy = spec.patch_offsets[k]
-        outputs.append(_forward(net, x[:, oy:oy + edge, ox:ox + edge, :]))
-    return np.concatenate(outputs, axis=1)
+    grids = _level_grids(model, images, top)
+    return np.concatenate([
+        _embed(net, offset, grids) for net, offset in zip(
+            model.level_networks[top][:networks], spec.patch_offsets)],
+        axis=1)
 
 
 def extract_representations(model: PyramidModel,
-                            images: Iterable[LabeledImage],
-                            scheme: str = "single-top") -> list[FeatureVector]:
+                            images: Iterable[LabeledImage]
+                            ) -> list[FeatureVector]:
     """Top-level network 0 output on each image's training crop (see
     `_level_outputs`), in the order `images` gives them.  `images` may be
     any iterable; `PyramidSpec.level_batch(top)` of them are drawn and
     embedded at a time, so a whole gallery never forms one top-level grid
     and a generator is never read more than one batch ahead."""
-    if scheme != "single-top":
-        raise DataError(f"unknown extraction scheme {scheme!r}")
     step = model.spec.level_batch(model.spec.levels - 1)
     images = iter(images)
     features = []

@@ -28,16 +28,17 @@ rule, `_image_set`, with one message form.
 Each level holds and trains on only what its networks read: the images
 its pair batches and the validation pairs name, and of each only the
 top-left corner of its grid that spans every network offset, an edge
-`base_input + max_offset` square.  `greedy_train` draws a level's batches
-before it preprocesses, then takes, for level l, the `patch_edge(l)`
-top-left corner of the center crop of each image those batches name, as a
-view of the image's stored (8-bit, for a PGM) samples, and
-`preprocess_dataset` makes those corners float pixels and pushes them
-through the frozen stages 0..l-1 a memory slab of images at a time into
-one preallocated (n, e, e, c) array; neither a float copy of the raw
+`base_input + max_offset` square.  One route, `_level_grids`, cuts it in
+training and extraction alike: for level l, the `patch_edge(l)` top-left
+corner of each image's center crop, a view of the image's stored (8-bit,
+for a PGM) samples, which `preprocess_dataset` makes float pixels and
+pushes through the frozen stages 0..l-1 a memory slab of images at a time
+into one preallocated (n, e, e, c) array; neither a float copy of the raw
 gallery nor a full-size grid of a lower level is ever formed.  Each row is
 bit-equal to the stages run on that image alone, so a level's rows hold the
-bits of the matching regions of the whole set's full grids.
+bits of the matching regions of the whole set's full grids.  One
+forward-only walk, `_embed`, runs a level network on its window of each
+grid, for validation and extraction.
 
 Greedy levels and the monolithic baseline train through one Siamese loop
 (`_siamese_fit`): the same pair loss, momentum SGD, pair stream and
@@ -362,6 +363,19 @@ def preprocess_dataset(images, *stages: Stage, maxval=1) -> np.ndarray:
     return out
 
 
+def _level_grids(model: PyramidModel, images: Sequence[LabeledImage],
+                 level: int) -> np.ndarray:
+    """What `level`'s networks read of each image: the `patch_edge(level)`
+    top-left corner of its center crop (`data.center_window` at
+    `raw_data_edge`, a view of its stored samples) through the frozen
+    stages below `level` (`preprocess_dataset`)."""
+    spec = model.spec
+    raw, edge = spec.raw_data_edge(), spec.patch_edge(level)
+    return preprocess_dataset(
+        [center_window(image, raw)[:edge, :edge] for image in images],
+        *model.stages[:level], maxval=[image.maxval for image in images])
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 
@@ -562,19 +576,25 @@ def _gather(images, ids: Sequence[int], offset: tuple[int, int],
     return np.stack([images[i][oy:oy + edge, ox:ox + edge] for i in ids])
 
 
-def _validation_auc(net: Network, offset: tuple[int, int], val_images,
-                    val_pairs: PairBatch) -> float:
-    """ROC AUC of `net`'s embedding distances, on its current parameters,
-    over the validation pairs, scored as `pyrcnn eval` scores its pairs;
-    NaN when the pairs are all matched or all unmatched.  Every image of
-    the set is embedded, a slab at a time, from views of its patches."""
+def _embed(net: Network, offset: tuple[int, int], grids) -> np.ndarray:
+    """(n, m) outputs of `net`, on its current parameters, on the
+    edge-`net.input_size` window at `offset` = (x, y) of each of the n
+    `grids` (an array or a list of arrays): forward-only, from views of
+    the windows, a slab of grids at a time."""
     (ox, oy), edge = offset, net.input_size
     step = _images_per_slab(net)
-    feats = np.concatenate([
-        _forward(net, np.asarray(val_images[start:start + step])
+    return np.concatenate([
+        _forward(net, np.asarray(grids[start:start + step])
                  [:, oy:oy + edge, ox:ox + edge])
-        for start in range(0, len(val_images), step)])
-    sides = pair_distances(feats, val_pairs)
+        for start in range(0, len(grids), step)])
+
+
+def _validation_auc(net: Network, offset: tuple[int, int], val_images,
+                    val_pairs: PairBatch) -> float:
+    """ROC AUC of `net`'s embedding distances (`_embed`) over the
+    validation pairs, scored as `pyrcnn eval` scores its pairs; NaN when
+    the pairs are all matched or all unmatched."""
+    sides = pair_distances(_embed(net, offset, val_images), val_pairs)
     if not all(side.size for side in sides):
         return float("nan")
     return evaluate_distances(*sides, ()).auc
@@ -620,8 +640,8 @@ def greedy_train(model: PyramidModel, dataset: Sequence[LabeledImage],
                  cfg: TrainConfig) -> list[LevelTrace]:
     """Level-by-level training: train, freeze the entry stage, ascend.
     Level l trains on the `patch_edge(l)` top-left corner of each image's
-    center crop, pushed through the frozen stages below it.  Returns one
-    trace per trained level.
+    center crop, pushed through the frozen stages below it
+    (`_level_grids`).  Returns one trace per trained level.
 
     The dataset is split by identity into fit/validation parts; every
     level's pair stream and the validation pair set derive from cfg.seed
@@ -650,37 +670,25 @@ def greedy_train(model: PyramidModel, dataset: Sequence[LabeledImage],
     except DataError as exc:
         raise PyramidError(f"cannot split dataset: {exc}") from exc
 
-    # the images' center crops with their maxvals, each crop a view of the
-    # image's stored samples, never copied: each level reads the top-left
-    # corner of its own edge
     raw_edge = spec.raw_data_edge()
-    fit_crops, val_crops, fit_ids, val_ids = [], [], [], []
+    fit_images, val_images = [], []
     for img in dataset:
-        fit = img.identity in fit_ids_set
-        (fit_crops if fit else val_crops).append(
-            (center_window(img, raw_edge), img.maxval))
-        (fit_ids if fit else val_ids).append(img.identity)
+        center_window(img, raw_edge)  # a too-small image fails before level 0
+        (fit_images if img.identity in fit_ids_set else val_images).append(img)
 
     try:
-        val_pairs = PairSampler(val_ids, make_rng(cfg.seed, "val-pairs")) \
+        val_pairs = PairSampler([img.identity for img in val_images],
+                                make_rng(cfg.seed, "val-pairs")) \
             .batch(_VAL_PAIRS)
     except DataError:  # validation side too small for pairs: NaN AUCs
-        val_pairs = val_crops = None
+        val_pairs = val_images = None
     else:  # only the images the pairs name, the pairs renumbered into them
-        val_crops = [val_crops[i] for i in _compact(val_pairs)]
-
-    def level_images(crops, level):
-        """Each crop's `patch_edge(level)` top-left corner, the region the
-        level's networks read, through the frozen stages below `level`."""
-        edge = spec.patch_edge(level)
-        return preprocess_dataset([c[:edge, :edge] for c, _ in crops],
-                                  *model.stages[:level],
-                                  maxval=[m for _, m in crops])
+        val_images = [val_images[i] for i in _compact(val_pairs)]
 
     traces = []
     for level in range(start, spec.levels):
         try:
-            sampler = PairSampler(fit_ids,
+            sampler = PairSampler([img.identity for img in fit_images],
                                   make_rng(cfg.seed, f"pairs-level{level}"))
         except DataError as exc:
             raise PyramidError(
@@ -688,10 +696,11 @@ def greedy_train(model: PyramidModel, dataset: Sequence[LabeledImage],
         drawn = _DrawnPairs(sampler, cfg.batch_size, cfg.iterations_per_level)
         used = _compact(drawn.pairs)
         traces.append(train_level(
-            model, level, level_images([fit_crops[i] for i in used], level),
+            model, level, _level_grids(model, [fit_images[i] for i in used],
+                                       level),
             drawn, cfg,
-            val_images=(None if val_crops is None
-                        else level_images(val_crops, level)),
+            val_images=(None if val_images is None
+                        else _level_grids(model, val_images, level)),
             val_pairs=val_pairs))
         model.levels_trained = level + 1
         if level < spec.levels - 1:

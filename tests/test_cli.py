@@ -143,11 +143,11 @@ def test_extract_streams_chunks_bit_equal_to_assembled_network(
     monkeypatch.setattr(features, "_level_outputs",
                         lambda m, images, *a, **k: chunks.append(len(images))
                         or level_outputs(m, images, *a, **k))
-    stage_forward, forward = pyramid._stage_forward, features._forward
+    stage_forward, forward = pyramid._stage_forward, pyramid._forward
     monkeypatch.setattr(pyramid, "_stage_forward",
                         lambda x, stage: slabs.append(len(x))
                         or stage_forward(x, stage))
-    monkeypatch.setattr(features, "_forward",
+    monkeypatch.setattr(pyramid, "_forward",
                         lambda n, x: batches.append(len(x)) or forward(n, x))
     index = paths["gallery"] / "index.csv"
     assert main(["extract", "--config", str(paths["config"]),
@@ -340,16 +340,20 @@ def test_unknown_top_level_key(tmp_path, capsys):
     cfg = write_config(tmp_path, extras={})
     err = error_of(capsys, ["synth", "--config", str(cfg)])
     assert "unknown key(s) in config: extras" in err
+    # extraction has one route, so no block to configure it
+    cfg = write_config(tmp_path, extraction={"scheme": "single-top"})
+    err = error_of(capsys, ["synth", "--config", str(cfg)])
+    assert "unknown key(s) in config: extraction" in err
 
 
 def test_unknown_nested_key(tmp_path, capsys):
     cfg = write_config(tmp_path, data={"dir": "g", "rotation": 5})
     err = error_of(capsys, ["synth", "--config", str(cfg)])
     assert "unknown key(s) in data: rotation" in err
-    # extraction has one route, so no key to rescale its vectors
-    cfg = write_config(tmp_path, extraction={"normalize": False})
+    cfg = write_config(tmp_path, pyramid={"levels": 2,
+                                          "shared": {"stride": 2}})
     err = error_of(capsys, ["synth", "--config", str(cfg)])
-    assert "unknown key(s) in extraction: normalize" in err
+    assert "unknown key(s) in pyramid.shared: stride" in err
 
 
 def test_config_file_missing(tmp_path, capsys):
@@ -466,18 +470,6 @@ def test_config_without_blocks_loads_the_dataclass_defaults(tmp_path):
     assert cfg.train == TrainConfig(seed=3)
     assert cfg.data["nuisance"] == NuisanceConfig()
     assert load_config(path, seed_override=9).train == TrainConfig(seed=9)
-
-
-@pytest.mark.parametrize("scheme, message", [
-    ("pca", "unsupported extraction scheme 'pca'"),
-    (5, "bad config value (extraction.scheme must be a string, got 5)"),
-])
-def test_extraction_scheme_is_checked_at_load(tmp_path, capsys, scheme,
-                                              message):
-    cfg = write_config(tmp_path, extraction={"scheme": scheme})
-    err = error_of(capsys, ["synth", "--config", str(cfg)])
-    assert message in err
-    assert not (tmp_path / "gallery").exists()
 
 
 def test_config_block_that_is_not_an_object(tmp_path, capsys):
@@ -699,14 +691,6 @@ def test_extract_missing_model_file(tmp_path, capsys):
     assert "file not found" in err
 
 
-def test_unsupported_extraction_scheme(pipeline, tmp_path, capsys):
-    cfg = write_config(tmp_path, extraction={"scheme": "pca"})
-    err = error_of(capsys, ["extract", "--config", str(cfg),
-                            str(pipeline["model"]),
-                            str(pipeline["out"] / "eval_index.csv")])
-    assert "unsupported extraction scheme 'pca'" in err
-
-
 def test_extract_malformed_model_file(pipeline, tmp_path, capsys):
     # the comparator tensor closes the file; give it 3 values instead of 2
     data = pipeline["model"].read_bytes()[:-32]
@@ -791,12 +775,12 @@ def test_extract_hands_no_stage_or_network_more_than_one_slab(
         levels=3, networks_per_level=2, patch_offsets=((0, 0), (6, 6))))
     monkeypatch.setattr(layers, "_SLAB_ELEMENTS", slab)
     seen = []
-    stage_forward, forward = pyramid._stage_forward, features._forward
-    preprocess = features.preprocess_dataset
+    stage_forward, forward = pyramid._stage_forward, pyramid._forward
+    preprocess = pyramid.preprocess_dataset
     monkeypatch.setattr(pyramid, "_stage_forward",
                         lambda x, stage: seen.append(x.size)
                         or stage_forward(x, stage))
-    monkeypatch.setattr(features, "_forward",
+    monkeypatch.setattr(pyramid, "_forward",
                         lambda n, x: seen.append(x.size) or forward(n, x))
 
     def grids(*args, **kwargs):
@@ -804,7 +788,7 @@ def test_extract_hands_no_stage_or_network_more_than_one_slab(
         seen.append(out.size)
         return out
 
-    monkeypatch.setattr(features, "preprocess_dataset", grids)
+    monkeypatch.setattr(pyramid, "preprocess_dataset", grids)
     assert main(["extract", "--config", str(cfg), str(model),
                  str(tmp_path / "gallery" / "index.csv")]) == 0
     assert len(read_features(tmp_path / "out" / "features.csv")) == 12

@@ -1,4 +1,5 @@
-"""Feature extraction schemes and the feature/report CSV formats."""
+"""Feature extraction (the top level's network 0 on the grid training
+reads) and the feature/report CSV formats."""
 
 import csv
 import io
@@ -27,9 +28,9 @@ def random_image(rng, edge):
     return image_of(rng.integers(0, 256, (edge, edge)))
 
 
-def extract_one(model, image, **options):
+def extract_one(model, image):
     """The feature vector of one image: a batch of one."""
-    (fv,) = extract_representations(model, [image], **options)
+    (fv,) = extract_representations(model, [image])
     return fv
 
 
@@ -63,7 +64,7 @@ def test_feature_vector_rejects_non_finite():
 
 
 # ---------------------------------------------------------------------------
-# single-top extraction
+# extraction
 
 
 def test_extract_length_matches_output_dim():
@@ -227,13 +228,6 @@ def test_level_batch_is_whole_frozen_stage_slabs(monkeypatch):
     assert len(extract_representations(model, images)) == 130
     # stages 0 and 1 each see every slab
     assert slabs == [n for n in [3] * 42 + [3, 1] for _ in range(2)]
-
-
-def test_extract_unknown_scheme():
-    model = frozen_pyramid(1, 4)
-    img = random_image(np.random.default_rng(14), 16)
-    with pytest.raises(DataError, match="scheme"):
-        extract_one(model, img, scheme="landmark-grid")
 
 
 def test_extract_image_too_small():

@@ -210,7 +210,6 @@ VALID_CONFIG = {
                 "output_dim": 8},
     "train": {"learning_rate": 0.05, "momentum": 0.9, "batch_size": 32,
               "iterations_per_level": 200, "validation_fraction": 0.2},
-    "extraction": {"scheme": "single-top"},
     "evaluation": {"fpr_targets": [0.1, 0.01], "n_pairs": 2000},
 }
 

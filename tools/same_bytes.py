@@ -52,7 +52,6 @@ README_CONFIG = {
              "edge": 76, "holdout_fraction": 1 / 3},
     "pyramid": {"levels": 3},
     "train": {"iterations_per_level": 200, "batch_size": 32},
-    "extraction": {"scheme": "single-top"},
     "evaluation": {"n_pairs": 2000, "fpr_targets": [0.1, 0.01, 0.001]},
 }
 OFFSETS_CONFIG = {
