@@ -170,7 +170,11 @@ window routes exactly its first maximum (the first-max-wins rule of an
 argmax over the window).  Backward keeps the gradient where the pooled
 map is positive and writes `g * mask` into each strided slice
 g_pre[:, a::s, b::s] of a natural-order gradient, which the column blocks
-of `_conv_bwd` read as before.  That is the gradient of
+of `_conv_bwd` read as before.  g_pre is the stage's cached pre-activation
+map itself: nothing reads the map again, and the s*s slices cover every
+entry, so the backward allocates no map-sized buffer of its own.  It takes
+each stage's cache off the list as it reaches the stage, so a stage's
+maps are freed once the stage below it starts.  That is the gradient of
 rectify-then-pool: a window with a positive maximum has the same winners
 before and after the rectifier, and a window without one passes no
 gradient either way.  (A masked-out negative gradient leaves -0.0, not
@@ -189,6 +193,8 @@ The gradient-check harness compares backprop against central finite
 differences of a fixed random projection of the network output, skipping
 coordinates whose stage pre-activations sit within 10*epsilon of the
 rectifier kink (there the two-sided difference quotient is meaningless).
+It reads those margins from the cached maps before it runs the backward,
+which writes the gradients over them.
 """
 
 from __future__ import annotations
@@ -700,21 +706,24 @@ def _backward_cached(net: Network, caches, g_out: np.ndarray):
     or not: per-image gradients summed over the batch.
 
     Returns one (dw, db) per entry of `net.layers`: the stages' convs in
-    order, then the head.
+    order, then the head.  The caches serve one backward: each is taken off
+    the end of `caches` as its stage's turn comes, and the pool's gradient
+    is written over its pre-activation map.
     """
-    fc = caches[-1]
+    fc = caches.pop()
     grads = [(fc["flat"].T @ g_out, g_out.sum(axis=0))]
     g = (g_out @ net.head.weights.T).reshape(fc["map_shape"])
     for i, (conv, pool) in reversed(list(enumerate(net.stages))):
-        cache, s = caches[i], pool.window
+        cache, s = caches.pop(), pool.window
         g = g * cache["alive"]  # the rectifier, on the pooled map
-        g_pre = np.empty_like(cache["pre"])  # the slices cover every entry
+        # the pool's gradient, written over the pre-activation map, which
+        # nothing reads again (the slices cover every entry)
+        g_pre = cache["pre"]
         for (a, b), route in zip(np.ndindex(s, s), cache["routes"]):
             np.multiply(g, route, out=g_pre[:, a::s, b::s])
-        dx, dw, db = _conv_bwd(cache["x"], conv.weights, g_pre,
-                               need_dx=i > 0)
+        g, dw, db = _conv_bwd(cache["x"], conv.weights, g_pre,
+                              need_dx=i > 0)
         grads.append((dw, db))
-        g = dx
     return grads[::-1]
 
 
@@ -874,10 +883,13 @@ def gradient_check(net: Network, patch: Tensor, epsilon: float = 1e-5,
                   net.input_size, net.in_channels)
 
     _, caches = _forward_cached(net, x)
+    # each stage's smallest |pre-activation| per channel, read before the
+    # backward writes its gradient over the map
+    chan_mins = [np.abs(c["pre"]).min(axis=(0, 1, 2)) for c in caches[:-1]]
+    stage_pre_min = [m.min() for m in chan_mins]
     grads = _backward_cached(net, caches, u[None])
 
     margin = 10.0 * epsilon
-    stage_pre_min = [np.abs(c["pre"]).min() for c in caches[:-1]]
 
     def scalar() -> float:
         o, _ = _forward_cached(net, x)
@@ -915,7 +927,7 @@ def gradient_check(net: Network, patch: Tensor, epsilon: float = 1e-5,
             blocks.append(BlockCheck(f"{name}.bias", 0.0, 0, db.size))
             continue
         else:
-            chan_min = np.abs(caches[i]["pre"]).min(axis=(0, 1, 2))
+            chan_min = chan_mins[i]
             w_ok = lambda idx: chan_min[idx[3]] >= margin
             b_ok = lambda idx: chan_min[idx[0]] >= margin
         blocks.append(check_block(f"{name}.weights", layer.weights, dw, w_ok))

@@ -50,7 +50,15 @@ networks themselves (`net.layers`: the stage convs, then the head).  The
 comparators' (log_alpha, beta) train as one (k, 2) array, written back
 when the fit ends.  A step walks its pairs in chunks that fit the layers'
 memory slab: the whole 32-pair batch at the 16-edge levels, one pair at a
-time at the 76-edge monolith.
+time at the 76-edge monolith.  One chunk (`_chunk_grads`) gathers its
+batch, runs the forward and the backward and returns only its gradients,
+so at its peak a step holds one chunk's buffers: its gathered batch, the
+cached maps of its forward (the largest the entry stage's pre-activation
+map, over which the backward writes that stage's gradient) and one conv's
+block of row strips or columns (a layers' slab; on the monolith's row
+bands, rows of the input's width), besides the parameter-sized gradients
+and velocities.  Nothing of the previous chunk is left when the next one
+gathers.
 """
 
 from __future__ import annotations
@@ -519,24 +527,14 @@ def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
                 comp = ComparatorParams(*comp_params[k].tolist())
                 chunk = max(1, _images_per_slab(net) // 2)
                 for start in range(0, len(pairs), chunk):
-                    part = pairs[start:start + chunk]
-                    # rows 2j and 2j+1 hold pair j's two members
-                    members = np.column_stack((part.first, part.second))
-                    x = _gather(images, members.reshape(-1), offsets[k],
-                                net.input_size)
-                    out, caches = _forward_cached(net, x)
-                    pg = pair_loss_grads(out[0::2], out[1::2], part.label,
-                                         comp)
-                    g_out = np.empty_like(out)
-                    g_out[0::2], g_out[1::2] = pg.grad_v1, pg.grad_v2
+                    loss, comp_grad, layer_grads = _chunk_grads(
+                        net, comp, images, pairs[start:start + chunk],
+                        offsets[k])
                     # pair by pair onto the running sums, as np.sum's
                     # pairwise order would change the bits
-                    total_loss = float(_running_sum(total_loss, pg.loss))
-                    grads[-1][k] = _running_sum(
-                        grads[-1][k],
-                        np.column_stack([pg.grad_log_alpha, pg.grad_beta]))
-                    for layer, (dw, db) in zip(
-                            net.layers, _backward_cached(net, caches, g_out)):
+                    total_loss = float(_running_sum(total_loss, loss))
+                    grads[-1][k] = _running_sum(grads[-1][k], comp_grad)
+                    for layer, (dw, db) in zip(net.layers, layer_grads):
                         gw, gb = grad_of[id(layer)]
                         gw += dw
                         gb += db
@@ -558,6 +556,24 @@ def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
     for comp, (log_alpha, beta) in zip(comps, comp_params.tolist()):
         comp.log_alpha, comp.beta = log_alpha, beta
     return trace
+
+
+def _chunk_grads(net: Network, comp: ComparatorParams, images,
+                 pairs: PairBatch, offset: tuple[int, int]):
+    """One chunk of a Siamese step: `net`'s forward on both members of
+    each of `pairs` (rows 2j and 2j+1 hold pair j's two), the pair loss
+    under `comp`, and the backward.  Returns the per-pair losses, the
+    per-pair (log_alpha, beta) gradient rows and one (dw, db) per entry of
+    `net.layers`; the gathered batch, the outputs and the caches are
+    freed on return, before the next chunk gathers its own."""
+    members = np.column_stack((pairs.first, pairs.second))
+    x = _gather(images, members.reshape(-1), offset, net.input_size)
+    out, caches = _forward_cached(net, x)
+    pg = pair_loss_grads(out[0::2], out[1::2], pairs.label, comp)
+    g_out = np.empty_like(out)
+    g_out[0::2], g_out[1::2] = pg.grad_v1, pg.grad_v2
+    return (pg.loss, np.column_stack([pg.grad_log_alpha, pg.grad_beta]),
+            _backward_cached(net, caches, g_out))
 
 
 def _running_sum(start, values: np.ndarray):

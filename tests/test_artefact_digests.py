@@ -11,6 +11,12 @@ SIMD targets; a host whose key the table lacks skips, naming the key.
 ``features.csv`` names each image by its path in the run directory, which
 is mapped to ``<run>`` as `same_bytes.py` maps it.
 
+The two cores' runs train different bits, but they must not learn
+differently: their reports' ``auc`` and ``best_accuracy`` agree within
+`REPORT_TOLERANCE`, fixed before the check first ran.  Each core's run is
+made once a session and shared by both checks; where a core cannot be
+forced, the agreement check skips and names why.
+
 After a deliberate byte change, regenerate the table with the engine of
 the tree that should define the bytes:
 
@@ -37,6 +43,7 @@ same_bytes = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(same_bytes)
 
 CORES = ("Sandybridge", "Haswell")
+REPORT_TOLERANCE = 0.01
 PINNED_ENV = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 # numpy version, OpenBLAS runtime configuration and enabled SIMD targets of
 # a process started with the run's environment
@@ -92,14 +99,48 @@ def crop_digests(checkout: Path, run_dir: Path) -> dict:
     return digests
 
 
+@pytest.fixture(scope="session")
+def crop_run(tmp_path_factory):
+    """`run(core)`: the ``crop`` run of `core`, in the pinned environment
+    its caller set, as the digests of its artefacts and its report
+    metrics, made on the first call of the session."""
+    runs = {}
+
+    def run(core: str) -> dict:
+        if core not in runs:
+            run_dir = tmp_path_factory.mktemp(f"crop-{core}") / "crop"
+            runs[core] = {"digests": crop_digests(ROOT, run_dir),
+                          "report": same_bytes.report_metrics(
+                              run_dir / "out" / "report.csv")}
+        return runs[core]
+    return run
+
+
 @pytest.mark.parametrize("core", CORES)
-def test_crop_run_writes_the_pinned_bytes(tmp_path, monkeypatch, core):
+def test_crop_run_writes_the_pinned_bytes(crop_run, monkeypatch, core):
     pin(monkeypatch.setenv, core)
     key = host_key(same_bytes.side_env(ROOT))
     table = json.loads(TABLE.read_text(encoding="utf-8"))
     if key not in table:
         pytest.skip(f"no pinned digests for {key!r}")
-    assert crop_digests(ROOT, tmp_path / "crop") == table[key]
+    assert crop_run(core)["digests"] == table[key]
+
+
+def test_crop_reports_agree_across_cores(crop_run, monkeypatch):
+    """The crop run under each forced core scores its held-out pairs alike:
+    auc and best accuracy within `REPORT_TOLERANCE` of each other."""
+    reports = {}
+    for core in CORES:
+        pin(monkeypatch.setenv, core)
+        key = host_key(same_bytes.side_env(ROOT))
+        if f" {core} " not in key:
+            pytest.skip(f"cannot force the {core} core: the run reads "
+                        f"{key!r}")
+        reports[core] = crop_run(core)["report"]
+    for metric in ("auc", "best_accuracy"):
+        values = [reports[core][metric] for core in CORES]
+        assert max(values) - min(values) <= REPORT_TOLERANCE, \
+            (metric, reports)
 
 
 def main(argv=None) -> int:

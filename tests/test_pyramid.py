@@ -1084,6 +1084,86 @@ def test_greedy_train_holds_only_the_images_it_reads():
     assert peak - start < grid_bytes
 
 
+def traced_rise(fit) -> int:
+    """Bytes by which the traced peak of `fit()` rises above the traced
+    level just before it."""
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        fit()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - start
+
+
+def one_step_bytes(net, batch_size) -> tuple[int, int]:
+    """(working set, margin) of one Siamese step of `net`, in bytes, from
+    its geometry.  The working set is one chunk's gathered batch, the entry
+    stage's pre-activation map of that chunk and one layers' slab (the row
+    strips or the column block).  The margin covers the rest of the fit:
+    the gradients, velocities and saved start of every parameter, and one
+    more slab for what a stage's backward holds beside the entry map (the
+    pooled maps and their routes and signs, the stage's input, gradient
+    map and input gradient, and on row bands a column buffer of input-wide
+    rows: 144,000 values, 1.1 slabs, at the monolith's 36-px stage)."""
+    rows = 2 * min(batch_size, max(1, layers._images_per_slab(net) // 2))
+    edge, c = net.input_size, net.in_channels
+    _, entry = _stage_shapes([net.stages[0].geometry], edge, edge, c)
+    params = sum(a.size for layer in net.layers
+                 for a in (layer.weights, layer.bias))
+    return (8 * (rows * edge * edge * c + rows * entry
+                 + layers._SLAB_ELEMENTS),
+            8 * (3 * params + layers._SLAB_ELEMENTS))
+
+
+def test_a_level_step_holds_one_chunks_buffers():
+    """A level's Siamese fit holds one step's buffers at a time: the
+    previous chunk's gathered batch, outputs and caches are freed before
+    the next one gathers, and the backward writes the pool's gradient over
+    the cached pre-activation map."""
+    spec = PyramidSpec(levels=3)
+    rng = np.random.default_rng(47)
+    grids = rng.uniform(0.0, 1.0, (24, 16, 16, spec.shared.channels))
+    identities = [i // 4 for i in range(24)]
+    cfg = TrainConfig(batch_size=32, iterations_per_level=3, seed=47)
+
+    def fit():
+        model = build_pyramid(spec, seed=47)
+        model.stages[0].conv.frozen = True
+        sampler = PairSampler(identities, make_rng(47, "pairs"))
+        return lambda: train_level(model, 1, grids, sampler, cfg)
+
+    fit()()  # a first fit pays the one-time costs
+    run = fit()
+    rise = traced_rise(run)
+    working_set, margin = one_step_bytes(
+        build_pyramid(spec, seed=47).level_networks[1][0], cfg.batch_size)
+    assert rise <= working_set + margin, (rise, working_set, margin)
+
+
+def test_a_monolith_step_holds_one_chunks_buffers():
+    """The monolith's fit walks a step one pair at a time; each pair's
+    buffers are freed before the next pair gathers its own."""
+    rng = np.random.default_rng(48)
+    net0, _ = build_monolithic(PyramidSpec(levels=3), seed=48)
+    crops = [rng.uniform(0.0, 1.0, (net0.input_size, net0.input_size, 1))
+             for _ in range(3)]
+    cfg = TrainConfig(batch_size=4, seed=48)
+
+    def fit():
+        net, comp = build_monolithic(PyramidSpec(levels=3), seed=48)
+        sampler = PairSampler([0, 0, 1], make_rng(48, "pairs"))
+        return lambda: train_network(net, comp, crops, sampler, cfg,
+                                     iterations=2)
+
+    fit()()  # a first fit pays the one-time costs
+    run = fit()
+    rise = traced_rise(run)
+    working_set, margin = one_step_bytes(net0, cfg.batch_size)
+    assert rise <= working_set + margin, (rise, working_set, margin)
+
+
 def test_greedy_level_preprocesses_only_what_it_reads(tmp_path,
                                                      monkeypatch):
     """Each level filters and down-samples the fit images its batches name

@@ -168,3 +168,12 @@ def test_main_compares_the_monolith_after_the_cli_configs(tmp_path, capsys,
     assert lines[-2] == "crop report.csv: same"
     assert lines[-1] == \
         "monolith monolith.bin: byte 8 differs (8 against 16 bytes)"
+
+
+def test_report_metrics_reads_the_named_rows_before_the_roc(tmp_path):
+    report = tmp_path / "report.csv"
+    report.write_text("metric,value\r\nbest_accuracy,0.75\r\nauc,0.5\r\n"
+                      "roc_points\r\nthreshold,fpr,tpr\r\n0.25,0.0,0.5\r\n",
+                      encoding="utf-8")
+    assert same_bytes.report_metrics(report) == {"best_accuracy": 0.75,
+                                                 "auc": 0.5}

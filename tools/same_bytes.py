@@ -35,6 +35,7 @@ configuration, read in a process with that side's environment
 from __future__ import annotations
 
 import argparse
+import csv
 import ctypes
 import importlib.util
 import json
@@ -144,6 +145,19 @@ def compare_runs(run_a: Path, run_b: Path, label: str = "",
         if problem:
             return False
     return True
+
+
+def report_metrics(path: Path) -> dict:
+    """The named metric rows of a ``report.csv`` (``auc``,
+    ``best_accuracy``, ...) as floats, before its ROC rows."""
+    metrics = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        for row in csv.reader(fh):
+            if row == ["roc_points"]:
+                break
+            if row != ["metric", "value"]:
+                metrics[row[0]] = float(row[1])
+    return metrics
 
 
 def blas_runtime(libs: Path | None = None) -> str:
