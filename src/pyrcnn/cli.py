@@ -148,8 +148,8 @@ _BLOCKS = {
              "images_per_identity": _int, "edge": _int,
              "holdout_fraction": _number, **_NUISANCE},
     "pyramid": {"levels": _int, "base_input": _int, "shared": _shared,
-                "template": _template, "networks_per_level": _int,
-                "patch_offsets": _offsets, "output_dim": _int},
+                "template": _template, "patch_offsets": _offsets,
+                "output_dim": _int},
     "train": {"learning_rate": _number, "momentum": _number,
               "batch_size": _int, "iterations_per_level": _int,
               "validation_fraction": _number},

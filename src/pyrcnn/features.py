@@ -28,9 +28,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import DataError, LabeledImage, csv_rows
-from .layers import ShapeError
 from .metrics import VerificationReport
-from .pyramid import PyramidModel, _embed, _level_grids
+from .pyramid import PyramidError, PyramidModel, _embed, _level_grids
 
 
 @dataclass
@@ -58,10 +57,10 @@ def _level_outputs(model: PyramidModel, images: Sequence[LabeledImage],
     """
     spec = model.spec
     top = spec.levels - 1
-    if not all(stage.frozen for stage in model.stages[:top]):
-        raise ShapeError(
-            f"cannot extract level {top}: lower stages not frozen"
-        )
+    if model.frozen_prefix() < top:
+        raise PyramidError(
+            f"cannot extract level {top}: {model.levels_trained} levels "
+            f"trained, so the stages below it are not all frozen")
     grids = _level_grids(model, images, top)
     return np.concatenate([
         _embed(net, offset, grids) for net, offset in zip(

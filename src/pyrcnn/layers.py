@@ -149,10 +149,15 @@ rounding is monotone, so fl(max_i p_i + b) == max_i fl(p_i + b), and it
 leaves 1/(s*s) of the adds.
 
 A stage is a `Stage(conv, pool)`, the one stage type: a `Network`'s
-stages and a pyramid's entry stages are the same objects.  The kernels
-below the public API read a `Network` and its layers' own arrays, with no
-parameter tuples in between, and `_backward_cached` returns one (dw, db)
-per entry of `net.layers` (the stages' convs in order, then the head).
+stages and a pyramid's entry stages are the same objects.  A layer holds
+its parameters and nothing else: which stages are frozen is a fact of a
+pyramid's training progress, read from its levels trained
+(`pyramid.PyramidModel.frozen_prefix`), so `network_backward` and
+`gradient_check` cover every layer of the network they are given.  The
+kernels below the public API read a `Network` and its layers' own arrays,
+with no parameter tuples in between, and `_backward_cached` returns one
+(dw, db) per entry of `net.layers` (the stages' convs in order, then the
+head).
 A stage's shape is its `geometry`, (kh, kw, c_in, c_out, pool), and
 `_stage_shapes`, the one walk of a chain of them, is the only check that a
 kernel fits and a pool divides: behind `Network`, slab sizing, the
@@ -220,11 +225,10 @@ class _Layer:
     the layer owns.  Training updates the arrays in place; they cannot be
     replaced, so they always passed the constructor's checks."""
 
-    __slots__ = ("_weights", "_bias", "frozen")
+    __slots__ = ("_weights", "_bias")
 
-    def __init__(self, weights, bias, frozen: bool):
+    def __init__(self, weights, bias):
         self._weights, self._bias = float_array(weights), float_array(bias)
-        self.frozen = bool(frozen)
 
     @property
     def weights(self) -> np.ndarray:
@@ -240,8 +244,8 @@ class ConvLayer(_Layer):
 
     __slots__ = ()
 
-    def __init__(self, weights, bias, frozen: bool = False):
-        super().__init__(weights, bias, frozen)
+    def __init__(self, weights, bias):
+        super().__init__(weights, bias)
         weights, bias = self.weights, self.bias
         if len(weights.shape) != 4:
             raise ShapeError(
@@ -288,8 +292,8 @@ class FCLayer(_Layer):
 
     __slots__ = ()
 
-    def __init__(self, weights, bias, frozen: bool = False):
-        super().__init__(weights, bias, frozen)
+    def __init__(self, weights, bias):
+        super().__init__(weights, bias)
         weights, bias = self.weights, self.bias
         if len(weights.shape) != 2:
             raise ShapeError(
@@ -329,10 +333,6 @@ class Stage(NamedTuple):
 
     conv: ConvLayer
     pool: PoolSpec
-
-    @property
-    def frozen(self) -> bool:
-        return self.conv.frozen
 
     @property
     def geometry(self) -> tuple[int, int, int, int, int]:
@@ -702,8 +702,8 @@ def _forward_cached(net: Network, x: np.ndarray):
 
 
 def _backward_cached(net: Network, caches, g_out: np.ndarray):
-    """Gradients of sum_i g_out[i] . output[i] w.r.t. all parameters, frozen
-    or not: per-image gradients summed over the batch.
+    """Gradients of sum_i g_out[i] . output[i] w.r.t. all parameters:
+    per-image gradients summed over the batch.
 
     Returns one (dw, db) per entry of `net.layers`: the stages' convs in
     order, then the head.  The caches serve one backward: each is taken off
@@ -797,10 +797,10 @@ def network_forward(net: Network, patch: Tensor) -> Tensor:
 
 def network_backward(net: Network, patch: Tensor,
                      output_grad) -> dict[str, np.ndarray]:
-    """Gradient of output_grad . f(patch) for every non-frozen parameter.
+    """Gradient of output_grad . f(patch) for every parameter.
 
     Keys are "conv<i>.weights" / "conv<i>.bias" per stage and
-    "head.weights" / "head.bias"; frozen layers contribute no entries.
+    "head.weights" / "head.bias", one pair for every entry of `net.layers`.
     """
     g_out = np.asarray(output_grad, dtype=np.float64).reshape(-1)
     if g_out.shape[0] != net.output_dim:
@@ -810,11 +810,9 @@ def network_backward(net: Network, patch: Tensor,
         )
     _, caches = _forward_cached(net, _network_input(net, patch))
     grads: dict[str, np.ndarray] = {}
-    for name, layer, (dw, db) in zip(_layer_names(net), net.layers,
-                                     _backward_cached(net, caches,
-                                                      g_out[None])):
-        if not layer.frozen:
-            grads[f"{name}.weights"], grads[f"{name}.bias"] = dw, db
+    for name, (dw, db) in zip(_layer_names(net),
+                              _backward_cached(net, caches, g_out[None])):
+        grads[f"{name}.weights"], grads[f"{name}.bias"] = dw, db
     return grads
 
 
@@ -877,9 +875,9 @@ def gradient_check(net: Network, patch: Tensor, epsilon: float = 1e-5,
     u = np.random.default_rng(0x5EED).standard_normal(net.output_dim)
     x = _network_input(net, patch)
     # the layer constructors copy: perturbing `net` leaves the caller's alone
-    net = Network([Stage(ConvLayer(conv.weights, conv.bias, conv.frozen), pool)
+    net = Network([Stage(ConvLayer(conv.weights, conv.bias), pool)
                    for conv, pool in net.stages],
-                  FCLayer(net.head.weights, net.head.bias, net.head.frozen),
+                  FCLayer(net.head.weights, net.head.bias),
                   net.input_size, net.in_channels)
 
     _, caches = _forward_cached(net, x)
@@ -918,8 +916,6 @@ def gradient_check(net: Network, patch: Tensor, epsilon: float = 1e-5,
     blocks: list[BlockCheck] = []
     for i, (name, layer, (dw, db)) in enumerate(zip(
             _layer_names(net), net.layers, grads)):
-        if layer.frozen:
-            continue
         if i == len(net.stages):  # the head
             w_ok = b_ok = lambda idx: True
         elif min(stage_pre_min[i + 1:], default=np.inf) < margin:

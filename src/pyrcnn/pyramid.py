@@ -3,11 +3,15 @@
 The model is a ladder of levels.  Every level trains the same-shaped
 subnetwork on small patches: an entry conv+pool stage, the level-invariant
 template stack, and an FC head.  A level's entry stage is a single
-`layers.Stage` held by the model and by all of that level's networks (and,
-assembled, by every network above it); when the level finishes, the
-stage is frozen and becomes a filter-and-down-sample preprocessor for the
-levels above it.  The entry stage of the final level is trained like any
-other but never consumed.
+`layers.Stage` held by all of that level's networks (and, assembled, by
+every network above it); `PyramidModel.stages` reads it from network 0.
+When the level finishes, the stage is frozen and becomes a
+filter-and-down-sample preprocessor for the levels above it.  The entry
+stage of the final level is trained like any other but never consumed.
+The model's one record of that progress is `levels_trained`: stage l is
+frozen iff l < min(levels_trained, levels - 1), `frozen_prefix()`, and
+no layer or stage carries a flag of its own.  The network count of a
+level is the number of `patch_offsets`, one network per offset.
 
 Training a level therefore always updates the same set of parameter
 blocks — one entry stage, one template stack + head + comparator per
@@ -116,7 +120,6 @@ class PyramidSpec:
     base_input: int = 16
     shared: StageSpec = StageSpec(5, 8, 2)
     template: tuple[StageSpec, ...] = (StageSpec(3, 16, 2),)
-    networks_per_level: int = 1
     patch_offsets: tuple[tuple[int, int], ...] = ((0, 0),)
     output_dim: int = 8
 
@@ -127,19 +130,19 @@ class PyramidSpec:
             raise PyramidError(f"base_input must be >= 1, got {self.base_input}")
         if self.output_dim < 1:
             raise PyramidError(f"output_dim must be >= 1, got {self.output_dim}")
-        if self.networks_per_level < 1:
-            raise PyramidError("networks_per_level must be >= 1")
-        if len(self.patch_offsets) != self.networks_per_level:
-            raise PyramidError(
-                f"need {self.networks_per_level} patch offsets, "
-                f"got {len(self.patch_offsets)}"
-            )
+        if not self.patch_offsets:
+            raise PyramidError("need at least one patch offset")
         for ox, oy in self.patch_offsets:
             if ox < 0 or oy < 0:
                 raise PyramidError(
                     f"patch offsets must be nonnegative, got ({ox}, {oy})"
                 )
         self.fc_input_dim()  # raises if the stage chain does not close
+
+    @property
+    def networks_per_level(self) -> int:
+        """One network per patch offset."""
+        return len(self.patch_offsets)
 
     def entry_in_channels(self, level: int) -> int:
         return 1 if level == 0 else self.shared.channels
@@ -232,19 +235,20 @@ class TrainConfig:
 @dataclass
 class PyramidModel:
     spec: PyramidSpec
-    stages: list[Stage]                     # one entry stage per level
     level_networks: list[list[Network]]     # [level][network]
     comparators: list[list[ComparatorParams]]
     levels_trained: int = 0
 
+    @property
+    def stages(self) -> list[Stage]:
+        """One entry stage per level: its network 0's first stage."""
+        return [nets[0].stages[0] for nets in self.level_networks]
+
     def frozen_prefix(self) -> int:
-        n = 0
-        while n < len(self.stages) and self.stages[n].frozen:
-            n += 1
-        for stage in self.stages[n:]:
-            if stage.frozen:
-                raise PyramidError("frozen stages are not a contiguous prefix")
-        return n
+        """How many entry stages, from level 0 up, are frozen: those of
+        the trained levels, but never the top one, which nothing above
+        consumes."""
+        return min(self.levels_trained, self.spec.levels - 1)
 
 
 def build_pyramid(spec: PyramidSpec, seed: int) -> PyramidModel:
@@ -255,7 +259,7 @@ def build_pyramid(spec: PyramidSpec, seed: int) -> PyramidModel:
     """
     rng = make_rng(seed, "init")
     fc_dim = spec.fc_input_dim()
-    stages, level_networks, comparators = [], [], []
+    level_networks, comparators = [], []
     for level in range(spec.levels):
         entry, *template = spec.stage_geometry(level)
         (stage,) = _init_stages([entry], rng)
@@ -266,10 +270,9 @@ def build_pyramid(spec: PyramidSpec, seed: int) -> PyramidModel:
             nets.append(Network(chain, head, spec.base_input,
                                 spec.entry_in_channels(level)))
             comps.append(ComparatorParams())
-        stages.append(stage)
         level_networks.append(nets)
         comparators.append(comps)
-    return PyramidModel(spec, stages, level_networks, comparators)
+    return PyramidModel(spec, level_networks, comparators)
 
 
 def _init_stages(geometry: Sequence[tuple[int, ...]],
@@ -296,9 +299,8 @@ def assemble_network(model: PyramidModel, level: int, which: int) -> Network:
         )
     if model.frozen_prefix() < level:
         raise PyramidError(
-            f"cannot assemble level {level}: shared stages below it are "
-            f"not all frozen"
-        )
+            f"cannot assemble level {level}: {model.levels_trained} levels "
+            f"trained, so the shared stages below it are not all frozen")
     subnet = model.level_networks[level][which]
     return Network(model.stages[:level] + subnet.stages, subnet.head,
                    spec.assembled_input_edge(level), in_channels=1)
@@ -355,8 +357,6 @@ def preprocess_dataset(images, *stages: Stage, maxval=1) -> np.ndarray:
     float pixels (`data.float_pixels`) only as it is stacked.  Row i is
     bit-equal to the stages on image i's float pixels alone; with no
     stages it is those pixels."""
-    if not all(stage.frozen for stage in stages):
-        raise PyramidError("preprocess_dataset requires frozen stages")
     geometry = [stage.geometry for stage in stages]
     images, (out_map, largest) = _image_set(images, "input", 1, None, geometry)
     maxvals = np.broadcast_to(maxval, len(images))
@@ -438,12 +438,11 @@ def train_level(model: PyramidModel, level: int, images,
     spec = model.spec
     if not 0 <= level < spec.levels:
         raise PyramidError(f"level {level} out of range (levels={spec.levels})")
-    if model.frozen_prefix() < level:
+    if model.frozen_prefix() != level:
         raise PyramidError(
-            f"cannot train level {level}: stages below it are not all frozen"
-        )
-    if model.stages[level].frozen:
-        raise PyramidError(f"level {level} is already trained and frozen")
+            f"cannot train level {level}: with {model.levels_trained} levels "
+            f"trained, level {model.frozen_prefix()} is the one whose stages "
+            f"below are frozen and whose own is not")
     return _siamese_fit(model.level_networks[level], model.comparators[level],
                         spec.patch_offsets, images, pair_source, cfg,
                         LevelTrace(level), cfg.iterations_per_level, None,
@@ -666,18 +665,13 @@ def greedy_train(model: PyramidModel, dataset: Sequence[LabeledImage],
     images those batches name and the validation images the validation
     pairs name; the pairs are renumbered into those images, so the level
     reads the same rows, in the same order, as it would from the whole
-    set.  A partially trained model (contiguous frozen prefix) resumes at
-    its first untrained level.
+    set.  A partially trained model resumes at its first untrained level,
+    `levels_trained`.
     """
     spec = model.spec
     if not dataset:
         raise PyramidError("dataset is empty")
     start = model.levels_trained
-    if model.frozen_prefix() != min(start, spec.levels - 1):
-        raise PyramidError(
-            f"model reports {start} trained levels but the frozen prefix "
-            f"disagrees"
-        )
     identities = [img.identity for img in dataset]
     try:
         fit_ids_set, val_ids_set = split_identity_ids(
@@ -719,8 +713,6 @@ def greedy_train(model: PyramidModel, dataset: Sequence[LabeledImage],
                         else _level_grids(model, val_images, level)),
             val_pairs=val_pairs))
         model.levels_trained = level + 1
-        if level < spec.levels - 1:
-            model.stages[level].conv.frozen = True
     return traces
 
 
@@ -831,7 +823,8 @@ def _model_bytes(model: PyramidModel) -> bytes:
     for ox, oy in spec.patch_offsets:
         ints += [ox, oy]
     ints.append(model.levels_trained)
-    ints += [1 if stage.frozen else 0 for stage in model.stages]
+    ints += [int(level < model.frozen_prefix())
+             for level in range(spec.levels)]
     chunks = [MAGIC, np.asarray(ints, dtype="<i8").tobytes()]
     for level, k, j in _file_order(spec):
         if j is None:
@@ -851,7 +844,9 @@ def save_model(model: PyramidModel, path) -> None:
 
 def load_model(path) -> PyramidModel:
     """The model in `path`, if `_model_bytes` gives the file back and
-    0 <= levels trained <= levels."""
+    0 <= levels trained <= levels.  The file's frozen flags are not read
+    into the model: `_model_bytes` writes them from its levels trained, so
+    a file whose flags disagree with them is refused."""
     data = Path(path).read_bytes()
     if data[:len(MAGIC)] != MAGIC:
         raise PyramidError(
@@ -863,10 +858,9 @@ def load_model(path) -> PyramidModel:
     template = tuple(StageSpec(*cur.ints(3)) for _ in range(n_template))
     offsets = tuple(tuple(cur.ints(2)) for _ in range(networks_per_level))
     (levels_trained,) = cur.ints(1)
-    frozen = cur.ints(levels)
+    cur.ints(levels)  # the frozen flags, which the round trip checks
     spec = PyramidSpec(levels=levels, base_input=base_input,
                        shared=StageSpec(sk, sc, sp), template=template,
-                       networks_per_level=networks_per_level,
                        patch_offsets=offsets, output_dim=output_dim)
     if not 0 <= levels_trained <= levels:
         raise PyramidError(f"{path}: {levels_trained} levels trained, "
@@ -876,8 +870,8 @@ def load_model(path) -> PyramidModel:
     # any layer is made: a bad spec cannot outgrow the file
     read = {slot: [cur.tensor() for _ in range(1 if slot[2] is None else 2)]
             for slot in _file_order(spec)}
-    stages = [Stage(ConvLayer(*read[level, 0, 0], frozen=bool(frozen[level])),
-                    PoolSpec(sp)) for level in range(levels)]
+    stages = [Stage(ConvLayer(*read[level, 0, 0]), PoolSpec(sp))
+              for level in range(levels)]
     level_networks, comparators = [], []
     for level in range(levels):
         nets, comps = [], []
@@ -903,8 +897,7 @@ def load_model(path) -> PyramidModel:
             comps.append(ComparatorParams(*cmp.reshape(-1).tolist()))
         level_networks.append(nets)
         comparators.append(comps)
-    model = PyramidModel(spec, stages, level_networks, comparators,
-                         levels_trained)
+    model = PyramidModel(spec, level_networks, comparators, levels_trained)
     if _model_bytes(model) != data:
         raise PyramidError(f"{path}: not the bytes save_model writes for "
                            f"the model it describes")

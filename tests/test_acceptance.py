@@ -411,8 +411,7 @@ def test_criterion_8_multi_network_sharing(workdir):
         aucs = {}
         for label, spec in (
                 ("x1", PyramidSpec(levels=2)),
-                ("x4", PyramidSpec(levels=2, networks_per_level=4,
-                                   patch_offsets=offsets))):
+                ("x4", PyramidSpec(levels=2, patch_offsets=offsets))):
             model = build_pyramid(spec, seed)
             greedy_train(model, run.train_images, TrainConfig(seed=seed))
             if label == "x4":

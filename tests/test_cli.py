@@ -164,11 +164,9 @@ def test_extract_streams_chunks_bit_equal_to_assembled_network(
 
 
 def saved_model(tmp_path, spec, seed=5):
-    """A model of `spec` with every lower stage frozen and every level
-    marked trained, saved as `tmp_path`/model.bin."""
+    """A model of `spec` with every level marked trained, so every lower
+    stage frozen, saved as `tmp_path`/model.bin."""
     model = build_pyramid(spec, seed=seed)
-    for stage in model.stages[:-1]:
-        stage.conv.frozen = True
     model.levels_trained = spec.levels
     path = tmp_path / "model.bin"
     save_model(model, path)
@@ -354,6 +352,17 @@ def test_unknown_nested_key(tmp_path, capsys):
                                           "shared": {"stride": 2}})
     err = error_of(capsys, ["synth", "--config", str(cfg)])
     assert "unknown key(s) in pyramid.shared: stride" in err
+    # the network count is the number of patch offsets, not a key
+    cfg = write_config(tmp_path, pyramid={"levels": 2,
+                                          "networks_per_level": 1})
+    err = error_of(capsys, ["synth", "--config", str(cfg)])
+    assert "unknown key(s) in pyramid: networks_per_level" in err
+
+
+def test_config_without_patch_offsets_is_an_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, pyramid={"patch_offsets": []})
+    err = error_of(capsys, ["synth", "--config", str(cfg)])
+    assert err == "error: need at least one patch offset\n"
 
 
 def test_config_file_missing(tmp_path, capsys):
@@ -491,7 +500,7 @@ def test_train_on_images_smaller_than_the_raw_edge(tmp_path, capsys):
     cfg = write_config(
         tmp_path, data={"dir": "gallery", "n_identities": 4,
                         "images_per_identity": 3, "edge": 90},
-        pyramid={"levels": 3, "networks_per_level": 4,
+        pyramid={"levels": 3,
                  "patch_offsets": [[0, 0], [0, 6], [6, 0], [6, 6]]})
     assert main(["synth", "--config", str(cfg)]) == 0
     capsys.readouterr()
@@ -705,8 +714,9 @@ def test_extract_malformed_model_file(pipeline, tmp_path, capsys):
 
 
 def test_extract_model_file_save_would_not_write(pipeline, tmp_path, capsys):
-    """Level 0's frozen flag rewritten from 1 to 2 still reads as frozen,
-    but the model saves it as 1: load accepts only the bytes save writes."""
+    """Level 0's frozen flag rewritten from 1 to 2: the model saves it as
+    1, from its levels trained, and load accepts only the bytes save
+    writes."""
     data = pipeline["model"].read_bytes()
     # past the magic, 8 spec integers, one template stage, one offset pair
     # and levels trained
@@ -740,19 +750,25 @@ def test_extract_model_whose_layers_disagree_with_its_spec(pipeline,
 
 @pytest.mark.parametrize("trained, frozen, problem", [
     (2, 2, "{path}: 2 of 3 levels trained; extract needs every level"),
-    (3, 0, "cannot extract level 2: lower stages not frozen"),
+    (3, 0, "{path}: not the bytes save_model writes for the model it "
+           "describes"),
 ])
 def test_extract_refuses_a_model_not_fully_trained(pipeline, tmp_path,
                                                    capsys, trained, frozen,
                                                    problem):
-    """A model file with an untrained level, or with a lower stage left
-    unfrozen, is an error, and no features.csv is written."""
+    """A model file with an untrained level, or whose frozen flags (the
+    first `frozen` of its 3 set) disagree with its levels trained, is an
+    error, and no features.csv is written."""
     model = build_pyramid(PyramidSpec(levels=3), seed=3)
-    for stage in model.stages[:frozen]:
-        stage.conv.frozen = True
     model.levels_trained = trained
     path = tmp_path / "model.bin"
     save_model(model, path)
+    # past the magic, 8 spec integers, one template stage, one offset pair
+    # and levels trained
+    at = 8 + 8 * 14
+    flags = np.asarray([1] * frozen + [0] * (3 - frozen), "<i8").tobytes()
+    data = path.read_bytes()
+    path.write_bytes(data[:at] + flags + data[at + len(flags):])
     cfg = write_config(tmp_path)
     err = error_of(capsys, ["extract", "--config", str(cfg), str(path),
                             str(pipeline["out"] / "eval_index.csv")])
@@ -772,7 +788,7 @@ def test_extract_hands_no_stage_or_network_more_than_one_slab(
         "edge": 100, "holdout_fraction": 1 / 3})
     assert main(["synth", "--config", str(cfg)]) == 0
     model = saved_model(tmp_path, PyramidSpec(
-        levels=3, networks_per_level=2, patch_offsets=((0, 0), (6, 6))))
+        levels=3, patch_offsets=((0, 0), (6, 6))))
     monkeypatch.setattr(layers, "_SLAB_ELEMENTS", slab)
     seen = []
     stage_forward, forward = pyramid._stage_forward, pyramid._forward

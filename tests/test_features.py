@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pyrcnn import (DataError, FeatureVector, LabeledImage, PyramidSpec,
-                    Tensor, TensorError, assemble_network, build_pyramid,
-                    center_crop, evaluate_distances, extract_representations,
-                    features, layers, network_forward, pyramid,
-                    read_features, write_features, write_report)
+from pyrcnn import (DataError, FeatureVector, LabeledImage, PyramidError,
+                    PyramidSpec, Tensor, TensorError, assemble_network,
+                    build_pyramid, center_crop, evaluate_distances,
+                    extract_representations, features, layers,
+                    network_forward, pyramid, read_features, write_features,
+                    write_report)
 from pyrcnn.data import float_pixels
 from pyrcnn.features import _level_outputs
-from pyrcnn.layers import ShapeError, _forward, _stage_forward
+from pyrcnn.layers import _forward, _stage_forward
 
 
 def image_of(samples, source=None):
@@ -35,14 +36,14 @@ def extract_one(model, image):
 
 
 def frozen_pyramid(levels, seed):
-    """Random-init model with every stage below the top marked frozen.
+    """Random-init model with every level below the top counted trained,
+    so every stage below the top is frozen.
 
-    Extraction only needs the frozen *flags* on the lower stages; the
-    weights themselves can be anything.
+    Extraction only needs the lower levels counted trained; the weights
+    themselves can be anything.
     """
     model = build_pyramid(PyramidSpec(levels=levels), seed)
-    for stage in model.stages[:-1]:
-        stage.conv.frozen = True
+    model.levels_trained = levels - 1
     return model
 
 
@@ -169,11 +170,10 @@ def test_level_outputs_of_offset_networks_equal_the_stacked_route(top):
     """A 1-level and a 2-level model with 4 networks at offsets up to 6:
     all the top level's rows, for a batch and for each image alone, are
     the bits of the stacked route."""
-    spec = PyramidSpec(levels=top + 1, networks_per_level=4,
+    spec = PyramidSpec(levels=top + 1,
                        patch_offsets=((0, 0), (0, 6), (6, 0), (6, 6)))
     model = build_pyramid(spec, 26)
-    for stage in model.stages[:top]:
-        stage.conv.frozen = True
+    model.levels_trained = top
     rng = np.random.default_rng(27)
     # 8-bit samples of two maxvals, of several sizes
     images = [random_image(rng, 48), random_image(rng, 53)] + [
@@ -240,10 +240,13 @@ def test_extract_image_too_small():
 
 
 def test_extract_requires_frozen_lower_stages():
+    """A training-state error that names the levels trained."""
     model = build_pyramid(PyramidSpec(levels=2), 6)  # nothing frozen
     img = random_image(np.random.default_rng(16), 36)
-    with pytest.raises(ShapeError, match="not frozen"):
+    with pytest.raises(PyramidError) as err:
         extract_one(model, img)
+    assert str(err.value) == ("cannot extract level 1: 0 levels trained, so "
+                              "the stages below it are not all frozen")
 
 
 

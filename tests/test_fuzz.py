@@ -24,10 +24,9 @@ def model_file(tmp_path_factory):
     two networks at distinct offsets, one frozen stage, a template stage.
     Returns (its bytes, a scratch path to write damaged copies to)."""
     spec = PyramidSpec(levels=2, base_input=10, shared=StageSpec(3, 2, 2),
-                       template=(StageSpec(3, 2, 2),), networks_per_level=2,
+                       template=(StageSpec(3, 2, 2),),
                        patch_offsets=((0, 0), (1, 2)), output_dim=3)
     model = build_pyramid(spec, seed=60)
-    model.stages[0].conv.frozen = True
     model.levels_trained = 1
     root = tmp_path_factory.mktemp("fuzz")
     save_model(model, root / "model.bin")
@@ -206,8 +205,7 @@ VALID_CONFIG = {
     "pyramid": {"levels": 3, "base_input": 16,
                 "shared": {"kernel": 5, "channels": 8, "pool": 2},
                 "template": [{"kernel": 3, "channels": 16, "pool": 2}],
-                "networks_per_level": 1, "patch_offsets": [[0, 0]],
-                "output_dim": 8},
+                "patch_offsets": [[0, 0]], "output_dim": 8},
     "train": {"learning_rate": 0.05, "momentum": 0.9, "batch_size": 32,
               "iterations_per_level": 200, "validation_fraction": 0.2},
     "evaluation": {"fpr_targets": [0.1, 0.01], "n_pairs": 2000},

@@ -7,10 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pyrcnn.layers as layers
-from pyrcnn import (ConvLayer, FCLayer, Network, PoolSpec, ShapeError, Stage,
-                    Tensor, TensorError, activation, conv_forward, fc_forward,
-                    forward_multiply_adds, gradient_check, maxpool,
-                    network_backward, network_forward)
+from pyrcnn import (ConvLayer, FCLayer, Network, PoolSpec, PyramidSpec,
+                    ShapeError, Stage, Tensor, TensorError, activation,
+                    assemble_network, build_pyramid, conv_forward,
+                    fc_forward, forward_multiply_adds, gradient_check,
+                    maxpool, network_backward, network_forward)
 
 
 def tensor(values):
@@ -23,11 +24,11 @@ def stage_on_image(x, conv, spec):
     return maxpool(activation(conv_forward(x, conv)), spec)
 
 
-def conv_layer(weights, bias=None, frozen=False):
+def conv_layer(weights, bias=None):
     w = np.asarray(weights, dtype=np.float64)
     if bias is None:
         bias = np.zeros(w.shape[3])
-    return ConvLayer(w, bias, frozen)
+    return ConvLayer(w, bias)
 
 
 def true_conv_oracle(x, w, bias):
@@ -408,14 +409,20 @@ def test_network_backward_zero_grad_is_zero():
         np.testing.assert_array_equal(g, np.zeros_like(g))
 
 
-def test_network_backward_frozen_layer_has_no_entry():
+def test_network_backward_assembled_network_has_every_layer():
+    """A level's assembled network, the frozen stage below it included:
+    one weights and one bias entry per layer, nonzero under a nonzero
+    output gradient, whatever the model's training progress."""
+    model = build_pyramid(PyramidSpec(levels=2), seed=14)
+    model.levels_trained = 1
+    net = assemble_network(model, 1, 0)
     rng = np.random.default_rng(14)
-    net = small_net(rng)
-    net.stages[0][0].frozen = True
-    patch = tensor(rng.uniform(0, 1, (14, 14, 1)))
+    patch = tensor(rng.uniform(0, 1, (net.input_size, net.input_size, 1)))
     grads = network_backward(net, patch, np.ones(net.output_dim))
-    assert "conv0.weights" not in grads and "conv0.bias" not in grads
-    assert "conv1.weights" in grads and "head.weights" in grads
+    assert list(grads) == [f"{name}.{part}"
+                           for name in ("conv0", "conv1", "conv2", "head")
+                           for part in ("weights", "bias")]
+    assert all(np.any(g) for g in grads.values())
 
 
 def test_network_backward_output_grad_length_checked():
@@ -482,17 +489,6 @@ def test_gradient_check_flags_scaled_block(monkeypatch):
     report = gradient_check(net, patch)
     assert "conv1.weights" in report.flagged
     assert "head.weights" not in report.flagged
-
-
-def test_gradient_check_all_frozen_is_empty_pass():
-    rng = np.random.default_rng(201)
-    net = small_net(rng)
-    for conv, _ in net.stages:
-        conv.frozen = True
-    net.head.frozen = True
-    patch = tensor(rng.uniform(0, 1, (14, 14, 1)))
-    report = gradient_check(net, patch)
-    assert report.blocks == [] and report.passed
 
 
 def test_gradient_check_rejects_bad_epsilon():
@@ -1196,15 +1192,14 @@ def test_pool_order_keeps_the_bits_of_the_natural_kernels(
     inference stage, the training forward's pre-activation map (put back
     in natural order), pooled map and routes, and the backward's dw, dx
     and db are the bits of the natural-order kernels.  The stage under
-    test sits behind a frozen 1x1 identity stage, so the backward computes
+    test sits behind a 1x1 identity stage, so the backward computes
     its dx; one image has an all-zero region, whose windows tie."""
     rng = np.random.default_rng(900 + edge + c_in + s)
     conv = ConvLayer(rng.uniform(-0.3, 0.3, (k, k, c_in, c_out)),
                      rng.uniform(-0.5, 0.5, c_out))
     stage = Stage(conv, PoolSpec(s))
     o = (edge - k + 1) // s
-    ident = Stage(conv_layer(np.eye(c_in)[None, None], frozen=True),
-                  PoolSpec(1))
+    ident = Stage(conv_layer(np.eye(c_in)[None, None]), PoolSpec(1))
     net = Network([ident, stage], FCLayer.initialize(o * o * c_out, 8, rng),
                   edge, c_in)
     x = rng.uniform(0.0, 1.0, (3, edge, edge, c_in))

@@ -105,8 +105,7 @@ def test_spec_data_edges_follow_offsets():
     spec = PyramidSpec(levels=3)
     assert [spec.patch_edge(l) for l in range(3)] == [16, 36, 76]
     assert spec.raw_data_edge() == 76
-    shifted = PyramidSpec(levels=2, networks_per_level=2,
-                          patch_offsets=((0, 0), (6, 6)))
+    shifted = PyramidSpec(levels=2, patch_offsets=((0, 0), (6, 6)))
     assert shifted.max_offset() == 6
     assert shifted.patch_edge(0) == 22
     assert shifted.raw_data_edge() == 48
@@ -146,7 +145,6 @@ def closing_specs(draw):
                                   min_size=1, max_size=3)))
     return PyramidSpec(levels=draw(st.integers(1, 3)), base_input=edge,
                        shared=shared, template=template,
-                       networks_per_level=len(offsets),
                        patch_offsets=offsets, output_dim=2)
 
 
@@ -169,8 +167,8 @@ def test_spec_validation_errors():
         PyramidSpec(levels=0)
     with pytest.raises(PyramidError):
         PyramidSpec(levels=1, output_dim=0)
-    with pytest.raises(PyramidError):
-        PyramidSpec(levels=1, networks_per_level=2)  # one offset for two nets
+    with pytest.raises(PyramidError, match="at least one patch offset"):
+        PyramidSpec(levels=1, patch_offsets=())  # no network
     with pytest.raises(PyramidError):
         PyramidSpec(levels=1, patch_offsets=((-1, 0),))
     with pytest.raises(PyramidError):
@@ -204,8 +202,7 @@ def test_build_deterministic(tmp_path):
 
 
 def test_build_shares_entry_stage_within_level():
-    spec = PyramidSpec(levels=2, networks_per_level=3,
-                       patch_offsets=((0, 0), (2, 0), (0, 2)))
+    spec = PyramidSpec(levels=2, patch_offsets=((0, 0), (2, 0), (0, 2)))
     model = build_pyramid(spec, seed=1)
     for level in range(2):
         entry = model.stages[level].conv
@@ -222,8 +219,7 @@ def test_build_entry_channels_by_level():
     assert model.stages[0].conv.in_channels == 1
     assert model.stages[1].conv.in_channels == 8
     assert model.stages[2].conv.in_channels == 8
-    assert all(not s.frozen for s in model.stages)
-    assert model.levels_trained == 0
+    assert model.levels_trained == 0 and model.frozen_prefix() == 0
 
 
 def test_single_level_is_plain_siamese_network():
@@ -243,7 +239,7 @@ def test_assemble_validates_arguments():
         assemble_network(model, 0, 1)
     with pytest.raises(PyramidError):
         assemble_network(model, 1, 0)  # stage 0 not frozen yet
-    model.stages[0].conv.frozen = True
+    model.levels_trained = 1
     net = assemble_network(model, 1, 0)
     assert net.input_size == 36
     assert len(net.stages) == 3  # frozen stage + entry + template
@@ -251,11 +247,14 @@ def test_assemble_validates_arguments():
     assert net.stages[1][0] is model.stages[1].conv
 
 
-def test_frozen_prefix_requires_contiguity():
+@pytest.mark.parametrize("trained, prefix", [(0, 0), (1, 1), (2, 2),
+                                             (3, 2)])
+def test_frozen_prefix_is_the_levels_trained_below_the_top(trained, prefix):
+    """Stage l is frozen iff l < min(levels_trained, levels - 1): the top
+    stage, which nothing above consumes, never is."""
     model = build_pyramid(PyramidSpec(levels=3), seed=5)
-    model.stages[1].conv.frozen = True  # hole below
-    with pytest.raises(PyramidError):
-        model.frozen_prefix()
+    model.levels_trained = trained
+    assert model.frozen_prefix() == prefix
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +264,6 @@ def test_frozen_prefix_requires_contiguity():
 def test_preprocess_shape_arithmetic():
     rng = np.random.default_rng(6)
     conv = ConvLayer.initialize(5, 1, 4, rng)
-    conv.frozen = True
     stage = Stage(conv, PoolSpec(2))
     images = random_patches(rng, 3, 32)
     out = preprocess_dataset(stack(images), stage)
@@ -274,18 +272,10 @@ def test_preprocess_shape_arithmetic():
     assert images[0].shape == (32, 32, 1)
 
 
-def test_preprocess_requires_frozen_stage():
-    rng = np.random.default_rng(7)
-    stage = Stage(ConvLayer.initialize(5, 1, 4, rng), PoolSpec(2))
-    with pytest.raises(PyramidError):
-        preprocess_dataset(stack(random_patches(rng, 1, 32)), stage)
-
-
 def test_preprocess_composes_like_chained_stages():
     rng = np.random.default_rng(8)
     conv0 = ConvLayer.initialize(5, 1, 4, rng)
     conv1 = ConvLayer.initialize(5, 4, 4, rng)
-    conv0.frozen = conv1.frozen = True
     s0, s1 = Stage(conv0, PoolSpec(2)), Stage(conv1, PoolSpec(2))
     images = random_patches(rng, 2, 76)
     once = preprocess_dataset(preprocess_dataset(stack(images), s0), s1)
@@ -311,7 +301,6 @@ def test_preprocess_of_a_corner_is_the_corner_of_the_grid():
     rng = np.random.default_rng(13)
     conv0 = ConvLayer.initialize(5, 1, 8, rng)
     conv1 = ConvLayer.initialize(5, 8, 8, rng)
-    conv0.frozen = conv1.frozen = True
     s0, s1 = Stage(conv0, PoolSpec(2)), Stage(conv1, PoolSpec(2))
     crops = stack(random_patches(rng, 5, 76))
     level1 = preprocess_dataset(crops, s0)
@@ -328,7 +317,6 @@ def test_preprocess_is_independent_of_slab_size(monkeypatch):
 
     rng = np.random.default_rng(12)
     conv = ConvLayer.initialize(5, 1, 4, rng)
-    conv.frozen = True
     stage = Stage(conv, PoolSpec(2))
     images = stack(random_patches(rng, 7, 32))
     whole = preprocess_dataset(images, stage)
@@ -341,7 +329,6 @@ def test_preprocess_is_independent_of_slab_size(monkeypatch):
 def test_preprocess_rejects_mis_shaped_array():
     rng = np.random.default_rng(9)
     conv = ConvLayer.initialize(5, 1, 4, rng)
-    conv.frozen = True
     stage = Stage(conv, PoolSpec(2))
     for shape in [(32, 32, 1),       # one image, no batch axis
                   (2, 32, 32, 3),    # wrong channel count
@@ -362,7 +349,7 @@ def test_two_path_equivalence_after_training_level_zero():
     rng = np.random.default_rng(10)
     spec = PyramidSpec(levels=2)
     model = build_pyramid(spec, seed=11)
-    model.stages[0].conv.frozen = True
+    model.levels_trained = 1
     deep = assemble_network(model, 1, 0)
     for _ in range(10):
         raw = tensor(rng.uniform(0, 1, (36, 36, 1)))
@@ -460,7 +447,7 @@ def test_train_level_sequencing_errors():
     cfg = TrainConfig(iterations_per_level=1, batch_size=2)
     with pytest.raises(PyramidError):
         train_level(model, 1, images, sampler, cfg)  # level 0 not frozen
-    model.stages[0].conv.frozen = True
+    model.levels_trained = 1
     with pytest.raises(PyramidError):
         train_level(model, 0, images, sampler, cfg)  # already frozen
     with pytest.raises(PyramidError):
@@ -472,7 +459,7 @@ def test_train_level_sequencing_errors():
 def test_train_level_rejects_wrong_channel_images():
     spec, model, _, _ = level0_fixture(23, levels=2)
     rng = np.random.default_rng(23)
-    model.stages[0].conv.frozen = True
+    model.levels_trained = 1
     bad = stack(random_patches(rng, 4, 16, channels=1))  # level 1 needs 8
     cfg = TrainConfig(iterations_per_level=1, batch_size=2)
     with pytest.raises(PyramidError) as err:
@@ -510,7 +497,6 @@ def _image_set_entry(which):
     cfg = TrainConfig(iterations_per_level=1, batch_size=4, seed=31)
     if which == "preprocess_dataset":
         conv = ConvLayer.initialize(5, 1, 4, rng)
-        conv.frozen = True
         stage = Stage(conv, PoolSpec(2))
         return (lambda bad: preprocess_dataset(bad, stage)), "input", 1, \
             None, 16, 3
@@ -699,8 +685,7 @@ def test_shared_entry_stage_gradient_is_averaged_across_networks():
                       iterations_per_level=5, seed=27)
 
     single = build_pyramid(PyramidSpec(levels=1), seed=27)
-    twin = build_pyramid(PyramidSpec(levels=1, networks_per_level=2,
-                                     patch_offsets=((0, 0), (0, 0))), seed=27)
+    twin = build_pyramid(PyramidSpec(levels=1, patch_offsets=((0, 0), (0, 0))), seed=27)
     net0 = twin.level_networks[0][0]
     twin.level_networks[0][1] = Network(
         [net0.stages[0]] + [Stage(ConvLayer(c.weights, c.bias), p)
@@ -766,7 +751,7 @@ def test_train_level_updates_only_its_own_blocks():
     assert changed0 == {"stage0.w", "stage0.b", "L0n0c1.w", "L0n0c1.b",
                         "L0n0head.w", "L0n0cmp"}
 
-    model.stages[0].conv.frozen = True
+    model.levels_trained = 1
     level1_images = preprocess_dataset(images, model.stages[0])
     sampler = PairSampler(identities, make_rng(24, "p1"))
     train_level(model, 1, level1_images, sampler, cfg)
@@ -853,9 +838,9 @@ def test_greedy_freezes_prefix_and_reports_traces(tmp_path):
     model = build_pyramid(spec, seed=30)
     traces = greedy_train(model, dataset, small_cfg(30))
     assert [t.level for t in traces] == [0, 1]
-    assert model.stages[0].frozen
-    assert not model.stages[1].frozen  # top stage trained but never consumed
     assert model.levels_trained == 2
+    # the top stage is trained but never consumed, so never frozen
+    assert model.frozen_prefix() == 1
     for t in traces:
         assert len(t.losses) == 12
         assert all(np.isfinite(t.losses))
@@ -880,7 +865,7 @@ def test_greedy_stage_weights_fixed_once_frozen(tmp_path):
     fit_imgs = stack(fit_imgs)
     sampler = PairSampler(fit_ids, make_rng(cfg.seed, "pairs-level0"))
     train_level(model, 0, fit_imgs, sampler, cfg)
-    model.stages[0].conv.frozen = True
+    model.levels_trained = 1
     frozen_w = model.stages[0].conv.weights.copy()
     level1 = preprocess_dataset(fit_imgs, model.stages[0])
     sampler = PairSampler(fit_ids, make_rng(cfg.seed, "pairs-level1"))
@@ -930,7 +915,6 @@ def test_greedy_resume_matches_uninterrupted_run(tmp_path):
     sampler = PairSampler(fit_ids, make_rng(cfg.seed, "pairs-level0"))
     train_level(part, 0, fit_imgs, sampler, cfg)
     part.levels_trained = 1
-    part.stages[0].conv.frozen = True
     greedy_train(part, dataset, cfg)  # resumes at level 1
 
     assert model_bytes(full, tmp_path, "full.bin") == \
@@ -942,8 +926,7 @@ def test_greedy_train_steps_the_layers_own_arrays(tmp_path):
     greedy_train each is the ndarray object it was before, now holding
     trained values, and every network of a level still aliases that
     level's entry stage."""
-    spec = PyramidSpec(levels=2, networks_per_level=2,
-                       patch_offsets=((0, 0), (2, 2)))
+    spec = PyramidSpec(levels=2, patch_offsets=((0, 0), (2, 2)))
     index = synth_generate(8, 4, spec.raw_data_edge(), NuisanceConfig(),
                            seed=34, out_dir=tmp_path / "g")
     dataset = [load_image(r) for r in index.records]
@@ -1018,7 +1001,7 @@ def test_greedy_corners_train_like_full_grids(tmp_path):
     assert len(named(val_pairs)) < len(val_ids)
     for level in range(spec.levels):
         if level:
-            manual.stages[level - 1].conv.frozen = True
+            manual.levels_trained = level
             grids = preprocess_dataset(grids, manual.stages[level - 1])
             val_grids = preprocess_dataset(val_grids,
                                            manual.stages[level - 1])
@@ -1130,7 +1113,7 @@ def test_a_level_step_holds_one_chunks_buffers():
 
     def fit():
         model = build_pyramid(spec, seed=47)
-        model.stages[0].conv.frozen = True
+        model.levels_trained = 1
         sampler = PairSampler(identities, make_rng(47, "pairs"))
         return lambda: train_level(model, 1, grids, sampler, cfg)
 
@@ -1237,9 +1220,6 @@ def test_greedy_rejects_empty_or_inconsistent(tmp_path):
     model = build_pyramid(spec, seed=35)
     with pytest.raises(PyramidError):
         greedy_train(model, [], small_cfg(35))
-    model.levels_trained = 1  # claims progress but nothing is frozen
-    with pytest.raises(PyramidError):
-        greedy_train(model, dataset, small_cfg(35))
 
 
 def test_greedy_names_the_training_pairs_when_the_fit_side_has_one_identity(
@@ -1527,10 +1507,8 @@ def test_forward_multiply_adds_of_the_default_pyramid():
 
 
 def test_serialization_round_trip_bitwise(tmp_path):
-    spec = PyramidSpec(levels=2, networks_per_level=2,
-                       patch_offsets=((0, 0), (4, 4)))
+    spec = PyramidSpec(levels=2, patch_offsets=((0, 0), (4, 4)))
     model = build_pyramid(spec, seed=50)
-    model.stages[0].conv.frozen = True
     model.levels_trained = 1
     model.comparators[1][1].log_alpha = 0.375
     model.comparators[1][1].beta = -2.5
@@ -1539,7 +1517,7 @@ def test_serialization_round_trip_bitwise(tmp_path):
     loaded = load_model(path)
     assert loaded.spec == spec
     assert loaded.levels_trained == 1
-    assert loaded.stages[0].frozen and not loaded.stages[1].frozen
+    assert loaded.frozen_prefix() == 1
     assert loaded.comparators[1][1].log_alpha == 0.375
     assert loaded.comparators[1][1].beta == -2.5
     save_model(loaded, tmp_path / "m2.bin")
@@ -1570,10 +1548,8 @@ def test_model_file_layout_is_spelled_out(tmp_path):
     per level and network, the template conv, the head and the comparator
     (log_alpha, beta).  Every tensor holds its own values, so a file that
     swaps two of them is caught, and a load puts each on its layer."""
-    spec = PyramidSpec(levels=2, networks_per_level=2,
-                       patch_offsets=((0, 0), (2, 4)))
+    spec = PyramidSpec(levels=2, patch_offsets=((0, 0), (2, 4)))
     model = build_pyramid(spec, seed=57)
-    model.stages[0].conv.frozen = True
     model.levels_trained = 1
     layers = {id(layer): layer for nets in model.level_networks
               for net in nets for layer in net.layers}.values()
@@ -1610,7 +1586,7 @@ def test_model_file_layout_is_spelled_out(tmp_path):
     assert path.read_bytes() == b"".join(expected)
     loaded = load_model(path)
     assert loaded.levels_trained == 1
-    assert [stage.frozen for stage in loaded.stages] == [True, False]
+    assert loaded.frozen_prefix() == 1
     for level in range(2):
         for k in range(2):
             want = model.level_networks[level][k]
@@ -1700,17 +1676,20 @@ def test_load_model_rejects_malformed_tensor(tmp_path, last_tensor, problem):
 # flag
 @pytest.mark.parametrize("template, slot, value, problem", [
     ((StageSpec(3, 16, 2),), 14, 2, "not the bytes save_model writes"),
+    ((StageSpec(3, 16, 2),), 14, 1, "not the bytes save_model writes"),
     ((), 7, -3, "not the bytes save_model writes"),
     ((StageSpec(3, 16, 2),), 13, -1, r"-1 levels trained, outside 0\.\.1"),
     ((StageSpec(3, 16, 2),), 13, 2, r"2 levels trained, outside 0\.\.1"),
-], ids=["frozen flag 2", "template count -3", "levels trained -1",
+], ids=["frozen flag 2", "top level frozen", "template count -3",
+        "levels trained -1",
         "levels trained above levels"])
 def test_load_model_refuses_headers_save_model_never_writes(
         tmp_path, template, slot, value, problem):
     """Each header reads as a model, but one whose save does not give the
-    file back (a flag of 2 saves as 1, a template count of -3 as 0), or
-    whose levels trained lie outside 0..levels: load accepts only the bytes
-    save writes."""
+    file back (the frozen flags save as the levels trained make them, so
+    a flag of 2 or a frozen top level as 0; a template count of -3 saves
+    as 0), or whose levels trained lie outside 0..levels: load accepts
+    only the bytes save writes."""
     path = tmp_path / "m.bin"
     save_model(build_pyramid(PyramidSpec(levels=1, template=template),
                              seed=55), path)

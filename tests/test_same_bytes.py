@@ -2,12 +2,15 @@
 and the configs it runs."""
 
 import importlib.util
+import json
 import os
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from pyrcnn import PyramidSpec, build_monolithic, layers
+from pyrcnn.cli import load_config
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "same_bytes.py"
 _SPEC = importlib.util.spec_from_file_location("same_bytes", _PATH)
@@ -73,6 +76,19 @@ def test_crop_config_centres_its_crop_off_by_a_rounded_half_pixel():
     config = same_bytes.CONFIGS["crop"]
     spec = PyramidSpec(**config["pyramid"])
     assert config["data"]["edge"] - spec.raw_data_edge() == 3
+
+
+@pytest.mark.parametrize("name", [*same_bytes.CONFIGS, "monolith"])
+def test_every_config_loads_with_the_cli(tmp_path, name):
+    """Each config the tool writes is one the CLI accepts: a key the CLI
+    drops fails here, not first in a comparison of two checkouts."""
+    config = same_bytes.CONFIGS.get(name, same_bytes.MONOLITH_CONFIG)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    cfg = load_config(path)
+    assert cfg.seed == config["seed"]
+    offsets = config.get("pyramid", {}).get("patch_offsets", [[0, 0]])
+    assert cfg.pyramid.networks_per_level == len(offsets)
 
 
 def test_blas_runtime_names_numpys_openblas_or_says_unknown(tmp_path):

@@ -60,7 +60,7 @@ OFFSETS_CONFIG = {
     "output_dir": "out",
     "data": {"dir": "gallery", "n_identities": 24, "images_per_identity": 8,
              "edge": 76},
-    "pyramid": {"levels": 2, "networks_per_level": 4,
+    "pyramid": {"levels": 2,
                 "patch_offsets": [[0, 0], [0, 6], [6, 0], [6, 6]]},
     "train": {"iterations_per_level": 60, "batch_size": 16},
     "evaluation": {"n_pairs": 2000},
