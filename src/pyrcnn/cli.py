@@ -28,6 +28,7 @@ from .metrics import MetricError, evaluate_distances, pair_distances
 from .pyramid import (PyramidError, PyramidSpec, StageSpec, TrainConfig,
                       build_pyramid, greedy_train, load_model, save_model)
 from .seeding import derive_seed
+from .telemetry import write_run
 from .tensor import TensorError
 
 
@@ -39,7 +40,7 @@ class ConfigError(ValueError):
 class RunConfig:
     seed: int
     output_dir: Path
-    base_dir: Path
+    path: Path  # the config file, resolved; relative paths start at its dir
     data: dict
     pyramid: PyramidSpec
     train: TrainConfig
@@ -172,7 +173,7 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
         raise ConfigError(f"{path}: config requires 'seed' and 'output_dir'")
     seed = raw["seed"] if seed_override is None else seed_override
     try:
-        return _run_config(raw, path.parent.resolve(), seed)
+        return _run_config(raw, path.resolve(), seed)
     except ConfigError:
         raise
     except (DataError, PyramidError) as exc:
@@ -183,7 +184,7 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
         raise ConfigError(f"{path}: bad config value ({exc})") from None
 
 
-def _run_config(raw: dict, base: Path, seed) -> RunConfig:
+def _run_config(raw: dict, path: Path, seed) -> RunConfig:
     seed = _int(seed, "seed")
     given = {name: _block(raw.get(name, {}), table, name)
              for name, table in _BLOCKS.items()}
@@ -191,8 +192,8 @@ def _run_config(raw: dict, base: Path, seed) -> RunConfig:
                 for key in _NUISANCE if key in given["data"]}
     return RunConfig(
         seed=seed,
-        output_dir=base / _str(raw["output_dir"], "output_dir"),
-        base_dir=base,
+        output_dir=path.parent / _str(raw["output_dir"], "output_dir"),
+        path=path,
         data={"dir": None, "n_identities": 48, "images_per_identity": 12,
               "edge": 76, "holdout_fraction": 1 / 3, **given["data"],
               "nuisance": NuisanceConfig(**nuisance)},
@@ -206,7 +207,7 @@ def _run_config(raw: dict, base: Path, seed) -> RunConfig:
 def _data_dir(cfg: RunConfig) -> Path:
     if not cfg.data["dir"]:
         raise ConfigError("config data block needs a 'dir' entry")
-    return cfg.base_dir / cfg.data["dir"]
+    return cfg.path.parent / cfg.data["dir"]
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +226,14 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    """Train and write the model, the split indexes, one trace per level
+    and the run record, ``run.json`` (`telemetry.write_run`), into
+    ``output_dir``."""
+    run_path = cfg.output_dir / "run.json"
+    if run_path.resolve() == cfg.path:
+        raise ConfigError(f"{cfg.path}: train writes run.json into "
+                          f"output_dir, over this config; rename the config "
+                          f"or choose another output_dir")
     index_path = _data_dir(cfg) / "index.csv"
     index = load_index(index_path)
     train_index, eval_index = split_by_identity(
@@ -258,7 +267,9 @@ def cmd_train(cfg: RunConfig) -> int:
                 fh.write(f"{i},{float(loss)!r},{val_cells.get(i, '')}\n")
         print(f"train: level {trace.level} loss {trace.losses[0]:.4f} -> "
               f"{trace.losses[-1]:.4f} ({trace_path.name})")
+    write_run(run_path, traces)
     print(f"train: model -> {model_path}")
+    print(f"train: run record -> {run_path}")
     return 0
 
 

@@ -214,29 +214,46 @@ def csv_rows(path):
         raise DataError(f"{path}:{rows.line_num}: {exc}") from None
 
 
-def _resolve(path: str, dirs: dict[str, str]) -> Path:
-    """`Path(path).resolve()`, with each parent directory resolved once into
-    the cache `dirs`: a leaf that is not a symlink, '.' or '..' resolves to
-    its resolved parent joined with its name.  Anything else, a parent
-    that fails to resolve included, is the path's own `resolve()`, which
-    raises what it would have raised."""
+def _symlinks(directory: str) -> frozenset[str] | None:
+    """The names of the symlinks that one listing of `directory` holds, or
+    None when it cannot be listed."""
+    try:
+        with os.scandir(directory) as entries:
+            return frozenset(e.name for e in entries if e.is_symlink())
+    except OSError:
+        return None
+
+
+def _resolve(path: str,
+             dirs: dict[str, tuple[str, frozenset[str] | None]]) -> str:
+    """`str(Path(path).resolve())`, with each parent directory resolved and
+    listed once into the cache `dirs`: a leaf that is not a symlink, '.' or
+    '..' resolves to its resolved parent joined with its name.  Whether a
+    leaf is a symlink is read from its directory's listing (`_symlinks`),
+    or from the leaf's own `lstat` where the directory cannot be listed.
+    Anything else, a parent that fails to resolve included, is the path's
+    own `resolve()`, which raises what it would have raised."""
     head, name = os.path.split(path)
-    if name not in ("", ".", ".."):
-        parent = dirs.get(head)
-        if parent is None:
+    if name not in ("", ".", "..") and "\0" not in name:
+        known = dirs.get(head)
+        if known is None:
             try:
-                parent = dirs[head] = str(Path(head).resolve())
+                parent = str(Path(head).resolve())
             except (ValueError, OSError, RuntimeError):
-                return Path(path).resolve()
+                return str(Path(path).resolve())
+            known = dirs[head] = (parent, _symlinks(parent))
+        parent, links = known
         leaf = os.path.join(parent, name)
-        try:
-            if not stat.S_ISLNK(os.lstat(leaf).st_mode):
-                return Path(leaf)
-        except OSError:  # missing or unreadable: resolve() keeps the name too
-            return Path(leaf)
-        except ValueError:  # a NUL byte
-            pass
-    return Path(path).resolve()
+        if links is not None:
+            if name not in links:
+                return leaf
+        else:
+            try:
+                if not stat.S_ISLNK(os.lstat(leaf).st_mode):
+                    return leaf
+            except OSError:  # missing or unreadable: resolve() keeps the name
+                return leaf
+    return str(Path(path).resolve())
 
 
 def load_index(path) -> DatasetIndex:
@@ -248,8 +265,8 @@ def load_index(path) -> DatasetIndex:
     records: list[IndexRecord] = []
     names: list[str] = []
     ids: dict[str, int] = {}
-    seen_paths: set[Path] = set()
-    dirs: dict[str, str] = {}
+    seen_paths: set[str] = set()  # resolved paths, as strings
+    dirs: dict[str, tuple[str, frozenset[str] | None]] = {}
     for lineno, row in csv_rows(path):
         if lineno == 1:  # the header, even a blank one
             if len(row) < 2 or row[0] != "path" or row[1] != "identity":
@@ -278,7 +295,7 @@ def load_index(path) -> DatasetIndex:
         if rec_path in seen_paths:
             raise DataError(f"{path}:{lineno}: duplicate path {row[0]}")
         seen_paths.add(rec_path)
-        records.append(IndexRecord(rec_path, ids[label]))
+        records.append(IndexRecord(Path(rec_path), ids[label]))
     if not records:
         raise DataError(f"{path}: index contains no records")
     return DatasetIndex(records, names)

@@ -204,6 +204,7 @@ which writes the gradients over them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -451,8 +452,9 @@ def _kernel_rows(x: np.ndarray, kw: int, shape, strides) -> np.ndarray:
     return rows
 
 
+@functools.cache
 def _row_type(k: int) -> np.dtype:
-    """The opaque element type of k float64 values."""
+    """The opaque element type of k float64 values, built once per k."""
     return np.dtype((np.void, 8 * k))
 
 

@@ -311,7 +311,8 @@ def _image_set(images, what: str, edge: int, channels: int | None,
     """The one rule for an image set: an (n, h, w, c) array, or a sequence
     of (h, w, c) arrays or Tensors, with n >= 1, h and w >= `edge`,
     `channels` channels (any when None), an (h, w, c) that the stages of
-    `geometry` fit and only finite values.  Returns the set (a sequence as
+    `geometry` fit and only finite values (`_finite`: an 8-bit set of
+    stored samples is never scanned).  Returns the set (a sequence as
     a list of arrays, never a stacked copy) and `layers._stage_shapes`'s
     walk of one image; any other set is a PyramidError that names the
     `what` set, the shape found and the shape needed."""
@@ -336,7 +337,7 @@ def _image_set(images, what: str, edge: int, channels: int | None,
         except ShapeError as exc:
             found = f"shape {shape} ({exc})"
         else:
-            if all(np.isfinite(x).all() for x in (
+            if all(_finite(x) for x in (
                     [images] if isinstance(images, np.ndarray) else images)):
                 return images, walk
             found = f"shape {shape} with non-finite values"
@@ -344,6 +345,12 @@ def _image_set(images, what: str, edge: int, channels: int | None,
         f"{what} images: {found}; need (n, h, w, c) with n >= 1, h and w >= "
         f"{edge}" + ("" if channels is None else f", c = {channels} channels")
         + (", fitting the stages" if geometry else ""))
+
+
+def _finite(x: np.ndarray) -> bool:
+    """Whether every value of `x` is finite: an integer or boolean array is
+    by its dtype, so only other arrays are scanned."""
+    return x.dtype.kind in "biu" or bool(np.isfinite(x).all())
 
 
 def preprocess_dataset(images, *stages: Stage, maxval=1) -> np.ndarray:
@@ -407,16 +414,34 @@ _VALIDATE_EVERY = 10
 _VAL_PAIRS = 128
 
 
+@dataclass(frozen=True)
+class LevelHealth:
+    """What a trained level's network 0 makes of the validation images:
+    `spread`, the RMS distance of their embeddings from the embeddings'
+    mean (0 when every image gets one embedding); `dead_channels`, per
+    conv stage the share of channels that are zero after the rectifier at
+    every position of every image; `dead_units`, the share of embedding
+    units that take one value on every image."""
+
+    spread: float
+    dead_channels: tuple[float, ...]
+    dead_units: float
+
+
 @dataclass
 class LevelTrace:
     """Mean pair loss of every step, and network 0's validation AUC after
     every validated step (NaN when there is no validation set) with that
-    step's 0-based iteration index."""
+    step's 0-based iteration index.  `train_level` also records, with a
+    validation set, network 0's `LevelHealth` after the last step, and
+    `greedy_train` the level's wall seconds, its grids included."""
 
     level: int
     losses: list[float] = field(default_factory=list)
     val_aucs: list[float] = field(default_factory=list)
     val_iterations: list[int] = field(default_factory=list)
+    wall_s: float = math.nan
+    health: LevelHealth | None = None
 
 
 def train_level(model: PyramidModel, level: int, images,
@@ -433,7 +458,8 @@ def train_level(model: PyramidModel, level: int, images,
     every network of the level, so its gradient is averaged across them.
     Records the per-iteration mean batch loss and, when a validation set is
     supplied, network 0's validation AUC after every `_VALIDATE_EVERY`-th
-    update and after the last.
+    update and after the last, and its health on the validation images
+    after the last (`_level_health`).
     """
     spec = model.spec
     if not 0 <= level < spec.levels:
@@ -443,10 +469,14 @@ def train_level(model: PyramidModel, level: int, images,
             f"cannot train level {level}: with {model.levels_trained} levels "
             f"trained, level {model.frozen_prefix()} is the one whose stages "
             f"below are frozen and whose own is not")
-    return _siamese_fit(model.level_networks[level], model.comparators[level],
-                        spec.patch_offsets, images, pair_source, cfg,
-                        LevelTrace(level), cfg.iterations_per_level, None,
-                        val_images, val_pairs)
+    trace = _siamese_fit(model.level_networks[level], model.comparators[level],
+                         spec.patch_offsets, images, pair_source, cfg,
+                         LevelTrace(level), cfg.iterations_per_level, None,
+                         val_images, val_pairs)
+    if val_images is not None:
+        trace.health = _level_health(model.level_networks[level][0],
+                                     spec.patch_offsets[0], val_images)
+    return trace
 
 
 # a diverging step overflows on its way to the non-finite parameter that the
@@ -615,6 +645,28 @@ def _validation_auc(net: Network, offset: tuple[int, int], val_images,
     return evaluate_distances(*sides, ()).auc
 
 
+def _level_health(net: Network, offset: tuple[int, int],
+                  grids) -> LevelHealth:
+    """`net`'s `LevelHealth` on the window at `offset` of each of `grids`,
+    walked as `_embed` walks them, one stage at a time."""
+    (ox, oy), edge = offset, net.input_size
+    alive = [np.zeros(stage.conv.out_channels, bool) for stage in net.stages]
+    outs = []
+    step = _images_per_slab(net)
+    for start in range(0, len(grids), step):
+        x = np.asarray(grids[start:start + step])[:, oy:oy + edge,
+                                                  ox:ox + edge]
+        for seen, stage in zip(alive, net.stages):
+            x = _stage_forward(x, stage)
+            seen |= x.any(axis=(0, 1, 2))
+        outs.append(x.reshape(len(x), -1) @ net.head.weights + net.head.bias)
+    out = np.concatenate(outs)
+    spread = np.sqrt(np.mean(np.sum((out - out.mean(axis=0)) ** 2, axis=1)))
+    return LevelHealth(float(spread),
+                       tuple(float(1.0 - seen.mean()) for seen in alive),
+                       float(np.mean(np.ptp(out, axis=0) == 0.0)))
+
+
 class _DrawnPairs:
     """A pair stream drawn ahead: `iterations` batches of `size` pairs from
     `sampler`, written in order into one PairBatch, `pairs`, whose arrays
@@ -666,7 +718,7 @@ def greedy_train(model: PyramidModel, dataset: Sequence[LabeledImage],
     pairs name; the pairs are renumbered into those images, so the level
     reads the same rows, in the same order, as it would from the whole
     set.  A partially trained model resumes at its first untrained level,
-    `levels_trained`.
+    `levels_trained`.  Each trace also holds the level's wall seconds.
     """
     spec = model.spec
     if not dataset:
@@ -697,6 +749,7 @@ def greedy_train(model: PyramidModel, dataset: Sequence[LabeledImage],
 
     traces = []
     for level in range(start, spec.levels):
+        started = time.perf_counter()
         try:
             sampler = PairSampler([img.identity for img in fit_images],
                                   make_rng(cfg.seed, f"pairs-level{level}"))
@@ -713,6 +766,7 @@ def greedy_train(model: PyramidModel, dataset: Sequence[LabeledImage],
                         else _level_grids(model, val_images, level)),
             val_pairs=val_pairs))
         model.levels_trained = level + 1
+        traces[-1].wall_s = time.perf_counter() - started
     return traces
 
 

@@ -393,6 +393,20 @@ def test_config_requires_seed_and_output_dir(tmp_path, capsys):
     assert "requires 'seed' and 'output_dir'" in err
 
 
+def test_train_refuses_to_write_its_run_record_over_the_config(tmp_path,
+                                                               capsys):
+    """``train`` writes ``run.json`` into output_dir; where that is the
+    config itself, it stops before training and the config is kept."""
+    cfg = write_config(tmp_path, output_dir=".")
+    assert main(["synth", "--config", str(cfg)]) == 0
+    text = cfg.read_text(encoding="utf-8")
+    err = error_of(capsys, ["train", "--config", str(cfg)])
+    assert err.startswith(f"error: {cfg.resolve()}: train writes run.json "
+                          f"into output_dir, over this config")
+    assert cfg.read_text(encoding="utf-8") == text
+    assert not (tmp_path / "model.bin").exists()
+
+
 @pytest.mark.parametrize("output_dir", [5, ["out"], None])
 def test_output_dir_must_be_a_string(tmp_path, capsys, output_dir):
     cfg = write_config(tmp_path, output_dir=output_dir)

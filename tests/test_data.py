@@ -1,5 +1,6 @@
 import csv
 import itertools
+import os
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -272,18 +273,53 @@ def symlinked_tree(root):
     (root / "link.pgm").symlink_to(root / "real" / "b.pgm")
 
 
-def test_index_paths_are_per_row_resolve(tmp_path):
+def test_index_paths_are_per_row_resolve(tmp_path, monkeypatch):
     """Records carry the paths a per-row `Path.resolve()` gives, though
-    `load_index` resolves each directory once: a symlinked directory, a
-    symlinked file, '..' segments (after a symlink, '..' leaves its
-    target), a '..' leaf and a file that does not exist."""
+    `load_index` resolves and lists each directory once: a symlinked
+    directory, a symlinked file, '..' segments (after a symlink, '..'
+    leaves its target), a '..' leaf, a file that does not exist in a
+    directory that does and one in a directory that does not, and a
+    symlinked file in a directory that is not.  So do they where a
+    directory cannot be listed, whose leaves are read one `lstat` at a
+    time."""
     symlinked_tree(tmp_path)
+    write_pgm(tmp_path / "f.pgm", np.zeros((2, 2)))
+    (tmp_path / "real" / "d.pgm").symlink_to(tmp_path / "f.pgm")
     rows = ["linkdir/a.pgm", "link.pgm", "real/sub/../c.pgm",
-            "subl/../e.pgm", "linkdir/sub/..", "missing/x.pgm", "y.pgm"]
+            "subl/../e.pgm", "linkdir/sub/..", "missing/x.pgm", "y.pgm",
+            "real/gone.pgm", "real/d.pgm"]
     write_index(tmp_path / "i.csv", [(row, "p") for row in rows])
+    want = [(tmp_path / row).resolve() for row in rows]
     got = [r.path for r in load_index(tmp_path / "i.csv").records]
-    assert got == [(tmp_path / row).resolve() for row in rows]
+    assert got == want
     assert got[3] == tmp_path / "real" / "e.pgm"
+    assert got[8] == tmp_path / "f.pgm"
+
+    listed = os.scandir
+    refused = []
+
+    def scandir(path="."):
+        if Path(path) == tmp_path / "real":
+            refused.append(path)
+            raise PermissionError(13, "Permission denied", path)
+        return listed(path)
+
+    monkeypatch.setattr(os, "scandir", scandir)
+    got = [r.path for r in load_index(tmp_path / "i.csv").records]
+    assert refused and got == want
+
+
+@pytest.mark.parametrize("row", ["a\x00.pgm", "d\x00ir/a.pgm"])
+def test_index_path_with_a_nul_byte_is_a_data_error(tmp_path, row):
+    """A NUL byte in a leaf or in a directory is refused as the OS refuses
+    it, naming the line, though no leaf is looked up on its own."""
+    index = tmp_path / "i.csv"
+    index.write_text(f"path,identity\nb.pgm,p0\n{row},p0\n",
+                     encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        load_index(index)
+    assert str(err.value) == \
+        f"{index}:3: bad image path {row!r} (embedded null byte)"
 
 
 @pytest.mark.parametrize("spelling", ["linkdir/a.pgm", "real/sub/../a.pgm",

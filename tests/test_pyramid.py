@@ -568,6 +568,31 @@ def test_every_image_set_is_refused_by_one_rule(which, problem):
         assert "non-finite" in message
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_image_set_scans_float_sets_for_non_finite_values(value):
+    """A float set holding NaN or an infinity is refused with the one
+    message form, as a whole array or as one member of a list; integer
+    and boolean sets are finite by their dtype and come back as given."""
+    stage = Stage(ConvLayer.initialize(5, 1, 4, np.random.default_rng(5)),
+                  PoolSpec(2))
+    images = np.random.default_rng(6).uniform(0, 1, (4, 16, 16, 1))
+    images[1, 2, 3, 0] = value
+    message = ("input images: shape (4, 16, 16, 1) with non-finite values; "
+               "need (n, h, w, c) with n >= 1, h and w >= 1, fitting the "
+               "stages")
+    samples = np.zeros((3, 16, 16, 1), np.uint8)
+    for bad in (images, [*samples, images[1]]):
+        with pytest.raises(PyramidError) as err:
+            preprocess_dataset(bad, stage)
+        assert str(err.value) == message
+    for dtype in (np.uint8, np.int64, bool):
+        good = list(np.ones((4, 16, 16, 1), dtype))
+        checked, walk = pyramid._image_set(good, "input", 1, None,
+                                           [stage.geometry])
+        assert all(a is b for a, b in zip(checked, good))
+        assert walk == _stage_shapes([stage.geometry], 16, 16, 1)
+
+
 def test_diverged_train_level_leaves_the_model_unchanged(tmp_path):
     """A fit that diverges after applying a step raises and keeps the
     parameters it started from."""

@@ -193,3 +193,47 @@ def test_report_metrics_reads_the_named_rows_before_the_roc(tmp_path):
                       encoding="utf-8")
     assert same_bytes.report_metrics(report) == {"best_accuracy": 0.75,
                                                  "auc": 0.5}
+
+
+def test_parent_config_runs_the_parent_side_of_one_config(tmp_path, capsys,
+                                                          monkeypatch):
+    """``--parent-config NAME=FILE`` gives the parent side of config NAME
+    the config in FILE (one with a key the change dropped, say); the
+    change side, and every other config, run the tool's own."""
+    old = {**same_bytes.OFFSETS_CONFIG,
+           "pyramid": {**same_bytes.OFFSETS_CONFIG["pyramid"],
+                       "networks_per_level": 4}}
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(old), encoding="utf-8")
+    ran = []
+
+    def fake_pipeline(checkout, run_dir, config):
+        ran.append((run_dir.parent.name, checkout.name, config))
+        fake_run(run_dir)
+
+    def fake_monolith(checkout, run_dir):
+        (run_dir / "out").mkdir(parents=True)
+        (run_dir / "out" / "monolith.bin").write_bytes(b"\x00")
+
+    monkeypatch.setattr(same_bytes, "blas_runtime_in", lambda env: "core")
+    monkeypatch.setattr(same_bytes, "run_pipeline", fake_pipeline)
+    monkeypatch.setattr(same_bytes, "run_monolith", fake_monolith)
+    assert same_bytes.main(["--parent", str(tmp_path / "a"), "--change",
+                            str(tmp_path / "b"), "--parent-config",
+                            f"offsets={path}"]) == 0
+    assert ran == [(name, side, old if (name, side) == ("offsets", "a")
+                    else config)
+                   for name, config in same_bytes.CONFIGS.items()
+                   for side in ("a", "b")]
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "monolith monolith.bin: same"
+
+
+@pytest.mark.parametrize("value", ["monolith=x.json", "offsets", "nope=x",
+                                   "offsets=no/such/config.json"])
+def test_parent_config_names_a_cli_config_and_a_json_file(tmp_path, value,
+                                                           capsys):
+    with pytest.raises(SystemExit):
+        same_bytes.main(["--parent", str(tmp_path), "--change",
+                         str(tmp_path), "--parent-config", value])
+    assert "--parent-config" in capsys.readouterr().err

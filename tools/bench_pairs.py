@@ -50,8 +50,9 @@ the same tool as its benchmark numbers; the line count of its
 ``tests/*.py`` goes under ``test_lines``, so code moved from the engine
 into the tests shows on both sides.  ``blas_runtime`` holds the
 runtime configuration of numpy's OpenBLAS, with the core it runs, as a
-process with the runs' environment reads it (``same_bytes.blas_runtime``;
-``unknown`` for another BLAS): bit-equal results hold for one kernel.
+process with the runs' environment reads it
+(``pyrcnn.telemetry.blas_runtime``; ``unknown`` for another BLAS):
+bit-equal results hold for one kernel.
 """
 
 from __future__ import annotations

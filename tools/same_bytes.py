@@ -28,15 +28,23 @@ be the same.  It prints one verdict per file and exits 1 on the first
 difference (or when a side's command fails), else 0.  Both sides run with
 one BLAS thread.  First it prints each side's runtime BLAS
 configuration, read in a process with that side's environment
-(``blas_runtime``): the bytes compared are those of that kernel, and
-``OPENBLAS_CORETYPE`` in the tool's environment picks another.
+(``blas_runtime``, from ``pyrcnn.telemetry`` of the tool's own checkout):
+the bytes compared are those of that kernel, and ``OPENBLAS_CORETYPE`` in
+the tool's environment picks another.
+
+A change that renames or drops a config key cannot run the parent's
+config, nor the parent the change's.  ``--parent-config NAME=FILE`` runs
+the parent side of config NAME from the JSON config in FILE instead, say
+the config with the old key, while the change runs the tool's own:
+
+    python3 tools/same_bytes.py --parent ../base --change . \\
+        --parent-config offsets=old_offsets.json
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
 import importlib.util
 import json
 import os
@@ -45,6 +53,15 @@ import sys
 import tempfile
 from functools import partial
 from pathlib import Path
+
+# `blas_runtime` from this tool's own checkout, loaded by path, so that a
+# side whose engine lacks it still runs and no process imports two engines
+_TELEMETRY = importlib.util.spec_from_file_location(
+    "_own_telemetry",
+    Path(__file__).resolve().parents[1] / "src" / "pyrcnn" / "telemetry.py")
+_telemetry = importlib.util.module_from_spec(_TELEMETRY)
+_TELEMETRY.loader.exec_module(_telemetry)
+blas_runtime = _telemetry.blas_runtime
 
 README_CONFIG = {
     "seed": 7,
@@ -160,25 +177,6 @@ def report_metrics(path: Path) -> dict:
     return metrics
 
 
-def blas_runtime(libs: Path | None = None) -> str:
-    """The runtime configuration of numpy's bundled OpenBLAS in this
-    process, its build options then the core it runs (for example
-    ``OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX
-    MAX_THREADS=64``), read by ctypes from the library in `libs` (numpy's
-    ``numpy.libs`` by default); ``unknown`` for any other BLAS."""
-    if libs is None:
-        numpy = Path(importlib.util.find_spec("numpy").origin)
-        libs = numpy.parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("libscipy_openblas*")):
-        try:
-            get_config = ctypes.CDLL(str(lib)).scipy_openblas_get_config64_
-        except (OSError, AttributeError):
-            continue
-        get_config.restype = ctypes.c_char_p
-        return get_config().decode()
-    return "unknown"
-
-
 def side_env(checkout: Path) -> dict:
     """The environment a side's commands run in: the engine in
     `checkout`/src and one BLAS thread."""
@@ -272,27 +270,51 @@ def run_monolith(checkout: Path, run_dir: Path) -> str | None:
                     side_env(checkout)))
 
 
+def parent_config(text: str) -> tuple[str, dict]:
+    """``NAME=FILE`` -> (NAME, the JSON config in FILE): the config the
+    parent side runs in place of `CONFIGS`[NAME]."""
+    name, sep, path = text.partition("=")
+    if not sep or name not in CONFIGS:
+        raise argparse.ArgumentTypeError(
+            f"expected NAME=FILE with NAME one of {', '.join(CONFIGS)}, "
+            f"got {text!r}")
+    try:
+        return name, json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"{path}: {exc}") from None
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True,
                     help="checkout of the parent commit")
     ap.add_argument("--change", type=Path, required=True,
                     help="checkout of the change")
+    ap.add_argument("--parent-config", type=parent_config, action="append",
+                    default=[], metavar="NAME=FILE",
+                    help="run the parent side of config NAME from the JSON "
+                         "config in FILE (a change that renames or drops a "
+                         "config key); repeat for several")
     args = ap.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(),
                  "change": args.change.resolve()}
+    parent_configs = dict(args.parent_config)
     for side in SIDES:
         print(f"{side} BLAS: {blas_runtime_in(side_env(checkouts[side]))}",
               flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp).resolve()
-        runners = [(name, partial(run_pipeline, config=config), None)
-                   for name, config in CONFIGS.items()]
-        runners.append(("monolith", run_monolith, ["monolith.bin"]))
+        runners = [(name, {
+            "parent": partial(run_pipeline,
+                              config=parent_configs.get(name, config)),
+            "change": partial(run_pipeline, config=config)}, None)
+            for name, config in CONFIGS.items()]
+        runners.append(("monolith", dict.fromkeys(SIDES, run_monolith),
+                        ["monolith.bin"]))
         for name, run, names in runners:
             runs = {side: work / name / side for side in SIDES}
             for side in SIDES:
-                error = run(checkouts[side], runs[side])
+                error = run[side](checkouts[side], runs[side])
                 if error:
                     print(f"{name}: {side} failed: {error}", flush=True)
                     return 1

@@ -16,10 +16,12 @@ environment.
 
 The output file holds, per run: the seed and the config; each level's
 mean loss over its last `LAST_LOSSES` iterations and its validation
-curve, read from ``trace_level*.csv``; the held-out AUC and best accuracy
-from ``report.csv``; the raw-pixel AUC of the same pairs; and
-``blas_runtime`` (``same_bytes.blas_runtime``) and numpy's version.  Under
-``summary`` it holds the minimum and the median over the runs of the
+curve, read from ``trace_level*.csv``, and its ``collapse`` flag, read
+from the ``run.json`` that ``train`` writes (null where the engine writes
+none); the held-out AUC and best accuracy from ``report.csv``; the
+raw-pixel AUC of the same pairs; and ``blas_runtime``
+(``pyrcnn.telemetry.blas_runtime`` of the tool's own checkout) and
+numpy's version.  Under ``summary`` it holds the minimum and the median over the runs of the
 held-out AUC, the best accuracy and the raw-pixel AUC.  A run whose
 command fails is recorded with its error and left out of the summary.
 
@@ -90,6 +92,16 @@ def level_record(path: Path) -> dict:
                           for i, auc in aucs]}
 
 
+def collapse_flags(path: Path) -> dict:
+    """level -> the ``collapse`` flag of that level in the ``run.json``
+    that ``train`` wrote at `path`; empty when there is no such file (an
+    engine that writes none)."""
+    if not path.is_file():
+        return {}
+    record = json.loads(path.read_text(encoding="utf-8"))
+    return {level["level"]: level["collapse"] for level in record["levels"]}
+
+
 def run_seed(checkout: Path, run_dir: Path, config: dict, seed: int) -> dict:
     """One seed's pipeline of `config` in `run_dir` with the engine in
     `checkout`/src, then `raw_pixels`; its record."""
@@ -109,9 +121,11 @@ def run_seed(checkout: Path, run_dir: Path, config: dict, seed: int) -> dict:
     if error:
         return {**record, "error": error}
     report = same_bytes.report_metrics(out / "report.csv")
+    flags = collapse_flags(out / "run.json")
     return {**record,
-            "levels": [level_record(p) for p in
-                       sorted(out.glob("trace_level*.csv"))],
+            "levels": [{**level, "collapse": flags.get(level["level"])}
+                       for level in map(level_record,
+                                        sorted(out.glob("trace_level*.csv")))],
             "heldout_auc": report["auc"],
             "best_accuracy": report["best_accuracy"],
             **json.loads((out / "raw_pixels.json").read_text(
