@@ -214,45 +214,28 @@ def csv_rows(path):
         raise DataError(f"{path}:{rows.line_num}: {exc}") from None
 
 
-def _symlinks(directory: str) -> frozenset[str] | None:
-    """The names of the symlinks that one listing of `directory` holds, or
-    None when it cannot be listed."""
-    try:
-        with os.scandir(directory) as entries:
-            return frozenset(e.name for e in entries if e.is_symlink())
-    except OSError:
-        return None
-
-
-def _resolve(path: str,
-             dirs: dict[str, tuple[str, frozenset[str] | None]]) -> str:
-    """`str(Path(path).resolve())`, with each parent directory resolved and
-    listed once into the cache `dirs`: a leaf that is not a symlink, '.' or
-    '..' resolves to its resolved parent joined with its name.  Whether a
-    leaf is a symlink is read from its directory's listing (`_symlinks`),
-    or from the leaf's own `lstat` where the directory cannot be listed.
-    Anything else, a parent that fails to resolve included, is the path's
-    own `resolve()`, which raises what it would have raised."""
+def _resolve(path: str, dirs: dict[str, str]) -> str:
+    """`str(Path(path).resolve())`, with each parent directory resolved
+    once into the cache `dirs`: a leaf that is not a symlink, '.' or '..'
+    resolves to its resolved parent joined with its name.  Anything else,
+    a parent that fails to resolve included, is the path's own
+    `resolve()`, which raises what it would have raised."""
     head, name = os.path.split(path)
-    if name not in ("", ".", "..") and "\0" not in name:
-        known = dirs.get(head)
-        if known is None:
+    if name not in ("", ".", ".."):
+        parent = dirs.get(head)
+        if parent is None:
             try:
-                parent = str(Path(head).resolve())
+                parent = dirs[head] = str(Path(head).resolve())
             except (ValueError, OSError, RuntimeError):
                 return str(Path(path).resolve())
-            known = dirs[head] = (parent, _symlinks(parent))
-        parent, links = known
         leaf = os.path.join(parent, name)
-        if links is not None:
-            if name not in links:
+        try:
+            if not stat.S_ISLNK(os.lstat(leaf).st_mode):
                 return leaf
-        else:
-            try:
-                if not stat.S_ISLNK(os.lstat(leaf).st_mode):
-                    return leaf
-            except OSError:  # missing or unreadable: resolve() keeps the name
-                return leaf
+        except OSError:  # missing or unreadable: resolve() keeps the name too
+            return leaf
+        except ValueError:  # a NUL byte
+            pass
     return str(Path(path).resolve())
 
 
@@ -266,7 +249,7 @@ def load_index(path) -> DatasetIndex:
     names: list[str] = []
     ids: dict[str, int] = {}
     seen_paths: set[str] = set()  # resolved paths, as strings
-    dirs: dict[str, tuple[str, frozenset[str] | None]] = {}
+    dirs: dict[str, str] = {}
     for lineno, row in csv_rows(path):
         if lineno == 1:  # the header, even a blank one
             if len(row) < 2 or row[0] != "path" or row[1] != "identity":

@@ -186,13 +186,14 @@ gradient either way.  (A masked-out negative gradient leaves -0.0, not
 0.0; a signed zero changes no nonzero sum and no momentum step, so the
 trained parameters are the same bits.)
 
-`_forward` is the inference path behind `network_forward`, validation
-and extraction.  It keeps nothing, and it evaluates the head one row at a
-time (a stack of (1, d) @ (d, m) products).  A batched (n, d) @ (d, m)
-product is a different BLAS routine from the batch-of-one product and
-differs from it in the last bits, so the per-row form is what makes an
-image's embedding the same bits whether it is computed alone or in a
-batch.  (The conv GEMMs, one per image output row, already are.)
+`_forward` is the inference path behind `network_forward`, validation,
+extraction and a level's health record.  It keeps nothing, and it
+evaluates the head one row at a time (a stack of (1, d) @ (d, m)
+products).  A batched (n, d) @ (d, m) product is a different BLAS
+routine from the batch-of-one product and differs from it in the last
+bits, so the per-row form is what makes an image's embedding the same
+bits whether it is computed alone or in a batch.  (The conv GEMMs, one
+per image output row, already are.)
 
 The gradient-check harness compares backprop against central finite
 differences of a fixed random projection of the network output, skipping
@@ -675,11 +676,15 @@ def _stage_forward(x: np.ndarray, stage: Stage) -> np.ndarray:
     return np.maximum(out, 0.0, out=out)
 
 
-def _forward(net: Network, x: np.ndarray) -> np.ndarray:
+def _forward(net: Network, x: np.ndarray, seen=None) -> np.ndarray:
     """(n, m) outputs of `net` on an (n, h, w, c) batch, with no backprop
-    state; row i is bit-equal to a batch of one on x[i]."""
-    for stage in net.stages:
+    state; row i is bit-equal to a batch of one on x[i].  With `seen`, one
+    boolean array per stage, each stage's array is or-ed with which of its
+    channels are nonzero somewhere in its rectified output."""
+    for k, stage in enumerate(net.stages):
         x = _stage_forward(x, stage)
+        if seen is not None:
+            seen[k] |= x.any(axis=(0, 1, 2))
     flat = x.reshape(x.shape[0], 1, -1)
     return np.matmul(flat, net.head.weights)[:, 0] + net.head.bias
 

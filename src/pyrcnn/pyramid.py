@@ -621,16 +621,17 @@ def _gather(images, ids: Sequence[int], offset: tuple[int, int],
     return np.stack([images[i][oy:oy + edge, ox:ox + edge] for i in ids])
 
 
-def _embed(net: Network, offset: tuple[int, int], grids) -> np.ndarray:
+def _embed(net: Network, offset: tuple[int, int], grids,
+           seen=None) -> np.ndarray:
     """(n, m) outputs of `net`, on its current parameters, on the
     edge-`net.input_size` window at `offset` = (x, y) of each of the n
     `grids` (an array or a list of arrays): forward-only, from views of
-    the windows, a slab of grids at a time."""
+    the windows, a slab of grids at a time.  `seen` is `_forward`'s."""
     (ox, oy), edge = offset, net.input_size
     step = _images_per_slab(net)
     return np.concatenate([
         _forward(net, np.asarray(grids[start:start + step])
-                 [:, oy:oy + edge, ox:ox + edge])
+                 [:, oy:oy + edge, ox:ox + edge], seen)
         for start in range(0, len(grids), step)])
 
 
@@ -648,22 +649,12 @@ def _validation_auc(net: Network, offset: tuple[int, int], val_images,
 def _level_health(net: Network, offset: tuple[int, int],
                   grids) -> LevelHealth:
     """`net`'s `LevelHealth` on the window at `offset` of each of `grids`,
-    walked as `_embed` walks them, one stage at a time."""
-    (ox, oy), edge = offset, net.input_size
-    alive = [np.zeros(stage.conv.out_channels, bool) for stage in net.stages]
-    outs = []
-    step = _images_per_slab(net)
-    for start in range(0, len(grids), step):
-        x = np.asarray(grids[start:start + step])[:, oy:oy + edge,
-                                                  ox:ox + edge]
-        for seen, stage in zip(alive, net.stages):
-            x = _stage_forward(x, stage)
-            seen |= x.any(axis=(0, 1, 2))
-        outs.append(x.reshape(len(x), -1) @ net.head.weights + net.head.bias)
-    out = np.concatenate(outs)
+    from the embeddings `_embed` gives them."""
+    seen = [np.zeros(stage.conv.out_channels, bool) for stage in net.stages]
+    out = _embed(net, offset, grids, seen)
     spread = np.sqrt(np.mean(np.sum((out - out.mean(axis=0)) ** 2, axis=1)))
     return LevelHealth(float(spread),
-                       tuple(float(1.0 - seen.mean()) for seen in alive),
+                       tuple(float(1.0 - alive.mean()) for alive in seen),
                        float(np.mean(np.ptp(out, axis=0) == 0.0)))
 
 

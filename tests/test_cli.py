@@ -148,7 +148,8 @@ def test_extract_streams_chunks_bit_equal_to_assembled_network(
                         lambda x, stage: slabs.append(len(x))
                         or stage_forward(x, stage))
     monkeypatch.setattr(pyramid, "_forward",
-                        lambda n, x: batches.append(len(x)) or forward(n, x))
+                        lambda n, x, *seen: batches.append(len(x))
+                        or forward(n, x, *seen))
     index = paths["gallery"] / "index.csv"
     assert main(["extract", "--config", str(paths["config"]),
                  str(paths["model"]), str(index)]) == 0
@@ -811,7 +812,8 @@ def test_extract_hands_no_stage_or_network_more_than_one_slab(
                         lambda x, stage: seen.append(x.size)
                         or stage_forward(x, stage))
     monkeypatch.setattr(pyramid, "_forward",
-                        lambda n, x: seen.append(x.size) or forward(n, x))
+                        lambda n, x, *lit: seen.append(x.size)
+                        or forward(n, x, *lit))
 
     def grids(*args, **kwargs):
         out = preprocess(*args, **kwargs)

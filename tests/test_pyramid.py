@@ -1388,6 +1388,24 @@ def test_validation_auc_is_eval_scoring_of_one_image_features(monkeypatch,
     assert _validation_auc(net, offset, list(images), pairs) == want
 
 
+def test_level_health_reads_the_embeddings_validation_scores(monkeypatch):
+    """`_level_health` walks the grids through `_embed`, two images a slab:
+    the spread is that of the embeddings `_validation_auc` scores, to the
+    bit, and a channel is dead when no image of any slab lights it."""
+    net, _ = build_monolithic(PyramidSpec(levels=1), seed=49)
+    largest = _stage_shapes([stage.geometry for stage in net.stages],
+                            16, 16, 1)[1]
+    monkeypatch.setattr(layers, "_SLAB_ELEMENTS", 2 * largest)
+    net.stages[0].conv.bias[:2] = -1e6
+    images = np.random.default_rng(49).uniform(0.0, 1.0, (5, 22, 22, 1))
+    out = pyramid._embed(net, (3, 3), images)
+    spread = np.sqrt(np.mean(np.sum((out - out.mean(axis=0)) ** 2, axis=1)))
+    got = pyramid._level_health(net, (3, 3), images)
+    assert got.spread == spread
+    assert got.dead_channels[0] == 2 / net.stages[0].conv.out_channels
+    assert got.dead_units == 0.0
+
+
 def test_validation_runs_every_tenth_step_and_after_the_last():
     """12 steps validate after steps 10 and 12 (iterations 9 and 11), and
     each AUC is the one of the parameters after that step."""
