@@ -18,7 +18,8 @@ Conventions, fixed across the package:
   level networks by the larger of the batch's input and its largest
   pre-activation map (`_inputs_per_slab`);
 * the activation g is the rectifier max(0, x) after every conv stage; the
-  FC head is linear, so no embedding unit can be stuck at zero;
+  FC head is linear and has no bias (`FCLayer`), so an embedding unit is
+  constant only when no image-dependent signal reaches the head;
 * pooling takes non-overlapping s x s window maxima (window == stride).
 
 The forward, `_conv_fwd`, copies each block of its batch once into row
@@ -150,14 +151,12 @@ leaves 1/(s*s) of the adds.
 
 A stage is a `Stage(conv, pool)`, the one stage type: a `Network`'s
 stages and a pyramid's entry stages are the same objects.  A layer holds
-its parameters and nothing else: which stages are frozen is a fact of a
-pyramid's training progress, read from its levels trained
-(`pyramid.PyramidModel.frozen_prefix`), so `network_backward` and
-`gradient_check` cover every layer of the network they are given.  The
-kernels below the public API read a `Network` and its layers' own arrays,
-with no parameter tuples in between, and `_backward_cached` returns one
-(dw, db) per entry of `net.layers` (the stages' convs in order, then the
-head).
+its parameter arrays, `params` (a conv's weights and bias, the head's
+weights), and nothing else; which stages are frozen is read from a
+pyramid's levels trained (`pyramid.PyramidModel.frozen_prefix`), so
+`network_backward` and `gradient_check` cover every layer they are given.
+`_backward_cached` returns, per entry of `net.layers` (the stages' convs
+in order, then the head), one gradient per array of its `params`.
 A stage's shape is its `geometry`, (kh, kw, c_in, c_out, pool), and
 `_stage_shapes`, the one walk of a chain of them, is the only check that a
 kernel fits and a pool divides: behind `Network`, slab sizing, the
@@ -205,6 +204,7 @@ which writes the gradients over them.
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -223,42 +223,46 @@ class ShapeError(TensorError):
 
 
 class _Layer:
-    """Weights and a bias: float64 copies of the constructor's inputs that
-    the layer owns.  Training updates the arrays in place; they cannot be
-    replaced, so they always passed the constructor's checks."""
+    """Parameter arrays, `params`, one per name in the class's `names`:
+    float64 copies of the constructor's inputs, owned by the layer and
+    updated in place by training.  They cannot be replaced, so they always
+    passed the constructor's checks, and every walk of a layer's
+    parameters (fit, backward, gradient check, model file) follows them."""
 
-    __slots__ = ("_weights", "_bias")
+    __slots__ = ("_params",)
+    names: tuple[str, ...] = ()
 
-    def __init__(self, weights, bias):
-        self._weights, self._bias = float_array(weights), float_array(bias)
+    def __init__(self, *arrays):
+        self._params = tuple(float_array(a) for a in arrays)
+
+    @property
+    def params(self) -> tuple[np.ndarray, ...]:
+        return self._params
 
     @property
     def weights(self) -> np.ndarray:
-        return self._weights
-
-    @property
-    def bias(self) -> np.ndarray:
-        return self._bias
+        return self._params[0]
 
 
 class ConvLayer(_Layer):
     """Convolution weights (kh x kw x c_in x c_out) with a per-channel bias."""
 
     __slots__ = ()
+    names = ("weights", "bias")
 
     def __init__(self, weights, bias):
         super().__init__(weights, bias)
-        weights, bias = self.weights, self.bias
+        weights, bias = self.params
         if len(weights.shape) != 4:
-            raise ShapeError(
-                f"conv weights must be rank 4 (kh, kw, c_in, c_out), "
-                f"got shape {weights.shape}"
-            )
+            raise ShapeError(f"conv weights must be rank 4 (kh, kw, c_in, "
+                             f"c_out), got shape {weights.shape}")
         if len(bias.shape) != 1 or bias.shape[0] != weights.shape[3]:
-            raise ShapeError(
-                f"conv bias must have length c_out={weights.shape[3]}, "
-                f"got shape {bias.shape}"
-            )
+            raise ShapeError(f"conv bias must have length c_out="
+                             f"{weights.shape[3]}, got shape {bias.shape}")
+
+    @property
+    def bias(self) -> np.ndarray:
+        return self._params[1]
 
     @property
     def in_channels(self) -> int:
@@ -290,22 +294,19 @@ class PoolSpec:
 
 
 class FCLayer(_Layer):
-    """Fully-connected head: weights (d_in x m), bias (m), linear output."""
+    """Fully-connected head: weights (d_in x m), linear output.  It has no
+    bias: the pair loss reads only the distance of two outputs of one
+    head, which a shift of both leaves as it is, so a bias gets no
+    gradient."""
 
     __slots__ = ()
+    names = ("weights",)
 
-    def __init__(self, weights, bias):
-        super().__init__(weights, bias)
-        weights, bias = self.weights, self.bias
-        if len(weights.shape) != 2:
-            raise ShapeError(
-                f"fc weights must be rank 2 (d_in, m), got {weights.shape}"
-            )
-        if len(bias.shape) != 1 or bias.shape[0] != weights.shape[1]:
-            raise ShapeError(
-                f"fc bias must have length m={weights.shape[1]}, "
-                f"got shape {bias.shape}"
-            )
+    def __init__(self, weights):
+        super().__init__(weights)
+        if len(self.weights.shape) != 2:
+            raise ShapeError(f"fc weights must be rank 2 (d_in, m), got "
+                             f"{self.weights.shape}")
 
     @property
     def d_in(self) -> int:
@@ -318,8 +319,7 @@ class FCLayer(_Layer):
     @classmethod
     def initialize(cls, d_in: int, out_dim: int,
                    rng: np.random.Generator) -> "FCLayer":
-        w = glorot_uniform(rng, (d_in, out_dim), d_in, out_dim)
-        return cls(w, np.zeros(out_dim))
+        return cls(glorot_uniform(rng, (d_in, out_dim), d_in, out_dim))
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...],
@@ -686,7 +686,7 @@ def _forward(net: Network, x: np.ndarray, seen=None) -> np.ndarray:
         if seen is not None:
             seen[k] |= x.any(axis=(0, 1, 2))
     flat = x.reshape(x.shape[0], 1, -1)
-    return np.matmul(flat, net.head.weights)[:, 0] + net.head.bias
+    return np.matmul(flat, net.head.weights)[:, 0]
 
 
 def _forward_cached(net: Network, x: np.ndarray):
@@ -703,7 +703,7 @@ def _forward_cached(net: Network, x: np.ndarray):
                        "alive": pooled > 0})
         x = np.maximum(pooled, 0.0, out=pooled)
     flat = x.reshape(x.shape[0], -1)
-    out = flat @ net.head.weights + net.head.bias
+    out = flat @ net.head.weights
     caches.append({"flat": flat, "map_shape": x.shape})
     return out, caches
 
@@ -712,13 +712,14 @@ def _backward_cached(net: Network, caches, g_out: np.ndarray):
     """Gradients of sum_i g_out[i] . output[i] w.r.t. all parameters:
     per-image gradients summed over the batch.
 
-    Returns one (dw, db) per entry of `net.layers`: the stages' convs in
-    order, then the head.  The caches serve one backward: each is taken off
-    the end of `caches` as its stage's turn comes, and the pool's gradient
-    is written over its pre-activation map.
+    Returns, per entry of `net.layers` (the stages' convs in order, then
+    the head), one gradient per array of its `params`: (dw, db) for a
+    conv, (dw,) for the head.  The caches serve one backward: each is
+    taken off the end of `caches` as its stage's turn comes, and the
+    pool's gradient is written over its pre-activation map.
     """
     fc = caches.pop()
-    grads = [(fc["flat"].T @ g_out, g_out.sum(axis=0))]
+    grads = [(fc["flat"].T @ g_out,)]
     g = (g_out @ net.head.weights.T).reshape(fc["map_shape"])
     for i, (conv, pool) in reversed(list(enumerate(net.stages))):
         cache, s = caches.pop(), pool.window
@@ -771,13 +772,13 @@ def maxpool(input: Tensor, spec: PoolSpec) -> Tensor:
 
 
 def fc_forward(input: Tensor, layer: FCLayer) -> Tensor:
-    """Affine map with no activation; input is flattened row-major."""
+    """Linear map with no bias and no activation; input is flattened
+    row-major."""
     flat = input.array.reshape(-1)
     if flat.shape[0] != layer.d_in:
-        raise ShapeError(
-            f"fc expects {layer.d_in} inputs, got {flat.shape[0]}"
-        )
-    out = flat[None] @ layer.weights + layer.bias
+        raise ShapeError(f"fc expects {layer.d_in} inputs, got "
+                         f"{flat.shape[0]}")
+    out = flat[None] @ layer.weights
     return Tensor.from_array(out[0])
 
 
@@ -806,21 +807,20 @@ def network_backward(net: Network, patch: Tensor,
                      output_grad) -> dict[str, np.ndarray]:
     """Gradient of output_grad . f(patch) for every parameter.
 
-    Keys are "conv<i>.weights" / "conv<i>.bias" per stage and
-    "head.weights" / "head.bias", one pair for every entry of `net.layers`.
+    Keys are "<layer>.<array>", one per array of each entry of
+    `net.layers`: "conv<i>.weights" and "conv<i>.bias" per stage, then
+    "head.weights".
     """
     g_out = np.asarray(output_grad, dtype=np.float64).reshape(-1)
     if g_out.shape[0] != net.output_dim:
-        raise ShapeError(
-            f"output_grad must have length {net.output_dim}, "
-            f"got {g_out.shape[0]}"
-        )
+        raise ShapeError(f"output_grad must have length {net.output_dim}, "
+                         f"got {g_out.shape[0]}")
     _, caches = _forward_cached(net, _network_input(net, patch))
-    grads: dict[str, np.ndarray] = {}
-    for name, (dw, db) in zip(_layer_names(net),
-                              _backward_cached(net, caches, g_out[None])):
-        grads[f"{name}.weights"], grads[f"{name}.bias"] = dw, db
-    return grads
+    return {f"{name}.{part}": grad
+            for name, layer, grads in zip(
+                _layer_names(net), net.layers,
+                _backward_cached(net, caches, g_out[None]))
+            for part, grad in zip(layer.names, grads)}
 
 
 # ---------------------------------------------------------------------------
@@ -881,11 +881,7 @@ def gradient_check(net: Network, patch: Tensor, epsilon: float = 1e-5,
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     u = np.random.default_rng(0x5EED).standard_normal(net.output_dim)
     x = _network_input(net, patch)
-    # the layer constructors copy: perturbing `net` leaves the caller's alone
-    net = Network([Stage(ConvLayer(conv.weights, conv.bias), pool)
-                   for conv, pool in net.stages],
-                  FCLayer(net.head.weights, net.head.bias),
-                  net.input_size, net.in_channels)
+    net = copy.deepcopy(net)  # perturbing it leaves the caller's alone
 
     _, caches = _forward_cached(net, x)
     # each stage's smallest |pre-activation| per channel, read before the
@@ -921,18 +917,15 @@ def gradient_check(net: Network, patch: Tensor, epsilon: float = 1e-5,
         return BlockCheck(name, worst, checked, skipped)
 
     blocks: list[BlockCheck] = []
-    for i, (name, layer, (dw, db)) in enumerate(zip(
+    for i, (name, layer, layer_grads) in enumerate(zip(
             _layer_names(net), net.layers, grads)):
         if i == len(net.stages):  # the head
-            w_ok = b_ok = lambda idx: True
+            ok = lambda idx: True
         elif min(stage_pre_min[i + 1:], default=np.inf) < margin:
-            blocks.append(BlockCheck(f"{name}.weights", 0.0, 0, dw.size))
-            blocks.append(BlockCheck(f"{name}.bias", 0.0, 0, db.size))
-            continue
-        else:
+            ok = lambda idx: False  # a later stage sits at its kink
+        else:  # a conv array's last axis is its output channel
             chan_min = chan_mins[i]
-            w_ok = lambda idx: chan_min[idx[3]] >= margin
-            b_ok = lambda idx: chan_min[idx[0]] >= margin
-        blocks.append(check_block(f"{name}.weights", layer.weights, dw, w_ok))
-        blocks.append(check_block(f"{name}.bias", layer.bias, db, b_ok))
+            ok = lambda idx: chan_min[idx[-1]] >= margin
+        for part, arr, ana in zip(layer.names, layer.params, layer_grads):
+            blocks.append(check_block(f"{name}.{part}", arr, ana, ok))
     return GradCheckReport(blocks, epsilon, tol)

@@ -2,32 +2,31 @@
 
 The model is a ladder of levels.  Every level trains the same-shaped
 subnetwork on small patches: an entry conv+pool stage, the level-invariant
-template stack, and an FC head.  A level's entry stage is a single
-`layers.Stage` held by all of that level's networks (and, assembled, by
-every network above it); `PyramidModel.stages` reads it from network 0.
+template stack, and an FC head, one network per `patch_offsets` entry.  A
+level's entry stage is one `layers.Stage` in `PyramidModel.stages`, held by
+all of that level's networks (and, assembled, by every network above it).
 When the level finishes, the stage is frozen and becomes a
-filter-and-down-sample preprocessor for the levels above it.  The entry
-stage of the final level is trained like any other but never consumed.
-The model's one record of that progress is `levels_trained`: stage l is
-frozen iff l < min(levels_trained, levels - 1), `frozen_prefix()`, and
-no layer or stage carries a flag of its own.  The network count of a
-level is the number of `patch_offsets`, one network per offset.
-
-Training a level therefore always updates the same set of parameter
-blocks — one entry stage, one template stack + head + comparator per
-network — no matter how high the level sits, while the *assembled* network
-for level l (frozen stages 0..l-1 plus level l's subnetwork) grows deeper
-and sees exponentially larger input patches.
+filter-and-down-sample preprocessor for the levels above it; the final
+level's is trained but never consumed.  The one record of that progress is
+`levels_trained`: stage l is frozen iff l < `frozen_prefix()`, which is
+min(levels_trained, levels - 1).  Training a level therefore always
+updates the same set of parameter blocks — one entry stage, one template
+stack + head + comparator per network — no matter how high the level
+sits, while the *assembled* network for level l (frozen stages 0..l-1
+plus level l's subnetwork) grows deeper and sees exponentially larger
+input patches.
 
 `PyramidSpec.stage_geometry(level)` is the (kh, kw, c_in, c_out, pool) of
-each stage a level's networks have.  The spec validates it with the
-layers' shape walk (`layers._stage_shapes`), the builders draw their
-stages from it, and `load_model` refuses a file whose layers differ.  The
-model file's bytes have one writer, `_model_bytes`, which walks the tensor
-order's owner, `_file_order`, as `load_model` does, and a load is refused
-unless `_model_bytes` gives the file back.  Every image set (the training
-and validation images of a fit, `preprocess_dataset`'s input) passes one
-rule, `_image_set`, with one message form.
+each stage a level's networks have: the spec validates it with the layers'
+shape walk (`layers._stage_shapes`), the builders draw their stages from
+it, and `load_model` refuses a file whose layers differ.  The model file,
+PYRCNN02, holds what extraction reads and a resumed training steps: every
+entry stage, and the networks and comparators of the levels from
+`frozen_prefix()` up, which is all a loaded model holds.  Its one writer,
+`_model_bytes`, walks the tensor order's owner, `_file_order`, as
+`load_model` does, and a load is refused unless `_model_bytes` gives the
+file back.  Every image set (the training and validation images of a fit,
+`preprocess_dataset`'s input) passes one rule, `_image_set`.
 
 Each level holds and trains on only what its networks read: the images
 its pair batches and the validation pairs name, and of each only the
@@ -47,29 +46,28 @@ grid, for validation and extraction.
 Greedy levels and the monolithic baseline train through one Siamese loop
 (`_siamese_fit`): the same pair loss, momentum SGD, pair stream and
 validation.  A level differs only in that its entry stage is one layer
-shared by all of its networks.  Each layer owns its weights and bias as
-float64 arrays, which the fit steps in place, three in-place operations
-per block; forward, backward and validation are kernels that read the
-networks themselves (`net.layers`: the stage convs, then the head).  The
-comparators' (log_alpha, beta) train as one (k, 2) array, written back
-when the fit ends.  A step walks its pairs in chunks that fit the layers'
-memory slab: the whole 32-pair batch at the 16-edge levels, one pair at a
-time at the 76-edge monolith.  One chunk (`_chunk_grads`) gathers its
-batch, runs the forward and the backward and returns only its gradients,
-so at its peak a step holds one chunk's buffers: its gathered batch, the
-cached maps of its forward (the largest the entry stage's pre-activation
-map, over which the backward writes that stage's gradient) and one conv's
-block of row strips or columns (a layers' slab; on the monolith's row
-bands, rows of the input's width), besides the parameter-sized gradients
-and velocities.  Nothing of the previous chunk is left when the next one
-gathers.
+shared by all of its networks.  The fit steps each layer's `params` in
+place, three in-place operations per array; forward, backward and
+validation are kernels that read the networks themselves (`net.layers`:
+the stage convs, then the head).  The comparators' (log_alpha, beta) train
+as one (k, 2) array, written back when the fit ends.  A step walks its
+pairs in chunks that fit the layers' memory slab: the whole 32-pair batch
+at the 16-edge levels, one pair at a time at the 76-edge monolith.  One
+chunk (`_chunk_grads`) gathers its batch, runs the forward and the
+backward and returns only its gradients, so at its peak a step holds one
+chunk's buffers: its gathered batch, the cached maps of its forward (the
+largest the entry stage's pre-activation map, over which the backward
+writes that stage's gradient) and one conv's block of row strips or
+columns (a layers' slab; on the monolith's row bands, rows of the input's
+width), besides the parameter-sized gradients and velocities.  Nothing of
+the previous chunk is left when the next one gathers.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -234,20 +232,18 @@ class TrainConfig:
 
 @dataclass
 class PyramidModel:
+    """Per level its entry stage, which its networks alias, and its
+    networks and comparators (none below a loaded model's frozen prefix)."""
+
     spec: PyramidSpec
+    stages: list[Stage]
     level_networks: list[list[Network]]     # [level][network]
     comparators: list[list[ComparatorParams]]
     levels_trained: int = 0
 
-    @property
-    def stages(self) -> list[Stage]:
-        """One entry stage per level: its network 0's first stage."""
-        return [nets[0].stages[0] for nets in self.level_networks]
-
     def frozen_prefix(self) -> int:
-        """How many entry stages, from level 0 up, are frozen: those of
-        the trained levels, but never the top one, which nothing above
-        consumes."""
+        """How many entry stages, from level 0 up, are frozen: the trained
+        levels', never the top one, which nothing above consumes."""
         return min(self.levels_trained, self.spec.levels - 1)
 
 
@@ -259,20 +255,18 @@ def build_pyramid(spec: PyramidSpec, seed: int) -> PyramidModel:
     """
     rng = make_rng(seed, "init")
     fc_dim = spec.fc_input_dim()
-    level_networks, comparators = [], []
+    stages, level_networks = [], []
     for level in range(spec.levels):
         entry, *template = spec.stage_geometry(level)
-        (stage,) = _init_stages([entry], rng)
-        nets, comps = [], []
-        for _ in range(spec.networks_per_level):
-            chain = [stage] + _init_stages(template, rng)
-            head = FCLayer.initialize(fc_dim, spec.output_dim, rng)
-            nets.append(Network(chain, head, spec.base_input,
-                                spec.entry_in_channels(level)))
-            comps.append(ComparatorParams())
-        level_networks.append(nets)
-        comparators.append(comps)
-    return PyramidModel(spec, level_networks, comparators)
+        stages += _init_stages([entry], rng)
+        level_networks.append([
+            Network([stages[-1]] + _init_stages(template, rng),
+                    FCLayer.initialize(fc_dim, spec.output_dim, rng),
+                    spec.base_input, spec.entry_in_channels(level))
+            for _ in range(spec.networks_per_level)])
+    return PyramidModel(spec, stages, level_networks,
+                        [[ComparatorParams() for _ in nets]
+                         for nets in level_networks])
 
 
 def _init_stages(geometry: Sequence[tuple[int, ...]],
@@ -287,7 +281,8 @@ def assemble_network(model: PyramidModel, level: int, which: int) -> Network:
     """Deep network equivalent to preprocess-through-frozen-stages + subnet.
 
     The returned Network aliases the model's layer objects (no copies), so
-    it always reflects the model's current parameters.
+    it always reflects the model's current parameters.  A level whose
+    networks a loaded model does not hold is a PyramidError.
     """
     spec = model.spec
     if not 0 <= level < spec.levels:
@@ -301,6 +296,10 @@ def assemble_network(model: PyramidModel, level: int, which: int) -> Network:
         raise PyramidError(
             f"cannot assemble level {level}: {model.levels_trained} levels "
             f"trained, so the shared stages below it are not all frozen")
+    if not model.level_networks[level]:
+        raise PyramidError(
+            f"cannot assemble level {level}: the model holds the networks of "
+            f"levels {model.frozen_prefix()} and up only, as its file does")
     subnet = model.level_networks[level][which]
     return Network(model.stages[:level] + subnet.stages, subnet.head,
                    spec.assembled_input_edge(level), in_channels=1)
@@ -495,12 +494,12 @@ def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
     image sets (`_image_set`) that the networks read.  Both members of a
     pair flow through identical weights, so a layer's gradient is the sum
     over the two branches.  A layer object aliased into k networks is one
-    parameter, stepped once; its gradient is divided by k x pairs, every
-    other gradient by pairs.  Pairs go through each network in chunks that
-    fit one memory slab (`layers._images_per_slab`), both members of pair j
-    in rows 2j and 2j+1, so the branch gradients of a layer whose pair-loss
-    gradients cancel (the head bias) sum to exactly zero; each chunk is
-    scored by one `pair_loss_grads` call.  Runs `iterations` steps, or until
+    parameter, stepped once; its gradients are divided by k x pairs, every
+    other by pairs.  Pairs go through each network in chunks that fit one
+    memory slab (`layers._images_per_slab`), scored by one
+    `pair_loss_grads` call each, with pair j's members in rows 2j and 2j+1:
+    the backward sums a chunk's terms in row order, so this layout fixes
+    the bits of the summed gradients.  Runs `iterations` steps, or until
     `time_budget` seconds elapse when that is given, appending to `trace`
     the mean pair loss of each batch, and network 0's validation AUC (NaN
     without a validation set) after every `_VALIDATE_EVERY`-th step and
@@ -519,14 +518,14 @@ def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
     layers = list({id(layer): layer for net in nets
                    for layer in net.layers}.values())
     comp_params = np.array([[c.log_alpha, c.beta] for c in comps])
-    params = [a for layer in layers
-              for a in (layer.weights, layer.bias)] + [comp_params]
+    params = [a for layer in layers for a in layer.params] + [comp_params]
     grads = [np.zeros_like(a) for a in params]
     velocity = [np.zeros_like(a) for a in params]
     sharing = [float(sum(layer in net.layers for net in nets))
-               for layer in layers for _ in "wb"] + [1.0]
-    grad_of = {id(layer): grads[2 * i:2 * i + 2]
-               for i, layer in enumerate(layers)}
+               for layer in layers for _ in layer.params] + [1.0]
+    unclaimed = iter(grads)
+    grad_of = {id(layer): [next(unclaimed) for _ in layer.params]
+               for layer in layers}
     started_from = [a.copy() for a in params]
 
     if not isinstance(val_pairs, (PairBatch, type(None))):
@@ -563,10 +562,9 @@ def _siamese_fit(nets: Sequence[Network], comps: Sequence[ComparatorParams],
                     # pairwise order would change the bits
                     total_loss = float(_running_sum(total_loss, loss))
                     grads[-1][k] = _running_sum(grads[-1][k], comp_grad)
-                    for layer, (dw, db) in zip(net.layers, layer_grads):
-                        gw, gb = grad_of[id(layer)]
-                        gw += dw
-                        gb += db
+                    for layer, layer_grad in zip(net.layers, layer_grads):
+                        for g, d in zip(grad_of[id(layer)], layer_grad):
+                            g += d
             for theta, v, g, shared in zip(params, velocity, grads, sharing):
                 g /= shared * len(pairs)
                 _momentum_step(theta, v, g, cfg)
@@ -592,9 +590,9 @@ def _chunk_grads(net: Network, comp: ComparatorParams, images,
     """One chunk of a Siamese step: `net`'s forward on both members of
     each of `pairs` (rows 2j and 2j+1 hold pair j's two), the pair loss
     under `comp`, and the backward.  Returns the per-pair losses, the
-    per-pair (log_alpha, beta) gradient rows and one (dw, db) per entry of
-    `net.layers`; the gathered batch, the outputs and the caches are
-    freed on return, before the next chunk gathers its own."""
+    per-pair (log_alpha, beta) gradient rows and `_backward_cached`'s
+    gradients of `net.layers`; the gathered batch, the outputs and the
+    caches are freed on return, before the next chunk gathers its own."""
     members = np.column_stack((pairs.first, pairs.second))
     x = _gather(images, members.reshape(-1), offset, net.input_size)
     out, caches = _forward_cached(net, x)
@@ -804,7 +802,7 @@ def train_network(net: Network, comp: ComparatorParams, images,
 # serialization
 
 
-MAGIC = b"PYRCNN01"
+MAGIC = b"PYRCNN02"
 
 
 def _tensor_bytes(arr: np.ndarray) -> bytes:
@@ -842,43 +840,43 @@ class _Cursor:
         return self._take(math.prod(shape), "<f8").reshape(shape)
 
 
-def _file_order(spec: PyramidSpec):
-    """PYRCNN01's tensor order, which `_model_bytes` and `load_model` walk:
-    each level's entry conv, then, per level and network, its template
-    convs, its head and its comparator.  Yields (level, network, layer):
-    `layer` indexes the network's `layers` (weights, bias; the entry conv
-    is layer 0 of network 0), or is None for the comparator's tensor."""
+def _file_order(spec: PyramidSpec, kept: int):
+    """PYRCNN02's tensor order, which `_model_bytes` and `load_model` walk:
+    each level's entry conv, then, per level from `kept` (the model's
+    `frozen_prefix()`) up and per network, its template convs, its head
+    and its comparator.  Yields (level, network, layer, tensors): `layer`
+    indexes the network's `layers` (the entry conv is layer 0 of network
+    0), or is None for the comparator, and `tensors` counts the slot's
+    tensors, one per array of the layer's `params`."""
+    head = len(spec.template) + 1
     for level in range(spec.levels):
-        yield level, 0, 0
-    for level in range(spec.levels):
+        yield level, 0, 0, len(ConvLayer.names)
+    for level in range(kept, spec.levels):
         for k in range(spec.networks_per_level):
-            for j in range(1, len(spec.template) + 2):
-                yield level, k, j
-            yield level, k, None
+            for j in range(1, head):
+                yield level, k, j, len(ConvLayer.names)
+            yield level, k, head, len(FCLayer.names)
+            yield level, k, None, 1
 
 
 def _model_bytes(model: PyramidModel) -> bytes:
-    """PYRCNN01: magic, spec integers, then tensors in `_file_order`."""
+    """PYRCNN02: magic, spec integers, levels trained, then tensors in
+    `_file_order`."""
     spec = model.spec
     ints = [spec.levels, spec.base_input, spec.networks_per_level,
-            spec.output_dim, spec.shared.kernel, spec.shared.channels,
-            spec.shared.pool, len(spec.template)]
-    for t in spec.template:
-        ints += [t.kernel, t.channels, t.pool]
-    for ox, oy in spec.patch_offsets:
-        ints += [ox, oy]
-    ints.append(model.levels_trained)
-    ints += [int(level < model.frozen_prefix())
-             for level in range(spec.levels)]
+            spec.output_dim, *astuple(spec.shared), len(spec.template),
+            *(v for t in spec.template for v in astuple(t)),
+            *(v for offset in spec.patch_offsets for v in offset),
+            model.levels_trained]
     chunks = [MAGIC, np.asarray(ints, dtype="<i8").tobytes()]
-    for level, k, j in _file_order(spec):
+    for level, k, j, _ in _file_order(spec, model.frozen_prefix()):
         if j is None:
             comp = model.comparators[level][k]
-            chunks.append(
-                _tensor_bytes(np.array([comp.log_alpha, comp.beta])))
+            arrays = [np.array([comp.log_alpha, comp.beta])]
         else:
-            layer = model.level_networks[level][k].layers[j]
-            chunks += [_tensor_bytes(layer.weights), _tensor_bytes(layer.bias)]
+            arrays = (model.stages[level].conv if j == 0 else
+                      model.level_networks[level][k].layers[j]).params
+        chunks += map(_tensor_bytes, arrays)
     return b"".join(chunks)
 
 
@@ -889,60 +887,65 @@ def save_model(model: PyramidModel, path) -> None:
 
 def load_model(path) -> PyramidModel:
     """The model in `path`, if `_model_bytes` gives the file back and
-    0 <= levels trained <= levels.  The file's frozen flags are not read
-    into the model: `_model_bytes` writes them from its levels trained, so
-    a file whose flags disagree with them is refused."""
+    0 <= levels trained <= levels: every entry stage, and the networks and
+    comparators from `frozen_prefix()` up.  A file of another PYRCNN
+    version is refused by name."""
     data = Path(path).read_bytes()
-    if data[:len(MAGIC)] != MAGIC:
+    magic = data[:len(MAGIC)]
+    if magic != MAGIC:
         raise PyramidError(
-            f"{path}: not a model file (expected magic {MAGIC.decode()})"
-        )
+            f"{path}: a {magic.decode('ascii', 'replace')} model file, but "
+            f"this version reads {MAGIC.decode()} only; train again to "
+            f"write one" if magic.startswith(b"PYRCNN") else
+            f"{path}: not a model file (expected magic {MAGIC.decode()})")
     cur = _Cursor(data)
     (levels, base_input, networks_per_level, output_dim,
      sk, sc, sp, n_template) = cur.ints(8)
     template = tuple(StageSpec(*cur.ints(3)) for _ in range(n_template))
     offsets = tuple(tuple(cur.ints(2)) for _ in range(networks_per_level))
     (levels_trained,) = cur.ints(1)
-    cur.ints(levels)  # the frozen flags, which the round trip checks
     spec = PyramidSpec(levels=levels, base_input=base_input,
                        shared=StageSpec(sk, sc, sp), template=template,
                        patch_offsets=offsets, output_dim=output_dim)
     if not 0 <= levels_trained <= levels:
         raise PyramidError(f"{path}: {levels_trained} levels trained, "
                            f"outside 0..{levels}")
-
     # every tensor is read, and its size checked against the file, before
-    # any layer is made: a bad spec cannot outgrow the file
-    read = {slot: [cur.tensor() for _ in range(1 if slot[2] is None else 2)]
-            for slot in _file_order(spec)}
-    stages = [Stage(ConvLayer(*read[level, 0, 0]), PoolSpec(sp))
-              for level in range(levels)]
-    level_networks, comparators = [], []
+    # any layer or per-level list is made: a bad spec cannot outgrow it
+    model = PyramidModel(spec, [], [], [], levels_trained)
+    kept = model.frozen_prefix()
+    read = {(level, k, j): [cur.tensor() for _ in range(tensors)]
+            for level, k, j, tensors in _file_order(spec, kept)}
     for level in range(levels):
+        stage = Stage(ConvLayer(*read[level, 0, 0]), PoolSpec(sp))
+        want = spec.stage_geometry(level), output_dim
+        if level < kept and stage.geometry != want[0][0]:
+            raise PyramidError(f"{path}: level {level} has entry stage "
+                               f"{stage.geometry}; its spec needs "
+                               f"{want[0][0]}")
         nets, comps = [], []
-        for k in range(networks_per_level):
-            chain = [stages[level]] + [
+        for k in range(networks_per_level if level >= kept else 0):
+            chain = [stage] + [
                 Stage(ConvLayer(*read[level, k, j]), PoolSpec(t.pool))
                 for j, t in enumerate(spec.template, 1)]
             head = FCLayer(*read[level, k, len(chain)])
-            want = spec.stage_geometry(level), output_dim
-            got = [stage.geometry for stage in chain], head.out_dim
+            got = [s.geometry for s in chain], head.out_dim
             if got != want:
                 raise PyramidError(
                     f"{path}: level {level} network {k} has stages {got[0]} "
                     f"and {got[1]} outputs; its spec needs {want[0]} and "
                     f"{want[1]}")
-            nets.append(Network(chain, head, base_input,
-                                spec.entry_in_channels(level)))
             (cmp,) = read[level, k, None]
             if cmp.size != 2:
                 raise PyramidError(
                     f"{path}: comparator tensor has {cmp.size} values, "
                     f"expected 2 (log_alpha, beta)")
+            nets.append(Network(chain, head, base_input,
+                                spec.entry_in_channels(level)))
             comps.append(ComparatorParams(*cmp.reshape(-1).tolist()))
-        level_networks.append(nets)
-        comparators.append(comps)
-    model = PyramidModel(spec, level_networks, comparators, levels_trained)
+        model.stages.append(stage)
+        model.level_networks.append(nets)
+        model.comparators.append(comps)
     if _model_bytes(model) != data:
         raise PyramidError(f"{path}: not the bytes save_model writes for "
                            f"the model it describes")

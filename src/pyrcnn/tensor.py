@@ -4,9 +4,9 @@ Images, feature maps and feature vectors travel through the public API as a
 `Tensor`: a row-major (height, width, channel) float64 block that its one
 constructor, `Tensor.from_array`, validates and copies, and that is
 read-only afterwards.  There is deliberately no broadcasting and no view
-machinery.  Model parameters are not Tensors: each layer owns its weights
-and bias as writable arrays from `float_array`, held to the same rules, and
-training updates them in place.
+machinery.  Model parameters are not Tensors: each layer owns its
+parameter arrays as writable arrays from `float_array`, held to the same
+rules, and training updates them in place.
 """
 
 from __future__ import annotations

@@ -112,8 +112,7 @@ def random_network(rng, edge, stage_specs, m):
         channels = out_channels
         feat = (feat - kernel + 1) // pool
     d_in = feat * feat * channels
-    head = FCLayer(rng.uniform(-0.5, 0.5, (d_in, m)),
-                   rng.uniform(-0.1, 0.1, m))
+    head = FCLayer(rng.uniform(-0.5, 0.5, (d_in, m)))
     return Network(stages, head, edge, 1)
 
 

@@ -74,7 +74,7 @@ def test_synth_writes_gallery_and_index(pipeline):
 
 def test_train_writes_model_splits_and_traces(pipeline):
     out = pipeline["out"]
-    assert pipeline["model"].read_bytes()[:8] == b"PYRCNN01"
+    assert pipeline["model"].read_bytes()[:8] == b"PYRCNN02"
     for name in ("train_index.csv", "eval_index.csv"):
         assert (out / name).is_file()
     # identity-disjoint split over the 6 synthetic identities
@@ -729,17 +729,14 @@ def test_extract_malformed_model_file(pipeline, tmp_path, capsys):
 
 
 def test_extract_model_file_save_would_not_write(pipeline, tmp_path, capsys):
-    """Level 0's frozen flag rewritten from 1 to 2: the model saves it as
-    1, from its levels trained, and load accepts only the bytes save
-    writes."""
+    """The comparator tensor that closes the file stored as shape (1, 2):
+    it reads as its two values, but the model saves it as shape (2,), and
+    load accepts only the bytes save writes."""
     data = pipeline["model"].read_bytes()
-    # past the magic, 8 spec integers, one template stage, one offset pair
-    # and levels trained
-    at = 8 + 8 * 14
-    assert data[at:at + 8] == np.asarray([1], "<i8").tobytes()
+    assert data[-32:-16] == np.asarray([1, 2], "<i8").tobytes()
     bad = tmp_path / "model.bin"
-    bad.write_bytes(data[:at] + np.asarray([2], "<i8").tobytes()
-                    + data[at + 8:])
+    bad.write_bytes(data[:-32] + np.asarray([2, 1, 2], "<i8").tobytes()
+                    + data[-16:])
     cfg = write_config(tmp_path)
     err = error_of(capsys, ["extract", "--config", str(cfg), str(bad),
                             str(pipeline["out"] / "eval_index.csv")])
@@ -763,27 +760,22 @@ def test_extract_model_whose_layers_disagree_with_its_spec(pipeline,
     assert "level 0 network 0 has stages [(1, 1, 1, 8, 2)," in err
 
 
-@pytest.mark.parametrize("trained, frozen, problem", [
+@pytest.mark.parametrize("trained, version, problem", [
     (2, 2, "{path}: 2 of 3 levels trained; extract needs every level"),
-    (3, 0, "{path}: not the bytes save_model writes for the model it "
-           "describes"),
+    (3, 1, "{path}: a PYRCNN01 model file, but this version reads PYRCNN02 "
+           "only; train again to write one"),
 ])
 def test_extract_refuses_a_model_not_fully_trained(pipeline, tmp_path,
-                                                   capsys, trained, frozen,
+                                                   capsys, trained, version,
                                                    problem):
-    """A model file with an untrained level, or whose frozen flags (the
-    first `frozen` of its 3 set) disagree with its levels trained, is an
-    error, and no features.csv is written."""
+    """A model file with an untrained level, or a fully trained one under
+    the magic of format version 1, PYRCNN01, is an error that names the
+    problem, and no features.csv is written."""
     model = build_pyramid(PyramidSpec(levels=3), seed=3)
     model.levels_trained = trained
     path = tmp_path / "model.bin"
     save_model(model, path)
-    # past the magic, 8 spec integers, one template stage, one offset pair
-    # and levels trained
-    at = 8 + 8 * 14
-    flags = np.asarray([1] * frozen + [0] * (3 - frozen), "<i8").tobytes()
-    data = path.read_bytes()
-    path.write_bytes(data[:at] + flags + data[at + len(flags):])
+    path.write_bytes(f"PYRCNN0{version}".encode() + path.read_bytes()[8:])
     cfg = write_config(tmp_path)
     err = error_of(capsys, ["extract", "--config", str(cfg), str(path),
                             str(pipeline["out"] / "eval_index.csv")])

@@ -123,6 +123,8 @@ def test_rewritten_spec_header_loads_only_a_model_that_matches_it(
     if model is None:
         return
     spec = model.spec
+    for level, stage in enumerate(model.stages):
+        assert stage.geometry == spec.stage_geometry(level)[0]
     for level, nets in enumerate(model.level_networks):
         for net in nets:
             assert [s.geometry for s in net.stages] \

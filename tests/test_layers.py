@@ -144,32 +144,46 @@ def test_conv_layer_validation():
 LAYER_SHAPES = [(ConvLayer, (3, 3, 1, 2)), (FCLayer, (4, 2))]
 
 
+def layer_arrays(cls, shape, dtype=np.float64):
+    """One array per name in `cls.names`: ones of `shape` for the
+    weights, zeros of its last extent for a bias."""
+    return [np.ones(shape, dtype=dtype) if name == "weights"
+            else np.zeros(shape[-1]) for name in cls.names]
+
+
 @pytest.mark.parametrize("cls, shape", LAYER_SHAPES)
 def test_layer_owns_float64_copies_of_its_parameters(cls, shape):
-    w, b = np.ones(shape, dtype=np.int64), np.zeros(shape[-1])
-    layer = cls(w, b)
-    w[...] = 5
-    b[...] = 5.0
-    for arr in (layer.weights, layer.bias):
+    """`params` holds one float64 copy per name in `names`: a conv's
+    weights and bias, the head's weights alone."""
+    arrays = layer_arrays(cls, shape, dtype=np.int64)
+    layer = cls(*arrays)
+    for a in arrays:
+        a[...] = 5
+    assert len(layer.params) == len(cls.names)
+    assert layer.params[0] is layer.weights
+    for arr, want in zip(layer.params, layer_arrays(cls, shape)):
         assert arr.dtype == np.float64 and arr.flags.writeable
-    np.testing.assert_array_equal(layer.weights, np.ones(shape))
-    np.testing.assert_array_equal(layer.bias, np.zeros(shape[-1]))
+        np.testing.assert_array_equal(arr, want)
 
 
-@pytest.mark.parametrize("cls, shape", LAYER_SHAPES)
-@pytest.mark.parametrize("bad, problem", [
-    ("nan weights", "finite"), ("inf weights", "finite"),
-    ("-inf bias", "finite"), ("empty", "extents must be >= 1")])
+@pytest.mark.parametrize("bad, problem, cls, shape", [
+    pytest.param(bad, problem, cls, shape,
+                 id=f"{bad}-{problem}-{cls.__name__}-shape{i}")
+    for i, (cls, shape) in enumerate(LAYER_SHAPES)
+    for bad, problem in [
+        ("nan weights", "finite"), ("inf weights", "finite"),
+        ("-inf bias", "finite"), ("empty", "extents must be >= 1")]
+    if bad.split()[-1] in cls.names + ("empty",)])
 def test_layer_rejects_non_finite_or_empty_parameters(cls, shape, bad,
                                                       problem):
-    w, b = np.ones(shape), np.zeros(shape[-1])
+    arrays = layer_arrays(cls, shape)
     if bad == "empty":
-        w, b = np.ones(shape[:-1] + (0,)), np.zeros(0)
+        arrays = [np.ones(a.shape[:-1] + (0,)) for a in arrays]
     else:
         value, which = bad.split()
-        (w if which == "weights" else b).flat[-1] = float(value)
+        arrays[cls.names.index(which)].flat[-1] = float(value)
     with pytest.raises(TensorError, match=problem):
-        cls(w, b)
+        cls(*arrays)
 
 
 @pytest.mark.parametrize("cls, shape", LAYER_SHAPES)
@@ -177,8 +191,14 @@ def test_layer_rejects_non_finite_or_empty_parameters(cls, shape, bad,
 def test_layer_parameters_cannot_be_replaced(cls, shape, attr):
     """A replacement would skip the constructor's checks (an int64 bias
     breaks the in-place training step); writing into the array still
-    works."""
-    layer = cls(np.ones(shape), np.zeros(shape[-1]))
+    works.  A layer without the array (the head's bias) cannot be given
+    one either."""
+    layer = cls(*layer_arrays(cls, shape))
+    if attr not in cls.names:
+        with pytest.raises(AttributeError):
+            setattr(layer, attr, np.zeros(shape[-1]))
+        assert not hasattr(layer, attr)
+        return
     owned = getattr(layer, attr)
     want = owned.copy()
     with pytest.raises(AttributeError):
@@ -315,30 +335,31 @@ def test_layer_forward_zero_kernel_annihilates():
 
 def test_fc_identity_map():
     x = tensor([1.0, 2.0, 3.0])
-    layer = FCLayer(np.eye(3), np.zeros(3))
+    layer = FCLayer(np.eye(3))
     np.testing.assert_array_equal(fc_forward(x, layer).array, x.array)
 
 
-def test_fc_zero_weights_rectified_bias():
+def test_fc_negative_output_is_not_clipped():
     x = tensor(np.ones(4))
-    layer = FCLayer(np.zeros((4, 3)), np.array([1.5, -2.0, 0.0]))
-    # the head is linear: a negative bias comes back as is, not clipped to 0
-    np.testing.assert_array_equal(fc_forward(x, layer).array, [1.5, -2.0, 0.0])
+    weights = np.zeros((4, 3))
+    weights[0] = [1.5, -2.0, 0.0]
+    # the head is linear: a negative output comes back as is, not clipped
+    np.testing.assert_array_equal(fc_forward(x, FCLayer(weights)).array,
+                                  [1.5, -2.0, 0.0])
 
 
 def test_fc_matches_dot_product_oracle():
     rng = np.random.default_rng(9)
     x = rng.standard_normal(7)
     w = rng.standard_normal((7, 4))
-    b = rng.standard_normal(4)
-    layer = FCLayer(w, b)
-    want = np.array([float(x @ w[:, j]) + b[j] for j in range(4)])
+    layer = FCLayer(w)
+    want = np.array([float(x @ w[:, j]) for j in range(4)])
     np.testing.assert_allclose(fc_forward(tensor(x), layer).array, want,
                                atol=1e-12)
 
 
 def test_fc_length_mismatch():
-    layer = FCLayer(np.zeros((4, 2)), np.zeros(2))
+    layer = FCLayer(np.zeros((4, 2)))
     with pytest.raises(ShapeError):
         fc_forward(tensor(np.zeros(5)), layer)
 
@@ -404,15 +425,16 @@ def test_network_backward_zero_grad_is_zero():
     patch = tensor(rng.uniform(0, 1, (14, 14, 1)))
     grads = network_backward(net, patch, np.zeros(net.output_dim))
     assert set(grads) == {"conv0.weights", "conv0.bias", "conv1.weights",
-                          "conv1.bias", "head.weights", "head.bias"}
+                          "conv1.bias", "head.weights"}
     for g in grads.values():
         np.testing.assert_array_equal(g, np.zeros_like(g))
 
 
 def test_network_backward_assembled_network_has_every_layer():
     """A level's assembled network, the frozen stage below it included:
-    one weights and one bias entry per layer, nonzero under a nonzero
-    output gradient, whatever the model's training progress."""
+    one entry per parameter array of every layer (a conv's weights and
+    bias, the head's weights), nonzero under a nonzero output gradient,
+    whatever the model's training progress."""
     model = build_pyramid(PyramidSpec(levels=2), seed=14)
     model.levels_trained = 1
     net = assemble_network(model, 1, 0)
@@ -420,8 +442,8 @@ def test_network_backward_assembled_network_has_every_layer():
     patch = tensor(rng.uniform(0, 1, (net.input_size, net.input_size, 1)))
     grads = network_backward(net, patch, np.ones(net.output_dim))
     assert list(grads) == [f"{name}.{part}"
-                           for name in ("conv0", "conv1", "conv2", "head")
-                           for part in ("weights", "bias")]
+                           for name in ("conv0", "conv1", "conv2")
+                           for part in ("weights", "bias")] + ["head.weights"]
     assert all(np.any(g) for g in grads.values())
 
 
@@ -434,17 +456,15 @@ def test_network_backward_output_grad_length_checked():
 
 
 def test_linear_head_gradient_matches_fd_tightly():
-    # bias large enough that every pre-activation stays strictly positive,
-    # so the map is locally affine and central differences are near-exact
+    # a network of the head alone is linear in its weights, so central
+    # differences are near-exact
     rng = np.random.default_rng(16)
     w = rng.uniform(0.1, 0.5, (9, 3))
-    b = np.full(3, 5.0)
     patch = tensor(rng.uniform(0.5, 1.0, (3, 3, 1)))
     g_out = rng.standard_normal(3)
 
     def net_with(weights):
-        head = FCLayer(weights, b)
-        return Network([], head, 3, 1)
+        return Network([], FCLayer(weights), 3, 1)
 
     grads = network_backward(net_with(w), patch, g_out)
     eps = 1e-6
@@ -491,6 +511,21 @@ def test_gradient_check_flags_scaled_block(monkeypatch):
     assert "head.weights" not in report.flagged
 
 
+def test_gradient_check_has_one_block_per_parameter_array():
+    """The check walks each layer's `params`: a weights and a bias block
+    per conv, one weights block for the head, each covering every entry
+    as checked or skipped."""
+    rng = np.random.default_rng(204)
+    net = small_net(rng)
+    report = gradient_check(net, tensor(rng.uniform(0, 1, (14, 14, 1))))
+    assert [b.name for b in report.blocks] == [
+        "conv0.weights", "conv0.bias", "conv1.weights", "conv1.bias",
+        "head.weights"]
+    sizes = [a.size for layer in net.layers for a in layer.params]
+    assert [b.checked + b.skipped for b in report.blocks] == sizes
+    assert report.blocks[-1].checked == net.head.weights.size
+
+
 def test_gradient_check_rejects_bad_epsilon():
     rng = np.random.default_rng(202)
     net = small_net(rng)
@@ -506,6 +541,7 @@ def test_initialize_glorot_bounds_and_zero_bias():
     np.testing.assert_array_equal(conv.bias, np.zeros(8))
     fc = FCLayer.initialize(30, 4, rng)
     assert np.abs(fc.weights).max() <= np.sqrt(6.0 / 34)
+    assert len(fc.params) == 1  # the head has no bias
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +567,7 @@ def test_forward_multiply_adds_counts_a_direct_forward(n_stages, input_size):
             count += 1
         a = maxpool(activation(tensor(pre + stage.conv.bias)),
                     stage.pool).array
-    flat, out = a.reshape(-1), net.head.bias.copy()
+    flat, out = a.reshape(-1), np.zeros(net.head.out_dim)
     for k, m in itertools.product(range(net.head.d_in),
                                   range(net.head.out_dim)):
         out[m] += flat[k] * net.head.weights[k, m]
@@ -571,10 +607,10 @@ def test_batched_kernels_match_per_image_ops(monkeypatch, edge, channels, n,
         np.testing.assert_allclose(
             out[i], network_forward(net, tensor(x[i])).array, rtol=1e-12)
 
-    *stage_grads, head_grads = layers._backward_cached(net, caches, g_out)
+    *stage_grads, (head_dw,) = layers._backward_cached(net, caches, g_out)
     per_image = [network_backward(net, tensor(x[i]), g_out[i])
                  for i in range(n)]
-    got = {"head.weights": head_grads[0], "head.bias": head_grads[1]}
+    got = {"head.weights": head_dw}
     for i, (dw, db) in enumerate(stage_grads):
         got[f"conv{i}.weights"], got[f"conv{i}.bias"] = dw, db
     assert set(got) == set(per_image[0])
@@ -606,8 +642,9 @@ def test_forward_rows_are_independent_of_batch_size(edge, channels):
 
 @pytest.mark.parametrize("n_stages, edge", [(2, 14), (0, 3)])
 def test_backward_gives_one_gradient_pair_per_layer(n_stages, edge):
-    """`_backward_cached` returns (dw, db) for each of `net.layers`, the
-    stages' convs then the head, shaped like the layer's arrays."""
+    """`_backward_cached` pairs each of `net.layers`, the stages' convs
+    then the head, with one gradient per array of its `params`, shaped
+    like the array: (dw, db) for a conv, (dw,) for the head."""
     rng = np.random.default_rng(330 + n_stages)
     if n_stages:
         net = small_net(rng, n_stages=n_stages, input_size=edge)
@@ -619,9 +656,10 @@ def test_backward_gives_one_gradient_pair_per_layer(n_stages, edge):
                                     rng.standard_normal((3, net.output_dim)))
     assert len(net.layers) == n_stages + 1 == len(grads)
     assert net.layers[-1] is net.head
-    for layer, (dw, db) in zip(net.layers, grads):
-        assert dw.shape == layer.weights.shape
-        assert db.shape == layer.bias.shape
+    for layer, layer_grads in zip(net.layers, grads):
+        assert [g.shape for g in layer_grads] == \
+            [a.shape for a in layer.params]
+    assert len(grads[-1]) == 1
 
 
 @pytest.mark.parametrize("edge, c_in, k, s", [

@@ -614,8 +614,7 @@ def test_diverged_train_network_leaves_the_net_unchanged():
 
     def values():
         layers = [conv for conv, _ in net.stages] + [net.head]
-        return [a.copy() for layer in layers
-                for a in (layer.weights, layer.bias)] \
+        return [a.copy() for layer in layers for a in layer.params] \
             + [np.array([comp.log_alpha, comp.beta])]
 
     before = values()
@@ -662,9 +661,8 @@ class ListAfterOneBatch(FixedPairs):
 
 
 def parameter_bytes(net, comp):
-    """The bytes of every layer's weights and bias, and the comparator."""
-    return ([a.tobytes() for layer in net.layers
-             for a in (layer.weights, layer.bias)]
+    """The bytes of every layer's parameter arrays, and the comparator."""
+    return ([a.tobytes() for layer in net.layers for a in layer.params]
             + [(comp.log_alpha, comp.beta)])
 
 
@@ -713,9 +711,9 @@ def test_shared_entry_stage_gradient_is_averaged_across_networks():
     twin = build_pyramid(PyramidSpec(levels=1, patch_offsets=((0, 0), (0, 0))), seed=27)
     net0 = twin.level_networks[0][0]
     twin.level_networks[0][1] = Network(
-        [net0.stages[0]] + [Stage(ConvLayer(c.weights, c.bias), p)
+        [net0.stages[0]] + [Stage(ConvLayer(*c.params), p)
                             for c, p in net0.stages[1:]],
-        FCLayer(net0.head.weights, net0.head.bias), 16, 1)
+        FCLayer(*net0.head.params), 16, 1)
     cmp0 = twin.comparators[0][0]
     twin.comparators[0][1] = ComparatorParams(cmp0.log_alpha, cmp0.beta)
     assert (single.stages[0].conv.weights.tobytes()
@@ -740,9 +738,7 @@ def test_train_level_updates_only_its_own_blocks():
     rng = np.random.default_rng(24)
     # diverse textures: near-constant images would leave both branches with
     # identical rectifier sign patterns, whose tied conv bias gradients
-    # cancel.  The linear head's bias gets no update on any input: the pair
-    # distance d(f1, f2) does not change when both outputs shift by the same
-    # offset, so the two branches' head-bias gradients cancel exactly.
+    # cancel
     images = stack(random_patches(rng, 6, spec.raw_data_edge()))
     identities = [0, 0, 0, 1, 1, 1]
     cfg = TrainConfig(learning_rate=0.05, batch_size=4,
@@ -759,7 +755,6 @@ def test_train_level_updates_only_its_own_blocks():
                     arrs[f"L{l}n{k}c{j}.w"] = net.stages[j][0].weights.copy()
                     arrs[f"L{l}n{k}c{j}.b"] = net.stages[j][0].bias.copy()
                 arrs[f"L{l}n{k}head.w"] = net.head.weights.copy()
-                arrs[f"L{l}n{k}head.b"] = net.head.bias.copy()
                 comp = m.comparators[l][k]
                 arrs[f"L{l}n{k}cmp"] = np.array([comp.log_alpha, comp.beta])
         return arrs
@@ -792,7 +787,7 @@ def test_tied_siamese_gradient_is_sum_of_branches():
     rng = np.random.default_rng(25)
     conv = ConvLayer.initialize(3, 1, 3, rng)
     head_w = rng.uniform(0.05, 0.2, (16 * 3, 4))
-    head = FCLayer(head_w, np.full(4, 0.3))
+    head = FCLayer(head_w)
     net = Network([Stage(conv, PoolSpec(2))], head, 10, 1)
     p1 = tensor(rng.uniform(0.2, 1.0, (10, 10, 1)))
     p2 = tensor(rng.uniform(0.2, 1.0, (10, 10, 1)))
@@ -924,7 +919,11 @@ def test_greedy_single_level_equals_manual_train_level(tmp_path):
 
 
 def test_greedy_resume_matches_uninterrupted_run(tmp_path):
-    spec, dataset = make_gallery(tmp_path, seed=33)
+    """A 3-level run stopped after level 0 and resumed, in memory or from
+    its saved model file, writes the uninterrupted run's model file: the
+    file keeps every level that a resume still trains, level 1 as well as
+    the top."""
+    spec, dataset = make_gallery(tmp_path, seed=33, levels=3)
     cfg = small_cfg(33)
 
     full = build_pyramid(spec, seed=33)
@@ -940,17 +939,22 @@ def test_greedy_resume_matches_uninterrupted_run(tmp_path):
     sampler = PairSampler(fit_ids, make_rng(cfg.seed, "pairs-level0"))
     train_level(part, 0, fit_imgs, sampler, cfg)
     part.levels_trained = 1
+    save_model(part, tmp_path / "level0.bin")
+    loaded = load_model(tmp_path / "level0.bin")
+    assert [len(nets) for nets in loaded.level_networks] == [0, 1, 1]
     greedy_train(part, dataset, cfg)  # resumes at level 1
+    greedy_train(loaded, dataset, cfg)
 
-    assert model_bytes(full, tmp_path, "full.bin") == \
-        model_bytes(part, tmp_path, "part.bin")
+    want = model_bytes(full, tmp_path, "full.bin")
+    assert model_bytes(part, tmp_path, "part.bin") == want
+    assert model_bytes(loaded, tmp_path, "loaded.bin") == want
 
 
 def test_greedy_train_steps_the_layers_own_arrays(tmp_path):
-    """Training updates every layer's weights and bias in place: after
-    greedy_train each is the ndarray object it was before, now holding
-    trained values, and every network of a level still aliases that
-    level's entry stage."""
+    """Training updates every layer's parameter arrays in place: after
+    greedy_train each is the ndarray object it was before, the weights now
+    holding trained values, and every network of a level still aliases
+    that level's entry stage."""
     spec = PyramidSpec(levels=2, patch_offsets=((0, 0), (2, 2)))
     index = synth_generate(8, 4, spec.raw_data_edge(), NuisanceConfig(),
                            seed=34, out_dir=tmp_path / "g")
@@ -960,12 +964,12 @@ def test_greedy_train_steps_the_layers_own_arrays(tmp_path):
     for nets in model.level_networks:
         for net in nets:
             layers += [conv for conv, _ in net.stages[1:]] + [net.head]
-    arrays = [(layer.weights, layer.bias) for layer in layers]
-    initial = [w.copy() for w, _ in arrays]
+    arrays = [layer.params for layer in layers]
+    initial = [layer.weights.copy() for layer in layers]
     greedy_train(model, dataset, small_cfg(34))
-    for layer, (w, b), w0 in zip(layers, arrays, initial):
-        assert layer.weights is w and layer.bias is b
-        assert not np.array_equal(w, w0)
+    for layer, owned, w0 in zip(layers, arrays, initial):
+        assert all(a is b for a, b in zip(layer.params, owned))
+        assert not np.array_equal(layer.weights, w0)
     for stage, nets in zip(model.stages, model.level_networks):
         assert all(net.stages[0][0] is stage.conv for net in nets)
 
@@ -1118,8 +1122,7 @@ def one_step_bytes(net, batch_size) -> tuple[int, int]:
     rows = 2 * min(batch_size, max(1, layers._images_per_slab(net) // 2))
     edge, c = net.input_size, net.in_channels
     _, entry = _stage_shapes([net.stages[0].geometry], edge, edge, c)
-    params = sum(a.size for layer in net.layers
-                 for a in (layer.weights, layer.bias))
+    params = sum(a.size for layer in net.layers for a in layer.params)
     return (8 * (rows * edge * edge * c + rows * entry
                  + layers._SLAB_ELEMENTS),
             8 * (3 * params + layers._SLAB_ELEMENTS))
@@ -1497,10 +1500,8 @@ def test_train_network_step_is_independent_of_chunking(monkeypatch):
         trace = train_network(net, comp, images, FixedPairs(pairs), cfg,
                               iterations=1, val_images=val_images,
                               val_pairs=val_pairs)
-        blocks = [a for conv, _ in net.stages
-                  for a in (conv.weights, conv.bias)]
-        blocks += [net.head.weights, net.head.bias,
-                   np.array([comp.log_alpha, comp.beta])]
+        blocks = [a for layer in net.layers for a in layer.params]
+        blocks.append(np.array([comp.log_alpha, comp.beta]))
         return blocks, trace
 
     whole, whole_trace = one_step()
@@ -1585,19 +1586,21 @@ def test_serialization_restores_aliasing_and_forward(tmp_path):
 
 
 def test_model_file_layout_is_spelled_out(tmp_path):
-    """PYRCNN01, written out here without the library: the magic, the spec
-    integers, then every tensor as int64 rank, int64 extents and float64
-    values, in this order: each level's entry conv (weights, bias), then,
-    per level and network, the template conv, the head and the comparator
-    (log_alpha, beta).  Every tensor holds its own values, so a file that
-    swaps two of them is caught, and a load puts each on its layer."""
+    """PYRCNN02, written out here without the library: the magic, the spec
+    integers and the levels trained, then every tensor as int64 rank, int64
+    extents and float64 values, in this order: each level's entry conv
+    (weights, bias), then, per level from the frozen prefix up and per
+    network, the template conv (weights, bias), the head's weights and the
+    comparator (log_alpha, beta).  The frozen level 0 keeps only its entry
+    conv.  Every tensor holds its own values, so a file that swaps two of
+    them is caught, and a load puts each on its layer."""
     spec = PyramidSpec(levels=2, patch_offsets=((0, 0), (2, 4)))
     model = build_pyramid(spec, seed=57)
     model.levels_trained = 1
     layers = {id(layer): layer for nets in model.level_networks
               for net in nets for layer in net.layers}.values()
     for i, layer in enumerate(layers):
-        for j, array in enumerate((layer.weights, layer.bias)):
+        for j, array in enumerate(layer.params):
             array[...] = 2 * i + j + np.arange(array.size).reshape(
                 array.shape) / 1e4
     for level, comps in enumerate(model.comparators):
@@ -1612,34 +1615,90 @@ def test_model_file_layout_is_spelled_out(tmp_path):
     header = (2, 16, 2, 8,            # levels, base_input, networks, dim
               5, 8, 2, 1, 3, 16, 2,   # shared stage, template count, stage
               0, 0, 2, 4,             # patch offsets
-              1, 1, 0)                # levels trained, frozen flags
-    expected = [b"PYRCNN01", struct.pack(f"<{len(header)}q", *header)]
+              1)                      # levels trained
+    expected = [b"PYRCNN02", struct.pack(f"<{len(header)}q", *header)]
     for stage in model.stages:
         expected += [tensor_bytes(stage.conv.weights),
                      tensor_bytes(stage.conv.bias)]
-    for nets, comps in zip(model.level_networks, model.comparators):
-        for net, comp in zip(nets, comps):
-            template, head = net.stages[1].conv, net.head
-            expected += [tensor_bytes(template.weights),
-                         tensor_bytes(template.bias),
-                         tensor_bytes(head.weights), tensor_bytes(head.bias),
-                         tensor_bytes(comp.log_alpha, comp.beta)]
+    for net, comp in zip(model.level_networks[1], model.comparators[1]):
+        template = net.stages[1].conv
+        expected += [tensor_bytes(template.weights),
+                     tensor_bytes(template.bias),
+                     tensor_bytes(net.head.weights),
+                     tensor_bytes(comp.log_alpha, comp.beta)]
     path = tmp_path / "m.bin"
     save_model(model, path)
     assert path.read_bytes() == b"".join(expected)
     loaded = load_model(path)
     assert loaded.levels_trained == 1
     assert loaded.frozen_prefix() == 1
+    assert loaded.level_networks[0] == loaded.comparators[0] == []
     for level in range(2):
-        for k in range(2):
-            want = model.level_networks[level][k]
-            got = loaded.level_networks[level][k]
-            assert got.stages[0] is loaded.stages[level]
-            for a, b in zip(want.layers, got.layers):
-                assert a.weights.tobytes() == b.weights.tobytes()
-                assert a.bias.tobytes() == b.bias.tobytes()
-            assert loaded.comparators[level][k] == \
-                model.comparators[level][k]
+        assert loaded.stages[level].conv.weights.tobytes() == \
+            model.stages[level].conv.weights.tobytes()
+    for k in range(2):
+        want = model.level_networks[1][k]
+        got = loaded.level_networks[1][k]
+        assert got.stages[0] is loaded.stages[1]
+        for a, b in zip(want.layers, got.layers):
+            assert [x.tobytes() for x in a.params] == \
+                [x.tobytes() for x in b.params]
+        assert loaded.comparators[1][k] == model.comparators[1][k]
+
+
+def test_model_file_holds_the_networks_from_the_frozen_prefix_up(tmp_path):
+    """A model saves the networks and comparators of the levels from
+    `frozen_prefix()` up, and every entry stage: none is saved below the
+    prefix, and the top level's always are, also once every level is
+    trained.  A loaded model holds the same, and assembling a level whose
+    networks it lacks is a PyramidError."""
+    spec = PyramidSpec(levels=3)
+    model = build_pyramid(spec, seed=58)
+    for trained, kept in [(0, 0), (1, 1), (2, 2), (3, 2)]:
+        model.levels_trained = trained
+        save_model(model, tmp_path / "m.bin")
+        loaded = load_model(tmp_path / "m.bin")
+        assert loaded.frozen_prefix() == kept
+        assert [len(nets) for nets in loaded.level_networks] == \
+            [len(comps) for comps in loaded.comparators] == \
+            [0] * kept + [1] * (3 - kept)
+        assert [s.conv.weights.tobytes() for s in loaded.stages] == \
+            [s.conv.weights.tobytes() for s in model.stages]
+        for level in range(kept):
+            with pytest.raises(PyramidError, match=f"cannot assemble level "
+                               f"{level}: the model holds the networks of "
+                               f"levels {kept} and up only"):
+                assemble_network(loaded, level, 0)
+        assemble_network(loaded, kept, 0)
+
+
+def test_load_model_refuses_a_pyrcnn01_file_naming_both_versions(tmp_path):
+    """A file of the earlier format, which also stored the frozen levels'
+    networks, the head bias and per-level frozen flags, is refused by
+    name before anything past its magic is read."""
+    path = tmp_path / "m.bin"
+    save_model(build_pyramid(PyramidSpec(levels=1), seed=59), path)
+    path.write_bytes(b"PYRCNN01" + path.read_bytes()[8:])
+    with pytest.raises(PyramidError, match="a PYRCNN01 model file, but this "
+                                           "version reads PYRCNN02 only"):
+        load_model(path)
+
+
+def test_load_model_checks_the_entry_stage_of_a_frozen_level(tmp_path):
+    """A frozen level's entry conv is stored without its networks, so no
+    network chain checks it: level 0's (5, 5, 1, 8) weights stored as
+    (1, 5, 5, 8) keep the file's size and save back to the same bytes,
+    but the stage differs from its spec."""
+    model = build_pyramid(PyramidSpec(levels=2), seed=56)
+    model.levels_trained = 1
+    path = tmp_path / "m.bin"
+    save_model(model, path)
+    data = path.read_bytes()
+    at = data.index(_i8(4, 5, 5, 1, 8))
+    path.write_bytes(data[:at] + _i8(4, 1, 5, 5, 8) + data[at + 40:])
+    with pytest.raises(PyramidError, match=r"level 0 has entry stage "
+                       r"\(1, 5, 5, 8, 2\); its spec needs \(5, 5, 1, 8, 2\)"):
+        load_model(path)
 
 
 def test_serialization_rejects_corruption(tmp_path):
@@ -1715,24 +1774,18 @@ def test_load_model_rejects_malformed_tensor(tmp_path, last_tensor, problem):
 
 
 # one level, one network: header integers 0-7 are the spec, then 3 per
-# template stage, 2 patch-offset integers, levels trained and one frozen
-# flag
+# template stage, 2 patch-offset integers and levels trained
 @pytest.mark.parametrize("template, slot, value, problem", [
-    ((StageSpec(3, 16, 2),), 14, 2, "not the bytes save_model writes"),
-    ((StageSpec(3, 16, 2),), 14, 1, "not the bytes save_model writes"),
     ((), 7, -3, "not the bytes save_model writes"),
     ((StageSpec(3, 16, 2),), 13, -1, r"-1 levels trained, outside 0\.\.1"),
     ((StageSpec(3, 16, 2),), 13, 2, r"2 levels trained, outside 0\.\.1"),
-], ids=["frozen flag 2", "top level frozen", "template count -3",
-        "levels trained -1",
+], ids=["template count -3", "levels trained -1",
         "levels trained above levels"])
 def test_load_model_refuses_headers_save_model_never_writes(
         tmp_path, template, slot, value, problem):
     """Each header reads as a model, but one whose save does not give the
-    file back (the frozen flags save as the levels trained make them, so
-    a flag of 2 or a frozen top level as 0; a template count of -3 saves
-    as 0), or whose levels trained lie outside 0..levels: load accepts
-    only the bytes save writes."""
+    file back (a template count of -3 saves as 0), or whose levels trained
+    lie outside 0..levels: load accepts only the bytes save writes."""
     path = tmp_path / "m.bin"
     save_model(build_pyramid(PyramidSpec(levels=1, template=template),
                              seed=55), path)

@@ -152,7 +152,7 @@ def test_monolith_run_trains_the_network_whose_backward_has_row_bands(
         edge = o // s
     assert any(banded[1:])  # a stage whose input gradient is taken
     init = b"".join(a.tobytes() for layer in net.layers
-                    for a in (layer.weights, layer.bias)) \
+                    for a in layer.params) \
         + np.array([comp.log_alpha, comp.beta]).tobytes()
     repo = Path(__file__).resolve().parents[1]
     runs = [tmp_path / side for side in same_bytes.SIDES]

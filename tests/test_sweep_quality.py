@@ -50,12 +50,15 @@ def test_a_two_seed_sweep_records_every_field(tmp_path):
             # validated after every tenth step and after the last
             assert [i for i, _ in level["val_curve"]] == [9, 11]
             assert all(0.0 <= auc <= 1.0 for _, auc in level["val_curve"])
-            # the flag of the run record ``train`` wrote
+            # the flag and the wall seconds of the run record ``train``
+            # wrote
             assert isinstance(level["collapse"], bool)
+            assert level["wall_s"] > 0.0
         record = json.loads((tmp_path / f"seed{run['seed']}" / "out" /
                              "run.json").read_text(encoding="utf-8"))
-        assert [level["collapse"] for level in run["levels"]] == \
-            [level["collapse"] for level in record["levels"]]
+        for name in ("collapse", "wall_s"):
+            assert [level[name] for level in run["levels"]] == \
+                [level[name] for level in record["levels"]]
         for name in ("heldout_auc", "best_accuracy", "raw_pixel_auc"):
             assert 0.0 <= run[name] <= 1.0
         assert run["numpy"] == np.__version__
@@ -91,12 +94,16 @@ def test_a_failed_run_is_recorded_and_left_out_of_the_summary(tmp_path):
 
 
 def test_collapse_flags_read_the_run_record(tmp_path):
-    """Each level's flag from ``run.json``; none from an engine that
-    writes no run record."""
+    """Each level's flag and wall seconds from ``run.json``, None for a
+    field a level's record lacks; nothing from an engine that writes no
+    run record."""
     path = tmp_path / "run.json"
-    assert sweep_quality.collapse_flags(path) == {}
+    assert sweep_quality.run_record_levels(path) == {}
     path.write_text(json.dumps({"levels": [
-        {"level": 0, "collapse": True}, {"level": 1, "collapse": None},
+        {"level": 0, "collapse": True, "wall_s": 0.25},
+        {"level": 1, "collapse": None, "wall_s": 0.5},
         {"level": 2, "collapse": False}]}), encoding="utf-8")
-    assert sweep_quality.collapse_flags(path) == {0: True, 1: None,
-                                                  2: False}
+    assert sweep_quality.run_record_levels(path) == {
+        0: {"collapse": True, "wall_s": 0.25},
+        1: {"collapse": None, "wall_s": 0.5},
+        2: {"collapse": False, "wall_s": None}}

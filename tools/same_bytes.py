@@ -233,8 +233,9 @@ def train_monolith() -> None:
     gallery: train ``build_monolithic``'s network of the default 3-level
     spec, seeded by the config, with ``train_network`` for
     `MONOLITH_STEPS` steps of `MONOLITH_BATCH` pairs on every image's
-    76-px center crop, and write each layer's weights and bias, then the
-    comparator's (log_alpha, beta), as float64 bytes to out/monolith.bin.
+    76-px center crop, and write each layer's parameter arrays (`params`:
+    a conv's weights and bias, the head's weights), then the comparator's
+    (log_alpha, beta), as float64 bytes to out/monolith.bin.
     It imports the engine of the process's own path."""
     import numpy as np
     from pyrcnn import (PairSampler, PyramidSpec, TrainConfig,
@@ -253,7 +254,7 @@ def train_monolith() -> None:
                   iterations=MONOLITH_STEPS)
     out = Path(config["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    arrays = [a for layer in net.layers for a in (layer.weights, layer.bias)]
+    arrays = [a for layer in net.layers for a in layer.params]
     (out / "monolith.bin").write_bytes(b"".join(
         np.ascontiguousarray(a, dtype="<f8").tobytes()
         for a in arrays + [np.array([comp.log_alpha, comp.beta])]))

@@ -16,14 +16,15 @@ environment.
 
 The output file holds, per run: the seed and the config; each level's
 mean loss over its last `LAST_LOSSES` iterations and its validation
-curve, read from ``trace_level*.csv``, and its ``collapse`` flag, read
-from the ``run.json`` that ``train`` writes (null where the engine writes
-none); the held-out AUC and best accuracy from ``report.csv``; the
-raw-pixel AUC of the same pairs; and ``blas_runtime``
-(``pyrcnn.telemetry.blas_runtime`` of the tool's own checkout) and
-numpy's version.  Under ``summary`` it holds the minimum and the median over the runs of the
-held-out AUC, the best accuracy and the raw-pixel AUC.  A run whose
-command fails is recorded with its error and left out of the summary.
+curve, read from ``trace_level*.csv``, and its ``collapse`` flag and
+wall seconds ``wall_s``, read from the ``run.json`` that ``train`` writes
+(null where the engine writes none); the held-out AUC and best accuracy
+from ``report.csv``; the raw-pixel AUC of the same pairs; and
+``blas_runtime`` (``pyrcnn.telemetry.blas_runtime`` of the tool's own
+checkout) and numpy's version.  Under ``summary`` it holds the minimum
+and the median over the runs of the held-out AUC, the best accuracy and
+the raw-pixel AUC.  A run whose command fails is recorded with its error
+and left out of the summary.
 
 `SEEDS` is fixed: the ten seeds of ROADMAP item 2's table, then ten that
 no change has been tuned against.
@@ -49,6 +50,8 @@ UNTUNED_SEEDS = tuple(range(4401, 4411))
 SEEDS = ITEM_2_SEEDS + UNTUNED_SEEDS
 LAST_LOSSES = 50
 SUMMARY = ("heldout_auc", "best_accuracy", "raw_pixel_auc")
+# what a level's record takes from the ``run.json`` that ``train`` writes
+RUN_RECORD_FIELDS = ("collapse", "wall_s")
 
 
 def raw_pixels(seed: int) -> None:
@@ -92,14 +95,17 @@ def level_record(path: Path) -> dict:
                           for i, auc in aucs]}
 
 
-def collapse_flags(path: Path) -> dict:
-    """level -> the ``collapse`` flag of that level in the ``run.json``
-    that ``train`` wrote at `path`; empty when there is no such file (an
-    engine that writes none)."""
+def run_record_levels(path: Path) -> dict:
+    """level -> that level's `RUN_RECORD_FIELDS` (its ``collapse`` flag
+    and its ``wall_s``) in the ``run.json`` that ``train`` wrote at
+    `path`, None for a field the record lacks; empty when there is no such
+    file (an engine that writes none)."""
     if not path.is_file():
         return {}
     record = json.loads(path.read_text(encoding="utf-8"))
-    return {level["level"]: level["collapse"] for level in record["levels"]}
+    return {level["level"]: {name: level.get(name)
+                             for name in RUN_RECORD_FIELDS}
+            for level in record["levels"]}
 
 
 def run_seed(checkout: Path, run_dir: Path, config: dict, seed: int) -> dict:
@@ -121,9 +127,10 @@ def run_seed(checkout: Path, run_dir: Path, config: dict, seed: int) -> dict:
     if error:
         return {**record, "error": error}
     report = same_bytes.report_metrics(out / "report.csv")
-    flags = collapse_flags(out / "run.json")
+    fields = run_record_levels(out / "run.json")
+    unknown = dict.fromkeys(RUN_RECORD_FIELDS)
     return {**record,
-            "levels": [{**level, "collapse": flags.get(level["level"])}
+            "levels": [{**level, **fields.get(level["level"], unknown)}
                        for level in map(level_record,
                                         sorted(out.glob("trace_level*.csv")))],
             "heldout_auc": report["auc"],
